@@ -114,7 +114,8 @@ def _cmd_find_anomalous(args) -> int:
         raise UsageError(f"no prime > 3 in [{args.min}, {args.max}]")
     curves = find_anomalous(args.min, args.max, args.count, args.seed)
     for c in curves:
-        assert count_points(c) == c.p
+        if count_points(c) != c.p:
+            raise DualPairError(f"search returned {c!r}, which is not anomalous")
     _emit([c.to_json() for c in curves])
     return 0
 

@@ -31,6 +31,7 @@ from .curve import Curve, Point
 from .dual_curve import DualCurve, DualPoint
 from .errors import (
     BadTorsionError,
+    DualPairError,
     LiftDegenerateError,
     WitnessInconsistentError,
 )
@@ -118,11 +119,13 @@ def attack_lift(inst: DlpInstance, seed: int = DEFAULT_SEED) -> AttackResult:
         a1, b1 = canonical.random_lift_coeffs(rng, reject_scaling_family=True)
         lift = DualCurve(curve, a1, b1)
         pPt = lift.mul(p, lift.lift(inst.P))
-        assert pPt.is_infinity, "p-fold multiple left the kernel of reduction"
+        if not pPt.is_infinity:
+            raise DualPairError("p*P~ left the kernel of reduction")
         if pPt.k.is_zero():
             continue  # p-torsion survived this lift; conjecturally scaling lifts only
         pQt = lift.mul(p, lift.lift(inst.Q))
-        assert pQt.is_infinity
+        if not pQt.is_infinity:
+            raise DualPairError("p*Q~ left the kernel of reduction")
         n = int(pQt.k / pPt.k)
         return AttackResult(n, "lift", retries=attempt, lift=(a1.value, b1.value))
     raise LiftDegenerateError(

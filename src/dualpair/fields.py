@@ -50,11 +50,6 @@ class Fp:
     def random(self, rng) -> "FpElement":
         return FpElement(rng.randrange(self.p), self)
 
-    def elements(self):
-        """Iterate all field elements in value order (small p only)."""
-        for v in range(self.p):
-            yield FpElement(v, self)
-
     def is_square(self, a: "FpElement") -> bool:
         return legendre(a.value, self.p) >= 0
 

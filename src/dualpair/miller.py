@@ -18,7 +18,10 @@ of n-1 line-ratio contributions; a binary chain keeps the number of
 distinct contributions O(log n).  Functions are used only inside ratios,
 so the normalizing constant of f_P never needs to be materialized.
 
-The same chain walk drives the classical Weil pairing
+Each (P, chain) is walked once: `chain_trace` gets every step's sum and
+lines from one slope.  Every evaluation and retry is a memoized fold over
+that trace, whose end point nP is the n-torsion check.  The same trace
+drives the classical Weil pairing
 
     e_n(P, Q) = f_P(D_Q) / f_Q(D_P)
 
@@ -28,10 +31,11 @@ to have disjoint support (re-randomized on degenerate evaluations).
 
 from __future__ import annotations
 
+import operator
 import random
 from typing import NamedTuple
 
-from .curve import Curve, Point
+from .curve import INFINITY, Curve, Point
 from .errors import BadTorsionError, DegenerateEvaluationError
 from .fields import FpElement
 from .dual_curve import DualCurve, DualPoint
@@ -158,107 +162,130 @@ def eval_line(line, x, y):
     return y - line.m * x - line.b
 
 
-def step_lines(curve: Curve, Pi: Point, Pj: Point, Pk: Point):
-    """(numerator, denominator) of h_{i,j}, or None when h is constant 1.
+def step_lines(curve: Curve, Pi: Point, Pj: Point):
+    """(Pi + Pj, lines of h_{i,j}), both from the step's one slope.
 
-    Pk must be Pi + Pj.  The denominator is None for the pure-vertical
-    case (i+j)P = infinity.
+    The lines are (numerator, denominator), or None when h is constant 1;
+    only the pure-vertical case (i+j)P = infinity has no denominator.
     """
     if Pi.is_infinity or Pj.is_infinity:
-        return None
-    if Pk.is_infinity:
-        return Vertical(Pi.x), None
-    return line_through(curve, Pi, Pj), Vertical(Pk.x)
+        return curve._add_raw(Pi, Pj), None
+    num = line_through(curve, Pi, Pj)
+    if isinstance(num, Vertical):
+        return INFINITY, (num, None)
+    x = num.m**2 - Pi.x - Pj.x
+    return Point(x, -(num.m * x + num.b)), (num, Vertical(x))
 
 
-def chain_points(curve: Curve, P: Point, chain: list[ChainStep]) -> dict[int, Point]:
-    pts = {1: P}
+# -- the chain trace ------------------------------------------------------------
+
+
+class ChainTrace(NamedTuple):
+    """One walk of an addition chain from P."""
+
+    steps: list  # (k, i, j, lines of h_{i,j}) in chain order
+    points: dict  # k -> kP for k = 1 and every k the chain defines
+
+
+def chain_trace(curve: Curve, P: Point, chain: list[ChainStep]) -> ChainTrace:
+    """Walk the chain from P once, one slope per step; P is not validated.
+
+    The lines are all that any evaluation needs, and points[n] = nP.
+    """
+    points = {1: P}
+    steps = []
     for k, i, j in chain:
-        pts[k] = curve._add_raw(pts[i], pts[j])
-    return pts
+        points[k], lines = step_lines(curve, points[i], points[j])
+        steps.append((k, i, j, lines))
+    return ChainTrace(steps, points)
+
+
+def torsion_trace(curve: Curve, P: Point, chain: list[ChainStep], n: int) -> ChainTrace:
+    """P's trace along a chain for n; raises unless P is n-torsion on the curve."""
+    curve._require_on_curve(P)
+    trace = chain_trace(curve, P, chain)
+    if not trace.points[n].is_infinity:
+        raise BadTorsionError(f"{P} is not {n}-torsion")
+    return trace
+
+
+def fold_trace(trace: ChainTrace, n: int, unit, op, value):
+    """Memoized val(k) = op(op(val(i), val(j)), value(lines)); returns val(n)."""
+    vals = {1: unit}
+    for k, i, j, lines in trace.steps:
+        vals[k] = op(op(vals[i], vals[j]), value(lines))
+    return vals[n]
 
 
 # -- evaluation ---------------------------------------------------------------
 
 
-def _shift(curve: Curve, at, T: Point):
+def shift(curve: Curve, at, T: Point):
     """Translate the evaluation point by -T (tau), in E or in the lift."""
     if isinstance(at, DualPoint):
         dc = DualCurve.canonical(curve)
         out = dc._add_raw(at, dc.neg(dc.embed(T)))
-        if out.is_infinity:
-            raise DegenerateEvaluationError("evaluation point translated to infinity")
-        return out
-    out = curve._add_raw(at, curve.neg(T))
+    else:
+        out = curve._add_raw(at, curve.neg(T))
     if out.is_infinity:
         raise DegenerateEvaluationError("evaluation point translated to infinity")
     return out
 
 
+def eval_nonzero(line, U):
+    """line(U) for a Point or DualPoint U; raises where it vanishes (mod eps)."""
+    v = eval_line(line, U.x, U.y)
+    if (v if isinstance(v, FpElement) else v.re).is_zero():
+        raise DegenerateEvaluationError(f"line {line} vanishes at the evaluation point")
+    return v
+
+
 def _eval_h(curve: Curve, lines, U):
     """h at a translated point U (Point or DualPoint); raises on degeneracy."""
-    x, y = U.x, U.y
     if lines is None:
-        return curve.field.one() if isinstance(x, FpElement) else curve.field.dual(1)
+        return curve.field.one() if isinstance(U, Point) else curve.field.dual(1)
     num, den = lines
-    nv = eval_line(num, x, y)
-    bad = nv.is_zero() if isinstance(nv, FpElement) else not nv.is_unit()
-    if bad:
-        raise DegenerateEvaluationError(f"line {num} vanishes at the evaluation point")
-    if den is None:
-        return nv
-    dv = eval_line(den, x, y)
-    bad = dv.is_zero() if isinstance(dv, FpElement) else not dv.is_unit()
-    if bad:
-        raise DegenerateEvaluationError(f"line {den} vanishes at the evaluation point")
-    return nv / dv
+    nv = eval_nonzero(num, U)
+    return nv if den is None else nv / eval_nonzero(den, U)
+
+
+def trace_value(curve: Curve, trace: ChainTrace, n: int, T: Point, at):
+    """f_n(at) for the divisor n(P+T) - n(T), folded over P's trace.
+
+    `at` may be a Point of E or a DualPoint of the canonical lift; the
+    result is an FpElement or DualNumber accordingly, up to the constant.
+    """
+    U = shift(curve, at, T)
+    unit = curve.field.dual(1) if isinstance(at, DualPoint) else curve.field.one()
+    return fold_trace(trace, n, unit, operator.mul, lambda lines: _eval_h(curve, lines, U))
 
 
 def h_eval(curve: Curve, P: Point, i: int, j: int, T: Point, at):
-    """The single cocycle value h_{i,j}(at) for the divisor (P+T) - (T).
-
-    `at` may be a Point of E or a DualPoint of the canonical lift; the
-    result is an FpElement or DualNumber accordingly.
-    """
-    Pi, Pj = curve.mul(i, P), curve.mul(j, P)
-    Pk = curve._add_raw(Pi, Pj)
-    lines = step_lines(curve, Pi, Pj, Pk)
-    return _eval_h(curve, lines, _shift(curve, at, T))
+    """The single cocycle value h_{i,j}(at) for (P+T) - (T); `at` as in `trace_value`."""
+    _, lines = step_lines(curve, curve.mul(i, P), curve.mul(j, P))
+    return _eval_h(curve, lines, shift(curve, at, T))
 
 
 def miller_eval(curve: Curve, P: Point, n: int, T: Point, at, chain=None):
-    """f_P(at) for the divisor n(P+T) - n(T), up to the global constant.
-
-    Only ratios of these values are meaningful; the constant cancels there.
-    """
+    """f_P(at) for the divisor n(P+T) - n(T), up to the global constant."""
     chain = chain if chain is not None else binary_chain(n)
-    U = _shift(curve, at, T)
-    one = curve.field.one() if not isinstance(at, DualPoint) else curve.field.dual(1)
-    pts = {1: P}
-    vals = {1: one}
-    for k, i, j in chain:
-        Pk = curve._add_raw(pts[i], pts[j])
-        h = _eval_h(curve, step_lines(curve, pts[i], pts[j], Pk), U)
-        pts[k] = Pk
-        vals[k] = vals[i] * vals[j] * h
-    return vals[n]
+    return trace_value(curve, chain_trace(curve, P, chain), n, T, at)
 
 
 def weil_pairing(curve: Curve, n: int, P: Point, Q: Point, rng=None, chain=None) -> FpElement:
     """The Weil pairing e_n(P, Q) for gcd(n, p) = 1, as an n-th root of unity.
 
     Auxiliary translation points are drawn at random and re-drawn when an
-    evaluation degenerates (a handful of bad choices among ~p points).
+    evaluation degenerates (a handful of bad choices among ~p points); the
+    traces of P and Q are walked once and only the evaluation is redone.
     """
     if n < 1 or n % curve.p == 0:
         raise BadTorsionError("n must be positive and coprime to p")
-    for X in (P, Q):
-        if not curve.mul(n, X).is_infinity:
-            raise BadTorsionError(f"{X} is not {n}-torsion")
+    chain = chain if chain is not None else binary_chain(n)
+    tp, tq = (torsion_trace(curve, X, chain, n) for X in (P, Q))
     if P.is_infinity or Q.is_infinity:
         return curve.field.one()
     rng = rng or random.Random(0x5EA1)
-    chain = chain if chain is not None else binary_chain(n)
     last = None
     for _ in range(32):
         T1, T2 = curve.random_point(rng), curve.random_point(rng)
@@ -267,10 +294,10 @@ def weil_pairing(curve: Curve, n: int, P: Point, Q: Point, rng=None, chain=None)
             pt1 = curve.add(P, T1)
             if len({pt1, T1, qt2, T2}) < 4 or qt2.is_infinity or pt1.is_infinity:
                 raise DegenerateEvaluationError("divisor supports are not disjoint")
-            f_p_top = miller_eval(curve, P, n, T1, qt2, chain)
-            f_p_bot = miller_eval(curve, P, n, T1, T2, chain)
-            f_q_top = miller_eval(curve, Q, n, T2, pt1, chain)
-            f_q_bot = miller_eval(curve, Q, n, T2, T1, chain)
+            f_p_top = trace_value(curve, tp, n, T1, qt2)
+            f_p_bot = trace_value(curve, tp, n, T1, T2)
+            f_q_top = trace_value(curve, tq, n, T2, pt1)
+            f_q_bot = trace_value(curve, tq, n, T2, T1)
             if f_p_bot.is_zero() or f_q_top.is_zero():
                 raise DegenerateEvaluationError("zero denominator in pairing ratio")
             value = (f_p_top / f_p_bot) * (f_q_bot / f_q_top)

@@ -14,9 +14,10 @@ a-coordinates, which is how `PairingValue` stores them.
 
 Three independent routes compute the same value:
 
-* direct: evaluate each h_{i,j} ratio with dual-number arithmetic,
-  translating R by O_k via the explicit infinity-translation formula.
-  No analytic conventions enter; this is the package's ground truth.
+* direct: e(P, O_k) = f_P(O_k + R) / f_P(R), both values folded over the
+  chain with dual-number arithmetic, O_k + R coming from the explicit
+  infinity-translation formula.  No analytic conventions enter; this is
+  the package's ground truth.
 
 * logarithmic derivative (Semaev's map): each ratio equals
   1 - 2*y(R) * (h'/h)(R) * k * eps, so the product telescopes to
@@ -35,6 +36,10 @@ Three independent routes compute the same value:
 
   with no evaluation point at all, hence no degenerate cases.  This is
   the default route.
+
+All three routes fold over one trace of P along the chain
+(`miller.chain_trace`), whose end point p*P is the p-torsion check; the
+trace is shared by every evaluation and every retry at a fresh R.
 
 The scalar prefactors of the last two routes depend on orientation
 conventions (line written as y - m*x - b, uniformizer -x/y); the signs
@@ -61,6 +66,8 @@ is exercised by the independence tests.
 
 from __future__ import annotations
 
+import itertools
+import operator
 import random
 
 from .curve import INFINITY, Curve, Point
@@ -69,16 +76,20 @@ from .errors import (
     BadInputError,
     BadTorsionError,
     DegenerateEvaluationError,
+    DualPairError,
     NotCanonicalError,
     NotPTorsionError,
 )
 from .fields import DualNumber, Fp, FpElement
 from .miller import (
-    Chord,
     binary_chain,
-    eval_line,
-    step_lines,
+    chain_trace,
+    eval_nonzero,
+    fold_trace,
+    shift,
     tail_chain,
+    torsion_trace,
+    trace_value,
 )
 
 #: e(P, O_k) = 1 + SLOPE_SIGN * (chain slope sum) * k * eps
@@ -132,24 +143,14 @@ class PairingValue:
         return PairingValue(field(int(obj["one_plus_eps_times"])))
 
 
-# -- chain-walk engine ---------------------------------------------------------
+# -- the chain trace -------------------------------------------------------------
 
 
-def _chain_walk(curve: Curve, P: Point, n: int, chain, one, mul, contribution):
-    """Memoized walk: val(k) = val(i) * val(j) * contribution(iP, jP, kP)."""
-    pts = {1: P}
-    vals = {1: one}
-    for k, i, j in chain:
-        Pk = curve._add_raw(pts[i], pts[j])
-        c = contribution(pts[i], pts[j], Pk)
-        pts[k] = Pk
-        vals[k] = mul(mul(vals[i], vals[j]), c)
-    return vals[n]
-
-
-def _require_torsion(curve: Curve, P: Point, what: str):
-    if not curve.mul(curve.p, P).is_infinity:
-        raise BadTorsionError(f"{what} is not p-torsion")
+def _trace(curve: Curve, P: Point, chain=None):
+    """P's walk for p (binary chain by default), checked p-torsion; None for P = infinity."""
+    if P.is_infinity:
+        return None
+    return torsion_trace(curve, P, chain if chain is not None else binary_chain(curve.p), curve.p)
 
 
 def _check_eval_point(curve: Curve, R: Point):
@@ -159,47 +160,20 @@ def _check_eval_point(curve: Curve, R: Point):
         raise BadInputError("evaluation point must be p-torsion")
 
 
-def _translated_base(curve: Curve, R: Point, T: Point) -> Point:
-    """The point R - T at which all lines are evaluated."""
-    S = curve._add_raw(R, curve.neg(T))
-    if S.is_infinity:
-        raise DegenerateEvaluationError("evaluation point translated to infinity")
-    return S
-
-
 # -- the three routes ----------------------------------------------------------
 
 
-def _direct_value(dc: DualCurve, P: Point, k: FpElement, R: Point, T: Point, chain) -> PairingValue:
-    """One attempt of the dual-number product; raises on degenerate lines."""
+def _direct_value(dc: DualCurve, trace, k: FpElement, R: Point, T: Point) -> PairingValue:
+    """f_P(O_k + R) / f_P(R) in F_p[eps]; raises on degenerate lines."""
     curve = dc.base
-    S = _translated_base(curve, R, T)
-    U = dc.translate(dc.embed(S), k)  # O_k + (R - T)
-    one = curve.field.dual(1)
-
-    def contribution(Pi, Pj, Pk):
-        lines = step_lines(curve, Pi, Pj, Pk)
-        if lines is None:
-            return one
-        num, den = lines
-        nv = eval_line(num, S.x, S.y)
-        if nv.is_zero():
-            raise DegenerateEvaluationError("numerator line vanishes at the evaluation point")
-        nd = eval_line(num, U.x, U.y)
-        if den is None:
-            return nd / nv
-        dv = eval_line(den, S.x, S.y)
-        if dv.is_zero():
-            raise DegenerateEvaluationError("vertical line vanishes at the evaluation point")
-        dd = eval_line(den, U.x, U.y)
-        return (nd / dd) / (nv / dv)
-
-    value = _chain_walk(curve, P, curve.p, chain, one, lambda a, b: a * b, contribution)
-    assert value.re == 1, "pairing value left the 1 + a*eps subgroup"
+    top = trace_value(curve, trace, curve.p, T, dc.translate(dc.embed(R), k))
+    value = top / trace_value(curve, trace, curve.p, T, R)
+    if value.re != 1:
+        raise DualPairError("pairing value left the 1 + a*eps subgroup")
     return PairingValue(value.eps)
 
 
-def _log_derivative_value(curve: Curve, P: Point, R: Point, T: Point, chain) -> FpElement:
+def _log_derivative_value(curve: Curve, trace, R: Point, T: Point) -> FpElement:
     """(f_P'/f_P)(R) as a chain sum of (h'/h)(R); raises on degenerate lines.
 
     For h = (l/v) o tau the invariant differential gives
@@ -207,30 +181,23 @@ def _log_derivative_value(curve: Curve, P: Point, R: Point, T: Point, chain) -> 
     and for the pure vertical step h = v o tau it gives
     (h'/h)(R) = (y(S)/y(R)) / v(S).
     """
-    S = _translated_base(curve, R, T)
+    S = shift(curve, R, T)
     if S.y.is_zero():
         raise DegenerateEvaluationError("translated evaluation point hit the 2-torsion")
     zero = curve.field.zero()
     y_ratio = S.y / R.y
     y_slope_S = (3 * S.x**2 + curve.A) / (2 * S.y)
 
-    def contribution(Pi, Pj, Pk):
-        lines = step_lines(curve, Pi, Pj, Pk)
+    def contribution(lines):
         if lines is None:
             return zero
         num, den = lines
-        nv = eval_line(num, S.x, S.y)
-        if nv.is_zero():
-            raise DegenerateEvaluationError("numerator line vanishes at the evaluation point")
+        nv = eval_nonzero(num, S)
         if den is None:
             return y_ratio / nv
-        assert isinstance(num, Chord), "mid-chain vertical cannot occur for odd prime order"
-        dv = eval_line(den, S.x, S.y)
-        if dv.is_zero():
-            raise DegenerateEvaluationError("vertical line vanishes at the evaluation point")
-        return y_ratio * ((y_slope_S - num.m) / nv - dv.inverse())
+        return y_ratio * ((y_slope_S - num.m) / nv - eval_nonzero(den, S).inverse())
 
-    return _chain_walk(curve, P, curve.p, chain, zero, lambda a, b: a + b, contribution)
+    return fold_trace(trace, curve.p, zero, operator.add, contribution)
 
 
 def rueck_slope_sum(curve: Curve, P: Point, chain=None) -> FpElement:
@@ -239,34 +206,17 @@ def rueck_slope_sum(curve: Curve, P: Point, chain=None) -> FpElement:
     Pure slope bookkeeping: vertical steps contribute nothing and no point
     is ever evaluated, so the computation is total.
     """
-    _require_torsion(curve, P, "P")
+    trace = _trace(curve, P, chain)
     zero = curve.field.zero()
-    if P.is_infinity:
+    if trace is None:
         return zero
-    chain = chain if chain is not None else binary_chain(curve.p)
-
-    def contribution(Pi, Pj, Pk):
-        lines = step_lines(curve, Pi, Pj, Pk)
-        if lines is None or lines[1] is None:
-            return zero
-        num = lines[0]
-        assert isinstance(num, Chord), "mid-chain vertical cannot occur for odd prime order"
-        return num.m
-
-    return _chain_walk(curve, P, curve.p, chain, zero, lambda a, b: a + b, contribution)
+    return fold_trace(trace, curve.p, zero, operator.add, lambda lines: zero if lines is None or lines[1] is None else lines[0].m)
 
 
 # -- retry policy ---------------------------------------------------------------
 
 #: Upper bound on p for exhausting all evaluation points before giving up.
 _EXHAUSTIVE_LIMIT = 1500
-
-
-def _chain_candidates(p: int):
-    yield binary_chain(p)
-    for c in (3, 5, 7, 9, 11, 13):
-        if 1 < c < p:
-            yield tail_chain(p, c)
 
 
 def _eval_point_candidates(curve: Curve, rng: random.Random):
@@ -277,21 +227,28 @@ def _eval_point_candidates(curve: Curve, rng: random.Random):
     return [curve.random_point(rng) for _ in range(8)]
 
 
-def _with_retries(curve: Curve, rng: random.Random | None, attempt):
-    """Run attempt(R, T, chain) over the fallback ladder of configurations.
+def _with_retries(curve: Curve, P: Point, trace, chain, R: Point | None, rng: random.Random | None, evaluate):
+    """evaluate(trace, R) at a caller-supplied R, else over the fallback ladder.
 
-    The ladder varies the evaluation point first and the chain second; at
-    very small p every evaluation point is tried for each chain, which
-    makes the computation total whenever any valid configuration exists.
+    The ladder varies the evaluation point first and the chain second; only
+    the evaluation is retried, never the walk.  At very small p every
+    evaluation point is tried for each chain, which makes the computation
+    total whenever any valid configuration exists.
     """
+    if R is not None:
+        _check_eval_point(curve, R)
+        return evaluate(trace, R)
     rng = rng or random.Random(0x7A1F ^ curve.p)
+    # a caller-fixed chain is the only rung; tail chains are walked when reached
+    tails = [] if chain is not None else [c for c in (3, 5, 7, 9, 11, 13) if c < curve.p]
+    rungs = itertools.chain([trace], (chain_trace(curve, P, tail_chain(curve.p, c)) for c in tails))
     last = None
-    for chain in _chain_candidates(curve.p):
-        for R in _eval_point_candidates(curve, rng):
-            if R.y.is_zero():
+    for rung in rungs:
+        for Rc in _eval_point_candidates(curve, rng):
+            if Rc.y.is_zero():
                 continue
             try:
-                return attempt(R, INFINITY, chain)
+                return evaluate(rung, Rc)
             except DegenerateEvaluationError as exc:
                 last = exc
     raise DegenerateEvaluationError(f"all evaluation configurations degenerate: {last}")
@@ -300,41 +257,26 @@ def _with_retries(curve: Curve, rng: random.Random | None, attempt):
 # -- public pairing surface -------------------------------------------------------
 
 
-def _as_k(field: Fp, k) -> FpElement:
-    return field(k)
-
-
 def pairing_direct(dc: DualCurve, P: Point, k, R: Point | None = None, chain=None, T: Point | None = None, rng=None) -> PairingValue:
-    """e(P, O_k) by dual-number evaluation of the Miller product."""
+    """e(P, O_k) = f_P(O_k + R) / f_P(R) by dual-number evaluation."""
     if not dc.is_canonical():
         raise NotCanonicalError("the pairing is defined on the canonical lift")
     curve = dc.base
-    k = _as_k(curve.field, k)
-    _require_torsion(curve, P, "P")
-    if P.is_infinity or k.is_zero():
+    k = curve.field(k)
+    trace = _trace(curve, P, chain)
+    if trace is None or k.is_zero():
         return PairingValue(curve.field.zero())
-    if R is not None:
-        _check_eval_point(curve, R)
-        chain = chain if chain is not None else binary_chain(curve.p)
-        return _direct_value(dc, P, k, R, T or INFINITY, chain)
-    if chain is not None or T is not None:
-        fixed_chain, fixed_T = chain, T
-
-        def attempt(Rc, Tc, chainc):
-            return _direct_value(dc, P, k, Rc, fixed_T or Tc, fixed_chain or chainc)
-
-        return _with_retries(curve, rng, attempt)
-    return _with_retries(curve, rng, lambda Rc, Tc, chainc: _direct_value(dc, P, k, Rc, Tc, chainc))
+    T = T or INFINITY
+    return _with_retries(curve, P, trace, chain, R, rng, lambda tr, Rc: _direct_value(dc, tr, k, Rc, T))
 
 
 def semaev_log_derivative(curve: Curve, P: Point, R: Point, T: Point | None = None, chain=None) -> FpElement:
     """Semaev's map lam(P) = (f_P'/f_P)(R); additive and injective in P."""
-    _require_torsion(curve, P, "P")
+    trace = _trace(curve, P, chain)
     _check_eval_point(curve, R)
-    if P.is_infinity:
+    if trace is None:
         return curve.field.zero()
-    chain = chain if chain is not None else binary_chain(curve.p)
-    return _log_derivative_value(curve, P, R, T or INFINITY, chain)
+    return _log_derivative_value(curve, trace, R, T or INFINITY)
 
 
 def semaev_coefficient(curve: Curve, P: Point, rng=None, R: Point | None = None, T: Point | None = None, chain=None) -> FpElement:
@@ -343,16 +285,11 @@ def semaev_coefficient(curve: Curve, P: Point, rng=None, R: Point | None = None,
     This is the scalar that multiplies -2*k*eps in the pairing; computing
     it through different R just rescales lam by y(R)'s reciprocal.
     """
-    _require_torsion(curve, P, "P")
-    if P.is_infinity:
+    trace = _trace(curve, P, chain)
+    if trace is None:
         return curve.field.zero()
-    if R is not None:
-        return R.y * semaev_log_derivative(curve, P, R, T, chain)
-
-    def attempt(Rc, Tc, chainc):
-        return Rc.y * _log_derivative_value(curve, P, Rc, T or Tc, chain or chainc)
-
-    return _with_retries(curve, rng, attempt)
+    T = T or INFINITY
+    return _with_retries(curve, P, trace, chain, R, rng, lambda tr, Rc: Rc.y * _log_derivative_value(curve, tr, Rc, T))
 
 
 def pairing_semaev(dc: DualCurve, P: Point, k, R: Point | None = None, T: Point | None = None, chain=None, rng=None) -> PairingValue:
@@ -360,21 +297,18 @@ def pairing_semaev(dc: DualCurve, P: Point, k, R: Point | None = None, T: Point 
     if not dc.is_canonical():
         raise NotCanonicalError("the pairing is defined on the canonical lift")
     curve = dc.base
-    k = _as_k(curve.field, k)
-    if P.is_infinity or k.is_zero():
-        _require_torsion(curve, P, "P")
+    k = curve.field(k)
+    if k.is_zero():
+        _trace(curve, P, chain)  # still rejects P outside the p-torsion
         return PairingValue(curve.field.zero())
-    c = semaev_coefficient(curve, P, rng=rng, R=R, T=T, chain=chain)
-    return PairingValue(SEMAEV_SIGN * 2 * c * k)
+    return PairingValue(SEMAEV_SIGN * 2 * semaev_coefficient(curve, P, rng=rng, R=R, T=T, chain=chain) * k)
 
 
 def pairing_rueck(dc: DualCurve, P: Point, k, chain=None) -> PairingValue:
     """e(P, O_k) as 1 + (slope sum)*k*eps; total, no auxiliary points."""
     if not dc.is_canonical():
         raise NotCanonicalError("the pairing is defined on the canonical lift")
-    curve = dc.base
-    k = _as_k(curve.field, k)
-    return PairingValue(SLOPE_SIGN * rueck_slope_sum(curve, P, chain) * k)
+    return PairingValue(SLOPE_SIGN * rueck_slope_sum(dc.base, P, chain) * dc.field(k))
 
 
 _THETA_METHODS = {
@@ -390,14 +324,17 @@ def theta_pairing(dc: DualCurve, P: Point, k, method: str = "rueck", rng=None) -
         impl = _THETA_METHODS[method]
     except KeyError:
         raise BadInputError(f"unknown pairing method {method!r}") from None
-    return impl(dc, P, _as_k(dc.field, k), rng)
+    return impl(dc, P, dc.field(k), rng)
 
 
 def _theta_coefficient(dc: DualCurve, P: Point, method: str, rng) -> FpElement:
     """The a-coordinate of e(P, O_1)."""
     if P.is_infinity:
         return dc.field.zero()
-    return theta_pairing(dc, P, 1, method, rng).a
+    try:
+        return theta_pairing(dc, P, 1, method, rng).a
+    except BadTorsionError:
+        raise NotPTorsionError(f"{P} is not p-torsion, so its lift is not either") from None
 
 
 def lifted_pairing(dc: DualCurve, Pt: DualPoint, Qt: DualPoint, method: str = "rueck", rng=None) -> PairingValue:
@@ -411,8 +348,8 @@ def lifted_pairing(dc: DualCurve, Pt: DualPoint, Qt: DualPoint, method: str = "r
         raise NotCanonicalError("the p-pairing lives on the canonical lift")
     P, k = dc.decompose(Pt)
     Q, j = dc.decompose(Qt)
-    for X in (P, Q):
-        if not dc.base.mul(dc.p, X).is_infinity:
-            raise NotPTorsionError(f"{X} is not p-torsion, so its lift is not either")
+    if method not in _THETA_METHODS:  # points outside the p-torsion are reported first
+        for X in (P, Q):
+            _theta_coefficient(dc, X, "rueck", rng)
     a = _theta_coefficient(dc, P, method, rng) * j - _theta_coefficient(dc, Q, method, rng) * k
     return PairingValue(a)

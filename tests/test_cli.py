@@ -1,8 +1,12 @@
 import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import dualpair
 from dualpair import Curve, count_points, find_anomalous
 from dualpair.cli import main
 
@@ -149,3 +153,31 @@ def test_selfcheck_passes_and_reproducible(capsys):
 def test_unknown_subcommand_is_usage(capsys):
     code, _, err = run_cli(capsys, "frobnicate")
     assert code == 64
+
+
+def _run_optimized(*argv):
+    """Run the CLI under python -O, where assert statements are stripped."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dualpair.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "dualpair.cli", *argv], capture_output=True, text=True, env=env, timeout=300
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_results_do_not_depend_on_asserts(capsys, anomalous, curve_flag):
+    args = ("selfcheck", "--p-max", "13", "--trials", "20", "--seed", "5")
+    code, out, err = _run_optimized(*args)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["pass"] is True
+    assert out == run_cli(capsys, *args)[1]
+    P, ptf = _point_flag(anomalous)
+    n = 777 % anomalous.p
+    Q = anomalous.mul(n, P)
+    for method in ("semaev", "rueck", "pairing", "lift"):
+        code, out, err = _run_optimized(
+            "dlp", "--curve", curve_flag, "--p-point", ptf, "--q-point", f"{Q.x.value},{Q.y.value}", "--method", method
+        )
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert (doc["n"], doc["method"]) == (str(n), method)

@@ -15,7 +15,7 @@ from dualpair import (
     torsion_preserving_lifts,
 )
 from dualpair.dlp import LIFT_RETRY_BUDGET
-from dualpair.errors import BadTorsionError, LiftDegenerateError, WitnessInconsistentError
+from dualpair.errors import BadTorsionError, DualPairError, LiftDegenerateError, WitnessInconsistentError
 from dualpair.fields import Fp
 
 METHODS = ("semaev", "rueck", "pairing", "lift")
@@ -112,6 +112,16 @@ def test_lift_attack_refuses_canonical(tiny_anomalous, monkeypatch):
     monkeypatch.setattr(DualCurve, "random_lift_coeffs", force_canonical)
     with pytest.raises(LiftDegenerateError):
         attack_lift(inst, seed=55)
+
+
+def test_lift_attack_rejects_product_outside_kernel(tiny_anomalous, monkeypatch):
+    # a p-fold multiple that stays affine is a broken result, reported as
+    # an error even where asserts are stripped (python -O)
+    inst, _ = _random_instance(tiny_anomalous, random.Random(56))
+    monkeypatch.setattr(DualCurve, "mul", lambda self, n, P: P)
+    with pytest.raises(DualPairError, match="kernel of reduction") as info:
+        attack_lift(inst, seed=57)
+    assert type(info.value) is DualPairError
 
 
 def test_lift_budget_is_bounded():

@@ -10,7 +10,7 @@ from dualpair.miller import (
     Chord,
     Vertical,
     binary_chain,
-    chain_points,
+    chain_trace,
     eval_line,
     h_eval,
     incremental_chain,
@@ -59,7 +59,7 @@ def _divisor_oracle(curve, P, n, T, chain):
     (iP+T) + (jP+T) - (kP+T) - (T), weighted by its unrolled multiplicity.
     No field evaluation happens here."""
     mult = step_multiplicities(n, chain)
-    pts = chain_points(curve, P, chain)
+    pts = chain_trace(curve, P, chain).points
     div = Counter()
     for k, i, j in chain:
         m = mult[k]
@@ -192,6 +192,8 @@ def test_miller_ratios_chain_independent():
         Q1, Q2 = c.random_point(rng), c.random_point(rng)
         vals = set()
         for chain in (binary_chain(sub_n), incremental_chain(sub_n), tail_chain(sub_n, 3)):
+            # the walk's end point is the scalar multiple, whatever the chain
+            assert chain_trace(c, P, chain).points[sub_n] == c.mul(sub_n, P)
             try:
                 v1 = miller_eval(c, P, sub_n, T, Q1, chain)
                 v2 = miller_eval(c, P, sub_n, T, Q2, chain)

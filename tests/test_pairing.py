@@ -13,6 +13,7 @@ from dualpair import (
     pairing_rueck,
     pairing_semaev,
     rueck_slope_sum,
+    semaev_coefficient,
     semaev_log_derivative,
     theta_pairing,
 )
@@ -222,8 +223,21 @@ def test_bad_inputs(tiny_anomalous, rng):
     T2 = c2.two_torsion()[0]
     P31 = c2.random_point(random.Random(1))
     assert not c2.mul(c2.p, P31).is_infinity
-    with pytest.raises(BadTorsionError):
-        pairing_rueck(DualCurve.canonical(c2), P31, 1)
+    dc2 = DualCurve.canonical(c2)
+    chain = binary_chain(c2.p)
+    # the walk's end point rejects P before any R is looked at (R = P31 is
+    # itself a bad evaluation point), and also when k = 0 needs no walk value
+    for kwargs in ({}, {"chain": chain}, {"R": P31}, {"R": P31, "chain": chain}):
+        for k in (0, 1):
+            with pytest.raises(BadTorsionError):
+                pairing_direct(dc2, P31, k, **kwargs)
+            with pytest.raises(BadTorsionError):
+                pairing_semaev(dc2, P31, k, **kwargs)
+        with pytest.raises(BadTorsionError):
+            semaev_coefficient(c2, P31, **kwargs)
+        if "R" not in kwargs:
+            with pytest.raises(BadTorsionError):
+                pairing_rueck(dc2, P31, 1, **kwargs)
     with pytest.raises(BadTorsionError):
         semaev_log_derivative(c2, T2, P31)  # 2-torsion P rejected first
     with pytest.raises(BadInputError):
@@ -277,12 +291,16 @@ def test_lifted_pairing_bilinear_and_nondegenerate_exhaustive(tiny_anomalous):
         assert any(not lifted_pairing(dc, Pt, Qt).is_one() for Qt in pts)
 
 
-def test_lifted_pairing_rejects_non_torsion():
+@pytest.mark.parametrize("method", ["direct", "semaev", "rueck"])
+def test_lifted_pairing_rejects_non_torsion(method):
     c = Curve(Fp(31), 1, 0)  # not anomalous
     dc = DualCurve.canonical(c)
     P = c.random_point(random.Random(2))
+    theta = DualPoint.infinity(dc.field(1))
     with pytest.raises(NotPTorsionError):
-        lifted_pairing(dc, dc.embed(P), DualPoint.infinity(dc.field(1)))
+        lifted_pairing(dc, dc.embed(P), theta, method=method)
+    with pytest.raises(NotPTorsionError):
+        lifted_pairing(dc, theta, dc.embed(P), method=method)
     with pytest.raises(NotCanonicalError):
         lifted_pairing(DualCurve(c, 1, 0), dc.embed(P), dc.embed(P))
 
