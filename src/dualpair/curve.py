@@ -16,6 +16,7 @@ import math
 import random
 
 from .errors import (
+    DualPairError,
     OrderAmbiguousError,
     PointNotOnCurveError,
     SearchExhaustedError,
@@ -265,7 +266,8 @@ def count_points(curve: Curve, scan_limit: int = COUNT_SCAN_LIMIT, rng: random.R
         order = curve.order_of(curve.random_point(rng))
         acc = acc * order // math.gcd(acc, order)
         first = ((lo + acc - 1) // acc) * acc
-        assert first <= hi, "the group order is a multiple of every point order"
+        if first > hi:
+            raise DualPairError("the group order is a multiple of every point order")
         if first + acc > hi:
             return first
     raise OrderAmbiguousError("point orders did not determine a unique count in the Hasse interval")

@@ -22,7 +22,7 @@ Integers serialize as decimal strings in JSON; a dual number serializes as
 from __future__ import annotations
 
 from .errors import DivisionByZeroError, NonUnitError
-from .numbertheory import is_prime, legendre, sqrt_mod
+from .numbertheory import is_prime, sqrt_mod
 
 
 class Fp:
@@ -49,9 +49,6 @@ class Fp:
 
     def random(self, rng) -> "FpElement":
         return FpElement(rng.randrange(self.p), self)
-
-    def is_square(self, a: "FpElement") -> bool:
-        return legendre(a.value, self.p) >= 0
 
     def sqrt(self, a: "FpElement") -> "FpElement | None":
         r = sqrt_mod(a.value, self.p)

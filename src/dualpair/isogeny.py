@@ -36,11 +36,12 @@ independent of the auxiliary T.
 
 from __future__ import annotations
 
+import itertools
 import random
 
 from .curve import INFINITY, Curve, Point
 from .dual_curve import DualCurve, DualPoint
-from .errors import BadInputError, NotASubgroupError, NotRationalError
+from .errors import BadInputError, DualPairError, NotASubgroupError, NotRationalError
 from .fields import Fp, FpElement
 from .pairing import lifted_pairing
 from .poly import Polynomial
@@ -205,20 +206,12 @@ class Isogeny:
         return tgt._add_raw(image, tgt.embed(back))
 
     def _translation_point(self, rng: random.Random | None) -> Point:
-        """A deterministic rational point outside the kernel."""
-        if rng is not None:
-            while True:
-                T = self.source.random_point(rng)
-                if not self.in_kernel(T):
-                    return T
-        f = self.source.field
-        for v in range(self.source.p):
-            x = f(v)
-            if self.r.den(x).is_zero():
-                continue
-            y = f.sqrt(self.source.rhs(x))
-            if y is not None:
-                return Point(x, y)
+        """A rational point outside the kernel: one random draw if rng is
+        given, then the first such point in `points()` order."""
+        draws = [self.source.random_point(rng)] if rng is not None else []
+        for T in itertools.chain(draws, self.source.points()):
+            if not self.in_kernel(T):
+                return T
         raise NotRationalError("no rational point outside the kernel")
 
     # -- composition --------------------------------------------------------
@@ -260,7 +253,8 @@ def compute_m(phi: Isogeny) -> FpElement:
     if rp.num.is_zero():
         return f.zero()
     quotient = rp / phi.s
-    assert quotient.is_constant(), "r'/s is not constant: not an isogeny"
+    if not quotient.is_constant():
+        raise DualPairError("r'/s is not constant: not an isogeny")
     return f(quotient.num[0]) / f(quotient.den[0])
 
 
@@ -314,7 +308,8 @@ def velu(curve: Curve, kernel: list[Point]) -> Isogeny:
             r = r + RationalFunction(Polynomial.constant(f, int(uq)), lin * lin)
     target = Curve(f, curve.A - 5 * v_sum, curve.B - 7 * w_sum)
     phi = Isogeny(curve, target, r, r.derivative(), len(kernel), f.one(), kernel)
-    assert phi.curve_identity_holds(), "Velu construction left the target curve"
+    if not phi.curve_identity_holds():
+        raise DualPairError("Velu construction left the target curve")
     return phi
 
 
@@ -403,7 +398,8 @@ def _division_polynomials(curve: Curve, top: int):
             a = pmul(get(m + 2), pmul(get(m), pmul(get(m), get(m))))
             b = pmul(get(m - 1), pmul(get(m + 1), pmul(get(m + 1), get(m + 1))))
             val = (a[0] - b[0], a[1] - b[1])
-            assert val[1].is_zero(), "odd-index division polynomial lost purity"
+            if not val[1].is_zero():
+                raise DualPairError("odd-index division polynomial lost purity")
             psi.append(val)
         else:
             a = pmul(get(m + 2), pmul(get(m - 1), get(m - 1)))
@@ -411,7 +407,8 @@ def _division_polynomials(curve: Curve, top: int):
             diff = (a[0] - b[0], a[1] - b[1])
             prod = pmul(get(m), diff)
             # prod = 2y * psi_n, and psi_n = y * (pure x part)
-            assert prod[1].is_zero(), "even-index division polynomial lost purity"
+            if not prod[1].is_zero():
+                raise DualPairError("even-index division polynomial lost purity")
             psi.append((zero, prod[0].exact_div(two_f)))
     return psi
 
@@ -447,14 +444,16 @@ def multiplication_isogeny(curve: Curve, n: int, bound: int = 7) -> Isogeny:
         ej, oj = psi[j]
         if oi.is_zero() and oj.is_zero():
             return ei * ej
-        assert ei.is_zero() and ej.is_zero()
+        if not (ei.is_zero() and ej.is_zero()):
+            raise DualPairError("psi_(n-1) * psi_(n+1) is not y-free")
         return fx * (oi * oj)
 
     num = Polynomial.x(f) * pure_sq(n) - pure_prod(n - 1, n + 1)
     r = RationalFunction(num, pure_sq(n))
     s = r.derivative().scale(pow(n, -1, f.p))
     phi = Isogeny(curve, curve, r, s, n * n, f(n))
-    assert phi.curve_identity_holds(), "division-polynomial maps left the curve"
+    if not phi.curve_identity_holds():
+        raise DualPairError("division-polynomial maps left the curve")
     return phi
 
 
@@ -468,7 +467,8 @@ def frobenius_isogeny(curve: Curve) -> Isogeny:
     for _ in range((p - 1) // 2):
         s_poly = s_poly * fx
     phi = Isogeny(curve, curve, r, RationalFunction.from_poly(s_poly), p, f.zero())
-    assert phi.curve_identity_holds()
+    if not phi.curve_identity_holds():
+        raise DualPairError("Frobenius maps left the curve")
     return phi
 
 

@@ -215,25 +215,27 @@ def rueck_slope_sum(curve: Curve, P: Point, chain=None) -> FpElement:
 
 # -- retry policy ---------------------------------------------------------------
 
-#: Upper bound on p for exhausting all evaluation points before giving up.
-_EXHAUSTIVE_LIMIT = 1500
 
+def _eval_points(curve: Curve, rng: random.Random):
+    """One random point of E, then every point in order, skipping infinity and the 2-torsion.
 
-def _eval_point_candidates(curve: Curve, rng: random.Random):
-    if curve.p <= _EXHAUSTIVE_LIMIT:
-        pts = [Q for Q in curve.points() if not (Q.is_infinity or Q.y.is_zero())]
-        rng.shuffle(pts)
-        return pts
-    return [curve.random_point(rng) for _ in range(8)]
+    The stream goes past its first point only where a line of the chain
+    vanishes, so the scan is bounded: a line vanishes at no more than three
+    points, and lines vanishing at every point take a chain of about p/4
+    steps, which in practice happens only at p = 5 and 7.
+    """
+    for R in itertools.chain([curve.random_point(rng)], curve.points()):
+        if not (R.is_infinity or R.y.is_zero()):
+            yield R
 
 
 def _with_retries(curve: Curve, P: Point, trace, chain, R: Point | None, rng: random.Random | None, evaluate):
     """evaluate(trace, R) at a caller-supplied R, else over the fallback ladder.
 
     The ladder varies the evaluation point first and the chain second; only
-    the evaluation is retried, never the walk.  At very small p every
-    evaluation point is tried for each chain, which makes the computation
-    total whenever any valid configuration exists.
+    the evaluation is retried, never the walk.  Each rung tries one random R
+    and then every point of E in order, which makes the computation total
+    whenever any valid configuration exists.
     """
     if R is not None:
         _check_eval_point(curve, R)
@@ -244,9 +246,7 @@ def _with_retries(curve: Curve, P: Point, trace, chain, R: Point | None, rng: ra
     rungs = itertools.chain([trace], (chain_trace(curve, P, tail_chain(curve.p, c)) for c in tails))
     last = None
     for rung in rungs:
-        for Rc in _eval_point_candidates(curve, rng):
-            if Rc.y.is_zero():
-                continue
+        for Rc in _eval_points(curve, rng):
             try:
                 return evaluate(rung, Rc)
             except DegenerateEvaluationError as exc:

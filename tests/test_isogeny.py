@@ -20,9 +20,9 @@ from dualpair import (
     velu,
     velu_from_kernel_polynomial,
 )
-from dualpair.errors import BadInputError, NotASubgroupError, NotRationalError
+from dualpair.errors import BadInputError, DualPairError, NotASubgroupError, NotRationalError
 from dualpair.fields import Fp
-from dualpair.isogeny import RationalFunction
+from dualpair.isogeny import Isogeny, RationalFunction
 from dualpair.poly import Polynomial
 
 
@@ -457,3 +457,30 @@ def test_velu_kernel_polynomial_rejects_junk(tiny_anomalous):
     junk = next(v for v in range(1, c.p) if not psi3(f(-v)).is_zero())
     with pytest.raises(BadInputError):
         velu_from_kernel_polynomial(c, Polynomial(f, (junk, 1)))  # x + junk has no 3-torsion root
+
+
+def test_lifted_translation_without_rational_point_outside_kernel():
+    # E: y^2 = x^3 + 2x over F_5 has E(F_5) = {O, (0, 0)}, all of it in the kernel
+    c = Curve(Fp(5), 2, 0)
+    T2 = c.two_torsion()[0]
+    assert len(list(c.points())) == 2
+    phi = velu(c, [INFINITY, T2])
+    Pt = DualCurve.canonical(c).embed(T2)
+    for rng in (None, random.Random(0)):
+        with pytest.raises(NotRationalError):
+            phi.eval_lifted(Pt, rng=rng)
+
+
+def test_curve_identity_failure_raises(monkeypatch, curve_with_two_torsion, tiny_anomalous):
+    # the result check survives python -O: it raises instead of asserting
+    monkeypatch.setattr(Isogeny, "curve_identity_holds", lambda self: False)
+    c = curve_with_two_torsion
+    builders = [
+        lambda: velu(c, [INFINITY, c.two_torsion()[0]]),
+        lambda: multiplication_isogeny(c, 2),
+        lambda: frobenius_isogeny(tiny_anomalous),
+    ]
+    for build in builders:
+        with pytest.raises(DualPairError, match="left the"):
+            build()
+

@@ -312,3 +312,23 @@ def test_lifted_pairing_methods_agree(tiny_anomalous, rng):
         Pt, Qt = rng.choice(pts), rng.choice(pts)
         vals = {lifted_pairing(dc, Pt, Qt, method=m, rng=rng).a.value for m in ("direct", "semaev", "rueck")}
         assert len(vals) == 1
+
+
+def test_default_evaluation_point_is_not_an_enumeration(monkeypatch):
+    # the default R comes from one random draw, not from listing E(F_p)
+    c = find_anomalous(1000, 1500, count=1, seed=0)[0]
+    dc = DualCurve.canonical(c)
+    P = c.random_point(random.Random(1))
+    real_sqrt = Fp.sqrt
+    calls = []
+
+    def counting_sqrt(self, a):
+        calls.append(a)
+        return real_sqrt(self, a)
+
+    monkeypatch.setattr(Fp, "sqrt", counting_sqrt)
+    for route in (lambda: pairing_direct(dc, P, 3), lambda: semaev_coefficient(c, P)):
+        calls.clear()
+        route()
+        assert len(calls) < 20
+
