@@ -1,9 +1,18 @@
 """Short-Weierstrass elliptic curves y^2 = x^3 + A*x + B over F_p.
 
-Chord-and-tangent group law, double-and-add scalar multiplication, point
-counting (quadratic-character tally for small p, baby-step/giant-step
-order finding in the Hasse interval above that), a seeded search for
-anomalous curves (#E(F_p) = p), and 2-torsion utilities.
+Chord-and-tangent group law, point counting (quadratic-character tally
+for small p, baby-step/giant-step order finding in the Hasse interval
+above that), a seeded search for anomalous curves (#E(F_p) = p), and
+2-torsion utilities.
+
+The group law comes twice.  `Curve.add` works on affine `Point`s of
+FpElement wrappers, one inversion per addition; it is the public one and
+the reference for the other.  `jacobian_double` and `jacobian_add` work on
+Jacobian triples of plain ints and never invert; besides the sum they
+return the numerator N of the chord-or-tangent slope N/Z3, which is what
+the Miller walk of `miller.chain_trace` needs from each step.
+`Curve.mul` runs double-and-add on the Jacobian law and inverts once, at
+the end.
 
 A curve with #E = p has a rational point group that is cyclic of order p,
 so every nonzero point generates and the whole group is p-torsion.  Those
@@ -138,18 +147,28 @@ class Curve:
         return self.add(P, self.neg(Q))
 
     def mul(self, n: int, P: Point) -> Point:
-        """n*P by double-and-add; negative n allowed."""
+        """n*P by double-and-add in Jacobian coordinates; negative n allowed.
+
+        The walk runs on plain ints and inverts once, at the end.
+        """
         self._require_on_curve(P)
         if n < 0:
             n, P = -n, self.neg(P)
-        acc = INFINITY
-        base = P
-        while n:
-            if n & 1:
-                acc = self._add_raw(acc, base)
-            base = self._add_raw(base, base)
-            n >>= 1
-        return acc
+        if n == 0 or P.is_infinity:
+            return INFINITY
+        p, a = self.p, self.A.value
+        base = (P.x.value, P.y.value, 1)
+        acc = base
+        for bit in bin(n)[3:]:
+            acc = jacobian_double(p, a, acc)[0]
+            if bit == "1":
+                acc = jacobian_add(p, a, acc, base)[0]
+        X, Y, Z = acc
+        if not Z:
+            return INFINITY
+        zi = pow(Z, -1, p)
+        zi2 = zi * zi
+        return Point(FpElement(X * zi2, self.field), FpElement(Y * zi2 * zi, self.field))
 
     # -- point generation -------------------------------------------------
 
@@ -211,6 +230,55 @@ class Curve:
     def from_json(obj: dict) -> "Curve":
         field = Fp(int(obj["p"]))
         return Curve(field, int(obj["A"]), int(obj["B"]))
+
+
+# -- Jacobian group law on plain ints --------------------------------------------
+#
+# A triple (X, Y, Z) of ints in [0, p) with Z != 0 stands for the affine
+# point (X/Z^2, Y/Z^3); any triple with Z = 0 stands for infinity.  Neither
+# operation inverts.  Each returns the sum and the numerator N of the
+# chord-or-tangent slope N/Z3, where Z3 is the sum's Z; N is None when the
+# step has no such line, because an operand or the sum is infinity.
+
+JACOBIAN_INFINITY = (1, 1, 0)
+
+
+def jacobian_double(p: int, a: int, P: tuple) -> tuple:
+    """(2P, N) on y^2 = x^3 + a*x + b; the slope is (3x^2 + a)/(2y) = N/(2YZ)."""
+    X, Y, Z = P
+    if not (Y and Z):
+        return JACOBIAN_INFINITY, None
+    YY = Y * Y % p
+    S = 4 * X * YY % p
+    ZZ = Z * Z % p
+    N = (3 * X * X + a * ZZ * ZZ) % p
+    X3 = (N * N - 2 * S) % p
+    return (X3, (N * (S - X3) - 8 * YY * YY) % p, 2 * Y * Z % p), N
+
+
+def jacobian_add(p: int, a: int, P: tuple, Q: tuple) -> tuple:
+    """(P + Q, N) for any P, Q; doubles when P = Q.  The chord slope is r/(Z1*Z2*H)."""
+    if P is Q:
+        return jacobian_double(p, a, P)
+    X1, Y1, Z1 = P
+    X2, Y2, Z2 = Q
+    if not Z1:
+        return Q, None
+    if not Z2:
+        return P, None
+    Z1Z1 = Z1 * Z1 % p
+    Z2Z2 = Z2 * Z2 % p
+    U1 = X1 * Z2Z2 % p
+    S1 = Y1 * Z2 * Z2Z2 % p
+    H = (X2 * Z1Z1 - U1) % p
+    r = (Y2 * Z1 * Z1Z1 - S1) % p
+    if not H:
+        return jacobian_double(p, a, P) if not r else (JACOBIAN_INFINITY, None)
+    HH = H * H % p
+    HHH = H * HH % p
+    V = U1 * HH % p
+    X3 = (r * r - HHH - 2 * V) % p
+    return (X3, (r * (V - X3) - S1 * HHH) % p, Z1 * Z2 * H % p), r
 
 
 def hasse_interval(p: int) -> tuple[int, int]:

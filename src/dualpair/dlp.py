@@ -142,11 +142,15 @@ _ATTACKS = {
 
 
 def solve(inst: DlpInstance, method: str = "rueck", seed: int = DEFAULT_SEED) -> AttackResult:
+    """Recover n by the chosen attack; the result is checked, n*P = Q, before it is returned."""
     try:
         impl = _ATTACKS[method]
     except KeyError:
         raise ValueError(f"unknown attack method {method!r}") from None
-    return impl(inst, seed)
+    result = impl(inst, seed)
+    if not result.verify(inst):
+        raise DualPairError(f"the {method} attack returned n = {result.n}, but n*P != Q")
+    return result
 
 
 def canonical_witness(dc: DualCurve) -> tuple[bool, FpElement | None]:

@@ -18,10 +18,15 @@ of n-1 line-ratio contributions; a binary chain keeps the number of
 distinct contributions O(log n).  Functions are used only inside ratios,
 so the normalizing constant of f_P never needs to be materialized.
 
-Each (P, chain) is walked once: `chain_trace` gets every step's sum and
-lines from one slope.  Every evaluation and retry is a memoized fold over
-that trace, whose end point nP is the n-torsion check.  The same trace
-drives the classical Weil pairing
+Each (P, chain) is walked once, on plain ints: `chain_trace` adds in
+Jacobian coordinates (`curve.jacobian_add`, through `step_lines`), which
+gives every step's sum and the numerator of its one slope without an
+inversion, then inverts every Z of the walk in one batch (Montgomery's
+trick, `numbertheory.batch_inverse`) to read off the affine multiples,
+the slopes and the lines.  Every evaluation and retry is a memoized fold
+over that trace, whose end point nP is the n-torsion check.  A fold of
+f_P carries the numerator and denominator products of the line values
+and divides once.  The same trace drives the classical Weil pairing
 
     e_n(P, Q) = f_P(D_Q) / f_Q(D_P)
 
@@ -31,14 +36,14 @@ to have disjoint support (re-randomized on degenerate evaluations).
 
 from __future__ import annotations
 
-import operator
 import random
 from typing import NamedTuple
 
-from .curve import INFINITY, Curve, Point
+from .curve import INFINITY, JACOBIAN_INFINITY, Curve, Point, jacobian_add
 from .errors import BadTorsionError, DegenerateEvaluationError
-from .fields import FpElement
+from .fields import Fp, FpElement
 from .dual_curve import DualCurve, DualPoint
+from .numbertheory import batch_inverse
 
 
 class ChainStep(NamedTuple):
@@ -128,20 +133,24 @@ def unrolled_step_count(n: int, chain: list[ChainStep]) -> int:
 
 
 class Chord(NamedTuple):
-    """The function y - m*x - b."""
+    """The function y - m*x - b (ints in a chain trace, FpElements from `line_through`)."""
 
-    m: FpElement
-    b: FpElement
+    m: int | FpElement
+    b: int | FpElement
 
 
 class Vertical(NamedTuple):
     """The function x - c."""
 
-    c: FpElement
+    c: int | FpElement
 
 
 def line_through(curve: Curve, P: Point, Q: Point):
-    """The line through two affine points (tangent when they coincide)."""
+    """The line through two affine points (tangent when they coincide).
+
+    One inversion on FpElement wrappers: the affine reference for the lines
+    of `chain_trace`.
+    """
     if P.is_infinity or Q.is_infinity:
         raise ValueError("lines through infinity are handled by the step rules")
     if P == Q:
@@ -156,64 +165,99 @@ def line_through(curve: Curve, P: Point, Q: Point):
 
 
 def eval_line(line, x, y):
-    """Evaluate at coordinates from F_p or F_p[eps]."""
+    """Evaluate at coordinates from F_p or F_p[eps], or at ints (unreduced)."""
     if isinstance(line, Vertical):
         return x - line.c
     return y - line.m * x - line.b
 
 
-def step_lines(curve: Curve, Pi: Point, Pj: Point):
-    """(Pi + Pj, lines of h_{i,j}), both from the step's one slope.
+def step_lines(p: int, a: int, Pi: tuple, Pj: tuple) -> tuple:
+    """(Pi + Pj, N) for one chain step on Jacobian int triples.
 
-    The lines are (numerator, denominator), or None when h is constant 1;
-    only the pure-vertical case (i+j)P = infinity has no denominator.
+    N is the numerator of the step's one slope N/Z(Pi + Pj), or None when
+    the step has no chord: an operand or the sum is infinity.  The lines
+    of h_{i,j} are read off once the walk's Z's are inverted.  Every walk
+    calls this once per step, through the module global, so that the
+    benchmark's tracer (`perfbench/tracing.py`) can count chain steps.
     """
-    if Pi.is_infinity or Pj.is_infinity:
-        return curve._add_raw(Pi, Pj), None
-    num = line_through(curve, Pi, Pj)
-    if isinstance(num, Vertical):
-        return INFINITY, (num, None)
-    x = num.m**2 - Pi.x - Pj.x
-    return Point(x, -(num.m * x + num.b)), (num, Vertical(x))
+    return jacobian_add(p, a, Pi, Pj)
 
 
 # -- the chain trace ------------------------------------------------------------
 
 
 class ChainTrace(NamedTuple):
-    """One walk of an addition chain from P."""
+    """One walk of an addition chain, on plain ints mod p."""
 
-    steps: list  # (k, i, j, lines of h_{i,j}) in chain order
-    points: dict  # k -> kP for k = 1 and every k the chain defines
+    steps: list  # (k, i, j, lines of h_{i,j}) in chain order, lines with int coefficients
+    affine: dict  # k -> (x, y) of kP, or None for infinity
+    field: Fp
+
+    @property
+    def points(self) -> dict:
+        """k -> kP as Points."""
+        f = self.field
+        return {k: INFINITY if xy is None else Point(f(xy[0]), f(xy[1])) for k, xy in self.affine.items()}
+
+
+def _walk(curve: Curve, start: dict, chain: list[ChainStep]) -> ChainTrace:
+    """Walk the chain from start = {multiple: Point} in Jacobian coordinates.
+
+    One batch inversion of every Z then gives the affine multiples and the
+    slopes m_k = N_k/Z_k, from which each step's lines are built.
+    """
+    p, a = curve.p, curve.A.value
+    jac = {k: JACOBIAN_INFINITY if P.is_infinity else (P.x.value, P.y.value, 1) for k, P in start.items()}
+    nums = []
+    for k, i, j in chain:
+        jac[k], N = step_lines(p, a, jac[i], jac[j])
+        nums.append(N)
+    finite = [k for k, J in jac.items() if J[2]]
+    zinv = dict(zip(finite, batch_inverse([jac[k][2] for k in finite], p)))
+    affine = dict.fromkeys(jac)
+    for k, zi in zinv.items():
+        X, Y, _ = jac[k]
+        zi2 = zi * zi % p
+        affine[k] = (X * zi2 % p, Y * zi2 * zi % p)
+    steps = []
+    for (k, i, j), N in zip(chain, nums):
+        Pi, Pj = affine[i], affine[j]
+        if Pi is None or Pj is None:
+            lines = None
+        elif N is None:
+            lines = (Vertical(Pi[0]), None)
+        else:
+            m = N * zinv[k] % p
+            lines = (Chord(m, (Pi[1] - m * Pi[0]) % p), Vertical(affine[k][0]))
+        steps.append((k, i, j, lines))
+    return ChainTrace(steps, affine, curve.field)
 
 
 def chain_trace(curve: Curve, P: Point, chain: list[ChainStep]) -> ChainTrace:
     """Walk the chain from P once, one slope per step; P is not validated.
 
-    The lines are all that any evaluation needs, and points[n] = nP.
+    The lines are all that any evaluation needs, and affine[n] is nP.
     """
-    points = {1: P}
-    steps = []
-    for k, i, j in chain:
-        points[k], lines = step_lines(curve, points[i], points[j])
-        steps.append((k, i, j, lines))
-    return ChainTrace(steps, points)
+    return _walk(curve, {1: P}, chain)
 
 
 def torsion_trace(curve: Curve, P: Point, chain: list[ChainStep], n: int) -> ChainTrace:
     """P's trace along a chain for n; raises unless P is n-torsion on the curve."""
     curve._require_on_curve(P)
     trace = chain_trace(curve, P, chain)
-    if not trace.points[n].is_infinity:
+    if trace.affine[n] is not None:
         raise BadTorsionError(f"{P} is not {n}-torsion")
     return trace
 
 
-def fold_trace(trace: ChainTrace, n: int, unit, op, value):
-    """Memoized val(k) = op(op(val(i), val(j)), value(lines)); returns val(n)."""
-    vals = {1: unit}
-    for k, i, j, lines in trace.steps:
-        vals[k] = op(op(vals[i], vals[j]), value(lines))
+def fold_trace(trace: ChainTrace, n: int, unit, op, values: list):
+    """Memoized val(k) = op(op(val(i), val(j)), value of step k); returns val(n).
+
+    `values` runs parallel to trace.steps; the walk's start points fold to `unit`.
+    """
+    vals = dict.fromkeys(trace.affine, unit)
+    for (k, i, j, _), v in zip(trace.steps, values):
+        vals[k] = op(op(vals[i], vals[j]), v)
     return vals[n]
 
 
@@ -232,21 +276,37 @@ def shift(curve: Curve, at, T: Point):
     return out
 
 
-def eval_nonzero(line, U):
-    """line(U) for a Point or DualPoint U; raises where it vanishes (mod eps)."""
-    v = eval_line(line, U.x, U.y)
-    if (v if isinstance(v, FpElement) else v.re).is_zero():
+def line_value(line, x0: int, y0: int, x1: int, y1: int, p: int) -> tuple:
+    """An int line at (x0 + x1*eps, y0 + y1*eps) as (re, eps); raises where re = 0."""
+    re = eval_line(line, x0, y0) % p
+    if not re:
         raise DegenerateEvaluationError(f"line {line} vanishes at the evaluation point")
-    return v
+    return re, (x1 if isinstance(line, Vertical) else y1 - line.m * x1) % p
 
 
-def _eval_h(curve: Curve, lines, U):
-    """h at a translated point U (Point or DualPoint); raises on degeneracy."""
-    if lines is None:
-        return curve.field.one() if isinstance(U, Point) else curve.field.dual(1)
-    num, den = lines
-    nv = eval_nonzero(num, U)
-    return nv if den is None else nv / eval_nonzero(den, U)
+def trace_fraction(curve: Curve, trace: ChainTrace, n: int, T: Point, at) -> tuple:
+    """f_n(at) as (numerator, denominator) products, each an (re, eps) int pair.
+
+    `at` is a Point of E (eps parts 0) or a DualPoint of the canonical
+    lift; raises DegenerateEvaluationError where a line vanishes.
+    """
+    U = shift(curve, at, T)
+    p = curve.p
+    if isinstance(U, DualPoint):
+        coords = U.x.re.value, U.y.re.value, U.x.eps.value, U.y.eps.value, p
+    else:
+        coords = U.x.value, U.y.value, 0, 0, p
+    one = (1, 0)
+    nums, dens = [], []
+    for _, _, _, lines in trace.steps:
+        num, den = lines or (None, None)
+        nums.append(one if num is None else line_value(num, *coords))
+        dens.append(one if den is None else line_value(den, *coords))
+
+    def mul(u, v):
+        return u[0] * v[0] % p, (u[0] * v[1] + u[1] * v[0]) % p
+
+    return fold_trace(trace, n, one, mul, nums), fold_trace(trace, n, one, mul, dens)
 
 
 def trace_value(curve: Curve, trace: ChainTrace, n: int, T: Point, at):
@@ -254,16 +314,21 @@ def trace_value(curve: Curve, trace: ChainTrace, n: int, T: Point, at):
 
     `at` may be a Point of E or a DualPoint of the canonical lift; the
     result is an FpElement or DualNumber accordingly, up to the constant.
+    The numerator and denominator products are divided once.
     """
-    U = shift(curve, at, T)
-    unit = curve.field.dual(1) if isinstance(at, DualPoint) else curve.field.one()
-    return fold_trace(trace, n, unit, operator.mul, lambda lines: _eval_h(curve, lines, U))
+    (nr, ne), (dr, de) = trace_fraction(curve, trace, n, T, at)
+    p = curve.p
+    inv = pow(dr, -1, p)
+    re = nr * inv % p
+    if isinstance(at, DualPoint):
+        return curve.field.dual(re, (ne - re * de) * inv)
+    return curve.field(re)
 
 
 def h_eval(curve: Curve, P: Point, i: int, j: int, T: Point, at):
     """The single cocycle value h_{i,j}(at) for (P+T) - (T); `at` as in `trace_value`."""
-    _, lines = step_lines(curve, curve.mul(i, P), curve.mul(j, P))
-    return _eval_h(curve, lines, shift(curve, at, T))
+    trace = _walk(curve, {i: curve.mul(i, P), j: curve.mul(j, P)}, [ChainStep(i + j, i, j)])
+    return trace_value(curve, trace, i + j, T, at)
 
 
 def miller_eval(curve: Curve, P: Point, n: int, T: Point, at, chain=None):

@@ -1,4 +1,5 @@
-"""Integer helpers: deterministic primality, factoring, modular square roots.
+"""Integer helpers: deterministic primality, factoring, modular square roots
+and batched modular inversion.
 
 Everything here is exact and deterministic.  Miller-Rabin with the fixed
 witness set below is a proven primality test for all n < 3.3 * 10**24,
@@ -10,6 +11,8 @@ caller's responsibility, constructors only assert it).
 from __future__ import annotations
 
 import math
+
+from .errors import DivisionByZeroError
 
 # Deterministic Miller-Rabin witnesses for n < 3,317,044,064,679,887,385,961,981.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -149,3 +152,25 @@ def sqrt_mod(a: int, p: int) -> int | None:
         t = t * c % p
         r = r * b % p
     return min(r, p - r)
+
+
+def batch_inverse(values: list[int], p: int) -> list[int]:
+    """The inverses mod p of every value, from one modular inversion.
+
+    Montgomery's trick: invert the product of all values, then peel each
+    inverse off with two multiplications.  Raises DivisionByZeroError if
+    any value is 0 mod p.
+    """
+    prefix = []
+    acc = 1
+    for v in values:
+        prefix.append(acc)
+        acc = acc * v % p
+    if acc == 0:
+        raise DivisionByZeroError("inverse of 0 in F_p")
+    inv = pow(acc, -1, p)
+    out = [0] * len(values)
+    for idx in range(len(values) - 1, -1, -1):
+        out[idx] = inv * prefix[idx] % p
+        inv = inv * values[idx] % p
+    return out

@@ -39,7 +39,12 @@ Three independent routes compute the same value:
 
 All three routes fold over one trace of P along the chain
 (`miller.chain_trace`), whose end point p*P is the p-torsion check; the
-trace is shared by every evaluation and every retry at a fresh R.
+trace is shared by every evaluation and every retry at a fresh R.  The
+trace is a Jacobian walk on plain ints with one batched inversion, and
+each fold inverts once more: rueck sums the int slopes and needs no
+inversion at all, semaev checks every line value nonzero and inverts them
+in one batch, and direct carries f_P(O_k + R) as one dual-number fraction,
+whose reduction mod eps is f_P(R), and divides once.
 
 The scalar prefactors of the last two routes depend on orientation
 conventions (line written as y - m*x - b, uniformizer -x/y); the signs
@@ -76,7 +81,6 @@ from .errors import (
     BadInputError,
     BadTorsionError,
     DegenerateEvaluationError,
-    DualPairError,
     NotCanonicalError,
     NotPTorsionError,
 )
@@ -84,13 +88,14 @@ from .fields import DualNumber, Fp, FpElement
 from .miller import (
     binary_chain,
     chain_trace,
-    eval_nonzero,
     fold_trace,
+    line_value,
     shift,
     tail_chain,
     torsion_trace,
-    trace_value,
+    trace_fraction,
 )
+from .numbertheory import batch_inverse
 
 #: e(P, O_k) = 1 + SLOPE_SIGN * (chain slope sum) * k * eps
 SLOPE_SIGN = -1
@@ -164,13 +169,15 @@ def _check_eval_point(curve: Curve, R: Point):
 
 
 def _direct_value(dc: DualCurve, trace, k: FpElement, R: Point, T: Point) -> PairingValue:
-    """f_P(O_k + R) / f_P(R) in F_p[eps]; raises on degenerate lines."""
+    """f_P(O_k + R) / f_P(R) in F_p[eps] with one inversion; raises on degenerate lines.
+
+    f_P(R) is the reduction mod eps of f_P(O_k + R) = (nr + ne*eps)/(dr + de*eps),
+    so the ratio is 1 + (ne/nr - de/dr)*eps.
+    """
     curve = dc.base
-    top = trace_value(curve, trace, curve.p, T, dc.translate(dc.embed(R), k))
-    value = top / trace_value(curve, trace, curve.p, T, R)
-    if value.re != 1:
-        raise DualPairError("pairing value left the 1 + a*eps subgroup")
-    return PairingValue(value.eps)
+    p = curve.p
+    (nr, ne), (dr, de) = trace_fraction(curve, trace, p, T, dc.translate(dc.embed(R), k))
+    return PairingValue(curve.field((ne * dr - nr * de) * pow(nr * dr, -1, p)))
 
 
 def _log_derivative_value(curve: Curve, trace, R: Point, T: Point) -> FpElement:
@@ -179,25 +186,32 @@ def _log_derivative_value(curve: Curve, trace, R: Point, T: Point) -> FpElement:
     For h = (l/v) o tau the invariant differential gives
     (h'/h)(R) = (y(S)/y(R)) * [ (y'(S) - m)/l(S) - 1/v(S) ]   with S = R - T,
     and for the pure vertical step h = v o tau it gives
-    (h'/h)(R) = (y(S)/y(R)) / v(S).
+    (h'/h)(R) = (y(S)/y(R)) / v(S).  Every line value is checked nonzero,
+    then all of them, y(R) and 2*y(S) are inverted in one batch.
     """
     S = shift(curve, R, T)
     if S.y.is_zero():
         raise DegenerateEvaluationError("translated evaluation point hit the 2-torsion")
-    zero = curve.field.zero()
-    y_ratio = S.y / R.y
-    y_slope_S = (3 * S.x**2 + curve.A) / (2 * S.y)
-
-    def contribution(lines):
+    p = curve.p
+    coords = S.x.value, S.y.value, 0, 0, p
+    denominators = [R.y.value, 2 * S.y.value]
+    for _, _, _, lines in trace.steps:
+        for line in lines or ():
+            if line is not None:
+                denominators.append(line_value(line, *coords)[0])
+    inverses = iter(batch_inverse(denominators, p))
+    y_ratio = S.y.value * next(inverses)
+    y_slope_S = (3 * S.x.value**2 + curve.A.value) * next(inverses) % p
+    values = []
+    for _, _, _, lines in trace.steps:
         if lines is None:
-            return zero
-        num, den = lines
-        nv = eval_nonzero(num, S)
-        if den is None:
-            return y_ratio / nv
-        return y_ratio * ((y_slope_S - num.m) / nv - eval_nonzero(den, S).inverse())
-
-    return fold_trace(trace, curve.p, zero, operator.add, contribution)
+            values.append(0)
+        elif lines[1] is None:
+            values.append(next(inverses))
+        else:
+            inv_l, inv_v = next(inverses), next(inverses)
+            values.append((y_slope_S - lines[0].m) * inv_l - inv_v)
+    return curve.field(y_ratio * fold_trace(trace, p, 0, operator.add, values))
 
 
 def rueck_slope_sum(curve: Curve, P: Point, chain=None) -> FpElement:
@@ -207,10 +221,10 @@ def rueck_slope_sum(curve: Curve, P: Point, chain=None) -> FpElement:
     is ever evaluated, so the computation is total.
     """
     trace = _trace(curve, P, chain)
-    zero = curve.field.zero()
     if trace is None:
-        return zero
-    return fold_trace(trace, curve.p, zero, operator.add, lambda lines: zero if lines is None or lines[1] is None else lines[0].m)
+        return curve.field.zero()
+    slopes = [0 if lines is None or lines[1] is None else lines[0].m for _, _, _, lines in trace.steps]
+    return curve.field(fold_trace(trace, curve.p, 0, operator.add, slopes))
 
 
 # -- retry policy ---------------------------------------------------------------

@@ -124,6 +124,18 @@ def test_lift_attack_rejects_product_outside_kernel(tiny_anomalous, monkeypatch)
     assert type(info.value) is DualPairError
 
 
+def test_solve_rejects_a_wrong_answer(small_pool, monkeypatch):
+    # an attack that returns a wrong n is caught by the n*P = Q check in solve
+    import dualpair.dlp as dlp
+
+    curve = next(c for c in small_pool if c.p > 50)
+    inst, n = _random_instance(curve, random.Random(58))
+    monkeypatch.setitem(dlp._ATTACKS, "rueck", lambda inst, seed: AttackResult((n + 1) % curve.p, "rueck"))
+    with pytest.raises(DualPairError, match="n\\*P != Q"):
+        solve(inst, "rueck")
+    assert solve(inst, "semaev").n == n
+
+
 def test_lift_budget_is_bounded():
     assert 1 <= LIFT_RETRY_BUDGET <= 64
 
