@@ -188,10 +188,12 @@ def torsion_preserving_lifts(curve: Curve) -> tuple[set, set]:
 
     Returns (j_in_fp, torsion_preserving) as sets of (A1, B1) value pairs.
     The two sets coinciding is conjectural, so callers report rather than
-    assert it.
+    assert it.  Raises BadTorsionError unless #E(F_p) = p.
     """
     p = curve.p
     pts = [P for P in curve.points() if not P.is_infinity]
+    if len(pts) + 1 != p:
+        raise BadTorsionError(f"the curve is not anomalous: #E(F_p) = {len(pts) + 1}, not p = {p}")
     j_in_fp = set()
     preserving = set()
     for a1 in range(p):

@@ -29,13 +29,19 @@ non-singular).  On the canonical lift the p-torsion of an anomalous E
 stays p-torsion; on other lifts it generally does not, which is what the
 lift attack exploits.
 
-The group law below extends chord-and-tangent to dual coordinates.  The
-generic chord/tangent cases follow the usual formulas verbatim (slopes
-are dual numbers; denominators are units because their reductions are
-nonzero).  Cases whose reductions collide cannot use a chord and are
-handled by explicit formulas derived from the line through (k*eps:1:0)
-and an affine point; they are validated against associativity and the
-canonical-lift decomposition in the test suite:
+The group law comes twice.  `DualCurve._add_raw` extends chord-and-tangent
+to affine points of DualNumber wrappers, one dual inversion per step; it
+is the reference law.  `dual_jacobian_double` and `dual_jacobian_add` are
+the same law in Jacobian coordinates on (re, eps) pairs of plain ints and
+never invert; `DualCurve.mul` runs double-and-add on them, sends each step
+they cannot take through `_add_raw`, and inverts once, at the end.
+
+In `_add_raw` the generic chord/tangent cases follow the usual formulas
+verbatim (slopes are dual numbers; denominators are units because their
+reductions are nonzero).  Cases whose reductions collide cannot use a
+chord and are handled by explicit formulas derived from the line through
+(k*eps:1:0) and an affine point; they are validated against associativity
+and the canonical-lift decomposition in the test suite:
 
 * O_k + (x, y) = (x - 2*y0*k*eps, y - (3*x0^2 + A)*k*eps), with (x0, y0)
   the reduction of the affine point.
@@ -252,18 +258,51 @@ class DualCurve:
         return self.add(P, self.neg(Q))
 
     def mul(self, n: int, P: DualPoint) -> DualPoint:
-        """n*P by double-and-add; negative n allowed."""
+        """n*P; negative n allowed.
+
+        Left-to-right double-and-add on the Jacobian law of
+        `dual_jacobian_double` and `dual_jacobian_add`: int pairs, no
+        inversion, one dual inversion at the end.  A step those formulas
+        cannot take (colliding reductions, doubling over 2-torsion, an
+        operand at infinity) goes once through `_add_raw`, and the walk
+        resumes from its result.  For an input O_k, n*O_k = O_{n*k}.
+        """
         self._require_valid(P)
         if n < 0:
             n, P = -n, self.neg(P)
-        acc = DualPoint.infinity(self.field.zero())
-        base = P
-        while n:
-            if n & 1:
-                acc = self._add_raw(acc, base)
-            base = self._add_raw(base, base)
-            n >>= 1
-        return acc
+        if P.is_infinity:
+            return DualPoint.infinity(self.field(n * P.k.value))
+        if n == 0:
+            return DualPoint.infinity(self.field.zero())
+        p, a = self.p, (self.base.A.value, self.A1.value)
+        base = (P.x.re.value, P.x.eps.value, P.y.re.value, P.y.eps.value)
+        acc = base + (1, 0)  # a Jacobian tuple, or O_k after a step that landed at infinity
+        for bit in bin(n)[3:]:
+            acc = (type(acc) is tuple and dual_jacobian_double(p, a, acc)) or self._reference_step(acc, None)
+            if bit == "1":
+                acc = (type(acc) is tuple and dual_jacobian_add(p, acc, base)) or self._reference_step(acc, P)
+        return self._affine(acc) if type(acc) is tuple else acc
+
+    def _affine(self, acc: tuple) -> DualPoint:
+        """The affine point of a Jacobian tuple, by one dual inversion of Z."""
+        p, f = self.p, self.field
+        x0, x1, y0, y1, z0, z1 = acc
+        i0 = pow(z0, -1, p)
+        i1 = -z1 * i0 * i0 % p
+        s0, s1 = i0 * i0 % p, 2 * i0 * i1 % p  # Z^-2
+        t0, t1 = s0 * i0 % p, (s0 * i1 + s1 * i0) % p  # Z^-3
+        return DualPoint.affine(
+            DualNumber(FpElement(x0 * s0, f), FpElement(x0 * s1 + x1 * s0, f)),
+            DualNumber(FpElement(y0 * t0, f), FpElement(y0 * t1 + y1 * t0, f)),
+        )
+
+    def _reference_step(self, acc, Q: DualPoint | None):
+        """acc + Q, or 2*acc when Q is None, by `_add_raw`; Jacobian again when the sum is affine."""
+        R = self._affine(acc) if type(acc) is tuple else acc
+        S = self._add_raw(R, R if Q is None else Q)
+        if S.is_infinity:
+            return S
+        return (S.x.re.value, S.x.eps.value, S.y.re.value, S.y.eps.value, 1, 0)
 
     # -- canonical-lift structure -------------------------------------------
 
@@ -371,3 +410,53 @@ class DualCurve:
     def from_json(obj: dict) -> "DualCurve":
         base = Curve.from_json(obj)
         return DualCurve(base, int(obj["A1"]), int(obj["B1"]))
+
+
+# -- Jacobian group law on int pairs ---------------------------------------------
+#
+# A tuple (x0, x1, y0, y1, z0, z1) of ints in [0, p) stands for the affine
+# point (X/Z^2, Y/Z^3) with X = x0 + x1*eps, Y = y0 + y1*eps and
+# Z = z0 + z1*eps a unit (z0 != 0); the curve coefficient is a = a0 + a1*eps.
+# These are the formulas of `curve.jacobian_double` and the mixed case of
+# `curve.jacobian_add` over F_p[eps].  Each returns None instead of a sum
+# whose Z would not be a unit: a doubling whose operand reduces to 2-torsion,
+# or an addition whose summands have reductions with the same x.
+
+
+def dual_jacobian_double(p: int, a: tuple, P: tuple) -> tuple | None:
+    """2P, or None when P reduces to a point of order 2."""
+    x0, x1, y0, y1, z0, z1 = P
+    if not y0:
+        return None
+    yy0, yy1 = y0 * y0 % p, 2 * y0 * y1 % p
+    s0, s1 = 4 * x0 * yy0 % p, 4 * (x0 * yy1 + x1 * yy0) % p
+    zz0, zz1 = z0 * z0 % p, 2 * z0 * z1 % p
+    q0, q1 = zz0 * zz0 % p, 2 * zz0 * zz1 % p
+    n0 = (3 * x0 * x0 + a[0] * q0) % p
+    n1 = (6 * x0 * x1 + a[0] * q1 + a[1] * q0) % p
+    X0, X1 = (n0 * n0 - 2 * s0) % p, 2 * (n0 * n1 - s1) % p
+    d0, d1 = s0 - X0, s1 - X1
+    Y0, Y1 = (n0 * d0 - 8 * yy0 * yy0) % p, (n0 * d1 + n1 * d0 - 16 * yy0 * yy1) % p
+    return X0, X1, Y0, Y1, 2 * y0 * z0 % p, 2 * (y0 * z1 + y1 * z0) % p
+
+
+def dual_jacobian_add(p: int, P: tuple, Q: tuple) -> tuple | None:
+    """P + Q for an affine Q = (u0, u1, v0, v1), or None when the reductions share x."""
+    x0, x1, y0, y1, z0, z1 = P
+    u0, u1, v0, v1 = Q
+    zz0, zz1 = z0 * z0 % p, 2 * z0 * z1 % p
+    h0 = (u0 * zz0 - x0) % p
+    if not h0:
+        return None
+    h1 = (u0 * zz1 + u1 * zz0 - x1) % p
+    w0, w1 = z0 * zz0 % p, (z0 * zz1 + z1 * zz0) % p  # Z^3
+    r0 = (v0 * w0 - y0) % p
+    r1 = (v0 * w1 + v1 * w0 - y1) % p
+    hh0, hh1 = h0 * h0 % p, 2 * h0 * h1 % p
+    g0, g1 = h0 * hh0 % p, (h0 * hh1 + h1 * hh0) % p  # H^3
+    V0, V1 = x0 * hh0 % p, (x0 * hh1 + x1 * hh0) % p
+    X0 = (r0 * r0 - g0 - 2 * V0) % p
+    X1 = (2 * r0 * r1 - g1 - 2 * V1) % p
+    d0, d1 = V0 - X0, V1 - X1
+    Y0, Y1 = (r0 * d0 - y0 * g0) % p, (r0 * d1 + r1 * d0 - y0 * g1 - y1 * g0) % p
+    return X0, X1, Y0, Y1, z0 * h0 % p, (z0 * h1 + z1 * h0) % p

@@ -22,6 +22,18 @@ G = (
     28874513185542215516181757128042568249710605038561467375458536704892519731916,
 )
 A_G = 83374376714327015063734196871498593856875597183937958387516098410910217710826
+# solve(.., "lift") on the instance of test_attacks_recover_n_at_256_bits, and
+# the k of p*lift(G) = O_k on the lift it drew
+LIFT_RESULT = {
+    "n": "52940877273050950909856492988689049655643967086755489088925917197648586427832",
+    "method": "lift",
+    "retries": 0,
+    "lift": {
+        "A1": "58342206738976043750283302265954453213867790132941297694845471606379056829475",
+        "B1": "7612526798362388372416217887099161342429865967881009331205455101764851415485",
+    },
+}
+K_G = 30538475475951497042922686040930868158838129320297877818633647890774804765022
 
 
 @pytest.fixture(scope="module")
@@ -38,11 +50,22 @@ def test_routes_agree_at_256_bits(crypto256):
         assert theta_pairing(dc, G_, k, method, random.Random(1)).a.value == A_G * k % P
 
 
+def _instance(curve, G_):
+    n = random.Random(256).randrange(P)
+    return DlpInstance(curve, G_, curve.mul(n, G_)), n
+
+
 @pytest.mark.parametrize("method", ["semaev", "rueck", "pairing", "lift"])
 def test_attacks_recover_n_at_256_bits(crypto256, method):
     curve, G_ = crypto256
-    n = random.Random(256).randrange(P)
-    inst = DlpInstance(curve, G_, curve.mul(n, G_))
+    inst, n = _instance(curve, G_)
     result = solve(inst, method)
     assert result.n == n
     assert result.verify(inst)
+
+
+def test_lift_attack_is_pinned_at_256_bits(crypto256):
+    curve, G_ = crypto256
+    assert solve(_instance(curve, G_)[0], "lift").to_json() == LIFT_RESULT
+    dc = DualCurve(curve, int(LIFT_RESULT["lift"]["A1"]), int(LIFT_RESULT["lift"]["B1"]))
+    assert dc.mul(P, dc.lift(G_)).k.value == K_G

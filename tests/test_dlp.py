@@ -230,6 +230,12 @@ def test_torsion_probe_emits_comparison(tiny_anomalous):
           f"preserving={sorted(preserving)} equal={j_in_fp == preserving}")
 
 
+def test_torsion_probe_rejects_non_anomalous_curve():
+    c = Curve(Fp(7), 1, 1)  # 5 points
+    with pytest.raises(BadTorsionError, match="not anomalous"):
+        torsion_preserving_lifts(c)
+
+
 def test_attack_result_json():
     r = AttackResult(5, "rueck")
     assert r.to_json() == {"n": "5", "method": "rueck", "retries": 0}

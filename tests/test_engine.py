@@ -3,6 +3,7 @@
 `Curve._add_raw` and `miller.line_through` work on FpElement points with
 one inversion per step; they stay as the oracle for the Jacobian walk of
 `miller.chain_trace`, for `Curve.mul` and for `batch_inverse`.
+`DualCurve._add_raw` is the oracle for the int-pair walk of `DualCurve.mul`.
 """
 
 import random
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dualpair import INFINITY, Curve
+from dualpair import INFINITY, Curve, DualCurve, count_points
 from dualpair.errors import DivisionByZeroError
 from dualpair.fields import Fp
 from dualpair.miller import (
@@ -121,6 +122,46 @@ def test_mul_zero_and_beyond_the_order():
     assert curve.mul(order + 5, P) == curve.mul(5, P)
     assert curve.mul(-(order + 5), P) == curve.neg(curve.mul(5, P))
     assert curve.mul(2**200 * order + 3, P) == curve.mul(3, P)
+
+
+@st.composite
+def lifted_point(draw):
+    """A random lift of a curve and any point of it: over each base point, every one
+    of the p points of the lift (lift(P) + O_k), the family O_k over infinity included."""
+    curve, P = draw(curve_and_point())
+    p = curve.p
+    dc = DualCurve(curve, draw(st.integers(0, p - 1)), draw(st.integers(0, p - 1)))
+    return dc, dc.translate(dc.lift(P), dc.field(draw(st.integers(0, p - 1))))
+
+
+def _repeated_dual_addition(dc, n, Pt):
+    step = Pt if n >= 0 else dc.neg(Pt)
+    expect = dc.lift(INFINITY)
+    for _ in range(abs(n)):
+        expect = dc._add_raw(expect, step)
+    return expect
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_dual_mul_matches_repeated_addition(data):
+    # small orders on non-anomalous curves put colliding reductions and doublings
+    # over 2-torsion in the middle of the walk
+    dc, Pt = data.draw(lifted_point())
+    n = data.draw(st.integers(-3 * dc.p - 5, 3 * dc.p + 5))
+    assert dc.mul(n, Pt) == _repeated_dual_addition(dc, n, Pt)
+
+
+def test_dual_mul_far_beyond_the_group_order():
+    curve = Curve(Fp(1361), 3, 7)
+    rng = random.Random(5)
+    dc = DualCurve(curve, 1000, 77)
+    Pt = dc.translate(dc.lift(curve.random_point(rng)), dc.field(rng.randrange(1361)))
+    order = count_points(curve)
+    kernel = _repeated_dual_addition(dc, order, Pt)
+    assert kernel.is_infinity and not kernel.k.is_zero()
+    expect = dc.translate(_repeated_dual_addition(dc, 3, Pt), 2**200 * kernel.k)
+    assert dc.mul(2**200 * order + 3, Pt) == expect
 
 
 def test_batch_inverse_edges():
