@@ -38,8 +38,11 @@ class _Parser(argparse.ArgumentParser):
 
 def _maybe_file(value: str) -> str:
     if value.startswith("@"):
-        with open(value[1:], "r", encoding="utf-8") as fh:
-            return fh.read().strip()
+        try:
+            with open(value[1:], "r", encoding="utf-8") as fh:
+                return fh.read().strip()
+        except OSError as exc:
+            raise UsageError(f"cannot read {value[1:]!r}: {exc.strerror or exc}") from None
     return value
 
 
@@ -142,6 +145,8 @@ def _cmd_dlp(args) -> int:
 
 
 def _cmd_selfcheck(args) -> int:
+    if args.p_max < 5:
+        raise UsageError("--p-max must be at least 5, the smallest prime with an anomalous curve")
     report = selfcheck.run(args.p_max, args.trials, args.seed)
     _emit(report)
     return 0 if report["pass"] else 1

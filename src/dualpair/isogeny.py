@@ -23,9 +23,14 @@ Construction routes:
 * `multiplication_isogeny` - multiplication by n through division
   polynomials: r_n = x - psi_{n-1}psi_{n+1}/psi_n^2 and s_n = r_n'/n.
 * `frobenius_isogeny` - (x, y) -> (x^p, y^p), the inseparable test map.
-* `find_cyclic_isogeny` - searches the ell-division polynomial for a
-  Galois-stable kernel and validates each candidate against the curve
-  identity (x^3 + A1*x + B1) * s^2 = r^3 + A2*r + B2.
+* `find_cyclic_isogeny` - the Frobenius-eigenvalue search on anomalous
+  curves: a rational ell-isogeny exists iff x^2 - x + p has a root lam mod
+  ell, and its kernel polynomial is gcd(psi_ell, x^p - x([lam])) from one
+  x^p mod psi_ell; when Frobenius is a scalar on E[ell], every line is
+  rational and each comes from closing a root of one irreducible factor
+  of psi_ell.  Each candidate is validated against the curve identity
+  (x^3 + A1*x + B1) * s^2 = r^3 + A2*r + B2, and the rational kernel with
+  the smallest kernel-polynomial `coeffs` tuple is returned.
 
 The lift to the dual numbers sends O_k to O_{m*k} and evaluates the
 rational maps with dual arithmetic on affine points; points reducing into
@@ -39,12 +44,13 @@ from __future__ import annotations
 import itertools
 import random
 
-from .curve import INFINITY, Curve, Point
+from .curve import INFINITY, Curve, Point, is_anomalous
 from .dual_curve import DualCurve, DualPoint
 from .errors import BadInputError, DualPairError, NotASubgroupError, NotRationalError
 from .fields import Fp, FpElement
+from .numbertheory import is_prime
 from .pairing import lifted_pairing
-from .poly import Polynomial
+from .poly import Polynomial, _split_equal_degree
 
 
 class RationalFunction:
@@ -420,6 +426,21 @@ def division_polynomial(curve: Curve, n: int) -> Polynomial:
     return even if odd.is_zero() else odd
 
 
+def _x_of_multiple(psi, fx: Polynomial, n: int) -> tuple[Polynomial, Polynomial]:
+    """(num, den) with x([n]P) = num/den, as pure-x polynomials:
+    num = x*psi_n^2 - psi_(n-1)*psi_(n+1) and den = psi_n^2, with y^2 = f."""
+    (e0, o0), (e1, o1), (e2, o2) = psi[n - 1], psi[n], psi[n + 1]
+    den = e1 * e1 if o1.is_zero() else fx * (o1 * o1)
+    # psi_(n-1) and psi_(n+1) have equal parity, so their product is y-free
+    if o0.is_zero() and o2.is_zero():
+        prod = e0 * e2
+    elif e0.is_zero() and e2.is_zero():
+        prod = fx * (o0 * o2)
+    else:
+        raise DualPairError("psi_(n-1) * psi_(n+1) is not y-free")
+    return Polynomial.x(fx.field) * den - prod, den
+
+
 def multiplication_isogeny(curve: Curve, n: int, bound: int = 7) -> Isogeny:
     """Multiplication by n as a rational map: degree n^2, m = n."""
     if not 1 <= n <= bound:
@@ -430,26 +451,7 @@ def multiplication_isogeny(curve: Curve, n: int, bound: int = 7) -> Isogeny:
         return identity_isogeny(curve)
     f = curve.field
     fx = Polynomial(f, (int(curve.B), int(curve.A), 0, 1))
-    psi = _division_polynomials(curve, n + 1)
-
-    def pure_sq(i: int) -> Polynomial:
-        even, odd = psi[i]
-        if odd.is_zero():
-            return even * even
-        return fx * (odd * odd)
-
-    def pure_prod(i: int, j: int) -> Polynomial:
-        # psi_{n-1} * psi_{n+1}: equal parity, so the product is y-free
-        ei, oi = psi[i]
-        ej, oj = psi[j]
-        if oi.is_zero() and oj.is_zero():
-            return ei * ej
-        if not (ei.is_zero() and ej.is_zero()):
-            raise DualPairError("psi_(n-1) * psi_(n+1) is not y-free")
-        return fx * (oi * oj)
-
-    num = Polynomial.x(f) * pure_sq(n) - pure_prod(n - 1, n + 1)
-    r = RationalFunction(num, pure_sq(n))
+    r = RationalFunction(*_x_of_multiple(_division_polynomials(curve, n + 1), fx, n))
     s = r.derivative().scale(pow(n, -1, f.p))
     phi = Isogeny(curve, curve, r, s, n * n, f(n))
     if not phi.curve_identity_holds():
@@ -476,37 +478,87 @@ def frobenius_isogeny(curve: Curve) -> Isogeny:
 
 
 def find_cyclic_isogeny(curve: Curve, ell: int) -> Isogeny:
-    """A rational ell-isogeny from `curve` for odd prime ell != p, or ell = 2.
+    """A rational ell-isogeny from `curve`, for ell = 2 or an odd prime ell != p.
 
     For ell = 2 a rational 2-torsion point is required.  For odd ell the
-    ell-division polynomial is factored and candidate kernel polynomials
-    of degree (ell-1)/2 are validated against the curve identity.  Raises
-    NotRationalError when no Galois-stable kernel exists.
+    curve must be anomalous, and the search follows the Frobenius
+    eigenvalues (Elkies; Schoof's eigenvalue search).  Frobenius has trace
+    1, so it satisfies x^2 - x + p on E[ell], and a rational ell-isogeny
+    exists iff that polynomial has a root lam mod ell; NotRationalError is
+    raised at once when it has none.  The kernel points Q of the
+    lam-eigenline satisfy x(Q)^p = x([lam]Q) = x([mu]Q), mu = min(lam,
+    ell - lam), and -lam is never the other eigenvalue, so one
+    X_p = x^p mod psi_ell and one gcd give the kernel polynomial
+
+        h_lam = gcd(psi_ell, X_p * psi_mu^2 - (x * psi_mu^2 - psi_(mu-1) * psi_(mu+1))).
+
+    When h_lam is all of psi_ell, Frobenius is the scalar lam on E[ell],
+    every line of E[ell] is rational, and each is found by closing a root
+    of one irreducible factor of psi_ell (see `_scalar_kernels`).
+
+    Every candidate is validated by `velu_from_kernel_polynomial`'s curve
+    identity.  Of the rational kernels, the one whose monic kernel
+    polynomial has the smallest `coeffs` tuple (compared from the constant
+    term up) is returned, so the choice does not depend on the search.
     """
     if ell == 2:
         pts = curve.two_torsion()
         if not pts:
             raise NotRationalError("no rational 2-torsion point")
         return velu(curve, [INFINITY, pts[0]])
-    if ell % 2 == 0 or ell == curve.p:
+    if ell < 3 or ell == curve.p or not is_prime(ell):
         raise BadInputError("ell must be 2 or an odd prime different from p")
+    if not is_anomalous(curve):
+        raise BadInputError("the eigenvalue search needs an anomalous curve (trace 1)")
+    p = curve.p
+    eigenvalues = [lam for lam in range(1, ell) if (lam * lam - lam + p) % ell == 0]
+    if not eigenvalues:
+        raise NotRationalError(f"no rational {ell}-isogeny: x^2 - x + {p} has no root mod {ell}")
+    f = curve.field
+    fx = Polynomial(f, (int(curve.B), int(curve.A), 0, 1))
+    psi = _division_polynomials(curve, ell)
+    psi_ell = psi[ell][0].monic()
+    xp = Polynomial.x(f).pow_mod(p, psi_ell)
     d = (ell - 1) // 2
-    psi = division_polynomial(curve, ell)
-    factors = [g for g, _ in psi.factor()]
-    candidates: list[Polynomial] = [g for g in factors if g.degree == d]
-    linear = [g for g in factors if g.degree == 1]
-    if d == 2:
-        for i in range(len(linear)):
-            for j in range(i + 1, len(linear)):
-                candidates.append(linear[i] * linear[j])
-    elif d == 1:
-        pass  # linear factors are already the candidates
+    candidates: set[Polynomial] = set()
+    for lam in eigenvalues:
+        num, den = _x_of_multiple(psi, fx, min(lam, ell - lam))
+        h = psi_ell.gcd(xp * den - num)
+        if h.degree == d:
+            candidates.add(h)
+        elif h == psi_ell:
+            candidates.update(_scalar_kernels(psi, fx, h, lam, d))
     for h in sorted(candidates, key=lambda g: g.coeffs):
         try:
             return velu_from_kernel_polynomial(curve, h)
         except BadInputError:
             continue
-    raise NotRationalError(f"no rational {ell}-isogeny from this curve")
+    raise DualPairError(f"x^2 - x + {p} has a root mod {ell}, but no {ell}-kernel validated")
+
+
+def _scalar_kernels(psi, fx: Polynomial, psi_ell: Polynomial, lam: int, d: int) -> list[Polynomial]:
+    """Every kernel polynomial of degree d when Frobenius is the scalar lam on E[ell].
+
+    The orbit of x(Q) under Frobenius is x([lam^k]Q), k >= 0, of size e =
+    the order of lam in (Z/ell)^*/{+-1}, so psi_ell splits into
+    irreducibles of degree e.  A root X of one factor g, in the field
+    F_p[x]/g, is closed to prod_(i <= d) (T - x([i]Q)); its coefficients
+    are Frobenius-fixed, hence constants.  Every line is reached, once per
+    factor of its kernel polynomial.
+    """
+    f = fx.field
+    ell = 2 * d + 1
+    e = next(k for k in range(1, ell) if pow(lam, k, ell) in (1, ell - 1))
+    multiples = [_x_of_multiple(psi, fx, i) for i in range(1, d + 1)]
+    zero = Polynomial.zero(f)
+    kernels: list[Polynomial] = []
+    for g in _split_equal_degree(psi_ell, e):
+        closure = [Polynomial.constant(f, 1)]  # T-coefficients, lowest first, mod g
+        for num, den in multiples:
+            xi = num * den.pow_mod(f.p**e - 2, g) % g  # the inverse in the field of p^e elements
+            closure = [(lo - xi * hi) % g for lo, hi in zip([zero] + closure, closure + [zero])]
+        kernels.append(Polynomial(f, [c[0] for c in closure]))
+    return kernels
 
 
 # -- pairing functoriality -----------------------------------------------------------

@@ -94,6 +94,7 @@ from .miller import (
     tail_chain,
     torsion_trace,
     trace_fraction,
+    validate_chain,
 )
 from .numbertheory import batch_inverse
 
@@ -152,7 +153,16 @@ class PairingValue:
 
 
 def _trace(curve: Curve, P: Point, chain=None):
-    """P's walk for p (binary chain by default), checked p-torsion; None for P = infinity."""
+    """P's walk for p (binary chain by default), checked p-torsion; None for P = infinity.
+
+    A caller's chain is validated here, once; the internal chains are valid
+    by construction.
+    """
+    if chain is not None:
+        try:
+            validate_chain(curve.p, chain)
+        except (ValueError, TypeError) as exc:
+            raise BadInputError(f"bad chain for p = {curve.p}: {exc}") from None
     if P.is_infinity:
         return None
     return torsion_trace(curve, P, chain if chain is not None else binary_chain(curve.p), curve.p)

@@ -8,7 +8,9 @@ minus infinity.
 Root extraction follows the classic split: for tiny p an exhaustive scan,
 otherwise gcd(x^p - x, f) to isolate the product of rational linear
 factors, then equal-degree splitting with gcd((x+c)^((p-1)/2) - 1, g) over
-deterministically iterated shifts c.
+deterministically iterated shifts c.  The isogeny search uses only the
+equal-degree split (`_split_equal_degree`), for scalar Frobenius; the full
+`factor` is off that path and is kept as a tested general tool.
 """
 
 from __future__ import annotations
@@ -105,12 +107,11 @@ class Polynomial:
         self._check(other)
         if self.is_zero() or other.is_zero():
             return Polynomial.zero(self.field)
-        p = self.field.p
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a:
                 for j, b in enumerate(other.coeffs):
-                    out[i + j] = (out[i + j] + a * b) % p
+                    out[i + j] += a * b  # reduced mod p once, by the constructor
         return Polynomial(self.field, out)
 
     __rmul__ = __mul__
@@ -131,7 +132,7 @@ class Polynomial:
             if c:
                 quo[i] = c
                 for j, b in enumerate(other.coeffs):
-                    rem[i + j] = (rem[i + j] - c * b) % p
+                    rem[i + j] -= c * b  # reduced mod p where read, and by the constructor
         return Polynomial(self.field, quo), Polynomial(self.field, rem)
 
     def __floordiv__(self, other):
@@ -157,13 +158,13 @@ class Polynomial:
         return Polynomial(self.field, [i * c for i, c in enumerate(self.coeffs)][1:])
 
     def pow_mod(self, n: int, mod: "Polynomial") -> "Polynomial":
-        out = Polynomial.constant(self.field, 1) % mod
+        # left to right, so that a short base such as x + c costs a short multiply
         base = self % mod
-        while n:
-            if n & 1:
+        out = Polynomial.constant(self.field, 1) % mod
+        for bit in bin(n)[2:]:
+            out = out * out % mod
+            if bit == "1":
                 out = out * base % mod
-            base = base * base % mod
-            n >>= 1
         return out
 
     # -- evaluation ---------------------------------------------------

@@ -15,7 +15,7 @@ import random
 from .curve import Curve, find_anomalous
 from .dlp import DlpInstance, canonical_witness, solve, torsion_preserving_lifts
 from .dual_curve import DualCurve
-from .errors import WitnessInconsistentError
+from .errors import BadInputError, SearchExhaustedError, WitnessInconsistentError
 from .isogeny import check_functoriality, multiplication_isogeny
 from .pairing import pairing_direct, pairing_rueck, pairing_semaev
 
@@ -35,9 +35,9 @@ def _smallest_anomalous(p_max: int) -> Curve:
             continue
         try:
             return find_anomalous(p, p, count=1, seed=1, budget=4 * p * p)[0]
-        except Exception:
+        except SearchExhaustedError:
             continue
-    raise ValueError(f"no anomalous curve with p <= {p_max}")
+    raise BadInputError(f"no anomalous curve with p <= {p_max}")
 
 
 def run(p_max: int = 13, trials: int = 100, seed: int = 0xC11E) -> dict:

@@ -7,8 +7,9 @@ import sys
 import pytest
 
 import dualpair
-from dualpair import Curve, count_points, find_anomalous
+from dualpair import Curve, count_points, find_anomalous, selfcheck
 from dualpair.cli import main
+from dualpair.errors import BadInputError
 
 
 def run_cli(capsys, *argv):
@@ -136,6 +137,25 @@ def test_point_file_indirection(tmp_path, capsys, anomalous, curve_flag):
     assert code == 0
     direct = run_cli(capsys, "pair", "--curve", curve_flag, "--point", ptf, "--k", "2")
     assert json.loads(out) == json.loads(direct[1])
+
+
+
+def test_unreadable_file_flag_is_usage(tmp_path, capsys, curve_flag):
+    missing = tmp_path / "nonexistent"
+    code, out, err = run_cli(capsys, "pair", "--curve", curve_flag, "--point", f"@{missing}", "--k", "2")
+    assert (code, out) == (64, "")
+    assert json.loads(err)["error"] == "Usage"
+    code, _, err = run_cli(capsys, "pair", "--curve", f"@{tmp_path}", "--point", "inf", "--k", "2")
+    assert code == 64 and json.loads(err)["error"] == "Usage"
+
+
+def test_selfcheck_p_max_below_five_is_usage(capsys):
+    for p_max in ("3", "4", "-1"):
+        code, out, err = run_cli(capsys, "selfcheck", "--p-max", p_max)
+        assert (code, out) == (64, "")
+        assert json.loads(err)["error"] == "Usage"
+    with pytest.raises(BadInputError):
+        selfcheck.run(3, trials=1)  # the library reports it with a defined error too
 
 
 def test_selfcheck_passes_and_reproducible(capsys):

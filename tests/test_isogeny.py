@@ -292,6 +292,68 @@ def test_find_cyclic_isogeny_2_impossible_on_anomalous(small_pool):
             find_cyclic_isogeny(c, 2)
 
 
+#: p = 1163 has a rational 13-isogeny whose kernel polynomial is a product
+#: of smaller factors; for (673, 433, 210) and (1483, 579, 416) Frobenius
+#: is the scalar 2 on E[3], so psi_3 splits into four linear factors.
+NAMED_CURVES = [(1163, 642, 263), (617, 179, 346), (1483, 579, 416), (673, 433, 210)]
+
+
+@pytest.fixture(scope="module")
+def eigen_pool():
+    named = [Curve(Fp(p), a, b) for p, a, b in NAMED_CURVES]
+    return named + find_anomalous(1000, 1500, count=4, seed=0)
+
+
+@pytest.mark.parametrize("ell", [3, 5, 7, 11, 13])
+def test_find_cyclic_isogeny_exists_iff_frobenius_has_an_eigenvalue(eigen_pool, ell):
+    # trace 1: a rational ell-isogeny exists iff x^2 - x + p has a root mod ell
+    for c in eigen_pool:
+        if any((lam * lam - lam + c.p) % ell == 0 for lam in range(ell)):
+            phi = find_cyclic_isogeny(c, ell)
+            assert phi.degree == ell and phi.source == c
+            assert phi.kernel_polynomial().degree == (ell - 1) // 2
+            assert phi.curve_identity_holds()
+        else:
+            with pytest.raises(NotRationalError):
+                find_cyclic_isogeny(c, ell)
+
+
+@pytest.mark.parametrize("p, a, b, ell", [(673, 433, 210, 3), (1483, 579, 416, 3), (269, 99, 141, 5)])
+def test_find_cyclic_isogeny_scalar_frobenius(p, a, b, ell):
+    # Frobenius is the scalar lam = (ell + 1)/2 on E[ell], which is +-2 for
+    # ell in {3, 5}: the Frobenius orbit of x(Q) is {x(Q), x(2Q)}, the
+    # x-set of <Q>, so each irreducible factor of psi_ell is the kernel
+    # polynomial of one of the ell + 1 rational lines; the smallest
+    # coefficient tuple is returned
+    c = Curve(Fp(p), a, b)
+    kernels = [g for g, _ in division_polynomial(c, ell).factor()]
+    assert len(kernels) == ell + 1
+    for h in kernels:
+        assert velu_from_kernel_polynomial(c, h).degree == ell
+    assert find_cyclic_isogeny(c, ell).kernel_polynomial() == min(kernels, key=lambda h: h.coeffs)
+
+
+@pytest.mark.parametrize("a, b, expected", [(468, 325, (284, 47, 1028, 1)), (370, 470, (338, 517, 921, 1))])
+def test_find_cyclic_isogeny_choice_pinned(a, b, expected):
+    # p = 1447 has eigenvalues 2 and 6 mod 7; the lambda = 6 kernel
+    # polynomial splits into linear factors and has the smaller coeffs
+    c = Curve(Fp(1447), a, b)
+    h = find_cyclic_isogeny(c, 7).kernel_polynomial()
+    assert h.coeffs == expected
+    assert len(h.roots()) == 3
+
+
+def test_find_cyclic_isogeny_rejects_bad_ell_and_curves():
+    c = Curve(Fp(1361), 686, 969)
+    for ell in (9, 1, -3, 15, 0, 4, 1361):
+        with pytest.raises(BadInputError):
+            find_cyclic_isogeny(c, ell)
+    non_anomalous = Curve(Fp(1361), 1, 1)
+    assert count_points(non_anomalous) != 1361
+    with pytest.raises(BadInputError):
+        find_cyclic_isogeny(non_anomalous, 3)
+
+
 def test_find_cyclic_isogeny_targets_are_anomalous(iso_pool):
     for ell in (3, 5):
         for c, phi in iso_pool[ell]:

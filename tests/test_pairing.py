@@ -24,7 +24,7 @@ from dualpair.errors import (
     NotPTorsionError,
 )
 from dualpair.fields import Fp
-from dualpair.miller import binary_chain, incremental_chain, tail_chain
+from dualpair.miller import ChainStep, binary_chain, incremental_chain, tail_chain
 from dualpair.pairing import PairingValue
 
 
@@ -243,6 +243,27 @@ def test_bad_inputs(tiny_anomalous, rng):
     with pytest.raises(BadInputError):
         # p-torsion P missing entirely, but the R guard fires on E[2] too
         semaev_log_derivative(c2, INFINITY, T2)
+
+
+
+def test_malformed_caller_chain_is_bad_input():
+    c = Curve(Fp(1361), 686, 969)
+    dc = DualCurve.canonical(c)
+    P = c.random_point(random.Random(3))
+    routes = [
+        lambda chain: pairing_rueck(dc, P, 2, chain=chain),
+        lambda chain: pairing_direct(dc, P, 2, chain=chain),
+        lambda chain: pairing_semaev(dc, P, 2, chain=chain),
+        lambda chain: semaev_coefficient(c, P, chain=chain),
+        lambda chain: rueck_slope_sum(c, INFINITY, chain),
+    ]
+    for chain in ([ChainStep(2, 1, 1)], binary_chain(c.p + 2), [ChainStep(3, 1, 1)], [5]):
+        for route in routes:
+            with pytest.raises(BadInputError, match="bad chain"):
+                route(chain)
+    # a valid chain that walks past p is accepted and changes nothing
+    longer = binary_chain(c.p) + [ChainStep(2 * c.p, c.p, c.p)]
+    assert pairing_rueck(dc, P, 2, chain=longer) == pairing_direct(dc, P, 2, chain=longer) == pairing_rueck(dc, P, 2)
 
 
 # -- full pairing on the lifted torsion ------------------------------------
