@@ -25,6 +25,7 @@ import math
 import random
 
 from .errors import (
+    BadInputError,
     DualPairError,
     OrderAmbiguousError,
     PointNotOnCurveError,
@@ -347,15 +348,12 @@ def is_anomalous(curve: Curve, rng: random.Random | None = None) -> bool:
     For p >= 7 it suffices that some nonzero point is killed by p: the
     point then has exact order p, and p is the only multiple of p in the
     Hasse interval.  For p = 5 both 5 and 10 fit, so the count is checked
-    directly.
+    directly.  The point is drawn from rng, or else is the first affine one.
     """
-    rng = rng or random.Random(0xA20 ^ curve.p)
-    P = curve.random_point(rng)
+    P = curve.random_point(rng) if rng is not None else next(Q for Q in curve.points() if not Q.is_infinity)
     if not curve.mul(curve.p, P).is_infinity:
         return False
-    if curve.p >= 7:
-        return True
-    return count_points(curve) == curve.p
+    return curve.p >= 7 or count_points(curve) == curve.p
 
 
 def find_anomalous(
@@ -369,12 +367,13 @@ def find_anomalous(
 
     Deterministic given `seed`: primes are drawn by re-sampling a PRNG and
     rounding up to the next prime; (A, B) are sampled uniformly per prime.
-    Raises SearchExhaustedError when the trial budget runs out first.
+    Raises BadInputError unless 3 < p_min <= p_max, and SearchExhaustedError
+    when the trial budget runs out first.
     """
     if p_min <= 3:
-        raise ValueError("p_min must exceed 3")
+        raise BadInputError("p_min must exceed 3")
     if p_max < p_min:
-        raise ValueError("empty prime range")
+        raise BadInputError("empty prime range")
     rng = random.Random(seed)
     if next_prime(p_min) > p_max:
         raise SearchExhaustedError(f"no prime > 3 in [{p_min}, {p_max}]")

@@ -116,7 +116,7 @@ def attack_lift(inst: DlpInstance, seed: int = DEFAULT_SEED) -> AttackResult:
     p = curve.p
     canonical = DualCurve.canonical(curve)
     for attempt in range(LIFT_RETRY_BUDGET):
-        a1, b1 = canonical.random_lift_coeffs(rng, reject_scaling_family=True)
+        a1, b1 = canonical.random_lift_coeffs(rng)
         lift = DualCurve(curve, a1, b1)
         pPt = lift.mul(p, lift.lift(inst.P))
         if not pPt.is_infinity:

@@ -372,14 +372,13 @@ class DualCurve:
             return self.B1.is_zero()
         return self.j_value().eps.is_zero()
 
-    def random_lift_coeffs(self, rng: random.Random, reject_scaling_family: bool = True):
-        """Sample (A1, B1) for a lift, optionally skipping the lifts that are
-        coordinate changes of the canonical one (those provably keep the
-        p-torsion p-torsion and are useless for the lift attack)."""
+    def random_lift_coeffs(self, rng: random.Random):
+        """Sample (A1, B1) for a lift, skipping the lifts that are coordinate
+        changes of the canonical one (those provably keep the p-torsion
+        p-torsion and are useless for the lift attack)."""
         while True:
             a1, b1 = self.field.random(rng), self.field.random(rng)
-            cand = DualCurve(self.base, a1, b1)
-            if not reject_scaling_family or not cand.has_scaling_witness():
+            if not DualCurve(self.base, a1, b1).has_scaling_witness():
                 return a1, b1
 
     def __eq__(self, other):

@@ -22,6 +22,8 @@ Construction routes:
   f = x^3 + Ax + B and sigma the sum of the kernel x-coordinates.
 * `multiplication_isogeny` - multiplication by n through division
   polynomials: r_n = x - psi_{n-1}psi_{n+1}/psi_n^2 and s_n = r_n'/n.
+  Each psi_n is kept by its pure-x part (psi_n for odd n, psi_n/y for
+  even n), so every product of two of them is y-free after y^2 = f.
 * `frobenius_isogeny` - (x, y) -> (x^p, y^p), the inseparable test map.
 * `find_cyclic_isogeny` - the Frobenius-eigenvalue search on anomalous
   curves: a rational ell-isogeny exists iff x^2 - x + p has a root lam mod
@@ -109,7 +111,6 @@ class RationalFunction:
         """poly(self): substitute this fraction into a polynomial."""
         f = self.field
         num_acc = Polynomial.zero(f)
-        den_pow = Polynomial.constant(f, 1)
         d = len(poly.coeffs) - 1
         powers = [Polynomial.constant(f, 1)]
         for _ in range(d):
@@ -368,83 +369,52 @@ def velu_from_kernel_polynomial(curve: Curve, h: Polynomial) -> Isogeny:
 # -- construction: division polynomials and multiplication by n --------------------
 
 
-def _division_polynomials(curve: Curve, top: int):
-    """Pairs (even(x), odd(x)) meaning even + y*odd, for indices 0..top.
-
-    Powers y^2 are reduced by f = x^3 + Ax + B throughout.
-    """
+def _division_polynomials(curve: Curve, top: int) -> list[Polynomial]:
+    """The pure-x parts of psi_0..psi_top (psi_n for odd n, psi_n/y for even n) by
+    the standard recurrences (Washington, section 3.2) with y^2 = f: for n = 2m + 1
+    the even-index product carries y^4 = f^2, and for n = 2m the factor 2y cancels."""
     f = curve.field
-    fx = Polynomial(f, (int(curve.B), int(curve.A), 0, 1))
     A, B = int(curve.A), int(curve.B)
-
-    def pmul(u, v):
-        ue, uo = u
-        ve, vo = v
-        return (ue * ve + fx * (uo * vo), ue * vo + uo * ve)
-
-    zero = Polynomial.zero(f)
-    psi: list[tuple[Polynomial, Polynomial]] = [
-        (zero, zero),  # psi_0 = 0
-        (Polynomial.constant(f, 1), zero),  # psi_1 = 1
-        (zero, Polynomial.constant(f, 2)),  # psi_2 = 2y
-        (Polynomial(f, (-A * A % f.p, 12 * B, 6 * A, 0, 3)), zero),
-        (zero, Polynomial(f, ((-A**3 - 8 * B * B) % f.p, -4 * A * B % f.p, -5 * A * A % f.p, 20 * B, 5 * A, 0, 1)) * 4),
+    fx = Polynomial(f, (B, A, 0, 1))
+    f2 = fx * fx
+    half = pow(2, -1, f.p)
+    psi = [
+        Polynomial.zero(f),  # psi_0 = 0
+        Polynomial.constant(f, 1),  # psi_1 = 1
+        Polynomial.constant(f, 2),  # psi_2 = 2y
+        Polynomial(f, (-A * A, 12 * B, 6 * A, 0, 3)),
+        Polynomial(f, (-A**3 - 8 * B * B, -4 * A * B, -5 * A * A, 20 * B, 5 * A, 0, 1)) * 4,  # psi_4 / y
     ]
-
-    def get(i: int):
-        if i == -1:
-            return (Polynomial.constant(f, -1), zero)
-        return psi[i]
-
-    two_f = fx * 2
-    while len(psi) <= top:
-        n = len(psi)
+    for n in range(len(psi), top + 1):
         m = n // 2
-        if n % 2 == 1:
-            a = pmul(get(m + 2), pmul(get(m), pmul(get(m), get(m))))
-            b = pmul(get(m - 1), pmul(get(m + 1), pmul(get(m + 1), get(m + 1))))
-            val = (a[0] - b[0], a[1] - b[1])
-            if not val[1].is_zero():
-                raise DualPairError("odd-index division polynomial lost purity")
-            psi.append(val)
+        if n % 2:
+            a = psi[m + 2] * psi[m] * psi[m] * psi[m]
+            b = psi[m - 1] * psi[m + 1] * psi[m + 1] * psi[m + 1]
+            psi.append(a * f2 - b if m % 2 == 0 else a - b * f2)
         else:
-            a = pmul(get(m + 2), pmul(get(m - 1), get(m - 1)))
-            b = pmul(get(m - 2), pmul(get(m + 1), get(m + 1)))
-            diff = (a[0] - b[0], a[1] - b[1])
-            prod = pmul(get(m), diff)
-            # prod = 2y * psi_n, and psi_n = y * (pure x part)
-            if not prod[1].is_zero():
-                raise DualPairError("even-index division polynomial lost purity")
-            psi.append((zero, prod[0].exact_div(two_f)))
+            diff = psi[m + 2] * psi[m - 1] * psi[m - 1] - psi[m - 2] * psi[m + 1] * psi[m + 1]
+            psi.append(psi[m] * diff * half)
     return psi
 
 
 def division_polynomial(curve: Curve, n: int) -> Polynomial:
     """The pure-x content of psi_n: psi_n itself for odd n, psi_n/y for even."""
-    psi = _division_polynomials(curve, n)
-    even, odd = psi[n]
-    return even if odd.is_zero() else odd
+    return _division_polynomials(curve, n)[n]
 
 
-def _x_of_multiple(psi, fx: Polynomial, n: int) -> tuple[Polynomial, Polynomial]:
+def _x_of_multiple(psi: list[Polynomial], fx: Polynomial, n: int) -> tuple[Polynomial, Polynomial]:
     """(num, den) with x([n]P) = num/den, as pure-x polynomials:
-    num = x*psi_n^2 - psi_(n-1)*psi_(n+1) and den = psi_n^2, with y^2 = f."""
-    (e0, o0), (e1, o1), (e2, o2) = psi[n - 1], psi[n], psi[n + 1]
-    den = e1 * e1 if o1.is_zero() else fx * (o1 * o1)
-    # psi_(n-1) and psi_(n+1) have equal parity, so their product is y-free
-    if o0.is_zero() and o2.is_zero():
-        prod = e0 * e2
-    elif e0.is_zero() and e2.is_zero():
-        prod = fx * (o0 * o2)
-    else:
-        raise DualPairError("psi_(n-1) * psi_(n+1) is not y-free")
+    num = x*psi_n^2 - psi_(n-1)*psi_(n+1) and den = psi_n^2, where y^2 = f
+    enters at psi_n for even n and at its two neighbours for odd n."""
+    den, prod = psi[n] * psi[n], psi[n - 1] * psi[n + 1]
+    den, prod = (den, fx * prod) if n % 2 else (fx * den, prod)
     return Polynomial.x(fx.field) * den - prod, den
 
 
-def multiplication_isogeny(curve: Curve, n: int, bound: int = 7) -> Isogeny:
-    """Multiplication by n as a rational map: degree n^2, m = n."""
-    if not 1 <= n <= bound:
-        raise BadInputError(f"multiplication maps are built for 1 <= n <= {bound}")
+def multiplication_isogeny(curve: Curve, n: int) -> Isogeny:
+    """Multiplication by n as a rational map: degree n^2, m = n, for 1 <= n <= 7."""
+    if not 1 <= n <= 7:
+        raise BadInputError("multiplication maps are built for 1 <= n <= 7")
     if n % curve.p == 0:
         raise BadInputError("multiplication by a multiple of p is inseparable; use frobenius_isogeny")
     if n == 1:
@@ -517,7 +487,7 @@ def find_cyclic_isogeny(curve: Curve, ell: int) -> Isogeny:
     f = curve.field
     fx = Polynomial(f, (int(curve.B), int(curve.A), 0, 1))
     psi = _division_polynomials(curve, ell)
-    psi_ell = psi[ell][0].monic()
+    psi_ell = psi[ell].monic()
     xp = Polynomial.x(f).pow_mod(p, psi_ell)
     d = (ell - 1) // 2
     candidates: set[Polynomial] = set()
@@ -536,7 +506,7 @@ def find_cyclic_isogeny(curve: Curve, ell: int) -> Isogeny:
     raise DualPairError(f"x^2 - x + {p} has a root mod {ell}, but no {ell}-kernel validated")
 
 
-def _scalar_kernels(psi, fx: Polynomial, psi_ell: Polynomial, lam: int, d: int) -> list[Polynomial]:
+def _scalar_kernels(psi: list[Polynomial], fx: Polynomial, psi_ell: Polynomial, lam: int, d: int) -> list[Polynomial]:
     """Every kernel polynomial of degree d when Frobenius is the scalar lam on E[ell].
 
     The orbit of x(Q) under Frobenius is x([lam^k]Q), k >= 0, of size e =

@@ -241,25 +241,31 @@ def rueck_slope_sum(curve: Curve, P: Point, chain=None) -> FpElement:
 
 
 def _eval_points(curve: Curve, rng: random.Random):
-    """One random point of E, then every point in order, skipping infinity and the 2-torsion.
-
-    The stream goes past its first point only where a line of the chain
-    vanishes, so the scan is bounded: a line vanishes at no more than three
-    points, and lines vanishing at every point take a chain of about p/4
-    steps, which in practice happens only at p = 5 and 7.
-    """
+    """One random point of E, then every point in order, skipping infinity and the 2-torsion."""
     for R in itertools.chain([curve.random_point(rng)], curve.points()):
         if not (R.is_infinity or R.y.is_zero()):
             yield R
 
 
-def _with_retries(curve: Curve, P: Point, trace, chain, R: Point | None, rng: random.Random | None, evaluate):
+def _vanishing_points(trace) -> set:
+    """The affine (x, y) where a line of the trace vanishes: iP, jP and -(i+j)P
+    for a chord, +-kP for the vertical x = x_k, and +-iP for a step to O."""
+    p, out = trace.field.p, set()
+    for k, i, j, lines in trace.steps:
+        if lines is not None:
+            x, y = trace.affine[k if lines[1] is not None else i]
+            out.update((trace.affine[i], trace.affine[j], (x, y), (x, -y % p)))
+    return out
+
+
+def _with_retries(curve: Curve, P: Point, trace, chain, R: Point | None, T: Point, rng: random.Random | None, evaluate):
     """evaluate(trace, R) at a caller-supplied R, else over the fallback ladder.
 
     The ladder varies the evaluation point first and the chain second; only
     the evaluation is retried, never the walk.  Each rung tries one random R
     and then every point of E in order, which makes the computation total
-    whenever any valid configuration exists.
+    whenever any valid configuration exists.  Once a rung has degenerated,
+    an R with R - T at infinity or on one of its lines is skipped unfolded.
     """
     if R is not None:
         _check_eval_point(curve, R)
@@ -268,13 +274,24 @@ def _with_retries(curve: Curve, P: Point, trace, chain, R: Point | None, rng: ra
     # a caller-fixed chain is the only rung; tail chains are walked when reached
     tails = [] if chain is not None else [c for c in (3, 5, 7, 9, 11, 13) if c < curve.p]
     rungs = itertools.chain([trace], (chain_trace(curve, P, tail_chain(curve.p, c)) for c in tails))
-    last = None
+    last = skipped = None
     for rung in rungs:
+        vanishing = None
         for Rc in _eval_points(curve, rng):
+            S = curve._add_raw(Rc, curve.neg(T))
+            if vanishing and (S.is_infinity or (S.x.value, S.y.value) in vanishing):
+                skipped = rung, Rc
+                continue
             try:
+                skipped = None
                 return evaluate(rung, Rc)
             except DegenerateEvaluationError as exc:
-                last = exc
+                last, vanishing = exc, vanishing or _vanishing_points(rung)
+    if skipped is not None:  # the last R was skipped: fold it once for its message
+        try:
+            evaluate(*skipped)
+        except DegenerateEvaluationError as exc:
+            last = exc
     raise DegenerateEvaluationError(f"all evaluation configurations degenerate: {last}")
 
 
@@ -291,7 +308,7 @@ def pairing_direct(dc: DualCurve, P: Point, k, R: Point | None = None, chain=Non
     if trace is None or k.is_zero():
         return PairingValue(curve.field.zero())
     T = T or INFINITY
-    return _with_retries(curve, P, trace, chain, R, rng, lambda tr, Rc: _direct_value(dc, tr, k, Rc, T))
+    return _with_retries(curve, P, trace, chain, R, T, rng, lambda tr, Rc: _direct_value(dc, tr, k, Rc, T))
 
 
 def semaev_log_derivative(curve: Curve, P: Point, R: Point, T: Point | None = None, chain=None) -> FpElement:
@@ -313,7 +330,7 @@ def semaev_coefficient(curve: Curve, P: Point, rng=None, R: Point | None = None,
     if trace is None:
         return curve.field.zero()
     T = T or INFINITY
-    return _with_retries(curve, P, trace, chain, R, rng, lambda tr, Rc: Rc.y * _log_derivative_value(curve, tr, Rc, T))
+    return _with_retries(curve, P, trace, chain, R, T, rng, lambda tr, Rc: Rc.y * _log_derivative_value(curve, tr, Rc, T))
 
 
 def pairing_semaev(dc: DualCurve, P: Point, k, R: Point | None = None, T: Point | None = None, chain=None, rng=None) -> PairingValue:

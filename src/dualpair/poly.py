@@ -5,20 +5,17 @@ used for torsion work.  Coefficients are stored as canonical ints in
 [0, p); the zero polynomial has an empty coefficient tuple and degree
 minus infinity.
 
-Root extraction follows the classic split: for tiny p an exhaustive scan,
-otherwise gcd(x^p - x, f) to isolate the product of rational linear
-factors, then equal-degree splitting with gcd((x+c)^((p-1)/2) - 1, g) over
-deterministically iterated shifts c.  The isogeny search uses only the
-equal-degree split (`_split_equal_degree`), for scalar Frobenius; the full
-`factor` is off that path and is kept as a tested general tool.
+Every p takes one root-finding path: g = gcd(x^p - x, f) isolates the
+product of the distinct rational linear factors, and the Cantor-Zassenhaus
+equal-degree split (`_split_equal_degree`, von zur Gathen and Gerhard,
+Modern Computer Algebra, section 14.3) with d = 1 breaks g into them.  The
+isogeny search uses the same split for scalar Frobenius; the full `factor`
+is off that path and is kept as a tested general tool.
 """
 
 from __future__ import annotations
 
 from .fields import DualNumber, Fp, FpElement
-
-#: Largest p for which roots() simply scans the field.
-SCAN_LIMIT = 2048
 
 _NEG_INF = float("-inf")
 
@@ -190,14 +187,9 @@ class Polynomial:
         f = self.field
         if self.is_zero():
             raise ValueError("every element is a root of the zero polynomial")
-        if self.degree == 0:
-            return []
-        if f.p <= SCAN_LIMIT:
-            return [f(v) for v in range(f.p) if self(v).is_zero()]
-        xp = Polynomial.x(f).pow_mod(f.p, self)
-        g = (xp - Polynomial.x(f)).gcd(self)
-        vals = sorted(r.value for r in _split_linear(g))
-        return [f(v) for v in vals]
+        x = Polynomial.x(f)
+        g = (x.pow_mod(f.p, self) - x).gcd(self)  # the product of the distinct linear factors
+        return [f(v) for v in sorted(-h[0] % f.p for h in _split_equal_degree(g, 1))]
 
     def factor(self) -> list[tuple["Polynomial", int]]:
         """Monic irreducible factors with multiplicities (Cantor-Zassenhaus)."""
@@ -239,25 +231,6 @@ class Polynomial:
         return " + ".join(reversed(terms))
 
 
-def _split_linear(g: Polynomial) -> list[FpElement]:
-    """Roots of g, a product of distinct monic linear factors."""
-    f = g.field
-    if g.degree <= 0:
-        return []
-    if g.degree == 1:
-        g = g.monic()
-        return [f(-g[0])]
-    one = Polynomial.constant(f, 1)
-    shift = 0
-    while True:
-        base = Polynomial(f, (shift, 1))  # x + shift
-        h = base.pow_mod((f.p - 1) // 2, g) - one
-        d = h.gcd(g)
-        if 0 < d.degree < g.degree:
-            return _split_linear(d) + _split_linear(g.exact_div(d))
-        shift += 1
-
-
 def _factor_squarefree(g: Polynomial) -> list[Polynomial]:
     """Irreducible factors of a squarefree monic g."""
     f = g.field
@@ -281,10 +254,10 @@ def _factor_squarefree(g: Polynomial) -> list[Polynomial]:
 
 
 def _split_equal_degree(g: Polynomial, d: int) -> list[Polynomial]:
-    """Split g, a product of distinct irreducibles all of degree d."""
+    """Split g, a product of distinct irreducibles all of degree d (none if g is constant)."""
     f = g.field
-    if g.degree == d:
-        return [g.monic()]
+    if g.degree <= d:
+        return [g.monic()] if g.degree == d else []
     one = Polynomial.constant(f, 1)
     exp = (f.p**d - 1) // 2
     counter = 1

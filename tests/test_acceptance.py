@@ -165,7 +165,7 @@ def test_criterion_4_lift_attack(pool, rng):
         if not (pPt.is_infinity and pPt.k.is_zero()):
             _report(4, False, f"canonical lift failed to preserve p-torsion at p={c.p}")
         original = DualCurve.random_lift_coeffs
-        DualCurve.random_lift_coeffs = lambda self, r, reject_scaling_family=True: (
+        DualCurve.random_lift_coeffs = lambda self, r: (
             self.field.zero(),
             self.field.zero(),
         )

@@ -4,7 +4,9 @@ import random
 import pytest
 
 from dualpair import INFINITY, Curve, Point, count_points, find_anomalous, hasse_interval
+from dualpair.curve import is_anomalous
 from dualpair.errors import (
+    BadInputError,
     OrderAmbiguousError,
     PointNotOnCurveError,
     SearchExhaustedError,
@@ -169,8 +171,25 @@ def test_find_anomalous_determinism():
 def test_find_anomalous_search_exhausted():
     with pytest.raises(SearchExhaustedError):
         find_anomalous(24, 28, count=1, seed=1)  # no primes in range
-    with pytest.raises(ValueError):
-        find_anomalous(3, 10)
+    for p_min, p_max in ((3, 10), (20, 10)):  # p_min <= 3, and an empty range
+        with pytest.raises(BadInputError):
+            find_anomalous(p_min, p_max)
+
+
+def test_is_anomalous_matches_the_count(monkeypatch):
+    # without rng the certificate point is deterministic, not a random draw;
+    # p = 5 (where #E = 10 also kills a 5-torsion point) falls back to the count
+    def no_draws(self, rng):
+        raise AssertionError("is_anomalous drew a random point")
+
+    monkeypatch.setattr(Curve, "random_point", no_draws)
+    for p in (5, 7, 11, 13):
+        f = Fp(p)
+        for a in range(p):
+            for b in range(p):
+                if (4 * a**3 + 27 * b * b) % p:
+                    c = Curve(f, a, b)
+                    assert is_anomalous(c) == (count_points(c) == p)
 
 
 def test_two_torsion():

@@ -106,7 +106,7 @@ def test_lift_attack_refuses_canonical(tiny_anomalous, monkeypatch):
     pPt = canonical.mul(c.p, canonical.lift(inst.P))
     assert pPt.is_infinity and pPt.k.is_zero()
 
-    def force_canonical(self, rng, reject_scaling_family=True):
+    def force_canonical(self, rng):
         return zero, zero
 
     monkeypatch.setattr(DualCurve, "random_lift_coeffs", force_canonical)

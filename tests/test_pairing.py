@@ -20,6 +20,7 @@ from dualpair import (
 from dualpair.errors import (
     BadInputError,
     BadTorsionError,
+    DegenerateEvaluationError,
     NotCanonicalError,
     NotPTorsionError,
 )
@@ -353,3 +354,29 @@ def test_default_evaluation_point_is_not_an_enumeration(monkeypatch):
         route()
         assert len(calls) < 20
 
+
+
+def test_degenerate_ladder_is_linear_in_p(monkeypatch):
+    # every line of incremental_chain(p) vanishes somewhere on E, and together
+    # they vanish at every point; once a rung has degenerated, points at
+    # which one of its lines vanishes are skipped without a fold
+    from dualpair import miller, pairing
+
+    c = Curve(Fp(1361), 686, 969)
+    dc = DualCurve.canonical(c)
+    P = c.random_point(random.Random(1))
+    real_line_value = miller.line_value
+    calls = []
+
+    def counting_line_value(*args):
+        calls.append(args)
+        return real_line_value(*args)
+
+    monkeypatch.setattr(miller, "line_value", counting_line_value)
+    monkeypatch.setattr(pairing, "line_value", counting_line_value)
+    chain = incremental_chain(c.p)
+    for route in (lambda: pairing_direct(dc, P, 1, chain=chain), lambda: semaev_coefficient(c, P, chain=chain)):
+        calls.clear()
+        with pytest.raises(DegenerateEvaluationError, match="all evaluation configurations degenerate: line"):
+            route()
+        assert len(calls) <= 2 * c.p  # about p^2 / 2 when every point is folded

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from dualpair.fields import Fp
-from dualpair.poly import Polynomial, cubic_roots
+from dualpair.poly import Polynomial, _split_equal_degree, cubic_roots
 
 
 def test_cubic_roots_trivial_cases():
@@ -115,6 +115,14 @@ def test_factor_randomized_against_roots():
                 (-g[0]) % p for g, _ in poly.factor() if g.degree == 1
             }
             assert linear_roots == factored_roots
+
+
+def test_split_equal_degree_of_a_constant_is_empty():
+    # the empty product has no factors; the split must not search for one
+    f = Fp(7)
+    assert _split_equal_degree(Polynomial.constant(f, 1), 1) == []
+    assert _split_equal_degree(Polynomial.constant(f, 3), 2) == []
+    assert Polynomial.constant(f, 3).roots() == []
 
 
 def test_pow_mod():
