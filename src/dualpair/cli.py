@@ -20,7 +20,7 @@ from . import selfcheck
 from .curve import INFINITY, Curve, Point, count_points, find_anomalous
 from .dlp import DlpInstance, solve
 from .dual_curve import DualCurve
-from .errors import BadTorsionError, DualPairError
+from .errors import DualPairError
 from .pairing import theta_pairing
 
 USAGE_EXIT = 64
@@ -126,8 +126,6 @@ def _cmd_find_anomalous(args) -> int:
 def _cmd_pair(args) -> int:
     curve = _parse_curve(args.curve)
     P = _parse_point(curve, args.point)
-    if not curve.mul(curve.p, P).is_infinity:
-        raise BadTorsionError("point is not p-torsion; the curve must be anomalous")
     value = theta_pairing(
         DualCurve.canonical(curve), P, args.k % curve.p, args.method, random.Random(args.seed)
     )

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from .curve import Curve, Point
 from .dual_curve import DualCurve, DualPoint
 from .errors import (
+    BadInputError,
     BadTorsionError,
     DualPairError,
     LiftDegenerateError,
@@ -146,7 +147,7 @@ def solve(inst: DlpInstance, method: str = "rueck", seed: int = DEFAULT_SEED) ->
     try:
         impl = _ATTACKS[method]
     except KeyError:
-        raise ValueError(f"unknown attack method {method!r}") from None
+        raise BadInputError(f"unknown attack method {method!r}") from None
     result = impl(inst, seed)
     if not result.verify(inst):
         raise DualPairError(f"the {method} attack returned n = {result.n}, but n*P != Q")

@@ -142,17 +142,16 @@ class RationalFunction:
 class Isogeny:
     """phi(x, y) = (r(x), y*s(x)) between two short-Weierstrass curves."""
 
-    __slots__ = ("source", "target", "r", "s", "degree", "m", "kernel_points")
+    __slots__ = ("source", "target", "r", "s", "degree", "m")
 
     def __init__(self, source: Curve, target: Curve, r: RationalFunction, s: RationalFunction,
-                 degree: int, m: FpElement, kernel_points=()):
+                 degree: int, m: FpElement):
         self.source = source
         self.target = target
         self.r = r
         self.s = s
         self.degree = degree
         self.m = m
-        self.kernel_points = tuple(kernel_points)
 
     # -- structure ------------------------------------------------------
 
@@ -314,7 +313,7 @@ def velu(curve: Curve, kernel: list[Point]) -> Isogeny:
         if not uq.is_zero():
             r = r + RationalFunction(Polynomial.constant(f, int(uq)), lin * lin)
     target = Curve(f, curve.A - 5 * v_sum, curve.B - 7 * w_sum)
-    phi = Isogeny(curve, target, r, r.derivative(), len(kernel), f.one(), kernel)
+    phi = Isogeny(curve, target, r, r.derivative(), len(kernel), f.one())
     if not phi.curve_identity_holds():
         raise DualPairError("Velu construction left the target curve")
     return phi
@@ -323,7 +322,7 @@ def velu(curve: Curve, kernel: list[Point]) -> Isogeny:
 def identity_isogeny(curve: Curve) -> Isogeny:
     f = curve.field
     one = RationalFunction.from_poly(Polynomial.constant(f, 1))
-    return Isogeny(curve, curve, RationalFunction.from_poly(Polynomial.x(f)), one, 1, f.one(), (INFINITY,))
+    return Isogeny(curve, curve, RationalFunction.from_poly(Polynomial.x(f)), one, 1, f.one())
 
 
 def velu_from_kernel_polynomial(curve: Curve, h: Polynomial) -> Isogeny:

@@ -19,14 +19,11 @@ distinct contributions O(log n).  Functions are used only inside ratios,
 so the normalizing constant of f_P never needs to be materialized.
 
 Each (P, chain) is walked once, on plain ints: `chain_trace` adds in
-Jacobian coordinates (`curve.jacobian_add`, through `step_lines`), which
-gives every step's sum and the numerator of its one slope without an
-inversion, then inverts every Z of the walk in one batch (Montgomery's
-trick, `numbertheory.batch_inverse`) to read off the affine multiples,
-the slopes and the lines.  Every evaluation and retry is a memoized fold
-over that trace, whose end point nP is the n-torsion check.  A fold of
-f_P carries the numerator and denominator products of the line values
-and divides once.  The same trace drives the classical Weil pairing
+Jacobian coordinates (`step_lines`) and inverts every Z of the walk in one
+batch to read off the multiples, the slopes and the lines; its end point
+nP is the n-torsion check.  `trace_value` checks T and `at` once and turns
+at - T into an int tuple (`eval_point`), where a memoized fold over the
+trace evaluates f_P and divides once.  The same trace drives the Weil pairing
 
     e_n(P, Q) = f_P(D_Q) / f_Q(D_P)
 
@@ -40,7 +37,7 @@ import random
 from typing import NamedTuple
 
 from .curve import INFINITY, JACOBIAN_INFINITY, Curve, Point, jacobian_add
-from .errors import BadTorsionError, DegenerateEvaluationError
+from .errors import BadInputError, BadTorsionError, DegenerateEvaluationError
 from .fields import Fp, FpElement
 from .dual_curve import DualCurve, DualPoint
 from .numbertheory import batch_inverse
@@ -264,16 +261,31 @@ def fold_trace(trace: ChainTrace, n: int, unit, op, values: list):
 # -- evaluation ---------------------------------------------------------------
 
 
-def shift(curve: Curve, at, T: Point):
-    """Translate the evaluation point by -T (tau), in E or in the lift."""
-    if isinstance(at, DualPoint):
-        dc = DualCurve.canonical(curve)
-        out = dc._add_raw(at, dc.neg(dc.embed(T)))
-    else:
-        out = curve._add_raw(at, curve.neg(T))
-    if out.is_infinity:
+def require_on_curve(curve: Curve, X: Point, role: str) -> tuple | None:
+    """X as an (x, y) int pair (None for infinity), checked to lie on the curve."""
+    if not curve.contains(X):
+        raise BadInputError(f"{role} {X} is not on {curve!r}")
+    return None if X.is_infinity else (X.x.value, X.y.value)
+
+
+def difference(p: int, a: int, R: tuple | None, T: tuple | None) -> tuple | None:
+    """R - T on (x, y) int pairs, None for infinity; one inversion unless T is infinity."""
+    if T is None:
+        return R
+    (X, Y, Z), _ = jacobian_add(p, a, JACOBIAN_INFINITY if R is None else (*R, 1), (T[0], -T[1] % p, 1))
+    if not Z:
+        return None
+    zi = pow(Z, -1, p)
+    return X * zi * zi % p, Y * zi * zi * zi % p
+
+
+def eval_point(p: int, a: int, S: tuple | None, k: int = 0) -> tuple:
+    """S + O_k = (x + eps*(-2*y*k), y + eps*(-(3*x^2 + a)*k)) as the int tuple
+    (x0, y0, x1, y1); raises DegenerateEvaluationError when S is infinity."""
+    if S is None:
         raise DegenerateEvaluationError("evaluation point translated to infinity")
-    return out
+    x, y = S
+    return x, y, -2 * y * k % p, -(3 * x * x + a) * k % p
 
 
 def line_value(line, x0: int, y0: int, x1: int, y1: int, p: int) -> tuple:
@@ -284,19 +296,11 @@ def line_value(line, x0: int, y0: int, x1: int, y1: int, p: int) -> tuple:
     return re, (x1 if isinstance(line, Vertical) else y1 - line.m * x1) % p
 
 
-def trace_fraction(curve: Curve, trace: ChainTrace, n: int, T: Point, at) -> tuple:
-    """f_n(at) as (numerator, denominator) products, each an (re, eps) int pair.
-
-    `at` is a Point of E (eps parts 0) or a DualPoint of the canonical
-    lift; raises DegenerateEvaluationError where a line vanishes.
-    """
-    U = shift(curve, at, T)
-    p = curve.p
-    if isinstance(U, DualPoint):
-        coords = U.x.re.value, U.y.re.value, U.x.eps.value, U.y.eps.value, p
-    else:
-        coords = U.x.value, U.y.value, 0, 0, p
-    one = (1, 0)
+def trace_fraction(trace: ChainTrace, n: int, point: tuple) -> tuple:
+    """f_n at an `eval_point` tuple as (numerator, denominator), each an
+    (re, eps) int pair; raises DegenerateEvaluationError where a line vanishes."""
+    p = trace.field.p
+    coords, one = (*point, p), (1, 0)
     nums, dens = [], []
     for _, _, _, lines in trace.steps:
         num, den = lines or (None, None)
@@ -310,19 +314,21 @@ def trace_fraction(curve: Curve, trace: ChainTrace, n: int, T: Point, at) -> tup
 
 
 def trace_value(curve: Curve, trace: ChainTrace, n: int, T: Point, at):
-    """f_n(at) for the divisor n(P+T) - n(T), folded over P's trace.
+    """f_n(at) for the divisor n(P+T) - n(T), folded over P's trace, up to the constant.
 
-    `at` may be a Point of E or a DualPoint of the canonical lift; the
-    result is an FpElement or DualNumber accordingly, up to the constant.
-    The numerator and denominator products are divided once.
+    T must lie on E, and `at` on E (giving an FpElement) or on the canonical
+    lift (giving a DualNumber), where `decompose` writes it as R + O_k; then
+    at - T = (R - T) + O_k is turned into ints once.
     """
-    (nr, ne), (dr, de) = trace_fraction(curve, trace, n, T, at)
-    p = curve.p
+    T = require_on_curve(curve, T, "translation point T")
+    dual = isinstance(at, DualPoint)
+    R, k = DualCurve.canonical(curve).decompose(at) if dual else (at, curve.field.zero())
+    R = require_on_curve(curve, R, "evaluation point")
+    p, a = curve.p, curve.A.value
+    (nr, ne), (dr, de) = trace_fraction(trace, n, eval_point(p, a, difference(p, a, R, T), k.value))
     inv = pow(dr, -1, p)
     re = nr * inv % p
-    if isinstance(at, DualPoint):
-        return curve.field.dual(re, (ne - re * de) * inv)
-    return curve.field(re)
+    return curve.field.dual(re, (ne - re * de) * inv) if dual else curve.field(re)
 
 
 def h_eval(curve: Curve, P: Point, i: int, j: int, T: Point, at):
@@ -333,6 +339,7 @@ def h_eval(curve: Curve, P: Point, i: int, j: int, T: Point, at):
 
 def miller_eval(curve: Curve, P: Point, n: int, T: Point, at, chain=None):
     """f_P(at) for the divisor n(P+T) - n(T), up to the global constant."""
+    curve._require_on_curve(P)
     chain = chain if chain is not None else binary_chain(n)
     return trace_value(curve, chain_trace(curve, P, chain), n, T, at)
 
@@ -363,9 +370,7 @@ def weil_pairing(curve: Curve, n: int, P: Point, Q: Point, rng=None, chain=None)
             f_p_bot = trace_value(curve, tp, n, T1, T2)
             f_q_top = trace_value(curve, tq, n, T2, pt1)
             f_q_bot = trace_value(curve, tq, n, T2, T1)
-            if f_p_bot.is_zero() or f_q_top.is_zero():
-                raise DegenerateEvaluationError("zero denominator in pairing ratio")
-            value = (f_p_top / f_p_bot) * (f_q_bot / f_q_top)
+            value = (f_p_top / f_p_bot) * (f_q_bot / f_q_top)  # no line value, so no f, is 0
             if (value**n) != 1:
                 raise DegenerateEvaluationError("support overlap corrupted the ratio")
             return value

@@ -15,9 +15,9 @@ a-coordinates, which is how `PairingValue` stores them.
 Three independent routes compute the same value:
 
 * direct: e(P, O_k) = f_P(O_k + R) / f_P(R), both values folded over the
-  chain with dual-number arithmetic, O_k + R coming from the explicit
-  infinity-translation formula.  No analytic conventions enter; this is
-  the package's ground truth.
+  chain with dual-number arithmetic at (O_k + R) - T = S + O_k, S = R - T,
+  whose eps parts are -2*y(S)*k and -(3*x(S)^2 + A)*k.  No analytic
+  conventions enter; this is the package's ground truth.
 
 * logarithmic derivative (Semaev's map): each ratio equals
   1 - 2*y(R) * (h'/h)(R) * k * eps, so the product telescopes to
@@ -37,14 +37,14 @@ Three independent routes compute the same value:
   with no evaluation point at all, hence no degenerate cases.  This is
   the default route.
 
-All three routes fold over one trace of P along the chain
-(`miller.chain_trace`), whose end point p*P is the p-torsion check; the
-trace is shared by every evaluation and every retry at a fresh R.  The
-trace is a Jacobian walk on plain ints with one batched inversion, and
-each fold inverts once more: rueck sums the int slopes and needs no
-inversion at all, semaev checks every line value nonzero and inverts them
-in one batch, and direct carries f_P(O_k + R) as one dual-number fraction,
-whose reduction mod eps is f_P(R), and divides once.
+Each public entry checks its inputs once, before any evaluation: P and a
+caller's chain by P's walk (`_trace`), whose end point p*P is the
+p-torsion check; a caller's R in `_check_eval_point`; T on the curve.
+Below that everything is plain ints.  The walk is shared by every
+evaluation and every retry at a fresh R, and S = R - T is computed once
+per R.  Rueck sums the int slopes; semaev checks every line value nonzero
+and inverts them in one batch; direct carries f_P(O_k + R) as one
+dual-number fraction, whose reduction mod eps is f_P(R), and divides once.
 
 The scalar prefactors of the last two routes depend on orientation
 conventions (line written as y - m*x - b, uniformizer -x/y); the signs
@@ -59,14 +59,11 @@ decomposition:  with Pt = P + O_k and Qt = Q + O_j,
 which is bilinear, antisymmetric, trivial on E[p] x E[p] and on pairs at
 infinity, restricts to e on E[p] x {O_k}, and is non-degenerate.
 
-On an anomalous curve over F_p there is no rational point outside E[p]
-(the whole group is p-torsion), so the auxiliary translation point T of
-the general Miller setup cannot be taken outside the torsion.  That is
-harmless: log-derivatives of p-th powers vanish in characteristic p, so
-the value is divisor-independent, and any rational T (including T at
-infinity, i.e. the divisor (P) - (infinity)) gives the same answer.  The
-default is T at infinity; a second divisor variant with random affine T
-is exercised by the independence tests.
+On an anomalous curve the translation point T of the general Miller
+setup cannot be taken outside the p-torsion.  That is harmless: the value
+is divisor-independent (log-derivatives of p-th powers vanish in
+characteristic p), so any T on E gives the same answer.  The default is
+T at infinity, the divisor (P) - (infinity).
 """
 
 from __future__ import annotations
@@ -88,9 +85,11 @@ from .fields import DualNumber, Fp, FpElement
 from .miller import (
     binary_chain,
     chain_trace,
+    difference,
+    eval_point,
     fold_trace,
     line_value,
-    shift,
+    require_on_curve,
     tail_chain,
     torsion_trace,
     trace_fraction,
@@ -149,7 +148,7 @@ class PairingValue:
         return PairingValue(field(int(obj["one_plus_eps_times"])))
 
 
-# -- the chain trace -------------------------------------------------------------
+# -- the boundary -----------------------------------------------------------------
 
 
 def _trace(curve: Curve, P: Point, chain=None):
@@ -168,50 +167,56 @@ def _trace(curve: Curve, P: Point, chain=None):
     return torsion_trace(curve, P, chain if chain is not None else binary_chain(curve.p), curve.p)
 
 
-def _check_eval_point(curve: Curve, R: Point):
+def _check_eval_point(curve: Curve, R: Point) -> tuple:
+    """R as an (x, y) int pair, once it is checked to be affine, outside E[2] and p-torsion."""
     if R.is_infinity or R.y.is_zero():
         raise BadInputError("evaluation point must be affine and outside the 2-torsion")
     if not curve.mul(curve.p, R).is_infinity:
         raise BadInputError("evaluation point must be p-torsion")
+    return R.x.value, R.y.value
+
+
+def _boundary(curve: Curve, P: Point, R: Point | None, T: Point | None, chain) -> tuple:
+    """(P's `_trace`, R, T), each input checked once, R and T as int pairs
+    (None: no caller R, T at infinity)."""
+    trace = _trace(curve, P, chain)
+    R = None if R is None else _check_eval_point(curve, R)
+    return trace, R, require_on_curve(curve, T or INFINITY, "translation point T")
 
 
 # -- the three routes ----------------------------------------------------------
 
 
-def _direct_value(dc: DualCurve, trace, k: FpElement, R: Point, T: Point) -> PairingValue:
-    """f_P(O_k + R) / f_P(R) in F_p[eps] with one inversion; raises on degenerate lines.
+def _direct_value(trace, point: tuple) -> PairingValue:
+    """f_P(O_k + R) / f_P(R) at the `eval_point` tuple of (O_k + R) - T; raises on degenerate lines.
 
     f_P(R) is the reduction mod eps of f_P(O_k + R) = (nr + ne*eps)/(dr + de*eps),
-    so the ratio is 1 + (ne/nr - de/dr)*eps.
+    so the ratio is 1 + (ne/nr - de/dr)*eps, with one inversion.
     """
-    curve = dc.base
-    p = curve.p
-    (nr, ne), (dr, de) = trace_fraction(curve, trace, p, T, dc.translate(dc.embed(R), k))
-    return PairingValue(curve.field((ne * dr - nr * de) * pow(nr * dr, -1, p)))
+    p = trace.field.p
+    (nr, ne), (dr, de) = trace_fraction(trace, p, point)
+    return PairingValue(trace.field((ne * dr - nr * de) * pow(nr * dr, -1, p)))
 
 
-def _log_derivative_value(curve: Curve, trace, R: Point, T: Point) -> FpElement:
-    """(f_P'/f_P)(R) as a chain sum of (h'/h)(R); raises on degenerate lines.
+def _log_derivative_value(curve: Curve, trace, point: tuple) -> FpElement:
+    """(y * f_P'/f_P)(R) at the `eval_point` tuple of S = R - T; raises on degenerate lines.
 
     For h = (l/v) o tau the invariant differential gives
-    (h'/h)(R) = (y(S)/y(R)) * [ (y'(S) - m)/l(S) - 1/v(S) ]   with S = R - T,
-    and for the pure vertical step h = v o tau it gives
-    (h'/h)(R) = (y(S)/y(R)) / v(S).  Every line value is checked nonzero,
-    then all of them, y(R) and 2*y(S) are inverted in one batch.
+    y(R) * (h'/h)(R) = y(S) * [ (y'(S) - m)/l(S) - 1/v(S) ], and for the pure
+    vertical step h = v o tau it gives y(R) * (h'/h)(R) = y(S) / v(S).  Every
+    line value is checked nonzero, then all of them and 2*y(S) are inverted
+    in one batch.
     """
-    S = shift(curve, R, T)
-    if S.y.is_zero():
+    (x, y, _, _), p = point, curve.p
+    if not y:
         raise DegenerateEvaluationError("translated evaluation point hit the 2-torsion")
-    p = curve.p
-    coords = S.x.value, S.y.value, 0, 0, p
-    denominators = [R.y.value, 2 * S.y.value]
+    denominators = [2 * y]
     for _, _, _, lines in trace.steps:
         for line in lines or ():
             if line is not None:
-                denominators.append(line_value(line, *coords)[0])
+                denominators.append(line_value(line, *point, p)[0])
     inverses = iter(batch_inverse(denominators, p))
-    y_ratio = S.y.value * next(inverses)
-    y_slope_S = (3 * S.x.value**2 + curve.A.value) * next(inverses) % p
+    y_slope_S = (3 * x * x + curve.A.value) * next(inverses) % p
     values = []
     for _, _, _, lines in trace.steps:
         if lines is None:
@@ -221,7 +226,7 @@ def _log_derivative_value(curve: Curve, trace, R: Point, T: Point) -> FpElement:
         else:
             inv_l, inv_v = next(inverses), next(inverses)
             values.append((y_slope_S - lines[0].m) * inv_l - inv_v)
-    return curve.field(y_ratio * fold_trace(trace, p, 0, operator.add, values))
+    return curve.field(y * fold_trace(trace, p, 0, operator.add, values))
 
 
 def rueck_slope_sum(curve: Curve, P: Point, chain=None) -> FpElement:
@@ -244,7 +249,7 @@ def _eval_points(curve: Curve, rng: random.Random):
     """One random point of E, then every point in order, skipping infinity and the 2-torsion."""
     for R in itertools.chain([curve.random_point(rng)], curve.points()):
         if not (R.is_infinity or R.y.is_zero()):
-            yield R
+            yield R.x.value, R.y.value
 
 
 def _vanishing_points(trace) -> set:
@@ -258,40 +263,34 @@ def _vanishing_points(trace) -> set:
     return out
 
 
-def _with_retries(curve: Curve, P: Point, trace, chain, R: Point | None, T: Point, rng: random.Random | None, evaluate):
-    """evaluate(trace, R) at a caller-supplied R, else over the fallback ladder.
+def _with_retries(curve: Curve, P: Point, trace, chain, R: tuple | None, T: tuple | None, rng: random.Random | None, evaluate):
+    """evaluate(trace, S) with S = R - T on the int pairs of `_boundary`, at
+    a caller's R, else over the fallback ladder; S is computed once per R.
 
     The ladder varies the evaluation point first and the chain second; only
     the evaluation is retried, never the walk.  Each rung tries one random R
     and then every point of E in order, which makes the computation total
     whenever any valid configuration exists.  Once a rung has degenerated,
-    an R with R - T at infinity or on one of its lines is skipped unfolded.
+    an R with S at infinity or on one of its lines is skipped unfolded.
     """
+    p, a = curve.p, curve.A.value
     if R is not None:
-        _check_eval_point(curve, R)
-        return evaluate(trace, R)
-    rng = rng or random.Random(0x7A1F ^ curve.p)
+        return evaluate(trace, difference(p, a, R, T))
+    rng = rng or random.Random(0x7A1F ^ p)
     # a caller-fixed chain is the only rung; tail chains are walked when reached
-    tails = [] if chain is not None else [c for c in (3, 5, 7, 9, 11, 13) if c < curve.p]
-    rungs = itertools.chain([trace], (chain_trace(curve, P, tail_chain(curve.p, c)) for c in tails))
-    last = skipped = None
+    tails = [] if chain is not None else [c for c in (3, 5, 7, 9, 11, 13) if c < p]
+    rungs = itertools.chain([trace], (chain_trace(curve, P, tail_chain(p, c)) for c in tails))
+    last = None
     for rung in rungs:
         vanishing = None
         for Rc in _eval_points(curve, rng):
-            S = curve._add_raw(Rc, curve.neg(T))
-            if vanishing and (S.is_infinity or (S.x.value, S.y.value) in vanishing):
-                skipped = rung, Rc
+            S = difference(p, a, Rc, T)
+            if vanishing and (S is None or S in vanishing):
                 continue
             try:
-                skipped = None
-                return evaluate(rung, Rc)
+                return evaluate(rung, S)
             except DegenerateEvaluationError as exc:
                 last, vanishing = exc, vanishing or _vanishing_points(rung)
-    if skipped is not None:  # the last R was skipped: fold it once for its message
-        try:
-            evaluate(*skipped)
-        except DegenerateEvaluationError as exc:
-            last = exc
     raise DegenerateEvaluationError(f"all evaluation configurations degenerate: {last}")
 
 
@@ -299,25 +298,21 @@ def _with_retries(curve: Curve, P: Point, trace, chain, R: Point | None, T: Poin
 
 
 def pairing_direct(dc: DualCurve, P: Point, k, R: Point | None = None, chain=None, T: Point | None = None, rng=None) -> PairingValue:
-    """e(P, O_k) = f_P(O_k + R) / f_P(R) by dual-number evaluation."""
+    """e(P, O_k) = f_P(O_k + R) / f_P(R) by dual-number evaluation at (O_k + R) - T."""
     if not dc.is_canonical():
         raise NotCanonicalError("the pairing is defined on the canonical lift")
     curve = dc.base
     k = curve.field(k)
-    trace = _trace(curve, P, chain)
+    trace, R, T = _boundary(curve, P, R, T, chain)
     if trace is None or k.is_zero():
         return PairingValue(curve.field.zero())
-    T = T or INFINITY
-    return _with_retries(curve, P, trace, chain, R, T, rng, lambda tr, Rc: _direct_value(dc, tr, k, Rc, T))
+    p, a = curve.p, curve.A.value
+    return _with_retries(curve, P, trace, chain, R, T, rng, lambda tr, S: _direct_value(tr, eval_point(p, a, S, k.value)))
 
 
 def semaev_log_derivative(curve: Curve, P: Point, R: Point, T: Point | None = None, chain=None) -> FpElement:
     """Semaev's map lam(P) = (f_P'/f_P)(R); additive and injective in P."""
-    trace = _trace(curve, P, chain)
-    _check_eval_point(curve, R)
-    if trace is None:
-        return curve.field.zero()
-    return _log_derivative_value(curve, trace, R, T or INFINITY)
+    return semaev_coefficient(curve, P, R=R, T=T, chain=chain) / R.y
 
 
 def semaev_coefficient(curve: Curve, P: Point, rng=None, R: Point | None = None, T: Point | None = None, chain=None) -> FpElement:
@@ -326,11 +321,11 @@ def semaev_coefficient(curve: Curve, P: Point, rng=None, R: Point | None = None,
     This is the scalar that multiplies -2*k*eps in the pairing; computing
     it through different R just rescales lam by y(R)'s reciprocal.
     """
-    trace = _trace(curve, P, chain)
+    trace, R, T = _boundary(curve, P, R, T, chain)
     if trace is None:
         return curve.field.zero()
-    T = T or INFINITY
-    return _with_retries(curve, P, trace, chain, R, T, rng, lambda tr, Rc: Rc.y * _log_derivative_value(curve, tr, Rc, T))
+    p, a = curve.p, curve.A.value
+    return _with_retries(curve, P, trace, chain, R, T, rng, lambda tr, S: _log_derivative_value(curve, tr, eval_point(p, a, S)))
 
 
 def pairing_semaev(dc: DualCurve, P: Point, k, R: Point | None = None, T: Point | None = None, chain=None, rng=None) -> PairingValue:
@@ -339,8 +334,8 @@ def pairing_semaev(dc: DualCurve, P: Point, k, R: Point | None = None, T: Point 
         raise NotCanonicalError("the pairing is defined on the canonical lift")
     curve = dc.base
     k = curve.field(k)
-    if k.is_zero():
-        _trace(curve, P, chain)  # still rejects P outside the p-torsion
+    if k.is_zero():  # no evaluation, but the inputs are still checked
+        _boundary(curve, P, R, T, chain)
         return PairingValue(curve.field.zero())
     return PairingValue(SEMAEV_SIGN * 2 * semaev_coefficient(curve, P, rng=rng, R=R, T=T, chain=chain) * k)
 
@@ -359,21 +354,23 @@ _THETA_METHODS = {
 }
 
 
-def theta_pairing(dc: DualCurve, P: Point, k, method: str = "rueck", rng=None) -> PairingValue:
-    """e(P, O_k) by the chosen route (they agree exactly)."""
+def _route(method: str):
+    """The route named `method`, checked once at a public entry."""
     try:
-        impl = _THETA_METHODS[method]
+        return _THETA_METHODS[method]
     except KeyError:
         raise BadInputError(f"unknown pairing method {method!r}") from None
-    return impl(dc, P, dc.field(k), rng)
 
 
-def _theta_coefficient(dc: DualCurve, P: Point, method: str, rng) -> FpElement:
+def theta_pairing(dc: DualCurve, P: Point, k, method: str = "rueck", rng=None) -> PairingValue:
+    """e(P, O_k) by the chosen route (they agree exactly)."""
+    return _route(method)(dc, P, dc.field(k), rng)
+
+
+def _theta_coefficient(dc: DualCurve, P: Point, route, rng) -> FpElement:
     """The a-coordinate of e(P, O_1)."""
-    if P.is_infinity:
-        return dc.field.zero()
     try:
-        return theta_pairing(dc, P, 1, method, rng).a
+        return route(dc, P, dc.field.one(), rng).a
     except BadTorsionError:
         raise NotPTorsionError(f"{P} is not p-torsion, so its lift is not either") from None
 
@@ -385,12 +382,10 @@ def lifted_pairing(dc: DualCurve, Pt: DualPoint, Qt: DualPoint, method: str = "r
     e(P, O_j) * e(Q, O_k)^-1, which realizes bilinearity, antisymmetry,
     triviality on E[p] x E[p] and at infinity, and the restriction to e.
     """
+    route = _route(method)
     if not dc.is_canonical():
         raise NotCanonicalError("the p-pairing lives on the canonical lift")
     P, k = dc.decompose(Pt)
     Q, j = dc.decompose(Qt)
-    if method not in _THETA_METHODS:  # points outside the p-torsion are reported first
-        for X in (P, Q):
-            _theta_coefficient(dc, X, "rueck", rng)
-    a = _theta_coefficient(dc, P, method, rng) * j - _theta_coefficient(dc, Q, method, rng) * k
+    a = _theta_coefficient(dc, P, route, rng) * j - _theta_coefficient(dc, Q, route, rng) * k
     return PairingValue(a)

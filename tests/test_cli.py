@@ -84,13 +84,16 @@ def test_pair_methods_agree(capsys, anomalous, curve_flag):
 
 
 def test_pair_rejects_non_anomalous(capsys):
+    # every route's walk checks p*P = O itself, also when k = 0
     c = Curve.from_json({"p": "31", "A": "1", "B": "0"})
     P = c.random_point(random.Random(3))
-    code, _, err = run_cli(
-        capsys, "pair", "--curve", json.dumps(c.to_json()), "--point", f"{P.x.value},{P.y.value}", "--k", "1"
-    )
-    assert code == 3
-    assert json.loads(err)["error"] == "BadTorsion"
+    for method in ([], ["--method", "direct"], ["--method", "semaev"], ["--method", "rueck"]):
+        for k in ("0", "1"):
+            code, _, err = run_cli(
+                capsys, "pair", "--curve", json.dumps(c.to_json()), "--point", f"{P.x.value},{P.y.value}", "--k", k, *method
+            )
+            assert code == 3
+            assert json.loads(err)["error"] == "BadTorsion"
 
 
 def test_dlp_all_methods_same_n(capsys, anomalous, curve_flag):

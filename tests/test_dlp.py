@@ -15,7 +15,7 @@ from dualpair import (
     torsion_preserving_lifts,
 )
 from dualpair.dlp import LIFT_RETRY_BUDGET
-from dualpair.errors import BadTorsionError, DualPairError, LiftDegenerateError, WitnessInconsistentError
+from dualpair.errors import BadInputError, BadTorsionError, DualPairError, LiftDegenerateError, WitnessInconsistentError
 from dualpair.fields import Fp
 
 METHODS = ("semaev", "rueck", "pairing", "lift")
@@ -134,6 +134,12 @@ def test_solve_rejects_a_wrong_answer(small_pool, monkeypatch):
     with pytest.raises(DualPairError, match="n\\*P != Q"):
         solve(inst, "rueck")
     assert solve(inst, "semaev").n == n
+
+
+def test_unknown_attack_method_is_bad_input(small_pool):
+    inst, _ = _random_instance(small_pool[0], random.Random(59))
+    with pytest.raises(BadInputError, match="unknown attack method"):
+        solve(inst, "bogus")
 
 
 def test_lift_budget_is_bounded():

@@ -7,8 +7,10 @@ from dualpair import (
     DualCurve,
     DualPoint,
     INFINITY,
+    Point,
     find_anomalous,
     lifted_pairing,
+    miller_eval,
     pairing_direct,
     pairing_rueck,
     pairing_semaev,
@@ -265,6 +267,44 @@ def test_malformed_caller_chain_is_bad_input():
     # a valid chain that walks past p is accepted and changes nothing
     longer = binary_chain(c.p) + [ChainStep(2 * c.p, c.p, c.p)]
     assert pairing_rueck(dc, P, 2, chain=longer) == pairing_direct(dc, P, 2, chain=longer) == pairing_rueck(dc, P, 2)
+
+
+def test_off_curve_translation_point_is_bad_input():
+    # T = (1, 2) is not on this curve; evaluated anyway, the direct and semaev
+    # routes return values that disagree with rueck's
+    c = Curve(Fp(1361), 686, 969)
+    dc = DualCurve.canonical(c)
+    P, R = (c.random_point(random.Random(seed)) for seed in (3, 4))
+    T = Point(c.field(1), c.field(2))
+    assert not c.contains(T)
+    routes = [
+        lambda: pairing_direct(dc, P, 1, T=T),
+        lambda: pairing_direct(dc, P, 1, R=R, T=T),
+        lambda: pairing_semaev(dc, P, 1, T=T),
+        lambda: semaev_coefficient(c, P, T=T),
+        lambda: semaev_log_derivative(c, P, R, T=T),
+        lambda: miller_eval(c, P, c.p, T, R),
+    ]
+    for route in routes:
+        with pytest.raises(BadInputError, match="translation point T"):
+            route()
+
+
+def test_unknown_pairing_method_is_reported_first():
+    # P is not p-torsion, so a walk would raise; the method is checked before any
+    c = Curve(Fp(31), 1, 0)
+    dc = DualCurve.canonical(c)
+    P = c.random_point(random.Random(2))
+    f = dc.field
+    calls = [
+        lambda: lifted_pairing(dc, DualPoint.infinity(f(1)), DualPoint.infinity(f(2)), method="bogus"),
+        lambda: lifted_pairing(dc, dc.embed(P), DualPoint.infinity(f(1)), method="bogus"),
+        lambda: lifted_pairing(DualCurve(c, 1, 0), dc.embed(P), dc.embed(P), method="bogus"),
+        lambda: theta_pairing(dc, P, 1, method="bogus"),
+    ]
+    for call in calls:
+        with pytest.raises(BadInputError, match="unknown pairing method"):
+            call()
 
 
 # -- full pairing on the lifted torsion ------------------------------------
