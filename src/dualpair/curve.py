@@ -5,14 +5,18 @@ for small p, baby-step/giant-step order finding in the Hasse interval
 above that), a seeded search for anomalous curves (#E(F_p) = p), and
 2-torsion utilities.
 
+The search runs each trial on plain ints (`_kills_random_point`); its
+discriminant reject skips only curves with a rational point of order 2,
+which have even order and so cannot be anomalous.
+
 The group law comes twice.  `Curve.add` works on affine `Point`s of
 FpElement wrappers, one inversion per addition; it is the public one and
 the reference for the other.  `jacobian_double` and `jacobian_add` work on
 Jacobian triples of plain ints and never invert; besides the sum they
 return the numerator N of the chord-or-tangent slope N/Z3, which is what
 the Miller walk of `miller.chain_trace` needs from each step.
-`Curve.mul` runs double-and-add on the Jacobian law and inverts once, at
-the end.
+`jacobian_mul` runs double-and-add on that law; `Curve.mul` wraps it and
+inverts once, at the end.
 
 A curve with #E = p has a rational point group that is cyclic of order p,
 so every nonzero point generates and the whole group is p-torsion.  Those
@@ -32,7 +36,7 @@ from .errors import (
     SearchExhaustedError,
 )
 from .fields import Fp, FpElement
-from .numbertheory import factorize, next_prime
+from .numbertheory import factorize, legendre, next_prime, sqrt_mod
 from .poly import cubic_roots
 
 #: Largest p counted by the exhaustive character sum; BSGS above.
@@ -157,14 +161,8 @@ class Curve:
             n, P = -n, self.neg(P)
         if n == 0 or P.is_infinity:
             return INFINITY
-        p, a = self.p, self.A.value
-        base = (P.x.value, P.y.value, 1)
-        acc = base
-        for bit in bin(n)[3:]:
-            acc = jacobian_double(p, a, acc)[0]
-            if bit == "1":
-                acc = jacobian_add(p, a, acc, base)[0]
-        X, Y, Z = acc
+        p = self.p
+        X, Y, Z = jacobian_mul(p, self.A.value, n, (P.x.value, P.y.value, 1))
         if not Z:
             return INFINITY
         zi = pow(Z, -1, p)
@@ -282,6 +280,16 @@ def jacobian_add(p: int, a: int, P: tuple, Q: tuple) -> tuple:
     return (X3, (r * (V - X3) - S1 * HHH) % p, Z1 * Z2 * H % p), r
 
 
+def jacobian_mul(p: int, a: int, n: int, base: tuple) -> tuple:
+    """n*base for n >= 1 by left-to-right double-and-add on the Jacobian law."""
+    acc = base
+    for bit in bin(n)[3:]:
+        acc = jacobian_double(p, a, acc)[0]
+        if bit == "1":
+            acc = jacobian_add(p, a, acc, base)[0]
+    return acc
+
+
 def hasse_interval(p: int) -> tuple[int, int]:
     """The integer interval [p+1-2*sqrt(p), p+1+2*sqrt(p)] containing #E."""
     w = math.isqrt(4 * p)
@@ -342,6 +350,35 @@ def count_points(curve: Curve, scan_limit: int = COUNT_SCAN_LIMIT, rng: random.R
     raise OrderAmbiguousError("point orders did not determine a unique count in the Hasse interval")
 
 
+def _kills(p: int, a: int, b: int, x: int) -> bool:
+    """Whether p*P = infinity for P = (x, y) on y^2 = x^3 + a*x + b; False early if E cannot be anomalous.
+
+    A non-square discriminant -(4a^3 + 27b^2) means the cubic has exactly
+    one root, so E has a rational point of order 2 and #E is even, never p;
+    such a curve is rejected without a walk.  The sign of y does not
+    matter, since p*(-P) = -(p*P).
+    """
+    if legendre(-(4 * a * a * a + 27 * b * b), p) == -1:
+        return False
+    return not jacobian_mul(p, a, p, (x, sqrt_mod(x * x * x + a * x + b, p), 1))[2]
+
+
+def _kills_random_point(p: int, a: int, b: int, rng: random.Random) -> bool:
+    """`_kills` for a random point, drawn from rng exactly as `Curve.random_point` draws it.
+
+    x is redrawn until x^3 + a*x + b is a square or zero, then one sign bit
+    is drawn unless it is zero; the rng stream is that of a `Curve` trial.
+    """
+    while True:
+        x = rng.randrange(p)
+        t = (x * x * x + a * x + b) % p
+        if legendre(t, p) != -1:
+            break
+    if t:
+        rng.getrandbits(1)
+    return _kills(p, a, b, x)
+
+
 def is_anomalous(curve: Curve, rng: random.Random | None = None) -> bool:
     """True iff #E(F_p) = p.
 
@@ -350,10 +387,12 @@ def is_anomalous(curve: Curve, rng: random.Random | None = None) -> bool:
     Hasse interval.  For p = 5 both 5 and 10 fit, so the count is checked
     directly.  The point is drawn from rng, or else is the first affine one.
     """
-    P = curve.random_point(rng) if rng is not None else next(Q for Q in curve.points() if not Q.is_infinity)
-    if not curve.mul(curve.p, P).is_infinity:
-        return False
-    return curve.p >= 7 or count_points(curve) == curve.p
+    p, a, b = curve.p, curve.A.value, curve.B.value
+    if rng is not None:
+        killed = _kills_random_point(p, a, b, rng)
+    else:
+        killed = _kills(p, a, b, next(x for x in range(p) if legendre(x * x * x + a * x + b, p) != -1))
+    return killed and (p >= 7 or count_points(curve) == p)
 
 
 def find_anomalous(
@@ -367,6 +406,10 @@ def find_anomalous(
 
     Deterministic given `seed`: primes are drawn by re-sampling a PRNG and
     rounding up to the next prime; (A, B) are sampled uniformly per prime.
+    Each trial runs on ints: it draws a random point as `Curve.random_point`
+    would and walks p*P on the Jacobian law, except on curves with a
+    non-square discriminant, which have a point of order 2 and so cannot be
+    anomalous.  A `Curve` is built only for a hit.
     Raises BadInputError unless 3 < p_min <= p_max, and SearchExhaustedError
     when the trial budget runs out first.
     """
@@ -378,13 +421,12 @@ def find_anomalous(
     if next_prime(p_min) > p_max:
         raise SearchExhaustedError(f"no prime > 3 in [{p_min}, {p_max}]")
     found: list[Curve] = []
-    seen: set[Curve] = set()
+    seen: set[tuple[int, int, int]] = set()
     trials = 0
     while len(found) < count:
         p = next_prime(rng.randint(p_min, p_max))
         if p > p_max:
             continue
-        field = Fp(p)
         per_prime = max(32, 4 * math.isqrt(p))
         for _ in range(per_prime):
             trials += 1
@@ -393,14 +435,14 @@ def find_anomalous(
                     f"no anomalous curve found in [{p_min}, {p_max}] within {budget} trials"
                 )
             a, b = rng.randrange(p), rng.randrange(p)
-            if (4 * a * a * a + 27 * b * b) % p == 0:
+            if (4 * a * a * a + 27 * b * b) % p == 0 or (p, a, b) in seen:
                 continue
-            curve = Curve(field, a, b)
-            if curve in seen:
+            if not _kills_random_point(p, a, b, rng):
                 continue
-            if is_anomalous(curve, rng):
+            curve = Curve(Fp(p), a, b)
+            if p >= 7 or count_points(curve) == p:
                 found.append(curve)
-                seen.add(curve)
+                seen.add((p, a, b))
                 if len(found) == count:
                     break
     return found

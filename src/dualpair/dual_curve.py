@@ -254,9 +254,6 @@ class DualCurve:
         y3 = lam * (P.x - x3) - P.y
         return DualPoint.affine(x3, y3)
 
-    def sub(self, P: DualPoint, Q: DualPoint) -> DualPoint:
-        return self.add(P, self.neg(Q))
-
     def mul(self, n: int, P: DualPoint) -> DualPoint:
         """n*P; negative n allowed.
 

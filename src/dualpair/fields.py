@@ -11,9 +11,9 @@ A dual number is a unit exactly when its field part is nonzero, and then
     (a + b*eps)^-1 = a^-1 - a^-2 * b * eps.
 
 The modulus travels in an explicit field context (`Fp`) shared by all the
-elements of one computation; mixing contexts is a programming error and is
-caught by assertion.  Values are immutable and every operation is a pure
-function, so everything here is safe for unrestricted concurrent use.
+elements of one computation; mixing contexts raises BadInputError.  Values
+are immutable and every operation is a pure function, so everything here
+is safe for unrestricted concurrent use.
 
 Integers serialize as decimal strings in JSON; a dual number serializes as
 {"re": "...", "eps": "..."}.
@@ -21,7 +21,7 @@ Integers serialize as decimal strings in JSON; a dual number serializes as
 
 from __future__ import annotations
 
-from .errors import DivisionByZeroError, NonUnitError
+from .errors import BadInputError, DivisionByZeroError, NonUnitError
 from .numbertheory import is_prime, sqrt_mod
 
 
@@ -37,7 +37,8 @@ class Fp:
 
     def __call__(self, value) -> "FpElement":
         if isinstance(value, FpElement):
-            assert value.field.p == self.p, "mixed field contexts"
+            if value.field.p != self.p:
+                raise BadInputError("mixed field contexts")
             return value
         return FpElement(int(value) % self.p, self)
 
@@ -78,7 +79,8 @@ class FpElement:
 
     def _coerce(self, other) -> "FpElement | None":
         if isinstance(other, FpElement):
-            assert other.field.p == self.field.p, "mixed field contexts"
+            if other.field.p != self.field.p:
+                raise BadInputError("mixed field contexts")
             return other
         if isinstance(other, int):
             return FpElement(other, self.field)
@@ -163,7 +165,8 @@ class DualNumber:
     __slots__ = ("re", "eps")
 
     def __init__(self, re: FpElement, eps: FpElement):
-        assert re.field.p == eps.field.p, "mixed field contexts"
+        if re.field.p != eps.field.p:
+            raise BadInputError("mixed field contexts")
         self.re = re
         self.eps = eps
 
@@ -173,7 +176,8 @@ class DualNumber:
 
     def _coerce(self, other) -> "DualNumber | None":
         if isinstance(other, DualNumber):
-            assert other.field.p == self.field.p, "mixed field contexts"
+            if other.field.p != self.field.p:
+                raise BadInputError("mixed field contexts")
             return other
         if isinstance(other, (FpElement, int)):
             f = self.field

@@ -110,6 +110,16 @@ def validate_chain(n: int, chain: list[ChainStep]) -> None:
         raise ValueError(f"chain never reaches {n}")
 
 
+def require_chain(n: int, chain) -> None:
+    """Validate a caller's chain for n, raising BadInputError; None (the default chain) passes."""
+    if chain is None:
+        return
+    try:
+        validate_chain(n, chain)
+    except (ValueError, TypeError) as exc:
+        raise BadInputError(f"bad chain for n = {n}: {exc}") from None
+
+
 def step_multiplicities(n: int, chain: list[ChainStep]) -> dict[int, int]:
     """How many times each step's contribution occurs in the unrolled product."""
     need = {n: 1}
@@ -340,6 +350,7 @@ def h_eval(curve: Curve, P: Point, i: int, j: int, T: Point, at):
 def miller_eval(curve: Curve, P: Point, n: int, T: Point, at, chain=None):
     """f_P(at) for the divisor n(P+T) - n(T), up to the global constant."""
     curve._require_on_curve(P)
+    require_chain(n, chain)
     chain = chain if chain is not None else binary_chain(n)
     return trace_value(curve, chain_trace(curve, P, chain), n, T, at)
 
@@ -353,6 +364,7 @@ def weil_pairing(curve: Curve, n: int, P: Point, Q: Point, rng=None, chain=None)
     """
     if n < 1 or n % curve.p == 0:
         raise BadTorsionError("n must be positive and coprime to p")
+    require_chain(n, chain)
     chain = chain if chain is not None else binary_chain(n)
     tp, tq = (torsion_trace(curve, X, chain, n) for X in (P, Q))
     if P.is_infinity or Q.is_infinity:

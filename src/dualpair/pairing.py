@@ -89,11 +89,11 @@ from .miller import (
     eval_point,
     fold_trace,
     line_value,
+    require_chain,
     require_on_curve,
     tail_chain,
     torsion_trace,
     trace_fraction,
-    validate_chain,
 )
 from .numbertheory import batch_inverse
 
@@ -157,11 +157,7 @@ def _trace(curve: Curve, P: Point, chain=None):
     A caller's chain is validated here, once; the internal chains are valid
     by construction.
     """
-    if chain is not None:
-        try:
-            validate_chain(curve.p, chain)
-        except (ValueError, TypeError) as exc:
-            raise BadInputError(f"bad chain for p = {curve.p}: {exc}") from None
+    require_chain(curve.p, chain)
     if P.is_infinity:
         return None
     return torsion_trace(curve, P, chain if chain is not None else binary_chain(curve.p), curve.p)

@@ -15,6 +15,7 @@ is off that path and is kept as a tested general tool.
 
 from __future__ import annotations
 
+from .errors import BadInputError
 from .fields import DualNumber, Fp, FpElement
 
 _NEG_INF = float("-inf")
@@ -79,7 +80,8 @@ class Polynomial:
     # -- ring operations ----------------------------------------------
 
     def _check(self, other: "Polynomial"):
-        assert other.field.p == self.field.p, "mixed field contexts"
+        if other.field.p != self.field.p:
+            raise BadInputError("mixed field contexts")
 
     def __add__(self, other):
         if isinstance(other, int):

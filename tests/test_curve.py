@@ -12,6 +12,7 @@ from dualpair.errors import (
     SearchExhaustedError,
 )
 from dualpair.fields import Fp
+from dualpair.numbertheory import legendre, next_prime
 
 from conftest import first_anomalous_by_scan
 
@@ -174,6 +175,92 @@ def test_find_anomalous_search_exhausted():
     for p_min, p_max in ((3, 10), (20, 10)):  # p_min <= 3, and an empty range
         with pytest.raises(BadInputError):
             find_anomalous(p_min, p_max)
+
+
+def _reference_search(p_min, p_max, count, seed, budget=2_000_000):
+    # the search written on the public wrappers: one Curve, random_point and
+    # mul per trial, with the documented prime and (A, B) sampling
+    if next_prime(p_min) > p_max:
+        raise SearchExhaustedError("no prime")
+    rng = random.Random(seed)
+    found, trials = [], 0
+    while len(found) < count:
+        p = next_prime(rng.randint(p_min, p_max))
+        if p > p_max:
+            continue
+        for _ in range(max(32, 4 * math.isqrt(p))):
+            trials += 1
+            if trials > budget:
+                raise SearchExhaustedError("budget")
+            a, b = rng.randrange(p), rng.randrange(p)
+            if (4 * a**3 + 27 * b * b) % p == 0:
+                continue
+            c = Curve(Fp(p), a, b)
+            if c in found:
+                continue
+            if c.mul(p, c.random_point(rng)).is_infinity and (p >= 7 or count_points(c) == p):
+                found.append(c)
+                if len(found) == count:
+                    break
+    return found
+
+
+_SEARCHES = [
+    # (p_min, p_max, count, seed, budget)
+    (5, 5, 2, 0, 2_000_000),
+    (5, 7, 3, 1, 2_000_000),
+    (7, 7, 2, 2, 2_000_000),
+    (5, 13, 4, 3, 2_000_000),
+    (100_003, 100_003, 1, 4, 2_000_000),
+    (100_000, 110_000, 1, 5, 2_000_000),
+    (1000, 1500, 3, 6, 40),
+    (5, 20, 2, 7, 5),
+] + [
+    (lo, lo + width, count, seed, 2_000_000)
+    for seed, (lo, width, count) in enumerate(
+        [(5, 100, 3), (11, 50, 2), (20, 200, 3), (50, 400, 2), (100, 1000, 4), (300, 300, 2),
+         (1000, 500, 4), (1000, 9000, 2), (3000, 100, 2), (9000, 1000, 1), (20_000, 5000, 1),
+         (5, 3000, 5), (17, 0, 2), (31, 30, 2), (200, 10, 1), (60_000, 100, 1),
+         (5, 40, 6), (400, 4000, 3), (2000, 2000, 2), (7, 500, 4), (10_000, 30_000, 1),
+         (40, 60, 3), (1500, 50, 2), (100, 100, 1)],
+        start=10,
+    )
+]
+
+
+@pytest.mark.parametrize("p_min,p_max,count,seed,budget", _SEARCHES)
+def test_find_anomalous_matches_a_reference_on_wrappers(p_min, p_max, count, seed, budget):
+    def run(search):
+        try:
+            return [c.to_json() for c in search(p_min, p_max, count, seed, budget)]
+        except SearchExhaustedError:
+            return SearchExhaustedError
+
+    assert run(find_anomalous) == run(_reference_search)
+
+
+def test_find_anomalous_pinned_curves():
+    curves = find_anomalous(1000, 1500, count=4, seed=0)
+    assert [(c.p, c.A.value, c.B.value) for c in curves] == [
+        (1361, 686, 969), (1447, 468, 325), (1447, 370, 470), (1163, 642, 263),
+    ]
+    curves = find_anomalous(100_000, 1_000_000, count=2, seed=5)
+    assert [(c.p, c.A.value, c.B.value) for c in curves] == [(814097, 461652, 338852), (617293, 473752, 268169)]
+
+
+def test_non_square_discriminant_means_two_torsion():
+    # the search rejects these curves without a walk: a cubic with a
+    # non-square discriminant has exactly one root, so #E is even
+    rejected = 0
+    for p in (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47):
+        f = Fp(p)
+        for a in range(p):
+            for b in range(p):
+                d = (4 * a**3 + 27 * b * b) % p
+                if d and legendre(-d, p) == -1:
+                    assert Curve(f, a, b).two_torsion()
+                    rejected += 1
+    assert rejected
 
 
 def test_is_anomalous_matches_the_count(monkeypatch):

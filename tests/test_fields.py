@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from dualpair.errors import DivisionByZeroError, NonUnitError
+from dualpair.errors import BadInputError, DivisionByZeroError, NonUnitError
 from dualpair.fields import DualNumber, Fp
 
 
@@ -37,9 +37,24 @@ def test_modulus_must_be_odd_prime_above_3():
     Fp(5), Fp(2**61 - 1)
 
 
-def test_mixed_contexts_trip_assertion():
-    with pytest.raises(AssertionError):
-        Fp(5)(1) + Fp(7)(1)
+def test_fp_rejects_an_element_of_another_field():
+    with pytest.raises(BadInputError, match="mixed field contexts"):
+        Fp(7)(Fp(5)(1))
+
+
+def test_mixed_contexts_raise_bad_input():
+    # a check, not an assert: under python -O it must still refuse
+    a, b = Fp(5)(1), Fp(7)(1)
+    for op in (lambda: a + b, lambda: a - b, lambda: a * b, lambda: a / b, lambda: b - a):
+        with pytest.raises(BadInputError, match="mixed field contexts"):
+            op()
+
+
+def test_dual_number_rejects_mixed_contexts():
+    with pytest.raises(BadInputError, match="mixed field contexts"):
+        DualNumber(Fp(5)(1), Fp(7)(1))
+    with pytest.raises(BadInputError, match="mixed field contexts"):
+        Fp(5).dual(1, 2) * Fp(7).dual(1, 2)
 
 
 def test_field_axioms_randomized():

@@ -4,9 +4,10 @@ from collections import Counter
 import pytest
 
 from dualpair import Curve, DualCurve, INFINITY, count_points, find_anomalous
-from dualpair.errors import BadTorsionError, DegenerateEvaluationError
+from dualpair.errors import BadInputError, BadTorsionError, DegenerateEvaluationError
 from dualpair.fields import Fp
 from dualpair.miller import (
+    ChainStep,
     Chord,
     Vertical,
     binary_chain,
@@ -271,3 +272,15 @@ def test_weil_pairing_translation_invariance():
     Q = next(T for T in tor if T not in {c.mul(i, P) for i in range(n)})
     vals = {weil_pairing(c, n, P, Q, random.Random(seed)).value for seed in range(6)}
     assert len(vals) == 1
+
+
+def test_malformed_caller_chain_is_bad_input():
+    # validated at entry, as the pairing routes do; a bare KeyError before
+    c = Curve(Fp(1361), 686, 969)
+    rng = random.Random(3)
+    P, T, R = (c.random_point(rng) for _ in range(3))
+    for chain in ([ChainStep(3, 1, 1)], binary_chain(5)):
+        with pytest.raises(BadInputError, match="bad chain"):
+            miller_eval(c, P, 7, T, R, chain)
+    with pytest.raises(BadInputError, match="bad chain"):
+        weil_pairing(c, 7, P, P, chain=[ChainStep(3, 1, 1)])

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from dualpair.errors import BadInputError
 from dualpair.fields import Fp
 from dualpair.poly import Polynomial, _split_equal_degree, cubic_roots
 
@@ -130,3 +131,10 @@ def test_pow_mod():
     x = Polynomial.x(f)
     mod = x * x * x - 2
     assert x.pow_mod(17, mod) == (x.pow_mod(16, mod) * x) % mod
+
+
+def test_mixed_contexts_raise_bad_input():
+    f, g = Polynomial(Fp(5), (1, 1)), Polynomial(Fp(7), (1, 1))
+    for op in (lambda: f + g, lambda: f - g, lambda: f * g, lambda: divmod(f, g)):
+        with pytest.raises(BadInputError, match="mixed field contexts"):
+            op()
