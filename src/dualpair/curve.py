@@ -379,19 +379,16 @@ def _kills_random_point(p: int, a: int, b: int, rng: random.Random) -> bool:
     return _kills(p, a, b, x)
 
 
-def is_anomalous(curve: Curve, rng: random.Random | None = None) -> bool:
+def is_anomalous(curve: Curve) -> bool:
     """True iff #E(F_p) = p.
 
     For p >= 7 it suffices that some nonzero point is killed by p: the
     point then has exact order p, and p is the only multiple of p in the
     Hasse interval.  For p = 5 both 5 and 10 fit, so the count is checked
-    directly.  The point is drawn from rng, or else is the first affine one.
+    directly.  The point is the first affine one.
     """
     p, a, b = curve.p, curve.A.value, curve.B.value
-    if rng is not None:
-        killed = _kills_random_point(p, a, b, rng)
-    else:
-        killed = _kills(p, a, b, next(x for x in range(p) if legendre(x * x * x + a * x + b, p) != -1))
+    killed = _kills(p, a, b, next(x for x in range(p) if legendre(x * x * x + a * x + b, p) != -1))
     return killed and (p >= 7 or count_points(curve) == p)
 
 
@@ -410,16 +407,24 @@ def find_anomalous(
     would and walks p*P on the Jacobian law, except on curves with a
     non-square discriminant, which have a point of order 2 and so cannot be
     anomalous.  A `Curve` is built only for a hit.
+    When the range holds at most `budget` nonsingular (p, A, B) triples
+    (p^2 - p per prime), each tried one is marked, and the search stops
+    once all of them are.
     Raises BadInputError unless 3 < p_min <= p_max, and SearchExhaustedError
-    when the trial budget runs out first.
+    when the trial budget or the range runs out first.
     """
     if p_min <= 3:
         raise BadInputError("p_min must exceed 3")
     if p_max < p_min:
         raise BadInputError("empty prime range")
-    rng = random.Random(seed)
-    if next_prime(p_min) > p_max:
+    in_range, untried, q = [], 0, next_prime(p_min)
+    while q <= p_max and untried <= budget:
+        in_range.append(q)
+        untried, q = untried + q * q - q, next_prime(q + 1)
+    if not in_range:
         raise SearchExhaustedError(f"no prime > 3 in [{p_min}, {p_max}]")
+    tried = {q: bytearray(q * q) for q in in_range} if untried <= budget else {}
+    rng = random.Random(seed)
     found: list[Curve] = []
     seen: set[tuple[int, int, int]] = set()
     trials = 0
@@ -437,12 +442,16 @@ def find_anomalous(
             a, b = rng.randrange(p), rng.randrange(p)
             if (4 * a * a * a + 27 * b * b) % p == 0 or (p, a, b) in seen:
                 continue
-            if not _kills_random_point(p, a, b, rng):
-                continue
-            curve = Curve(Fp(p), a, b)
-            if p >= 7 or count_points(curve) == p:
-                found.append(curve)
-                seen.add((p, a, b))
-                if len(found) == count:
-                    break
+            if tried and not tried[p][a * p + b]:
+                tried[p][a * p + b] = 1
+                untried -= 1
+            if _kills_random_point(p, a, b, rng):
+                curve = Curve(Fp(p), a, b)
+                if p >= 7 or count_points(curve) == p:
+                    found.append(curve)
+                    seen.add((p, a, b))
+                    if len(found) == count:
+                        break
+            if untried == 0:
+                raise SearchExhaustedError(f"[{p_min}, {p_max}] holds only {len(found)} anomalous curves")
     return found

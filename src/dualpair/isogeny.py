@@ -11,15 +11,20 @@ composition.
 
 Construction routes:
 
-* `velu` - Velu's formulas from a rational kernel subgroup given as a
-  point list.
-* `velu_from_kernel_polynomial` - the kernel-polynomial (Kohel) form for
-  odd-degree kernels: anomalous curves have a rational point group of odd
-  prime order p, so the kernel of a rational ell-isogeny (ell != p) never
-  consists of rational points; it is only Galois-stable, and its monic
-  kernel polynomial h(x) (degree (ell-1)/2) is what exists over F_p.
-  The x-map is ell*x - 2*sigma - 2*f'*h'/h - 4*f*(h'/h)' with
-  f = x^3 + Ax + B and sigma the sum of the kernel x-coordinates.
+* `velu` and `velu_from_kernel_polynomial` - one construction, `_kohel`,
+  in Kohel's form of Velu's formulas (Velu 1971; Kohel, thesis, 1996).
+  Its input is D = prod (x - x(Q)) over the kernel's nonzero points Q: a
+  pair +-Q gives a squared factor and a point of order 2 a simple one.
+  With n = deg D + 1, s_1, s_2, s_3 the power sums of D's roots and
+  f = x^3 + Ax + B,
+      r = n*x - s_1 - f'*D'/D - 2*f*(D'/D)',  s = r',
+      A_2 = A - 5*(3*s_2 + A*deg D),  B_2 = B - 7*(5*s_3 + 3*A*s_1 + 2*B*deg D).
+  `velu` takes a rational kernel subgroup as a point list.
+  `velu_from_kernel_polynomial` takes the monic kernel polynomial h of an
+  odd kernel and passes D = h^2: anomalous curves have a rational point
+  group of odd prime order p, so the kernel of a rational ell-isogeny
+  (ell != p) never consists of rational points; it is only Galois-stable,
+  and h (degree (ell-1)/2) is what exists over F_p.
 * `multiplication_isogeny` - multiplication by n through division
   polynomials: r_n = x - psi_{n-1}psi_{n+1}/psi_n^2 and s_n = r_n'/n.
   Each psi_n is kept by its pure-x part (psi_n for odd n, psi_n/y for
@@ -30,9 +35,12 @@ Construction routes:
   ell, and its kernel polynomial is gcd(psi_ell, x^p - x([lam])) from one
   x^p mod psi_ell; when Frobenius is a scalar on E[ell], every line is
   rational and each comes from closing a root of one irreducible factor
-  of psi_ell.  Each candidate is validated against the curve identity
-  (x^3 + A1*x + B1) * s^2 = r^3 + A2*r + B2, and the rational kernel with
-  the smallest kernel-polynomial `coeffs` tuple is returned.
+  of psi_ell.  The rational kernel with the smallest kernel-polynomial
+  `coeffs` tuple is returned.
+
+Every constructor checks the curve identity (x^3 + A1*x + B1) * s^2 =
+r^3 + A2*r + B2 as one polynomial identity with the denominators cleared,
+f * s_num^2 * r_den^3 = (r_num^3 + A2*r_num*r_den^2 + B2*r_den^3) * s_den^2.
 
 The lift to the dual numbers sends O_k to O_{m*k} and evaluates the
 rational maps with dual arithmetic on affine points; points reducing into
@@ -60,20 +68,19 @@ class RationalFunction:
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: Polynomial, den: Polynomial, reduce: bool = True):
+    def __init__(self, num: Polynomial, den: Polynomial):
         if den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
-        if reduce:
-            g = num.gcd(den)
-            if g.degree > 0:
-                num, den = num.exact_div(g), den.exact_div(g)
+        g = num.gcd(den)
+        if g.degree > 0:
+            num, den = num.exact_div(g), den.exact_div(g)
         lead_inv = pow(den.lead(), -1, den.field.p)
         self.num = num * lead_inv
         self.den = den * lead_inv
 
     @staticmethod
     def from_poly(poly: Polynomial) -> "RationalFunction":
-        return RationalFunction(poly, Polynomial.constant(poly.field, 1), reduce=False)
+        return RationalFunction(poly, Polynomial.constant(poly.field, 1))
 
     @property
     def field(self) -> Fp:
@@ -82,9 +89,6 @@ class RationalFunction:
     def __add__(self, other: "RationalFunction") -> "RationalFunction":
         return RationalFunction(self.num * other.den + other.num * self.den, self.den * other.den)
 
-    def __sub__(self, other: "RationalFunction") -> "RationalFunction":
-        return RationalFunction(self.num * other.den - other.num * self.den, self.den * other.den)
-
     def __mul__(self, other: "RationalFunction") -> "RationalFunction":
         return RationalFunction(self.num * other.num, self.den * other.den)
 
@@ -92,7 +96,7 @@ class RationalFunction:
         return RationalFunction(self.num * other.den, self.den * other.num)
 
     def scale(self, c) -> "RationalFunction":
-        return RationalFunction(self.num * int(self.field(c)), self.den, reduce=False)
+        return RationalFunction(self.num * int(self.field(c)), self.den)
 
     def derivative(self) -> "RationalFunction":
         return RationalFunction(
@@ -169,13 +173,12 @@ class Isogeny:
         return self.r.den(P.x).is_zero()
 
     def curve_identity_holds(self) -> bool:
-        """(x^3 + A1 x + B1) * s^2 == r^3 + A2 r + B2 as rational functions."""
-        f = self.source.field
-        fx = Polynomial(f, (int(self.source.B), int(self.source.A), 0, 1))
-        lhs = RationalFunction.from_poly(fx) * self.s * self.s
-        rhs = self.r * self.r * self.r + self.r.scale(int(self.target.A)) + RationalFunction.from_poly(
-            Polynomial.constant(f, int(self.target.B))
-        )
+        """(x^3 + A1 x + B1) * s^2 == r^3 + A2 r + B2, with the denominators cleared."""
+        fx = Polynomial(self.source.field, (int(self.source.B), int(self.source.A), 0, 1))
+        (rn, rd), (sn, sd) = (self.r.num, self.r.den), (self.s.num, self.s.den)
+        rd2 = rd * rd
+        lhs = fx * sn * sn * rd2 * rd
+        rhs = ((rn * rn + rd2 * int(self.target.A)) * rn + rd2 * rd * int(self.target.B)) * sd * sd
         return lhs == rhs
 
     # -- evaluation -------------------------------------------------------
@@ -282,84 +285,55 @@ def _check_subgroup(curve: Curve, pts: list[Point]):
                 raise NotASubgroupError("kernel is not closed under addition")
 
 
-def velu(curve: Curve, kernel: list[Point]) -> Isogeny:
-    """The normalized (m = 1) separable isogeny with the given rational kernel."""
-    _check_subgroup(curve, kernel)
+def _kohel(curve: Curve, D: Polynomial) -> Isogeny:
+    """The normalized isogeny whose kernel's nonzero points Q have prod (x - x(Q)) = D, monic.
+
+    Kohel's form of Velu's formulas (see the module docstring); the callers
+    check the curve identity.  The power sums s_1, s_2, s_3 of D's roots come from its top
+    coefficients by Newton's identities.  r has denominator D, since
+    f*D'^2 is a multiple of D: a squared factor divides D'^2, and a simple
+    one is a root of f.
+    """
     f = curve.field
-    affine = [P for P in set(kernel) if not P.is_infinity]
-    if not affine:
-        return identity_isogeny(curve)
-    reps: list[Point] = []
-    seen: set[Point] = set()
-    for P in affine:
-        if P in seen:
-            continue
-        seen.add(P)
-        seen.add(curve.neg(P))
-        reps.append(P)
-    x = Polynomial.x(f)
-    r = RationalFunction.from_poly(x)
-    v_sum = f.zero()
-    w_sum = f.zero()
-    for Q in reps:
-        gx = 3 * Q.x**2 + curve.A
-        gy = -2 * Q.y
-        vq = gx if Q.y.is_zero() else 2 * gx
-        uq = gy**2
-        v_sum = v_sum + vq
-        w_sum = w_sum + uq + Q.x * vq
-        lin = Polynomial(f, (-int(Q.x), 1))
-        r = r + RationalFunction(Polynomial.constant(f, int(vq)), lin)
-        if not uq.is_zero():
-            r = r + RationalFunction(Polynomial.constant(f, int(uq)), lin * lin)
-    target = Curve(f, curve.A - 5 * v_sum, curve.B - 7 * w_sum)
-    phi = Isogeny(curve, target, r, r.derivative(), len(kernel), f.one())
+    A, B, d = int(curve.A), int(curve.B), D.degree
+    e1, e2, e3 = -D[d - 1], D[d - 2], -D[d - 3]
+    s1 = e1
+    s2 = e1 * s1 - 2 * e2
+    s3 = e1 * s2 - e2 * s1 + 3 * e3
+    fx = Polynomial(f, (B, A, 0, 1))
+    Dp = D.derivative()
+    num = (Polynomial(f, (-s1, d + 1)) * D - fx.derivative() * Dp - 2 * (fx * Dp.derivative())
+           + (2 * (fx * Dp * Dp)).exact_div(D))
+    r = RationalFunction(num, D)
+    target = Curve(f, A - 5 * (3 * s2 + A * d), B - 7 * (5 * s3 + 3 * A * s1 + 2 * B * d))
+    return Isogeny(curve, target, r, r.derivative(), d + 1, f.one())
+
+
+def velu(curve: Curve, kernel: list[Point]) -> Isogeny:
+    """The normalized (m = 1) separable isogeny with the given rational kernel; its degree counts distinct points."""
+    _check_subgroup(curve, kernel)
+    phi = _kohel(curve, Polynomial.from_roots(curve.field, [P.x for P in set(kernel) if not P.is_infinity]))
     if not phi.curve_identity_holds():
         raise DualPairError("Velu construction left the target curve")
     return phi
 
 
 def identity_isogeny(curve: Curve) -> Isogeny:
-    f = curve.field
-    one = RationalFunction.from_poly(Polynomial.constant(f, 1))
-    return Isogeny(curve, curve, RationalFunction.from_poly(Polynomial.x(f)), one, 1, f.one())
+    return _kohel(curve, Polynomial.constant(curve.field, 1))
 
 
 def velu_from_kernel_polynomial(curve: Curve, h: Polynomial) -> Isogeny:
-    """The normalized isogeny with odd kernel of monic kernel polynomial h.
+    """The normalized isogeny with odd kernel of kernel polynomial h, through D = h^2.
 
     h has degree d = (ell-1)/2 and roots the x-coordinates of the kernel's
     point pairs; it need not split over F_p, only have coefficients there.
-    Raises BadInputError when h is not actually a kernel polynomial (the
-    curve identity fails).
+    Raises BadInputError when h is zero or not actually a kernel polynomial
+    (the curve identity fails).
     """
-    f = curve.field
+    if h.is_zero():
+        raise BadInputError("the zero polynomial is not a kernel polynomial")
     h = h.monic()
-    d = int(h.degree)
-    if d < 1:
-        return identity_isogeny(curve)
-    ell = 2 * d + 1
-    e1 = f(-h[d - 1])
-    e2 = f(h[d - 2]) if d >= 2 else f.zero()
-    e3 = f(-h[d - 3]) if d >= 3 else f.zero()
-    p1 = e1
-    p2 = e1 * p1 - 2 * e2
-    p3 = e1 * p2 - e2 * p1 + 3 * e3
-    fx = Polynomial(f, (int(curve.B), int(curve.A), 0, 1))
-    fpx = fx.derivative()
-    hp = h.derivative()
-    hpp = hp.derivative()
-    # r = ell*x - 2*sigma - 2*f'*(h'/h) - 4*f*(h'/h)'
-    num = (
-        (Polynomial.x(f) * ell - 2 * int(e1)) * (h * h)
-        - 2 * (fpx * hp * h)
-        - 4 * (fx * (hpp * h - hp * hp))
-    )
-    r = RationalFunction(num, h * h)
-    t_sum = 6 * p2 + 2 * curve.A * d
-    w_sum = 10 * p3 + 6 * curve.A * p1 + 4 * curve.B * d
-    target = Curve(f, curve.A - 5 * t_sum, curve.B - 7 * w_sum)
-    phi = Isogeny(curve, target, r, r.derivative(), ell, f.one())
+    phi = _kohel(curve, h * h)
     if not phi.curve_identity_holds():
         raise BadInputError("not a kernel polynomial for this curve")
     return phi

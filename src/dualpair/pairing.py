@@ -264,17 +264,20 @@ def _with_retries(curve: Curve, P: Point, trace, chain, R: tuple | None, T: tupl
     a caller's R, else over the fallback ladder; S is computed once per R.
 
     The ladder varies the evaluation point first and the chain second; only
-    the evaluation is retried, never the walk.  Each rung tries one random R
-    and then every point of E in order, which makes the computation total
-    whenever any valid configuration exists.  Once a rung has degenerated,
-    an R with S at infinity or on one of its lines is skipped unfolded.
+    the evaluation is retried, never the walk.  Its rungs are P's trace and,
+    unless the caller fixed the chain, tail_chain(p, 3): over every
+    anomalous curve with p <= 13, every P and every T, the binary chain
+    always succeeds for p >= 11, and no tail chain with c >= 5 succeeds
+    where c = 3 fails.  Each rung tries one random R and then every point
+    of E in order.  Once a rung has degenerated, an R with S at infinity or
+    on one of its lines is skipped unfolded.
     """
     p, a = curve.p, curve.A.value
     if R is not None:
         return evaluate(trace, difference(p, a, R, T))
     rng = rng or random.Random(0x7A1F ^ p)
-    # a caller-fixed chain is the only rung; tail chains are walked when reached
-    tails = [] if chain is not None else [c for c in (3, 5, 7, 9, 11, 13) if c < p]
+    # a caller-fixed chain is the only rung; the tail chain is walked when reached
+    tails = [] if chain is not None else [3]
     rungs = itertools.chain([trace], (chain_trace(curve, P, tail_chain(p, c)) for c in tails))
     last = None
     for rung in rungs:

@@ -27,7 +27,9 @@ class Polynomial:
     __slots__ = ("coeffs", "field")
 
     def __init__(self, field: Fp, coeffs=()):
-        cs = [int(c) % field.p for c in coeffs]
+        p = field.p
+        # field(c) raises BadInputError on an element of another field
+        cs = [c % p if type(c) is int else field(c).value for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)

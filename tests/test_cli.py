@@ -50,6 +50,15 @@ def test_find_anomalous_deterministic(capsys):
     assert a[0] == 0
 
 
+def test_find_anomalous_exhausted_range(capsys):
+    # F_5 has only two anomalous curves: the range is known to be exhausted
+    # once its 20 nonsingular (A, B) have been tried, long before the budget
+    code, out, err = run_cli(capsys, "find-anomalous", "--min", "5", "--max", "5", "--count", "3")
+    assert code == 2 and out == ""
+    doc = json.loads(err)
+    assert doc["error"] == "SearchExhausted" and "holds only 2" in doc["message"]
+
+
 def test_find_anomalous_usage_errors(capsys):
     code, out, err = run_cli(capsys, "find-anomalous", "--min", "4", "--max", "4")
     assert code == 64

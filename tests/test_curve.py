@@ -177,6 +177,25 @@ def test_find_anomalous_search_exhausted():
             find_anomalous(p_min, p_max)
 
 
+def test_find_anomalous_exhausts_a_small_range_early(monkeypatch):
+    # F_5 has 2 anomalous curves and F_7 has 4; once every nonsingular
+    # (p, A, B) of the range has been tried the search stops, instead of
+    # spending its 2,000,000-trial budget
+    import dualpair.curve as curve_module
+
+    walks = []
+    trial = curve_module._kills_random_point
+    monkeypatch.setattr(curve_module, "_kills_random_point", lambda *args: walks.append(args) or trial(*args))
+    for p_max, count, held in ((5, 3, 2), (7, 7, 6)):
+        walks.clear()
+        with pytest.raises(SearchExhaustedError, match=f"holds only {held} anomalous curves"):
+            find_anomalous(5, p_max, count=count)
+        assert {(p, a, b) for p, a, b, _ in walks} == {
+            (p, a, b) for p in (5, 7) if p <= p_max for a in range(p) for b in range(p) if (4 * a**3 + 27 * b * b) % p
+        }
+        assert len(walks) < 1000
+
+
 def _reference_search(p_min, p_max, count, seed, budget=2_000_000):
     # the search written on the public wrappers: one Curve, random_point and
     # mul per trial, with the documented prime and (A, B) sampling

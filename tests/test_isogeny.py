@@ -144,6 +144,71 @@ def test_velu_odd_kernel_matches_kernel_polynomial_route(rng):
     assert phi_points.degree == phi_poly.degree == 3
 
 
+def test_velu_degree_counts_distinct_kernel_points():
+    c = Curve(Fp(7), 0, 1)
+    T = c.point(3, 0)
+    phi = velu(c, [INFINITY, T, T])
+    assert phi.degree == 2
+    assert phi.to_json() == velu(c, [INFINITY, T]).to_json()
+
+
+def _int_add(p, a, P, Q):
+    """The group law on (x, y) int pairs, None for infinity."""
+    if P is None or Q is None:
+        return Q if P is None else P
+    (x1, y1), (x2, y2) = P, Q
+    if x1 == x2 and (y1 + y2) % p == 0:
+        return None
+    if x1 == x2:
+        m = (3 * x1 * x1 + a) * pow(2 * y1, -1, p) % p
+    else:
+        m = (y2 - y1) * pow(x2 - x1, -1, p) % p
+    x3 = (m * m - x1 - x2) % p
+    return x3, (m * (x1 - x3) - y1) % p
+
+
+def _rational_subgroups(p, a, b):
+    """Every subgroup of E(F_p), each a sum of two cyclic ones, as frozensets of int pairs."""
+    points = [None] + [(x, y) for x in range(p) for y in range(p) if (y * y - x**3 - a * x - b) % p == 0]
+    cyclic = set()
+    for P in points:
+        H, Q = {None}, P
+        while Q is not None:
+            H.add(Q)
+            Q = _int_add(p, a, Q, P)
+        cyclic.add(frozenset(H))
+    return {frozenset(_int_add(p, a, P, Q) for P in H for Q in K) for H in cyclic for K in cyclic}
+
+
+def test_velu_matches_velus_own_formulas():
+    # an oracle independent of the kernel-polynomial form: Velu's per-point
+    # sums over one Q of each pair +-Q, on plain ints, for every rational
+    # subgroup G of every nonsingular curve with p <= 11
+    #   r(x) = x + sum (v_Q/(x - x_Q) + u_Q/(x - x_Q)^2),  target (A - 5v, B - 7w)
+    # with v_Q = 3x_Q^2 + A (doubled unless 2y_Q = 0), u_Q = 4y_Q^2, w = sum (u_Q + x_Q v_Q)
+    subgroups = 0
+    for p in (5, 7, 11):
+        f = Fp(p)
+        for a in range(p):
+            for b in range(p):
+                if (4 * a**3 + 27 * b * b) % p == 0:
+                    continue
+                c = Curve(f, a, b)
+                for G in _rational_subgroups(p, a, b):
+                    phi = velu(c, [INFINITY if Q is None else c.point(*Q) for Q in G])
+                    reps = {Q[0]: Q[1] for Q in G if Q is not None}
+                    terms = [(xq, (3 * xq * xq + a) * (2 if yq else 1), 4 * yq * yq) for xq, yq in reps.items()]
+                    v = sum(vq for _, vq, _ in terms)
+                    w = sum(uq + xq * vq for xq, vq, uq in terms)
+                    assert phi.target == Curve(f, a - 5 * v, b - 7 * w)
+                    assert phi.degree == len(G)
+                    for x in set(range(p)) - set(reps):
+                        velu_r = x + sum(vq * pow(x - xq, -1, p) + uq * pow(x - xq, -2, p) for xq, vq, uq in terms)
+                        assert phi.r(f(x)) == f(velu_r)
+                    subgroups += 1
+    assert subgroups == 752
+
+
 def test_multiplication_by_two_formula(tiny_anomalous, rng):
     c = tiny_anomalous
     f = c.field
@@ -517,8 +582,9 @@ def test_velu_kernel_polynomial_rejects_junk(tiny_anomalous):
     f = c.field
     psi3 = division_polynomial(c, 3)
     junk = next(v for v in range(1, c.p) if not psi3(f(-v)).is_zero())
-    with pytest.raises(BadInputError):
-        velu_from_kernel_polynomial(c, Polynomial(f, (junk, 1)))  # x + junk has no 3-torsion root
+    for h in (Polynomial(f, (junk, 1)), Polynomial.zero(f)):  # x + junk has no 3-torsion root
+        with pytest.raises(BadInputError):
+            velu_from_kernel_polynomial(c, h)
 
 
 def test_lifted_translation_without_rational_point_outside_kernel():

@@ -420,3 +420,39 @@ def test_degenerate_ladder_is_linear_in_p(monkeypatch):
         with pytest.raises(DegenerateEvaluationError, match="all evaluation configurations degenerate: line"):
             route()
         assert len(calls) <= 2 * c.p  # about p^2 / 2 when every point is folded
+
+
+def test_retry_ladder_outcomes_on_tiny_anomalous_curves(monkeypatch):
+    # The ladder is P's binary chain, then tail_chain(p, 3) only.  Over every
+    # anomalous curve with p in {5, 7} (every P != O, every T) and p in
+    # {11, 13} (T = O), direct and semaev succeed on the binary chain for
+    # p >= 11; for p <= 7 they need the tail chain, and 64 calls degenerate
+    # on every configuration (no tail chain c >= 5 rescues any of them).
+    import dualpair.pairing as pairing
+
+    tails = []
+    monkeypatch.setattr(pairing, "tail_chain", lambda n, c: tails.append(c) or tail_chain(n, c))
+    outcomes = {}
+    for p in (5, 7, 11, 13):
+        for a in range(p):
+            for b in range(p):
+                if (4 * a**3 + 27 * b * b) % p == 0:
+                    continue
+                c = Curve(Fp(p), a, b)
+                points = list(c.points())
+                if len(points) != p:
+                    continue
+                dc = DualCurve.canonical(c)
+                for P in _affine(c):
+                    for T in points if p <= 7 else [INFINITY]:
+                        for route in (pairing_direct, pairing_semaev):
+                            tails.clear()
+                            try:
+                                route(dc, P, 1, T=T)
+                                outcome = "tail" if tails else "binary"
+                            except DegenerateEvaluationError:
+                                outcome = "failed"
+                            assert tails in ([], [3])
+                            key = (p <= 7, outcome)
+                            outcomes[key] = outcomes.get(key, 0) + 1
+    assert outcomes == {(True, "tail"): 352, (True, "failed"): 64, (False, "binary"): 388}

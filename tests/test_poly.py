@@ -135,6 +135,8 @@ def test_pow_mod():
 
 def test_mixed_contexts_raise_bad_input():
     f, g = Polynomial(Fp(5), (1, 1)), Polynomial(Fp(7), (1, 1))
-    for op in (lambda: f + g, lambda: f - g, lambda: f * g, lambda: divmod(f, g)):
+    ops = (lambda: f + g, lambda: f - g, lambda: f * g, lambda: divmod(f, g), lambda: Polynomial(Fp(5), [Fp(7)(6)]))
+    for op in ops:
         with pytest.raises(BadInputError, match="mixed field contexts"):
             op()
+    assert Polynomial(Fp(5), [Fp(5)(6), 7, 0]).coeffs == (1, 2)
