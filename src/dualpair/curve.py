@@ -13,8 +13,9 @@ The group law comes twice.  `Curve.add` works on affine `Point`s of
 FpElement wrappers, one inversion per addition; it is the public one and
 the reference for the other.  `jacobian_double` and `jacobian_add` work on
 Jacobian triples of plain ints and never invert; besides the sum they
-return the numerator N of the chord-or-tangent slope N/Z3, which is what
-the Miller walk of `miller.chain_trace` needs from each step.
+return the numerator N of the chord-or-tangent slope N/Z3.  The sum and N
+are all that `miller.chain_trace` records of a step: every line of the
+Miller walk is read from them projectively, with no inversion.
 `jacobian_mul` runs double-and-add on that law; `Curve.mul` wraps it and
 inverts once, at the end.
 

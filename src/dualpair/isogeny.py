@@ -333,8 +333,11 @@ def velu_from_kernel_polynomial(curve: Curve, h: Polynomial) -> Isogeny:
     if h.is_zero():
         raise BadInputError("the zero polynomial is not a kernel polynomial")
     h = h.monic()
-    phi = _kohel(curve, h * h)
-    if not phi.curve_identity_holds():
+    try:
+        phi = _kohel(curve, h * h)
+    except ValueError:  # a singular target curve, which no kernel polynomial gives
+        phi = None
+    if phi is None or not phi.curve_identity_holds():
         raise BadInputError("not a kernel polynomial for this curve")
     return phi
 

@@ -19,11 +19,14 @@ distinct contributions O(log n).  Functions are used only inside ratios,
 so the normalizing constant of f_P never needs to be materialized.
 
 Each (P, chain) is walked once, on plain ints: `chain_trace` adds in
-Jacobian coordinates (`step_lines`) and inverts every Z of the walk in one
-batch to read off the multiples, the slopes and the lines; its end point
-nP is the n-torsion check.  `trace_value` checks T and `at` once and turns
-at - T into an int tuple (`eval_point`), where a memoized fold over the
-trace evaluates f_P and divides once.  The same trace drives the Weil pairing
+Jacobian coordinates (`step_lines`), inverts nothing, and records the
+multiples and each step's slope numerator; its end point nP is the
+n-torsion check.  Every evaluation reads the lines from that record
+projectively (`step_values`), so the affine multiples (`ChainTrace.affine`)
+are needed only to list where lines vanish.  `trace_value` checks T and
+`at` once and turns at - T into an int tuple (`eval_point`), where a
+memoized fold of the step values gives f_P with one division.  The same
+trace drives the Weil pairing
 
     e_n(P, Q) = f_P(D_Q) / f_Q(D_P)
 
@@ -140,23 +143,23 @@ def unrolled_step_count(n: int, chain: list[ChainStep]) -> int:
 
 
 class Chord(NamedTuple):
-    """The function y - m*x - b (ints in a chain trace, FpElements from `line_through`)."""
+    """The function y - m*x - b."""
 
-    m: int | FpElement
-    b: int | FpElement
+    m: FpElement
+    b: FpElement
 
 
 class Vertical(NamedTuple):
     """The function x - c."""
 
-    c: int | FpElement
+    c: FpElement
 
 
 def line_through(curve: Curve, P: Point, Q: Point):
     """The line through two affine points (tangent when they coincide).
 
     One inversion on FpElement wrappers: the affine reference for the lines
-    of `chain_trace`.
+    that `step_values` reads from a chain trace.
     """
     if P.is_infinity or Q.is_infinity:
         raise ValueError("lines through infinity are handled by the step rules")
@@ -172,7 +175,7 @@ def line_through(curve: Curve, P: Point, Q: Point):
 
 
 def eval_line(line, x, y):
-    """Evaluate at coordinates from F_p or F_p[eps], or at ints (unreduced)."""
+    """Evaluate at coordinates from F_p or F_p[eps]."""
     if isinstance(line, Vertical):
         return x - line.c
     return y - line.m * x - line.b
@@ -183,7 +186,7 @@ def step_lines(p: int, a: int, Pi: tuple, Pj: tuple) -> tuple:
 
     N is the numerator of the step's one slope N/Z(Pi + Pj), or None when
     the step has no chord: an operand or the sum is infinity.  The lines
-    of h_{i,j} are read off once the walk's Z's are inverted.  Every walk
+    of h_{i,j} are read from these by `step_values`.  Every walk
     calls this once per step, through the module global, so that the
     benchmark's tracer (`perfbench/tracing.py`) can count chain steps.
     """
@@ -194,57 +197,39 @@ def step_lines(p: int, a: int, Pi: tuple, Pj: tuple) -> tuple:
 
 
 class ChainTrace(NamedTuple):
-    """One walk of an addition chain, on plain ints mod p."""
+    """One walk of an addition chain, on plain ints mod p: the Jacobian multiples and slope numerators."""
 
-    steps: list  # (k, i, j, lines of h_{i,j}) in chain order, lines with int coefficients
-    affine: dict  # k -> (x, y) of kP, or None for infinity
+    steps: list  # (k, i, j, N) in chain order; the step's slope is N/Z(kP), N is None when it has no chord
+    jac: dict  # k -> kP as a Jacobian int triple, Z = 0 for infinity
     field: Fp
+
+    def affine(self) -> dict:
+        """k -> (x, y) of kP as ints, or None for infinity; one batch inversion."""
+        p, jac = self.field.p, self.jac
+        finite = [k for k, J in jac.items() if J[2]]
+        zinv = dict(zip(finite, batch_inverse([jac[k][2] for k in finite], p)))
+        return {k: (X * zinv[k] ** 2 % p, Y * zinv[k] ** 3 % p) if k in zinv else None for k, (X, Y, _) in jac.items()}
 
     @property
     def points(self) -> dict:
         """k -> kP as Points."""
         f = self.field
-        return {k: INFINITY if xy is None else Point(f(xy[0]), f(xy[1])) for k, xy in self.affine.items()}
+        return {k: INFINITY if xy is None else Point(f(xy[0]), f(xy[1])) for k, xy in self.affine().items()}
 
 
 def _walk(curve: Curve, start: dict, chain: list[ChainStep]) -> ChainTrace:
-    """Walk the chain from start = {multiple: Point} in Jacobian coordinates.
-
-    One batch inversion of every Z then gives the affine multiples and the
-    slopes m_k = N_k/Z_k, from which each step's lines are built.
-    """
+    """Walk the chain from start = {multiple: Point} in Jacobian coordinates, inverting nothing."""
     p, a = curve.p, curve.A.value
     jac = {k: JACOBIAN_INFINITY if P.is_infinity else (P.x.value, P.y.value, 1) for k, P in start.items()}
-    nums = []
+    steps = []
     for k, i, j in chain:
         jac[k], N = step_lines(p, a, jac[i], jac[j])
-        nums.append(N)
-    finite = [k for k, J in jac.items() if J[2]]
-    zinv = dict(zip(finite, batch_inverse([jac[k][2] for k in finite], p)))
-    affine = dict.fromkeys(jac)
-    for k, zi in zinv.items():
-        X, Y, _ = jac[k]
-        zi2 = zi * zi % p
-        affine[k] = (X * zi2 % p, Y * zi2 * zi % p)
-    steps = []
-    for (k, i, j), N in zip(chain, nums):
-        Pi, Pj = affine[i], affine[j]
-        if Pi is None or Pj is None:
-            lines = None
-        elif N is None:
-            lines = (Vertical(Pi[0]), None)
-        else:
-            m = N * zinv[k] % p
-            lines = (Chord(m, (Pi[1] - m * Pi[0]) % p), Vertical(affine[k][0]))
-        steps.append((k, i, j, lines))
-    return ChainTrace(steps, affine, curve.field)
+        steps.append((k, i, j, N))
+    return ChainTrace(steps, jac, curve.field)
 
 
 def chain_trace(curve: Curve, P: Point, chain: list[ChainStep]) -> ChainTrace:
-    """Walk the chain from P once, one slope per step; P is not validated.
-
-    The lines are all that any evaluation needs, and affine[n] is nP.
-    """
+    """Walk the chain from P once, one slope numerator per step; P is not validated, jac[n] is nP."""
     return _walk(curve, {1: P}, chain)
 
 
@@ -252,7 +237,7 @@ def torsion_trace(curve: Curve, P: Point, chain: list[ChainStep], n: int) -> Cha
     """P's trace along a chain for n; raises unless P is n-torsion on the curve."""
     curve._require_on_curve(P)
     trace = chain_trace(curve, P, chain)
-    if trace.affine[n] is not None:
+    if trace.jac[n][2]:
         raise BadTorsionError(f"{P} is not {n}-torsion")
     return trace
 
@@ -262,7 +247,7 @@ def fold_trace(trace: ChainTrace, n: int, unit, op, values: list):
 
     `values` runs parallel to trace.steps; the walk's start points fold to `unit`.
     """
-    vals = dict.fromkeys(trace.affine, unit)
+    vals = dict.fromkeys(trace.jac, unit)
     for (k, i, j, _), v in zip(trace.steps, values):
         vals[k] = op(op(vals[i], vals[j]), v)
     return vals[n]
@@ -298,29 +283,49 @@ def eval_point(p: int, a: int, S: tuple | None, k: int = 0) -> tuple:
     return x, y, -2 * y * k % p, -(3 * x * x + a) * k % p
 
 
-def line_value(line, x0: int, y0: int, x1: int, y1: int, p: int) -> tuple:
-    """An int line at (x0 + x1*eps, y0 + y1*eps) as (re, eps); raises where re = 0."""
-    re = eval_line(line, x0, y0) % p
-    if not re:
-        raise DegenerateEvaluationError(f"line {line} vanishes at the evaluation point")
-    return re, (x1 if isinstance(line, Vertical) else y1 - line.m * x1) % p
+def step_values(trace: ChainTrace, point: tuple) -> list:
+    """Every step's h_{i,j} at an `eval_point` tuple as (numerator, denominator), each an
+    (re, eps) int pair; raises DegenerateEvaluationError where a line vanishes.
+
+    Read projectively from the Jacobian multiples, with no inversion: with
+    V = Z^2*x - X, a chord step has h = l/v_k = (L*Z_k)/(V_k*Z_i^3), where
+    L = Z_k*(Z_i^3*y - Y_i) - N*Z_i*V_i is l*Z_k*Z_i^3, and a step to infinity
+    has h = v_i = V_i/Z_i^2; the eps parts are the same formulas in (x1, y1).
+    """
+    x0, y0, x1, y1 = point
+    p, jac, one = trace.field.p, trace.jac, (1, 0)
+    cols = {}  # k -> (V as (re, eps), Z^2, Z^3) for each finite multiple
+    for k, (X, _, Z) in jac.items():
+        if Z:
+            zz = Z * Z % p
+            cols[k] = (((zz * x0 - X) % p, zz * x1 % p), zz, zz * Z % p)
+    out = []
+    for k, i, j, N in trace.steps:
+        if i not in cols or j not in cols:
+            num = den = one
+        elif N is None:
+            num, den = cols[i][0], (cols[i][1], 0)
+        else:
+            (_, Yi, Zi), ((Vi, _), _, zzzi) = jac[i], cols[i]
+            Zk, (Vk, Vk1) = jac[k][2], cols[k][0]
+            num = ((Zk * (zzzi * y0 - Yi) - N * Zi * Vi) * Zk % p, zzzi * (Zk * y1 - N * x1) * Zk % p)
+            den = (Vk * zzzi % p, Vk1 * zzzi % p)
+        if not (num[0] and den[0]):
+            raise DegenerateEvaluationError(f"line of step {k} = {i} + {j} vanishes at the evaluation point")
+        out.append((num, den))
+    return out
 
 
 def trace_fraction(trace: ChainTrace, n: int, point: tuple) -> tuple:
     """f_n at an `eval_point` tuple as (numerator, denominator), each an
     (re, eps) int pair; raises DegenerateEvaluationError where a line vanishes."""
-    p = trace.field.p
-    coords, one = (*point, p), (1, 0)
-    nums, dens = [], []
-    for _, _, _, lines in trace.steps:
-        num, den = lines or (None, None)
-        nums.append(one if num is None else line_value(num, *coords))
-        dens.append(one if den is None else line_value(den, *coords))
+    p, one = trace.field.p, (1, 0)
+    values = step_values(trace, point)
 
     def mul(u, v):
         return u[0] * v[0] % p, (u[0] * v[1] + u[1] * v[0]) % p
 
-    return fold_trace(trace, n, one, mul, nums), fold_trace(trace, n, one, mul, dens)
+    return tuple(fold_trace(trace, n, one, mul, [v[side] for v in values]) for side in (0, 1))
 
 
 def trace_value(curve: Curve, trace: ChainTrace, n: int, T: Point, at):

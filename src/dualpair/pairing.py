@@ -12,22 +12,22 @@ is the identity.  Its values live in the p-th roots of unity
 {1 + a*eps}, a group isomorphic to F_p under addition of the
 a-coordinates, which is how `PairingValue` stores them.
 
-Three independent routes compute the same value:
+Three routes compute the same value from one walk of P's chain (`_trace`):
 
-* direct: e(P, O_k) = f_P(O_k + R) / f_P(R), both values folded over the
-  chain with dual-number arithmetic at (O_k + R) - T = S + O_k, S = R - T,
-  whose eps parts are -2*y(S)*k and -(3*x(S)^2 + A)*k.  No analytic
-  conventions enter; this is the package's ground truth.
+* direct: e(P, O_k) = f_P(O_k + R) / f_P(R), folded from the exact step
+  values h_{i,j} (`miller.step_values`) at (O_k + R) - T = S + O_k,
+  S = R - T, whose eps parts are -2*y(S)*k and -(3*x(S)^2 + A)*k.  No
+  analytic conventions enter; this is the package's ground truth.
 
 * logarithmic derivative (Semaev's map): each ratio equals
   1 - 2*y(R) * (h'/h)(R) * k * eps, so the product telescopes to
 
       e(P, O_k) = 1 - 2*(y * f_P'/f_P)(R) * k * eps,
 
-  with lam(P) = (f_P'/f_P)(R) computed as the chain sum of (h'/h)(R).
-  lam is additive and injective in P and never zero for P != infinity;
-  the combination y(R)*lam(P) is independent of R, of the divisor
-  (equivalently of T), and of the chain.
+  with lam(P) = (f_P'/f_P)(R) the chain sum of (h'/h)(R), read from the
+  eps parts of the same step values at S + O_1.  lam is additive and
+  injective in P and never zero for P != infinity; y(R)*lam(P) is
+  independent of R, of the divisor (equivalently of T), and of the chain.
 
 * slope sum (Rueck's method): choosing the divisor (P) - (infinity) and
   evaluating at infinity with the uniformizer -x/y collapses the value to
@@ -38,13 +38,15 @@ Three independent routes compute the same value:
   the default route.
 
 Each public entry checks its inputs once, before any evaluation: P and a
-caller's chain by P's walk (`_trace`), whose end point p*P is the
-p-torsion check; a caller's R in `_check_eval_point`; T on the curve.
-Below that everything is plain ints.  The walk is shared by every
+caller's chain by P's walk, whose end point p*P is the p-torsion check; a
+caller's R in `_check_eval_point`; T on the curve.  Below that everything
+is plain ints, and the walk inverts nothing.  It is shared by every
 evaluation and every retry at a fresh R, and S = R - T is computed once
-per R.  Rueck sums the int slopes; semaev checks every line value nonzero
-and inverts them in one batch; direct carries f_P(O_k + R) as one
-dual-number fraction, whose reduction mod eps is f_P(R), and divides once.
+per R.  Rueck inverts the Z of every chord step in one batch and sums the
+slopes N/Z; semaev inverts the re parts of the step values in one batch;
+direct multiplies them as dual numbers into one fraction, whose reduction
+mod eps is f_P(R), and divides once.  No evaluation reads an affine point;
+the multiples are made affine only to skip points on degenerate lines.
 
 The scalar prefactors of the last two routes depend on orientation
 conventions (line written as y - m*x - b, uniformizer -x/y); the signs
@@ -88,9 +90,9 @@ from .miller import (
     difference,
     eval_point,
     fold_trace,
-    line_value,
     require_chain,
     require_on_curve,
+    step_values,
     tail_chain,
     torsion_trace,
     trace_fraction,
@@ -194,35 +196,20 @@ def _direct_value(trace, point: tuple) -> PairingValue:
     return PairingValue(trace.field((ne * dr - nr * de) * pow(nr * dr, -1, p)))
 
 
-def _log_derivative_value(curve: Curve, trace, point: tuple) -> FpElement:
-    """(y * f_P'/f_P)(R) at the `eval_point` tuple of S = R - T; raises on degenerate lines.
+def _log_derivative_value(trace, point: tuple) -> FpElement:
+    """(y * f_P'/f_P)(R) at the `eval_point` tuple of S + O_1, S = R - T; raises on degenerate lines.
 
-    For h = (l/v) o tau the invariant differential gives
-    y(R) * (h'/h)(R) = y(S) * [ (y'(S) - m)/l(S) - 1/v(S) ], and for the pure
-    vertical step h = v o tau it gives y(R) * (h'/h)(R) = y(S) / v(S).  Every
-    line value is checked nonzero, then all of them and 2*y(S) are inverted
-    in one batch.
+    At S + O_1 the eps part of a function g is -2*y(S)*(dg/dx)(S), so each step
+    gives y(R) * (h'/h)(R) = -(eps/re of h's numerator - eps/re of its
+    denominator)/2 from `step_values`; the re parts are inverted in one batch.
     """
-    (x, y, _, _), p = point, curve.p
-    if not y:
+    p = trace.field.p
+    if not point[1]:
         raise DegenerateEvaluationError("translated evaluation point hit the 2-torsion")
-    denominators = [2 * y]
-    for _, _, _, lines in trace.steps:
-        for line in lines or ():
-            if line is not None:
-                denominators.append(line_value(line, *point, p)[0])
-    inverses = iter(batch_inverse(denominators, p))
-    y_slope_S = (3 * x * x + curve.A.value) * next(inverses) % p
-    values = []
-    for _, _, _, lines in trace.steps:
-        if lines is None:
-            values.append(0)
-        elif lines[1] is None:
-            values.append(next(inverses))
-        else:
-            inv_l, inv_v = next(inverses), next(inverses)
-            values.append((y_slope_S - lines[0].m) * inv_l - inv_v)
-    return curve.field(y * fold_trace(trace, p, 0, operator.add, values))
+    parts = [side for value in step_values(trace, point) for side in value]
+    ratios = [eps * inv for (_, eps), inv in zip(parts, batch_inverse([re for re, _ in parts], p))]
+    logs = [num - den for num, den in zip(ratios[::2], ratios[1::2])]
+    return trace.field(fold_trace(trace, p, 0, operator.add, logs) * ((p - 1) // 2))  # (p - 1)/2 = -1/2 mod p
 
 
 def rueck_slope_sum(curve: Curve, P: Point, chain=None) -> FpElement:
@@ -234,7 +221,8 @@ def rueck_slope_sum(curve: Curve, P: Point, chain=None) -> FpElement:
     trace = _trace(curve, P, chain)
     if trace is None:
         return curve.field.zero()
-    slopes = [0 if lines is None or lines[1] is None else lines[0].m for _, _, _, lines in trace.steps]
+    zinv = iter(batch_inverse([trace.jac[k][2] for k, _, _, N in trace.steps if N is not None], curve.p))
+    slopes = [0 if N is None else N * next(zinv) for *_, N in trace.steps]
     return curve.field(fold_trace(trace, curve.p, 0, operator.add, slopes))
 
 
@@ -251,11 +239,11 @@ def _eval_points(curve: Curve, rng: random.Random):
 def _vanishing_points(trace) -> set:
     """The affine (x, y) where a line of the trace vanishes: iP, jP and -(i+j)P
     for a chord, +-kP for the vertical x = x_k, and +-iP for a step to O."""
-    p, out = trace.field.p, set()
-    for k, i, j, lines in trace.steps:
-        if lines is not None:
-            x, y = trace.affine[k if lines[1] is not None else i]
-            out.update((trace.affine[i], trace.affine[j], (x, y), (x, -y % p)))
+    p, out, affine = trace.field.p, set(), trace.affine()
+    for k, i, j, N in trace.steps:
+        if affine[i] and affine[j]:
+            x, y = affine[i if N is None else k]
+            out.update((affine[i], affine[j], (x, y), (x, -y % p)))
     return out
 
 
@@ -324,7 +312,7 @@ def semaev_coefficient(curve: Curve, P: Point, rng=None, R: Point | None = None,
     if trace is None:
         return curve.field.zero()
     p, a = curve.p, curve.A.value
-    return _with_retries(curve, P, trace, chain, R, T, rng, lambda tr, S: _log_derivative_value(curve, tr, eval_point(p, a, S)))
+    return _with_retries(curve, P, trace, chain, R, T, rng, lambda tr, S: _log_derivative_value(tr, eval_point(p, a, S, 1)))
 
 
 def pairing_semaev(dc: DualCurve, P: Point, k, R: Point | None = None, T: Point | None = None, chain=None, rng=None) -> PairingValue:

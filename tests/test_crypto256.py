@@ -12,7 +12,8 @@ import pytest
 from dualpair import Curve, DualCurve
 from dualpair.dlp import DlpInstance, solve
 from dualpair.fields import Fp
-from dualpair.pairing import theta_pairing
+from dualpair.miller import Vertical, eval_line, h_eval, line_through, tail_chain
+from dualpair.pairing import lifted_pairing, pairing_direct, pairing_rueck, pairing_semaev, theta_pairing
 
 P = 93651552868343116064426439039116612662436119053208978779440343948595872250883
 A = 74483106374822595232526290697776955099949194100797784292420390508824787287240
@@ -69,3 +70,35 @@ def test_lift_attack_is_pinned_at_256_bits(crypto256):
     assert solve(_instance(curve, G_)[0], "lift").to_json() == LIFT_RESULT
     dc = DualCurve(curve, int(LIFT_RESULT["lift"]["A1"]), int(LIFT_RESULT["lift"]["B1"]))
     assert dc.mul(P, dc.lift(G_)).k.value == K_G
+
+
+def test_caller_r_t_and_chains_at_256_bits(crypto256):
+    # direct and semaev at a caller's R = 5G with T = 7G, and rueck, on the
+    # binary chain and on tail_chain(p, 3)
+    curve, G_ = crypto256
+    dc = DualCurve.canonical(curve)
+    R, T, m, k = curve.mul(5, G_), curve.mul(7, G_), 11, 0xBEEF
+    P_ = curve.mul(m, G_)
+    expect = A_G * m * k % P
+    for chain in (None, tail_chain(P, 3)):
+        assert pairing_direct(dc, P_, k, R=R, T=T, chain=chain).a.value == expect
+        assert pairing_semaev(dc, P_, k, R=R, T=T, chain=chain).a.value == expect
+        assert pairing_rueck(dc, P_, k, chain=chain).a.value == expect
+
+
+def test_lifted_pairing_at_256_bits(crypto256):
+    curve, G_ = crypto256
+    dc = DualCurve.canonical(curve)
+    Pt = dc.translate(dc.embed(curve.mul(3, G_)), dc.field(5))
+    Qt = dc.translate(dc.embed(curve.mul(4, G_)), dc.field(9))
+    for method in ("direct", "semaev", "rueck"):
+        assert lifted_pairing(dc, Pt, Qt, method, random.Random(1)).a.value == A_G * (3 * 9 - 4 * 5) % P
+
+
+def test_h_eval_matches_the_affine_lines_at_256_bits(crypto256):
+    curve, G_ = crypto256
+    T, at = curve.mul(7, G_), curve.mul(5, G_)
+    S = curve.add(at, curve.neg(T))
+    P2, P3 = curve.mul(2, G_), curve.mul(3, G_)
+    ratio = eval_line(line_through(curve, P2, P3), S.x, S.y) / eval_line(Vertical(curve.mul(5, G_).x), S.x, S.y)
+    assert h_eval(curve, G_, 2, 3, T, at) == ratio

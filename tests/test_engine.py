@@ -1,8 +1,10 @@
 """The int chain engine against the affine wrapper reference.
 
-`Curve._add_raw` and `miller.line_through` work on FpElement points with
-one inversion per step; they stay as the oracle for the Jacobian walk of
-`miller.chain_trace`, for `Curve.mul` and for `batch_inverse`.
+`Curve._add_raw`, `miller.line_through` and `miller.eval_line` work on
+FpElement points with one inversion per step; they stay as the oracle for
+the Jacobian walk of `miller.chain_trace`, for the line values that
+`miller.step_values` reads projectively from it, for `Curve.mul` and for
+`batch_inverse`.
 `DualCurve._add_raw` is the oracle for the int-pair walk of `DualCurve.mul`.
 """
 
@@ -13,14 +15,18 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dualpair import INFINITY, Curve, DualCurve, count_points
-from dualpair.errors import DivisionByZeroError
+from dualpair.errors import DegenerateEvaluationError, DivisionByZeroError
 from dualpair.fields import Fp
 from dualpair.miller import (
+    Chord,
     Vertical,
     binary_chain,
     chain_trace,
+    eval_line,
+    eval_point,
     incremental_chain,
     line_through,
+    step_values,
     tail_chain,
 )
 from dualpair.numbertheory import batch_inverse
@@ -69,10 +75,38 @@ def _reference_trace(curve, P, chain):
     return points, steps
 
 
-def _plain(lines):
-    if lines is None:
-        return None
-    return tuple(None if line is None else (type(line).__name__, *map(int, line)) for line in lines)
+def _check_trace(curve, P, chain) -> list:
+    """Check P's trace against the reference: the multiples, each step's kind and
+    slope N/Z_k, and each step's h from `step_values` at U + O_1 for every affine
+    U of E, raising at the first step whose reference line vanishes there.
+    Returns the step kinds ("Chord", "Vertical" or None for h = 1)."""
+    trace = chain_trace(curve, P, chain)
+    points, steps = _reference_trace(curve, P, chain)
+    assert trace.points == points
+    f = curve.field
+    kinds = [None if lines is None else type(lines[0]).__name__ for *_, lines in steps]
+    assert [(k, i, j) for k, i, j, _ in trace.steps] == [(k, i, j) for k, i, j, _ in steps]
+    assert [N is not None for *_, N in trace.steps] == [kind == "Chord" for kind in kinds]
+    slopes = [f(N) / f(trace.jac[k][2]) for k, _, _, N in trace.steps if N is not None]
+    assert slopes == [lines[0].m for *_, lines in steps if lines and isinstance(lines[0], Chord)]
+    for U in curve.points():
+        if U.is_infinity:
+            continue
+        x0, y0, x1, y1 = point = eval_point(curve.p, curve.A.value, (U.x.value, U.y.value), 1)
+        x, y = f.dual(x0, x1), f.dual(y0, y1)
+        expect, vanishing = [], None
+        for k, i, j, lines in steps:
+            values = [f.dual(1) if line is None else eval_line(line, x, y) for line in lines or (None, None)]
+            if any(v.re.is_zero() for v in values):
+                vanishing = (k, i, j)
+                break
+            expect.append(values[0] / values[1])
+        if vanishing:
+            with pytest.raises(DegenerateEvaluationError, match="line of step %d = %d \\+ %d " % vanishing):
+                step_values(trace, point)
+        else:
+            assert [f.dual(*num) / f.dual(*den) for num, den in step_values(trace, point)] == expect
+    return kinds
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -80,25 +114,14 @@ def _plain(lines):
 def test_chain_trace_matches_affine_reference(data):
     curve, P = data.draw(curve_and_point())
     n, chain = data.draw(chains(curve.p))
-    trace = chain_trace(curve, P, chain)
-    points, steps = _reference_trace(curve, P, chain)
-    assert trace.points == points
-    assert [(k, i, j, _plain(lines)) for k, i, j, lines in trace.steps] == [
-        (k, i, j, _plain(lines)) for k, i, j, lines in steps
-    ]
+    _check_trace(curve, P, chain)
 
 
 def test_chain_trace_covers_equal_and_opposite_summands():
     # an incremental chain past the order of P adds iP to P with iP = P and iP = -P
     curve = Curve(Fp(7), 1, 0)  # 8 points, P of order 4
     P = next(X for X in curve.points() if curve.order_of(X) == 4)
-    chain = incremental_chain(10)
-    trace = chain_trace(curve, P, chain)
-    points, steps = _reference_trace(curve, P, chain)
-    assert trace.points == points
-    kinds = {_plain(lines)[0][0] if lines else None for *_, lines in trace.steps}
-    assert kinds == {"Chord", "Vertical", None}
-    assert [_plain(lines) for *_, lines in trace.steps] == [_plain(lines) for *_, lines in steps]
+    assert set(_check_trace(curve, P, incremental_chain(10))) == {"Chord", "Vertical", None}
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)

@@ -587,6 +587,14 @@ def test_velu_kernel_polynomial_rejects_junk(tiny_anomalous):
             velu_from_kernel_polynomial(c, h)
 
 
+def test_velu_kernel_polynomial_with_singular_target_is_bad_input():
+    # for these h, Kohel's formula gives a target with 4*A2^3 + 27*B2^2 = 0
+    c = Curve(Fp(617), 179, 346)
+    for t in (50, 89, 440, 464):
+        with pytest.raises(BadInputError, match="not a kernel polynomial"):
+            velu_from_kernel_polynomial(c, Polynomial(c.field, (t, 1)))
+
+
 def test_lifted_translation_without_rational_point_outside_kernel():
     # E: y^2 = x^3 + 2x over F_5 has E(F_5) = {O, (0, 0)}, all of it in the kernel
     c = Curve(Fp(5), 2, 0)

@@ -405,21 +405,21 @@ def test_degenerate_ladder_is_linear_in_p(monkeypatch):
     c = Curve(Fp(1361), 686, 969)
     dc = DualCurve.canonical(c)
     P = c.random_point(random.Random(1))
-    real_line_value = miller.line_value
+    real_step_values = miller.step_values
     calls = []
 
-    def counting_line_value(*args):
+    def counting_step_values(*args):
         calls.append(args)
-        return real_line_value(*args)
+        return real_step_values(*args)
 
-    monkeypatch.setattr(miller, "line_value", counting_line_value)
-    monkeypatch.setattr(pairing, "line_value", counting_line_value)
+    monkeypatch.setattr(miller, "step_values", counting_step_values)
+    monkeypatch.setattr(pairing, "step_values", counting_step_values)
     chain = incremental_chain(c.p)
     for route in (lambda: pairing_direct(dc, P, 1, chain=chain), lambda: semaev_coefficient(c, P, chain=chain)):
         calls.clear()
         with pytest.raises(DegenerateEvaluationError, match="all evaluation configurations degenerate: line"):
             route()
-        assert len(calls) <= 2 * c.p  # about p^2 / 2 when every point is folded
+        assert len(calls) <= 2  # about p when every point is folded
 
 
 def test_retry_ladder_outcomes_on_tiny_anomalous_curves(monkeypatch):
