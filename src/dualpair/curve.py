@@ -36,7 +36,7 @@ from .errors import (
     PointNotOnCurveError,
     SearchExhaustedError,
 )
-from .fields import Fp, FpElement
+from .fields import Fp, FpElement, json_int
 from .numbertheory import factorize, legendre, next_prime, sqrt_mod
 from .poly import cubic_roots
 
@@ -81,7 +81,7 @@ class Point:
     def from_json(field: Fp, obj: dict) -> "Point":
         if obj.get("inf"):
             return INFINITY
-        return Point(field(int(obj["x"])), field(int(obj["y"])))
+        return Point(field(json_int(obj["x"])), field(json_int(obj["y"])))
 
 
 INFINITY = Point(None, None)
@@ -228,8 +228,8 @@ class Curve:
 
     @staticmethod
     def from_json(obj: dict) -> "Curve":
-        field = Fp(int(obj["p"]))
-        return Curve(field, int(obj["A"]), int(obj["B"]))
+        field = Fp(json_int(obj["p"]))
+        return Curve(field, json_int(obj["A"]), json_int(obj["B"]))
 
 
 # -- Jacobian group law on plain ints --------------------------------------------

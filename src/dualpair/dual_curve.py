@@ -61,7 +61,7 @@ import random
 
 from .curve import INFINITY, Curve, Point
 from .errors import InvalidPointError, NotCanonicalError
-from .fields import DualNumber, Fp, FpElement
+from .fields import DualNumber, Fp, FpElement, json_int
 
 
 class DualPoint:
@@ -117,7 +117,7 @@ class DualPoint:
     @staticmethod
     def from_json(field: Fp, obj: dict) -> "DualPoint":
         if "theta" in obj:
-            return DualPoint.infinity(field(int(obj["theta"])))
+            return DualPoint.infinity(field(json_int(obj["theta"])))
         return DualPoint.affine(
             DualNumber.from_json(field, obj["x"]), DualNumber.from_json(field, obj["y"])
         )
@@ -405,7 +405,7 @@ class DualCurve:
     @staticmethod
     def from_json(obj: dict) -> "DualCurve":
         base = Curve.from_json(obj)
-        return DualCurve(base, int(obj["A1"]), int(obj["B1"]))
+        return DualCurve(base, json_int(obj["A1"]), json_int(obj["B1"]))
 
 
 # -- Jacobian group law on int pairs ---------------------------------------------

@@ -16,13 +16,21 @@ are immutable and every operation is a pure function, so everything here
 is safe for unrestricted concurrent use.
 
 Integers serialize as decimal strings in JSON; a dual number serializes as
-{"re": "...", "eps": "..."}.
+{"re": "...", "eps": "..."}.  `json_int` reads every integer field back: a
+decimal string or a JSON integer, never a float or a bool.
 """
 
 from __future__ import annotations
 
 from .errors import BadInputError, DivisionByZeroError, NonUnitError
 from .numbertheory import is_prime, sqrt_mod
+
+
+def json_int(value) -> int:
+    """An integer field of a JSON document: a JSON int (not a bool) or a decimal string."""
+    if type(value) is int or isinstance(value, str):
+        return int(value)
+    raise ValueError(f"expected an integer or a decimal string, got {value!r}")
 
 
 class Fp:
@@ -266,4 +274,4 @@ class DualNumber:
 
     @staticmethod
     def from_json(field: Fp, obj: dict) -> "DualNumber":
-        return DualNumber(field(int(obj["re"])), field(int(obj["eps"])))
+        return DualNumber(field(json_int(obj["re"])), field(json_int(obj["eps"])))

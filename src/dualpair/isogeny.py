@@ -42,17 +42,15 @@ Every constructor checks the curve identity (x^3 + A1*x + B1) * s^2 =
 r^3 + A2*r + B2 as one polynomial identity with the denominators cleared,
 f * s_num^2 * r_den^3 = (r_num^3 + A2*r_num*r_den^2 + B2*r_den^3) * s_den^2.
 
-The lift to the dual numbers sends O_k to O_{m*k} and evaluates the
-rational maps with dual arithmetic on affine points; points reducing into
-the kernel are routed around it by conjugating with translations,
-phi_T = (translate by phi(-T)) o phi o (translate by T), which is
-independent of the auxiliary T.
+`Isogeny.eval_lifted` is phi base-changed to F_p[eps] on the canonical
+lifts, whose points split as embed(P) + O_k.  It sends embed(P) to
+embed(phi(P)) and O_k to O_{m*k}, since the formal-group map of phi has
+linear term m (Silverman, AEC, ch. IV).  So a point over the kernel maps
+to O_{m*k} in closed form; elsewhere the rational maps are evaluated with
+dual arithmetic.
 """
 
 from __future__ import annotations
-
-import itertools
-import random
 
 from .curve import INFINITY, Curve, Point, is_anomalous
 from .dual_curve import DualCurve, DualPoint
@@ -193,35 +191,19 @@ class Isogeny:
         self.target._require_on_curve(out)
         return out
 
-    def eval_lifted(self, Pt: DualPoint, T: Point | None = None, rng: random.Random | None = None) -> DualPoint:
-        """The extension to the canonical lifts: O_k -> O_{m*k}, rational maps
-        with dual arithmetic elsewhere, and translation around the kernel."""
-        src = DualCurve.canonical(self.source)
-        tgt = DualCurve.canonical(self.target)
-        src._require_valid(Pt)
-        if Pt.is_infinity:
-            return DualPoint.infinity(self.m * Pt.k)
-        P0 = Pt.reduction()
-        if not self.in_kernel(P0):
-            x = self.r(Pt.x)
-            y = Pt.y * self.s(Pt.x)
-            out = DualPoint.affine(x, y)
-            tgt._require_valid(out)
-            return out
-        T = T if T is not None else self._translation_point(rng)
-        shifted = src._add_raw(Pt, src.embed(T))
-        image = self.eval_lifted(shifted, T=T)  # reduction P0 + T is outside the kernel
-        back = self(self.source.neg(T))
-        return tgt._add_raw(image, tgt.embed(back))
+    def eval_lifted(self, Pt: DualPoint) -> DualPoint:
+        """phi base-changed to the canonical lifts, at Pt = embed(P) + O_k.
 
-    def _translation_point(self, rng: random.Random | None) -> Point:
-        """A rational point outside the kernel: one random draw if rng is
-        given, then the first such point in `points()` order."""
-        draws = [self.source.random_point(rng)] if rng is not None else []
-        for T in itertools.chain(draws, self.source.points()):
-            if not self.in_kernel(T):
-                return T
-        raise NotRationalError("no rational point outside the kernel")
+        `decompose` validates Pt and gives (P, k).  A P in the kernel, infinity
+        included, maps to O_{m*k}; elsewhere the rational maps are evaluated
+        with dual arithmetic and the image is checked on the target's lift.
+        """
+        P0, k = DualCurve.canonical(self.source).decompose(Pt)
+        if self.in_kernel(P0):
+            return DualPoint.infinity(self.m * k)
+        out = DualPoint.affine(self.r(Pt.x), Pt.y * self.s(Pt.x))
+        DualCurve.canonical(self.target)._require_valid(out)
+        return out
 
     # -- composition --------------------------------------------------------
 
@@ -515,5 +497,5 @@ def check_functoriality(phi: Isogeny, Pt: DualPoint, Qt: DualPoint, method: str 
     src = DualCurve.canonical(phi.source)
     tgt = DualCurve.canonical(phi.target)
     before = lifted_pairing(src, Pt, Qt, method=method, rng=rng)
-    after = lifted_pairing(tgt, phi.eval_lifted(Pt, rng=rng), phi.eval_lifted(Qt, rng=rng), method=method, rng=rng)
+    after = lifted_pairing(tgt, phi.eval_lifted(Pt), phi.eval_lifted(Qt), method=method, rng=rng)
     return after == before ** phi.degree

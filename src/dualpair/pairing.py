@@ -83,7 +83,7 @@ from .errors import (
     NotCanonicalError,
     NotPTorsionError,
 )
-from .fields import DualNumber, Fp, FpElement
+from .fields import DualNumber, Fp, FpElement, json_int
 from .miller import (
     binary_chain,
     chain_trace,
@@ -147,7 +147,7 @@ class PairingValue:
 
     @staticmethod
     def from_json(field: Fp, obj: dict) -> "PairingValue":
-        return PairingValue(field(int(obj["one_plus_eps_times"])))
+        return PairingValue(field(json_int(obj["one_plus_eps_times"])))
 
 
 # -- the boundary -----------------------------------------------------------------

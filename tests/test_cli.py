@@ -137,6 +137,27 @@ def test_dlp_malformed_point_is_usage(capsys, anomalous, curve_flag):
     assert code == 64
 
 
+def test_non_integer_json_numbers_are_usage(capsys):
+    # a float, an overflowing number or a bool in a curve or point field is a
+    # usage error, not a traceback or a silently truncated value
+    good_curve = '{"p": 1511, "A": 1301, "B": 497}'
+    cases = [
+        ('{"p": 1e400, "A": 1, "B": 2}', "1,2"),
+        ('{"p": 1511.9, "A": 1301, "B": 497}', "129,526"),
+        ('{"p": 1511, "A": true, "B": 497}', "129,526"),
+        (good_curve, '{"x": 1e400, "y": 1}'),
+        (good_curve, '{"x": 129.7, "y": 526}'),
+    ]
+    for curve, point in cases:
+        code, out, err = run_cli(capsys, "pair", "--curve", curve, "--point", point, "--k", "1")
+        assert (code, out) == (64, "")
+        assert json.loads(err)["error"] == "Usage"
+    expected = run_cli(capsys, "pair", "--curve", '{"p": "1511", "A": "1301", "B": "497"}', "--point", "129,526", "--k", "1")
+    assert expected[0] == 0
+    for curve, point in [(good_curve, "129,526"), (good_curve, '{"x": 129, "y": "526"}')]:
+        assert run_cli(capsys, "pair", "--curve", curve, "--point", point, "--k", "1") == expected
+
+
 def test_point_file_indirection(tmp_path, capsys, anomalous, curve_flag):
     P, ptf = _point_flag(anomalous)
     curve_file = tmp_path / "curve.json"

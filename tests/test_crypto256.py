@@ -1,4 +1,5 @@
-"""A 256-bit anomalous curve: the routes agree and every attack recovers n.
+"""A 256-bit anomalous curve: the routes agree, every attack recovers n and
+the lifted isogenies respect the pairing.
 
 The curve is the class-number-1 CM curve with D = 19 that the benchmark's
 generator (`perfbench/cm.py`) makes first for seed 1; A_G is a in
@@ -9,11 +10,13 @@ import random
 
 import pytest
 
-from dualpair import Curve, DualCurve
+from dualpair import Curve, DualCurve, DualPoint, check_functoriality, find_cyclic_isogeny, velu_from_kernel_polynomial
 from dualpair.dlp import DlpInstance, solve
+from dualpair.errors import NotRationalError
 from dualpair.fields import Fp
 from dualpair.miller import Vertical, eval_line, h_eval, line_through, tail_chain
 from dualpair.pairing import lifted_pairing, pairing_direct, pairing_rueck, pairing_semaev, theta_pairing
+from dualpair.poly import Polynomial
 
 P = 93651552868343116064426439039116612662436119053208978779440343948595872250883
 A = 74483106374822595232526290697776955099949194100797784292420390508824787287240
@@ -35,6 +38,21 @@ LIFT_RESULT = {
     },
 }
 K_G = 30538475475951497042922686040930868158838129320297877818633647890774804765022
+# the kernel polynomials, constant term first, of find_cyclic_isogeny(curve, ell):
+# x^2 - x + P has roots mod 5 and 7, and none mod 3 or 13
+KERNELS = {
+    5: (
+        38117825027115092854292866415921147608376399032279287042552868593567153523724,
+        62434368578895410709617626026077741774208537560736942983518048900702375754690,
+        1,
+    ),
+    7: (
+        25792644329376591976529587359979484808815179761039481107506727982900152108529,
+        16977766894261032736825845673757982420476420751856213660966009994256838130455,
+        31217184289447705354808813013038870889725331775276788201473322511283241321345,
+        1,
+    ),
+}
 
 
 @pytest.fixture(scope="module")
@@ -102,3 +120,27 @@ def test_h_eval_matches_the_affine_lines_at_256_bits(crypto256):
     P2, P3 = curve.mul(2, G_), curve.mul(3, G_)
     ratio = eval_line(line_through(curve, P2, P3), S.x, S.y) / eval_line(Vertical(curve.mul(5, G_).x), S.x, S.y)
     assert h_eval(curve, G_, 2, 3, T, at) == ratio
+
+
+def test_no_rational_3_or_13_isogeny_at_256_bits(crypto256):
+    curve, _ = crypto256
+    for ell in (3, 13):
+        with pytest.raises(NotRationalError):
+            find_cyclic_isogeny(curve, ell)
+
+
+@pytest.mark.parametrize("ell", sorted(KERNELS))
+def test_isogeny_functoriality_at_256_bits(crypto256, ell):
+    curve, G_ = crypto256
+    phi = find_cyclic_isogeny(curve, ell)
+    assert phi.kernel_polynomial().coeffs == KERNELS[ell]
+    rebuilt = velu_from_kernel_polynomial(curve, Polynomial(curve.field, KERNELS[ell]))
+    assert (rebuilt.target, rebuilt.r, rebuilt.s, rebuilt.degree) == (phi.target, phi.r, phi.s, ell)
+    dc, tgt = DualCurve.canonical(curve), DualCurve.canonical(phi.target)
+    Pt = dc.compose(curve.mul(3, G_), 5)
+    Qt = dc.compose(curve.mul(4, G_), 9)
+    for method in ("direct", "semaev", "rueck"):
+        assert check_functoriality(phi, Pt, Qt, method, random.Random(1))
+    k = dc.field(0xC0FFEE)
+    assert phi.eval_lifted(DualPoint.infinity(k)) == DualPoint.infinity(k)
+    assert tgt.decompose(phi.eval_lifted(dc.compose(G_, k))) == (phi(G_), k)

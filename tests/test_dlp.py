@@ -191,6 +191,28 @@ def test_canonical_witness_degenerate_base_curves():
         canonical_witness(DualCurve(cb, 0, 1))
 
 
+def test_scaling_witness_agrees_with_canonical_witness():
+    # the lift attack rejects lifts by has_scaling_witness and selfcheck asks
+    # canonical_witness; a WitnessInconsistentError counts as "no witness"
+    inconsistent = 0
+    for p in (5, 7):
+        f = Fp(p)
+        for a in range(p):
+            for b in range(p):
+                if (4 * a**3 + 27 * b * b) % p == 0:
+                    continue
+                c = Curve(f, a, b)
+                for a1 in range(p):
+                    for b1 in range(p):
+                        lift = DualCurve(c, a1, b1)
+                        try:
+                            found = canonical_witness(lift)[0]
+                        except WitnessInconsistentError:
+                            found, inconsistent = False, inconsistent + 1
+                        assert lift.has_scaling_witness() == found, (c, a1, b1)
+    assert inconsistent > 0  # the A = 0 and B = 0 branches are reached
+
+
 def test_noncanonical_lifts_break_torsion_empirically(tiny_anomalous, rng):
     c = tiny_anomalous
     pts = [P for P in c.points() if not P.is_infinity]
