@@ -16,8 +16,11 @@ Jacobian triples of plain ints and never invert; besides the sum they
 return the numerator N of the chord-or-tangent slope N/Z3.  The sum and N
 are all that `miller.chain_trace` records of a step: every line of the
 Miller walk is read from them projectively, with no inversion.
-`jacobian_mul` runs double-and-add on that law; `Curve.mul` wraps it and
-inverts once, at the end.
+`jacobian_mul` runs that law over `window_digits(n)`, the one recoding of a
+scalar that `DualCurve.mul` and the default Miller chain walk too: n's bits
+below 2^32, where the searches' and the CLI's primes lie, and a 4-bit
+sliding window from 2^32 on, about 1.2 steps per bit where double-and-add
+takes 1.5.  `Curve.mul` wraps it and inverts once, at the end.
 
 A curve with #E = p has a rational point group that is cyclic of order p,
 so every nonzero point generates and the whole group is p-torsion.  Those
@@ -28,6 +31,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 
 from .errors import (
     BadInputError,
@@ -79,8 +83,12 @@ class Point:
 
     @staticmethod
     def from_json(field: Fp, obj: dict) -> "Point":
-        if obj.get("inf"):
+        """{"inf": true} is infinity; otherwise x and y are read, with "inf" absent or false."""
+        inf = obj.get("inf", False)
+        if inf is True:
             return INFINITY
+        if inf is not False:
+            raise ValueError(f'"inf" must be true or false, got {inf!r}')
         return Point(field(json_int(obj["x"])), field(json_int(obj["y"])))
 
 
@@ -153,7 +161,7 @@ class Curve:
         return self.add(P, self.neg(Q))
 
     def mul(self, n: int, P: Point) -> Point:
-        """n*P by double-and-add in Jacobian coordinates; negative n allowed.
+        """n*P by `jacobian_mul` in Jacobian coordinates; negative n allowed.
 
         The walk runs on plain ints and inverts once, at the end.
         """
@@ -242,6 +250,27 @@ class Curve:
 
 JACOBIAN_INFINITY = (1, 1, 0)
 
+#: The smallest scalar recoded with the 4-bit window; smaller ones use their bits.
+WINDOW_FROM = 1 << 32
+_BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
+#: The digits of each window of the 4-bit recoding: "0", and each odd d < 16 in binary.
+_WINDOW_DIGITS = {"0": b"\x00"} | {bin(d)[2:]: bytes(d.bit_length() - 1) + bytes([d]) for d in range(1, 16, 2)}
+
+
+def window_digits(n: int) -> bytes:
+    """n >= 1 as digits d_0 != 0, d_1, ..., one byte each, with n = sum of d_i * 2^(len - 1 - i).
+
+    A walk starts at d_0 * P, then doubles for each later digit and adds d_i * P
+    unless d_i = 0.  Below `WINDOW_FROM` the digits are n's bits; from it on,
+    left to right, each longest run of at most 4 bits that starts and ends
+    with a 1 is one odd digit at its lowest bit, with zeros at its others.
+    """
+    bits = bin(n)[2:]
+    if n < WINDOW_FROM:
+        return bits.encode().translate(_BIT_VALUES)
+    top, *rest = re.findall("1(?:[01]{0,2}1)?|0", bits)  # the regex takes each window as long as it can
+    return bytes([int(top, 2)]) + b"".join(map(_WINDOW_DIGITS.__getitem__, rest))
+
 
 def jacobian_double(p: int, a: int, P: tuple) -> tuple:
     """(2P, N) on y^2 = x^3 + a*x + b; the slope is (3x^2 + a)/(2y) = N/(2YZ)."""
@@ -282,12 +311,31 @@ def jacobian_add(p: int, a: int, P: tuple, Q: tuple) -> tuple:
 
 
 def jacobian_mul(p: int, a: int, n: int, base: tuple) -> tuple:
-    """n*base for n >= 1 by left-to-right double-and-add on the Jacobian law."""
-    acc = base
-    for bit in bin(n)[3:]:
+    """n*base for n >= 1 on the Jacobian law, left to right over `window_digits(n)`.
+
+    Below 2^32 the digits are n's bits, and the walk is double-and-add on
+    them directly: the search's `_kills` runs it thousands of times at a few
+    bits, where recoding would cost more than it saves.  From 2^32 on the
+    odd multiples base, 3*base, ... up to the largest digit come first, from
+    2*base.
+    """
+    if n < WINDOW_FROM:
+        acc = base
+        for bit in bin(n)[3:]:
+            acc = jacobian_double(p, a, acc)[0]
+            if bit == "1":
+                acc = jacobian_add(p, a, acc, base)[0]
+        return acc
+    digits = window_digits(n)
+    twice = jacobian_double(p, a, base)[0]
+    table = [base]
+    for _ in range(max(digits) // 2):
+        table.append(jacobian_add(p, a, table[-1], twice)[0])
+    acc = table[digits[0] // 2]
+    for d in digits[1:]:
         acc = jacobian_double(p, a, acc)[0]
-        if bit == "1":
-            acc = jacobian_add(p, a, acc, base)[0]
+        if d:
+            acc = jacobian_add(p, a, acc, table[d // 2])[0]
     return acc
 
 

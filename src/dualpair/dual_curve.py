@@ -33,8 +33,11 @@ The group law comes twice.  `DualCurve._add_raw` extends chord-and-tangent
 to affine points of DualNumber wrappers, one dual inversion per step; it
 is the reference law.  `dual_jacobian_double` and `dual_jacobian_add` are
 the same law in Jacobian coordinates on (re, eps) pairs of plain ints and
-never invert; `DualCurve.mul` runs double-and-add on them, sends each step
-they cannot take through `_add_raw`, and inverts once, at the end.
+never invert; `DualCurve.mul` walks the same recoding as `Curve.mul`
+(`curve.window_digits`: double-and-add below 2^32, a 4-bit sliding window
+from it on) on them, sends each step they cannot take through `_add_raw`,
+and inverts once at the end, and twice more for the window's table of odd
+multiples.
 
 In `_add_raw` the generic chord/tangent cases follow the usual formulas
 verbatim (slopes are dual numbers; denominators are units because their
@@ -59,9 +62,10 @@ from __future__ import annotations
 
 import random
 
-from .curve import INFINITY, Curve, Point
+from .curve import INFINITY, WINDOW_FROM, Curve, Point, window_digits
 from .errors import InvalidPointError, NotCanonicalError
 from .fields import DualNumber, Fp, FpElement, json_int
+from .numbertheory import batch_inverse
 
 
 class DualPoint:
@@ -257,12 +261,13 @@ class DualCurve:
     def mul(self, n: int, P: DualPoint) -> DualPoint:
         """n*P; negative n allowed.
 
-        Left-to-right double-and-add on the Jacobian law of
-        `dual_jacobian_double` and `dual_jacobian_add`: int pairs, no
-        inversion, one dual inversion at the end.  A step those formulas
-        cannot take (colliding reductions, doubling over 2-torsion, an
-        operand at infinity) goes once through `_add_raw`, and the walk
-        resumes from its result.  For an input O_k, n*O_k = O_{n*k}.
+        Over `window_digits(n)`, as `Curve.mul`, on the Jacobian law of
+        `dual_jacobian_double` and `dual_jacobian_add`: int pairs, one dual
+        inversion at the end.  The odd multiples P, 3P, ... of the digits are
+        made first and scaled to Z = 1 in one batch, for the mixed addition.
+        A step those formulas cannot take (colliding reductions, doubling
+        over 2-torsion, an operand at infinity), in the table or the walk,
+        goes once through `_add_raw`.  For an input O_k, n*O_k = O_{n*k}.
         """
         self._require_valid(P)
         if n < 0:
@@ -271,35 +276,68 @@ class DualCurve:
             return DualPoint.infinity(self.field(n * P.k.value))
         if n == 0:
             return DualPoint.infinity(self.field.zero())
+        digits = window_digits(n)
+        table = [self._jacobian(P)]  # walk values: Jacobian tuples, or O_k after a step to infinity
+        if n >= WINDOW_FROM:  # below it the digits are bits
+            twice = self._scaled([self._step(table[0])])[0]
+            for _ in range(max(digits) // 2):
+                table.append(self._step(table[-1], twice))
+            table = self._scaled(table)
         p, a = self.p, (self.base.A.value, self.A1.value)
-        base = (P.x.re.value, P.x.eps.value, P.y.re.value, P.y.eps.value)
-        acc = base + (1, 0)  # a Jacobian tuple, or O_k after a step that landed at infinity
-        for bit in bin(n)[3:]:
+        acc = table[digits[0] // 2]
+        for d in digits[1:]:  # `_step`, inlined
             acc = (type(acc) is tuple and dual_jacobian_double(p, a, acc)) or self._reference_step(acc, None)
-            if bit == "1":
-                acc = (type(acc) is tuple and dual_jacobian_add(p, acc, base)) or self._reference_step(acc, P)
-        return self._affine(acc) if type(acc) is tuple else acc
+            if d:  # the summand of digit 1 is P itself, which `_reference_step` takes as it is
+                Q = table[d // 2]
+                acc = (type(acc) is tuple and type(Q) is tuple and dual_jacobian_add(p, acc, Q)) or self._reference_step(
+                    acc, P if d == 1 else Q
+                )
+        return self._point(acc)
 
-    def _affine(self, acc: tuple) -> DualPoint:
-        """The affine point of a Jacobian tuple, by one dual inversion of Z."""
-        p, f = self.p, self.field
+    def _step(self, acc, Q=None):
+        """acc + Q, or 2*acc when Q is None, on walk values (Q with Z = 1 or at infinity)."""
+        if type(acc) is tuple:
+            if Q is None:
+                S = dual_jacobian_double(self.p, (self.base.A.value, self.A1.value), acc)
+            else:
+                S = type(Q) is tuple and dual_jacobian_add(self.p, acc, Q)
+            if S:
+                return S
+        return self._reference_step(acc, Q)
+
+    def _reference_step(self, acc, Q):
+        """`_step` by `_add_raw`, for a step the Jacobian formulas cannot take."""
+        R = self._point(acc)
+        return self._jacobian(self._add_raw(R, R if Q is None else self._point(Q)))
+
+    def _scaled(self, accs: list) -> list:
+        """The walk values with each Jacobian tuple scaled to Z = 1, by one batch inversion of the Z."""
+        inverses = iter(batch_inverse([acc[4] for acc in accs if type(acc) is tuple], self.p))
+        return [self._unit_z(acc, next(inverses)) if type(acc) is tuple else acc for acc in accs]
+
+    def _unit_z(self, acc: tuple, i0: int) -> tuple:
+        """The Jacobian tuple acc scaled to Z = 1, given i0 = 1/z0."""
+        p = self.p
         x0, x1, y0, y1, z0, z1 = acc
-        i0 = pow(z0, -1, p)
         i1 = -z1 * i0 * i0 % p
         s0, s1 = i0 * i0 % p, 2 * i0 * i1 % p  # Z^-2
         t0, t1 = s0 * i0 % p, (s0 * i1 + s1 * i0) % p  # Z^-3
+        return x0 * s0 % p, (x0 * s1 + x1 * s0) % p, y0 * t0 % p, (y0 * t1 + y1 * t0) % p, 1, 0
+
+    def _point(self, acc) -> DualPoint:
+        """The DualPoint of a walk value: affine by one dual inversion of Z, or O_k as it is."""
+        if type(acc) is not tuple:
+            return acc
+        x0, x1, y0, y1, _, _ = self._unit_z(acc, pow(acc[4], -1, self.p))
+        f = self.field
         return DualPoint.affine(
-            DualNumber(FpElement(x0 * s0, f), FpElement(x0 * s1 + x1 * s0, f)),
-            DualNumber(FpElement(y0 * t0, f), FpElement(y0 * t1 + y1 * t0, f)),
+            DualNumber(FpElement(x0, f), FpElement(x1, f)), DualNumber(FpElement(y0, f), FpElement(y1, f))
         )
 
-    def _reference_step(self, acc, Q: DualPoint | None):
-        """acc + Q, or 2*acc when Q is None, by `_add_raw`; Jacobian again when the sum is affine."""
-        R = self._affine(acc) if type(acc) is tuple else acc
-        S = self._add_raw(R, R if Q is None else Q)
-        if S.is_infinity:
-            return S
-        return (S.x.re.value, S.x.eps.value, S.y.re.value, S.y.eps.value, 1, 0)
+    @staticmethod
+    def _jacobian(pt: DualPoint):
+        """The walk value of a point: its Jacobian tuple with Z = 1, or O_k as it is."""
+        return pt if pt.is_infinity else (pt.x.re.value, pt.x.eps.value, pt.y.re.value, pt.y.eps.value, 1, 0)
 
     # -- canonical-lift structure -------------------------------------------
 
@@ -437,9 +475,9 @@ def dual_jacobian_double(p: int, a: tuple, P: tuple) -> tuple | None:
 
 
 def dual_jacobian_add(p: int, P: tuple, Q: tuple) -> tuple | None:
-    """P + Q for an affine Q = (u0, u1, v0, v1), or None when the reductions share x."""
+    """P + Q for a Q with Z = 1, or None when the reductions share x."""
     x0, x1, y0, y1, z0, z1 = P
-    u0, u1, v0, v1 = Q
+    u0, u1, v0, v1, _, _ = Q
     zz0, zz1 = z0 * z0 % p, 2 * z0 * z1 % p
     h0 = (u0 * zz0 - x0) % p
     if not h0:

@@ -14,9 +14,12 @@ through iP, and tau for translation by -T,
     h_{i,j} = 1                               when iP or jP = infinity.
 
 Walking an addition chain for n therefore evaluates f_n = f_P as a product
-of n-1 line-ratio contributions; a binary chain keeps the number of
-distinct contributions O(log n).  Functions are used only inside ratios,
-so the normalizing constant of f_P never needs to be materialized.
+of n-1 line-ratio contributions; the default chain (`binary_chain`, binary
+below 2^32 and the 4-bit window of `curve.window_digits` from it on) keeps
+the number of distinct contributions O(log n).  Functions are used only
+inside ratios, so the normalizing constant of f_P never needs to be
+materialized: every ratio of its values, so every pairing value, is the
+same on any chain for n.
 
 Each (P, chain) is walked once, on plain ints: `chain_trace` adds in
 Jacobian coordinates (`step_lines`), inverts nothing, and records the
@@ -39,7 +42,7 @@ from __future__ import annotations
 import random
 from typing import NamedTuple
 
-from .curve import INFINITY, JACOBIAN_INFINITY, Curve, Point, jacobian_add
+from .curve import INFINITY, JACOBIAN_INFINITY, WINDOW_FROM, Curve, Point, jacobian_add, window_digits
 from .errors import BadInputError, BadTorsionError, DegenerateEvaluationError
 from .fields import Fp, FpElement
 from .dual_curve import DualCurve, DualPoint
@@ -55,12 +58,28 @@ class ChainStep(NamedTuple):
 
 
 def binary_chain(n: int) -> list[ChainStep]:
-    """Powers of two up to n's top bit, then set bits summed high to low.
+    """The default chain for n: binary below 2^32, the walk of `window_digits(n)` from it on.
 
-    For n = 11 this yields the chain on {1, 2, 4, 8, 10, 11}.
+    Below 2^32: powers of two up to n's top bit, then the set bits summed
+    high to low; for n = 11 the chain on {1, 2, 4, 8, 10, 11}.  From 2^32
+    on: 2 = 1 + 1 and d = (d - 2) + 2 for the odd digits d up to the
+    largest, then a doubling per later digit and acc + d after each nonzero
+    d; 309 steps for the tests' 256-bit p, where the binary chain takes 390.
     """
     if n < 1:
         raise ValueError("chains exist for n >= 1")
+    if n >= WINDOW_FROM:
+        digits = window_digits(n)
+        steps = [ChainStep(2, 1, 1)] + [ChainStep(d, d - 2, 2) for d in range(3, max(digits) + 1, 2)]
+        acc = digits[0]
+        for d in digits[1:]:
+            if acc > 1:  # 2 = 1 + 1 is already a step; no other multiple of the walk is in the table
+                steps.append(ChainStep(2 * acc, acc, acc))
+            acc *= 2
+            if d:
+                steps.append(ChainStep(acc + d, acc, d))
+                acc += d
+        return steps
     steps = []
     power = 1
     while 2 * power <= n:
@@ -83,7 +102,7 @@ def incremental_chain(n: int) -> list[ChainStep]:
 
 
 def tail_chain(n: int, c: int) -> list[ChainStep]:
-    """A binary chain for n - c glued to an incremental chain for c.
+    """The default chain (`binary_chain`) for n - c glued to an incremental chain for c.
 
     Varying c shifts which multiples of P show up in the line functions,
     which is how degenerate evaluations are dodged at very small p.

@@ -154,7 +154,7 @@ class PairingValue:
 
 
 def _trace(curve: Curve, P: Point, chain=None):
-    """P's walk for p (binary chain by default), checked p-torsion; None for P = infinity.
+    """P's walk for p (`binary_chain` by default), checked p-torsion; None for P = infinity.
 
     A caller's chain is validated here, once; the internal chains are valid
     by construction.

@@ -4,6 +4,7 @@ import pytest
 
 from dualpair import Curve, count_points, find_anomalous
 from dualpair.fields import Fp
+from dualpair.miller import ChainStep
 
 SEED = 0x5EED
 
@@ -19,6 +20,31 @@ def first_anomalous_by_scan(p: int) -> Curve | None:
             if count_points(c) == p:
                 return c
     return None
+
+
+def power_of_two_chain(n: int) -> list[ChainStep]:
+    """Oracle: the power-of-two chain, which `binary_chain` returns below 2^32:
+    powers of two up to n's top bit, then the set bits summed high to low."""
+    steps, power = [], 1
+    while 2 * power <= n:
+        steps.append(ChainStep(2 * power, power, power))
+        power *= 2
+    bits = [1 << b for b in range(n.bit_length()) if n >> b & 1]
+    acc = bits.pop()
+    while bits:
+        b = bits.pop()
+        steps.append(ChainStep(acc + b, acc, b))
+        acc += b
+    return steps
+
+
+def mul_below_2_32(add, mul, n: int, P, zero):
+    """Oracle: n*P for n >= 0 by Horner in base 2^31, taking only multiples below
+    2^32, where every scalar multiplication is plain double-and-add."""
+    acc = zero
+    for shift in range(31 * (n.bit_length() // 31), -1, -31):
+        acc = add(mul(2**31, acc), mul(n >> shift & (2**31 - 1), P))
+    return acc
 
 
 @pytest.fixture(scope="session")

@@ -158,6 +158,21 @@ def test_non_integer_json_numbers_are_usage(capsys):
         assert run_cli(capsys, "pair", "--curve", curve, "--point", point, "--k", "1") == expected
 
 
+def test_point_inf_must_be_a_json_bool(capsys):
+    curve = '{"p": 1511, "A": 1301, "B": 497}'
+    expected = run_cli(capsys, "pair", "--curve", curve, "--point", "129,526", "--k", "5")
+    assert expected[0] == 0 and json.loads(expected[1]) == {"one_plus_eps_times": "1226"}
+    point = '{"inf": false, "x": "129", "y": "526"}'
+    assert run_cli(capsys, "pair", "--curve", curve, "--point", point, "--k", "5") == expected
+    for inf in ('"false"', "1", "0"):
+        point = '{"inf": %s, "x": "129", "y": "526"}' % inf
+        code, out, err = run_cli(capsys, "pair", "--curve", curve, "--point", point, "--k", "5")
+        assert (code, out) == (64, "")
+        assert json.loads(err)["error"] == "Usage"
+    code, out, _ = run_cli(capsys, "pair", "--curve", curve, "--point", '{"inf": true}', "--k", "5")
+    assert code == 0 and json.loads(out) == {"one_plus_eps_times": "0"}
+
+
 def test_point_file_indirection(tmp_path, capsys, anomalous, curve_flag):
     P, ptf = _point_flag(anomalous)
     curve_file = tmp_path / "curve.json"

@@ -10,13 +10,15 @@ import random
 
 import pytest
 
-from dualpair import Curve, DualCurve, DualPoint, check_functoriality, find_cyclic_isogeny, velu_from_kernel_polynomial
+from dualpair import INFINITY, Curve, DualCurve, DualPoint, check_functoriality, find_cyclic_isogeny, velu_from_kernel_polynomial
 from dualpair.dlp import DlpInstance, solve
 from dualpair.errors import NotRationalError
 from dualpair.fields import Fp
-from dualpair.miller import Vertical, eval_line, h_eval, line_through, tail_chain
+from dualpair.miller import Vertical, binary_chain, eval_line, h_eval, line_through, tail_chain
 from dualpair.pairing import lifted_pairing, pairing_direct, pairing_rueck, pairing_semaev, theta_pairing
 from dualpair.poly import Polynomial
+
+from conftest import mul_below_2_32, power_of_two_chain
 
 P = 93651552868343116064426439039116612662436119053208978779440343948595872250883
 A = 74483106374822595232526290697776955099949194100797784292420390508824787287240
@@ -92,16 +94,31 @@ def test_lift_attack_is_pinned_at_256_bits(crypto256):
 
 def test_caller_r_t_and_chains_at_256_bits(crypto256):
     # direct and semaev at a caller's R = 5G with T = 7G, and rueck, on the
-    # binary chain and on tail_chain(p, 3)
+    # default window chain, on the power-of-two chain it replaced and on
+    # tail_chain(p, 3): the values do not depend on the chain
     curve, G_ = crypto256
     dc = DualCurve.canonical(curve)
     R, T, m, k = curve.mul(5, G_), curve.mul(7, G_), 11, 0xBEEF
     P_ = curve.mul(m, G_)
     expect = A_G * m * k % P
-    for chain in (None, tail_chain(P, 3)):
+    assert len(binary_chain(P)) == 309 and len(power_of_two_chain(P)) == 390
+    for chain in (None, power_of_two_chain(P), tail_chain(P, 3)):
         assert pairing_direct(dc, P_, k, R=R, T=T, chain=chain).a.value == expect
         assert pairing_semaev(dc, P_, k, R=R, T=T, chain=chain).a.value == expect
         assert pairing_rueck(dc, P_, k, chain=chain).a.value == expect
+
+
+def test_window_mul_at_256_bits(crypto256):
+    curve, G_ = crypto256
+    rng = random.Random(32)
+    lifts = [DualCurve.canonical(curve), DualCurve(curve, *(int(LIFT_RESULT["lift"][c]) for c in ("A1", "B1")))]
+    for n in (rng.randrange(2**32, P), P, 2**32, -rng.randrange(2**32, P), 3 * P + 2**40):
+        sign = 1 if n > 0 else -1
+        assert curve.mul(n, G_) == mul_below_2_32(curve.add, curve.mul, abs(n), curve.mul(sign, G_), INFINITY)
+        for dc in lifts:
+            for Gt in (dc.lift(G_), dc.translate(dc.lift(G_), dc.field(7)), DualPoint.infinity(dc.field(K_G))):
+                expect = mul_below_2_32(dc.add, dc.mul, abs(n), dc.mul(sign, Gt), dc.lift(INFINITY))
+                assert dc.mul(n, Gt) == expect
 
 
 def test_lifted_pairing_at_256_bits(crypto256):

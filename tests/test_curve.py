@@ -365,6 +365,17 @@ def test_point_json_roundtrip():
     assert Curve.from_json(c.to_json()) == c
 
 
+def test_point_from_json_reads_inf_as_a_json_bool():
+    # only true means infinity; false or no "inf" reads x and y; anything else is malformed
+    f = Fp(1511)
+    assert Point.from_json(f, {"inf": True}).is_infinity
+    assert Point.from_json(f, {"inf": False, "x": "129", "y": "526"}) == Point(f(129), f(526))
+    assert Point.from_json(f, {"x": 129, "y": 526}) == Point(f(129), f(526))
+    for bad in ("false", "true", 1, 0, None):
+        with pytest.raises(ValueError):
+            Point.from_json(f, {"inf": bad, "x": "129", "y": "526"})
+
+
 def test_from_json_reads_integer_fields_exactly():
     # every from_json takes a JSON int or a decimal string, and rejects a float,
     # an infinite number and a bool instead of truncating or coercing them

@@ -31,13 +31,15 @@ from dualpair.miller import (
 )
 from dualpair.numbertheory import batch_inverse
 
+from conftest import mul_below_2_32
+
 SMALL_PRIMES = [5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43]
 
 
 @st.composite
-def curve_and_point(draw):
+def curve_and_point(draw, primes=SMALL_PRIMES):
     """A curve over a small prime and any of its points, 2-torsion and infinity included."""
-    p = draw(st.sampled_from(SMALL_PRIMES))
+    p = draw(st.sampled_from(primes))
     a, b = draw(st.integers(0, p - 1)), draw(st.integers(0, p - 1))
     assume((4 * a**3 + 27 * b**2) % p)
     curve = Curve(Fp(p), a, b)
@@ -117,6 +119,22 @@ def test_chain_trace_matches_affine_reference(data):
     _check_trace(curve, P, chain)
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data())
+def test_window_chain_trace_matches_affine_reference(data):
+    # from 2^32 on the default chain is the sliding window; on small curves its
+    # table and walk wrap through O, with steps to infinity and equal summands
+    curve, P = data.draw(curve_and_point())
+    n = data.draw(st.integers(2**32, 2**48))
+    _check_trace(curve, P, binary_chain(n))
+
+
+def test_window_chain_trace_covers_every_step_kind():
+    curve = Curve(Fp(7), 1, 0)  # 8 points, P of order 4
+    P = next(X for X in curve.points() if curve.order_of(X) == 4)
+    assert set(_check_trace(curve, P, binary_chain(2**32 + 13))) == {"Chord", "Vertical", None}
+
+
 def test_chain_trace_covers_equal_and_opposite_summands():
     # an incremental chain past the order of P adds iP to P with iP = P and iP = -P
     curve = Curve(Fp(7), 1, 0)  # 8 points, P of order 4
@@ -148,12 +166,14 @@ def test_mul_zero_and_beyond_the_order():
 
 
 @st.composite
-def lifted_point(draw):
-    """A random lift of a curve and any point of it: over each base point, every one
-    of the p points of the lift (lift(P) + O_k), the family O_k over infinity included."""
-    curve, P = draw(curve_and_point())
+def lifted_point(draw, primes=SMALL_PRIMES):
+    """A random lift of a curve (the canonical one half the time) and any point of it:
+    over each base point, every one of the p points of the lift (lift(P) + O_k), the
+    family O_k over infinity included."""
+    curve, P = draw(curve_and_point(primes))
     p = curve.p
-    dc = DualCurve(curve, draw(st.integers(0, p - 1)), draw(st.integers(0, p - 1)))
+    canonical = draw(st.booleans())
+    dc = DualCurve(curve, *(0, 0) if canonical else (draw(st.integers(0, p - 1)), draw(st.integers(0, p - 1))))
     return dc, dc.translate(dc.lift(P), dc.field(draw(st.integers(0, p - 1))))
 
 
@@ -185,6 +205,27 @@ def test_dual_mul_far_beyond_the_group_order():
     assert kernel.is_infinity and not kernel.k.is_zero()
     expect = dc.translate(_repeated_dual_addition(dc, 3, Pt), 2**200 * kernel.k)
     assert dc.mul(2**200 * order + 3, Pt) == expect
+
+
+def _window_scalars(p):
+    """Scalars at and past 2^32, where the 4-bit window starts: both signs, multiples of p."""
+    return st.one_of(
+        st.integers(2**32, 2**96),
+        st.sampled_from([2**32, 2**32 + 1, 2**33 - 1, p << 40, p**20, 15 << 60, (1 << 64) - 1]),
+    ).flatmap(lambda n: st.sampled_from([n, -n]))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_window_mul_matches_multiples_below_2_32(data):
+    # at p in {5, 7, 11, 13} the table's odd multiples hit infinity (O_k on a lift)
+    # and 2-torsion, which the Jacobian formulas cannot take
+    dc, Pt = data.draw(lifted_point([5, 7, 11, 13]))
+    curve, P = dc.base, Pt.reduction()
+    n = data.draw(_window_scalars(dc.p))
+    sign = 1 if n > 0 else -1
+    assert curve.mul(n, P) == mul_below_2_32(curve.add, curve.mul, abs(n), curve.mul(sign, P), INFINITY)
+    assert dc.mul(n, Pt) == mul_below_2_32(dc.add, dc.mul, abs(n), dc.mul(sign, Pt), dc.lift(INFINITY))
 
 
 def test_batch_inverse_edges():

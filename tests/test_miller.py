@@ -24,6 +24,8 @@ from dualpair.miller import (
     weil_pairing,
 )
 
+from conftest import power_of_two_chain
+
 
 def test_chain_for_one_is_empty():
     assert binary_chain(1) == []
@@ -43,6 +45,35 @@ def test_unrolled_count_is_n_minus_1(maker):
         chain = maker(n)
         validate_chain(n, chain)
         assert unrolled_step_count(n, chain) == n - 1
+
+
+def test_binary_chain_below_2_32_is_the_power_of_two_chain():
+    rng = random.Random(32)
+    for n in list(range(1, 2048)) + [2**31, 2**32 - 1] + [rng.randrange(2048, 2**32) for _ in range(300)]:
+        assert binary_chain(n) == power_of_two_chain(n)
+
+
+def test_window_chain_from_2_32_on():
+    # random n and the edges: the first windowed n, powers of two, all-ones n
+    # (a 4-bit window at every 4 bits, the worst case) and a top window of 1
+    # followed by zeros, whose first doubling is the table's 2 = 1 + 1
+    rng = random.Random(256)
+    randoms = [rng.randrange(2**32, 2**300) for _ in range(400)]
+    edges = [2**32, 2**32 + 1, 2**32 + 15, 0b1000 << 60 | 0b1011]
+    edges += [2**k for k in (33, 64, 255, 256, 299)] + [2**k - 1 for k in (33, 64, 255, 256, 300)]
+    excess = []
+    for n in randoms + edges:
+        chain = binary_chain(n)
+        validate_chain(n, chain)
+        assert unrolled_step_count(n, chain) == n - 1
+        bits = n.bit_length()
+        # at most 8 table steps, one doubling per bit after the first, one addition per 4 bits
+        assert len(chain) <= 8 + bits - 1 + bits // 4
+        if n in randoms:
+            excess.append(len(chain) - (bits * 6 // 5 + 9))
+    # a window every 5 bits on average: about 1.2 steps per bit
+    assert sum(excess) <= 0
+    assert len(binary_chain(2**32 - 1)) == 62 and len(binary_chain(2**32)) == 32
 
 
 def test_tail_chain_valid_and_counts():
