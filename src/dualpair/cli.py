@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 
 from . import selfcheck
@@ -85,7 +84,7 @@ def _build_parser() -> _Parser:
     pair.add_argument("--point", required=True)
     pair.add_argument("--k", type=int, required=True)
     pair.add_argument("--method", choices=("direct", "semaev", "rueck"), default="rueck")
-    pair.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    pair.add_argument("--seed", type=int, default=DEFAULT_SEED, help="accepted, unused: every route is deterministic")
 
     dlp = sub.add_parser("dlp", help="solve Q = n*P on an anomalous curve")
     dlp.add_argument("--curve", required=True)
@@ -126,9 +125,7 @@ def _cmd_find_anomalous(args) -> int:
 def _cmd_pair(args) -> int:
     curve = _parse_curve(args.curve)
     P = _parse_point(curve, args.point)
-    value = theta_pairing(
-        DualCurve.canonical(curve), P, args.k % curve.p, args.method, random.Random(args.seed)
-    )
+    value = theta_pairing(DualCurve.canonical(curve), P, args.k % curve.p, args.method)
     _emit(value.to_json())
     return 0
 
@@ -145,6 +142,8 @@ def _cmd_dlp(args) -> int:
 def _cmd_selfcheck(args) -> int:
     if args.p_max < 5:
         raise UsageError("--p-max must be at least 5, the smallest prime with an anomalous curve")
+    if args.trials < 1:
+        raise UsageError("--trials must be at least 1")
     report = selfcheck.run(args.p_max, args.trials, args.seed)
     _emit(report)
     return 0 if report["pass"] else 1

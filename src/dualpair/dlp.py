@@ -80,12 +80,11 @@ class AttackResult:
 
 
 def attack_semaev(inst: DlpInstance, seed: int = DEFAULT_SEED) -> AttackResult:
-    """n = c(Q)/c(P) from the logarithmic-derivative invariant."""
-    rng = random.Random(seed)
-    cp = semaev_coefficient(inst.curve, inst.P, rng=rng)
+    """n = c(Q)/c(P) from the logarithmic-derivative invariant; deterministic, seed unused."""
+    cp = semaev_coefficient(inst.curve, inst.P)
     if inst.Q.is_infinity:
         return AttackResult(0, "semaev")
-    cq = semaev_coefficient(inst.curve, inst.Q, rng=rng)
+    cq = semaev_coefficient(inst.curve, inst.Q)
     return AttackResult(int(cq / cp), "semaev")
 
 

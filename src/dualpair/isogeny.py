@@ -493,9 +493,9 @@ def _scalar_kernels(psi: list[Polynomial], fx: Polynomial, psi_ell: Polynomial, 
 
 
 def check_functoriality(phi: Isogeny, Pt: DualPoint, Qt: DualPoint, method: str = "rueck", rng=None) -> bool:
-    """Whether e_p(phi~(Pt), phi~(Qt)) = e_p(Pt, Qt)^(deg phi) holds exactly."""
+    """Whether e_p(phi~(Pt), phi~(Qt)) = e_p(Pt, Qt)^(deg phi) holds exactly; rng is accepted, unused."""
     src = DualCurve.canonical(phi.source)
     tgt = DualCurve.canonical(phi.target)
-    before = lifted_pairing(src, Pt, Qt, method=method, rng=rng)
-    after = lifted_pairing(tgt, phi.eval_lifted(Pt), phi.eval_lifted(Qt), method=method, rng=rng)
+    before = lifted_pairing(src, Pt, Qt, method=method)
+    after = lifted_pairing(tgt, phi.eval_lifted(Pt), phi.eval_lifted(Qt), method=method)
     return after == before ** phi.degree

@@ -21,15 +21,15 @@ inside ratios, so the normalizing constant of f_P never needs to be
 materialized: every ratio of its values, so every pairing value, is the
 same on any chain for n.
 
-Each (P, chain) is walked once, on plain ints: `chain_trace` adds in
-Jacobian coordinates (`step_lines`), inverts nothing, and records the
-multiples and each step's slope numerator; its end point nP is the
-n-torsion check.  Every evaluation reads the lines from that record
-projectively (`step_values`), so the affine multiples (`ChainTrace.affine`)
-are needed only to list where lines vanish.  `trace_value` checks T and
-`at` once and turns at - T into an int tuple (`eval_point`), where a
-memoized fold of the step values gives f_P with one division.  The same
-trace drives the Weil pairing
+The default chain for each n is built once and kept (`chain_for`), which
+also validates a caller's chain.  Each (P, chain) is walked once, on plain
+ints: `chain_trace` adds in Jacobian coordinates (`step_lines`), inverts
+nothing, and records the multiples and each step's slope numerator; its
+end point nP is the n-torsion check.  Every evaluation reads the lines
+from that record projectively (`step_values`); no multiple is ever made
+affine.  `trace_value` checks T and `at` once and turns at - T into an int
+tuple (`eval_point`), where a memoized fold of the step values gives f_P
+with one division.  The same trace drives the Weil pairing
 
     e_n(P, Q) = f_P(D_Q) / f_Q(D_P)
 
@@ -39,14 +39,17 @@ to have disjoint support (re-randomized on degenerate evaluations).
 
 from __future__ import annotations
 
+import functools
 import random
 from typing import NamedTuple
 
-from .curve import INFINITY, JACOBIAN_INFINITY, WINDOW_FROM, Curve, Point, jacobian_add, window_digits
+from .curve import JACOBIAN_INFINITY, WINDOW_FROM, Curve, Point, jacobian_add, window_digits
 from .errors import BadInputError, BadTorsionError, DegenerateEvaluationError
 from .fields import Fp, FpElement
 from .dual_curve import DualCurve, DualPoint
-from .numbertheory import batch_inverse
+
+#: How many default chains `chain_for` keeps, one per n.
+_CHAINS_KEPT = 64
 
 
 class ChainStep(NamedTuple):
@@ -132,14 +135,21 @@ def validate_chain(n: int, chain: list[ChainStep]) -> None:
         raise ValueError(f"chain never reaches {n}")
 
 
-def require_chain(n: int, chain) -> None:
-    """Validate a caller's chain for n, raising BadInputError; None (the default chain) passes."""
+@functools.lru_cache(maxsize=_CHAINS_KEPT)
+def _default_chain(n: int) -> tuple:
+    return tuple(binary_chain(n))  # the module global, so that a wrapped `binary_chain` sees each miss
+
+
+def chain_for(n: int, chain) -> tuple | list:
+    """A caller's chain for n, validated (BadInputError), or for None the default chain,
+    built once per n and kept as a tuple."""
     if chain is None:
-        return
+        return _default_chain(n)
     try:
         validate_chain(n, chain)
     except (ValueError, TypeError) as exc:
         raise BadInputError(f"bad chain for n = {n}: {exc}") from None
+    return chain
 
 
 def step_multiplicities(n: int, chain: list[ChainStep]) -> dict[int, int]:
@@ -221,19 +231,6 @@ class ChainTrace(NamedTuple):
     steps: list  # (k, i, j, N) in chain order; the step's slope is N/Z(kP), N is None when it has no chord
     jac: dict  # k -> kP as a Jacobian int triple, Z = 0 for infinity
     field: Fp
-
-    def affine(self) -> dict:
-        """k -> (x, y) of kP as ints, or None for infinity; one batch inversion."""
-        p, jac = self.field.p, self.jac
-        finite = [k for k, J in jac.items() if J[2]]
-        zinv = dict(zip(finite, batch_inverse([jac[k][2] for k in finite], p)))
-        return {k: (X * zinv[k] ** 2 % p, Y * zinv[k] ** 3 % p) if k in zinv else None for k, (X, Y, _) in jac.items()}
-
-    @property
-    def points(self) -> dict:
-        """k -> kP as Points."""
-        f = self.field
-        return {k: INFINITY if xy is None else Point(f(xy[0]), f(xy[1])) for k, xy in self.affine().items()}
 
 
 def _walk(curve: Curve, start: dict, chain: list[ChainStep]) -> ChainTrace:
@@ -374,9 +371,7 @@ def h_eval(curve: Curve, P: Point, i: int, j: int, T: Point, at):
 def miller_eval(curve: Curve, P: Point, n: int, T: Point, at, chain=None):
     """f_P(at) for the divisor n(P+T) - n(T), up to the global constant."""
     curve._require_on_curve(P)
-    require_chain(n, chain)
-    chain = chain if chain is not None else binary_chain(n)
-    return trace_value(curve, chain_trace(curve, P, chain), n, T, at)
+    return trace_value(curve, chain_trace(curve, P, chain_for(n, chain)), n, T, at)
 
 
 def weil_pairing(curve: Curve, n: int, P: Point, Q: Point, rng=None, chain=None) -> FpElement:
@@ -388,8 +383,7 @@ def weil_pairing(curve: Curve, n: int, P: Point, Q: Point, rng=None, chain=None)
     """
     if n < 1 or n % curve.p == 0:
         raise BadTorsionError("n must be positive and coprime to p")
-    require_chain(n, chain)
-    chain = chain if chain is not None else binary_chain(n)
+    chain = chain_for(n, chain)
     tp, tq = (torsion_trace(curve, X, chain, n) for X in (P, Q))
     if P.is_infinity or Q.is_infinity:
         return curve.field.one()

@@ -40,13 +40,15 @@ Three routes compute the same value from one walk of P's chain (`_trace`):
 Each public entry checks its inputs once, before any evaluation: P and a
 caller's chain by P's walk, whose end point p*P is the p-torsion check; a
 caller's R in `_check_eval_point`; T on the curve.  Below that everything
-is plain ints, and the walk inverts nothing.  It is shared by every
-evaluation and every retry at a fresh R, and S = R - T is computed once
-per R.  Rueck inverts the Z of every chord step in one batch and sums the
-slopes N/Z; semaev inverts the re parts of the step values in one batch;
-direct multiplies them as dual numbers into one fraction, whose reduction
-mod eps is f_P(R), and divides once.  No evaluation reads an affine point;
-the multiples are made affine only to skip points on degenerate lines.
+is plain ints, and the walk inverts nothing.  Without a caller's R the
+evaluation point comes from the chain, not from a search: P has order p,
+so every line of the walk meets E only at multiples of P, and S = sP is
+taken for the smallest s on none of them (`_evaluate`).  Nothing is drawn
+at random, and the routes are deterministic.  Rueck inverts the Z of
+every chord step in one batch and sums the slopes N/Z; semaev inverts the
+re parts of the step values in one batch; direct multiplies them as dual
+numbers into one fraction, whose reduction mod eps is f_P(R), and divides
+once.  No evaluation reads an affine multiple of the walk.
 
 The scalar prefactors of the last two routes depend on orientation
 conventions (line written as y - m*x - b, uniformizer -x/y); the signs
@@ -70,11 +72,9 @@ T at infinity, the divisor (P) - (infinity).
 
 from __future__ import annotations
 
-import itertools
 import operator
-import random
 
-from .curve import INFINITY, Curve, Point
+from .curve import INFINITY, Curve, Point, jacobian_mul
 from .dual_curve import DualCurve, DualPoint
 from .errors import (
     BadInputError,
@@ -85,12 +85,11 @@ from .errors import (
 )
 from .fields import DualNumber, Fp, FpElement, json_int
 from .miller import (
-    binary_chain,
+    chain_for,
     chain_trace,
     difference,
     eval_point,
     fold_trace,
-    require_chain,
     require_on_curve,
     step_values,
     tail_chain,
@@ -159,10 +158,10 @@ def _trace(curve: Curve, P: Point, chain=None):
     A caller's chain is validated here, once; the internal chains are valid
     by construction.
     """
-    require_chain(curve.p, chain)
+    chain = chain_for(curve.p, chain)
     if P.is_infinity:
         return None
-    return torsion_trace(curve, P, chain if chain is not None else binary_chain(curve.p), curve.p)
+    return torsion_trace(curve, P, chain, curve.p)
 
 
 def _check_eval_point(curve: Curve, R: Point) -> tuple:
@@ -226,66 +225,58 @@ def rueck_slope_sum(curve: Curve, P: Point, chain=None) -> FpElement:
     return curve.field(fold_trace(trace, curve.p, 0, operator.add, slopes))
 
 
-# -- retry policy ---------------------------------------------------------------
+# -- the evaluation point --------------------------------------------------------
 
 
-def _eval_points(curve: Curve, rng: random.Random):
-    """One random point of E, then every point in order, skipping infinity and the 2-torsion."""
-    for R in itertools.chain([curve.random_point(rng)], curve.points()):
-        if not (R.is_infinity or R.y.is_zero()):
-            yield R.x.value, R.y.value
+def _evaluation_multiple(p: int, steps) -> int | None:
+    """The smallest s in [1, p) with sP on no line of a walk of P, P of order p; None if there is none.
+
+    Only multiples of P lie on the lines, and which ones follows from each
+    step k = i + j with the indices mod p: a chord step's line meets E at
+    iP, jP and -kP and its vertical at +-kP; a step to O is the vertical at
+    +-iP; a step with an operand at O has no line.  For the default chain,
+    every prime 5 <= p < 2*10^5 leaves some s <= 5 except p = 5 and 7, where
+    tail_chain(p, 3) leaves s = 4 and 6.
+    """
+    excluded = set()
+    for k, i, j, *_ in steps:
+        i, j, k = i % p, j % p, k % p
+        if i and j:
+            excluded.update((i, j, k, p - k) if k else (i, p - i))
+    return next((s for s in range(1, p) if s not in excluded), None)
 
 
-def _vanishing_points(trace) -> set:
-    """The affine (x, y) where a line of the trace vanishes: iP, jP and -(i+j)P
-    for a chord, +-kP for the vertical x = x_k, and +-iP for a step to O."""
-    p, out, affine = trace.field.p, set(), trace.affine()
-    for k, i, j, N in trace.steps:
-        if affine[i] and affine[j]:
-            x, y = affine[i if N is None else k]
-            out.update((affine[i], affine[j], (x, y), (x, -y % p)))
-    return out
+def _evaluate(curve: Curve, P: Point, trace, chain, R: tuple | None, T: tuple | None, evaluate):
+    """evaluate(trace, S) on the int pairs of `_boundary`: S = R - T at a caller's R,
+    else S = sP for the first rung with an `_evaluation_multiple` s.
 
-
-def _with_retries(curve: Curve, P: Point, trace, chain, R: tuple | None, T: tuple | None, rng: random.Random | None, evaluate):
-    """evaluate(trace, S) with S = R - T on the int pairs of `_boundary`, at
-    a caller's R, else over the fallback ladder; S is computed once per R.
-
-    The ladder varies the evaluation point first and the chain second; only
-    the evaluation is retried, never the walk.  Its rungs are P's trace and,
-    unless the caller fixed the chain, tail_chain(p, 3): over every
-    anomalous curve with p <= 13, every P and every T, the binary chain
-    always succeeds for p >= 11, and no tail chain with c >= 5 succeeds
-    where c = 3 fails.  Each rung tries one random R and then every point
-    of E in order.  Once a rung has degenerated, an R with S at infinity or
-    on one of its lines is skipped unfolded.
+    The value depends on neither R nor T, so without a caller's R the point
+    R = sP + T is taken, O included, and no line vanishes at S.  The rungs are P's trace
+    and, unless the caller fixed the chain, tail_chain(p, 3), walked only
+    when P's trace has no s.
     """
     p, a = curve.p, curve.A.value
     if R is not None:
         return evaluate(trace, difference(p, a, R, T))
-    rng = rng or random.Random(0x7A1F ^ p)
-    # a caller-fixed chain is the only rung; the tail chain is walked when reached
-    tails = [] if chain is not None else [3]
-    rungs = itertools.chain([trace], (chain_trace(curve, P, tail_chain(p, c)) for c in tails))
-    last = None
-    for rung in rungs:
-        vanishing = None
-        for Rc in _eval_points(curve, rng):
-            S = difference(p, a, Rc, T)
-            if vanishing and (S is None or S in vanishing):
-                continue
-            try:
-                return evaluate(rung, S)
-            except DegenerateEvaluationError as exc:
-                last, vanishing = exc, vanishing or _vanishing_points(rung)
-    raise DegenerateEvaluationError(f"all evaluation configurations degenerate: {last}")
+    s = _evaluation_multiple(p, trace.steps)
+    if s is None and chain is None:
+        trace = chain_trace(curve, P, tail_chain(p, 3))
+        s = _evaluation_multiple(p, trace.steps)
+    if s is None:
+        raise DegenerateEvaluationError("all evaluation configurations degenerate: lines of the chain meet E at every multiple of P")
+    X, Y, Z = jacobian_mul(p, a, s, trace.jac[1])
+    zi = pow(Z, -1, p)
+    return evaluate(trace, (X * zi * zi % p, Y * zi * zi * zi % p))
 
 
 # -- public pairing surface -------------------------------------------------------
 
 
 def pairing_direct(dc: DualCurve, P: Point, k, R: Point | None = None, chain=None, T: Point | None = None, rng=None) -> PairingValue:
-    """e(P, O_k) = f_P(O_k + R) / f_P(R) by dual-number evaluation at (O_k + R) - T."""
+    """e(P, O_k) = f_P(O_k + R) / f_P(R) by dual-number evaluation at (O_k + R) - T.
+
+    Without R the point is chosen from P's chain (`_evaluate`); rng is accepted, unused.
+    """
     if not dc.is_canonical():
         raise NotCanonicalError("the pairing is defined on the canonical lift")
     curve = dc.base
@@ -294,7 +285,7 @@ def pairing_direct(dc: DualCurve, P: Point, k, R: Point | None = None, chain=Non
     if trace is None or k.is_zero():
         return PairingValue(curve.field.zero())
     p, a = curve.p, curve.A.value
-    return _with_retries(curve, P, trace, chain, R, T, rng, lambda tr, S: _direct_value(tr, eval_point(p, a, S, k.value)))
+    return _evaluate(curve, P, trace, chain, R, T, lambda tr, S: _direct_value(tr, eval_point(p, a, S, k.value)))
 
 
 def semaev_log_derivative(curve: Curve, P: Point, R: Point, T: Point | None = None, chain=None) -> FpElement:
@@ -306,17 +297,18 @@ def semaev_coefficient(curve: Curve, P: Point, rng=None, R: Point | None = None,
     """The R-independent combination (y * f_P'/f_P)(R).
 
     This is the scalar that multiplies -2*k*eps in the pairing; computing
-    it through different R just rescales lam by y(R)'s reciprocal.
+    it through different R just rescales lam by y(R)'s reciprocal.  Without
+    R the point is chosen from P's chain (`_evaluate`); rng is accepted, unused.
     """
     trace, R, T = _boundary(curve, P, R, T, chain)
     if trace is None:
         return curve.field.zero()
     p, a = curve.p, curve.A.value
-    return _with_retries(curve, P, trace, chain, R, T, rng, lambda tr, S: _log_derivative_value(tr, eval_point(p, a, S, 1)))
+    return _evaluate(curve, P, trace, chain, R, T, lambda tr, S: _log_derivative_value(tr, eval_point(p, a, S, 1)))
 
 
 def pairing_semaev(dc: DualCurve, P: Point, k, R: Point | None = None, T: Point | None = None, chain=None, rng=None) -> PairingValue:
-    """e(P, O_k) through the logarithmic-derivative formula."""
+    """e(P, O_k) through the logarithmic-derivative formula; rng is accepted, unused."""
     if not dc.is_canonical():
         raise NotCanonicalError("the pairing is defined on the canonical lift")
     curve = dc.base
@@ -324,7 +316,7 @@ def pairing_semaev(dc: DualCurve, P: Point, k, R: Point | None = None, T: Point 
     if k.is_zero():  # no evaluation, but the inputs are still checked
         _boundary(curve, P, R, T, chain)
         return PairingValue(curve.field.zero())
-    return PairingValue(SEMAEV_SIGN * 2 * semaev_coefficient(curve, P, rng=rng, R=R, T=T, chain=chain) * k)
+    return PairingValue(SEMAEV_SIGN * 2 * semaev_coefficient(curve, P, R=R, T=T, chain=chain) * k)
 
 
 def pairing_rueck(dc: DualCurve, P: Point, k, chain=None) -> PairingValue:
@@ -335,9 +327,9 @@ def pairing_rueck(dc: DualCurve, P: Point, k, chain=None) -> PairingValue:
 
 
 _THETA_METHODS = {
-    "direct": lambda dc, P, k, rng: pairing_direct(dc, P, k, rng=rng),
-    "semaev": lambda dc, P, k, rng: pairing_semaev(dc, P, k, rng=rng),
-    "rueck": lambda dc, P, k, rng: pairing_rueck(dc, P, k),
+    "direct": lambda dc, P, k: pairing_direct(dc, P, k),
+    "semaev": lambda dc, P, k: pairing_semaev(dc, P, k),
+    "rueck": lambda dc, P, k: pairing_rueck(dc, P, k),
 }
 
 
@@ -350,14 +342,14 @@ def _route(method: str):
 
 
 def theta_pairing(dc: DualCurve, P: Point, k, method: str = "rueck", rng=None) -> PairingValue:
-    """e(P, O_k) by the chosen route (they agree exactly)."""
-    return _route(method)(dc, P, dc.field(k), rng)
+    """e(P, O_k) by the chosen route (they agree exactly); rng is accepted, unused."""
+    return _route(method)(dc, P, dc.field(k))
 
 
-def _theta_coefficient(dc: DualCurve, P: Point, route, rng) -> FpElement:
+def _theta_coefficient(dc: DualCurve, P: Point, route) -> FpElement:
     """The a-coordinate of e(P, O_1)."""
     try:
-        return route(dc, P, dc.field.one(), rng).a
+        return route(dc, P, dc.field.one()).a
     except BadTorsionError:
         raise NotPTorsionError(f"{P} is not p-torsion, so its lift is not either") from None
 
@@ -368,11 +360,12 @@ def lifted_pairing(dc: DualCurve, Pt: DualPoint, Qt: DualPoint, method: str = "r
     Decomposes Pt = P + O_k, Qt = Q + O_j and returns
     e(P, O_j) * e(Q, O_k)^-1, which realizes bilinearity, antisymmetry,
     triviality on E[p] x E[p] and at infinity, and the restriction to e.
+    rng is accepted, unused.
     """
     route = _route(method)
     if not dc.is_canonical():
         raise NotCanonicalError("the p-pairing lives on the canonical lift")
     P, k = dc.decompose(Pt)
     Q, j = dc.decompose(Qt)
-    a = _theta_coefficient(dc, P, route, rng) * j - _theta_coefficient(dc, Q, route, rng) * k
+    a = _theta_coefficient(dc, P, route) * j - _theta_coefficient(dc, Q, route) * k
     return PairingValue(a)

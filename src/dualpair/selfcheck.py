@@ -41,6 +41,8 @@ def _smallest_anomalous(p_max: int) -> Curve:
 
 
 def run(p_max: int = 13, trials: int = 100, seed: int = 0xC11E) -> dict:
+    if trials < 1:
+        raise BadInputError(f"trials must be at least 1, not {trials}")
     rng = random.Random(seed)
     curve = _smallest_anomalous(p_max)
     dc = DualCurve.canonical(curve)
@@ -65,7 +67,7 @@ def run(p_max: int = 13, trials: int = 100, seed: int = 0xC11E) -> dict:
     lifts = [dc, DualCurve(curve, 1, 0), DualCurve(curve, 2, 3)]
     for lift in lifts:
         dpts = list(lift.points())
-        for _ in range(trials // 2):
+        for _ in range(max(1, trials // 2)):
             Pt, Qt, Rt = (rng.choice(dpts) for _ in range(3))
             lhs = lift.add(lift.add(Pt, Qt), Rt)
             rhs = lift.add(Pt, lift.add(Qt, Rt))
@@ -92,8 +94,8 @@ def run(p_max: int = 13, trials: int = 100, seed: int = 0xC11E) -> dict:
         P = rng.choice(base_pts)
         k = rng.randrange(1, p)
         vals = {
-            pairing_direct(dc, P, k, rng=rng).a.value,
-            pairing_semaev(dc, P, k, rng=rng).a.value,
+            pairing_direct(dc, P, k).a.value,
+            pairing_semaev(dc, P, k).a.value,
             pairing_rueck(dc, P, k).a.value,
         }
         if len(vals) == 1:

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from dualpair import Curve, count_points, find_anomalous
+from dualpair import INFINITY, Curve, Point, count_points, find_anomalous
 from dualpair.fields import Fp
 from dualpair.miller import ChainStep
 
@@ -36,6 +36,16 @@ def power_of_two_chain(n: int) -> list[ChainStep]:
         steps.append(ChainStep(acc + b, acc, b))
         acc += b
     return steps
+
+
+def trace_points(trace) -> dict:
+    """k -> kP as Points, each Jacobian multiple of a chain trace made affine on its own."""
+    f, p = trace.field, trace.field.p
+    out = {}
+    for k, (X, Y, Z) in trace.jac.items():
+        zi = pow(Z, -1, p) if Z else None
+        out[k] = INFINITY if zi is None else Point(f(X * zi * zi), f(Y * zi * zi * zi))
+    return out
 
 
 def mul_below_2_32(add, mul, n: int, P, zero):

@@ -206,6 +206,22 @@ def test_selfcheck_p_max_below_five_is_usage(capsys):
         selfcheck.run(3, trials=1)  # the library reports it with a defined error too
 
 
+def test_selfcheck_trials_below_one_is_usage(capsys):
+    # a suite that checks nothing must not report a pass
+    for trials in ("0", "-3"):
+        code, out, err = run_cli(capsys, "selfcheck", "--p-max", "13", "--trials", trials)
+        assert (code, out) == (64, "")
+        assert json.loads(err)["error"] == "Usage"
+    with pytest.raises(BadInputError):
+        selfcheck.run(13, trials=0)
+
+
+def test_selfcheck_one_trial_checks_every_section():
+    report = selfcheck.run(13, trials=1)
+    assert report["pass"] is True
+    assert all(section["checked"] >= 1 for section in report["sections"])
+
+
 def test_selfcheck_passes_and_reproducible(capsys):
     a = run_cli(capsys, "selfcheck", "--p-max", "13", "--trials", "40", "--seed", "5")
     assert a[0] == 0

@@ -24,7 +24,7 @@ from dualpair.miller import (
     weil_pairing,
 )
 
-from conftest import power_of_two_chain
+from conftest import power_of_two_chain, trace_points
 
 
 def test_chain_for_one_is_empty():
@@ -91,7 +91,7 @@ def _divisor_oracle(curve, P, n, T, chain):
     (iP+T) + (jP+T) - (kP+T) - (T), weighted by its unrolled multiplicity.
     No field evaluation happens here."""
     mult = step_multiplicities(n, chain)
-    pts = chain_trace(curve, P, chain).points
+    pts = trace_points(chain_trace(curve, P, chain))
     div = Counter()
     for k, i, j in chain:
         m = mult[k]
@@ -225,7 +225,7 @@ def test_miller_ratios_chain_independent():
         vals = set()
         for chain in (binary_chain(sub_n), incremental_chain(sub_n), tail_chain(sub_n, 3)):
             # the walk's end point is the scalar multiple, whatever the chain
-            assert chain_trace(c, P, chain).points[sub_n] == c.mul(sub_n, P)
+            assert trace_points(chain_trace(c, P, chain))[sub_n] == c.mul(sub_n, P)
             try:
                 v1 = miller_eval(c, P, sub_n, T, Q1, chain)
                 v2 = miller_eval(c, P, sub_n, T, Q2, chain)
@@ -315,3 +315,30 @@ def test_malformed_caller_chain_is_bad_input():
             miller_eval(c, P, 7, T, R, chain)
     with pytest.raises(BadInputError, match="bad chain"):
         weil_pairing(c, 7, P, P, chain=[ChainStep(3, 1, 1)])
+
+
+def test_default_chain_is_built_once_per_n(monkeypatch):
+    # chain_for validates a caller's chain and keeps the default one per n,
+    # built through the module's binary_chain on a miss only
+    from dualpair import DualCurve, miller, pairing_direct, pairing_rueck
+
+    built = []
+    monkeypatch.setattr(miller, "binary_chain", lambda n: built.append(n) or binary_chain(n))
+    miller._default_chain.cache_clear()
+    try:
+        assert miller.chain_for(1361, None) == tuple(binary_chain(1361))
+        assert miller.chain_for(1361, None) is miller.chain_for(1361, None)
+        own = incremental_chain(7)
+        assert miller.chain_for(7, own) is own
+        with pytest.raises(BadInputError, match="bad chain"):
+            miller.chain_for(7, [ChainStep(3, 1, 1)])
+        c = Curve(Fp(1361), 686, 969)
+        dc = DualCurve.canonical(c)
+        P = c.random_point(random.Random(4))
+        for _ in range(3):
+            pairing_rueck(dc, P, 2)
+            pairing_direct(dc, P, 2)
+            miller_eval(c, P, 1361, INFINITY, c.mul(3, P))  # 3P is on no line of the chain
+        assert built == [1361]
+    finally:
+        miller._default_chain.cache_clear()

@@ -376,30 +376,45 @@ def test_lifted_pairing_methods_agree(tiny_anomalous, rng):
         assert len(vals) == 1
 
 
-def test_default_evaluation_point_is_not_an_enumeration(monkeypatch):
-    # the default R comes from one random draw, not from listing E(F_p)
-    c = find_anomalous(1000, 1500, count=1, seed=0)[0]
-    dc = DualCurve.canonical(c)
-    P = c.random_point(random.Random(1))
-    real_sqrt = Fp.sqrt
-    calls = []
+def test_default_evaluation_point_draws_and_lists_no_point(monkeypatch):
+    # without a caller's R the evaluation point is a multiple of P named by
+    # the chain: no random point, no listing of E(F_p), no square root
+    from dualpair.dlp import DlpInstance, solve
+    from test_crypto256 import A as A256, A_G as A_G256, B as B256, G as G256, P as P256
 
-    def counting_sqrt(self, a):
-        calls.append(a)
-        return real_sqrt(self, a)
+    desk = find_anomalous(1000, 1500, count=1, seed=0)[0]
+    G_desk = desk.random_point(random.Random(1))
+    big = Curve(Fp(P256), A256, B256)
+    cases = [  # (curve, G, a with e(G, O_1) = 1 + a*eps)
+        (desk, G_desk, pairing_rueck(DualCurve.canonical(desk), G_desk, 1).a.value),
+        (big, big.point(*G256), A_G256),
+    ]
 
-    monkeypatch.setattr(Fp, "sqrt", counting_sqrt)
-    for route in (lambda: pairing_direct(dc, P, 3), lambda: semaev_coefficient(c, P)):
-        calls.clear()
-        route()
-        assert len(calls) < 20
+    def refuse(*args, **kwargs):
+        raise AssertionError("a pairing route drew, listed or took a square root")
 
+    monkeypatch.setattr(Curve, "random_point", refuse)
+    monkeypatch.setattr(Curve, "points", refuse)
+    monkeypatch.setattr(Fp, "sqrt", refuse)
+    for c, G, a_g in cases:
+        p = c.p
+        dc = DualCurve.canonical(c)
+        m, k = 1 + 7919 % (p - 1), 1 + 104729 % (p - 1)
+        P = c.mul(m, G)
+        want = a_g * m * k % p
+        assert pairing_direct(dc, P, k).a.value == want
+        assert pairing_semaev(dc, P, k).a.value == want
+        assert (-2 * semaev_coefficient(c, P)).value == a_g * m % p
+        Ok = DualPoint.infinity(dc.field(k))
+        for method in ("direct", "semaev"):
+            assert lifted_pairing(dc, dc.embed(P), Ok, method=method).a.value == want
+        assert solve(DlpInstance(c, G, P), "semaev").n == m
 
 
 def test_degenerate_ladder_is_linear_in_p(monkeypatch):
-    # every line of incremental_chain(p) vanishes somewhere on E, and together
-    # they vanish at every point; once a rung has degenerated, points at
-    # which one of its lines vanishes are skipped without a fold
+    # every line of incremental_chain(p) meets E, and together they meet
+    # every multiple of P: the chain's integers say so, and without a
+    # caller's R no step value is ever computed on such a chain
     from dualpair import miller, pairing
 
     c = Curve(Fp(1361), 686, 969)
@@ -419,40 +434,105 @@ def test_degenerate_ladder_is_linear_in_p(monkeypatch):
         calls.clear()
         with pytest.raises(DegenerateEvaluationError, match="all evaluation configurations degenerate: line"):
             route()
-        assert len(calls) <= 2  # about p when every point is folded
+        assert len(calls) == 0
 
 
-def test_retry_ladder_outcomes_on_tiny_anomalous_curves(monkeypatch):
-    # The ladder is P's binary chain, then tail_chain(p, 3) only.  Over every
-    # anomalous curve with p in {5, 7} (every P != O, every T) and p in
-    # {11, 13} (T = O), direct and semaev succeed on the binary chain for
-    # p >= 11; for p <= 7 they need the tail chain, and 64 calls degenerate
-    # on every configuration (no tail chain c >= 5 rescues any of them).
-    import dualpair.pairing as pairing
-
-    tails = []
-    monkeypatch.setattr(pairing, "tail_chain", lambda n, c: tails.append(c) or tail_chain(n, c))
-    outcomes = {}
-    for p in (5, 7, 11, 13):
+def _anomalous_curves(primes):
+    for p in primes:
         for a in range(p):
             for b in range(p):
                 if (4 * a**3 + 27 * b * b) % p == 0:
                     continue
                 c = Curve(Fp(p), a, b)
                 points = list(c.points())
-                if len(points) != p:
+                if len(points) == p:
+                    yield c, points
+
+
+def test_retry_ladder_outcomes_on_tiny_anomalous_curves(monkeypatch):
+    # The ladder is P's binary chain, then tail_chain(p, 3) only.  Over every
+    # anomalous curve with p in {5, 7} (every P != O, every T) and p in
+    # {11, 13} (T = O), direct and semaev evaluate on the binary chain for
+    # p >= 11 and on the tail chain for p <= 7, and always give rueck's value.
+    import dualpair.pairing as pairing
+
+    tails = []
+    monkeypatch.setattr(pairing, "tail_chain", lambda n, c: tails.append(c) or tail_chain(n, c))
+    outcomes = {}
+    for c, points in _anomalous_curves((5, 7, 11, 13)):
+        p = c.p
+        dc = DualCurve.canonical(c)
+        for P in _affine(c):
+            want = pairing_rueck(dc, P, 1)
+            for T in points if p <= 7 else [INFINITY]:
+                for route in (pairing_direct, pairing_semaev):
+                    tails.clear()
+                    try:
+                        assert route(dc, P, 1, T=T) == want
+                        outcome = "tail" if tails else "binary"
+                    except DegenerateEvaluationError:
+                        outcome = "failed"
+                    assert tails in ([], [3])
+                    key = (p <= 7, outcome)
+                    outcomes[key] = outcomes.get(key, 0) + 1
+    assert outcomes == {(True, "tail"): 416, (False, "binary"): 388}
+
+
+def test_evaluation_multiple_is_the_first_nondegenerate_multiple():
+    # oracle: evaluate every step value at every sP; the helper's s is the
+    # first that raises nowhere, and None exactly when every s raises
+    from dualpair.miller import chain_trace, eval_point, step_values
+    from dualpair.pairing import _evaluation_multiple
+
+    seen = set()
+    for c, _ in _anomalous_curves((5, 7, 11, 13)):
+        p, a = c.p, c.A.value
+        dc = DualCurve.canonical(c)
+        chains = {
+            "binary": binary_chain(p),
+            "tail": tail_chain(p, 3),
+            "incremental": incremental_chain(p),
+            "overshoot": binary_chain(p) + [ChainStep(2 * p, p, p)],
+        }
+        for P in _affine(c):
+            want = pairing_rueck(dc, P, 1)
+            for name, chain in chains.items():
+                trace = chain_trace(c, P, chain)
+                good = []
+                for s in range(1, p):
+                    S = c.mul(s, P)
+                    try:
+                        step_values(trace, eval_point(p, a, (S.x.value, S.y.value), 1))
+                        good.append(s)
+                    except DegenerateEvaluationError:
+                        pass
+                s = _evaluation_multiple(p, trace.steps)
+                assert s == (good[0] if good else None)
+                seen.add((name, s is None))
+                if s is None:
+                    for route in (pairing_direct, pairing_semaev):
+                        with pytest.raises(DegenerateEvaluationError, match="all evaluation configurations degenerate: line"):
+                            route(dc, P, 1, chain=chain)
                     continue
-                dc = DualCurve.canonical(c)
-                for P in _affine(c):
-                    for T in points if p <= 7 else [INFINITY]:
-                        for route in (pairing_direct, pairing_semaev):
-                            tails.clear()
-                            try:
-                                route(dc, P, 1, T=T)
-                                outcome = "tail" if tails else "binary"
-                            except DegenerateEvaluationError:
-                                outcome = "failed"
-                            assert tails in ([], [3])
-                            key = (p <= 7, outcome)
-                            outcomes[key] = outcomes.get(key, 0) + 1
-    assert outcomes == {(True, "tail"): 352, (True, "failed"): 64, (False, "binary"): 388}
+                R = c.mul(s, P)
+                for route in (pairing_direct, pairing_semaev):
+                    assert route(dc, P, 1, chain=chain) == route(dc, P, 1, R=R, chain=chain) == want
+    assert {("binary", True), ("binary", False), ("tail", False), ("incremental", True), ("overshoot", False)} <= seen
+
+
+def test_default_chain_leaves_an_evaluation_multiple_below_2_16():
+    # pure integers: for every prime 5 <= p < 2^16 the binary chain leaves
+    # some s <= 5, except p = 5 and 7, where tail_chain(p, 3) leaves 4 and 6
+    from dualpair.numbertheory import is_prime
+    from dualpair.pairing import _evaluation_multiple
+
+    misses = {}
+    for p in range(5, 1 << 16):
+        if not is_prime(p):
+            continue
+        s = _evaluation_multiple(p, binary_chain(p))
+        if s is None:
+            misses[p] = _evaluation_multiple(p, tail_chain(p, 3))
+        else:
+            assert s <= 5, p
+    assert misses == {5: 4, 7: 6}
