@@ -20,14 +20,18 @@ group F_p^+ where division solves it:
   are rejected up front (for A*B != 0 those are exactly the lifts whose
   j-value stays in F_p); whether any other lift can still preserve
   torsion is conjectural, so a retry budget guards the kP != 0 check.
+
+An instance is checked once, when built: its check p*P = O is P's walk
+along the default chain for p, which it keeps (`DlpInstance.trace`) for the
+semaev, rueck and pairing attacks, so those walk only Q.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .curve import Curve, Point
+from .curve import Curve, Point, count_points
 from .dual_curve import DualCurve, DualPoint
 from .errors import (
     BadInputError,
@@ -37,7 +41,12 @@ from .errors import (
     WitnessInconsistentError,
 )
 from .fields import FpElement
+from .miller import ChainTrace
 from .pairing import (
+    SLOPE_SIGN,
+    _rueck_from_trace,
+    _semaev_from_trace,
+    _trace,
     lifted_pairing,
     rueck_slope_sum,
     semaev_coefficient,
@@ -48,18 +57,32 @@ DEFAULT_SEED = 0xD0A1
 
 @dataclass(frozen=True)
 class DlpInstance:
-    """An anomalous-curve discrete-log instance Q = n*P with n unknown."""
+    """An anomalous-curve discrete-log instance Q = n*P with n unknown.
+
+    The checks run in order: Q on the curve, P != infinity, then p*P =
+    infinity as P's `pairing._trace`, kept as `trace` and left out of the
+    constructor, equality, hash and repr.
+    """
 
     curve: Curve
     P: Point
     Q: Point
+    trace: ChainTrace = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.curve._require_on_curve(self.Q)
+        curve = self.curve
+        curve._require_on_curve(self.Q)
         if self.P.is_infinity:
             raise BadTorsionError("the base point must generate, not be the identity")
-        if not self.curve.mul(self.curve.p, self.P).is_infinity:
+        try:
+            trace = _trace(curve, self.P)
+        except BadTorsionError:
+            trace = None
+        # Hasse: for p >= 7 only p lies in [p+1-2*sqrt(p), p+1+2*sqrt(p)], so a point
+        # of order p makes #E = p; below 7 the interval also holds 2p, so count
+        if trace is None or (curve.p < 7 and count_points(curve) != curve.p):
             raise BadTorsionError("the curve is not anomalous: p*P != infinity")
+        object.__setattr__(self, "trace", trace)
 
 
 @dataclass(frozen=True)
@@ -81,7 +104,7 @@ class AttackResult:
 
 def attack_semaev(inst: DlpInstance, seed: int = DEFAULT_SEED) -> AttackResult:
     """n = c(Q)/c(P) from the logarithmic-derivative invariant; deterministic, seed unused."""
-    cp = semaev_coefficient(inst.curve, inst.P)
+    cp = _semaev_from_trace(inst.curve, inst.P, inst.trace)
     if inst.Q.is_infinity:
         return AttackResult(0, "semaev")
     cq = semaev_coefficient(inst.curve, inst.Q)
@@ -90,7 +113,7 @@ def attack_semaev(inst: DlpInstance, seed: int = DEFAULT_SEED) -> AttackResult:
 
 def attack_rueck(inst: DlpInstance, seed: int = DEFAULT_SEED) -> AttackResult:
     """n = slope_sum(Q)/slope_sum(P); deterministic, no auxiliary points."""
-    sp = rueck_slope_sum(inst.curve, inst.P)
+    sp = _rueck_from_trace(inst.trace)
     sq = rueck_slope_sum(inst.curve, inst.Q)
     return AttackResult(int(sq / sp), "rueck")
 
@@ -98,10 +121,8 @@ def attack_rueck(inst: DlpInstance, seed: int = DEFAULT_SEED) -> AttackResult:
 def attack_pairing(inst: DlpInstance, seed: int = DEFAULT_SEED) -> AttackResult:
     """n = b/a from e_p(P, O_1) = 1 + a*eps, e_p(Q, O_1) = 1 + b*eps."""
     dc = DualCurve.canonical(inst.curve)
-    one = dc.field.one()
-    o1 = DualPoint.infinity(one)
-    a = lifted_pairing(dc, dc.embed(inst.P), o1).a
-    b = lifted_pairing(dc, dc.embed(inst.Q), o1).a
+    a = SLOPE_SIGN * _rueck_from_trace(inst.trace)  # lifted_pairing(dc, dc.embed(P), O_1).a, as embed(P) = P + O_0
+    b = lifted_pairing(dc, dc.embed(inst.Q), DualPoint.infinity(dc.field.one())).a
     return AttackResult(int(b / a), "pairing")
 
 

@@ -43,12 +43,16 @@ caller's R in `_check_eval_point`; T on the curve.  Below that everything
 is plain ints, and the walk inverts nothing.  Without a caller's R the
 evaluation point comes from the chain, not from a search: P has order p,
 so every line of the walk meets E only at multiples of P, and S = sP is
-taken for the smallest s on none of them (`_evaluate`).  Nothing is drawn
-at random, and the routes are deterministic.  Rueck inverts the Z of
-every chord step in one batch and sums the slopes N/Z; semaev inverts the
-re parts of the step values in one batch; direct multiplies them as dual
-numbers into one fraction, whose reduction mod eps is f_P(R), and divides
-once.  No evaluation reads an affine multiple of the walk.
+taken for the smallest s on none of them (`_evaluate`); on the default
+chain s depends only on p and is found once per p (`_default_multiple`).
+Nothing is drawn at random, and the routes are deterministic.  Rueck
+inverts the Z of every chord step in one batch and sums the slopes N/Z;
+semaev inverts the re parts of the step values in one batch; direct
+multiplies them as dual numbers into one fraction, whose reduction mod eps
+is f_P(R), and divides once.  No evaluation reads an affine multiple of
+the walk.  The rueck and semaev values start from a checked trace
+(`_rueck_from_trace`, `_semaev_from_trace`), so `dlp.DlpInstance`, whose
+p-torsion check is P's `_trace`, hands its walk to the attacks instead of P.
 
 The scalar prefactors of the last two routes depend on orientation
 conventions (line written as y - m*x - b, uniformizer -x/y); the signs
@@ -72,6 +76,7 @@ T at infinity, the divisor (P) - (infinity).
 
 from __future__ import annotations
 
+import functools
 import operator
 
 from .curve import INFINITY, Curve, Point, jacobian_mul
@@ -85,6 +90,8 @@ from .errors import (
 )
 from .fields import DualNumber, Fp, FpElement, json_int
 from .miller import (
+    _CHAINS_KEPT,
+    _default_chain,
     chain_for,
     chain_trace,
     difference,
@@ -218,11 +225,15 @@ def rueck_slope_sum(curve: Curve, P: Point, chain=None) -> FpElement:
     is ever evaluated, so the computation is total.
     """
     trace = _trace(curve, P, chain)
-    if trace is None:
-        return curve.field.zero()
-    zinv = iter(batch_inverse([trace.jac[k][2] for k, _, _, N in trace.steps if N is not None], curve.p))
+    return curve.field.zero() if trace is None else _rueck_from_trace(trace)
+
+
+def _rueck_from_trace(trace) -> FpElement:
+    """`rueck_slope_sum` on a checked `_trace` of P: the chord steps' Z inverted in one batch."""
+    p = trace.field.p
+    zinv = iter(batch_inverse([trace.jac[k][2] for k, _, _, N in trace.steps if N is not None], p))
     slopes = [0 if N is None else N * next(zinv) for *_, N in trace.steps]
-    return curve.field(fold_trace(trace, curve.p, 0, operator.add, slopes))
+    return trace.field(fold_trace(trace, p, 0, operator.add, slopes))
 
 
 # -- the evaluation point --------------------------------------------------------
@@ -246,9 +257,16 @@ def _evaluation_multiple(p: int, steps) -> int | None:
     return next((s for s in range(1, p) if s not in excluded), None)
 
 
+@functools.lru_cache(maxsize=_CHAINS_KEPT)
+def _default_multiple(p: int) -> int | None:
+    """`_evaluation_multiple` of the default chain for p, found once per p like the chain itself."""
+    return _evaluation_multiple(p, _default_chain(p))
+
+
 def _evaluate(curve: Curve, P: Point, trace, chain, R: tuple | None, T: tuple | None, evaluate):
     """evaluate(trace, S) on the int pairs of `_boundary`: S = R - T at a caller's R,
-    else S = sP for the first rung with an `_evaluation_multiple` s.
+    else S = sP for the first rung with an `_evaluation_multiple` s (kept per p
+    for the default chain, `_default_multiple`).
 
     The value depends on neither R nor T, so without a caller's R the point
     R = sP + T is taken, O included, and no line vanishes at S.  The rungs are P's trace
@@ -258,7 +276,7 @@ def _evaluate(curve: Curve, P: Point, trace, chain, R: tuple | None, T: tuple | 
     p, a = curve.p, curve.A.value
     if R is not None:
         return evaluate(trace, difference(p, a, R, T))
-    s = _evaluation_multiple(p, trace.steps)
+    s = _default_multiple(p) if chain is None else _evaluation_multiple(p, trace.steps)
     if s is None and chain is None:
         trace = chain_trace(curve, P, tail_chain(p, 3))
         s = _evaluation_multiple(p, trace.steps)
@@ -301,8 +319,11 @@ def semaev_coefficient(curve: Curve, P: Point, rng=None, R: Point | None = None,
     R the point is chosen from P's chain (`_evaluate`); rng is accepted, unused.
     """
     trace, R, T = _boundary(curve, P, R, T, chain)
-    if trace is None:
-        return curve.field.zero()
+    return curve.field.zero() if trace is None else _semaev_from_trace(curve, P, trace, chain, R, T)
+
+
+def _semaev_from_trace(curve: Curve, P: Point, trace, chain=None, R: tuple | None = None, T: tuple | None = None) -> FpElement:
+    """`semaev_coefficient` on the checked `_boundary` values of P != infinity: `_evaluate` of the log derivative."""
     p, a = curve.p, curve.A.value
     return _evaluate(curve, P, trace, chain, R, T, lambda tr, S: _log_derivative_value(tr, eval_point(p, a, S, 1)))
 

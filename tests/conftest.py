@@ -1,10 +1,25 @@
 import random
+from dataclasses import replace
 
 import pytest
 
-from dualpair import INFINITY, Curve, Point, count_points, find_anomalous
+from dualpair import (
+    INFINITY,
+    Curve,
+    DualCurve,
+    DualPoint,
+    Point,
+    attack_pairing,
+    attack_rueck,
+    attack_semaev,
+    count_points,
+    find_anomalous,
+    lifted_pairing,
+    miller,
+)
 from dualpair.fields import Fp
 from dualpair.miller import ChainStep
+from dualpair.pairing import SLOPE_SIGN, _rueck_from_trace, _semaev_from_trace, rueck_slope_sum, semaev_coefficient
 
 SEED = 0x5EED
 
@@ -46,6 +61,25 @@ def trace_points(trace) -> dict:
         zi = pow(Z, -1, p) if Z else None
         out[k] = INFINITY if zi is None else Point(f(X * zi * zi), f(Y * zi * zi * zi))
     return out
+
+
+def count_walks(monkeypatch) -> list:
+    """The start points of every chain walk from now on, appended as each walk begins."""
+    walks, walk = [], miller._walk
+    monkeypatch.setattr(miller, "_walk", lambda curve, start, chain: walks.append(start) or walk(curve, start, chain))
+    return walks
+
+
+def check_attack_cores(inst) -> None:
+    """The attacks' values of P, read from the instance's trace, equal the public functions of P:
+    with Q = P, each attack divides the public function's value by its own, so n = 1."""
+    c, P = inst.curve, inst.P
+    dc = DualCurve.canonical(c)
+    assert _rueck_from_trace(inst.trace) == rueck_slope_sum(c, P)
+    assert _semaev_from_trace(c, P, inst.trace) == semaev_coefficient(c, P)
+    assert SLOPE_SIGN * _rueck_from_trace(inst.trace) == lifted_pairing(dc, dc.embed(P), DualPoint.infinity(dc.field.one())).a
+    same = replace(inst, Q=P)
+    assert [attack(same).n for attack in (attack_semaev, attack_rueck, attack_pairing)] == [1, 1, 1]
 
 
 def mul_below_2_32(add, mul, n: int, P, zero):

@@ -129,6 +129,15 @@ def test_dlp_q_equals_p(capsys, anomalous, curve_flag):
     assert json.loads(out)["n"] == "1"
 
 
+def test_dlp_on_a_p5_curve_with_ten_points_is_bad_torsion(capsys):
+    # P = (1, 2) has order 5 on y^2 = x^3 + 3x over F_5, but #E = 10
+    curve = json.dumps({"p": "5", "A": "3", "B": "0"})
+    for method in ("semaev", "rueck", "pairing", "lift"):
+        code, out, err = run_cli(capsys, "dlp", "--curve", curve, "--p-point", "1,2", "--q-point", "0,0", "--method", method)
+        assert (code, out) == (3, "")
+        assert json.loads(err) == {"error": "BadTorsion", "message": "the curve is not anomalous: p*P != infinity"}
+
+
 def test_dlp_malformed_point_is_usage(capsys, anomalous, curve_flag):
     code, _, err = run_cli(capsys, "dlp", "--curve", curve_flag, "--p-point", "zork", "--q-point", "inf")
     assert code == 64

@@ -18,7 +18,7 @@ from dualpair.miller import Vertical, binary_chain, eval_line, h_eval, line_thro
 from dualpair.pairing import lifted_pairing, pairing_direct, pairing_rueck, pairing_semaev, theta_pairing
 from dualpair.poly import Polynomial
 
-from conftest import mul_below_2_32, power_of_two_chain
+from conftest import check_attack_cores, count_walks, mul_below_2_32, power_of_two_chain
 
 P = 93651552868343116064426439039116612662436119053208978779440343948595872250883
 A = 74483106374822595232526290697776955099949194100797784292420390508824787287240
@@ -83,6 +83,22 @@ def test_attacks_recover_n_at_256_bits(crypto256, method):
     result = solve(inst, method)
     assert result.n == n
     assert result.verify(inst)
+
+
+def test_solve_walks_p_once_at_256_bits(crypto256, monkeypatch):
+    # construction walks P, and semaev, rueck and pairing then walk only Q
+    curve, G_ = crypto256
+    walks = count_walks(monkeypatch)
+    inst, n = _instance(curve, G_)
+    assert walks == [{1: G_}]
+    for method in ("semaev", "rueck", "pairing"):
+        walks.clear()
+        assert solve(inst, method).n == n
+        assert walks == [{1: inst.Q}]
+
+
+def test_attack_cores_at_256_bits(crypto256):
+    check_attack_cores(_instance(*crypto256)[0])
 
 
 def test_lift_attack_is_pinned_at_256_bits(crypto256):

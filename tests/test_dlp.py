@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -10,6 +11,7 @@ from dualpair import (
     INFINITY,
     attack_lift,
     canonical_witness,
+    count_points,
     find_anomalous,
     solve,
     torsion_preserving_lifts,
@@ -17,6 +19,8 @@ from dualpair import (
 from dualpair.dlp import LIFT_RETRY_BUDGET
 from dualpair.errors import BadInputError, BadTorsionError, DualPairError, LiftDegenerateError, WitnessInconsistentError
 from dualpair.fields import Fp
+
+from conftest import check_attack_cores, count_walks
 
 METHODS = ("semaev", "rueck", "pairing", "lift")
 
@@ -35,6 +39,78 @@ def test_instance_validation():
     anom = find_anomalous(5, 100, 1, seed=50)[0]
     with pytest.raises(BadTorsionError):
         DlpInstance(anom, INFINITY, INFINITY)
+
+
+def test_p5_curves_with_ten_points_are_not_instances():
+    # Hasse leaves both 5 and 10 for #E over F_5, so a point P != O with 5P = O
+    # does not make the curve anomalous; y^2 = x^3 + 3x has 10 points
+    f = Fp(5)
+    tens = [Curve(f, a, b) for a in range(5) for b in range(5) if (4 * a**3 + 27 * b**2) % 5]
+    tens = [c for c in tens if count_points(c) == 10]
+    assert Curve(f, 3, 0) in tens
+    fifths = 0
+    for c in tens:
+        for P in list(c.points())[1:]:
+            fifths += c.mul(5, P).is_infinity
+            for Q in (P, INFINITY):
+                with pytest.raises(BadTorsionError, match=r"^the curve is not anomalous: p\*P != infinity$"):
+                    DlpInstance(c, P, Q)
+    assert fifths  # some P does have 5P = O
+    c = Curve(f, 3, 0)
+    with pytest.raises(BadTorsionError, match="not anomalous"):
+        DlpInstance(c, c.point(1, 2), c.point(0, 0))
+
+
+DESK = Curve(Fp(1511), 1301, 497)  # the README's curve
+
+
+@pytest.mark.parametrize("method", ("semaev", "rueck", "pairing"))
+def test_solve_walks_p_once_at_construction(method, monkeypatch):
+    # the instance check is P's walk and the attack reads P from it, so solve
+    # walks only Q, once, and Q = O not at all
+    walks = count_walks(monkeypatch)
+    P = DESK.random_point(random.Random(7))
+    for n in (0, 1, 2, 1000):
+        Q = DESK.mul(n, P)
+        inst = DlpInstance(DESK, P, Q)
+        assert walks == [{1: P}]
+        walks.clear()
+        assert solve(inst, method).n == n
+        assert walks == ([] if Q.is_infinity else [{1: Q}])
+        walks.clear()
+
+
+def test_instance_trace_is_out_of_view():
+    P = DESK.random_point(random.Random(8))
+    Q = DESK.mul(5, P)
+    a, b = DlpInstance(DESK, P, Q), DlpInstance(DESK, P, Q)
+    assert a.trace is not b.trace and a.trace.jac[1] == (P.x.value, P.y.value, 1)
+    object.__setattr__(b, "trace", None)
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)  # hash(trace) would raise: it holds lists
+    assert "trace" not in repr(a)
+    assert [f.name for f in dataclasses.fields(DlpInstance) if f.init] == ["curve", "P", "Q"]
+    with pytest.raises(TypeError):
+        DlpInstance(DESK, P, Q, a.trace)
+    other = dataclasses.replace(a, Q=DESK.mul(6, P))
+    assert other != a and other.trace is not a.trace and other.trace.jac[1] == a.trace.jac[1]
+    P3 = DESK.mul(3, P)
+    moved = dataclasses.replace(a, P=P3)  # Q = 5P = (5/3)*(3P): the trace must be 3P's
+    assert moved.trace.jac[1] == (P3.x.value, P3.y.value, 1)
+    for method in METHODS:
+        assert solve(moved, method).n == 5 * pow(3, -1, DESK.p) % DESK.p
+    with pytest.raises(BadTorsionError, match="the base point must generate"):
+        dataclasses.replace(a, P=INFINITY)
+
+
+def test_attack_cores_equal_the_public_functions(tiny_anomalous_all, small_pool):
+    # every affine P for p <= 13 (at p = 5 and 7 semaev takes the tail_chain rung), and desk points
+    for c in tiny_anomalous_all:
+        for P in list(c.points())[1:]:
+            check_attack_cores(DlpInstance(c, P, P))
+    rng = random.Random(9)
+    for c in [DESK] + list(small_pool[:3]):
+        for _ in range(3):
+            check_attack_cores(_random_instance(c, rng)[0])
 
 
 @pytest.mark.parametrize("method", METHODS)

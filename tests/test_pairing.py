@@ -522,17 +522,49 @@ def test_evaluation_multiple_is_the_first_nondegenerate_multiple():
 
 def test_default_chain_leaves_an_evaluation_multiple_below_2_16():
     # pure integers: for every prime 5 <= p < 2^16 the binary chain leaves
-    # some s <= 5, except p = 5 and 7, where tail_chain(p, 3) leaves 4 and 6
+    # some s <= 5, except p = 5 and 7, where tail_chain(p, 3) leaves 4 and 6;
+    # the s kept per p for the default chain is the same
     from dualpair.numbertheory import is_prime
-    from dualpair.pairing import _evaluation_multiple
+    from dualpair.pairing import _default_multiple, _evaluation_multiple
 
     misses = {}
     for p in range(5, 1 << 16):
         if not is_prime(p):
             continue
         s = _evaluation_multiple(p, binary_chain(p))
+        assert _default_multiple(p) == s, p
         if s is None:
             misses[p] = _evaluation_multiple(p, tail_chain(p, 3))
         else:
             assert s <= 5, p
     assert misses == {5: 4, 7: 6}
+
+
+def test_default_evaluation_multiple_is_kept_per_p(monkeypatch):
+    # a route asks the helper once per p for the default chain's s, and every
+    # time for a caller's chain or the tail_chain(p, 3) rung
+    from dualpair import pairing
+
+    asked, helper = [], pairing._evaluation_multiple
+    monkeypatch.setattr(pairing, "_evaluation_multiple", lambda p, steps: asked.append(p) or helper(p, steps))
+    pairing._default_multiple.cache_clear()
+    try:
+        c = Curve(Fp(1361), 686, 969)
+        dc = DualCurve.canonical(c)
+        P = c.random_point(random.Random(5))
+        want = pairing_rueck(dc, P, 3)
+        for _ in range(2):
+            assert pairing_direct(dc, P, 3) == pairing_semaev(dc, P, 3) == want
+        assert asked == [1361]
+        asked.clear()
+        for _ in range(2):
+            assert pairing_direct(dc, P, 3, chain=binary_chain(1361)) == want
+        assert asked == [1361, 1361]
+        c7, points = next(_anomalous_curves((7,)))
+        dc7, P7 = DualCurve.canonical(c7), points[1]
+        asked.clear()
+        for _ in range(2):
+            assert pairing_semaev(dc7, P7, 1) == pairing_rueck(dc7, P7, 1)
+        assert asked == [7, 7, 7]  # the default chain once, its tail_chain rung per call
+    finally:
+        pairing._default_multiple.cache_clear()
