@@ -6,7 +6,9 @@ group F_p^+ where division solves it:
 
 * semaev  - n = c(Q) / c(P) with c(X) = (y * f_X'/f_X)(R), the additive
   invariant behind Semaev's map.  c is additive in X and nonzero off the
-  identity, so the attack is total.
+  identity, so the attack is total.  c(Q) is summed from Q's step values
+  at one evaluation point; c(P) = S(P)/2, half of P's slope sum, since
+  SEMAEV_SIGN = SLOPE_SIGN and the two routes agree exactly.
 * rueck   - the same quantity computed as a chain slope sum; needs no
   auxiliary or evaluation points at all.
 * pairing - n = b/a where e_p(P, O_1) = 1 + a*eps and
@@ -22,8 +24,9 @@ group F_p^+ where division solves it:
   torsion is conjectural, so a retry budget guards the kP != 0 check.
 
 An instance is checked once, when built: its check p*P = O is P's walk
-along the default chain for p, which it keeps (`DlpInstance.trace`) for the
-semaev, rueck and pairing attacks, so those walk only Q.
+along the default chain for p, which it keeps (`DlpInstance.trace`).  The
+semaev, rueck and pairing attacks read P's slope sum S(P) off that walk and
+walk only Q.
 """
 
 from __future__ import annotations
@@ -45,7 +48,6 @@ from .miller import ChainTrace
 from .pairing import (
     SLOPE_SIGN,
     _rueck_from_trace,
-    _semaev_from_trace,
     _trace,
     lifted_pairing,
     rueck_slope_sum,
@@ -103,10 +105,10 @@ class AttackResult:
 
 
 def attack_semaev(inst: DlpInstance, seed: int = DEFAULT_SEED) -> AttackResult:
-    """n = c(Q)/c(P) from the logarithmic-derivative invariant; deterministic, seed unused."""
-    cp = _semaev_from_trace(inst.curve, inst.P, inst.trace)
+    """n = c(Q)/c(P) from the logarithmic-derivative invariant, c(P) = S(P)/2; deterministic, seed unused."""
     if inst.Q.is_infinity:
         return AttackResult(0, "semaev")
+    cp = _rueck_from_trace(inst.trace) / 2
     cq = semaev_coefficient(inst.curve, inst.Q)
     return AttackResult(int(cq / cp), "semaev")
 

@@ -29,7 +29,10 @@ end point nP is the n-torsion check.  Every evaluation reads the lines
 from that record projectively (`step_values`); no multiple is ever made
 affine.  `trace_value` checks T and `at` once and turns at - T into an int
 tuple (`eval_point`), where a memoized fold of the step values gives f_P
-with one division.  The same trace drives the Weil pairing
+with one division.  Those exact values are only for `trace_value`: a
+reading that needs only the eps/re ratio of f_P at one point of the lift
+(the pairing routes) takes each h up to a factor in F_p
+(`scaled_step_values`), which skips the scales Z_k and Z_i^3.  The same trace drives the Weil pairing
 
     e_n(P, Q) = f_P(D_Q) / f_Q(D_P)
 
@@ -160,7 +163,20 @@ def step_multiplicities(n: int, chain: list[ChainStep]) -> dict[int, int]:
         if c:
             need[i] = need.get(i, 0) + c
             need[j] = need.get(j, 0) + c
-    return {s.k: need.get(s.k, 0) for s in chain}
+    return {k: need.get(k, 0) for k, _, _ in chain}
+
+
+def chain_multiplicities(n: int, chain) -> tuple:
+    """`step_multiplicities` in chain order; for None those of the default chain, found once per n and kept."""
+    if chain is None:
+        return _default_multiplicities(n)
+    mult = step_multiplicities(n, chain)
+    return tuple(mult[k] for k, _, _ in chain)
+
+
+@functools.lru_cache(maxsize=_CHAINS_KEPT)
+def _default_multiplicities(n: int) -> tuple:
+    return chain_multiplicities(n, _default_chain(n))
 
 
 def unrolled_step_count(n: int, chain: list[ChainStep]) -> int:
@@ -269,6 +285,22 @@ def fold_trace(trace: ChainTrace, n: int, unit, op, values: list):
     return vals[n]
 
 
+def product_fold(trace: ChainTrace, n: int, values: list) -> tuple:
+    """`fold_trace` of the dual-number product on (re, eps) int pairs, inlined, with
+    a square for i = j: a doubling step costs five products instead of six."""
+    p = trace.field.p
+    vals = dict.fromkeys(trace.jac, (1, 0))
+    for (k, i, j, _), (hr, he) in zip(trace.steps, values):
+        ar, ae = vals[i]
+        if i == j:
+            r, e = ar * ar % p, 2 * ar * ae % p
+        else:
+            br, be = vals[j]
+            r, e = ar * br % p, (ar * be + ae * br) % p
+        vals[k] = r * hr % p, (r * he + e * hr) % p
+    return vals[n]
+
+
 # -- evaluation ---------------------------------------------------------------
 
 
@@ -299,6 +331,23 @@ def eval_point(p: int, a: int, S: tuple | None, k: int = 0) -> tuple:
     return x, y, -2 * y * k % p, -(3 * x * x + a) * k % p
 
 
+def _columns(trace: ChainTrace, point: tuple) -> dict:
+    """k -> (V as (re, eps), Z^2, Z^3) for each finite multiple kP = (X, Y, Z),
+    with V = Z^2*x - X at an `eval_point` tuple."""
+    x0, _, x1, _ = point
+    p = trace.field.p
+    cols = {}
+    for k, (X, _, Z) in trace.jac.items():
+        if Z:
+            zz = Z * Z % p
+            cols[k] = (((zz * x0 - X) % p, zz * x1 % p), zz, zz * Z % p)
+    return cols
+
+
+def _vanishes(k: int, i: int, j: int) -> DegenerateEvaluationError:
+    return DegenerateEvaluationError(f"line of step {k} = {i} + {j} vanishes at the evaluation point")
+
+
 def step_values(trace: ChainTrace, point: tuple) -> list:
     """Every step's h_{i,j} at an `eval_point` tuple as (numerator, denominator), each an
     (re, eps) int pair; raises DegenerateEvaluationError where a line vanishes.
@@ -308,13 +357,9 @@ def step_values(trace: ChainTrace, point: tuple) -> list:
     L = Z_k*(Z_i^3*y - Y_i) - N*Z_i*V_i is l*Z_k*Z_i^3, and a step to infinity
     has h = v_i = V_i/Z_i^2; the eps parts are the same formulas in (x1, y1).
     """
-    x0, y0, x1, y1 = point
+    _, y0, x1, y1 = point
     p, jac, one = trace.field.p, trace.jac, (1, 0)
-    cols = {}  # k -> (V as (re, eps), Z^2, Z^3) for each finite multiple
-    for k, (X, _, Z) in jac.items():
-        if Z:
-            zz = Z * Z % p
-            cols[k] = (((zz * x0 - X) % p, zz * x1 % p), zz, zz * Z % p)
+    cols = _columns(trace, point)
     out = []
     for k, i, j, N in trace.steps:
         if i not in cols or j not in cols:
@@ -327,21 +372,46 @@ def step_values(trace: ChainTrace, point: tuple) -> list:
             num = ((Zk * (zzzi * y0 - Yi) - N * Zi * Vi) * Zk % p, zzzi * (Zk * y1 - N * x1) * Zk % p)
             den = (Vk * zzzi % p, Vk1 * zzzi % p)
         if not (num[0] and den[0]):
-            raise DegenerateEvaluationError(f"line of step {k} = {i} + {j} vanishes at the evaluation point")
+            raise _vanishes(k, i, j)
         out.append((num, den))
+    return out
+
+
+def scaled_step_values(trace: ChainTrace, point: tuple) -> list:
+    """Every step's h_{i,j} at an `eval_point` tuple as one (re, eps) int pair, up to a
+    nonzero factor in F_p; raises DegenerateEvaluationError on the steps `step_values` does.
+
+    A factor leaves every eps/re ratio, so every pairing value, unchanged.
+    With L and V as in `step_values`, a chord step is (L + L_eps*eps)/(V_k + V_{k,eps}*eps)
+    up to Z_k/Z_i^3, so (L*V_k, L_eps*V_k - L*V_{k,eps}) up to V_k^2 as well;
+    a step to infinity is (V_i, V_{i,eps}), and a step without lines (1, 0).
+    """
+    _, y0, x1, y1 = point
+    p, jac, one = trace.field.p, trace.jac, (1, 0)
+    cols = _columns(trace, point)
+    out = []
+    for k, i, j, N in trace.steps:
+        if i not in cols or j not in cols:
+            out.append(one)
+            continue
+        if N is None:
+            h = cols[i][0]
+        else:
+            (_, Yi, Zi), ((Vi, _), _, zzzi) = jac[i], cols[i]
+            Zk, (Vk, Vk1) = jac[k][2], cols[k][0]
+            L = (Zk * (zzzi * y0 - Yi) - N * Zi * Vi) % p
+            h = (L * Vk % p, (zzzi * (Zk * y1 - N * x1) * Vk - L * Vk1) % p)
+        if not h[0]:
+            raise _vanishes(k, i, j)
+        out.append(h)
     return out
 
 
 def trace_fraction(trace: ChainTrace, n: int, point: tuple) -> tuple:
     """f_n at an `eval_point` tuple as (numerator, denominator), each an
     (re, eps) int pair; raises DegenerateEvaluationError where a line vanishes."""
-    p, one = trace.field.p, (1, 0)
     values = step_values(trace, point)
-
-    def mul(u, v):
-        return u[0] * v[0] % p, (u[0] * v[1] + u[1] * v[0]) % p
-
-    return tuple(fold_trace(trace, n, one, mul, [v[side] for v in values]) for side in (0, 1))
+    return tuple(product_fold(trace, n, [v[side] for v in values]) for side in (0, 1))
 
 
 def trace_value(curve: Curve, trace: ChainTrace, n: int, T: Point, at):

@@ -14,8 +14,8 @@ a-coordinates, which is how `PairingValue` stores them.
 
 Three routes compute the same value from one walk of P's chain (`_trace`):
 
-* direct: e(P, O_k) = f_P(O_k + R) / f_P(R), folded from the exact step
-  values h_{i,j} (`miller.step_values`) at (O_k + R) - T = S + O_k,
+* direct: e(P, O_k) = f_P(O_k + R) / f_P(R), folded from the step values
+  h_{i,j} (`miller.scaled_step_values`) at (O_k + R) - T = S + O_k,
   S = R - T, whose eps parts are -2*y(S)*k and -(3*x(S)^2 + A)*k.  No
   analytic conventions enter; this is the package's ground truth.
 
@@ -24,8 +24,9 @@ Three routes compute the same value from one walk of P's chain (`_trace`):
 
       e(P, O_k) = 1 - 2*(y * f_P'/f_P)(R) * k * eps,
 
-  with lam(P) = (f_P'/f_P)(R) the chain sum of (h'/h)(R), read from the
-  eps parts of the same step values at S + O_1.  lam is additive and
+  with lam(P) = (f_P'/f_P)(R) the chain sum of (h'/h)(R), each weighted by
+  its step's multiplicity in the unrolled product and read from the eps/re
+  ratio of the same step values at S + O_1.  lam is additive and
   injective in P and never zero for P != infinity; y(R)*lam(P) is
   independent of R, of the divisor (equivalently of T), and of the chain.
 
@@ -45,14 +46,17 @@ evaluation point comes from the chain, not from a search: P has order p,
 so every line of the walk meets E only at multiples of P, and S = sP is
 taken for the smallest s on none of them (`_evaluate`); on the default
 chain s depends only on p and is found once per p (`_default_multiple`).
-Nothing is drawn at random, and the routes are deterministic.  Rueck
-inverts the Z of every chord step in one batch and sums the slopes N/Z;
-semaev inverts the re parts of the step values in one batch; direct
-multiplies them as dual numbers into one fraction, whose reduction mod eps
-is f_P(R), and divides once.  No evaluation reads an affine multiple of
-the walk.  The rueck and semaev values start from a checked trace
-(`_rueck_from_trace`, `_semaev_from_trace`), so `dlp.DlpInstance`, whose
-p-torsion check is P's `_trace`, hands its walk to the attacks instead of P.
+Nothing is drawn at random, and the routes are deterministic.  Each fold
+inverts once.  Rueck inverts the Z of every chord step in one batch and
+sums the slopes N/Z.  Direct and semaev read only eps/re ratios, so they
+take each step value up to a scalar factor: direct multiplies them as dual
+numbers into one product f, whose ratio f_eps/f_re is the pairing's a, and
+semaev sums the multiplicity-weighted ratios h_eps/h_re as one running
+fraction.  No evaluation reads an affine multiple of the walk.  The rueck
+value starts from a checked trace (`_rueck_from_trace`), so
+`dlp.DlpInstance`, whose p-torsion check is P's `_trace`, hands its walk to
+the attacks instead of P; as SEMAEV_SIGN = SLOPE_SIGN and the routes agree
+exactly, Semaev's coefficient of P is half of that slope sum.
 
 The scalar prefactors of the last two routes depend on orientation
 conventions (line written as y - m*x - b, uniformizer -x/y); the signs
@@ -95,13 +99,14 @@ from .miller import (
     chain_for,
     chain_trace,
     difference,
+    chain_multiplicities,
     eval_point,
     fold_trace,
+    product_fold,
     require_on_curve,
-    step_values,
+    scaled_step_values,
     tail_chain,
     torsion_trace,
-    trace_fraction,
 )
 from .numbertheory import batch_inverse
 
@@ -194,28 +199,31 @@ def _boundary(curve: Curve, P: Point, R: Point | None, T: Point | None, chain) -
 def _direct_value(trace, point: tuple) -> PairingValue:
     """f_P(O_k + R) / f_P(R) at the `eval_point` tuple of (O_k + R) - T; raises on degenerate lines.
 
-    f_P(R) is the reduction mod eps of f_P(O_k + R) = (nr + ne*eps)/(dr + de*eps),
-    so the ratio is 1 + (ne/nr - de/dr)*eps, with one inversion.
+    f_P(R) is the reduction mod eps of f_P(O_k + R) = c*(fr + fe*eps) for some
+    c in F_p, so the ratio is 1 + (fe/fr)*eps, with one inversion; the step
+    values are folded up to their scalar factors, which c absorbs.
     """
     p = trace.field.p
-    (nr, ne), (dr, de) = trace_fraction(trace, p, point)
-    return PairingValue(trace.field((ne * dr - nr * de) * pow(nr * dr, -1, p)))
+    fr, fe = product_fold(trace, p, scaled_step_values(trace, point))
+    return PairingValue(trace.field(fe * pow(fr, -1, p)))
 
 
-def _log_derivative_value(trace, point: tuple) -> FpElement:
+def _log_derivative_value(trace, point: tuple, multiplicities: tuple) -> FpElement:
     """(y * f_P'/f_P)(R) at the `eval_point` tuple of S + O_1, S = R - T; raises on degenerate lines.
 
     At S + O_1 the eps part of a function g is -2*y(S)*(dg/dx)(S), so each step
-    gives y(R) * (h'/h)(R) = -(eps/re of h's numerator - eps/re of its
-    denominator)/2 from `step_values`; the re parts are inverted in one batch.
+    gives y(R) * (h'/h)(R) = -(eps/re of h)/2, a ratio its scalar factor leaves
+    alone; the steps' ratios, weighted by their `multiplicities` in chain
+    order, are summed as one running fraction and divided once.
     """
     p = trace.field.p
     if not point[1]:
         raise DegenerateEvaluationError("translated evaluation point hit the 2-torsion")
-    parts = [side for value in step_values(trace, point) for side in value]
-    ratios = [eps * inv for (_, eps), inv in zip(parts, batch_inverse([re for re, _ in parts], p))]
-    logs = [num - den for num, den in zip(ratios[::2], ratios[1::2])]
-    return trace.field(fold_trace(trace, p, 0, operator.add, logs) * ((p - 1) // 2))  # (p - 1)/2 = -1/2 mod p
+    num, den = 0, 1
+    for m, (re, eps) in zip(multiplicities, scaled_step_values(trace, point)):
+        if m:
+            num, den = (num * re + m * eps * den) % p, den * re % p
+    return trace.field(num * pow(den, -1, p) * ((p - 1) // 2))  # (p - 1)/2 = -1/2 mod p
 
 
 def rueck_slope_sum(curve: Curve, P: Point, chain=None) -> FpElement:
@@ -264,7 +272,8 @@ def _default_multiple(p: int) -> int | None:
 
 
 def _evaluate(curve: Curve, P: Point, trace, chain, R: tuple | None, T: tuple | None, evaluate):
-    """evaluate(trace, S) on the int pairs of `_boundary`: S = R - T at a caller's R,
+    """evaluate(trace, chain, S) on the int pairs of `_boundary`, with the chain walked
+    (None for the default one): S = R - T at a caller's R,
     else S = sP for the first rung with an `_evaluation_multiple` s (kept per p
     for the default chain, `_default_multiple`).
 
@@ -275,16 +284,17 @@ def _evaluate(curve: Curve, P: Point, trace, chain, R: tuple | None, T: tuple | 
     """
     p, a = curve.p, curve.A.value
     if R is not None:
-        return evaluate(trace, difference(p, a, R, T))
+        return evaluate(trace, chain, difference(p, a, R, T))
     s = _default_multiple(p) if chain is None else _evaluation_multiple(p, trace.steps)
     if s is None and chain is None:
-        trace = chain_trace(curve, P, tail_chain(p, 3))
+        chain = tail_chain(p, 3)
+        trace = chain_trace(curve, P, chain)
         s = _evaluation_multiple(p, trace.steps)
     if s is None:
         raise DegenerateEvaluationError("all evaluation configurations degenerate: lines of the chain meet E at every multiple of P")
     X, Y, Z = jacobian_mul(p, a, s, trace.jac[1])
     zi = pow(Z, -1, p)
-    return evaluate(trace, (X * zi * zi % p, Y * zi * zi * zi % p))
+    return evaluate(trace, chain, (X * zi * zi % p, Y * zi * zi * zi % p))
 
 
 # -- public pairing surface -------------------------------------------------------
@@ -303,7 +313,7 @@ def pairing_direct(dc: DualCurve, P: Point, k, R: Point | None = None, chain=Non
     if trace is None or k.is_zero():
         return PairingValue(curve.field.zero())
     p, a = curve.p, curve.A.value
-    return _evaluate(curve, P, trace, chain, R, T, lambda tr, S: _direct_value(tr, eval_point(p, a, S, k.value)))
+    return _evaluate(curve, P, trace, chain, R, T, lambda tr, _, S: _direct_value(tr, eval_point(p, a, S, k.value)))
 
 
 def semaev_log_derivative(curve: Curve, P: Point, R: Point, T: Point | None = None, chain=None) -> FpElement:
@@ -319,13 +329,13 @@ def semaev_coefficient(curve: Curve, P: Point, rng=None, R: Point | None = None,
     R the point is chosen from P's chain (`_evaluate`); rng is accepted, unused.
     """
     trace, R, T = _boundary(curve, P, R, T, chain)
-    return curve.field.zero() if trace is None else _semaev_from_trace(curve, P, trace, chain, R, T)
-
-
-def _semaev_from_trace(curve: Curve, P: Point, trace, chain=None, R: tuple | None = None, T: tuple | None = None) -> FpElement:
-    """`semaev_coefficient` on the checked `_boundary` values of P != infinity: `_evaluate` of the log derivative."""
+    if trace is None:
+        return curve.field.zero()
     p, a = curve.p, curve.A.value
-    return _evaluate(curve, P, trace, chain, R, T, lambda tr, S: _log_derivative_value(tr, eval_point(p, a, S, 1)))
+    return _evaluate(
+        curve, P, trace, chain, R, T,
+        lambda tr, ch, S: _log_derivative_value(tr, eval_point(p, a, S, 1), chain_multiplicities(p, ch)),
+    )
 
 
 def pairing_semaev(dc: DualCurve, P: Point, k, R: Point | None = None, T: Point | None = None, chain=None, rng=None) -> PairingValue:

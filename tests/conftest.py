@@ -1,3 +1,4 @@
+import operator
 import random
 from dataclasses import replace
 
@@ -17,9 +18,11 @@ from dualpair import (
     lifted_pairing,
     miller,
 )
+from dualpair.errors import DegenerateEvaluationError
 from dualpair.fields import Fp
-from dualpair.miller import ChainStep
-from dualpair.pairing import SLOPE_SIGN, _rueck_from_trace, _semaev_from_trace, rueck_slope_sum, semaev_coefficient
+from dualpair.miller import ChainStep, fold_trace, step_values, trace_fraction
+from dualpair.numbertheory import batch_inverse
+from dualpair.pairing import SLOPE_SIGN, PairingValue, _rueck_from_trace, rueck_slope_sum, semaev_coefficient
 
 SEED = 0x5EED
 
@@ -72,14 +75,36 @@ def count_walks(monkeypatch) -> list:
 
 def check_attack_cores(inst) -> None:
     """The attacks' values of P, read from the instance's trace, equal the public functions of P:
-    with Q = P, each attack divides the public function's value by its own, so n = 1."""
+    with Q = P, each attack divides the public function's value by its own, so n = 1.
+    Semaev's attack takes c(P) as half of P's slope sum, which is Semaev's own route's c(P)."""
     c, P = inst.curve, inst.P
     dc = DualCurve.canonical(c)
     assert _rueck_from_trace(inst.trace) == rueck_slope_sum(c, P)
-    assert _semaev_from_trace(c, P, inst.trace) == semaev_coefficient(c, P)
+    assert _rueck_from_trace(inst.trace) / 2 == semaev_coefficient(c, P)
     assert SLOPE_SIGN * _rueck_from_trace(inst.trace) == lifted_pairing(dc, dc.embed(P), DualPoint.infinity(dc.field.one())).a
     same = replace(inst, Q=P)
     assert [attack(same).n for attack in (attack_semaev, attack_rueck, attack_pairing)] == [1, 1, 1]
+
+
+def direct_value_oracle(trace, point: tuple) -> PairingValue:
+    """Oracle for `pairing._direct_value`: f_P(O_k + R)/f_P(R) from the exact step values,
+    f_P(O_k + R) = (nr + ne*eps)/(dr + de*eps) with f_P(R) = nr/dr, so 1 + (ne/nr - de/dr)*eps."""
+    p = trace.field.p
+    (nr, ne), (dr, de) = trace_fraction(trace, p, point)
+    return PairingValue(trace.field((ne * dr - nr * de) * pow(nr * dr, -1, p)))
+
+
+def log_derivative_oracle(trace, point: tuple, multiplicities=None):
+    """Oracle for `pairing._log_derivative_value` (multiplicities unused): the memoized chain sum
+    of -(eps/re of h's numerator - eps/re of its denominator)/2 from the exact step values,
+    every re part inverted in one batch."""
+    p = trace.field.p
+    if not point[1]:
+        raise DegenerateEvaluationError("translated evaluation point hit the 2-torsion")
+    parts = [side for value in step_values(trace, point) for side in value]
+    ratios = [eps * inv for (_, eps), inv in zip(parts, batch_inverse([re for re, _ in parts], p))]
+    logs = [num - den for num, den in zip(ratios[::2], ratios[1::2])]
+    return trace.field(fold_trace(trace, p, 0, operator.add, logs) * ((p - 1) // 2))
 
 
 def mul_below_2_32(add, mul, n: int, P, zero):

@@ -18,7 +18,14 @@ from dualpair.miller import Vertical, binary_chain, eval_line, h_eval, line_thro
 from dualpair.pairing import lifted_pairing, pairing_direct, pairing_rueck, pairing_semaev, theta_pairing
 from dualpair.poly import Polynomial
 
-from conftest import check_attack_cores, count_walks, mul_below_2_32, power_of_two_chain
+from conftest import (
+    check_attack_cores,
+    count_walks,
+    direct_value_oracle,
+    log_derivative_oracle,
+    mul_below_2_32,
+    power_of_two_chain,
+)
 
 P = 93651552868343116064426439039116612662436119053208978779440343948595872250883
 A = 74483106374822595232526290697776955099949194100797784292420390508824787287240
@@ -122,6 +129,22 @@ def test_caller_r_t_and_chains_at_256_bits(crypto256):
         assert pairing_direct(dc, P_, k, R=R, T=T, chain=chain).a.value == expect
         assert pairing_semaev(dc, P_, k, R=R, T=T, chain=chain).a.value == expect
         assert pairing_rueck(dc, P_, k, chain=chain).a.value == expect
+
+
+def test_scaled_routes_match_the_exact_oracle_at_256_bits(crypto256, monkeypatch):
+    # the pinned value A_G*m*k by direct and semaev on the default chain, and
+    # by the exact oracle (conftest) in place of their folds
+    from dualpair import pairing
+
+    curve, G_ = crypto256
+    dc = DualCurve.canonical(curve)
+    m, k = 11, 0xBEEF
+    P_ = curve.mul(m, G_)
+    routes = (pairing_direct, pairing_semaev)
+    assert [route(dc, P_, k).a.value for route in routes] == [A_G * m * k % P] * 2
+    monkeypatch.setattr(pairing, "_direct_value", direct_value_oracle)
+    monkeypatch.setattr(pairing, "_log_derivative_value", log_derivative_oracle)
+    assert [route(dc, P_, k).a.value for route in routes] == [A_G * m * k % P] * 2
 
 
 def test_window_mul_at_256_bits(crypto256):

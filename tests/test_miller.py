@@ -11,6 +11,7 @@ from dualpair.miller import (
     Chord,
     Vertical,
     binary_chain,
+    chain_multiplicities,
     chain_trace,
     eval_line,
     h_eval,
@@ -45,6 +46,16 @@ def test_unrolled_count_is_n_minus_1(maker):
         chain = maker(n)
         validate_chain(n, chain)
         assert unrolled_step_count(n, chain) == n - 1
+
+
+def test_chain_multiplicities_in_chain_order_and_kept_for_the_default_chain():
+    for n in (2, 11, 1361, 2**32 + 15):
+        chain = binary_chain(n)
+        mult = step_multiplicities(n, chain)
+        assert chain_multiplicities(n, None) == chain_multiplicities(n, chain) == tuple(mult[s.k] for s in chain)
+        assert chain_multiplicities(n, None) is chain_multiplicities(n, None)
+    plain = [tuple(s) for s in incremental_chain(7)]  # a caller's chain of plain (k, i, j) tuples
+    assert chain_multiplicities(7, plain) == (1,) * 6
 
 
 def test_binary_chain_below_2_32_is_the_power_of_two_chain():

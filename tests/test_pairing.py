@@ -414,27 +414,32 @@ def test_default_evaluation_point_draws_and_lists_no_point(monkeypatch):
 def test_degenerate_ladder_is_linear_in_p(monkeypatch):
     # every line of incremental_chain(p) meets E, and together they meet
     # every multiple of P: the chain's integers say so, and without a
-    # caller's R no step value is ever computed on such a chain
+    # caller's R no step value, exact or scaled, is ever computed on such a
+    # chain; with a caller's R each route reads the scaled values once
     from dualpair import miller, pairing
 
     c = Curve(Fp(1361), 686, 969)
     dc = DualCurve.canonical(c)
     P = c.random_point(random.Random(1))
-    real_step_values = miller.step_values
     calls = []
 
-    def counting_step_values(*args):
-        calls.append(args)
-        return real_step_values(*args)
+    def counting(name, real):
+        return lambda *args: calls.append(name) or real(*args)
 
-    monkeypatch.setattr(miller, "step_values", counting_step_values)
-    monkeypatch.setattr(pairing, "step_values", counting_step_values)
+    for name in ("step_values", "scaled_step_values"):
+        wrapped = counting(name, getattr(miller, name))
+        monkeypatch.setattr(miller, name, wrapped)
+        if hasattr(pairing, name):
+            monkeypatch.setattr(pairing, name, wrapped)
     chain = incremental_chain(c.p)
-    for route in (lambda: pairing_direct(dc, P, 1, chain=chain), lambda: semaev_coefficient(c, P, chain=chain)):
+    for route in (pairing_direct, pairing_semaev):
         calls.clear()
         with pytest.raises(DegenerateEvaluationError, match="all evaluation configurations degenerate: line"):
-            route()
-        assert len(calls) == 0
+            route(dc, P, 1, chain=chain)
+        assert calls == []
+        with pytest.raises(DegenerateEvaluationError, match="line of step"):
+            route(dc, P, 1, R=P, chain=chain)
+        assert calls == ["scaled_step_values"]
 
 
 def _anomalous_curves(primes):
@@ -447,6 +452,45 @@ def _anomalous_curves(primes):
                 points = list(c.points())
                 if len(points) == p:
                     yield c, points
+
+
+def test_scaled_routes_match_the_exact_oracle(monkeypatch):
+    # direct and semaev fold each step value up to a scalar factor; the oracle
+    # (conftest) folds the exact step values as numerator and denominator, or
+    # batch-inverts them ratio by ratio.  Over a sample of every anomalous curve
+    # with p <= 13, every P, every T at p <= 7 (T = O above), no R and every
+    # caller R, on the default, tail and incremental chains, both give the
+    # same value or the same DegenerateEvaluationError
+    from conftest import direct_value_oracle, log_derivative_oracle
+    from dualpair import pairing
+
+    cases = []
+    for c, points in _anomalous_curves((5, 7, 11, 13)):
+        p = c.p
+        dc = DualCurve.canonical(c)
+        for chain in (None, tail_chain(p, 3), incremental_chain(p)):
+            for P in _affine(c):
+                for T in points if p <= 7 else [INFINITY]:
+                    for R in [None] + _affine(c):
+                        for route in (pairing_direct, pairing_semaev):
+                            cases.append((route, dc, P, 1 + len(cases) % (p - 1), R, T, chain))
+    sample = random.Random(16).sample(cases, 2500)
+
+    def outcomes():
+        out = []
+        for route, dc, P, k, R, T, chain in sample:
+            try:
+                out.append(route(dc, P, k, R=R, T=T, chain=chain))
+            except DegenerateEvaluationError as exc:
+                out.append(str(exc))
+        return out
+
+    scaled = outcomes()
+    monkeypatch.setattr(pairing, "_direct_value", direct_value_oracle)
+    monkeypatch.setattr(pairing, "_log_derivative_value", log_derivative_oracle)
+    assert scaled == outcomes()
+    kinds = {(case[4] is None, type(out).__name__) for case, out in zip(sample, scaled)}
+    assert kinds == {(True, "PairingValue"), (True, "str"), (False, "PairingValue"), (False, "str")}
 
 
 def test_retry_ladder_outcomes_on_tiny_anomalous_curves(monkeypatch):
