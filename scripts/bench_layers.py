@@ -4,7 +4,9 @@ Times, on the pinned 256-bit curve of `tests/test_crypto256.py` and on one
 desk-size curve (p = 1511):
 
 * `pair.direct`, `pair.semaev`, `pair.rueck`: e(P, O_k) by each route
-* `solve.semaev`: `DlpInstance` construction and the semaev attack
+* `instance`: `DlpInstance` construction alone, whose check p*P = O walks P
+* `solve.semaev`, `solve.lift`: `DlpInstance` construction and the semaev
+  or the lift attack
 * `miller.step_values` and `miller.scaled_step_values`: the exact and the
   scaled step readings of P's default-chain walk at the routes' evaluation
   point (a side without the scaled reading leaves it out)
@@ -45,7 +47,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-#: (name, p, A, B, G, n for solve.semaev, scalar for Curve.mul)
+#: (name, p, A, B, G, n for solve.*, scalar for Curve.mul)
 CURVES = [
     (
         "crypto-256",
@@ -87,14 +89,16 @@ def _operations(p: int, a: int, b: int, G: tuple, n: int, scalar: int) -> tuple[
         "pair.direct": lambda: pairing.pairing_direct(dc, P, K),
         "pair.semaev": lambda: pairing.pairing_semaev(dc, P, K),
         "pair.rueck": lambda: pairing.pairing_rueck(dc, P, K),
+        "instance": lambda: DlpInstance(curve, P, Q),
         "solve.semaev": lambda: solve(DlpInstance(curve, P, Q), "semaev"),
+        "solve.lift": lambda: solve(DlpInstance(curve, P, Q), "lift"),
         "miller.step_values": lambda: miller.step_values(trace, point),
         "curve.mul": lambda: curve.mul(scalar, P),
     }
     if hasattr(miller, "scaled_step_values"):
         ops["miller.scaled_step_values"] = lambda: miller.scaled_step_values(trace, point)
     values = {f"{op}.a": str(ops[op]().a.value) for op in ("pair.direct", "pair.semaev", "pair.rueck")}
-    values["solve.semaev.n"] = str(ops["solve.semaev"]().n)
+    values.update({f"{op}.n": str(ops[op]().n) for op in ("solve.semaev", "solve.lift")})
     return ops, values
 
 

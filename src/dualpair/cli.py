@@ -3,7 +3,7 @@
 Subcommands: find-anomalous | pair | dlp | selfcheck.  Every invocation
 writes a single JSON document to stdout; errors go to stderr as JSON with
 a machine-readable code.  Exit status: 0 success, 2 search exhaustion,
-3 mathematical degeneracy, 4 lift degeneracy, 64 usage errors.
+3 mathematical degeneracy, 64 usage errors.
 
 Curve and point flags accept inline values or "@path" to read the same
 format from a file.

@@ -2,31 +2,32 @@
 
 Given a generator P and a target Q = n*P, all four attacks recover n in
 time polynomial in log p, by transporting the problem into the additive
-group F_p^+ where division solves it:
+group F_p^+ where division solves it.  All four read one additive
+invariant, Rueck's slope sum S(P) (`pairing.rueck_slope_sum`), which is
+nonzero off the identity:
 
 * semaev  - n = c(Q) / c(P) with c(X) = (y * f_X'/f_X)(R), the additive
-  invariant behind Semaev's map.  c is additive in X and nonzero off the
-  identity, so the attack is total.  c(Q) is summed from Q's step values
-  at one evaluation point; c(P) = S(P)/2, half of P's slope sum, since
-  SEMAEV_SIGN = SLOPE_SIGN and the two routes agree exactly.
-* rueck   - the same quantity computed as a chain slope sum; needs no
-  auxiliary or evaluation points at all.
+  invariant behind Semaev's map.  c(Q) is summed from Q's step values
+  at one evaluation point; c(P) = S(P)/2, since SEMAEV_SIGN = SLOPE_SIGN
+  and the two routes agree exactly.
+* rueck   - n = S(Q) / S(P); needs no auxiliary or evaluation points at all.
 * pairing - n = b/a where e_p(P, O_1) = 1 + a*eps and
-  e_p(Q, O_1) = 1 + b*eps; bilinearity forces b = n*a, and
-  non-degeneracy gives a != 0.
-* lift    - lift P, Q to a random non-canonical lift of E over the dual
-  numbers; then p*Pt = O_{kP} and p*Qt = O_{kQ} with kP generically
-  nonzero, and n*Pt - Qt lying in the kernel of reduction forces
-  n*kP = kQ, so n = kQ/kP.  Lifts reachable from the canonical one by a
-  coordinate change mu = 1 + k*eps provably keep p-torsion p-torsion and
-  are rejected up front (for A*B != 0 those are exactly the lifts whose
-  j-value stays in F_p); whether any other lift can still preserve
-  torsion is conjectural, so a retry budget guards the kP != 0 check.
+  e_p(Q, O_1) = 1 + b*eps, with a = -S(P); bilinearity forces b = n*a.
+* lift    - Smart's attack: lift P, Q to one lift y^2 = x^3 + (A + A1*eps)x
+  + (B + B1*eps) of E off the scaling family (`has_scaling_witness`); then
+  p*Pt = O_kP and p*Qt = O_kQ, and n*Pt - Qt lying in the kernel of
+  reduction forces n*kP = kQ, so n = kQ/kP.  The attack walks its own two
+  dual points; by the lift identity, tested exhaustively at small p, their
+  k is a multiple of S:
 
-An instance is checked once, when built: its check p*P = O is P's walk
-along the default chain for p, which it keeps (`DlpInstance.trace`).  The
-semaev, rueck and pairing attacks read P's slope sum S(P) off that walk and
-walk only Q.
+      k = -3*(6B*A1 - 4A*B1) / (4*(4A^3 + 27B^2)) * S(P),
+
+  so kP != 0 exactly off the scaling lifts, which `random_lift_coeffs`
+  skips; one draw always serves, and kP = 0 is a broken walk.
+
+An instance is checked once, when built: its check p*P = O is S(P),
+computed along the default chain for p and kept (`DlpInstance.slope_sum`).
+The semaev, rueck and pairing attacks read it and walk only Q.
 """
 
 from __future__ import annotations
@@ -36,23 +37,9 @@ from dataclasses import dataclass, field
 
 from .curve import Curve, Point, count_points
 from .dual_curve import DualCurve, DualPoint
-from .errors import (
-    BadInputError,
-    BadTorsionError,
-    DualPairError,
-    LiftDegenerateError,
-    WitnessInconsistentError,
-)
+from .errors import BadInputError, BadTorsionError, DualPairError, WitnessInconsistentError
 from .fields import FpElement
-from .miller import ChainTrace
-from .pairing import (
-    SLOPE_SIGN,
-    _rueck_from_trace,
-    _trace,
-    lifted_pairing,
-    rueck_slope_sum,
-    semaev_coefficient,
-)
+from .pairing import SLOPE_SIGN, lifted_pairing, rueck_slope_sum, semaev_coefficient
 
 DEFAULT_SEED = 0xD0A1
 
@@ -62,14 +49,14 @@ class DlpInstance:
     """An anomalous-curve discrete-log instance Q = n*P with n unknown.
 
     The checks run in order: Q on the curve, P != infinity, then p*P =
-    infinity as P's `pairing._trace`, kept as `trace` and left out of the
-    constructor, equality, hash and repr.
+    infinity as P's `rueck_slope_sum`, kept as `slope_sum` and left out of
+    the constructor, equality, hash and repr.
     """
 
     curve: Curve
     P: Point
     Q: Point
-    trace: ChainTrace = field(init=False, repr=False, compare=False)
+    slope_sum: FpElement = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         curve = self.curve
@@ -77,14 +64,14 @@ class DlpInstance:
         if self.P.is_infinity:
             raise BadTorsionError("the base point must generate, not be the identity")
         try:
-            trace = _trace(curve, self.P)
+            slope_sum = rueck_slope_sum(curve, self.P)
         except BadTorsionError:
-            trace = None
+            slope_sum = None
         # Hasse: for p >= 7 only p lies in [p+1-2*sqrt(p), p+1+2*sqrt(p)], so a point
         # of order p makes #E = p; below 7 the interval also holds 2p, so count
-        if trace is None or (curve.p < 7 and count_points(curve) != curve.p):
+        if slope_sum is None or (curve.p < 7 and count_points(curve) != curve.p):
             raise BadTorsionError("the curve is not anomalous: p*P != infinity")
-        object.__setattr__(self, "trace", trace)
+        object.__setattr__(self, "slope_sum", slope_sum)
 
 
 @dataclass(frozen=True)
@@ -108,14 +95,14 @@ def attack_semaev(inst: DlpInstance, seed: int = DEFAULT_SEED) -> AttackResult:
     """n = c(Q)/c(P) from the logarithmic-derivative invariant, c(P) = S(P)/2; deterministic, seed unused."""
     if inst.Q.is_infinity:
         return AttackResult(0, "semaev")
-    cp = _rueck_from_trace(inst.trace) / 2
+    cp = inst.slope_sum / 2
     cq = semaev_coefficient(inst.curve, inst.Q)
     return AttackResult(int(cq / cp), "semaev")
 
 
 def attack_rueck(inst: DlpInstance, seed: int = DEFAULT_SEED) -> AttackResult:
     """n = slope_sum(Q)/slope_sum(P); deterministic, no auxiliary points."""
-    sp = _rueck_from_trace(inst.trace)
+    sp = inst.slope_sum
     sq = rueck_slope_sum(inst.curve, inst.Q)
     return AttackResult(int(sq / sp), "rueck")
 
@@ -123,37 +110,26 @@ def attack_rueck(inst: DlpInstance, seed: int = DEFAULT_SEED) -> AttackResult:
 def attack_pairing(inst: DlpInstance, seed: int = DEFAULT_SEED) -> AttackResult:
     """n = b/a from e_p(P, O_1) = 1 + a*eps, e_p(Q, O_1) = 1 + b*eps."""
     dc = DualCurve.canonical(inst.curve)
-    a = SLOPE_SIGN * _rueck_from_trace(inst.trace)  # lifted_pairing(dc, dc.embed(P), O_1).a, as embed(P) = P + O_0
+    a = SLOPE_SIGN * inst.slope_sum  # lifted_pairing(dc, dc.embed(P), O_1).a, as embed(P) = P + O_0
     b = lifted_pairing(dc, dc.embed(inst.Q), DualPoint.infinity(dc.field.one())).a
     return AttackResult(int(b / a), "pairing")
 
 
-#: Lift resamples before concluding the instance is lift-degenerate.
-LIFT_RETRY_BUDGET = 8
-
-
 def attack_lift(inst: DlpInstance, seed: int = DEFAULT_SEED) -> AttackResult:
-    """Multiply lifted points by p and divide in the group at infinity."""
-    rng = random.Random(seed)
+    """Multiply lifted points by p on one non-scaling lift and divide in the group at infinity."""
     curve = inst.curve
     p = curve.p
-    canonical = DualCurve.canonical(curve)
-    for attempt in range(LIFT_RETRY_BUDGET):
-        a1, b1 = canonical.random_lift_coeffs(rng)
-        lift = DualCurve(curve, a1, b1)
-        pPt = lift.mul(p, lift.lift(inst.P))
-        if not pPt.is_infinity:
-            raise DualPairError("p*P~ left the kernel of reduction")
-        if pPt.k.is_zero():
-            continue  # p-torsion survived this lift; conjecturally scaling lifts only
-        pQt = lift.mul(p, lift.lift(inst.Q))
-        if not pQt.is_infinity:
-            raise DualPairError("p*Q~ left the kernel of reduction")
-        n = int(pQt.k / pPt.k)
-        return AttackResult(n, "lift", retries=attempt, lift=(a1.value, b1.value))
-    raise LiftDegenerateError(
-        f"{LIFT_RETRY_BUDGET} sampled lifts all preserved p-torsion"
-    )
+    a1, b1 = DualCurve.canonical(curve).random_lift_coeffs(random.Random(seed))
+    lift = DualCurve(curve, a1, b1)
+    pPt = lift.mul(p, lift.lift(inst.P))
+    if not pPt.is_infinity:
+        raise DualPairError("p*P~ left the kernel of reduction")
+    if pPt.k.is_zero():
+        raise DualPairError("p*P~ = O_0 on a lift off the scaling family")
+    pQt = lift.mul(p, lift.lift(inst.Q))
+    if not pQt.is_infinity:
+        raise DualPairError("p*Q~ left the kernel of reduction")
+    return AttackResult(int(pQt.k / pPt.k), "lift", lift=(a1.value, b1.value))
 
 
 _ATTACKS = {
@@ -180,38 +156,31 @@ def canonical_witness(dc: DualCurve) -> tuple[bool, FpElement | None]:
     """Decide whether a lift is a coordinate change mu = 1 + k*eps of the
     canonical lift, returning (True, k) or (False, None).
 
-    The test is whether the j-value 4A~^3/(4A~^3 + 27B~^2) has zero eps
-    part; when it does, k is solved from 4kA = A1 and 6kB = B1 (whichever
-    equations are nontrivial) and the transform mu^4 A = A~, mu^6 B = B~
-    is verified.  A zero eps part with no consistent k is reported as
-    WitnessInconsistentError; that can only happen on curves with A = 0
-    or B = 0, where the j-value is constant in the lift coefficients.
+    The witness is `has_scaling_witness`, (A1, B1) = k*(4A, 6B), and k is
+    solved from whichever of 4kA = A1 and 6kB = B1 is nontrivial.  A lift
+    without a witness whose j-value 4A~^3/(4A~^3 + 27B~^2) still lies in F_p
+    is reported as WitnessInconsistentError; that can only happen on curves
+    with A = 0 or B = 0, where the j-value is constant in the lift
+    coefficients.
     """
-    if not dc.j_value().eps.is_zero():
+    if not dc.has_scaling_witness():
+        if dc.j_value().eps.is_zero():
+            raise WitnessInconsistentError(
+                "j-value lies in F_p but no scaling mu = 1 + k*eps matches both coefficients"
+            )
         return False, None
-    f = dc.field
     A, B = dc.base.A, dc.base.B
-    if not A.is_zero():
-        k = dc.A1 / (4 * A)
-    elif not B.is_zero():
-        k = dc.B1 / (6 * B)
-    else:  # unreachable: 4A^3 + 27B^2 != 0
-        raise AssertionError("singular base curve")
-    # mu = 1 + k*eps, so mu^4 = 1 + 4k*eps and mu^6 = 1 + 6k*eps
-    if 4 * k * A != dc.A1 or 6 * k * B != dc.B1:
-        raise WitnessInconsistentError(
-            "j-value lies in F_p but no scaling mu = 1 + k*eps matches both coefficients"
-        )
-    return True, k
+    return True, (dc.A1 / (4 * A) if not A.is_zero() else dc.B1 / (6 * B))
 
 
 def torsion_preserving_lifts(curve: Curve) -> tuple[set, set]:
-    """Exhaustive probe (tiny p): compare the lifts whose j-value stays in
-    F_p with the lifts on which every lifted base point stays p-torsion.
+    """Exhaustive probe (tiny p): the lifts whose j-value stays in F_p and
+    the lifts on which every lifted base point stays p-torsion.
 
     Returns (j_in_fp, torsion_preserving) as sets of (A1, B1) value pairs.
-    The two sets coinciding is conjectural, so callers report rather than
-    assert it.  Raises BadTorsionError unless #E(F_p) = p.
+    By the lift identity (`attack_lift`) the second set is the scaling
+    lifts, `has_scaling_witness`; for A*B != 0 so is the first.  Raises
+    BadTorsionError unless #E(F_p) = p.
     """
     p = curve.p
     pts = [P for P in curve.points() if not P.is_infinity]

@@ -26,8 +26,9 @@ and every point decomposes uniquely as (embedded base point) + O_k, with
 
 (the second denominator is nonzero at 2-torsion because the curve is
 non-singular).  On the canonical lift the p-torsion of an anomalous E
-stays p-torsion; on other lifts it generally does not, which is what the
-lift attack exploits.
+stays p-torsion, and so it does on the lifts that are coordinate changes
+of it (`has_scaling_witness`); on every other lift it does not, which is
+what the lift attack exploits.
 
 The group law comes twice.  `DualCurve._add_raw` extends chord-and-tangent
 to affine points of DualNumber wrappers, one dual inversion per step; it
@@ -394,23 +395,20 @@ class DualCurve:
                     yield DualPoint.affine(DualNumber(P.x, x1), DualNumber(P.y, f(v)))
 
     def has_scaling_witness(self) -> bool:
-        """Whether some mu = 1 + k*eps carries the canonical lift to this one.
+        """Whether some mu = 1 + k*eps carries the canonical lift to this one: 6B*A1 = 4A*B1.
 
-        Equivalent to the j-value lying in F_p when A*B != 0; for A = 0 or
-        B = 0 the j-value is constant in the lift coefficients and the
-        witness condition is simply that the untouchable coefficient stays
-        untouched.
+        mu^4 A = A~ and mu^6 B = B~ ask (A1, B1) = k*(4A, 6B), a nonzero vector
+        as the base curve is non-singular.  The j-value's eps part is
+        54*A^2*B*(6B*A1 - 4A*B1)/(4A^3 + 27B^2)^2, so for A*B != 0 this is the
+        j-value lying in F_p.  On an anomalous curve these are exactly the
+        lifts that keep the p-torsion p-torsion (`dlp.attack_lift`).
         """
-        if self.base.A.is_zero():
-            return self.A1.is_zero()
-        if self.base.B.is_zero():
-            return self.B1.is_zero()
-        return self.j_value().eps.is_zero()
+        return 6 * self.base.B * self.A1 == 4 * self.base.A * self.B1
 
     def random_lift_coeffs(self, rng: random.Random):
         """Sample (A1, B1) for a lift, skipping the lifts that are coordinate
-        changes of the canonical one (those provably keep the p-torsion
-        p-torsion and are useless for the lift attack)."""
+        changes of the canonical one (those keep the p-torsion p-torsion and
+        are useless for the lift attack)."""
         while True:
             a1, b1 = self.field.random(rng), self.field.random(rng)
             if not DualCurve(self.base, a1, b1).has_scaling_witness():

@@ -94,13 +94,6 @@ class NotPTorsionError(DualPairError):
     code = "NotPTorsion"
 
 
-class LiftDegenerateError(DualPairError):
-    """Every sampled lift kept the points p-torsion; the lift attack cannot proceed."""
-
-    code = "LiftDegenerate"
-    exit_code = 4
-
-
 class WitnessInconsistentError(DualPairError):
     """The scaling-witness equations disagree although the j-value lies in F_p."""
 

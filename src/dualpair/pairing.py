@@ -52,11 +52,12 @@ sums the slopes N/Z.  Direct and semaev read only eps/re ratios, so they
 take each step value up to a scalar factor: direct multiplies them as dual
 numbers into one product f, whose ratio f_eps/f_re is the pairing's a, and
 semaev sums the multiplicity-weighted ratios h_eps/h_re as one running
-fraction.  No evaluation reads an affine multiple of the walk.  The rueck
-value starts from a checked trace (`_rueck_from_trace`), so
-`dlp.DlpInstance`, whose p-torsion check is P's `_trace`, hands its walk to
-the attacks instead of P; as SEMAEV_SIGN = SLOPE_SIGN and the routes agree
-exactly, Semaev's coefficient of P is half of that slope sum.
+fraction.  No evaluation reads an affine multiple of the walk.  The slope
+sum S(P) is the one invariant behind every reading of P:
+e(P, O_1) = 1 - S(P)*eps, and as SEMAEV_SIGN = SLOPE_SIGN and the routes
+agree exactly, Semaev's coefficient of P is S(P)/2.  So `dlp.DlpInstance`
+checks p*P = O by computing S(P) and keeps that one field element for the
+attacks.
 
 The scalar prefactors of the last two routes depend on orientation
 conventions (line written as y - m*x - b, uniformizer -x/y); the signs
@@ -230,15 +231,13 @@ def rueck_slope_sum(curve: Curve, P: Point, chain=None) -> FpElement:
     """Sum of chord/tangent slopes over a chain for p with divisor (P) - (inf).
 
     Pure slope bookkeeping: vertical steps contribute nothing and no point
-    is ever evaluated, so the computation is total.
+    is ever evaluated, so the computation is total.  The slopes N/Z take one
+    batch inversion of the chord steps' Z.
     """
     trace = _trace(curve, P, chain)
-    return curve.field.zero() if trace is None else _rueck_from_trace(trace)
-
-
-def _rueck_from_trace(trace) -> FpElement:
-    """`rueck_slope_sum` on a checked `_trace` of P: the chord steps' Z inverted in one batch."""
-    p = trace.field.p
+    if trace is None:
+        return curve.field.zero()
+    p = curve.p
     zinv = iter(batch_inverse([trace.jac[k][2] for k, _, _, N in trace.steps if N is not None], p))
     slopes = [0 if N is None else N * next(zinv) for *_, N in trace.steps]
     return trace.field(fold_trace(trace, p, 0, operator.add, slopes))

@@ -30,7 +30,7 @@ from dualpair import (
     weil_pairing,
 )
 from dualpair.dlp import attack_lift
-from dualpair.errors import LiftDegenerateError, NotRationalError
+from dualpair.errors import DualPairError, NotRationalError
 from dualpair.fields import Fp
 from dualpair.miller import binary_chain, tail_chain
 from conftest import first_anomalous_by_scan
@@ -172,8 +172,8 @@ def test_criterion_4_lift_attack(pool, rng):
         try:
             attack_lift(inst, seed=1)
             _report(4, False, "attack accepted the canonical lift")
-        except LiftDegenerateError:
-            refusals += 1
+        except DualPairError as exc:
+            refusals += type(exc) is DualPairError and str(exc) == "p*P~ = O_0 on a lift off the scaling family"
         finally:
             DualCurve.random_lift_coeffs = original
     dt = time.time() - t0
@@ -182,7 +182,8 @@ def test_criterion_4_lift_attack(pool, rng):
 
 def test_criterion_5_witness_biconditional_and_probe():
     """Exhaustive over all (A1, B1) for one anomalous p <= 13 with A*B != 0,
-    plus the reported (never asserted) torsion-preservation probe."""
+    plus the torsion-preservation probe: the lifts that keep the p-torsion
+    are exactly the scaling lifts."""
     c = first_anomalous_by_scan(5)
     assert c is not None and not c.A.is_zero() and not c.B.is_zero()
     p = c.p
@@ -195,10 +196,15 @@ def test_criterion_5_witness_biconditional_and_probe():
             transforms = found and 4 * k * c.A == lift.A1 and 6 * k * c.B == lift.B1
             if found != j_flat or (found and not transforms):
                 counterexamples += 1
-    j_in_fp, preserving = torsion_preserving_lifts(c)
-    probe = f"probe: |j in F_p|={len(j_in_fp)}, |torsion-preserving|={len(preserving)}, sets_equal={j_in_fp == preserving}"
-    print(f"[criterion 5] {probe}")
-    _report(5, counterexamples == 0, f"p={p}: {p*p} lifts, biconditional j-flat <=> witness <=> transform, {counterexamples} counterexamples; {probe}")
+    _, preserving = torsion_preserving_lifts(c)
+    scaling = {(a1, b1) for a1 in range(p) for b1 in range(p) if DualCurve(c, a1, b1).has_scaling_witness()}
+    mismatches = len(preserving ^ scaling)
+    _report(
+        5,
+        counterexamples == 0 and mismatches == 0,
+        f"p={p}: {p*p} lifts, biconditional j-flat <=> witness <=> transform, {counterexamples} counterexamples; "
+        f"torsion-preserving = the {len(scaling)} scaling lifts, {mismatches} mismatches",
+    )
 
 
 def _iso_instances(ell, rng, want):

@@ -6,7 +6,9 @@ generator (`perfbench/cm.py`) makes first for seed 1; A_G is a in
 e(G, O_1) = 1 + a*eps, as the benchmark records it from the direct route.
 """
 
+import gc
 import random
+import tracemalloc
 
 import pytest
 
@@ -102,6 +104,22 @@ def test_solve_walks_p_once_at_256_bits(crypto256, monkeypatch):
         walks.clear()
         assert solve(inst, method).n == n
         assert walks == [{1: inst.Q}]
+
+
+def test_instances_keep_one_field_element_at_256_bits(crypto256):
+    # an instance keeps S(P), not P's walk: 50 kept instances hold under 1 KB each
+    curve, G_ = crypto256
+    Q = _instance(curve, G_)[0].Q  # the first instance also fills the per-p caches
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        kept = [DlpInstance(curve, G_, Q) for _ in range(50)]
+        gc.collect()  # which also empties the free lists that the walks' tuples went back to
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(kept) == 50 and held / 50 < 1024, held / 50
 
 
 def test_attack_cores_at_256_bits(crypto256):

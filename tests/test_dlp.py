@@ -16,10 +16,11 @@ from dualpair import (
     solve,
     torsion_preserving_lifts,
 )
-from dualpair.dlp import LIFT_RETRY_BUDGET
-from dualpair.errors import BadInputError, BadTorsionError, DualPairError, LiftDegenerateError, WitnessInconsistentError
+from dualpair.errors import BadInputError, BadTorsionError, DualPairError, WitnessInconsistentError
 from dualpair.fields import Fp
+from dualpair.pairing import rueck_slope_sum
 
+import test_crypto256 as pinned
 from conftest import check_attack_cores, count_walks
 
 METHODS = ("semaev", "rueck", "pairing", "lift")
@@ -80,22 +81,22 @@ def test_solve_walks_p_once_at_construction(method, monkeypatch):
         walks.clear()
 
 
-def test_instance_trace_is_out_of_view():
+def test_instance_slope_sum_is_out_of_view():
     P = DESK.random_point(random.Random(8))
     Q = DESK.mul(5, P)
     a, b = DlpInstance(DESK, P, Q), DlpInstance(DESK, P, Q)
-    assert a.trace is not b.trace and a.trace.jac[1] == (P.x.value, P.y.value, 1)
-    object.__setattr__(b, "trace", None)
-    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)  # hash(trace) would raise: it holds lists
-    assert "trace" not in repr(a)
+    assert a.slope_sum == b.slope_sum == rueck_slope_sum(DESK, P)
+    object.__setattr__(b, "slope_sum", None)
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+    assert "slope_sum" not in repr(a)
     assert [f.name for f in dataclasses.fields(DlpInstance) if f.init] == ["curve", "P", "Q"]
     with pytest.raises(TypeError):
-        DlpInstance(DESK, P, Q, a.trace)
+        DlpInstance(DESK, P, Q, a.slope_sum)
     other = dataclasses.replace(a, Q=DESK.mul(6, P))
-    assert other != a and other.trace is not a.trace and other.trace.jac[1] == a.trace.jac[1]
+    assert other != a and other.slope_sum == a.slope_sum
     P3 = DESK.mul(3, P)
-    moved = dataclasses.replace(a, P=P3)  # Q = 5P = (5/3)*(3P): the trace must be 3P's
-    assert moved.trace.jac[1] == (P3.x.value, P3.y.value, 1)
+    moved = dataclasses.replace(a, P=P3)  # Q = 5P = (5/3)*(3P): the slope sum must be 3P's
+    assert moved.slope_sum == rueck_slope_sum(DESK, P3) == 3 * a.slope_sum
     for method in METHODS:
         assert solve(moved, method).n == 5 * pow(3, -1, DESK.p) % DESK.p
     with pytest.raises(BadTorsionError, match="the base point must generate"):
@@ -173,7 +174,8 @@ def test_lift_attack_reports_lift_and_retries(small_pool):
 
 
 def test_lift_attack_refuses_canonical(tiny_anomalous, monkeypatch):
-    # forcing the canonical lift must yield p*Pt = O_0 and a refusal
+    # forcing the canonical lift must yield p*Pt = O_0, which the guard refuses
+    # as a broken walk, even where asserts are stripped (python -O)
     c = tiny_anomalous
     inst, _ = _random_instance(c, random.Random(54))
     canonical = DualCurve.canonical(c)
@@ -186,8 +188,9 @@ def test_lift_attack_refuses_canonical(tiny_anomalous, monkeypatch):
         return zero, zero
 
     monkeypatch.setattr(DualCurve, "random_lift_coeffs", force_canonical)
-    with pytest.raises(LiftDegenerateError):
+    with pytest.raises(DualPairError, match=r"^p\*P~ = O_0 on a lift off the scaling family$") as info:
         attack_lift(inst, seed=55)
+    assert type(info.value) is DualPairError
 
 
 def test_lift_attack_rejects_product_outside_kernel(tiny_anomalous, monkeypatch):
@@ -216,10 +219,6 @@ def test_unknown_attack_method_is_bad_input(small_pool):
     inst, _ = _random_instance(small_pool[0], random.Random(59))
     with pytest.raises(BadInputError, match="unknown attack method"):
         solve(inst, "bogus")
-
-
-def test_lift_budget_is_bounded():
-    assert 1 <= LIFT_RETRY_BUDGET <= 64
 
 
 def test_canonical_witness_biconditional_exhaustive(tiny_anomalous):
@@ -286,6 +285,7 @@ def test_scaling_witness_agrees_with_canonical_witness():
                         except WitnessInconsistentError:
                             found, inconsistent = False, inconsistent + 1
                         assert lift.has_scaling_witness() == found, (c, a1, b1)
+                        assert lift.has_scaling_witness() == ((6 * b * a1 - 4 * a * b1) % p == 0)
     assert inconsistent > 0  # the A = 0 and B = 0 branches are reached
 
 
@@ -326,12 +326,42 @@ def test_lift_attack_on_degenerate_coefficient_curve():
 
 
 def test_torsion_probe_emits_comparison(tiny_anomalous):
-    j_in_fp, preserving = torsion_preserving_lifts(tiny_anomalous)
-    assert (0, 0) in j_in_fp and (0, 0) in preserving
-    assert len(j_in_fp) == tiny_anomalous.p  # scaling family mu = 1 + k*eps
-    # reported, not asserted: print the comparison for the record
-    print(f"probe p={tiny_anomalous.p}: j_in_fp={sorted(j_in_fp)} "
-          f"preserving={sorted(preserving)} equal={j_in_fp == preserving}")
+    c = tiny_anomalous
+    j_in_fp, preserving = torsion_preserving_lifts(c)
+    scaling = {(a1, b1) for a1 in range(c.p) for b1 in range(c.p) if DualCurve(c, a1, b1).has_scaling_witness()}
+    assert (0, 0) in scaling and len(scaling) == c.p  # mu = 1 + k*eps, one lift per k
+    assert preserving == scaling == j_in_fp  # A*B != 0, so the j-value test agrees
+
+
+def _lift_k(curve, a1, b1, S):
+    """The k of p*lift(P) = O_k on the lift (A1, B1), from S = S(P) by the lift identity."""
+    A, B = curve.A, curve.B
+    return -3 * (6 * B * a1 - 4 * A * b1) / (4 * (4 * A**3 + 27 * B * B)) * S
+
+
+def test_lift_identity():
+    # p*lift(P) = O_k with k = -3*(6B*A1 - 4A*B1)/(4*(4A^3 + 27B^2)) * S(P): on
+    # every lift of one affine P of every anomalous curve with p <= 13 (the
+    # A = 0 ones included), on a few desk-curve lifts, and at 256 bits, where
+    # K_G follows from the pinned lift and S(G) = -A_G
+    rng = random.Random(17)
+    cases = []
+    for p in (5, 7, 11, 13):
+        curves = [Curve(Fp(p), a, b) for a in range(p) for b in range(p) if (4 * a**3 + 27 * b * b) % p]
+        for c in curves:
+            if count_points(c) == p:
+                P = list(c.points())[1]
+                cases += [(c, P, a1, b1) for a1 in range(p) for b1 in range(p)]
+    assert {c.p for c, *_ in cases} == {5, 7, 11, 13} and any(c.A.is_zero() for c, *_ in cases)
+    cases += [(DESK, DESK.random_point(rng), rng.randrange(DESK.p), rng.randrange(DESK.p)) for _ in range(4)]
+    for c, P, a1, b1 in cases:
+        lift = DualCurve(c, a1, b1)
+        pPt = lift.mul(c.p, lift.lift(P))
+        assert pPt.is_infinity and pPt.k == _lift_k(c, a1, b1, rueck_slope_sum(c, P))
+    c = Curve(Fp(pinned.P), pinned.A, pinned.B)
+    assert rueck_slope_sum(c, c.point(*pinned.G)).value == -pinned.A_G % pinned.P
+    a1, b1 = (int(pinned.LIFT_RESULT["lift"][name]) for name in ("A1", "B1"))
+    assert _lift_k(c, a1, b1, c.field(-pinned.A_G)).value == pinned.K_G
 
 
 def test_torsion_probe_rejects_non_anomalous_curve():
