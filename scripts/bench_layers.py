@@ -83,7 +83,8 @@ def _operations(p: int, a: int, b: int, G: tuple, n: int, scalar: int) -> tuple[
     Q = curve.mul(n, P)
     dc = DualCurve.canonical(curve)
     trace = miller.chain_trace(curve, P, miller.binary_chain(p))
-    S = curve.mul(pairing._default_multiple(p), P)
+    chain = miller.chain_for(p, None)  # a side without the chain record keeps s in `pairing._default_multiple`
+    S = curve.mul(chain.s if hasattr(chain, "s") else pairing._default_multiple(p), P)
     point = miller.eval_point(p, a, (S.x.value, S.y.value), K)
     ops = {
         "pair.direct": lambda: pairing.pairing_direct(dc, P, K),

@@ -21,8 +21,13 @@ inside ratios, so the normalizing constant of f_P never needs to be
 materialized: every ratio of its values, so every pairing value, is the
 same on any chain for n.
 
-The default chain for each n is built once and kept (`chain_for`), which
-also validates a caller's chain.  Each (P, chain) is walked once, on plain
+Every reader of a chain reads one record of it, `Chain(steps,
+multiplicities, s)` (`chain_for`): the steps; each step's multiplicity in
+the unrolled product, which weights the pairing routes' additive sums; and
+s, the first multiple of a point of order n on no line of the walk, where
+the routes evaluate.  The default chain's record is built once per n and
+kept; a caller's chain is validated and gets its record per call.  Each
+(P, chain) is walked once, on plain
 ints: `chain_trace` adds in Jacobian coordinates (`step_lines`), inverts
 nothing, and records the multiples and each step's slope numerator; its
 end point nP is the n-torsion check.  Every evaluation reads the lines
@@ -50,9 +55,6 @@ from .curve import JACOBIAN_INFINITY, WINDOW_FROM, Curve, Point, jacobian_add, w
 from .errors import BadInputError, BadTorsionError, DegenerateEvaluationError
 from .fields import Fp, FpElement
 from .dual_curve import DualCurve, DualPoint
-
-#: How many default chains `chain_for` keeps, one per n.
-_CHAINS_KEPT = 64
 
 
 class ChainStep(NamedTuple):
@@ -138,23 +140,6 @@ def validate_chain(n: int, chain: list[ChainStep]) -> None:
         raise ValueError(f"chain never reaches {n}")
 
 
-@functools.lru_cache(maxsize=_CHAINS_KEPT)
-def _default_chain(n: int) -> tuple:
-    return tuple(binary_chain(n))  # the module global, so that a wrapped `binary_chain` sees each miss
-
-
-def chain_for(n: int, chain) -> tuple | list:
-    """A caller's chain for n, validated (BadInputError), or for None the default chain,
-    built once per n and kept as a tuple."""
-    if chain is None:
-        return _default_chain(n)
-    try:
-        validate_chain(n, chain)
-    except (ValueError, TypeError) as exc:
-        raise BadInputError(f"bad chain for n = {n}: {exc}") from None
-    return chain
-
-
 def step_multiplicities(n: int, chain: list[ChainStep]) -> dict[int, int]:
     """How many times each step's contribution occurs in the unrolled product."""
     need = {n: 1}
@@ -166,64 +151,54 @@ def step_multiplicities(n: int, chain: list[ChainStep]) -> dict[int, int]:
     return {k: need.get(k, 0) for k, _, _ in chain}
 
 
-def chain_multiplicities(n: int, chain) -> tuple:
-    """`step_multiplicities` in chain order; for None those of the default chain, found once per n and kept."""
-    if chain is None:
-        return _default_multiplicities(n)
-    mult = step_multiplicities(n, chain)
-    return tuple(mult[k] for k, _, _ in chain)
+def _evaluation_multiple(n: int, steps) -> int | None:
+    """The smallest s in [1, n) with sP on no line of a walk of P, P of order n; None if there is none.
 
-
-@functools.lru_cache(maxsize=_CHAINS_KEPT)
-def _default_multiplicities(n: int) -> tuple:
-    return chain_multiplicities(n, _default_chain(n))
-
-
-def unrolled_step_count(n: int, chain: list[ChainStep]) -> int:
-    """Total multiplicity-weighted contributions; always n - 1."""
-    return sum(step_multiplicities(n, chain).values())
-
-
-# -- line functions -----------------------------------------------------------
-
-
-class Chord(NamedTuple):
-    """The function y - m*x - b."""
-
-    m: FpElement
-    b: FpElement
-
-
-class Vertical(NamedTuple):
-    """The function x - c."""
-
-    c: FpElement
-
-
-def line_through(curve: Curve, P: Point, Q: Point):
-    """The line through two affine points (tangent when they coincide).
-
-    One inversion on FpElement wrappers: the affine reference for the lines
-    that `step_values` reads from a chain trace.
+    Only multiples of P lie on the lines, and which ones follows from each
+    step k = i + j with the indices mod n: a chord step's line meets E at
+    iP, jP and -kP and its vertical at +-kP; a step to O is the vertical at
+    +-iP; a step with an operand at O has no line.  For the default chain,
+    every prime 5 <= p < 2*10^5 leaves some s <= 5 except p = 5 and 7, where
+    tail_chain(p, 3) leaves s = 4 and 6.
     """
-    if P.is_infinity or Q.is_infinity:
-        raise ValueError("lines through infinity are handled by the step rules")
-    if P == Q:
-        if P.y.is_zero():
-            return Vertical(P.x)
-        m = (3 * P.x**2 + curve.A) / (2 * P.y)
-    elif P.x == Q.x:
-        return Vertical(P.x)
-    else:
-        m = (Q.y - P.y) / (Q.x - P.x)
-    return Chord(m, P.y - m * P.x)
+    excluded = set()
+    for k, i, j in steps:
+        i, j, k = i % n, j % n, k % n
+        if i and j:
+            excluded.update((i, j, k, n - k) if k else (i, n - i))
+    return next((s for s in range(1, n) if s not in excluded), None)
 
 
-def eval_line(line, x, y):
-    """Evaluate at coordinates from F_p or F_p[eps]."""
-    if isinstance(line, Vertical):
-        return x - line.c
-    return y - line.m * x - line.b
+class Chain(NamedTuple):
+    """A chain for n and what every walk of it reads: the steps, each step's
+    multiplicity in the unrolled product (`step_multiplicities`, in chain
+    order), and the evaluation multiple s (`_evaluation_multiple`)."""
+
+    steps: tuple | list
+    multiplicities: tuple
+    s: int | None
+
+
+def _record(n: int, steps) -> Chain:
+    mult = step_multiplicities(n, steps)
+    return Chain(steps, tuple(mult[k] for k, _, _ in steps), _evaluation_multiple(n, steps))
+
+
+@functools.lru_cache(maxsize=64)
+def _default_chain(n: int) -> Chain:
+    return _record(n, tuple(binary_chain(n)))  # the module global, so that a wrapped `binary_chain` sees each miss
+
+
+def chain_for(n: int, chain) -> Chain:
+    """The `Chain` record of a caller's chain for n, validated (BadInputError), or for
+    None that of the default chain, built once per n and kept."""
+    if chain is None:
+        return _default_chain(n)
+    try:
+        validate_chain(n, chain)
+    except (ValueError, TypeError) as exc:
+        raise BadInputError(f"bad chain for n = {n}: {exc}") from None
+    return _record(n, chain)
 
 
 def step_lines(p: int, a: int, Pi: tuple, Pj: tuple) -> tuple:
@@ -274,20 +249,11 @@ def torsion_trace(curve: Curve, P: Point, chain: list[ChainStep], n: int) -> Cha
     return trace
 
 
-def fold_trace(trace: ChainTrace, n: int, unit, op, values: list):
-    """Memoized val(k) = op(op(val(i), val(j)), value of step k); returns val(n).
-
-    `values` runs parallel to trace.steps; the walk's start points fold to `unit`.
-    """
-    vals = dict.fromkeys(trace.jac, unit)
-    for (k, i, j, _), v in zip(trace.steps, values):
-        vals[k] = op(op(vals[i], vals[j]), v)
-    return vals[n]
-
-
 def product_fold(trace: ChainTrace, n: int, values: list) -> tuple:
-    """`fold_trace` of the dual-number product on (re, eps) int pairs, inlined, with
-    a square for i = j: a doubling step costs five products instead of six."""
+    """f_n as the memoized product val(k) = val(i)*val(j)*(value of step k) of
+    (re, eps) int pairs, `values` parallel to trace.steps and the walk's start
+    points at 1, with a square for i = j: a doubling step costs five products
+    instead of six."""
     p = trace.field.p
     vals = dict.fromkeys(trace.jac, (1, 0))
     for (k, i, j, _), (hr, he) in zip(trace.steps, values):
@@ -441,7 +407,7 @@ def h_eval(curve: Curve, P: Point, i: int, j: int, T: Point, at):
 def miller_eval(curve: Curve, P: Point, n: int, T: Point, at, chain=None):
     """f_P(at) for the divisor n(P+T) - n(T), up to the global constant."""
     curve._require_on_curve(P)
-    return trace_value(curve, chain_trace(curve, P, chain_for(n, chain)), n, T, at)
+    return trace_value(curve, chain_trace(curve, P, chain_for(n, chain).steps), n, T, at)
 
 
 def weil_pairing(curve: Curve, n: int, P: Point, Q: Point, rng=None, chain=None) -> FpElement:
@@ -453,7 +419,7 @@ def weil_pairing(curve: Curve, n: int, P: Point, Q: Point, rng=None, chain=None)
     """
     if n < 1 or n % curve.p == 0:
         raise BadTorsionError("n must be positive and coprime to p")
-    chain = chain_for(n, chain)
+    chain = chain_for(n, chain).steps
     tp, tq = (torsion_trace(curve, X, chain, n) for X in (P, Q))
     if P.is_infinity or Q.is_infinity:
         return curve.field.one()

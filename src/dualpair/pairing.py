@@ -41,18 +41,20 @@ Three routes compute the same value from one walk of P's chain (`_trace`):
 Each public entry checks its inputs once, before any evaluation: P and a
 caller's chain by P's walk, whose end point p*P is the p-torsion check; a
 caller's R in `_check_eval_point`; T on the curve.  Below that everything
-is plain ints, and the walk inverts nothing.  Without a caller's R the
-evaluation point comes from the chain, not from a search: P has order p,
-so every line of the walk meets E only at multiples of P, and S = sP is
-taken for the smallest s on none of them (`_evaluate`); on the default
-chain s depends only on p and is found once per p (`_default_multiple`).
-Nothing is drawn at random, and the routes are deterministic.  Each fold
-inverts once.  Rueck inverts the Z of every chord step in one batch and
-sums the slopes N/Z.  Direct and semaev read only eps/re ratios, so they
-take each step value up to a scalar factor: direct multiplies them as dual
-numbers into one product f, whose ratio f_eps/f_re is the pairing's a, and
-semaev sums the multiplicity-weighted ratios h_eps/h_re as one running
-fraction.  No evaluation reads an affine multiple of the walk.  The slope
+is plain ints, and the walk inverts nothing.  Every route reads the
+chain's `miller.Chain` record: the walk its steps, the two additive sums
+its multiplicities, and `_evaluate` its evaluation multiple s.  Without a
+caller's R the evaluation point comes from the chain, not from a search:
+P has order p, so every line of the walk meets E only at multiples of P,
+and S = sP is taken for the smallest s on none of them; the default
+chain's record, s included, is built once per p.  Nothing is drawn at
+random, and the routes are deterministic.  Each reading inverts once.
+Rueck and semaev are both a multiplicity-weighted sum of per-step ratios,
+summed as one running fraction (`_weighted_sum`): rueck of the chord
+steps' slopes N/Z, semaev of the scaled step values' ratios h_eps/h_re.
+Direct multiplies the scaled step values as dual numbers into one product
+f, whose ratio f_eps/f_re is the pairing's a.  No evaluation reads an
+affine multiple of the walk.  The slope
 sum S(P) is the one invariant behind every reading of P:
 e(P, O_1) = 1 - S(P)*eps, and as SEMAEV_SIGN = SLOPE_SIGN and the routes
 agree exactly, Semaev's coefficient of P is S(P)/2.  So `dlp.DlpInstance`
@@ -81,9 +83,6 @@ T at infinity, the divisor (P) - (infinity).
 
 from __future__ import annotations
 
-import functools
-import operator
-
 from .curve import INFINITY, Curve, Point, jacobian_mul
 from .dual_curve import DualCurve, DualPoint
 from .errors import (
@@ -95,21 +94,16 @@ from .errors import (
 )
 from .fields import DualNumber, Fp, FpElement, json_int
 from .miller import (
-    _CHAINS_KEPT,
-    _default_chain,
     chain_for,
     chain_trace,
     difference,
-    chain_multiplicities,
     eval_point,
-    fold_trace,
     product_fold,
     require_on_curve,
     scaled_step_values,
     tail_chain,
     torsion_trace,
 )
-from .numbertheory import batch_inverse
 
 #: e(P, O_k) = 1 + SLOPE_SIGN * (chain slope sum) * k * eps
 SLOPE_SIGN = -1
@@ -165,16 +159,15 @@ class PairingValue:
 # -- the boundary -----------------------------------------------------------------
 
 
-def _trace(curve: Curve, P: Point, chain=None):
-    """P's walk for p (`binary_chain` by default), checked p-torsion; None for P = infinity.
+def _trace(curve: Curve, P: Point, chain=None) -> tuple:
+    """(the `Chain` record for p, `binary_chain` by default, and P's walk along it,
+    checked p-torsion; None for P = infinity).
 
     A caller's chain is validated here, once; the internal chains are valid
     by construction.
     """
-    chain = chain_for(curve.p, chain)
-    if P.is_infinity:
-        return None
-    return torsion_trace(curve, P, chain, curve.p)
+    rung = chain_for(curve.p, chain)
+    return rung, None if P.is_infinity else torsion_trace(curve, P, rung.steps, curve.p)
 
 
 def _check_eval_point(curve: Curve, R: Point) -> tuple:
@@ -187,14 +180,46 @@ def _check_eval_point(curve: Curve, R: Point) -> tuple:
 
 
 def _boundary(curve: Curve, P: Point, R: Point | None, T: Point | None, chain) -> tuple:
-    """(P's `_trace`, R, T), each input checked once, R and T as int pairs
+    """(P's `_trace` as rung and trace, R, T), each input checked once, R and T as int pairs
     (None: no caller R, T at infinity)."""
-    trace = _trace(curve, P, chain)
+    rung, trace = _trace(curve, P, chain)
     R = None if R is None else _check_eval_point(curve, R)
-    return trace, R, require_on_curve(curve, T or INFINITY, "translation point T")
+    return rung, trace, R, require_on_curve(curve, T or INFINITY, "translation point T")
+
+
+def _evaluate(curve: Curve, P: Point, chain, rung, trace, R: tuple | None, T: tuple | None) -> tuple:
+    """(rung, trace, S) from what `_boundary` returns for the caller's chain: S = R - T at
+    a caller's R, else S = sP for the first rung with an evaluation multiple s (`Chain.s`).
+
+    The value depends on neither R nor T, so without a caller's R the point
+    R = sP + T is taken, O included, and no line vanishes at S.  The rungs are
+    P's chain and, unless the caller fixed it, tail_chain(p, 3), walked only
+    when P's chain has no s.
+    """
+    p, a = curve.p, curve.A.value
+    if R is not None:
+        return rung, trace, difference(p, a, R, T)
+    if rung.s is None and chain is None:
+        rung = chain_for(p, tail_chain(p, 3))
+        trace = chain_trace(curve, P, rung.steps)
+    if rung.s is None:
+        raise DegenerateEvaluationError("all evaluation configurations degenerate: lines of the chain meet E at every multiple of P")
+    X, Y, Z = jacobian_mul(p, a, rung.s, trace.jac[1])
+    zi = pow(Z, -1, p)
+    return rung, trace, (X * zi * zi % p, Y * zi * zi * zi % p)
 
 
 # -- the three routes ----------------------------------------------------------
+
+
+def _weighted_sum(p: int, terms) -> int:
+    """The sum of m*top/bottom over (m, top, bottom) terms mod p, every bottom
+    nonzero: one running fraction, divided once."""
+    num, den = 0, 1
+    for m, top, bottom in terms:
+        if m:
+            num, den = (num * bottom + m * top * den) % p, den * bottom % p
+    return num * pow(den, -1, p) % p
 
 
 def _direct_value(trace, point: tuple) -> PairingValue:
@@ -215,85 +240,29 @@ def _log_derivative_value(trace, point: tuple, multiplicities: tuple) -> FpEleme
     At S + O_1 the eps part of a function g is -2*y(S)*(dg/dx)(S), so each step
     gives y(R) * (h'/h)(R) = -(eps/re of h)/2, a ratio its scalar factor leaves
     alone; the steps' ratios, weighted by their `multiplicities` in chain
-    order, are summed as one running fraction and divided once.
+    order, are summed by `_weighted_sum`.
     """
     p = trace.field.p
     if not point[1]:
         raise DegenerateEvaluationError("translated evaluation point hit the 2-torsion")
-    num, den = 0, 1
-    for m, (re, eps) in zip(multiplicities, scaled_step_values(trace, point)):
-        if m:
-            num, den = (num * re + m * eps * den) % p, den * re % p
-    return trace.field(num * pow(den, -1, p) * ((p - 1) // 2))  # (p - 1)/2 = -1/2 mod p
+    values = scaled_step_values(trace, point)
+    terms = ((m, eps, re) for m, (re, eps) in zip(multiplicities, values))
+    return trace.field(_weighted_sum(p, terms) * ((p - 1) // 2))  # (p - 1)/2 = -1/2 mod p
 
 
 def rueck_slope_sum(curve: Curve, P: Point, chain=None) -> FpElement:
     """Sum of chord/tangent slopes over a chain for p with divisor (P) - (inf).
 
     Pure slope bookkeeping: vertical steps contribute nothing and no point
-    is ever evaluated, so the computation is total.  The slopes N/Z take one
-    batch inversion of the chord steps' Z.
+    is ever evaluated, so the computation is total.  The chord steps' slopes
+    N/Z, each weighted by its step's multiplicity, are summed by `_weighted_sum`.
     """
-    trace = _trace(curve, P, chain)
+    rung, trace = _trace(curve, P, chain)
     if trace is None:
         return curve.field.zero()
-    p = curve.p
-    zinv = iter(batch_inverse([trace.jac[k][2] for k, _, _, N in trace.steps if N is not None], p))
-    slopes = [0 if N is None else N * next(zinv) for *_, N in trace.steps]
-    return trace.field(fold_trace(trace, p, 0, operator.add, slopes))
-
-
-# -- the evaluation point --------------------------------------------------------
-
-
-def _evaluation_multiple(p: int, steps) -> int | None:
-    """The smallest s in [1, p) with sP on no line of a walk of P, P of order p; None if there is none.
-
-    Only multiples of P lie on the lines, and which ones follows from each
-    step k = i + j with the indices mod p: a chord step's line meets E at
-    iP, jP and -kP and its vertical at +-kP; a step to O is the vertical at
-    +-iP; a step with an operand at O has no line.  For the default chain,
-    every prime 5 <= p < 2*10^5 leaves some s <= 5 except p = 5 and 7, where
-    tail_chain(p, 3) leaves s = 4 and 6.
-    """
-    excluded = set()
-    for k, i, j, *_ in steps:
-        i, j, k = i % p, j % p, k % p
-        if i and j:
-            excluded.update((i, j, k, p - k) if k else (i, p - i))
-    return next((s for s in range(1, p) if s not in excluded), None)
-
-
-@functools.lru_cache(maxsize=_CHAINS_KEPT)
-def _default_multiple(p: int) -> int | None:
-    """`_evaluation_multiple` of the default chain for p, found once per p like the chain itself."""
-    return _evaluation_multiple(p, _default_chain(p))
-
-
-def _evaluate(curve: Curve, P: Point, trace, chain, R: tuple | None, T: tuple | None, evaluate):
-    """evaluate(trace, chain, S) on the int pairs of `_boundary`, with the chain walked
-    (None for the default one): S = R - T at a caller's R,
-    else S = sP for the first rung with an `_evaluation_multiple` s (kept per p
-    for the default chain, `_default_multiple`).
-
-    The value depends on neither R nor T, so without a caller's R the point
-    R = sP + T is taken, O included, and no line vanishes at S.  The rungs are P's trace
-    and, unless the caller fixed the chain, tail_chain(p, 3), walked only
-    when P's trace has no s.
-    """
-    p, a = curve.p, curve.A.value
-    if R is not None:
-        return evaluate(trace, chain, difference(p, a, R, T))
-    s = _default_multiple(p) if chain is None else _evaluation_multiple(p, trace.steps)
-    if s is None and chain is None:
-        chain = tail_chain(p, 3)
-        trace = chain_trace(curve, P, chain)
-        s = _evaluation_multiple(p, trace.steps)
-    if s is None:
-        raise DegenerateEvaluationError("all evaluation configurations degenerate: lines of the chain meet E at every multiple of P")
-    X, Y, Z = jacobian_mul(p, a, s, trace.jac[1])
-    zi = pow(Z, -1, p)
-    return evaluate(trace, chain, (X * zi * zi % p, Y * zi * zi * zi % p))
+    jac = trace.jac
+    terms = ((m, N, jac[k][2]) for m, (k, _, _, N) in zip(rung.multiplicities, trace.steps) if N is not None)
+    return trace.field(_weighted_sum(curve.p, terms))
 
 
 # -- public pairing surface -------------------------------------------------------
@@ -308,11 +277,11 @@ def pairing_direct(dc: DualCurve, P: Point, k, R: Point | None = None, chain=Non
         raise NotCanonicalError("the pairing is defined on the canonical lift")
     curve = dc.base
     k = curve.field(k)
-    trace, R, T = _boundary(curve, P, R, T, chain)
+    rung, trace, R, T = _boundary(curve, P, R, T, chain)
     if trace is None or k.is_zero():
         return PairingValue(curve.field.zero())
-    p, a = curve.p, curve.A.value
-    return _evaluate(curve, P, trace, chain, R, T, lambda tr, _, S: _direct_value(tr, eval_point(p, a, S, k.value)))
+    _, trace, S = _evaluate(curve, P, chain, rung, trace, R, T)
+    return _direct_value(trace, eval_point(curve.p, curve.A.value, S, k.value))
 
 
 def semaev_log_derivative(curve: Curve, P: Point, R: Point, T: Point | None = None, chain=None) -> FpElement:
@@ -320,25 +289,22 @@ def semaev_log_derivative(curve: Curve, P: Point, R: Point, T: Point | None = No
     return semaev_coefficient(curve, P, R=R, T=T, chain=chain) / R.y
 
 
-def semaev_coefficient(curve: Curve, P: Point, rng=None, R: Point | None = None, T: Point | None = None, chain=None) -> FpElement:
+def semaev_coefficient(curve: Curve, P: Point, *, R: Point | None = None, T: Point | None = None, chain=None) -> FpElement:
     """The R-independent combination (y * f_P'/f_P)(R).
 
     This is the scalar that multiplies -2*k*eps in the pairing; computing
     it through different R just rescales lam by y(R)'s reciprocal.  Without
-    R the point is chosen from P's chain (`_evaluate`); rng is accepted, unused.
+    R the point is chosen from P's chain (`_evaluate`).
     """
-    trace, R, T = _boundary(curve, P, R, T, chain)
+    rung, trace, R, T = _boundary(curve, P, R, T, chain)
     if trace is None:
         return curve.field.zero()
-    p, a = curve.p, curve.A.value
-    return _evaluate(
-        curve, P, trace, chain, R, T,
-        lambda tr, ch, S: _log_derivative_value(tr, eval_point(p, a, S, 1), chain_multiplicities(p, ch)),
-    )
+    rung, trace, S = _evaluate(curve, P, chain, rung, trace, R, T)
+    return _log_derivative_value(trace, eval_point(curve.p, curve.A.value, S, 1), rung.multiplicities)
 
 
-def pairing_semaev(dc: DualCurve, P: Point, k, R: Point | None = None, T: Point | None = None, chain=None, rng=None) -> PairingValue:
-    """e(P, O_k) through the logarithmic-derivative formula; rng is accepted, unused."""
+def pairing_semaev(dc: DualCurve, P: Point, k, R: Point | None = None, T: Point | None = None, chain=None) -> PairingValue:
+    """e(P, O_k) through the logarithmic-derivative formula."""
     if not dc.is_canonical():
         raise NotCanonicalError("the pairing is defined on the canonical lift")
     curve = dc.base
@@ -384,13 +350,12 @@ def _theta_coefficient(dc: DualCurve, P: Point, route) -> FpElement:
         raise NotPTorsionError(f"{P} is not p-torsion, so its lift is not either") from None
 
 
-def lifted_pairing(dc: DualCurve, Pt: DualPoint, Qt: DualPoint, method: str = "rueck", rng=None) -> PairingValue:
+def lifted_pairing(dc: DualCurve, Pt: DualPoint, Qt: DualPoint, method: str = "rueck") -> PairingValue:
     """The full pairing e_p on the p-torsion of the canonical lift.
 
     Decomposes Pt = P + O_k, Qt = Q + O_j and returns
     e(P, O_j) * e(Q, O_k)^-1, which realizes bilinearity, antisymmetry,
     triviality on E[p] x E[p] and at infinity, and the restriction to e.
-    rng is accepted, unused.
     """
     route = _route(method)
     if not dc.is_canonical():

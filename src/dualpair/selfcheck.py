@@ -4,18 +4,22 @@ Runs the structural checks the library's correctness rests on - group
 laws on base and lifted curves, the canonical decomposition round trip,
 three-way pairing agreement, non-degeneracy, isogeny functoriality, the
 coordinate-change witness biconditional, the lifts that keep the
-p-torsion being exactly the scaling lifts - and reports one section per
-invariant with pass/fail and counts.
+p-torsion being exactly the scaling lifts, the four attacks agreeing -
+and reports one section per invariant with pass/fail and counts.  An
+attack's error fails its instance; it does not end the report.  The two
+lift sections also run on the first anomalous curve at the same p with
+A != B, where a check that confuses A with B shows.
 """
 
 from __future__ import annotations
 
 import random
 
-from .curve import Curve, find_anomalous
+from .curve import Curve, count_points, find_anomalous
 from .dlp import DlpInstance, canonical_witness, solve, torsion_preserving_lifts
 from .dual_curve import DualCurve
-from .errors import BadInputError, SearchExhaustedError, WitnessInconsistentError
+from .errors import BadInputError, DualPairError, SearchExhaustedError, WitnessInconsistentError
+from .fields import Fp
 from .isogeny import check_functoriality, multiplication_isogeny
 from .pairing import pairing_direct, pairing_rueck, pairing_semaev
 
@@ -38,6 +42,16 @@ def _smallest_anomalous(p_max: int) -> Curve:
         except SearchExhaustedError:
             continue
     raise BadInputError(f"no anomalous curve with p <= {p_max}")
+
+
+def _first_anomalous_with_distinct_coefficients(p: int) -> Curve:
+    """The first anomalous y^2 = x^3 + A*x + B over F_p, in the order of (A, B), with A != B."""
+    field = Fp(p)
+    for a in range(p):
+        for b in range(p):
+            if a != b and (4 * a**3 + 27 * b * b) % p and count_points(Curve(field, a, b)) == p:
+                return Curve(field, a, b)
+    raise BadInputError(f"no anomalous curve with A != B at p = {p}")
 
 
 def run(p_max: int = 13, trials: int = 100, seed: int = 0xC11E) -> dict:
@@ -126,53 +140,58 @@ def run(p_max: int = 13, trials: int = 100, seed: int = 0xC11E) -> dict:
                 bad += 1
     sections.append(_section("isogeny_functoriality", ok, bad))
 
-    # coordinate-change witness biconditional, exhaustive over lifts
-    ok = bad = 0
-    scaling = set()
-    for a1 in range(p):
-        for b1 in range(p):
-            lift = DualCurve(curve, a1, b1)
-            if lift.has_scaling_witness():
-                scaling.add((a1, b1))
-            j_flat = lift.j_value().eps.is_zero()
-            try:
-                found, k = canonical_witness(lift)
-            except WitnessInconsistentError:
-                found = None
-            if found is not None and found == j_flat:
-                ok += 1
-            else:
-                bad += 1
-    sections.append(_section("canonical_witness_biconditional", ok, bad))
-
-    # the lifts that keep every point p-torsion are the scaling lifts, exhaustive
-    j_in_fp, preserving = torsion_preserving_lifts(curve)
-    failed = len(preserving ^ scaling)
-    sections.append(
-        _section(
-            "torsion_lift_probe",
-            p * p - failed,
-            failed,
+    # coordinate-change witness biconditional, and the lifts that keep every point
+    # p-torsion being the scaling lifts; exhaustive over lifts, on both curves
+    ok = bad = failed = 0
+    probes = []
+    for c in (curve, _first_anomalous_with_distinct_coefficients(p)):
+        scaling = set()
+        for a1 in range(p):
+            for b1 in range(p):
+                lift = DualCurve(c, a1, b1)
+                if lift.has_scaling_witness():
+                    scaling.add((a1, b1))
+                j_flat = lift.j_value().eps.is_zero()
+                try:
+                    found, k = canonical_witness(lift)
+                except WitnessInconsistentError:
+                    found = None
+                if found is not None and found == j_flat:
+                    ok += 1
+                else:
+                    bad += 1
+        j_in_fp, preserving = torsion_preserving_lifts(c)
+        failed += len(preserving ^ scaling)
+        probes.append(
             {
+                "curve": c.to_json(),
                 "j_in_fp": sorted(j_in_fp),
                 "torsion_preserving": sorted(preserving),
                 "sets_equal": j_in_fp == preserving,
-            },
+            }
         )
-    )
+    sections.append(_section("canonical_witness_biconditional", ok, bad))
+    sections.append(_section("torsion_lift_probe", 2 * p * p - failed, failed, probes))
 
-    # attack agreement on random instances
+    # attack agreement on random instances; an error fails its instance, counted by code
     ok = bad = 0
+    errors = {}
+    methods = ("semaev", "rueck", "pairing", "lift")
     for _ in range(max(4, trials // 4)):
         P = rng.choice(base_pts)
         n = rng.randrange(p)
-        inst = DlpInstance(curve, P, curve.mul(n, P))
-        results = {m: solve(inst, m, seed=rng.randrange(2**30)).n for m in ("semaev", "rueck", "pairing", "lift")}
-        if set(results.values()) == {n}:
+        seeds = [rng.randrange(2**30) for _ in methods]
+        try:
+            inst = DlpInstance(curve, P, curve.mul(n, P))
+            results = {solve(inst, m, seed=seed).n for m, seed in zip(methods, seeds)}
+        except DualPairError as exc:
+            errors[exc.code] = errors.get(exc.code, 0) + 1
+            results = None
+        if results == {n}:
             ok += 1
         else:
             bad += 1
-    sections.append(_section("attack_agreement", ok, bad))
+    sections.append(_section("attack_agreement", ok, bad, {"errors": errors} if errors else None))
 
     return {
         "curve": curve.to_json(),

@@ -1,6 +1,7 @@
 import operator
 import random
 from dataclasses import replace
+from typing import NamedTuple
 
 import pytest
 
@@ -19,8 +20,8 @@ from dualpair import (
     miller,
 )
 from dualpair.errors import DegenerateEvaluationError
-from dualpair.fields import Fp
-from dualpair.miller import ChainStep, fold_trace, step_values, trace_fraction
+from dualpair.fields import Fp, FpElement
+from dualpair.miller import ChainStep, step_multiplicities, step_values, trace_fraction
 from dualpair.numbertheory import batch_inverse
 from dualpair.pairing import SLOPE_SIGN, PairingValue, rueck_slope_sum, semaev_coefficient
 
@@ -54,6 +55,58 @@ def power_of_two_chain(n: int) -> list[ChainStep]:
         steps.append(ChainStep(acc + b, acc, b))
         acc += b
     return steps
+
+
+def unrolled_step_count(n: int, chain: list[ChainStep]) -> int:
+    """Total multiplicity-weighted contributions; always n - 1."""
+    return sum(step_multiplicities(n, chain).values())
+
+
+class Chord(NamedTuple):
+    """The function y - m*x - b."""
+
+    m: FpElement
+    b: FpElement
+
+
+class Vertical(NamedTuple):
+    """The function x - c."""
+
+    c: FpElement
+
+
+def line_through(curve: Curve, P: Point, Q: Point):
+    """Oracle: the line through two affine points (tangent when they coincide),
+    with one inversion on FpElement wrappers: the affine reference for the lines
+    that `miller.step_values` reads from a chain trace."""
+    if P.is_infinity or Q.is_infinity:
+        raise ValueError("lines through infinity are handled by the step rules")
+    if P == Q:
+        if P.y.is_zero():
+            return Vertical(P.x)
+        m = (3 * P.x**2 + curve.A) / (2 * P.y)
+    elif P.x == Q.x:
+        return Vertical(P.x)
+    else:
+        m = (Q.y - P.y) / (Q.x - P.x)
+    return Chord(m, P.y - m * P.x)
+
+
+def eval_line(line, x, y):
+    """A `line_through` line at coordinates from F_p or F_p[eps]."""
+    if isinstance(line, Vertical):
+        return x - line.c
+    return y - line.m * x - line.b
+
+
+def fold_trace(trace, n: int, unit, op, values: list):
+    """Oracle: the memoized val(k) = op(op(val(i), val(j)), value of step k) over a chain
+    trace; returns val(n).  `values` runs parallel to trace.steps; the walk's start
+    points fold to `unit`."""
+    vals = dict.fromkeys(trace.jac, unit)
+    for (k, i, j, _), v in zip(trace.steps, values):
+        vals[k] = op(op(vals[i], vals[j]), v)
+    return vals[n]
 
 
 def trace_points(trace) -> dict:

@@ -243,6 +243,44 @@ def test_selfcheck_passes_and_reproducible(capsys):
     assert a == b
 
 
+def test_selfcheck_reports_an_attack_error_as_a_failed_check(capsys, monkeypatch):
+    # a broken attack fails its instances, counted by error code; every
+    # section is still reported, and the CLI exits 1 with the report
+    from dualpair import dlp
+    from dualpair.errors import DualPairError
+
+    def broken(inst, seed):
+        raise DualPairError("broken attack")
+
+    monkeypatch.setitem(dlp._ATTACKS, "lift", broken)
+    report = selfcheck.run(13, trials=8, seed=5)
+    sections = {s["name"]: s for s in report["sections"]}
+    assert report["pass"] is False
+    assert [name for name, s in sections.items() if not s["pass"]] == ["attack_agreement"]
+    agreement = sections["attack_agreement"]
+    assert agreement["failed"] == agreement["checked"] == 4
+    assert agreement["detail"] == {"errors": {"Error": 4}}
+    assert len(sections) == 9
+    code, out, err = run_cli(capsys, "selfcheck", "--trials", "8", "--seed", "5")
+    assert (code, err) == (1, "")
+    assert json.loads(out) == json.loads(json.dumps(report))
+
+
+def test_selfcheck_tells_a_from_b_in_the_scaling_witness(monkeypatch):
+    # selfcheck's curve has A = B, so a witness that reads B where it should
+    # read A passes there; the second curve of the lift sections, with A != B,
+    # fails it
+    from dualpair import DualCurve
+
+    monkeypatch.setattr(DualCurve, "has_scaling_witness", lambda self: 6 * self.base.B * self.A1 == 4 * self.base.B * self.B1)
+    report = selfcheck.run(13, trials=4)
+    assert report["pass"] is False
+    failing = {s["name"] for s in report["sections"] if not s["pass"]}
+    assert failing == {"canonical_witness_biconditional", "torsion_lift_probe"}
+    probe = next(s for s in report["sections"] if s["name"] == "torsion_lift_probe")
+    assert [c["curve"] for c in probe["detail"]] == [{"p": "5", "A": "3", "B": "3"}, {"p": "5", "A": "3", "B": "2"}]
+
+
 def test_unknown_subcommand_is_usage(capsys):
     code, _, err = run_cli(capsys, "frobnicate")
     assert code == 64

@@ -1,6 +1,6 @@
 """The int chain engine against the affine wrapper reference.
 
-`Curve._add_raw`, `miller.line_through` and `miller.eval_line` work on
+`Curve._add_raw` and the affine lines of conftest (`line_through`, `eval_line`) work on
 FpElement points with one inversion per step; they stay as the oracle for
 the Jacobian walk of `miller.chain_trace`, for the line values that
 `miller.step_values` reads projectively from it, for `Curve.mul` and for
@@ -17,21 +17,10 @@ from hypothesis import strategies as st
 from dualpair import INFINITY, Curve, DualCurve, count_points
 from dualpair.errors import DegenerateEvaluationError, DivisionByZeroError
 from dualpair.fields import Fp
-from dualpair.miller import (
-    Chord,
-    Vertical,
-    binary_chain,
-    chain_trace,
-    eval_line,
-    eval_point,
-    incremental_chain,
-    line_through,
-    step_values,
-    tail_chain,
-)
+from dualpair.miller import binary_chain, chain_trace, eval_point, incremental_chain, step_values, tail_chain
 from dualpair.numbertheory import batch_inverse
 
-from conftest import mul_below_2_32, trace_points
+from conftest import Chord, Vertical, eval_line, line_through, mul_below_2_32, trace_points
 
 SMALL_PRIMES = [5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43]
 

@@ -8,24 +8,19 @@ from dualpair.errors import BadInputError, BadTorsionError, DegenerateEvaluation
 from dualpair.fields import Fp
 from dualpair.miller import (
     ChainStep,
-    Chord,
-    Vertical,
     binary_chain,
-    chain_multiplicities,
+    chain_for,
     chain_trace,
-    eval_line,
     h_eval,
     incremental_chain,
-    line_through,
     miller_eval,
     step_multiplicities,
     tail_chain,
-    unrolled_step_count,
     validate_chain,
     weil_pairing,
 )
 
-from conftest import power_of_two_chain, trace_points
+from conftest import Chord, Vertical, eval_line, line_through, power_of_two_chain, trace_points, unrolled_step_count
 
 
 def test_chain_for_one_is_empty():
@@ -49,13 +44,15 @@ def test_unrolled_count_is_n_minus_1(maker):
 
 
 def test_chain_multiplicities_in_chain_order_and_kept_for_the_default_chain():
+    # the record's multiplicities, in chain order, for the default chain and
+    # a caller's copy of it; the default chain's record is kept
     for n in (2, 11, 1361, 2**32 + 15):
         chain = binary_chain(n)
         mult = step_multiplicities(n, chain)
-        assert chain_multiplicities(n, None) == chain_multiplicities(n, chain) == tuple(mult[s.k] for s in chain)
-        assert chain_multiplicities(n, None) is chain_multiplicities(n, None)
+        assert chain_for(n, None).multiplicities == chain_for(n, chain).multiplicities == tuple(mult[s.k] for s in chain)
+        assert chain_for(n, None) is chain_for(n, None)
     plain = [tuple(s) for s in incremental_chain(7)]  # a caller's chain of plain (k, i, j) tuples
-    assert chain_multiplicities(7, plain) == (1,) * 6
+    assert chain_for(7, plain).multiplicities == (1,) * 6
 
 
 def test_binary_chain_below_2_32_is_the_power_of_two_chain():
@@ -337,10 +334,10 @@ def test_default_chain_is_built_once_per_n(monkeypatch):
     monkeypatch.setattr(miller, "binary_chain", lambda n: built.append(n) or binary_chain(n))
     miller._default_chain.cache_clear()
     try:
-        assert miller.chain_for(1361, None) == tuple(binary_chain(1361))
+        assert miller.chain_for(1361, None).steps == tuple(binary_chain(1361))
         assert miller.chain_for(1361, None) is miller.chain_for(1361, None)
         own = incremental_chain(7)
-        assert miller.chain_for(7, own) is own
+        assert miller.chain_for(7, own).steps is own
         with pytest.raises(BadInputError, match="bad chain"):
             miller.chain_for(7, [ChainStep(3, 1, 1)])
         c = Curve(Fp(1361), 686, 969)

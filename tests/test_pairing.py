@@ -60,7 +60,7 @@ def test_three_way_agreement_small(small_pool, rng):
             P = c.random_point(rng)
             k = rng.randrange(1, c.p)
             d = pairing_direct(dc, P, k, rng=rng)
-            s = pairing_semaev(dc, P, k, rng=rng)
+            s = pairing_semaev(dc, P, k)
             r = pairing_rueck(dc, P, k)
             assert d == s == r
 
@@ -72,7 +72,7 @@ def test_three_way_agreement_tiny_exhaustive(tiny_anomalous_all, rng):
         for P in _affine(c):
             for k in range(1, c.p):
                 d = pairing_direct(dc, P, k, rng=rng)
-                s = pairing_semaev(dc, P, k, rng=rng)
+                s = pairing_semaev(dc, P, k)
                 r = pairing_rueck(dc, P, k)
                 assert d == s == r
 
@@ -372,8 +372,25 @@ def test_lifted_pairing_methods_agree(tiny_anomalous, rng):
     pts = list(dc.points())
     for _ in range(15):
         Pt, Qt = rng.choice(pts), rng.choice(pts)
-        vals = {lifted_pairing(dc, Pt, Qt, method=m, rng=rng).a.value for m in ("direct", "semaev", "rueck")}
+        vals = {lifted_pairing(dc, Pt, Qt, method=m).a.value for m in ("direct", "semaev", "rueck")}
         assert len(vals) == 1
+
+
+def test_routes_without_an_rng_refuse_one(tiny_anomalous):
+    # semaev_coefficient, pairing_semaev and lifted_pairing draw nothing and
+    # take no rng; semaev_coefficient's R, T and chain are keyword-only
+    c = tiny_anomalous
+    dc = DualCurve.canonical(c)
+    P = _affine(c)[0]
+    rng = random.Random(1)
+    with pytest.raises(TypeError):
+        semaev_coefficient(c, P, P)
+    with pytest.raises(TypeError):
+        pairing_semaev(dc, P, 1, rng=rng)
+    with pytest.raises(TypeError):
+        lifted_pairing(dc, dc.embed(P), dc.embed(P), "rueck", rng)
+    with pytest.raises(TypeError):
+        lifted_pairing(dc, dc.embed(P), dc.embed(P), rng=rng)
 
 
 def test_default_evaluation_point_draws_and_lists_no_point(monkeypatch):
@@ -523,10 +540,9 @@ def test_retry_ladder_outcomes_on_tiny_anomalous_curves(monkeypatch):
 
 
 def test_evaluation_multiple_is_the_first_nondegenerate_multiple():
-    # oracle: evaluate every step value at every sP; the helper's s is the
-    # first that raises nowhere, and None exactly when every s raises
-    from dualpair.miller import chain_trace, eval_point, step_values
-    from dualpair.pairing import _evaluation_multiple
+    # oracle: evaluate every step value at every sP; the chain record's s is
+    # the first that raises nowhere, and None exactly when every s raises
+    from dualpair.miller import chain_for, chain_trace, eval_point, step_values
 
     seen = set()
     for c, _ in _anomalous_curves((5, 7, 11, 13)):
@@ -550,7 +566,7 @@ def test_evaluation_multiple_is_the_first_nondegenerate_multiple():
                         good.append(s)
                     except DegenerateEvaluationError:
                         pass
-                s = _evaluation_multiple(p, trace.steps)
+                s = chain_for(p, chain).s
                 assert s == (good[0] if good else None)
                 seen.add((name, s is None))
                 if s is None:
@@ -567,31 +583,32 @@ def test_evaluation_multiple_is_the_first_nondegenerate_multiple():
 def test_default_chain_leaves_an_evaluation_multiple_below_2_16():
     # pure integers: for every prime 5 <= p < 2^16 the binary chain leaves
     # some s <= 5, except p = 5 and 7, where tail_chain(p, 3) leaves 4 and 6;
-    # the s kept per p for the default chain is the same
+    # the record kept per p for the default chain has the same s
+    from dualpair.miller import chain_for
     from dualpair.numbertheory import is_prime
-    from dualpair.pairing import _default_multiple, _evaluation_multiple
 
     misses = {}
     for p in range(5, 1 << 16):
         if not is_prime(p):
             continue
-        s = _evaluation_multiple(p, binary_chain(p))
-        assert _default_multiple(p) == s, p
+        s = chain_for(p, binary_chain(p)).s
+        assert chain_for(p, None).s == s, p
         if s is None:
-            misses[p] = _evaluation_multiple(p, tail_chain(p, 3))
+            misses[p] = chain_for(p, tail_chain(p, 3)).s
         else:
             assert s <= 5, p
     assert misses == {5: 4, 7: 6}
 
 
 def test_default_evaluation_multiple_is_kept_per_p(monkeypatch):
-    # a route asks the helper once per p for the default chain's s, and every
-    # time for a caller's chain or the tail_chain(p, 3) rung
-    from dualpair import pairing
+    # s is part of the chain record: found once per p for the default chain,
+    # whose record is kept, and on every call for a caller's chain or the
+    # tail_chain(p, 3) rung, whose records are built per call
+    from dualpair import miller
 
-    asked, helper = [], pairing._evaluation_multiple
-    monkeypatch.setattr(pairing, "_evaluation_multiple", lambda p, steps: asked.append(p) or helper(p, steps))
-    pairing._default_multiple.cache_clear()
+    asked, helper = [], miller._evaluation_multiple
+    monkeypatch.setattr(miller, "_evaluation_multiple", lambda p, steps: asked.append(p) or helper(p, steps))
+    miller._default_chain.cache_clear()
     try:
         c = Curve(Fp(1361), 686, 969)
         dc = DualCurve.canonical(c)
@@ -611,4 +628,4 @@ def test_default_evaluation_multiple_is_kept_per_p(monkeypatch):
             assert pairing_semaev(dc7, P7, 1) == pairing_rueck(dc7, P7, 1)
         assert asked == [7, 7, 7]  # the default chain once, its tail_chain rung per call
     finally:
-        pairing._default_multiple.cache_clear()
+        miller._default_chain.cache_clear()
