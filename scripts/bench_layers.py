@@ -8,8 +8,8 @@ desk-size curve (p = 1511):
 * `solve.semaev`, `solve.lift`: `DlpInstance` construction and the semaev
   or the lift attack
 * `miller.step_values` and `miller.scaled_step_values`: the exact and the
-  scaled step readings of P's default-chain walk at the routes' evaluation
-  point (a side without the scaled reading leaves it out)
+  scaled step readings of P's walk along the default chain
+  (`miller.chain_for(p, None)`) at the routes' evaluation point sP
 * `Curve.mul`: a full-size scalar multiple of P
 
 Each timing is taken in child processes that import `dualpair` from one
@@ -82,9 +82,9 @@ def _operations(p: int, a: int, b: int, G: tuple, n: int, scalar: int) -> tuple[
     P = Point(curve.field(G[0]), curve.field(G[1]))
     Q = curve.mul(n, P)
     dc = DualCurve.canonical(curve)
-    trace = miller.chain_trace(curve, P, miller.binary_chain(p))
-    chain = miller.chain_for(p, None)  # a side without the chain record keeps s in `pairing._default_multiple`
-    S = curve.mul(chain.s if hasattr(chain, "s") else pairing._default_multiple(p), P)
+    chain = miller.chain_for(p, None)  # the default chain's record: the routes' walk and evaluation multiple s
+    trace = miller.chain_trace(curve, P, chain.steps)
+    S = curve.mul(chain.s, P)
     point = miller.eval_point(p, a, (S.x.value, S.y.value), K)
     ops = {
         "pair.direct": lambda: pairing.pairing_direct(dc, P, K),
@@ -94,10 +94,9 @@ def _operations(p: int, a: int, b: int, G: tuple, n: int, scalar: int) -> tuple[
         "solve.semaev": lambda: solve(DlpInstance(curve, P, Q), "semaev"),
         "solve.lift": lambda: solve(DlpInstance(curve, P, Q), "lift"),
         "miller.step_values": lambda: miller.step_values(trace, point),
+        "miller.scaled_step_values": lambda: miller.scaled_step_values(trace, point),
         "curve.mul": lambda: curve.mul(scalar, P),
     }
-    if hasattr(miller, "scaled_step_values"):
-        ops["miller.scaled_step_values"] = lambda: miller.scaled_step_values(trace, point)
     values = {f"{op}.a": str(ops[op]().a.value) for op in ("pair.direct", "pair.semaev", "pair.rueck")}
     values.update({f"{op}.n": str(ops[op]().n) for op in ("solve.semaev", "solve.lift")})
     return ops, values

@@ -20,6 +20,7 @@ from .curve import INFINITY, Curve, Point, count_points, find_anomalous
 from .dlp import DlpInstance, solve
 from .dual_curve import DualCurve
 from .errors import DualPairError
+from .fields import json_int
 from .pairing import theta_pairing
 
 USAGE_EXIT = 64
@@ -61,7 +62,7 @@ def _parse_point(curve: Curve, value: str) -> Point:
             pt = Point.from_json(curve.field, json.loads(raw))
         else:
             xs, ys = raw.split(",")
-            pt = Point(curve.field(int(xs)), curve.field(int(ys)))
+            pt = Point(curve.field(json_int(xs.strip())), curve.field(json_int(ys.strip())))
     except (ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
         raise UsageError(f"bad point {value!r}: {exc}") from None
     if not curve.contains(pt):

@@ -16,11 +16,12 @@ Jacobian triples of plain ints and never invert; besides the sum they
 return the numerator N of the chord-or-tangent slope N/Z3.  The sum and N
 are all that `miller.chain_trace` records of a step: every line of the
 Miller walk is read from them projectively, with no inversion.
-`jacobian_mul` runs that law over `window_digits(n)`, the one recoding of a
-scalar that `DualCurve.mul` and the default Miller chain walk too: n's bits
-below 2^32, where the searches' and the CLI's primes lie, and a 4-bit
-sliding window from 2^32 on, about 1.2 steps per bit where double-and-add
-takes 1.5.  `Curve.mul` wraps it and inverts once, at the end.
+`jacobian_mul` runs that law over `window_digits(n)`, the one walk of a
+scalar: double-and-add on n's bits below 2^32, where the searches' and the
+CLI's primes lie, and a 4-bit sliding window from 2^32 on, about 1.2 steps
+per bit where double-and-add takes 1.5.  `DualCurve.mul` and the default
+Miller chain (`miller.binary_chain`) take its group operations in its
+order.  `Curve.mul` wraps it and inverts once, at the end.
 
 A curve with #E = p has a rational point group that is cyclic of order p,
 so every nonzero point generates and the whole group is p-torsion.  Those
@@ -361,7 +362,7 @@ def _bsgs_annihilator(curve: Curve, P: Point) -> int:
         if match is not None and lo + i * m + match <= hi:
             return lo + i * m + match
         walk = curve._add_raw(walk, step)
-    raise AssertionError("Hasse interval search found no annihilator")
+    raise DualPairError("no multiple of the point order lies in the Hasse interval")
 
 
 def count_points(curve: Curve, scan_limit: int = COUNT_SCAN_LIMIT, rng: random.Random | None = None) -> int:

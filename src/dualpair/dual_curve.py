@@ -34,11 +34,10 @@ The group law comes twice.  `DualCurve._add_raw` extends chord-and-tangent
 to affine points of DualNumber wrappers, one dual inversion per step; it
 is the reference law.  `dual_jacobian_double` and `dual_jacobian_add` are
 the same law in Jacobian coordinates on (re, eps) pairs of plain ints and
-never invert; `DualCurve.mul` walks the same recoding as `Curve.mul`
-(`curve.window_digits`: double-and-add below 2^32, a 4-bit sliding window
-from it on) on them, sends each step they cannot take through `_add_raw`,
-and inverts once at the end, and twice more for the window's table of odd
-multiples.
+never invert; `DualCurve.mul` takes the walk of `Curve.mul`
+(`curve.window_digits`) on them, sends each step they cannot take through
+`_add_raw`, and inverts once at the end, and twice more for the window's
+table of odd multiples.
 
 In `_add_raw` the generic chord/tangent cases follow the usual formulas
 verbatim (slopes are dual numbers; denominators are units because their

@@ -17,18 +17,24 @@ is safe for unrestricted concurrent use.
 
 Integers serialize as decimal strings in JSON; a dual number serializes as
 {"re": "...", "eps": "..."}.  `json_int` reads every integer field back: a
-decimal string or a JSON integer, never a float or a bool.
+decimal string of ASCII digits with an optional "-", or a JSON integer,
+never a float or a bool.
 """
 
 from __future__ import annotations
+
+import re
 
 from .errors import BadInputError, DivisionByZeroError, NonUnitError
 from .numbertheory import is_prime, sqrt_mod
 
 
 def json_int(value) -> int:
-    """An integer field of a JSON document: a JSON int (not a bool) or a decimal string."""
-    if type(value) is int or isinstance(value, str):
+    """An integer field of a JSON document: a JSON int (not a bool), or a decimal
+    string of an optional "-" and ASCII digits, with no "+", "_" or space."""
+    if type(value) is int:
+        return value
+    if isinstance(value, str) and re.fullmatch("-?[0-9]+", value):
         return int(value)
     raise ValueError(f"expected an integer or a decimal string, got {value!r}")
 

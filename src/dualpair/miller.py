@@ -14,21 +14,20 @@ through iP, and tau for translation by -T,
     h_{i,j} = 1                               when iP or jP = infinity.
 
 Walking an addition chain for n therefore evaluates f_n = f_P as a product
-of n-1 line-ratio contributions; the default chain (`binary_chain`, binary
-below 2^32 and the 4-bit window of `curve.window_digits` from it on) keeps
-the number of distinct contributions O(log n).  Functions are used only
-inside ratios, so the normalizing constant of f_P never needs to be
-materialized: every ratio of its values, so every pairing value, is the
-same on any chain for n.
+of n-1 line-ratio contributions; the default chain (`binary_chain`, the
+walk of `curve.window_digits`) keeps the number of distinct contributions
+O(log n).  Functions are used only inside ratios, so the normalizing
+constant of f_P never needs to be materialized: every ratio of its values,
+so every pairing value, is the same on any chain for n.
 
 Every reader of a chain reads one record of it, `Chain(steps,
 multiplicities, s)` (`chain_for`): the steps; each step's multiplicity in
 the unrolled product, which weights the pairing routes' additive sums; and
 s, the first multiple of a point of order n on no line of the walk, where
 the routes evaluate.  The default chain's record is built once per n and
-kept; a caller's chain is validated and gets its record per call.  Each
-(P, chain) is walked once, on plain
-ints: `chain_trace` adds in Jacobian coordinates (`step_lines`), inverts
+kept: `binary_chain(n)`'s, or at n = 5 and 7, where that leaves no s,
+`tail_chain(n, 3)`'s.  A caller's chain is validated and gets its record
+per call.  Each (P, chain) is walked once, on plain ints: `chain_trace` adds in Jacobian coordinates (`step_lines`), inverts
 nothing, and records the multiples and each step's slope numerator; its
 end point nP is the n-torsion check.  Every evaluation reads the lines
 from that record projectively (`step_values`); no multiple is ever made
@@ -51,7 +50,7 @@ import functools
 import random
 from typing import NamedTuple
 
-from .curve import JACOBIAN_INFINITY, WINDOW_FROM, Curve, Point, jacobian_add, window_digits
+from .curve import JACOBIAN_INFINITY, Curve, Point, jacobian_add, window_digits
 from .errors import BadInputError, BadTorsionError, DegenerateEvaluationError
 from .fields import Fp, FpElement
 from .dual_curve import DualCurve, DualPoint
@@ -66,39 +65,26 @@ class ChainStep(NamedTuple):
 
 
 def binary_chain(n: int) -> list[ChainStep]:
-    """The default chain for n: binary below 2^32, the walk of `window_digits(n)` from it on.
+    """The default chain for n: the walk of `window_digits(n)`, step for step that of `jacobian_mul`.
 
-    Below 2^32: powers of two up to n's top bit, then the set bits summed
-    high to low; for n = 11 the chain on {1, 2, 4, 8, 10, 11}.  From 2^32
-    on: 2 = 1 + 1 and d = (d - 2) + 2 for the odd digits d up to the
-    largest, then a doubling per later digit and acc + d after each nonzero
-    d; 309 steps for the tests' 256-bit p, where the binary chain takes 390.
+    2 = 1 + 1 and d = (d - 2) + 2 for the odd digits d up to the largest,
+    then a doubling per later digit and acc + d after each nonzero d; for
+    n = 11 the chain on {1, 2, 4, 5, 10, 11}, and 309 steps for the tests'
+    256-bit p.
     """
     if n < 1:
         raise ValueError("chains exist for n >= 1")
-    if n >= WINDOW_FROM:
-        digits = window_digits(n)
-        steps = [ChainStep(2, 1, 1)] + [ChainStep(d, d - 2, 2) for d in range(3, max(digits) + 1, 2)]
-        acc = digits[0]
-        for d in digits[1:]:
-            if acc > 1:  # 2 = 1 + 1 is already a step; no other multiple of the walk is in the table
-                steps.append(ChainStep(2 * acc, acc, acc))
-            acc *= 2
-            if d:
-                steps.append(ChainStep(acc + d, acc, d))
-                acc += d
-        return steps
-    steps = []
-    power = 1
-    while 2 * power <= n:
-        steps.append(ChainStep(2 * power, power, power))
-        power *= 2
-    bits = [1 << b for b in range(n.bit_length()) if n >> b & 1]
-    acc = bits.pop()
-    while bits:
-        b = bits.pop()
-        steps.append(ChainStep(acc + b, acc, b))
-        acc += b
+    digits = window_digits(n)
+    steps = [ChainStep(2, 1, 1)] if n > 1 else []
+    steps += [ChainStep(d, d - 2, 2) for d in range(3, max(digits) + 1, 2)]
+    acc = digits[0]
+    for d in digits[1:]:
+        if acc > 1:  # 2 = 1 + 1 is already a step; no other multiple of the walk is in the table
+            steps.append(ChainStep(2 * acc, acc, acc))
+        acc *= 2
+        if d:
+            steps.append(ChainStep(acc + d, acc, d))
+            acc += d
     return steps
 
 
@@ -112,8 +98,9 @@ def incremental_chain(n: int) -> list[ChainStep]:
 def tail_chain(n: int, c: int) -> list[ChainStep]:
     """The default chain (`binary_chain`) for n - c glued to an incremental chain for c.
 
-    Varying c shifts which multiples of P show up in the line functions,
-    which is how degenerate evaluations are dodged at very small p.
+    Varying c shifts which multiples of P show up in the line functions:
+    tail_chain(n, 3) is the default chain at n = 5 and 7, where `binary_chain`
+    leaves no evaluation multiple.
     """
     if not 1 <= c < n:
         raise ValueError("need 1 <= c < n")
@@ -157,9 +144,9 @@ def _evaluation_multiple(n: int, steps) -> int | None:
     Only multiples of P lie on the lines, and which ones follows from each
     step k = i + j with the indices mod n: a chord step's line meets E at
     iP, jP and -kP and its vertical at +-kP; a step to O is the vertical at
-    +-iP; a step with an operand at O has no line.  For the default chain,
-    every prime 5 <= p < 2*10^5 leaves some s <= 5 except p = 5 and 7, where
-    tail_chain(p, 3) leaves s = 4 and 6.
+    +-iP; a step with an operand at O has no line.  `binary_chain(p)` leaves
+    s = 3 or 4 for every prime 11 <= p < 2*10^5 and none at p = 5 and 7,
+    where tail_chain(p, 3) leaves s = 4 and 6.
     """
     excluded = set()
     for k, i, j in steps:
@@ -186,7 +173,10 @@ def _record(n: int, steps) -> Chain:
 
 @functools.lru_cache(maxsize=64)
 def _default_chain(n: int) -> Chain:
-    return _record(n, tuple(binary_chain(n)))  # the module global, so that a wrapped `binary_chain` sees each miss
+    record = _record(n, tuple(binary_chain(n)))  # the module global, so that a wrapped `binary_chain` sees each miss
+    if record.s is None and n > 3:  # n = 5 and 7, where tail_chain(n, 3) leaves s = 4 and 6
+        record = _record(n, tuple(tail_chain(n, 3)))
+    return record
 
 
 def chain_for(n: int, chain) -> Chain:

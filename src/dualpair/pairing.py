@@ -47,8 +47,9 @@ its multiplicities, and `_evaluate` its evaluation multiple s.  Without a
 caller's R the evaluation point comes from the chain, not from a search:
 P has order p, so every line of the walk meets E only at multiples of P,
 and S = sP is taken for the smallest s on none of them; the default
-chain's record, s included, is built once per p.  Nothing is drawn at
-random, and the routes are deterministic.  Each reading inverts once.
+chain's record, s included, is built once per p, so P is walked once per
+call at every p.  Nothing is drawn at random, and the routes are
+deterministic.  Each reading inverts once.
 Rueck and semaev are both a multiplicity-weighted sum of per-step ratios,
 summed as one running fraction (`_weighted_sum`): rueck of the chord
 steps' slopes N/Z, semaev of the scaled step values' ratios h_eps/h_re.
@@ -95,13 +96,11 @@ from .errors import (
 from .fields import DualNumber, Fp, FpElement, json_int
 from .miller import (
     chain_for,
-    chain_trace,
     difference,
     eval_point,
     product_fold,
     require_on_curve,
     scaled_step_values,
-    tail_chain,
     torsion_trace,
 )
 
@@ -160,8 +159,8 @@ class PairingValue:
 
 
 def _trace(curve: Curve, P: Point, chain=None) -> tuple:
-    """(the `Chain` record for p, `binary_chain` by default, and P's walk along it,
-    checked p-torsion; None for P = infinity).
+    """(the `Chain` record for p, the default chain's unless the caller gives one,
+    and P's walk along it, checked p-torsion; None for P = infinity).
 
     A caller's chain is validated here, once; the internal chains are valid
     by construction.
@@ -187,26 +186,21 @@ def _boundary(curve: Curve, P: Point, R: Point | None, T: Point | None, chain) -
     return rung, trace, R, require_on_curve(curve, T or INFINITY, "translation point T")
 
 
-def _evaluate(curve: Curve, P: Point, chain, rung, trace, R: tuple | None, T: tuple | None) -> tuple:
-    """(rung, trace, S) from what `_boundary` returns for the caller's chain: S = R - T at
-    a caller's R, else S = sP for the first rung with an evaluation multiple s (`Chain.s`).
+def _evaluate(curve: Curve, rung, trace, R: tuple | None, T: tuple | None) -> tuple:
+    """S from what `_boundary` returns: S = R - T at a caller's R, else S = sP for the
+    rung's evaluation multiple s (`Chain.s`).
 
     The value depends on neither R nor T, so without a caller's R the point
-    R = sP + T is taken, O included, and no line vanishes at S.  The rungs are
-    P's chain and, unless the caller fixed it, tail_chain(p, 3), walked only
-    when P's chain has no s.
+    R = sP + T is taken, O included, and no line vanishes at S.
     """
     p, a = curve.p, curve.A.value
     if R is not None:
-        return rung, trace, difference(p, a, R, T)
-    if rung.s is None and chain is None:
-        rung = chain_for(p, tail_chain(p, 3))
-        trace = chain_trace(curve, P, rung.steps)
+        return difference(p, a, R, T)
     if rung.s is None:
         raise DegenerateEvaluationError("all evaluation configurations degenerate: lines of the chain meet E at every multiple of P")
     X, Y, Z = jacobian_mul(p, a, rung.s, trace.jac[1])
     zi = pow(Z, -1, p)
-    return rung, trace, (X * zi * zi % p, Y * zi * zi * zi % p)
+    return X * zi * zi % p, Y * zi * zi * zi % p
 
 
 # -- the three routes ----------------------------------------------------------
@@ -280,7 +274,7 @@ def pairing_direct(dc: DualCurve, P: Point, k, R: Point | None = None, chain=Non
     rung, trace, R, T = _boundary(curve, P, R, T, chain)
     if trace is None or k.is_zero():
         return PairingValue(curve.field.zero())
-    _, trace, S = _evaluate(curve, P, chain, rung, trace, R, T)
+    S = _evaluate(curve, rung, trace, R, T)
     return _direct_value(trace, eval_point(curve.p, curve.A.value, S, k.value))
 
 
@@ -299,7 +293,7 @@ def semaev_coefficient(curve: Curve, P: Point, *, R: Point | None = None, T: Poi
     rung, trace, R, T = _boundary(curve, P, R, T, chain)
     if trace is None:
         return curve.field.zero()
-    rung, trace, S = _evaluate(curve, P, chain, rung, trace, R, T)
+    S = _evaluate(curve, rung, trace, R, T)
     return _log_derivative_value(trace, eval_point(curve.p, curve.A.value, S, 1), rung.multiplicities)
 
 

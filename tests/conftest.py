@@ -41,9 +41,22 @@ def first_anomalous_by_scan(p: int) -> Curve | None:
     return None
 
 
+def double_and_add_chain(n: int) -> list[ChainStep]:
+    """Oracle: the chain that `binary_chain` returns below 2^32, read off n's bits
+    after the top one: double, then add P when the bit is set."""
+    steps, acc = [], 1
+    for bit in bin(n)[3:]:
+        steps.append(ChainStep(2 * acc, acc, acc))
+        acc *= 2
+        if bit == "1":
+            steps.append(ChainStep(acc + 1, acc, 1))
+            acc += 1
+    return steps
+
+
 def power_of_two_chain(n: int) -> list[ChainStep]:
-    """Oracle: the power-of-two chain, which `binary_chain` returns below 2^32:
-    powers of two up to n's top bit, then the set bits summed high to low."""
+    """Oracle and a second chain for n: powers of two up to n's top bit, then
+    the set bits summed high to low (390 steps for the tests' 256-bit p)."""
     steps, power = [], 1
     while 2 * power <= n:
         steps.append(ChainStep(2 * power, power, power))

@@ -167,6 +167,34 @@ def test_non_integer_json_numbers_are_usage(capsys):
         assert run_cli(capsys, "pair", "--curve", curve, "--point", point, "--k", "1") == expected
 
 
+def test_decimal_strings_are_strict(capsys):
+    # a string integer is an optional "-" and ASCII digits, in JSON fields and
+    # in each coordinate of the x,y form; int() would take each of the rejected
+    # forms, and the accepted ones give the document of the plain form
+    good_curve, good_point = '{"p": "1511", "A": "1301", "B": "497"}', "129,526"
+    expected = run_cli(capsys, "pair", "--curve", good_curve, "--point", good_point, "--k", "5")
+    assert expected[0] == 0 and json.loads(expected[1]) == {"one_plus_eps_times": "1226"}
+    rejected = ["1_511", " 1511 ", "1511\\n", "+1511", "", "-", "1511.0", "0x5e7", "\u0661\u0665\u0661\u0661", "\uff11\uff15\uff11\uff11"]
+    cases = [('{"p": "%s", "A": "1301", "B": "497"}' % p, good_point) for p in rejected]
+    cases += [('{"p": "1511", "A": "\u0661\u0663\u0660\u0661", "B": "497"}', good_point)]
+    cases += [(good_curve, '{"x": "%s", "y": "526"}' % x) for x in ("1_29", " 129", "+129", "\u0661\u0662\u0669")]
+    cases += [(good_curve, point) for point in ("1_29,526", "129,5_26", "+129,526", "129,", ",526", "\u0661\u0662\u0669,526", "12 9,526")]
+    for curve, point in cases:
+        code, out, err = run_cli(capsys, "pair", "--curve", curve, "--point", point, "--k", "5")
+        assert (code, out) == (64, ""), (curve, point)
+        assert json.loads(err)["error"] == "Usage"
+    accepted = [
+        ('{"p": 1511, "A": 1301, "B": 497}', good_point),
+        ('{"p": "1511", "A": "-210", "B": "0497"}', good_point),
+        (good_curve, "129, 526"),
+        (good_curve, " 129 ,526 "),
+        (good_curve, "129,-985"),
+        (good_curve, '{"x": 129, "y": "-985"}'),
+    ]
+    for curve, point in accepted:
+        assert run_cli(capsys, "pair", "--curve", curve, "--point", point, "--k", "5") == expected, (curve, point)
+
+
 def test_point_inf_must_be_a_json_bool(capsys):
     curve = '{"p": 1511, "A": 1301, "B": 497}'
     expected = run_cli(capsys, "pair", "--curve", curve, "--point", "129,526", "--k", "5")

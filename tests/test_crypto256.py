@@ -13,10 +13,11 @@ import tracemalloc
 import pytest
 
 from dualpair import INFINITY, Curve, DualCurve, DualPoint, check_functoriality, find_cyclic_isogeny, velu_from_kernel_polynomial
+from dualpair.curve import jacobian_mul
 from dualpair.dlp import DlpInstance, solve
 from dualpair.errors import NotRationalError
 from dualpair.fields import Fp
-from dualpair.miller import binary_chain, h_eval, tail_chain
+from dualpair.miller import binary_chain, chain_trace, h_eval, tail_chain
 from dualpair.pairing import lifted_pairing, pairing_direct, pairing_rueck, pairing_semaev, theta_pairing
 from dualpair.poly import Polynomial
 
@@ -166,6 +167,21 @@ def test_scaled_routes_match_the_exact_oracle_at_256_bits(crypto256, monkeypatch
     monkeypatch.setattr(pairing, "_direct_value", direct_value_oracle)
     monkeypatch.setattr(pairing, "_log_derivative_value", log_derivative_oracle)
     assert [route(dc, P_, k).a.value for route in routes] == [A_G * m * k % P] * 2
+
+
+def test_default_chain_walks_as_jacobian_mul(crypto256):
+    # the Miller walk of binary_chain(n) and jacobian_mul take the same group
+    # operations in the same order, so they end at the same Jacobian triple:
+    # on the desk curve and the pinned one, for n below 600, around 2^32 and past it
+    rng = random.Random(19)
+    scalars = list(range(1, 600)) + [2**32 + d for d in range(-3, 16)] + [2**33 - 1, 2**48 + 1]
+    scalars += [rng.randrange(2**32, 2**300) for _ in range(40)] + [1511, P, 3 * P + 2**40]
+    desk = Curve(Fp(1511), 1301, 497)
+    for curve, G_ in ((desk, desk.point(129, 526)), crypto256):
+        p, a = curve.p, curve.A.value
+        base = (G_.x.value, G_.y.value, 1)
+        for n in scalars:
+            assert chain_trace(curve, G_, binary_chain(n)).jac[n] == jacobian_mul(p, a, n, base), (p, n)
 
 
 def test_window_mul_at_256_bits(crypto256):

@@ -18,6 +18,7 @@ from dualpair import (
 from dualpair.curve import is_anomalous
 from dualpair.errors import (
     BadInputError,
+    DualPairError,
     OrderAmbiguousError,
     PointNotOnCurveError,
     SearchExhaustedError,
@@ -137,6 +138,18 @@ def test_count_points_bsgs_detects_anomalous_trace():
     # trace 1 exactly: both counting routes agree on #E = p
     assert count_points(c) == c.p
     assert count_points(c, scan_limit=0) == c.p
+
+
+def test_bsgs_without_an_annihilator_raises_a_package_error(monkeypatch):
+    # a DualPairError, not an assert that python -O strips: here the searched
+    # interval holds no multiple of the order p of any point
+    import dualpair.curve as curve_mod
+
+    c = Curve(Fp(1511), 1301, 497)
+    monkeypatch.setattr(curve_mod, "hasse_interval", lambda p: (p + 2, p + 40))
+    with pytest.raises(DualPairError, match="Hasse interval") as info:
+        count_points(c, scan_limit=0)
+    assert type(info.value) is DualPairError
 
 
 def test_bsgs_ambiguity_at_tiny_p():

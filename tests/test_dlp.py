@@ -104,7 +104,7 @@ def test_instance_slope_sum_is_out_of_view():
 
 
 def test_attack_cores_equal_the_public_functions(tiny_anomalous_all, small_pool):
-    # every affine P for p <= 13 (at p = 5 and 7 semaev takes the tail_chain rung), and desk points
+    # every affine P for p <= 13 (at p = 5 and 7 the default chain is tail_chain(p, 3)), and desk points
     for c in tiny_anomalous_all:
         for P in list(c.points())[1:]:
             check_attack_cores(DlpInstance(c, P, P))

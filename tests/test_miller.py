@@ -20,7 +20,16 @@ from dualpair.miller import (
     weil_pairing,
 )
 
-from conftest import Chord, Vertical, eval_line, line_through, power_of_two_chain, trace_points, unrolled_step_count
+from conftest import (
+    Chord,
+    Vertical,
+    double_and_add_chain,
+    eval_line,
+    line_through,
+    power_of_two_chain,
+    trace_points,
+    unrolled_step_count,
+)
 
 
 def test_chain_for_one_is_empty():
@@ -29,9 +38,11 @@ def test_chain_for_one_is_empty():
 
 
 def test_chain_for_11_matches_known_set():
+    # double-and-add on 11 = 0b1011: double, double and add, double and add
     chain = binary_chain(11)
     members = {1} | {s.k for s in chain}
-    assert members == {1, 2, 4, 8, 10, 11}
+    assert members == {1, 2, 4, 5, 10, 11}
+    assert chain == [(2, 1, 1), (4, 2, 2), (5, 4, 1), (10, 5, 5), (11, 10, 1)]
     validate_chain(11, chain)
 
 
@@ -55,10 +66,14 @@ def test_chain_multiplicities_in_chain_order_and_kept_for_the_default_chain():
     assert chain_for(7, plain).multiplicities == (1,) * 6
 
 
-def test_binary_chain_below_2_32_is_the_power_of_two_chain():
+def test_binary_chain_below_2_32_is_double_and_add():
+    # with as many steps as the power-of-two chain: bitlen - 1 doublings and
+    # popcount - 1 additions
     rng = random.Random(32)
     for n in list(range(1, 2048)) + [2**31, 2**32 - 1] + [rng.randrange(2048, 2**32) for _ in range(300)]:
-        assert binary_chain(n) == power_of_two_chain(n)
+        chain = binary_chain(n)
+        assert chain == double_and_add_chain(n)
+        assert len(chain) == len(power_of_two_chain(n)) == n.bit_length() + n.bit_count() - 2
 
 
 def test_window_chain_from_2_32_on():

@@ -510,33 +510,41 @@ def test_scaled_routes_match_the_exact_oracle(monkeypatch):
     assert kinds == {(True, "PairingValue"), (True, "str"), (False, "PairingValue"), (False, "str")}
 
 
-def test_retry_ladder_outcomes_on_tiny_anomalous_curves(monkeypatch):
-    # The ladder is P's binary chain, then tail_chain(p, 3) only.  Over every
-    # anomalous curve with p in {5, 7} (every P != O, every T) and p in
-    # {11, 13} (T = O), direct and semaev evaluate on the binary chain for
-    # p >= 11 and on the tail chain for p <= 7, and always give rueck's value.
-    import dualpair.pairing as pairing
+def test_default_chain_outcomes_on_tiny_anomalous_curves(monkeypatch):
+    # The default chain for p is tail_chain(p, 3) at p = 5 and 7, where
+    # double-and-add leaves no evaluation multiple, and binary_chain(p) from 11
+    # on; its record is built once per p.  Over every anomalous curve with p in
+    # {5, 7} (every P != O, every T) and p in {11, 13} (T = O), direct and
+    # semaev evaluate on it, build no chain per call, and give rueck's value.
+    from dualpair import miller
 
-    tails = []
-    monkeypatch.setattr(pairing, "tail_chain", lambda n, c: tails.append(c) or tail_chain(n, c))
-    outcomes = {}
-    for c, points in _anomalous_curves((5, 7, 11, 13)):
-        p = c.p
-        dc = DualCurve.canonical(c)
-        for P in _affine(c):
-            want = pairing_rueck(dc, P, 1)
-            for T in points if p <= 7 else [INFINITY]:
-                for route in (pairing_direct, pairing_semaev):
-                    tails.clear()
-                    try:
-                        assert route(dc, P, 1, T=T) == want
-                        outcome = "tail" if tails else "binary"
-                    except DegenerateEvaluationError:
-                        outcome = "failed"
-                    assert tails in ([], [3])
-                    key = (p <= 7, outcome)
-                    outcomes[key] = outcomes.get(key, 0) + 1
-    assert outcomes == {(True, "tail"): 416, (False, "binary"): 388}
+    expect = {p: tuple(tail_chain(p, 3) if p <= 7 else binary_chain(p)) for p in (5, 7, 11, 13)}
+    built = []
+    monkeypatch.setattr(miller, "binary_chain", lambda n: built.append(n) or binary_chain(n))
+    monkeypatch.setattr(miller, "tail_chain", lambda n, c: built.append((n, c)) or tail_chain(n, c))
+    miller._default_chain.cache_clear()
+    try:
+        outcomes = {}
+        for c, points in _anomalous_curves((5, 7, 11, 13)):
+            p = c.p
+            dc = DualCurve.canonical(c)
+            for P in _affine(c):
+                want = pairing_rueck(dc, P, 1)
+                for T in points if p <= 7 else [INFINITY]:
+                    for route in (pairing_direct, pairing_semaev):
+                        try:
+                            assert route(dc, P, 1, T=T) == want
+                            outcome = "tail" if p <= 7 else "binary"
+                        except DegenerateEvaluationError:
+                            outcome = "failed"
+                        key = (p <= 7, outcome)
+                        outcomes[key] = outcomes.get(key, 0) + 1
+            assert miller.chain_for(p, None).steps == expect[p]  # the chain those calls walked
+        assert outcomes == {(True, "tail"): 416, (False, "binary"): 388}
+        # the four records, built on the first call at each p; tail_chain(7, 3) builds binary_chain(4)
+        assert built == [5, (5, 3), 7, (7, 3), 4, 11, 13]
+    finally:
+        miller._default_chain.cache_clear()
 
 
 def test_evaluation_multiple_is_the_first_nondegenerate_multiple():
@@ -581,9 +589,9 @@ def test_evaluation_multiple_is_the_first_nondegenerate_multiple():
 
 
 def test_default_chain_leaves_an_evaluation_multiple_below_2_16():
-    # pure integers: for every prime 5 <= p < 2^16 the binary chain leaves
-    # some s <= 5, except p = 5 and 7, where tail_chain(p, 3) leaves 4 and 6;
-    # the record kept per p for the default chain has the same s
+    # pure integers: for every prime 11 <= p < 2^16 double-and-add leaves s = 3
+    # or 4, and the default chain is binary_chain(p); at p = 5 and 7 it leaves
+    # none, and the default chain is tail_chain(p, 3), which leaves 4 and 6
     from dualpair.miller import chain_for
     from dualpair.numbertheory import is_prime
 
@@ -592,18 +600,20 @@ def test_default_chain_leaves_an_evaluation_multiple_below_2_16():
         if not is_prime(p):
             continue
         s = chain_for(p, binary_chain(p)).s
-        assert chain_for(p, None).s == s, p
+        default = chain_for(p, None)
         if s is None:
-            misses[p] = chain_for(p, tail_chain(p, 3)).s
+            assert default.steps == tuple(tail_chain(p, 3)), p
+            misses[p] = default.s
         else:
-            assert s <= 5, p
+            assert default.steps == tuple(binary_chain(p)), p
+            assert default.s == s and s in (3, 4), p
     assert misses == {5: 4, 7: 6}
 
 
 def test_default_evaluation_multiple_is_kept_per_p(monkeypatch):
     # s is part of the chain record: found once per p for the default chain,
-    # whose record is kept, and on every call for a caller's chain or the
-    # tail_chain(p, 3) rung, whose records are built per call
+    # whose record is kept, and on every call for a caller's chain, whose
+    # record is built per call
     from dualpair import miller
 
     asked, helper = [], miller._evaluation_multiple
@@ -624,8 +634,10 @@ def test_default_evaluation_multiple_is_kept_per_p(monkeypatch):
         c7, points = next(_anomalous_curves((7,)))
         dc7, P7 = DualCurve.canonical(c7), points[1]
         asked.clear()
+        assert pairing_semaev(dc7, P7, 1) == pairing_rueck(dc7, P7, 1)
+        assert asked == [7, 7]  # binary_chain(7), which leaves none, then tail_chain(7, 3), kept in its place
         for _ in range(2):
-            assert pairing_semaev(dc7, P7, 1) == pairing_rueck(dc7, P7, 1)
-        assert asked == [7, 7, 7]  # the default chain once, its tail_chain rung per call
+            assert pairing_direct(dc7, P7, 1) == pairing_semaev(dc7, P7, 1) == pairing_rueck(dc7, P7, 1)
+        assert asked == [7, 7]
     finally:
         miller._default_chain.cache_clear()
