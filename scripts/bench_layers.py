@@ -11,6 +11,8 @@ desk-size curve (p = 1511):
   scaled step readings of P's walk along the default chain
   (`miller.chain_for(p, None)`) at the routes' evaluation point sP
 * `Curve.mul`: a full-size scalar multiple of P
+* `isogeny.eval_lifted`: a rational ell-isogeny from `find_cyclic_isogeny`
+  (ell = 5 at 256 bits, 17 at p = 1511) at the lifted point embed(Q) + O_k
 
 Each timing is taken in child processes that import `dualpair` from one
 side's `src`; every child runs each operation once, which fills the
@@ -26,9 +28,9 @@ two timings are taken moments apart and so share the host's state.
 With `--against REV` the `src` of REV is unpacked (`git archive`) into a
 temporary directory and the two sides run in alternating child processes,
 `--reps` of each, alternating which side runs first.  Each side also
-records the pairing values and recovered n it computed; the script exits 1
-if they differ between the sides or between the runs of one side.  Only
-the standard library is used.
+records the pairing values, recovered n and lifted isogeny image it
+computed; the script exits 1 if they differ between the sides or between
+the runs of one side.  Only the standard library is used.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-#: (name, p, A, B, G, n for solve.*, scalar for Curve.mul)
+#: (name, p, A, B, G, n for solve.*, scalar for Curve.mul, ell for isogeny.eval_lifted)
 CURVES = [
     (
         "crypto-256",
@@ -60,8 +62,9 @@ CURVES = [
         ),
         52940877273050950909856492988689049655643967086755489088925917197648586427832,
         81059307473838052434838125935787004557212545451669290185779426474424935019031,
+        5,
     ),
-    ("desk", 1511, 1301, 497, (129, 526), 1033, 1409),
+    ("desk", 1511, 1301, 497, (129, 526), 1033, 1409, 17),
 ]
 #: k in e(P, O_k) for the pair.* operations
 K = 3
@@ -70,13 +73,14 @@ K = 3
 # -- the child: one side's timings and values ---------------------------------------
 
 
-def _operations(p: int, a: int, b: int, G: tuple, n: int, scalar: int) -> tuple[dict, dict]:
+def _operations(p: int, a: int, b: int, G: tuple, n: int, scalar: int, ell: int) -> tuple[dict, dict]:
     """(operation name -> zero-argument callable, value name -> value) on one curve."""
     from dualpair import miller, pairing
     from dualpair.curve import Curve, Point
     from dualpair.dlp import DlpInstance, solve
     from dualpair.dual_curve import DualCurve
     from dualpair.fields import Fp
+    from dualpair.isogeny import find_cyclic_isogeny
 
     curve = Curve(Fp(p), a, b)
     P = Point(curve.field(G[0]), curve.field(G[1]))
@@ -86,6 +90,7 @@ def _operations(p: int, a: int, b: int, G: tuple, n: int, scalar: int) -> tuple[
     trace = miller.chain_trace(curve, P, chain.steps)
     S = curve.mul(chain.s, P)
     point = miller.eval_point(p, a, (S.x.value, S.y.value), K)
+    phi, lifted = find_cyclic_isogeny(curve, ell), dc.compose(Q, K)
     ops = {
         "pair.direct": lambda: pairing.pairing_direct(dc, P, K),
         "pair.semaev": lambda: pairing.pairing_semaev(dc, P, K),
@@ -96,9 +101,11 @@ def _operations(p: int, a: int, b: int, G: tuple, n: int, scalar: int) -> tuple[
         "miller.step_values": lambda: miller.step_values(trace, point),
         "miller.scaled_step_values": lambda: miller.scaled_step_values(trace, point),
         "curve.mul": lambda: curve.mul(scalar, P),
+        "isogeny.eval_lifted": lambda: phi.eval_lifted(lifted),
     }
     values = {f"{op}.a": str(ops[op]().a.value) for op in ("pair.direct", "pair.semaev", "pair.rueck")}
     values.update({f"{op}.n": str(ops[op]().n) for op in ("solve.semaev", "solve.lift")})
+    values["isogeny.eval_lifted"] = ops["isogeny.eval_lifted"]().to_json()
     return ops, values
 
 
@@ -222,7 +229,7 @@ def main(argv=None) -> int:
     else:
         sys.stdout.write(text)
     if not identical:
-        print("pairing values or recovered n differ between runs", file=sys.stderr)
+        print("pairing values, recovered n or isogeny images differ between runs", file=sys.stderr)
         return 1
     return 0
 

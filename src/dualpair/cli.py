@@ -75,29 +75,29 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     find = sub.add_parser("find-anomalous", help="search for curves with #E(F_p) = p")
-    find.add_argument("--min", type=int, required=True)
-    find.add_argument("--max", type=int, required=True)
-    find.add_argument("--count", type=int, default=1)
-    find.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    find.add_argument("--min", type=json_int, required=True)
+    find.add_argument("--max", type=json_int, required=True)
+    find.add_argument("--count", type=json_int, default=1)
+    find.add_argument("--seed", type=json_int, default=DEFAULT_SEED)
 
     pair = sub.add_parser("pair", help="evaluate the pairing e(P, O_k)")
     pair.add_argument("--curve", required=True)
     pair.add_argument("--point", required=True)
-    pair.add_argument("--k", type=int, required=True)
+    pair.add_argument("--k", type=json_int, required=True)
     pair.add_argument("--method", choices=("direct", "semaev", "rueck"), default="rueck")
-    pair.add_argument("--seed", type=int, default=DEFAULT_SEED, help="accepted, unused: every route is deterministic")
+    pair.add_argument("--seed", type=json_int, default=DEFAULT_SEED, help="accepted, unused: every route is deterministic")
 
     dlp = sub.add_parser("dlp", help="solve Q = n*P on an anomalous curve")
     dlp.add_argument("--curve", required=True)
     dlp.add_argument("--p-point", required=True)
     dlp.add_argument("--q-point", required=True)
     dlp.add_argument("--method", choices=("semaev", "rueck", "pairing", "lift"), default="rueck")
-    dlp.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    dlp.add_argument("--seed", type=json_int, default=DEFAULT_SEED)
 
     check = sub.add_parser("selfcheck", help="run the invariant suite")
-    check.add_argument("--p-max", type=int, default=13)
-    check.add_argument("--trials", type=int, default=100)
-    check.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    check.add_argument("--p-max", type=json_int, default=13)
+    check.add_argument("--trials", type=json_int, default=100)
+    check.add_argument("--seed", type=json_int, default=DEFAULT_SEED)
     return parser
 
 

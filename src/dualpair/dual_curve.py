@@ -19,13 +19,8 @@ exactly the family at infinity, giving a short exact sequence
     0 -> {O_k} -> lifted curve -> E(F_p) -> 0.
 
 The lift with A1 = B1 = 0 is called canonical; there the sequence splits
-and every point decomposes uniquely as (embedded base point) + O_k, with
-
-    k = -x1/(2*y0)          if y0 != 0,
-    k = -y1/(3*x0^2 + A)    if y0 = 0
-
-(the second denominator is nonzero at 2-torsion because the curve is
-non-singular).  On the canonical lift the p-torsion of an anomalous E
+and every point decomposes uniquely as (embedded base point) + O_k
+(`decompose`).  On the canonical lift the p-torsion of an anomalous E
 stays p-torsion, and so it does on the lifts that are coordinate changes
 of it (`has_scaling_witness`); on every other lift it does not, which is
 what the lift attack exploits.
@@ -39,23 +34,24 @@ never invert; `DualCurve.mul` takes the walk of `Curve.mul`
 `_add_raw`, and inverts once at the end, and twice more for the window's
 table of odd multiples.
 
-In `_add_raw` the generic chord/tangent cases follow the usual formulas
-verbatim (slopes are dual numbers; denominators are units because their
-reductions are nonzero).  Cases whose reductions collide cannot use a
-chord and are handled by explicit formulas derived from the line through
-(k*eps:1:0) and an affine point; they are validated against associativity
-and the canonical-lift decomposition in the test suite:
+The fiber over each base point P is one coset lift(P) + O_k: `translate`
+adds O_k, O_k + (x, y) = (x - 2*y0*k*eps, y - (3*x0^2 + A)*k*eps) with
+(x0, y0) the reduction, and `_offset` reads k back from two points over
+the same P: from the x eps parts, or over 2-torsion, where 3*x0^2 + A != 0
+as E is non-singular, from the y eps parts.  Every reader of a fiber uses
+these two:
 
-* O_k + (x, y) = (x - 2*y0*k*eps, y - (3*x0^2 + A)*k*eps), with (x0, y0)
-  the reduction of the affine point.
-* summands whose reductions are opposite (a "vertical" chord) land at
-  infinity: the result is O_{alpha/(2*y0)} where alpha is the eps part
-  of the difference of the x coordinates.
-* doubling a point reducing to 2-torsion (y = c*eps) gives
-  O_{-2c/(3*x0^2 + A)}.
-* summands with equal reductions but unequal coordinates differ by some
-  O_k; that k is recovered from the eps part of the coordinate
-  difference and the sum is (doubling) + O_k.
+* `points` lists each fiber as translate(lift(P), k) over all k.
+* `_add_raw` takes chords and tangents with dual slopes, whose
+  denominators are units as their reductions are nonzero.  Summands over
+  opposite points (a vertical chord) land at O_{alpha/(2*y0)}, alpha the
+  eps part of the difference of the x coordinates.  Summands over the same
+  point are Q = P + O_k, so P + Q = `_double`(P) + O_k; `_double` is the
+  tangent, or O_{-2c/(3*x0^2 + A)} for a P = (x, c*eps) over 2-torsion.
+* `decompose` reads k as the offset of pt from embed(P).
+
+These cases are checked against associativity and the canonical-lift
+decomposition in the test suite.
 """
 
 from __future__ import annotations
@@ -239,19 +235,22 @@ class DualCurve:
             # reductions are opposite affine points (y0p = -y0q != 0)
             alpha = (Q.x - P.x).eps
             return DualPoint.infinity(alpha / (2 * y0p))
-        if not y0p.is_zero():
-            if P == Q:
-                lam = (3 * P.x * P.x + self.a_lifted()) / (2 * P.y)
-                return self._chord_result(lam, P, P)
-            # Q = P + O_k for the k read off the x eps parts
-            k = -(Q.x - P.x).eps / (2 * y0p)
-            return self.translate(self._add_raw(P, P), k)
-        # both reduce to the same 2-torsion point
-        denom = 3 * x0p**2 + self.base.A
-        if P == Q:
-            return DualPoint.infinity(-2 * P.y.eps / denom)
-        k = -(Q.y - P.y).eps / denom
-        return self.translate(self._add_raw(P, P), k)
+        return self.translate(self._double(P), self._offset(P, Q))
+
+    def _double(self, P: DualPoint) -> DualPoint:
+        """2P for affine P: the tangent, or O_k when P reduces to 2-torsion."""
+        x0, y0 = P.x.re, P.y.re
+        if y0.is_zero():
+            return DualPoint.infinity(-2 * P.y.eps / (3 * x0**2 + self.base.A))
+        lam = (3 * P.x * P.x + self.a_lifted()) / (2 * P.y)
+        return self._chord_result(lam, P, P)
+
+    def _offset(self, P: DualPoint, Q: DualPoint) -> FpElement:
+        """The k with Q = P + O_k, for affine P and Q over the same base point."""
+        x0, y0 = P.x.re, P.y.re
+        if not y0.is_zero():
+            return (P.x.eps - Q.x.eps) / (2 * y0)
+        return (P.y.eps - Q.y.eps) / (3 * x0**2 + self.base.A)
 
     def _chord_result(self, lam: DualNumber, P: DualPoint, Q: DualPoint) -> DualPoint:
         x3 = lam * lam - P.x - Q.x
@@ -348,12 +347,8 @@ class DualCurve:
         if pt.is_infinity:
             return INFINITY, pt.k
         self._require_valid(pt)
-        x0, y0 = pt.x.re, pt.y.re
-        if not y0.is_zero():
-            k = -pt.x.eps / (2 * y0)
-        else:
-            k = -pt.y.eps / (3 * x0**2 + self.base.A)
-        return Point(x0, y0), k
+        P = pt.reduction()
+        return P, self._offset(self.embed(P), pt)
 
     def compose(self, P: Point, k: FpElement) -> DualPoint:
         """(embedded P) + O_k on the canonical lift; inverse of decompose."""
@@ -374,24 +369,11 @@ class DualCurve:
         return num / den
 
     def points(self):
-        """All points of the lift, at-infinity family first (small p only)."""
-        for v in range(self.p):
-            yield DualPoint.infinity(self.field(v))
-        f = self.field
-        a = self.base.A
+        """All points of the lift, fiber by fiber, the at-infinity family first (small p only)."""
         for P in self.base.points():
-            if P.is_infinity:
-                continue
-            t = self.A1 * P.x + self.B1
-            if not P.y.is_zero():
-                for v in range(self.p):
-                    x1 = f(v)
-                    y1 = ((3 * P.x**2 + a) * x1 + t) / (2 * P.y)
-                    yield DualPoint.affine(DualNumber(P.x, x1), DualNumber(P.y, y1))
-            else:
-                x1 = -t / (3 * P.x**2 + a)
-                for v in range(self.p):
-                    yield DualPoint.affine(DualNumber(P.x, x1), DualNumber(P.y, f(v)))
+            base = self.lift(P)
+            for v in range(self.p):
+                yield self.translate(base, self.field(v))
 
     def has_scaling_witness(self) -> bool:
         """Whether some mu = 1 + k*eps carries the canonical lift to this one: 6B*A1 = 4A*B1.

@@ -45,9 +45,9 @@ f * s_num^2 * r_den^3 = (r_num^3 + A2*r_num*r_den^2 + B2*r_den^3) * s_den^2.
 `Isogeny.eval_lifted` is phi base-changed to F_p[eps] on the canonical
 lifts, whose points split as embed(P) + O_k.  It sends embed(P) to
 embed(phi(P)) and O_k to O_{m*k}, since the formal-group map of phi has
-linear term m (Silverman, AEC, ch. IV).  So a point over the kernel maps
-to O_{m*k} in closed form; elsewhere the rational maps are evaluated with
-dual arithmetic.
+linear term m (Silverman, AEC, ch. IV), so it is the one closed form
+embed(P) + O_k -> embed(phi(P)) + O_{m*k}, a point over the kernel
+included, where phi(P) is infinity.
 """
 
 from __future__ import annotations
@@ -192,18 +192,13 @@ class Isogeny:
         return out
 
     def eval_lifted(self, Pt: DualPoint) -> DualPoint:
-        """phi base-changed to the canonical lifts, at Pt = embed(P) + O_k.
+        """phi base-changed to the canonical lifts: embed(P) + O_k -> embed(phi(P)) + O_{m*k}.
 
-        `decompose` validates Pt and gives (P, k).  A P in the kernel, infinity
-        included, maps to O_{m*k}; elsewhere the rational maps are evaluated
-        with dual arithmetic and the image is checked on the target's lift.
+        `decompose` validates Pt and gives (P, k); over the kernel phi(P) is
+        infinity, so the image is O_{m*k}.
         """
         P0, k = DualCurve.canonical(self.source).decompose(Pt)
-        if self.in_kernel(P0):
-            return DualPoint.infinity(self.m * k)
-        out = DualPoint.affine(self.r(Pt.x), Pt.y * self.s(Pt.x))
-        DualCurve.canonical(self.target)._require_valid(out)
-        return out
+        return DualCurve.canonical(self.target).compose(self(P0), self.m * k)
 
     # -- composition --------------------------------------------------------
 

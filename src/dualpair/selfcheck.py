@@ -145,22 +145,21 @@ def run(p_max: int = 13, trials: int = 100, seed: int = 0xC11E) -> dict:
     ok = bad = failed = 0
     probes = []
     for c in (curve, _first_anomalous_with_distinct_coefficients(p)):
+        j_in_fp, preserving = torsion_preserving_lifts(c)
         scaling = set()
         for a1 in range(p):
             for b1 in range(p):
                 lift = DualCurve(c, a1, b1)
                 if lift.has_scaling_witness():
                     scaling.add((a1, b1))
-                j_flat = lift.j_value().eps.is_zero()
                 try:
-                    found, k = canonical_witness(lift)
+                    found = canonical_witness(lift)[0]
                 except WitnessInconsistentError:
                     found = None
-                if found is not None and found == j_flat:
+                if found is not None and found == ((a1, b1) in j_in_fp):
                     ok += 1
                 else:
                     bad += 1
-        j_in_fp, preserving = torsion_preserving_lifts(c)
         failed += len(preserving ^ scaling)
         probes.append(
             {

@@ -173,6 +173,13 @@ def log_derivative_oracle(trace, point: tuple, multiplicities=None):
     return trace.field(fold_trace(trace, p, 0, operator.add, logs) * ((p - 1) // 2))
 
 
+def dual_evaluation(phi, Pt: DualPoint) -> DualPoint:
+    """Oracle for `Isogeny.eval_lifted` off the kernel: phi's rational maps evaluated
+    with dual arithmetic at an affine Pt, (r(x~), y~*s(x~)); the denominators are
+    units there because their reductions are nonzero."""
+    return DualPoint.affine(phi.r(Pt.x), Pt.y * phi.s(Pt.x))
+
+
 def mul_below_2_32(add, mul, n: int, P, zero):
     """Oracle: n*P for n >= 0 by Horner in base 2^31, taking only multiples below
     2^32, where every scalar multiplication is plain double-and-add."""

@@ -195,6 +195,39 @@ def test_decimal_strings_are_strict(capsys):
         assert run_cli(capsys, "pair", "--curve", curve, "--point", point, "--k", "5") == expected, (curve, point)
 
 
+def test_integer_flags_are_strict(capsys):
+    # every integer flag takes an optional "-" and ASCII digits, as json_int does;
+    # int() would take each of the rejected forms
+    curve = '{"p": "1511", "A": "1301", "B": "497"}'
+    commands = {
+        "find-anomalous": ["--min", "5", "--max", "100", "--count", "1", "--seed", "3"],
+        "pair": ["--curve", curve, "--point", "129,526", "--k", "5", "--seed", "3"],
+        "dlp": ["--curve", curve, "--p-point", "129,526", "--q-point", "988,1402", "--method", "lift", "--seed", "3"],
+        "selfcheck": ["--p-max", "5", "--trials", "1", "--seed", "3"],
+    }
+    arabic_indic = str.maketrans("0123456789", "".join(chr(0x660 + d) for d in range(10)))
+    for command, argv in commands.items():
+        expected = run_cli(capsys, command, *argv)
+        assert expected[0] == 0
+        for i in range(0, len(argv), 2):
+            if argv[i] in ("--curve", "--point", "--p-point", "--q-point", "--method"):
+                continue
+            value = argv[i + 1]
+            for bad in (value + "_0", "+" + value, " " + value, value.translate(arabic_indic)):
+                assert int(bad) in (int(value), 10 * int(value))
+                changed = argv[: i + 1] + [bad] + argv[i + 2:]
+                code, out, err = run_cli(capsys, command, *changed)
+                assert (code, out) == (64, ""), (command, argv[i], bad)
+                assert json.loads(err)["error"] == "Usage"
+            changed = argv[: i + 1] + ["0" + value] + argv[i + 2:]
+            assert run_cli(capsys, command, *changed) == expected, (command, argv[i])
+    pair = commands["pair"]
+    assert json.loads(run_cli(capsys, "pair", *pair)[1]) == {"one_plus_eps_times": "1226"}
+    minus = run_cli(capsys, "pair", *pair[:4], "--k", "-5")
+    assert minus == run_cli(capsys, "pair", *pair[:4], "--k", "1506")
+    assert minus[0] == 0 and json.loads(minus[1]) == {"one_plus_eps_times": str(-1226 % 1511)}
+
+
 def test_point_inf_must_be_a_json_bool(capsys):
     curve = '{"p": 1511, "A": 1301, "B": 497}'
     expected = run_cli(capsys, "pair", "--curve", curve, "--point", "129,526", "--k", "5")

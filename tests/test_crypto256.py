@@ -26,6 +26,7 @@ from conftest import (
     check_attack_cores,
     count_walks,
     direct_value_oracle,
+    dual_evaluation,
     eval_line,
     line_through,
     log_derivative_oracle,
@@ -237,3 +238,9 @@ def test_isogeny_functoriality_at_256_bits(crypto256, ell):
     k = dc.field(0xC0FFEE)
     assert phi.eval_lifted(DualPoint.infinity(k)) == DualPoint.infinity(k)
     assert tgt.decompose(phi.eval_lifted(dc.compose(G_, k))) == (phi(G_), k)
+    # the closed form equals the rational maps over F_p[eps] at random lifted points
+    rng = random.Random(ell)
+    for _ in range(4):
+        Rt = dc.compose(curve.mul(rng.randrange(1, P), G_), rng.randrange(P))
+        assert phi.eval_lifted(Rt) == dual_evaluation(phi, Rt)
+

@@ -53,6 +53,39 @@ def test_point_count_is_p_times_base_count(lifts):
         assert len(list(dc.points())) == dc.p * n
 
 
+def test_points_are_the_infinity_family_and_the_eq1_solutions(lifts):
+    # as a set with no repeats: O_k for every k, then over each affine base point
+    # every (x1, y1) in F_p^2 that the eps constraint accepts
+    c2 = Curve(Fp(13), 1, 0)
+    assert c2.two_torsion()
+    for dc in lifts + [DualCurve.canonical(c2), DualCurve(c2, 2, 3)]:
+        f = dc.field
+        pts = list(dc.points())
+        assert len(set(pts)) == len(pts)
+        assert all(pt.is_infinity for pt in pts[: dc.p])
+        expected = {DualPoint.infinity(f(k)) for k in range(dc.p)}
+        for P in dc.base.points():
+            if P.is_infinity:
+                continue
+            for x1 in range(dc.p):
+                for y1 in range(dc.p):
+                    pt = DualPoint.affine(DualNumber(P.x, f(x1)), DualNumber(P.y, f(y1)))
+                    if eq1_holds(dc, pt):
+                        expected.add(pt)
+        assert set(pts) == expected
+
+
+def test_offset_reads_back_translate(tiny_anomalous_all):
+    # _offset(P, P + O_k) = k at every affine point, over 2-torsion too
+    for c in tiny_anomalous_all + [Curve(Fp(13), 1, 0)]:
+        for dc in (DualCurve.canonical(c), DualCurve(c, 2, 3)):
+            for pt in dc.points():
+                if pt.is_infinity:
+                    continue
+                for k in range(dc.p):
+                    assert dc._offset(pt, dc.translate(pt, dc.field(k))) == dc.field(k)
+
+
 def test_embed_and_lift(tiny_anomalous):
     c = tiny_anomalous
     dc = DualCurve.canonical(c)

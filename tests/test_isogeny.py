@@ -25,6 +25,8 @@ from dualpair.fields import Fp
 from dualpair.isogeny import Isogeny, RationalFunction
 from dualpair.poly import Polynomial
 
+from conftest import dual_evaluation
+
 
 @pytest.fixture(scope="module")
 def curve_with_two_torsion():
@@ -449,6 +451,37 @@ def test_lifted_theta_maps_by_m(iso_pool):
     m2 = multiplication_isogeny(c, 2)
     for k in (0, 1, 5):
         assert m2.eval_lifted(DualPoint.infinity(f(k))) == DualPoint.infinity(f(2 * k))
+
+
+def test_eval_lifted_is_the_dual_evaluation(iso_pool, curve_with_two_torsion, tiny_anomalous_all):
+    # the closed form embed(P) + O_k -> embed(phi(P)) + O_{m*k} equals phi's rational
+    # maps over F_p[eps] off the kernel, as phi's formal-group map has linear term m,
+    # and is O_{m*k} over it; the image lies on the target's canonical lift
+    rng = random.Random(20)
+    c2 = curve_with_two_torsion
+    cases = [(c, phi) for ell in (3, 5) for c, phi in iso_pool[ell]]
+    cases += [(c, multiplication_isogeny(c, n)) for c in (c2, iso_pool[3][0][0]) for n in (2, 3)]
+    cases += [(c2, velu(c2, [INFINITY, T])) for T in c2.two_torsion()]
+    cases += [(c, frobenius_isogeny(c)) for c in tiny_anomalous_all]
+    over_kernel = {}
+    for c, phi in cases:
+        dc, tgt = DualCurve.canonical(c), DualCurve.canonical(phi.target)
+        if c.p <= 31:
+            pts = list(dc.points())
+        else:
+            pts = [dc.compose(c.random_point(rng), rng.randrange(c.p)) for _ in range(40)]
+            pts += [DualPoint.infinity(c.field(rng.randrange(c.p))) for _ in range(3)]
+        for Pt in pts:
+            P, k = dc.decompose(Pt)
+            if phi.in_kernel(P):
+                expected = DualPoint.infinity(phi.m * k)
+                over_kernel[P.is_infinity] = over_kernel.get(P.is_infinity, 0) + 1
+            else:
+                expected = dual_evaluation(phi, Pt)
+            assert tgt.is_valid(expected)
+            assert phi.eval_lifted(Pt) == expected
+    # the kernels of [2] and the 2-isogeny on c2 hold an affine point
+    assert over_kernel[False] == 2 * c2.p and over_kernel[True] > 0
 
 
 def test_lifted_homomorphism(iso_pool, curve_with_two_torsion, rng):
