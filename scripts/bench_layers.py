@@ -29,13 +29,16 @@ With `--against REV` the `src` of REV is unpacked (`git archive`) into a
 temporary directory and the two sides run in alternating child processes,
 `--reps` of each, alternating which side runs first.  Each side also
 records the pairing values, recovered n and lifted isogeny image it
-computed; the script exits 1 if they differ between the sides or between
-the runs of one side.  Only the standard library is used.
+computed, and the sha256 of the invariant suite's report
+`selfcheck.run(13, 8, 5)` (JSON, keys sorted); the script exits 1 if any
+of them differ between the sides or between the runs of one side.  Only
+the standard library is used.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -68,6 +71,8 @@ CURVES = [
 ]
 #: k in e(P, O_k) for the pair.* operations
 K = 3
+#: (p_max, trials, seed) of the invariant suite's report, whose digest every child records
+SELFCHECK_ARGS = (13, 8, 5)
 
 
 # -- the child: one side's timings and values ---------------------------------------
@@ -124,6 +129,10 @@ def child(src: str, inner: int) -> dict:
                 fn()
                 samples[op].append((time.perf_counter() - start) * 1e3)
         out["timings_ms"][name] = samples
+    from dualpair import selfcheck
+
+    report = json.dumps(selfcheck.run(*SELFCHECK_ARGS), sort_keys=True)
+    out["values"][f"selfcheck.run{SELFCHECK_ARGS}"] = hashlib.sha256(report.encode()).hexdigest()
     return out
 
 
@@ -229,7 +238,7 @@ def main(argv=None) -> int:
     else:
         sys.stdout.write(text)
     if not identical:
-        print("pairing values, recovered n or isogeny images differ between runs", file=sys.stderr)
+        print("pairing values, recovered n, isogeny images or selfcheck reports differ between runs", file=sys.stderr)
         return 1
     return 0
 

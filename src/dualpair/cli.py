@@ -95,7 +95,7 @@ def _build_parser() -> _Parser:
     dlp.add_argument("--seed", type=json_int, default=DEFAULT_SEED)
 
     check = sub.add_parser("selfcheck", help="run the invariant suite")
-    check.add_argument("--p-max", type=json_int, default=13)
+    check.add_argument("--p-max", type=json_int, default=13, help="at least 5; every value >= 5 gives the same p = 5 curve")
     check.add_argument("--trials", type=json_int, default=100)
     check.add_argument("--seed", type=json_int, default=DEFAULT_SEED)
     return parser

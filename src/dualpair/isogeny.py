@@ -106,7 +106,7 @@ class RationalFunction:
         return not self.den(x).is_zero()
 
     def __call__(self, x):
-        """Evaluate at FpElement (den must be nonzero) or DualNumber (den a unit)."""
+        """Evaluate at an element of F_p where the denominator is nonzero."""
         return self.num(x) / self.den(x)
 
     def compose_poly(self, poly: Polynomial) -> "RationalFunction":

@@ -16,7 +16,7 @@ is off that path and is kept as a tested general tool.
 from __future__ import annotations
 
 from .errors import BadInputError
-from .fields import DualNumber, Fp, FpElement
+from .fields import Fp, FpElement
 
 _NEG_INF = float("-inf")
 
@@ -171,18 +171,14 @@ class Polynomial:
     # -- evaluation ---------------------------------------------------
 
     def __call__(self, x):
-        """Evaluate by Horner's rule; works for int, FpElement and DualNumber."""
-        if isinstance(x, int):
-            x = self.field(x)
-        if isinstance(x, FpElement):
-            acc = self.field.zero()
-        elif isinstance(x, DualNumber):
-            acc = self.field.dual(0)
-        else:
+        """Evaluate at an int or an element of F_p by Horner's rule, on ints."""
+        if not isinstance(x, (int, FpElement)):
             raise TypeError(f"cannot evaluate at {type(x).__name__}")
+        f = self.field
+        v, p, acc = f(x).value, f.p, 0
         for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+            acc = (acc * v + c) % p
+        return FpElement(acc, f)
 
     # -- roots and factors ---------------------------------------------
 

@@ -173,11 +173,23 @@ def log_derivative_oracle(trace, point: tuple, multiplicities=None):
     return trace.field(fold_trace(trace, p, 0, operator.add, logs) * ((p - 1) // 2))
 
 
+def dual_horner(poly, x):
+    """Oracle: a polynomial over F_p evaluated at a dual number by Horner's rule."""
+    acc = x.field.dual(0)
+    for c in reversed(poly.coeffs):
+        acc = acc * x + c
+    return acc
+
+
 def dual_evaluation(phi, Pt: DualPoint) -> DualPoint:
     """Oracle for `Isogeny.eval_lifted` off the kernel: phi's rational maps evaluated
     with dual arithmetic at an affine Pt, (r(x~), y~*s(x~)); the denominators are
     units there because their reductions are nonzero."""
-    return DualPoint.affine(phi.r(Pt.x), Pt.y * phi.s(Pt.x))
+
+    def at(f, x):
+        return dual_horner(f.num, x) / dual_horner(f.den, x)
+
+    return DualPoint.affine(at(phi.r, Pt.x), Pt.y * at(phi.s, Pt.x))
 
 
 def mul_below_2_32(add, mul, n: int, P, zero):
@@ -229,5 +241,5 @@ def medium_pool():
 
 @pytest.fixture(scope="session")
 def large_pool():
-    """Anomalous curves above the scan threshold, found via order search."""
+    """Anomalous curves above the scan threshold, from `find_anomalous`'s search, whose trial walks p*P on ints."""
     return find_anomalous(100_000, 1_000_000, count=2, seed=SEED + 2)

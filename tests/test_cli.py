@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -340,6 +341,46 @@ def test_selfcheck_tells_a_from_b_in_the_scaling_witness(monkeypatch):
     assert failing == {"canonical_witness_biconditional", "torsion_lift_probe"}
     probe = next(s for s in report["sections"] if s["name"] == "torsion_lift_probe")
     assert [c["curve"] for c in probe["detail"]] == [{"p": "5", "A": "3", "B": "3"}, {"p": "5", "A": "3", "B": "2"}]
+
+
+@pytest.mark.parametrize(
+    "args, digest",
+    [
+        ((13, 8, 5), "375a7773080c5ca02b5008840e8c4d90e9e5a3c5a4b0dae284bbc75525288fb0"),
+        ((13, 100, 0xC11E), "e80dbc0deaaabee26837fb0d6a4935005e079e82e467a9803cb652af4f9c0093"),
+    ],
+)
+def test_selfcheck_report_is_pinned(args, digest):
+    # the report's exact bytes: every section draws from the shared rng in one
+    # fixed order, so the same (p_max, trials, seed) names the same report
+    report = json.dumps(selfcheck.run(*args), sort_keys=True)
+    assert hashlib.sha256(report.encode()).hexdigest() == digest
+
+
+def test_selfcheck_takes_each_lift_j_value_once(monkeypatch):
+    # the biconditional reads the j-values torsion_preserving_lifts has taken,
+    # and asks canonical_witness for k on the scaling lifts only
+    from dualpair import DualCurve
+
+    j_value, witness = DualCurve.j_value, selfcheck.canonical_witness
+    j_calls, witness_calls = [], []
+
+    def counted_j_value(self):
+        j_calls.append((self.base.A.value, self.base.B.value, self.A1.value, self.B1.value))
+        return j_value(self)
+
+    def recorded_witness(dc):
+        witness_calls.append(dc.has_scaling_witness())
+        return witness(dc)
+
+    monkeypatch.setattr(DualCurve, "j_value", counted_j_value)
+    monkeypatch.setattr(selfcheck, "canonical_witness", recorded_witness)
+    report = selfcheck.run()
+    assert report["pass"] is True
+    biconditional = next(s for s in report["sections"] if s["name"] == "canonical_witness_biconditional")
+    assert biconditional["checked"] == 50  # every lift of both p = 5 curves
+    assert len(j_calls) == len(set(j_calls)) == 50
+    assert witness_calls == [True] * 10  # the p scaling lifts k*(4A, 6B) of each curve
 
 
 def test_unknown_subcommand_is_usage(capsys):

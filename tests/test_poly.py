@@ -6,6 +6,8 @@ from dualpair.errors import BadInputError
 from dualpair.fields import Fp
 from dualpair.poly import Polynomial, _split_equal_degree, cubic_roots
 
+from conftest import dual_horner
+
 
 def test_cubic_roots_trivial_cases():
     f5 = Fp(5)
@@ -76,15 +78,26 @@ def test_evaluation_horner_matches_naive():
 
 
 def test_evaluation_at_dual_numbers_is_first_order_taylor():
-    # f(a + b*eps) = f(a) + f'(a)*b*eps
+    # f(a + b*eps) = f(a) + f'(a)*b*eps, for the tests' dual-number evaluation
+    # (the oracle of `test_eval_lifted_is_the_dual_evaluation`)
     f = Fp(103)
     rng = random.Random(6)
     for _ in range(30):
         poly = Polynomial(f, [rng.randrange(103) for _ in range(7)])
         a, b = f.random(rng), f.random(rng)
-        val = poly(f.dual(a, b))
+        val = dual_horner(poly, f.dual(a, b))
         assert val.re == poly(a)
         assert val.eps == poly.derivative()(a) * b
+
+
+def test_evaluation_at_a_dual_number_is_a_type_error():
+    # src evaluates polynomials on F_p only; the lifted image is a closed form
+    f = Fp(103)
+    for poly in (Polynomial(f, [3, 1, 4]), Polynomial.zero(f)):
+        with pytest.raises(TypeError):
+            poly(f.dual(2, 5))
+        with pytest.raises(TypeError):
+            poly(2.0)
 
 
 def test_factor_recovers_structure():
