@@ -11,6 +11,8 @@ desk-size curve (p = 1511):
   scaled step readings of P's walk along the default chain
   (`miller.chain_for(p, None)`) at the routes' evaluation point sP
 * `Curve.mul`: a full-size scalar multiple of P
+* `dual_curve.mul`: p*lift(P) on the lift (A1, B1) = `LIFT`, off the
+  scaling family, as in the lift attack
 * `isogeny.eval_lifted`: a rational ell-isogeny from `find_cyclic_isogeny`
   (ell = 5 at 256 bits, 17 at p = 1511) at the lifted point embed(Q) + O_k
 
@@ -28,11 +30,13 @@ two timings are taken moments apart and so share the host's state.
 With `--against REV` the `src` of REV is unpacked (`git archive`) into a
 temporary directory and the two sides run in alternating child processes,
 `--reps` of each, alternating which side runs first.  Each side also
-records the pairing values, recovered n and lifted isogeny image it
-computed, and the sha256 of the invariant suite's report
+records the pairing values, recovered n, p*lift(P) and lifted isogeny
+image it computed, and the sha256 of the invariant suite's report
 `selfcheck.run(13, 8, 5)` (JSON, keys sorted); the script exits 1 if any
-of them differ between the sides or between the runs of one side.  Only
-the standard library is used.
+of them differ between the sides or between the runs of one side.  Each
+side names the tree it timed by `src_sha256`, the sha256 of the sorted
+`src/dualpair/*.py` paths and bytes; its `commit` is null when `src` has
+uncommitted changes.  Only the standard library is used.
 """
 
 from __future__ import annotations
@@ -71,6 +75,8 @@ CURVES = [
 ]
 #: k in e(P, O_k) for the pair.* operations
 K = 3
+#: (A1, B1) of the lift for `dual_curve.mul`: off the scaling family, 6B*A1 != 4A*B1, as B != 0 on both curves
+LIFT = (1, 0)
 #: (p_max, trials, seed) of the invariant suite's report, whose digest every child records
 SELFCHECK_ARGS = (13, 8, 5)
 
@@ -96,6 +102,8 @@ def _operations(p: int, a: int, b: int, G: tuple, n: int, scalar: int, ell: int)
     S = curve.mul(chain.s, P)
     point = miller.eval_point(p, a, (S.x.value, S.y.value), K)
     phi, lifted = find_cyclic_isogeny(curve, ell), dc.compose(Q, K)
+    lift = DualCurve(curve, *LIFT)
+    Pt = lift.lift(P)
     ops = {
         "pair.direct": lambda: pairing.pairing_direct(dc, P, K),
         "pair.semaev": lambda: pairing.pairing_semaev(dc, P, K),
@@ -106,11 +114,12 @@ def _operations(p: int, a: int, b: int, G: tuple, n: int, scalar: int, ell: int)
         "miller.step_values": lambda: miller.step_values(trace, point),
         "miller.scaled_step_values": lambda: miller.scaled_step_values(trace, point),
         "curve.mul": lambda: curve.mul(scalar, P),
+        "dual_curve.mul": lambda: lift.mul(p, Pt),
         "isogeny.eval_lifted": lambda: phi.eval_lifted(lifted),
     }
     values = {f"{op}.a": str(ops[op]().a.value) for op in ("pair.direct", "pair.semaev", "pair.rueck")}
     values.update({f"{op}.n": str(ops[op]().n) for op in ("solve.semaev", "solve.lift")})
-    values["isogeny.eval_lifted"] = ops["isogeny.eval_lifted"]().to_json()
+    values.update({op: ops[op]().to_json() for op in ("dual_curve.mul", "isogeny.eval_lifted")})
     return ops, values
 
 
@@ -145,6 +154,14 @@ def _git(*args: str) -> str:
 
 def _src_lines(src: Path) -> int:
     return sum(len(f.read_text().splitlines()) for f in sorted((src / "dualpair").glob("*.py")))
+
+
+def _src_sha256(src: Path) -> str:
+    """The sha256 of the sorted src/dualpair/*.py paths and bytes under src."""
+    digest = hashlib.sha256()
+    for f in sorted((src / "dualpair").glob("*.py")):
+        digest.update(f"src/dualpair/{f.name}\0".encode() + f.read_bytes() + b"\0")
+    return digest.hexdigest()
 
 
 def _unpack_src(rev: str, into: Path) -> Path:
@@ -192,8 +209,8 @@ def main(argv=None) -> int:
         json.dump(child(args.child, args.inner), sys.stdout)
         return 0
 
-    head = _git("rev-parse", "HEAD")
-    sides = {"change": {"src": ROOT / "src", "commit": head, "uncommitted_changes": bool(_git("status", "--porcelain", "src"))}}
+    dirty = bool(_git("status", "--porcelain", "src"))
+    sides = {"change": {"src": ROOT / "src", "commit": None if dirty else _git("rev-parse", "HEAD"), "uncommitted_changes": dirty}}
     with tempfile.TemporaryDirectory() as tmp:
         if args.against:
             sides["parent"] = {"src": _unpack_src(args.against, Path(tmp)), "commit": _git("rev-parse", args.against)}
@@ -203,7 +220,8 @@ def main(argv=None) -> int:
             for side in order if rep % 2 == 0 else order[::-1]:
                 runs[side].append(_run_child(sides[side]["src"], args.inner))
         for meta in sides.values():
-            meta["src_lines"] = _src_lines(meta.pop("src"))
+            src = meta.pop("src")
+            meta["src_lines"], meta["src_sha256"] = _src_lines(src), _src_sha256(src)
 
     values = {side: [run["values"] for run in rs] for side, rs in runs.items()}
     identical = all(v == values["change"][0] for vs in values.values() for v in vs)
@@ -238,7 +256,7 @@ def main(argv=None) -> int:
     else:
         sys.stdout.write(text)
     if not identical:
-        print("pairing values, recovered n, isogeny images or selfcheck reports differ between runs", file=sys.stderr)
+        print("pairing values, recovered n, lifted multiples, isogeny images or selfcheck reports differ between runs", file=sys.stderr)
         return 1
     return 0
 

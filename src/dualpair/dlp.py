@@ -16,9 +16,9 @@ nonzero off the identity:
 * lift    - Smart's attack: lift P, Q to one lift y^2 = x^3 + (A + A1*eps)x
   + (B + B1*eps) of E off the scaling family (`has_scaling_witness`); then
   p*Pt = O_kP and p*Qt = O_kQ, and n*Pt - Qt lying in the kernel of
-  reduction forces n*kP = kQ, so n = kQ/kP.  The attack walks its own two
-  dual points; by the lift identity, tested exhaustively at small p, their
-  k is a multiple of S:
+  reduction forces n*kP = kQ, so n = kQ/kP.  `DualCurve.mul` walks P and Q
+  on the base curve and reads their k by the lift identity, which the tests
+  check against the reference law exhaustively at small p:
 
       k = -3*(6B*A1 - 4A*B1) / (4*(4A^3 + 27B^2)) * S(P),
 
@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import reduce
 
 from .curve import Curve, Point, count_points
 from .dual_curve import DualCurve, DualPoint
@@ -179,7 +180,8 @@ def torsion_preserving_lifts(curve: Curve) -> tuple[set, set]:
 
     Returns (j_in_fp, torsion_preserving) as sets of (A1, B1) value pairs.
     By the lift identity (`attack_lift`) the second set is the scaling
-    lifts, `has_scaling_witness`; for A*B != 0 so is the first.  Raises
+    lifts, `has_scaling_witness`; for A*B != 0 so is the first.  p*lift(P)
+    is p - 1 steps of `DualCurve.add`, as `mul` reads the identity.  Raises
     BadTorsionError unless #E(F_p) = p.
     """
     p = curve.p
@@ -193,6 +195,6 @@ def torsion_preserving_lifts(curve: Curve) -> tuple[set, set]:
             lift = DualCurve(curve, a1, b1)
             if lift.j_value().eps.is_zero():
                 j_in_fp.add((a1, b1))
-            if all(lift.mul(p, lift.lift(P)).k.is_zero() for P in pts):
+            if all(reduce(lift.add, [lift.lift(P)] * p).k.is_zero() for P in pts):
                 preserving.add((a1, b1))
     return j_in_fp, preserving

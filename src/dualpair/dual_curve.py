@@ -25,14 +25,9 @@ stays p-torsion, and so it does on the lifts that are coordinate changes
 of it (`has_scaling_witness`); on every other lift it does not, which is
 what the lift attack exploits.
 
-The group law comes twice.  `DualCurve._add_raw` extends chord-and-tangent
-to affine points of DualNumber wrappers, one dual inversion per step; it
-is the reference law.  `dual_jacobian_double` and `dual_jacobian_add` are
-the same law in Jacobian coordinates on (re, eps) pairs of plain ints and
-never invert; `DualCurve.mul` takes the walk of `Curve.mul`
-(`curve.window_digits`) on them, sends each step they cannot take through
-`_add_raw`, and inverts once at the end, and twice more for the window's
-table of odd multiples.
+The group law is `DualCurve._add_raw`: chord-and-tangent on affine
+points of DualNumber wrappers, one dual inversion per step.  It is the
+reference law, and `DualCurve.mul` takes at most one step of it.
 
 The fiber over each base point P is one coset lift(P) + O_k: `translate`
 adds O_k, O_k + (x, y) = (x - 2*y0*k*eps, y - (3*x0^2 + A)*k*eps) with
@@ -52,16 +47,37 @@ these two:
 
 These cases are checked against associativity and the canonical-lift
 decomposition in the test suite.
+
+`mul` walks only the base curve: for n >= 1 and P~ = lift(P) + O_k, so
+k = -x1/(2*y0) as `lift` has x1 = 0, n*P~ = lift(nP) + O_c (O_c at nP = O):
+
+    c = n*k + lambda_L*S_n(P) + n*gamma(P) - gamma(nP),
+    lambda_L = -3*(6B*A1 - 4A*B1) / (4*(4A^3 + 27B^2)),
+    gamma(x, y) = [A1*(9B/2*x^2 + A^2*x + 3AB) + B1*(-3A*x^2 + 9B/2*x - 2A^2)]
+                  / ((4A^3 + 27B^2)*y),   gamma(O) = 0,
+
+S_n(P) the multiplicity-weighted slope sum of P's walk along the default
+chain for n (`miller.slope_sum`; Rueck's S(P) at n = p) and nP its end.
+Over C, with x = wp(u) and y = wp'(u)/2, the chord slope through u and v
+is zeta(u + v) - zeta(u) - zeta(v), the addition law of the Weierstrass
+zeta function; so the offset of n*lift(P) from lift(nP), a 2-cocycle, is
+lambda_L times the slope cocycle plus the coboundary of the rational
+gamma.  At n = p, n*gamma(P) = 0 and pP = O on an anomalous curve, so
+p*lift(P) = O_{lambda_L*S(P)}: the lift identity of `dlp.attack_lift`.
+gamma has a pole at the 2-torsion.  For P of order 2, 2P~ = `_double`(P~)
+= O_k2, so n*P~ is O_{(n/2)*k2} for even n and P~ + O_{(n-1)/2*k2} for
+odd n; for nP alone of order 2, n*P~ = (n - 1)*P~ + P~ by one step of
+`_add_raw`.
 """
 
 from __future__ import annotations
 
 import random
 
-from .curve import INFINITY, WINDOW_FROM, Curve, Point, window_digits
+from .curve import INFINITY, Curve, Point
 from .errors import InvalidPointError, NotCanonicalError
 from .fields import DualNumber, Fp, FpElement, json_int
-from .numbertheory import batch_inverse
+from .miller import chain_for, chain_trace, slope_sum
 
 
 class DualPoint:
@@ -258,16 +274,9 @@ class DualCurve:
         return DualPoint.affine(x3, y3)
 
     def mul(self, n: int, P: DualPoint) -> DualPoint:
-        """n*P; negative n allowed.
-
-        Over `window_digits(n)`, as `Curve.mul`, on the Jacobian law of
-        `dual_jacobian_double` and `dual_jacobian_add`: int pairs, one dual
-        inversion at the end.  The odd multiples P, 3P, ... of the digits are
-        made first and scaled to Z = 1 in one batch, for the mixed addition.
-        A step those formulas cannot take (colliding reductions, doubling
-        over 2-torsion, an operand at infinity), in the table or the walk,
-        goes once through `_add_raw`.  For an input O_k, n*O_k = O_{n*k}.
-        """
+        """n*P, negative n allowed: one walk of P's reduction on the base curve along the
+        default chain for n (`miller.chain_for(n, None)`), read by the closed form and the
+        order-2 cases of the module docstring.  For an input O_k, n*O_k = O_{n*k}."""
         self._require_valid(P)
         if n < 0:
             n, P = -n, self.neg(P)
@@ -275,68 +284,32 @@ class DualCurve:
             return DualPoint.infinity(self.field(n * P.k.value))
         if n == 0:
             return DualPoint.infinity(self.field.zero())
-        digits = window_digits(n)
-        table = [self._jacobian(P)]  # walk values: Jacobian tuples, or O_k after a step to infinity
-        if n >= WINDOW_FROM:  # below it the digits are bits
-            twice = self._scaled([self._step(table[0])])[0]
-            for _ in range(max(digits) // 2):
-                table.append(self._step(table[-1], twice))
-            table = self._scaled(table)
-        p, a = self.p, (self.base.A.value, self.A1.value)
-        acc = table[digits[0] // 2]
-        for d in digits[1:]:  # `_step`, inlined
-            acc = (type(acc) is tuple and dual_jacobian_double(p, a, acc)) or self._reference_step(acc, None)
-            if d:  # the summand of digit 1 is P itself, which `_reference_step` takes as it is
-                Q = table[d // 2]
-                acc = (type(acc) is tuple and type(Q) is tuple and dual_jacobian_add(p, acc, Q)) or self._reference_step(
-                    acc, P if d == 1 else Q
-                )
-        return self._point(acc)
+        if P.y.re.is_zero():  # 2*P = O_k2
+            k2 = self._double(P).k
+            return DualPoint.infinity(n // 2 * k2) if n % 2 == 0 else self.translate(P, n // 2 * k2)
+        P0 = P.reduction()
+        rung = chain_for(n, None)
+        trace = chain_trace(self.base, P0, rung.steps)
+        X, Y, Z = trace.jac[n]
+        if Z and not Y:  # gamma has a pole at n*P0; (n - 1)*P0 is neither O nor of order 2
+            return self._add_raw(self.mul(n - 1, P), P)
+        p, f, a, b, a1, b1 = self.p, self.field, self.base.A.value, self.base.B.value, self.A1.value, self.B1.value
+        disc = self.base.discriminant_term().value
 
-    def _step(self, acc, Q=None):
-        """acc + Q, or 2*acc when Q is None, on walk values (Q with Z = 1 or at infinity)."""
-        if type(acc) is tuple:
-            if Q is None:
-                S = dual_jacobian_double(self.p, (self.base.A.value, self.A1.value), acc)
-            else:
-                S = type(Q) is tuple and dual_jacobian_add(self.p, acc, Q)
-            if S:
-                return S
-        return self._reference_step(acc, Q)
+        def gamma(x: int, y: int) -> int:  # numerator and denominator doubled, for the 9B/2
+            num = a1 * (9 * b * x * x + 2 * a * a * x + 6 * a * b) + b1 * (9 * b * x - 6 * a * x * x - 4 * a * a)
+            return num * pow(2 * disc * y, -1, p)
 
-    def _reference_step(self, acc, Q):
-        """`_step` by `_add_raw`, for a step the Jacobian formulas cannot take."""
-        R = self._point(acc)
-        return self._jacobian(self._add_raw(R, R if Q is None else self._point(Q)))
-
-    def _scaled(self, accs: list) -> list:
-        """The walk values with each Jacobian tuple scaled to Z = 1, by one batch inversion of the Z."""
-        inverses = iter(batch_inverse([acc[4] for acc in accs if type(acc) is tuple], self.p))
-        return [self._unit_z(acc, next(inverses)) if type(acc) is tuple else acc for acc in accs]
-
-    def _unit_z(self, acc: tuple, i0: int) -> tuple:
-        """The Jacobian tuple acc scaled to Z = 1, given i0 = 1/z0."""
-        p = self.p
-        x0, x1, y0, y1, z0, z1 = acc
-        i1 = -z1 * i0 * i0 % p
-        s0, s1 = i0 * i0 % p, 2 * i0 * i1 % p  # Z^-2
-        t0, t1 = s0 * i0 % p, (s0 * i1 + s1 * i0) % p  # Z^-3
-        return x0 * s0 % p, (x0 * s1 + x1 * s0) % p, y0 * t0 % p, (y0 * t1 + y1 * t0) % p, 1, 0
-
-    def _point(self, acc) -> DualPoint:
-        """The DualPoint of a walk value: affine by one dual inversion of Z, or O_k as it is."""
-        if type(acc) is not tuple:
-            return acc
-        x0, x1, y0, y1, _, _ = self._unit_z(acc, pow(acc[4], -1, self.p))
-        f = self.field
-        return DualPoint.affine(
-            DualNumber(FpElement(x0, f), FpElement(x1, f)), DualNumber(FpElement(y0, f), FpElement(y1, f))
-        )
-
-    @staticmethod
-    def _jacobian(pt: DualPoint):
-        """The walk value of a point: its Jacobian tuple with Z = 1, or O_k as it is."""
-        return pt if pt.is_infinity else (pt.x.re.value, pt.x.eps.value, pt.y.re.value, pt.y.eps.value, 1, 0)
+        lam = -3 * (6 * b * a1 - 4 * a * b1) * pow(4 * disc, -1, p)
+        k = -P.x.eps.value * pow(2 * P0.y.value, -1, p)  # `lift` takes x1 = 0
+        c = n * k + lam * slope_sum(rung, trace) + n * gamma(P0.x.value, P0.y.value)
+        if not Z:
+            return DualPoint.infinity(f(c))
+        zi = pow(Z, -1, p)
+        x, y = X * zi * zi % p, Y * zi * zi * zi % p
+        d = c - gamma(x, y)  # lift(nP) = (x, y + (A1*x + B1)/(2y)*eps), translated by O_d
+        y1 = (a1 * x + b1) * pow(2 * y, -1, p) - (3 * x * x + a) * d
+        return DualPoint.affine(DualNumber(f(x), f(-2 * y * d)), DualNumber(f(y), f(y1)))
 
     # -- canonical-lift structure -------------------------------------------
 
@@ -423,53 +396,3 @@ class DualCurve:
     def from_json(obj: dict) -> "DualCurve":
         base = Curve.from_json(obj)
         return DualCurve(base, json_int(obj["A1"]), json_int(obj["B1"]))
-
-
-# -- Jacobian group law on int pairs ---------------------------------------------
-#
-# A tuple (x0, x1, y0, y1, z0, z1) of ints in [0, p) stands for the affine
-# point (X/Z^2, Y/Z^3) with X = x0 + x1*eps, Y = y0 + y1*eps and
-# Z = z0 + z1*eps a unit (z0 != 0); the curve coefficient is a = a0 + a1*eps.
-# These are the formulas of `curve.jacobian_double` and the mixed case of
-# `curve.jacobian_add` over F_p[eps].  Each returns None instead of a sum
-# whose Z would not be a unit: a doubling whose operand reduces to 2-torsion,
-# or an addition whose summands have reductions with the same x.
-
-
-def dual_jacobian_double(p: int, a: tuple, P: tuple) -> tuple | None:
-    """2P, or None when P reduces to a point of order 2."""
-    x0, x1, y0, y1, z0, z1 = P
-    if not y0:
-        return None
-    yy0, yy1 = y0 * y0 % p, 2 * y0 * y1 % p
-    s0, s1 = 4 * x0 * yy0 % p, 4 * (x0 * yy1 + x1 * yy0) % p
-    zz0, zz1 = z0 * z0 % p, 2 * z0 * z1 % p
-    q0, q1 = zz0 * zz0 % p, 2 * zz0 * zz1 % p
-    n0 = (3 * x0 * x0 + a[0] * q0) % p
-    n1 = (6 * x0 * x1 + a[0] * q1 + a[1] * q0) % p
-    X0, X1 = (n0 * n0 - 2 * s0) % p, 2 * (n0 * n1 - s1) % p
-    d0, d1 = s0 - X0, s1 - X1
-    Y0, Y1 = (n0 * d0 - 8 * yy0 * yy0) % p, (n0 * d1 + n1 * d0 - 16 * yy0 * yy1) % p
-    return X0, X1, Y0, Y1, 2 * y0 * z0 % p, 2 * (y0 * z1 + y1 * z0) % p
-
-
-def dual_jacobian_add(p: int, P: tuple, Q: tuple) -> tuple | None:
-    """P + Q for a Q with Z = 1, or None when the reductions share x."""
-    x0, x1, y0, y1, z0, z1 = P
-    u0, u1, v0, v1, _, _ = Q
-    zz0, zz1 = z0 * z0 % p, 2 * z0 * z1 % p
-    h0 = (u0 * zz0 - x0) % p
-    if not h0:
-        return None
-    h1 = (u0 * zz1 + u1 * zz0 - x1) % p
-    w0, w1 = z0 * zz0 % p, (z0 * zz1 + z1 * zz0) % p  # Z^3
-    r0 = (v0 * w0 - y0) % p
-    r1 = (v0 * w1 + v1 * w0 - y1) % p
-    hh0, hh1 = h0 * h0 % p, 2 * h0 * h1 % p
-    g0, g1 = h0 * hh0 % p, (h0 * hh1 + h1 * hh0) % p  # H^3
-    V0, V1 = x0 * hh0 % p, (x0 * hh1 + x1 * hh0) % p
-    X0 = (r0 * r0 - g0 - 2 * V0) % p
-    X1 = (2 * r0 * r1 - g1 - 2 * V1) % p
-    d0, d1 = V0 - X0, V1 - X1
-    Y0, Y1 = (r0 * d0 - y0 * g0) % p, (r0 * d1 + r1 * d0 - y0 * g1 - y1 * g0) % p
-    return X0, X1, Y0, Y1, z0 * h0 % p, (z0 * h1 + z1 * h0) % p

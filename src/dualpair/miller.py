@@ -22,21 +22,23 @@ so every pairing value, is the same on any chain for n.
 
 Every reader of a chain reads one record of it, `Chain(steps,
 multiplicities, s)` (`chain_for`): the steps; each step's multiplicity in
-the unrolled product, which weights the pairing routes' additive sums; and
-s, the first multiple of a point of order n on no line of the walk, where
-the routes evaluate.  The default chain's record is built once per n and
-kept: `binary_chain(n)`'s, or at n = 5 and 7, where that leaves no s,
-`tail_chain(n, 3)`'s.  A caller's chain is validated and gets its record
-per call.  Each (P, chain) is walked once, on plain ints: `chain_trace` adds in Jacobian coordinates (`step_lines`), inverts
-nothing, and records the multiples and each step's slope numerator; its
-end point nP is the n-torsion check.  Every evaluation reads the lines
-from that record projectively (`step_values`); no multiple is ever made
-affine.  `trace_value` checks T and `at` once and turns at - T into an int
-tuple (`eval_point`), where a memoized fold of the step values gives f_P
-with one division.  Those exact values are only for `trace_value`: a
-reading that needs only the eps/re ratio of f_P at one point of the lift
-(the pairing routes) takes each h up to a factor in F_p
-(`scaled_step_values`), which skips the scales Z_k and Z_i^3.  The same trace drives the Weil pairing
+the unrolled product, which weights the one additive sum (`weighted_sum`)
+that rueck, semaev and `DualCurve.mul` read; and s, the first multiple of a
+point of order n on no line of the walk, where the routes evaluate.  The
+default chain's record is built once per n and kept: `binary_chain(n)`'s,
+or at n = 5 and 7, where that leaves no s, `tail_chain(n, 3)`'s.  A
+caller's chain is validated and gets its record per call.  Each (P, chain)
+is walked once, on plain ints: `chain_trace` adds in Jacobian coordinates
+(`step_lines`), inverts nothing, and records the multiples and each step's
+slope numerator; its end point nP is the n-torsion check.  Every evaluation
+reads the lines from that record projectively (`step_values`); no multiple
+is ever made affine.  `trace_value` checks T and `at` once and turns at - T
+into an int tuple (`eval_point`), where a memoized fold of the step values
+gives f_P with one division.  Those exact values are only for
+`trace_value`: a reading that needs only the eps/re ratio of f_P at one
+point of the lift (the pairing routes) takes each h up to a factor in F_p
+(`scaled_step_values`), which skips the scales Z_k and Z_i^3.  The same
+trace drives the Weil pairing
 
     e_n(P, Q) = f_P(D_Q) / f_Q(D_P)
 
@@ -53,7 +55,6 @@ from typing import NamedTuple
 from .curve import JACOBIAN_INFINITY, Curve, Point, jacobian_add, window_digits
 from .errors import BadInputError, BadTorsionError, DegenerateEvaluationError
 from .fields import Fp, FpElement
-from .dual_curve import DualCurve, DualPoint
 
 
 class ChainStep(NamedTuple):
@@ -239,6 +240,22 @@ def torsion_trace(curve: Curve, P: Point, chain: list[ChainStep], n: int) -> Cha
     return trace
 
 
+def weighted_sum(p: int, terms) -> int:
+    """The sum of m*top/bottom over (m, top, bottom) terms mod p, every bottom nonzero: one running fraction, divided once."""
+    num, den = 0, 1
+    for m, top, bottom in terms:
+        if m:
+            num, den = (num * bottom + m * top * den) % p, den * bottom % p
+    return num * pow(den, -1, p) % p
+
+
+def slope_sum(rung: Chain, trace: ChainTrace) -> int:
+    """The chord slopes N/Z of a walk of rung's steps, weighted by multiplicity (`weighted_sum`); S(P) at n = p."""
+    jac = trace.jac
+    terms = ((m, N, jac[k][2]) for m, (k, _, _, N) in zip(rung.multiplicities, trace.steps) if N is not None)
+    return weighted_sum(trace.field.p, terms)
+
+
 def product_fold(trace: ChainTrace, n: int, values: list) -> tuple:
     """f_n as the memoized product val(k) = val(i)*val(j)*(value of step k) of
     (re, eps) int pairs, `values` parallel to trace.steps and the walk's start
@@ -377,6 +394,8 @@ def trace_value(curve: Curve, trace: ChainTrace, n: int, T: Point, at):
     lift (giving a DualNumber), where `decompose` writes it as R + O_k; then
     at - T = (R - T) + O_k is turned into ints once.
     """
+    from .dual_curve import DualCurve, DualPoint  # dual_curve imports this module
+
     T = require_on_curve(curve, T, "translation point T")
     dual = isinstance(at, DualPoint)
     R, k = DualCurve.canonical(curve).decompose(at) if dual else (at, curve.field.zero())

@@ -51,8 +51,9 @@ chain's record, s included, is built once per p, so P is walked once per
 call at every p.  Nothing is drawn at random, and the routes are
 deterministic.  Each reading inverts once.
 Rueck and semaev are both a multiplicity-weighted sum of per-step ratios,
-summed as one running fraction (`_weighted_sum`): rueck of the chord
-steps' slopes N/Z, semaev of the scaled step values' ratios h_eps/h_re.
+summed as one running fraction (`miller.weighted_sum`): rueck of the
+chord steps' slopes N/Z (`miller.slope_sum`), semaev of the scaled step
+values' ratios h_eps/h_re.
 Direct multiplies the scaled step values as dual numbers into one product
 f, whose ratio f_eps/f_re is the pairing's a.  No evaluation reads an
 affine multiple of the walk.  The slope
@@ -101,7 +102,9 @@ from .miller import (
     product_fold,
     require_on_curve,
     scaled_step_values,
+    slope_sum,
     torsion_trace,
+    weighted_sum,
 )
 
 #: e(P, O_k) = 1 + SLOPE_SIGN * (chain slope sum) * k * eps
@@ -206,16 +209,6 @@ def _evaluate(curve: Curve, rung, trace, R: tuple | None, T: tuple | None) -> tu
 # -- the three routes ----------------------------------------------------------
 
 
-def _weighted_sum(p: int, terms) -> int:
-    """The sum of m*top/bottom over (m, top, bottom) terms mod p, every bottom
-    nonzero: one running fraction, divided once."""
-    num, den = 0, 1
-    for m, top, bottom in terms:
-        if m:
-            num, den = (num * bottom + m * top * den) % p, den * bottom % p
-    return num * pow(den, -1, p) % p
-
-
 def _direct_value(trace, point: tuple) -> PairingValue:
     """f_P(O_k + R) / f_P(R) at the `eval_point` tuple of (O_k + R) - T; raises on degenerate lines.
 
@@ -234,29 +227,26 @@ def _log_derivative_value(trace, point: tuple, multiplicities: tuple) -> FpEleme
     At S + O_1 the eps part of a function g is -2*y(S)*(dg/dx)(S), so each step
     gives y(R) * (h'/h)(R) = -(eps/re of h)/2, a ratio its scalar factor leaves
     alone; the steps' ratios, weighted by their `multiplicities` in chain
-    order, are summed by `_weighted_sum`.
+    order, are summed by `miller.weighted_sum`.
     """
     p = trace.field.p
     if not point[1]:
         raise DegenerateEvaluationError("translated evaluation point hit the 2-torsion")
     values = scaled_step_values(trace, point)
     terms = ((m, eps, re) for m, (re, eps) in zip(multiplicities, values))
-    return trace.field(_weighted_sum(p, terms) * ((p - 1) // 2))  # (p - 1)/2 = -1/2 mod p
+    return trace.field(weighted_sum(p, terms) * ((p - 1) // 2))  # (p - 1)/2 = -1/2 mod p
 
 
 def rueck_slope_sum(curve: Curve, P: Point, chain=None) -> FpElement:
     """Sum of chord/tangent slopes over a chain for p with divisor (P) - (inf).
 
     Pure slope bookkeeping: vertical steps contribute nothing and no point
-    is ever evaluated, so the computation is total.  The chord steps' slopes
-    N/Z, each weighted by its step's multiplicity, are summed by `_weighted_sum`.
+    is ever evaluated, so the computation is total (`miller.slope_sum`).
     """
     rung, trace = _trace(curve, P, chain)
     if trace is None:
         return curve.field.zero()
-    jac = trace.jac
-    terms = ((m, N, jac[k][2]) for m, (k, _, _, N) in zip(rung.multiplicities, trace.steps) if N is not None)
-    return trace.field(_weighted_sum(curve.p, terms))
+    return trace.field(slope_sum(rung, trace))
 
 
 # -- public pairing surface -------------------------------------------------------

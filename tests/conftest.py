@@ -22,7 +22,6 @@ from dualpair import (
 from dualpair.errors import DegenerateEvaluationError
 from dualpair.fields import Fp, FpElement
 from dualpair.miller import ChainStep, step_multiplicities, step_values, trace_fraction
-from dualpair.numbertheory import batch_inverse
 from dualpair.pairing import SLOPE_SIGN, PairingValue, rueck_slope_sum, semaev_coefficient
 
 SEED = 0x5EED
@@ -163,12 +162,12 @@ def direct_value_oracle(trace, point: tuple) -> PairingValue:
 def log_derivative_oracle(trace, point: tuple, multiplicities=None):
     """Oracle for `pairing._log_derivative_value` (multiplicities unused): the memoized chain sum
     of -(eps/re of h's numerator - eps/re of its denominator)/2 from the exact step values,
-    every re part inverted in one batch."""
+    every re part inverted on its own."""
     p = trace.field.p
     if not point[1]:
         raise DegenerateEvaluationError("translated evaluation point hit the 2-torsion")
     parts = [side for value in step_values(trace, point) for side in value]
-    ratios = [eps * inv for (_, eps), inv in zip(parts, batch_inverse([re for re, _ in parts], p))]
+    ratios = [eps * pow(re, -1, p) for re, eps in parts]
     logs = [num - den for num, den in zip(ratios[::2], ratios[1::2])]
     return trace.field(fold_trace(trace, p, 0, operator.add, logs) * ((p - 1) // 2))
 
@@ -192,9 +191,19 @@ def dual_evaluation(phi, Pt: DualPoint) -> DualPoint:
     return DualPoint.affine(at(phi.r, Pt.x), Pt.y * at(phi.s, Pt.x))
 
 
+def dual_double_and_add(dc: DualCurve, n: int, Pt: DualPoint) -> DualPoint:
+    """Oracle: n*Pt for n >= 0 by double-and-add on the reference law `DualCurve._add_raw`."""
+    acc = dc.lift(INFINITY)
+    for bit in bin(n)[2:]:
+        acc = dc._add_raw(acc, acc)
+        if bit == "1":
+            acc = dc._add_raw(acc, Pt)
+    return acc
+
+
 def mul_below_2_32(add, mul, n: int, P, zero):
-    """Oracle: n*P for n >= 0 by Horner in base 2^31, taking only multiples below
-    2^32, where every scalar multiplication is plain double-and-add."""
+    """Oracle for `Curve.mul`: n*P for n >= 0 by Horner in base 2^31, taking only
+    multiples below 2^32, where `Curve.mul` is plain double-and-add."""
     acc = zero
     for shift in range(31 * (n.bit_length() // 31), -1, -31):
         acc = add(mul(2**31, acc), mul(n >> shift & (2**31 - 1), P))

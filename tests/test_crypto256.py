@@ -26,6 +26,7 @@ from conftest import (
     check_attack_cores,
     count_walks,
     direct_value_oracle,
+    dual_double_and_add,
     dual_evaluation,
     eval_line,
     line_through,
@@ -194,8 +195,7 @@ def test_window_mul_at_256_bits(crypto256):
         assert curve.mul(n, G_) == mul_below_2_32(curve.add, curve.mul, abs(n), curve.mul(sign, G_), INFINITY)
         for dc in lifts:
             for Gt in (dc.lift(G_), dc.translate(dc.lift(G_), dc.field(7)), DualPoint.infinity(dc.field(K_G))):
-                expect = mul_below_2_32(dc.add, dc.mul, abs(n), dc.mul(sign, Gt), dc.lift(INFINITY))
-                assert dc.mul(n, Gt) == expect
+                assert dc.mul(n, Gt) == dual_double_and_add(dc, abs(n), Gt if n > 0 else dc.neg(Gt))
 
 
 def test_lifted_pairing_at_256_bits(crypto256):

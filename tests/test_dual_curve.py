@@ -4,6 +4,8 @@ from dualpair import Curve, DualCurve, DualPoint, count_points
 from dualpair.errors import InvalidPointError, NotCanonicalError
 from dualpair.fields import DualNumber, Fp
 
+from conftest import count_walks
+
 
 def eq1_holds(dc, pt):
     """Independent validity oracle: base membership plus the eps constraint
@@ -175,6 +177,21 @@ def test_scalar_mul_projects_to_base(lifts, rng):
             pt = rng.choice(pts)
             n = rng.randrange(-2 * dc.p, 2 * dc.p)
             assert dc.mul(n, pt).reduction() == dc.base.mul(n, pt.reduction())
+
+
+def test_mul_walks_its_base_point_once(monkeypatch):
+    # n*P~ is read from one walk of its reduction on the base curve, along the
+    # default chain for n, on the canonical lift and off it, at n = p and past it
+    c = Curve(Fp(1511), 1301, 497)  # anomalous
+    P = c.point(129, 526)
+    walks = count_walks(monkeypatch)
+    for a1, b1 in ((0, 0), (1000, 77)):
+        dc = DualCurve(c, a1, b1)
+        Pt = dc.translate(dc.lift(P), dc.field(9))
+        for n in (c.p, -3, 2**40 + 7):
+            walks.clear()
+            dc.mul(n, Pt)
+            assert walks == [{1: c.neg(P) if n < 0 else P}]
 
 
 def test_canonical_lift_preserves_p_torsion(tiny_anomalous):

@@ -3,9 +3,9 @@
 `Curve._add_raw` and the affine lines of conftest (`line_through`, `eval_line`) work on
 FpElement points with one inversion per step; they stay as the oracle for
 the Jacobian walk of `miller.chain_trace`, for the line values that
-`miller.step_values` reads projectively from it, for `Curve.mul` and for
-`batch_inverse`.
-`DualCurve._add_raw` is the oracle for the int-pair walk of `DualCurve.mul`.
+`miller.step_values` reads projectively from it, and for `Curve.mul`.
+`DualCurve._add_raw` is the oracle for `DualCurve.mul`, the base walk plus
+the slope sum.
 """
 
 import random
@@ -15,12 +15,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dualpair import INFINITY, Curve, DualCurve, count_points
-from dualpair.errors import DegenerateEvaluationError, DivisionByZeroError
+from dualpair.errors import DegenerateEvaluationError
 from dualpair.fields import Fp
 from dualpair.miller import binary_chain, chain_trace, eval_point, incremental_chain, step_values, tail_chain
-from dualpair.numbertheory import batch_inverse
 
-from conftest import Chord, Vertical, eval_line, line_through, mul_below_2_32, trace_points
+from conftest import Chord, Vertical, dual_double_and_add, eval_line, line_through, mul_below_2_32, trace_points
 
 SMALL_PRIMES = [5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43]
 
@@ -207,29 +206,13 @@ def _window_scalars(p):
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(st.data())
 def test_window_mul_matches_multiples_below_2_32(data):
-    # at p in {5, 7, 11, 13} the table's odd multiples hit infinity (O_k on a lift)
-    # and 2-torsion, which the Jacobian formulas cannot take
+    # at p in {5, 7, 11, 13} the window's odd multiples and n*P hit infinity
+    # (O_k on a lift) and 2-torsion; the lift's n*Pt is checked against
+    # double-and-add on the reference law, as `DualCurve.mul` is a closed form
     dc, Pt = data.draw(lifted_point([5, 7, 11, 13]))
     curve, P = dc.base, Pt.reduction()
     n = data.draw(_window_scalars(dc.p))
     sign = 1 if n > 0 else -1
     assert curve.mul(n, P) == mul_below_2_32(curve.add, curve.mul, abs(n), curve.mul(sign, P), INFINITY)
-    assert dc.mul(n, Pt) == mul_below_2_32(dc.add, dc.mul, abs(n), dc.mul(sign, Pt), dc.lift(INFINITY))
+    assert dc.mul(n, Pt) == dual_double_and_add(dc, abs(n), Pt if n > 0 else dc.neg(Pt))
 
-
-def test_batch_inverse_edges():
-    assert batch_inverse([], 7) == []
-    assert batch_inverse([3], 7) == [5]
-    with pytest.raises(DivisionByZeroError):
-        batch_inverse([2, 0, 3], 7)
-    with pytest.raises(DivisionByZeroError):
-        batch_inverse([0], 7)
-    with pytest.raises(DivisionByZeroError):
-        batch_inverse([4, 14], 7)  # zero mod p, not only 0
-
-
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(st.sampled_from(SMALL_PRIMES + [2**127 - 1]), st.data())
-def test_batch_inverse_matches_pow(p, data):
-    values = data.draw(st.lists(st.integers(1, p - 1), max_size=12))
-    assert batch_inverse(values, p) == [pow(v, -1, p) for v in values]
