@@ -1,9 +1,8 @@
 """Short-Weierstrass elliptic curves y^2 = x^3 + A*x + B over F_p.
 
-Chord-and-tangent group law, point counting (quadratic-character tally
-for small p, baby-step/giant-step order finding in the Hasse interval
-above that), a seeded search for anomalous curves (#E(F_p) = p), and
-2-torsion utilities.
+Chord-and-tangent group law, point counting (the quadratic-character
+tally, O(p)), the certificate for #E(F_p) = p, a seeded search for
+anomalous curves, and 2-torsion utilities.
 
 The search runs each trial on plain ints (`_kills_random_point`); its
 discriminant reject skips only curves with a rational point of order 2,
@@ -25,7 +24,12 @@ order.  `Curve.mul` wraps it and inverts once, at the end.
 
 A curve with #E = p has a rational point group that is cyclic of order p,
 so every nonzero point generates and the whole group is p-torsion.  Those
-are the attack targets of the rest of the package.
+are the attack targets of the rest of the package.  One rule certifies
+them (`_certifies_anomalous`): a point P != O with p*P = O has order p, so
+p divides #E; when 2p lies above the Hasse interval, which holds for
+p >= 7, p is the only multiple of p in it and #E = p.  Below that the
+count decides.  `is_anomalous`, `find_anomalous` and `dlp.DlpInstance`
+each supply the point and its walk.
 """
 
 from __future__ import annotations
@@ -34,18 +38,12 @@ import math
 import random
 import re
 
-from .errors import (
-    BadInputError,
-    DualPairError,
-    OrderAmbiguousError,
-    PointNotOnCurveError,
-    SearchExhaustedError,
-)
+from .errors import BadInputError, PointNotOnCurveError, SearchExhaustedError
 from .fields import Fp, FpElement, json_int
-from .numbertheory import factorize, legendre, next_prime, sqrt_mod
+from .numbertheory import legendre, next_prime, sqrt_mod
 from .poly import cubic_roots
 
-#: Largest p counted by the exhaustive character sum; BSGS above.
+#: Largest p the CLI checks its search's output on by `count_points`; `is_anomalous` above.
 COUNT_SCAN_LIMIT = 100_000
 
 
@@ -172,12 +170,10 @@ class Curve:
         if n == 0 or P.is_infinity:
             return INFINITY
         p = self.p
-        X, Y, Z = jacobian_mul(p, self.A.value, n, (P.x.value, P.y.value, 1))
-        if not Z:
+        xy = jacobian_affine(p, jacobian_mul(p, self.A.value, n, (P.x.value, P.y.value, 1)))
+        if xy is None:
             return INFINITY
-        zi = pow(Z, -1, p)
-        zi2 = zi * zi
-        return Point(FpElement(X * zi2, self.field), FpElement(Y * zi2 * zi, self.field))
+        return Point(FpElement(xy[0], self.field), FpElement(xy[1], self.field))
 
     # -- point generation -------------------------------------------------
 
@@ -207,19 +203,6 @@ class Curve:
     def two_torsion(self) -> list[Point]:
         """All rational points of order 2 (may be empty)."""
         return [Point(r, self.field.zero()) for r in cubic_roots(self.field, self.A, self.B)]
-
-    # -- order machinery ---------------------------------------------------
-
-    def order_of(self, P: Point) -> int:
-        """Exact order of P in E(F_p)."""
-        self._require_on_curve(P)
-        if P.is_infinity:
-            return 1
-        n = _bsgs_annihilator(self, P)
-        for q in factorize(n):
-            while n % q == 0 and self.mul(n // q, P).is_infinity:
-                n //= q
-        return n
 
     def __eq__(self, other):
         if not isinstance(other, Curve):
@@ -340,64 +323,44 @@ def jacobian_mul(p: int, a: int, n: int, base: tuple) -> tuple:
     return acc
 
 
+def jacobian_affine(p: int, P: tuple) -> tuple | None:
+    """The Jacobian triple P as an affine (x, y) int pair, None for Z = 0; one inversion."""
+    X, Y, Z = P
+    if not Z:
+        return None
+    zi = pow(Z, -1, p)
+    return X * zi * zi % p, Y * zi * zi * zi % p
+
+
 def hasse_interval(p: int) -> tuple[int, int]:
     """The integer interval [p+1-2*sqrt(p), p+1+2*sqrt(p)] containing #E."""
     w = math.isqrt(4 * p)
     return p + 1 - w, p + 1 + w
 
 
-def _bsgs_annihilator(curve: Curve, P: Point) -> int:
-    """Some n in the Hasse interval with n*P = infinity (P != infinity)."""
-    lo, hi = hasse_interval(curve.p)
-    m = math.isqrt(hi - lo) + 1
-    table: dict[Point, int] = {}
-    Q = INFINITY
-    for j in range(m):
-        table.setdefault(Q, j)  # Q = j*P
-        Q = curve._add_raw(Q, P)
-    step = curve.mul(m, P)
-    walk = curve.mul(lo, P)
-    for i in range(m + 1):
-        match = table.get(curve.neg(walk))
-        if match is not None and lo + i * m + match <= hi:
-            return lo + i * m + match
-        walk = curve._add_raw(walk, step)
-    raise DualPairError("no multiple of the point order lies in the Hasse interval")
+def count_points(curve: Curve) -> int:
+    """#E(F_p), infinity included: the quadratic character of x^3 + Ax + B tallied over all x, O(p)."""
+    p = curve.p
+    count = p + 1
+    a, b = curve.A.value, curve.B.value
+    e = (p - 1) // 2
+    for x in range(p):
+        t = (x * x * x + a * x + b) % p
+        if t == 0:
+            continue
+        count += 1 if pow(t, e, p) == 1 else -1
+    return count
 
 
-def count_points(curve: Curve, scan_limit: int = COUNT_SCAN_LIMIT, rng: random.Random | None = None) -> int:
-    """#E(F_p), infinity included.
+def _certifies_anomalous(curve: Curve, killed: bool) -> bool:
+    """#E(F_p) = p, given `killed`: whether some point P != O has p*P = O.
 
-    For p <= scan_limit this tallies the quadratic character of
-    x^3 + Ax + B over all x.  Above that it accumulates the lcm of random
-    point orders until a unique multiple lies in the Hasse interval,
-    raising OrderAmbiguousError if that never happens (possible only for
-    very non-cyclic groups, or tiny p where the interval is wide relative
-    to the order).
+    Such a P has order p, so p divides #E.  When 2p exceeds the top of the
+    Hasse interval (p >= 7) p is the only multiple of p in it, and P proves
+    #E = p; below that (p = 5, where 10 fits too) the count decides.
     """
     p = curve.p
-    if p <= scan_limit:
-        count = p + 1
-        a, b = curve.A.value, curve.B.value
-        e = (p - 1) // 2
-        for x in range(p):
-            t = (x * x * x + a * x + b) % p
-            if t == 0:
-                continue
-            count += 1 if pow(t, e, p) == 1 else -1
-        return count
-    rng = rng or random.Random(0xD1A7 ^ p)
-    lo, hi = hasse_interval(p)
-    acc = 1
-    for _ in range(30):
-        order = curve.order_of(curve.random_point(rng))
-        acc = acc * order // math.gcd(acc, order)
-        first = ((lo + acc - 1) // acc) * acc
-        if first > hi:
-            raise DualPairError("the group order is a multiple of every point order")
-        if first + acc > hi:
-            return first
-    raise OrderAmbiguousError("point orders did not determine a unique count in the Hasse interval")
+    return killed and (2 * p > hasse_interval(p)[1] or count_points(curve) == p)
 
 
 def _kills(p: int, a: int, b: int, x: int) -> bool:
@@ -430,16 +393,10 @@ def _kills_random_point(p: int, a: int, b: int, rng: random.Random) -> bool:
 
 
 def is_anomalous(curve: Curve) -> bool:
-    """True iff #E(F_p) = p.
-
-    For p >= 7 it suffices that some nonzero point is killed by p: the
-    point then has exact order p, and p is the only multiple of p in the
-    Hasse interval.  For p = 5 both 5 and 10 fit, so the count is checked
-    directly.  The point is the first affine one.
-    """
+    """True iff #E(F_p) = p, by `_certifies_anomalous` on the first affine point."""
     p, a, b = curve.p, curve.A.value, curve.B.value
     killed = _kills(p, a, b, next(x for x in range(p) if legendre(x * x * x + a * x + b, p) != -1))
-    return killed and (p >= 7 or count_points(curve) == p)
+    return _certifies_anomalous(curve, killed)
 
 
 def find_anomalous(
@@ -456,7 +413,7 @@ def find_anomalous(
     Each trial runs on ints: it draws a random point as `Curve.random_point`
     would and walks p*P on the Jacobian law, except on curves with a
     non-square discriminant, which have a point of order 2 and so cannot be
-    anomalous.  A `Curve` is built only for a hit.
+    anomalous.  A `Curve` is built only for a hit, which `_certifies_anomalous` decides.
     When the range holds at most `budget` nonsingular (p, A, B) triples
     (p^2 - p per prime), each tried one is marked, and the search stops
     once all of them are.
@@ -497,7 +454,7 @@ def find_anomalous(
                 untried -= 1
             if _kills_random_point(p, a, b, rng):
                 curve = Curve(Fp(p), a, b)
-                if p >= 7 or count_points(curve) == p:
+                if _certifies_anomalous(curve, True):
                     found.append(curve)
                     seen.add((p, a, b))
                     if len(found) == count:

@@ -16,18 +16,19 @@ nonzero off the identity:
 * lift    - Smart's attack: lift P, Q to one lift y^2 = x^3 + (A + A1*eps)x
   + (B + B1*eps) of E off the scaling family (`has_scaling_witness`); then
   p*Pt = O_kP and p*Qt = O_kQ, and n*Pt - Qt lying in the kernel of
-  reduction forces n*kP = kQ, so n = kQ/kP.  `DualCurve.mul` walks P and Q
-  on the base curve and reads their k by the lift identity, which the tests
-  check against the reference law exhaustively at small p:
+  reduction forces n*kP = kQ, so n = kQ/kP.  By the lift identity, which
+  the tests check against the reference law exhaustively at small p,
 
       k = -3*(6B*A1 - 4A*B1) / (4*(4A^3 + 27B^2)) * S(P),
 
-  so kP != 0 exactly off the scaling lifts, which `random_lift_coeffs`
-  skips; one draw always serves, and kP = 0 is a broken walk.
+  so kP is read from the instance's S(P), and `DualCurve.mul` walks only Q
+  on the base curve.  kP != 0 exactly off the scaling lifts, which
+  `random_lift_coeffs` skips; one draw always serves, and kP = 0 is a
+  broken draw or walk.
 
 An instance is checked once, when built: its check p*P = O is S(P),
 computed along the default chain for p and kept (`DlpInstance.slope_sum`).
-The semaev, rueck and pairing attacks read it and walk only Q.
+All four attacks read it and walk only Q.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import random
 from dataclasses import dataclass, field
 from functools import reduce
 
-from .curve import Curve, Point, count_points
+from .curve import Curve, Point, _certifies_anomalous
 from .dual_curve import DualCurve, DualPoint
 from .errors import BadInputError, BadTorsionError, DualPairError, WitnessInconsistentError
 from .fields import FpElement
@@ -51,7 +52,8 @@ class DlpInstance:
 
     The checks run in order: Q on the curve, P != infinity, then p*P =
     infinity as P's `rueck_slope_sum`, kept as `slope_sum` and left out of
-    the constructor, equality, hash and repr.
+    the constructor, equality, hash and repr; P's walk certifies #E = p
+    (`curve._certifies_anomalous`).
     """
 
     curve: Curve
@@ -68,9 +70,7 @@ class DlpInstance:
             slope_sum = rueck_slope_sum(curve, self.P)
         except BadTorsionError:
             slope_sum = None
-        # Hasse: for p >= 7 only p lies in [p+1-2*sqrt(p), p+1+2*sqrt(p)], so a point
-        # of order p makes #E = p; below 7 the interval also holds 2p, so count
-        if slope_sum is None or (curve.p < 7 and count_points(curve) != curve.p):
+        if not _certifies_anomalous(curve, slope_sum is not None):
             raise BadTorsionError("the curve is not anomalous: p*P != infinity")
         object.__setattr__(self, "slope_sum", slope_sum)
 
@@ -117,20 +117,19 @@ def attack_pairing(inst: DlpInstance, seed: int = DEFAULT_SEED) -> AttackResult:
 
 
 def attack_lift(inst: DlpInstance, seed: int = DEFAULT_SEED) -> AttackResult:
-    """Multiply lifted points by p on one non-scaling lift and divide in the group at infinity."""
+    """Multiply lifted points by p on one non-scaling lift and divide in the group at infinity;
+    p*P~ = O_kP is read from the instance, kP = lambda_L*S(P) (`DualCurve.slope_factor`)."""
     curve = inst.curve
     p = curve.p
     a1, b1 = DualCurve.canonical(curve).random_lift_coeffs(random.Random(seed))
     lift = DualCurve(curve, a1, b1)
-    pPt = lift.mul(p, lift.lift(inst.P))
-    if not pPt.is_infinity:
-        raise DualPairError("p*P~ left the kernel of reduction")
-    if pPt.k.is_zero():
+    kP = lift.slope_factor() * inst.slope_sum
+    if kP.is_zero():
         raise DualPairError("p*P~ = O_0 on a lift off the scaling family")
     pQt = lift.mul(p, lift.lift(inst.Q))
     if not pQt.is_infinity:
         raise DualPairError("p*Q~ left the kernel of reduction")
-    return AttackResult(int(pQt.k / pPt.k), "lift", lift=(a1.value, b1.value))
+    return AttackResult(int(pQt.k / kP), "lift", lift=(a1.value, b1.value))
 
 
 _ATTACKS = {

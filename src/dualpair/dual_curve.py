@@ -52,7 +52,7 @@ decomposition in the test suite.
 k = -x1/(2*y0) as `lift` has x1 = 0, n*P~ = lift(nP) + O_c (O_c at nP = O):
 
     c = n*k + lambda_L*S_n(P) + n*gamma(P) - gamma(nP),
-    lambda_L = -3*(6B*A1 - 4A*B1) / (4*(4A^3 + 27B^2)),
+    lambda_L = -3*(6B*A1 - 4A*B1) / (4*(4A^3 + 27B^2))  (`slope_factor`),
     gamma(x, y) = [A1*(9B/2*x^2 + A^2*x + 3AB) + B1*(-3A*x^2 + 9B/2*x - 2A^2)]
                   / ((4A^3 + 27B^2)*y),   gamma(O) = 0,
 
@@ -74,7 +74,7 @@ from __future__ import annotations
 
 import random
 
-from .curve import INFINITY, Curve, Point
+from .curve import INFINITY, Curve, Point, jacobian_affine
 from .errors import InvalidPointError, NotCanonicalError
 from .fields import DualNumber, Fp, FpElement, json_int
 from .miller import chain_for, chain_trace, slope_sum
@@ -290,26 +290,31 @@ class DualCurve:
         P0 = P.reduction()
         rung = chain_for(n, None)
         trace = chain_trace(self.base, P0, rung.steps)
-        X, Y, Z = trace.jac[n]
-        if Z and not Y:  # gamma has a pole at n*P0; (n - 1)*P0 is neither O nor of order 2
+        p, f = self.p, self.field
+        end = jacobian_affine(p, trace.jac[n])
+        if end is not None and not end[1]:  # gamma has a pole at n*P0; (n - 1)*P0 is neither O nor of order 2
             return self._add_raw(self.mul(n - 1, P), P)
-        p, f, a, b, a1, b1 = self.p, self.field, self.base.A.value, self.base.B.value, self.A1.value, self.B1.value
+        a, b, a1, b1 = self.base.A.value, self.base.B.value, self.A1.value, self.B1.value
         disc = self.base.discriminant_term().value
 
         def gamma(x: int, y: int) -> int:  # numerator and denominator doubled, for the 9B/2
             num = a1 * (9 * b * x * x + 2 * a * a * x + 6 * a * b) + b1 * (9 * b * x - 6 * a * x * x - 4 * a * a)
             return num * pow(2 * disc * y, -1, p)
 
-        lam = -3 * (6 * b * a1 - 4 * a * b1) * pow(4 * disc, -1, p)
         k = -P.x.eps.value * pow(2 * P0.y.value, -1, p)  # `lift` takes x1 = 0
-        c = n * k + lam * slope_sum(rung, trace) + n * gamma(P0.x.value, P0.y.value)
-        if not Z:
+        c = n * k + self.slope_factor() * slope_sum(rung, trace) + n * gamma(P0.x.value, P0.y.value)
+        if end is None:
             return DualPoint.infinity(f(c))
-        zi = pow(Z, -1, p)
-        x, y = X * zi * zi % p, Y * zi * zi * zi % p
+        x, y = end
         d = c - gamma(x, y)  # lift(nP) = (x, y + (A1*x + B1)/(2y)*eps), translated by O_d
         y1 = (a1 * x + b1) * pow(2 * y, -1, p) - (3 * x * x + a) * d
         return DualPoint.affine(DualNumber(f(x), f(-2 * y * d)), DualNumber(f(y), f(y1)))
+
+    def slope_factor(self) -> int:
+        """lambda_L = -3*(6B*A1 - 4A*B1)/(4*(4A^3 + 27B^2)) mod p, the factor of the slope sum in
+        `mul`'s offset; p*lift(P) = O_{lambda_L*S(P)} on an anomalous curve (the lift identity)."""
+        p, a, b = self.p, self.base.A.value, self.base.B.value
+        return -3 * (6 * b * self.A1.value - 4 * a * self.B1.value) * pow(16 * a**3 + 108 * b * b, -1, p) % p
 
     # -- canonical-lift structure -------------------------------------------
 

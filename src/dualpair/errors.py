@@ -30,12 +30,6 @@ class PointNotOnCurveError(DualPairError):
     code = "PointNotOnCurve"
 
 
-class OrderAmbiguousError(DualPairError):
-    """Order search could not pin down a unique group order in the Hasse interval."""
-
-    code = "OrderAmbiguous"
-
-
 class SearchExhaustedError(DualPairError):
     """A randomized search ran out of its trial budget."""
 

@@ -52,7 +52,7 @@ import functools
 import random
 from typing import NamedTuple
 
-from .curve import JACOBIAN_INFINITY, Curve, Point, jacobian_add, window_digits
+from .curve import JACOBIAN_INFINITY, Curve, Point, jacobian_add, jacobian_affine, window_digits
 from .errors import BadInputError, BadTorsionError, DegenerateEvaluationError
 from .fields import Fp, FpElement
 
@@ -288,11 +288,8 @@ def difference(p: int, a: int, R: tuple | None, T: tuple | None) -> tuple | None
     """R - T on (x, y) int pairs, None for infinity; one inversion unless T is infinity."""
     if T is None:
         return R
-    (X, Y, Z), _ = jacobian_add(p, a, JACOBIAN_INFINITY if R is None else (*R, 1), (T[0], -T[1] % p, 1))
-    if not Z:
-        return None
-    zi = pow(Z, -1, p)
-    return X * zi * zi % p, Y * zi * zi * zi % p
+    R = JACOBIAN_INFINITY if R is None else (*R, 1)
+    return jacobian_affine(p, jacobian_add(p, a, R, (T[0], -T[1] % p, 1))[0])
 
 
 def eval_point(p: int, a: int, S: tuple | None, k: int = 0) -> tuple:

@@ -1,4 +1,4 @@
-"""Integer helpers: deterministic primality, factoring and modular square roots.
+"""Integer helpers: deterministic primality, Legendre symbols and modular square roots.
 
 Everything here is exact and deterministic.  Miller-Rabin with the fixed
 witness set below is a proven primality test for all n < 3.3 * 10**24,
@@ -8,8 +8,6 @@ caller's responsibility, constructors only assert it).
 """
 
 from __future__ import annotations
-
-import math
 
 # Deterministic Miller-Rabin witnesses for n < 3,317,044,064,679,887,385,961,981.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -51,61 +49,6 @@ def next_prime(n: int) -> int:
     while not is_prime(k):
         k += 2
     return k
-
-
-def _pollard_rho(n: int) -> int:
-    """A nontrivial factor of composite odd n (Brent's cycle variant)."""
-    if n % 2 == 0:
-        return 2
-    seed = 1
-    while True:
-        seed += 1
-        y, c, m = seed, seed + 1, 128
-        g = r = q = 1
-        x = ys = y
-        while g == 1:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(m, r - k)):
-                    y = (y * y + c) % n
-                    q = q * abs(x - y) % n
-                g = math.gcd(q, n)
-                k += m
-            r *= 2
-        if g == n:
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = math.gcd(abs(x - ys), n)
-        if g != n:
-            return g
-
-
-def factorize(n: int) -> dict[int, int]:
-    """Prime factorization as {prime: exponent}."""
-    if n < 1:
-        raise ValueError("factorize expects a positive integer")
-    out: dict[int, int] = {}
-    for q in _SMALL_PRIMES:
-        while n % q == 0:
-            out[q] = out.get(q, 0) + 1
-            n //= q
-    stack = [n] if n > 1 else []
-    while stack:
-        m = stack.pop()
-        if m == 1:
-            continue
-        if is_prime(m):
-            out[m] = out.get(m, 0) + 1
-            continue
-        d = _pollard_rho(m)
-        stack.append(d)
-        stack.append(m // d)
-    return out
 
 
 def legendre(a: int, p: int) -> int:

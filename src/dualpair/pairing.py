@@ -85,7 +85,7 @@ T at infinity, the divisor (P) - (infinity).
 
 from __future__ import annotations
 
-from .curve import INFINITY, Curve, Point, jacobian_mul
+from .curve import INFINITY, Curve, Point, jacobian_affine, jacobian_mul
 from .dual_curve import DualCurve, DualPoint
 from .errors import (
     BadInputError,
@@ -201,9 +201,7 @@ def _evaluate(curve: Curve, rung, trace, R: tuple | None, T: tuple | None) -> tu
         return difference(p, a, R, T)
     if rung.s is None:
         raise DegenerateEvaluationError("all evaluation configurations degenerate: lines of the chain meet E at every multiple of P")
-    X, Y, Z = jacobian_mul(p, a, rung.s, trace.jac[1])
-    zi = pow(Z, -1, p)
-    return X * zi * zi % p, Y * zi * zi * zi % p
+    return jacobian_affine(p, jacobian_mul(p, a, rung.s, trace.jac[1]))
 
 
 # -- the three routes ----------------------------------------------------------

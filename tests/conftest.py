@@ -40,6 +40,14 @@ def first_anomalous_by_scan(p: int) -> Curve | None:
     return None
 
 
+def order_by_steps(curve: Curve, P: Point) -> int:
+    """Oracle: the order of P, by adding P to itself with `Curve._add_raw` until infinity (small p only)."""
+    n, Q = 1, P
+    while not Q.is_infinity:
+        n, Q = n + 1, curve._add_raw(Q, P)
+    return n
+
+
 def double_and_add_chain(n: int) -> list[ChainStep]:
     """Oracle: the chain that `binary_chain` returns below 2^32, read off n's bits
     after the top one: double, then add P when the bit is set."""

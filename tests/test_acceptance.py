@@ -33,7 +33,7 @@ from dualpair.dlp import attack_lift
 from dualpair.errors import DualPairError, NotRationalError
 from dualpair.fields import Fp
 from dualpair.miller import binary_chain, tail_chain
-from conftest import first_anomalous_by_scan
+from conftest import first_anomalous_by_scan, order_by_steps
 
 
 def _report(num, ok, detail):
@@ -406,7 +406,7 @@ def test_criterion_9_classical_weil_baseline(rng):
 
     for n in (2, 3, 5):
         c, tor = _full_torsion_curve(n)
-        basis_pool = [T for T in tor if not T.is_infinity and c.order_of(T) == n]
+        basis_pool = [T for T in tor if not T.is_infinity and order_by_steps(c, T) == n]
         done = 0
         while done < 20:
             P = rng.choice(basis_pool)

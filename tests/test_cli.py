@@ -44,6 +44,24 @@ def test_find_anomalous_output_and_validation(capsys):
     assert 5 <= c.p <= 100
 
 
+def test_find_anomalous_above_the_count_limit_certifies_without_counting(capsys, monkeypatch):
+    # above COUNT_SCAN_LIMIT the CLI's check is is_anomalous, so no count runs; the output
+    # is pinned byte for byte, and the curve passes the count
+    import dualpair.cli
+    import dualpair.curve
+
+    def no_count(curve):
+        raise AssertionError("count_points ran above COUNT_SCAN_LIMIT")
+
+    monkeypatch.setattr(dualpair.cli, "count_points", no_count)
+    monkeypatch.setattr(dualpair.curve, "count_points", no_count)
+    code, out, err = run_cli(capsys, "find-anomalous", "--min", "100000", "--max", "200000", "--seed", "3")
+    assert (code, out, err) == (0, '[{"A": "45294", "B": "123952", "p": "131203"}]\n', "")
+    monkeypatch.undo()
+    c = Curve.from_json(json.loads(out)[0])
+    assert c.p > dualpair.cli.COUNT_SCAN_LIMIT and count_points(c) == c.p
+
+
 def test_find_anomalous_deterministic(capsys):
     a = run_cli(capsys, "find-anomalous", "--min", "5", "--max", "200", "--count", "2", "--seed", "9")
     b = run_cli(capsys, "find-anomalous", "--min", "5", "--max", "200", "--count", "2", "--seed", "9")

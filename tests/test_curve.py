@@ -15,11 +15,9 @@ from dualpair import (
     find_anomalous,
     hasse_interval,
 )
-from dualpair.curve import is_anomalous
+from dualpair.curve import _certifies_anomalous, is_anomalous
 from dualpair.errors import (
     BadInputError,
-    DualPairError,
-    OrderAmbiguousError,
     PointNotOnCurveError,
     SearchExhaustedError,
 )
@@ -118,56 +116,10 @@ def test_count_points_hasse_bound():
             assert n == _count_by_scan(c)
 
 
-def test_count_points_bsgs_cross_check():
-    # force the order-search path on curves small enough to scan
-    rng = random.Random(15)
-    for p in (1009, 4001, 9973):
-        f = Fp(p)
-        hits = 0
-        while hits < 4:
-            a, b = rng.randrange(p), rng.randrange(p)
-            if (4 * a**3 + 27 * b**2) % p == 0:
-                continue
-            c = Curve(f, a, b)
-            assert count_points(c, scan_limit=0, rng=rng) == count_points(c)
-            hits += 1
-
-
 def test_count_points_bsgs_detects_anomalous_trace():
     c = find_anomalous(9000, 10000, 1, seed=9)[0]
-    # trace 1 exactly: both counting routes agree on #E = p
+    # trace 1 exactly: the character sum counts #E = p on the search's curve
     assert count_points(c) == c.p
-    assert count_points(c, scan_limit=0) == c.p
-
-
-def test_bsgs_without_an_annihilator_raises_a_package_error(monkeypatch):
-    # a DualPairError, not an assert that python -O strips: here the searched
-    # interval holds no multiple of the order p of any point
-    import dualpair.curve as curve_mod
-
-    c = Curve(Fp(1511), 1301, 497)
-    monkeypatch.setattr(curve_mod, "hasse_interval", lambda p: (p + 2, p + 40))
-    with pytest.raises(DualPairError, match="Hasse interval") as info:
-        count_points(c, scan_limit=0)
-    assert type(info.value) is DualPairError
-
-
-def test_bsgs_ambiguity_at_tiny_p():
-    # at p = 5 both 5 and 10 are multiples of the point order in the
-    # Hasse interval, so the order search must refuse
-    c = Curve(Fp(5), 3, 2)
-    with pytest.raises(OrderAmbiguousError):
-        count_points(c, scan_limit=0)
-
-
-def test_bsgs_ambiguity_on_non_cyclic_group():
-    # #E = 50 with full 5-torsion: the exponent is 10, and the Hasse
-    # interval [29, 55] holds three multiples of it; refusal is the
-    # documented outcome (the scan threshold keeps real use clear of this)
-    c = Curve(Fp(41), 6, 0)
-    assert count_points(c) == 50
-    with pytest.raises(OrderAmbiguousError):
-        count_points(c, scan_limit=0)
 
 
 def test_find_anomalous_postconditions():
@@ -308,18 +260,21 @@ def test_non_square_discriminant_means_two_torsion():
 
 def test_is_anomalous_matches_the_count(monkeypatch):
     # without rng the certificate point is deterministic, not a random draw;
-    # p = 5 (where #E = 10 also kills a 5-torsion point) falls back to the count
+    # p = 5 (where #E = 10 also kills a 5-torsion point) falls back to the count.
+    # The certificate itself: p | #E exactly when some P != O has p*P = O (Cauchy)
     def no_draws(self, rng):
         raise AssertionError("is_anomalous drew a random point")
 
     monkeypatch.setattr(Curve, "random_point", no_draws)
-    for p in (5, 7, 11, 13):
+    for p in (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47):
         f = Fp(p)
         for a in range(p):
             for b in range(p):
                 if (4 * a**3 + 27 * b * b) % p:
                     c = Curve(f, a, b)
-                    assert is_anomalous(c) == (count_points(c) == p)
+                    n = count_points(c)
+                    assert is_anomalous(c) == _certifies_anomalous(c, n % p == 0) == (n == p)
+                    assert not _certifies_anomalous(c, False)
 
 
 def test_two_torsion():
@@ -354,20 +309,6 @@ def test_scalar_bijection_on_anomalous(tiny_anomalous_all):
         P = next(q for q in c.points() if not q.is_infinity)
         seen = {c.mul(n, P) for n in range(c.p)}
         assert len(seen) == c.p == count_points(c)
-
-
-def test_order_of():
-    c = Curve(Fp(1009), 4, 9)
-    n = count_points(c)
-    rng = random.Random(17)
-    for _ in range(8):
-        P = c.random_point(rng)
-        d = c.order_of(P)
-        assert n % d == 0
-        assert c.mul(d, P).is_infinity
-        for q in (2, 3, 5, 7):
-            if d % q == 0:
-                assert not c.mul(d // q, P).is_infinity
 
 
 def test_point_json_roundtrip():

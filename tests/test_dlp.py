@@ -62,10 +62,28 @@ def test_p5_curves_with_ten_points_are_not_instances():
         DlpInstance(c, c.point(1, 2), c.point(0, 0))
 
 
+def test_instances_at_p5_and_p7_are_exactly_the_anomalous_curves():
+    # below p = 7 a point killed by p leaves the count to decide; at 7 the walk alone does
+    for p in (5, 7):
+        f = Fp(p)
+        for a in range(p):
+            for b in range(p):
+                if (4 * a**3 + 27 * b * b) % p == 0:
+                    continue
+                c = Curve(f, a, b)
+                anomalous = count_points(c) == p
+                for P in list(c.points())[1:]:
+                    if anomalous:
+                        assert DlpInstance(c, P, P).slope_sum == rueck_slope_sum(c, P)
+                    else:
+                        with pytest.raises(BadTorsionError, match="not anomalous"):
+                            DlpInstance(c, P, P)
+
+
 DESK = Curve(Fp(1511), 1301, 497)  # the README's curve
 
 
-@pytest.mark.parametrize("method", ("semaev", "rueck", "pairing"))
+@pytest.mark.parametrize("method", ("semaev", "rueck", "pairing", "lift"))
 def test_solve_walks_p_once_at_construction(method, monkeypatch):
     # the instance check is P's walk and the attack reads P from it, so solve
     # walks only Q, once, and Q = O not at all
@@ -345,7 +363,7 @@ def test_lift_identity():
     # one affine P at p = 11, 13 (the A = 0 curves included), on a few
     # desk-curve lifts, and at 256 bits, where K_G follows from the pinned lift
     # and S(G) = -A_G; p*lift(P) is taken by the reference law, as
-    # `DualCurve.mul` reads the identity
+    # `DualCurve.mul` and the lift attack read the identity (`slope_factor`)
     rng = random.Random(17)
     cases = []
     for p in (5, 7, 11, 13):
@@ -358,12 +376,12 @@ def test_lift_identity():
     cases += [(DESK, DESK.random_point(rng), rng.randrange(DESK.p), rng.randrange(DESK.p)) for _ in range(4)]
     for c, P, a1, b1 in cases:
         lift = DualCurve(c, a1, b1)
-        pPt = dual_double_and_add(lift, c.p, lift.lift(P))
-        assert pPt.is_infinity and pPt.k == _lift_k(c, a1, b1, rueck_slope_sum(c, P))
+        pPt, S = dual_double_and_add(lift, c.p, lift.lift(P)), rueck_slope_sum(c, P)
+        assert pPt.is_infinity and pPt.k == _lift_k(c, a1, b1, S) == lift.slope_factor() * S
     c = Curve(Fp(pinned.P), pinned.A, pinned.B)
     assert rueck_slope_sum(c, c.point(*pinned.G)).value == -pinned.A_G % pinned.P
     a1, b1 = (int(pinned.LIFT_RESULT["lift"][name]) for name in ("A1", "B1"))
-    assert _lift_k(c, a1, b1, c.field(-pinned.A_G)).value == pinned.K_G
+    assert _lift_k(c, a1, b1, c.field(-pinned.A_G)).value == pinned.K_G == DualCurve(c, a1, b1).slope_factor() * -pinned.A_G % pinned.P
 
 
 def test_torsion_probe_rejects_non_anomalous_curve():
