@@ -15,6 +15,13 @@ desk-size curve (p = 1511):
   scaling family, as in the lift attack
 * `isogeny.eval_lifted`: a rational ell-isogeny from `find_cyclic_isogeny`
   (ell = 5 at 256 bits, 17 at p = 1511) at the lifted point embed(Q) + O_k
+* the CLI process layer (`cli` in the record), on the desk curve: whole
+  child processes of `python -c pass` and of `python -m dualpair.cli`
+  running `pair --method rueck`, `dlp --method rueck` and
+  `find-anomalous --min 1000 --max 1500 --seed 0`, timed from the parent,
+  one of each per side in every round; each child's stdout and exit code
+  are among the side's values.  Whether `PYTHONDONTWRITEBYTECODE` was set
+  is in `host`, since without bytecode every child compiles what it imports.
 
 Each timing is taken in child processes that import `dualpair` from one
 side's `src`; every child runs each operation once, which fills the
@@ -31,8 +38,9 @@ With `--against REV` the `src` of REV is unpacked (`git archive`) into a
 temporary directory and the two sides run in alternating child processes,
 `--reps` of each, alternating which side runs first.  Each side also
 records the pairing values, recovered n, p*lift(P) and lifted isogeny
-image it computed, and the sha256 of the invariant suite's report
-`selfcheck.run(13, 8, 5)` (JSON, keys sorted); the script exits 1 if any
+image it computed, the sha256 of the invariant suite's report
+`selfcheck.run(13, 8, 5)` (JSON, keys sorted), and the CLI children's
+stdout and exit codes; the script exits 1 if any
 of them differ between the sides or between the runs of one side.  Each
 side names the tree it timed by `src_sha256`, the sha256 of the sorted
 `src/dualpair/*.py` paths and bytes; its `commit` is null when `src` has
@@ -79,6 +87,14 @@ K = 3
 LIFT = (1, 0)
 #: (p_max, trials, seed) of the invariant suite's report, whose digest every child records
 SELFCHECK_ARGS = (13, 8, 5)
+#: the CLI process layer: operation -> the interpreter's argv, on the desk curve (Q = 1234*G, as in the README)
+_DESK_FLAG = ["--curve", json.dumps({"p": "1511", "A": "1301", "B": "497"})]
+CLI = {
+    "python -c pass": ["-c", "pass"],
+    "cli.pair.rueck": ["-m", "dualpair.cli", "pair", *_DESK_FLAG, "--point", "129,526", "--k", str(K), "--method", "rueck"],
+    "cli.dlp.rueck": ["-m", "dualpair.cli", "dlp", *_DESK_FLAG, "--p-point", "129,526", "--q-point", "988,1402", "--method", "rueck"],
+    "cli.find-anomalous": ["-m", "dualpair.cli", "find-anomalous", "--min", "1000", "--max", "1500", "--seed", "0"],
+}
 
 
 # -- the child: one side's timings and values ---------------------------------------
@@ -180,7 +196,14 @@ def _host() -> dict:
             cpu = next((line.split(":", 1)[1].strip() for line in fh if line.startswith("model name")), None)
     except OSError:
         pass
-    return {"node": platform.node(), "platform": platform.platform(), "machine": platform.machine(), "cpu": cpu, "cpus": os.cpu_count()}
+    return {
+        "node": platform.node(),
+        "platform": platform.platform(),
+        "machine": platform.machine(),
+        "cpu": cpu,
+        "cpus": os.cpu_count(),
+        "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
+    }
 
 
 def _summary(samples: list) -> dict:
@@ -192,7 +215,15 @@ def _run_child(src: Path, inner: int) -> dict:
     done = subprocess.run(
         [sys.executable, __file__, "--child", str(src), "--inner", str(inner)], check=True, capture_output=True, text=True
     )
-    return json.loads(done.stdout)
+    run = json.loads(done.stdout)
+    run["timings_ms"]["cli"], run["values"]["cli"] = {}, {}
+    env = dict(os.environ, PYTHONPATH=str(src))
+    for op, argv in CLI.items():  # cwd is src too, so `-m` finds this side's package first
+        start = time.perf_counter()
+        proc = subprocess.run([sys.executable, *argv], cwd=src, env=env, capture_output=True, text=True)
+        run["timings_ms"]["cli"][op] = [(time.perf_counter() - start) * 1e3]
+        run["values"]["cli"][op] = {"exit": proc.returncode, "stdout": proc.stdout}
+    return run
 
 
 def main(argv=None) -> int:
@@ -232,16 +263,17 @@ def main(argv=None) -> int:
         "inner": args.inner,
         "k": K,
         "curves": {name: {"p": str(p)} for name, p, *_ in CURVES},
+        "cli": CLI,
         "values_identical": identical,
         "sides": {},
     }
     for side, meta in sides.items():
         timings = {}
-        for name, *_ in CURVES:
-            ops = runs[side][0]["timings_ms"][name]
+        for name, ops in runs[side][0]["timings_ms"].items():
             timings[name] = {op: _summary([s for run in runs[side] for s in run["timings_ms"][name][op]]) for op in ops}
-        ratios = {name: {} for name in timings}
-        for name, t in timings.items():
+        ratios = {name: {} for name, *_ in CURVES}
+        for name in ratios:
+            t = timings[name]
             for op in ("pair.direct", "pair.semaev"):
                 paired = [a / b for run in runs[side] for a, b in zip(run["timings_ms"][name][op], run["timings_ms"][name]["pair.rueck"])]
                 ratios[name][f"{op}/pair.rueck"] = {
@@ -256,7 +288,8 @@ def main(argv=None) -> int:
     else:
         sys.stdout.write(text)
     if not identical:
-        print("pairing values, recovered n, lifted multiples, isogeny images or selfcheck reports differ between runs", file=sys.stderr)
+        print("pairing values, recovered n, lifted multiples, isogeny images, selfcheck reports or CLI documents differ between runs",
+              file=sys.stderr)
         return 1
     return 0
 

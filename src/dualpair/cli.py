@@ -15,13 +15,12 @@ import argparse
 import json
 import sys
 
-from . import selfcheck
-from .curve import COUNT_SCAN_LIMIT, INFINITY, Curve, Point, count_points, find_anomalous, is_anomalous
-from .dlp import DlpInstance, solve
-from .dual_curve import DualCurve
+# Only what the parser and main() use is imported here.  Each handler imports
+# the modules it runs, when it runs, so one process loads only its own
+# subcommand's modules: `pair` loads no `dlp`, `isogeny`, `selfcheck` or `poly`.
+# (The module docstring is the --help text, so this note is a comment.)
 from .errors import DualPairError
 from .fields import json_int
-from .pairing import theta_pairing
 
 USAGE_EXIT = 64
 DEFAULT_SEED = 20259
@@ -46,14 +45,18 @@ def _maybe_file(value: str) -> str:
     return value
 
 
-def _parse_curve(value: str) -> Curve:
+def _parse_curve(value: str):
+    from .curve import Curve
+
     try:
         return Curve.from_json(json.loads(_maybe_file(value)))
     except (ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
         raise UsageError(f"bad curve: {exc}") from None
 
 
-def _parse_point(curve: Curve, value: str) -> Point:
+def _parse_point(curve, value: str):
+    from .curve import INFINITY, Point
+
     raw = _maybe_file(value).strip()
     try:
         if raw in ("inf", "infinity"):
@@ -107,6 +110,7 @@ def _emit(doc) -> None:
 
 
 def _cmd_find_anomalous(args) -> int:
+    from .curve import COUNT_SCAN_LIMIT, count_points, find_anomalous, is_anomalous
     from .numbertheory import next_prime
 
     if args.min <= 3:
@@ -125,6 +129,9 @@ def _cmd_find_anomalous(args) -> int:
 
 
 def _cmd_pair(args) -> int:
+    from .dual_curve import DualCurve
+    from .pairing import theta_pairing
+
     curve = _parse_curve(args.curve)
     P = _parse_point(curve, args.point)
     value = theta_pairing(DualCurve.canonical(curve), P, args.k % curve.p, args.method)
@@ -133,6 +140,8 @@ def _cmd_pair(args) -> int:
 
 
 def _cmd_dlp(args) -> int:
+    from .dlp import DlpInstance, solve
+
     curve = _parse_curve(args.curve)
     P = _parse_point(curve, args.p_point)
     Q = _parse_point(curve, args.q_point)
@@ -142,6 +151,8 @@ def _cmd_dlp(args) -> int:
 
 
 def _cmd_selfcheck(args) -> int:
+    from . import selfcheck
+
     if args.p_max < 5:
         raise UsageError("--p-max must be at least 5, the smallest prime with an anomalous curve")
     if args.trials < 1:

@@ -41,7 +41,6 @@ import re
 from .errors import BadInputError, PointNotOnCurveError, SearchExhaustedError
 from .fields import Fp, FpElement, json_int
 from .numbertheory import legendre, next_prime, sqrt_mod
-from .poly import cubic_roots
 
 #: Largest p the CLI checks its search's output on by `count_points`; `is_anomalous` above.
 COUNT_SCAN_LIMIT = 100_000
@@ -202,6 +201,8 @@ class Curve:
 
     def two_torsion(self) -> list[Point]:
         """All rational points of order 2 (may be empty)."""
+        from .poly import cubic_roots  # only isogeny asks, so the other callers skip loading poly
+
         return [Point(r, self.field.zero()) for r in cubic_roots(self.field, self.A, self.B)]
 
     def __eq__(self, other):
