@@ -98,7 +98,6 @@ def _build_parser() -> _Parser:
     dlp.add_argument("--seed", type=json_int, default=DEFAULT_SEED)
 
     check = sub.add_parser("selfcheck", help="run the invariant suite")
-    check.add_argument("--p-max", type=json_int, default=13, help="at least 5; every value >= 5 gives the same p = 5 curve")
     check.add_argument("--trials", type=json_int, default=100)
     check.add_argument("--seed", type=json_int, default=DEFAULT_SEED)
     return parser
@@ -153,11 +152,9 @@ def _cmd_dlp(args) -> int:
 def _cmd_selfcheck(args) -> int:
     from . import selfcheck
 
-    if args.p_max < 5:
-        raise UsageError("--p-max must be at least 5, the smallest prime with an anomalous curve")
     if args.trials < 1:
         raise UsageError("--trials must be at least 1")
-    report = selfcheck.run(args.p_max, args.trials, args.seed)
+    report = selfcheck.run(args.trials, args.seed)
     _emit(report)
     return 0 if report["pass"] else 1
 

@@ -29,21 +29,23 @@ The group law is `DualCurve._add_raw`: chord-and-tangent on affine
 points of DualNumber wrappers, one dual inversion per step.  It is the
 reference law, and `DualCurve.mul` takes at most one step of it.
 
-The fiber over each base point P is one coset lift(P) + O_k: `translate`
-adds O_k, O_k + (x, y) = (x - 2*y0*k*eps, y - (3*x0^2 + A)*k*eps) with
-(x0, y0) the reduction, and `_offset` reads k back from two points over
-the same P: from the x eps parts, or over 2-torsion, where 3*x0^2 + A != 0
-as E is non-singular, from the y eps parts.  Every reader of a fiber uses
-these two:
+The fiber over each base point P is one coset lift(P) + O_k:
+`miller.eval_point` writes the eps increments of S + O_k,
+(x, y) + O_k = (x - 2*y0*k*eps, y - (3*x0^2 + A)*k*eps) with (x0, y0) the
+reduction, and `_offset` reads k back from two points over the same P:
+from the x eps parts, or over 2-torsion, where 3*x0^2 + A != 0 as E is
+non-singular, from the y eps parts.  Every reader of a fiber uses these two:
 
-* `points` lists each fiber as translate(lift(P), k) over all k.
+* `translate` adds O_k by `eval_point`'s increments, and `points` lists
+  each fiber as translate(lift(P), k) over all k.
 * `_add_raw` takes chords and tangents with dual slopes, whose
   denominators are units as their reductions are nonzero.  Summands over
-  opposite points (a vertical chord) land at O_{alpha/(2*y0)}, alpha the
-  eps part of the difference of the x coordinates.  Summands over the same
-  point are Q = P + O_k, so P + Q = `_double`(P) + O_k; `_double` is the
-  tangent, or O_{-2c/(3*x0^2 + A)} for a P = (x, c*eps) over 2-torsion.
+  opposite points (a vertical chord) are Q = -P + O_k, so P + Q = O_k.
+  Summands over the same point are Q = P + O_k, so P + Q = `_double`(P) +
+  O_k; `_double` is the tangent, or O_k for P = -P + O_k over 2-torsion.
 * `decompose` reads k as the offset of pt from embed(P).
+* `mul`'s affine result is `eval_point` at nP and its offset from lift(nP),
+  plus lift(nP)'s y eps part (A1*x + B1)/(2y).
 
 These cases are checked against associativity and the canonical-lift
 decomposition in the test suite.
@@ -77,7 +79,7 @@ import random
 from .curve import INFINITY, Curve, Point, jacobian_affine
 from .errors import InvalidPointError, NotCanonicalError
 from .fields import DualNumber, Fp, FpElement, json_int
-from .miller import chain_for, chain_trace, slope_sum
+from .miller import chain_for, chain_trace, eval_point, slope_sum
 
 
 class DualPoint:
@@ -224,10 +226,8 @@ class DualCurve:
         """pt + O_k without revalidating pt."""
         if pt.is_infinity:
             return DualPoint.infinity(pt.k + k)
-        x0, y0 = pt.x.re, pt.y.re
-        dx = DualNumber(self.field.zero(), -2 * y0 * k)
-        dy = DualNumber(self.field.zero(), -(3 * x0**2 + self.base.A) * k)
-        return DualPoint.affine(pt.x + dx, pt.y + dy)
+        x1, y1 = eval_point(self.p, self.base.A.value, (pt.x.re.value, pt.y.re.value), int(k))[2:]
+        return DualPoint.affine(DualNumber(pt.x.re, pt.x.eps + x1), DualNumber(pt.y.re, pt.y.eps + y1))
 
     def add(self, P: DualPoint, Q: DualPoint) -> DualPoint:
         self._require_valid(P)
@@ -247,17 +247,14 @@ class DualCurve:
             # chord: the slope denominator is a unit
             lam = (Q.y - P.y) / (Q.x - P.x)
             return self._chord_result(lam, P, Q)
-        if y0p != y0q:
-            # reductions are opposite affine points (y0p = -y0q != 0)
-            alpha = (Q.x - P.x).eps
-            return DualPoint.infinity(alpha / (2 * y0p))
+        if y0p != y0q:  # reductions are opposite affine points: Q = -P + O_k, so P + Q = O_k
+            return DualPoint.infinity(self._offset(self.neg(P), Q))
         return self.translate(self._double(P), self._offset(P, Q))
 
     def _double(self, P: DualPoint) -> DualPoint:
         """2P for affine P: the tangent, or O_k when P reduces to 2-torsion."""
-        x0, y0 = P.x.re, P.y.re
-        if y0.is_zero():
-            return DualPoint.infinity(-2 * P.y.eps / (3 * x0**2 + self.base.A))
+        if P.y.re.is_zero():  # P = -P + O_k
+            return DualPoint.infinity(self._offset(self.neg(P), P))
         lam = (3 * P.x * P.x + self.a_lifted()) / (2 * P.y)
         return self._chord_result(lam, P, P)
 
@@ -305,10 +302,10 @@ class DualCurve:
         c = n * k + self.slope_factor() * slope_sum(rung, trace) + n * gamma(P0.x.value, P0.y.value)
         if end is None:
             return DualPoint.infinity(f(c))
-        x, y = end
-        d = c - gamma(x, y)  # lift(nP) = (x, y + (A1*x + B1)/(2y)*eps), translated by O_d
-        y1 = (a1 * x + b1) * pow(2 * y, -1, p) - (3 * x * x + a) * d
-        return DualPoint.affine(DualNumber(f(x), f(-2 * y * d)), DualNumber(f(y), f(y1)))
+        # lift(nP) = (x, y + (A1*x + B1)/(2y)*eps), translated by O_d, d = c - gamma(nP)
+        x, y, x1, y1 = eval_point(p, a, end, c - gamma(*end))
+        y1 += (a1 * x + b1) * pow(2 * y, -1, p)
+        return DualPoint.affine(DualNumber(f(x), f(x1)), DualNumber(f(y), f(y1)))
 
     def slope_factor(self) -> int:
         """lambda_L = -3*(6B*A1 - 4A*B1)/(4*(4A^3 + 27B^2)) mod p, the factor of the slope sum in

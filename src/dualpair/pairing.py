@@ -250,7 +250,7 @@ def rueck_slope_sum(curve: Curve, P: Point, chain=None) -> FpElement:
 # -- public pairing surface -------------------------------------------------------
 
 
-def pairing_direct(dc: DualCurve, P: Point, k, R: Point | None = None, chain=None, T: Point | None = None, rng=None) -> PairingValue:
+def pairing_direct(dc: DualCurve, P: Point, k, *, R: Point | None = None, chain=None, T: Point | None = None, rng=None) -> PairingValue:
     """e(P, O_k) = f_P(O_k + R) / f_P(R) by dual-number evaluation at (O_k + R) - T.
 
     Without R the point is chosen from P's chain (`_evaluate`); rng is accepted, unused.
@@ -285,7 +285,7 @@ def semaev_coefficient(curve: Curve, P: Point, *, R: Point | None = None, T: Poi
     return _log_derivative_value(trace, eval_point(curve.p, curve.A.value, S, 1), rung.multiplicities)
 
 
-def pairing_semaev(dc: DualCurve, P: Point, k, R: Point | None = None, T: Point | None = None, chain=None) -> PairingValue:
+def pairing_semaev(dc: DualCurve, P: Point, k, *, R: Point | None = None, T: Point | None = None, chain=None) -> PairingValue:
     """e(P, O_k) through the logarithmic-derivative formula."""
     if not dc.is_canonical():
         raise NotCanonicalError("the pairing is defined on the canonical lift")

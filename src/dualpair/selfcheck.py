@@ -7,23 +7,22 @@ coordinate-change witness biconditional, the lifts that keep the
 p-torsion being exactly the scaling lifts, the four attacks agreeing.
 Every section has one shape: a named stream with one bool per checked
 case, which `_section` counts; the random sections draw from one
-`random.Random(seed)` in a fixed order.  The suite runs on the first
-anomalous curve the search finds at p = 5, the smallest prime with one,
-so every p_max >= 5 gives the same curve.  The two lift sections also run
-on the first anomalous curve at p = 5 with A != B, where a check that
-confuses A with B shows.  An attack's error fails its instance, counted
-by code; it does not end the report.
+`random.Random(seed)` in a fixed order.  The suite runs on F_5's two
+anomalous curves, (A, B) = (3, 3) and (3, 2), in the order the search
+finds them: p = 5 is the smallest prime with one.  The two lift sections
+run on both, where a check that confuses A with B shows on the second;
+every other section runs on the first.  An attack's error fails its
+instance, counted by code; it does not end the report.
 """
 
 from __future__ import annotations
 
 import random
 
-from .curve import Curve, count_points, find_anomalous
+from .curve import find_anomalous
 from .dlp import DlpInstance, canonical_witness, solve, torsion_preserving_lifts
 from .dual_curve import DualCurve
 from .errors import BadInputError, DualPairError
-from .fields import Fp
 from .isogeny import check_functoriality, multiplication_isogeny
 from .pairing import pairing_direct, pairing_rueck, pairing_semaev
 
@@ -39,36 +38,19 @@ def _section(name, outcomes, detail=None):
     return out
 
 
-def _smallest_anomalous(p_max: int) -> Curve:
-    if p_max < 5:
-        raise BadInputError(f"no anomalous curve with p <= {p_max}")
-    return find_anomalous(5, 5, count=1, seed=1, budget=100)[0]
-
-
-def _first_anomalous_with_distinct_coefficients(p: int) -> Curve:
-    """The first anomalous y^2 = x^3 + A*x + B over F_p, in the order of (A, B), with A != B."""
-    field = Fp(p)
-    for a in range(p):
-        for b in range(p):
-            if a != b and (4 * a**3 + 27 * b * b) % p and count_points(Curve(field, a, b)) == p:
-                return Curve(field, a, b)
-    raise BadInputError(f"no anomalous curve with A != B at p = {p}")
-
-
 def _triples(rng, pts, count):
     return [[rng.choice(pts) for _ in range(3)] for _ in range(count)]
 
 
-def _lift_sections(curve: Curve) -> list:
-    """The witness biconditional and the torsion probe, over every lift of both curves: a lift
+def _lift_sections(curves: list) -> list:
+    """The witness biconditional and the torsion probe, over every lift of each curve: a lift
     has a scaling witness, whose k from `canonical_witness` gives (A1, B1) = k*(4A, 6B), exactly
     when `torsion_preserving_lifts` finds its j-value in F_p, and exactly when it keeps the p-torsion."""
-    p = curve.p
     witness, probe, probes = [], [], []
-    for c in (curve, _first_anomalous_with_distinct_coefficients(p)):
+    for c in curves:
         j_in_fp, preserving = torsion_preserving_lifts(c)
-        for a1 in range(p):
-            for b1 in range(p):
+        for a1 in range(c.p):
+            for b1 in range(c.p):
                 lift = DualCurve(c, a1, b1)
                 scales = lift.has_scaling_witness()
                 k = canonical_witness(lift)[1] if scales else None
@@ -86,11 +68,12 @@ def _lift_sections(curve: Curve) -> list:
     return [_section("canonical_witness_biconditional", witness), _section("torsion_lift_probe", probe, probes)]
 
 
-def run(p_max: int = 13, trials: int = 100, seed: int = 0xC11E) -> dict:
+def run(trials: int = 100, seed: int = 0xC11E) -> dict:
     if trials < 1:
         raise BadInputError(f"trials must be at least 1, not {trials}")
     rng = random.Random(seed)
-    curve = _smallest_anomalous(p_max)
+    curves = find_anomalous(5, 5, count=2, seed=1)
+    curve = curves[0]
     dc = DualCurve.canonical(curve)
     p, add = curve.p, curve.add
     pts = list(curve.points())
@@ -142,7 +125,7 @@ def run(p_max: int = 13, trials: int = 100, seed: int = 0xC11E) -> dict:
                 for _ in range(max(4, trials // 10))
             ),
         ),
-        *_lift_sections(curve),
+        *_lift_sections(curves),
     ]
     agreement = [
         solved(rng.choice(base_pts), rng.randrange(p), [rng.randrange(2**30) for _ in _METHODS])
@@ -151,7 +134,6 @@ def run(p_max: int = 13, trials: int = 100, seed: int = 0xC11E) -> dict:
     sections.append(_section("attack_agreement", agreement, {"errors": errors} if errors else None))
     return {
         "curve": curve.to_json(),
-        "p_max": p_max,
         "trials": trials,
         "seed": seed,
         "sections": sections,

@@ -221,7 +221,7 @@ def test_integer_flags_are_strict(capsys):
         "find-anomalous": ["--min", "5", "--max", "100", "--count", "1", "--seed", "3"],
         "pair": ["--curve", curve, "--point", "129,526", "--k", "5", "--seed", "3"],
         "dlp": ["--curve", curve, "--p-point", "129,526", "--q-point", "988,1402", "--method", "lift", "--seed", "3"],
-        "selfcheck": ["--p-max", "5", "--trials", "1", "--seed", "3"],
+        "selfcheck": ["--trials", "1", "--seed", "3"],
     }
     arabic_indic = str.maketrans("0123456789", "".join(chr(0x660 + d) for d in range(10)))
     for command, argv in commands.items():
@@ -285,40 +285,41 @@ def test_unreadable_file_flag_is_usage(tmp_path, capsys, curve_flag):
     assert code == 64 and json.loads(err)["error"] == "Usage"
 
 
-def test_selfcheck_p_max_below_five_is_usage(capsys):
-    for p_max in ("3", "4", "-1"):
-        code, out, err = run_cli(capsys, "selfcheck", "--p-max", p_max)
-        assert (code, out) == (64, "")
-        assert json.loads(err)["error"] == "Usage"
-    with pytest.raises(BadInputError):
-        selfcheck.run(3, trials=1)  # the library reports it with a defined error too
+def test_selfcheck_has_no_p_max_flag(capsys):
+    # the suite runs on F_5's two anomalous curves whatever the caller asks for,
+    # so a prime bound is not a setting of it
+    code, out, err = run_cli(capsys, "selfcheck", "--p-max", "13")
+    assert (code, out) == (64, "")
+    assert json.loads(err)["error"] == "Usage"
+    with pytest.raises(TypeError):
+        selfcheck.run(13, 8, 5)  # nor of the library's run
 
 
 def test_selfcheck_trials_below_one_is_usage(capsys):
     # a suite that checks nothing must not report a pass
     for trials in ("0", "-3"):
-        code, out, err = run_cli(capsys, "selfcheck", "--p-max", "13", "--trials", trials)
+        code, out, err = run_cli(capsys, "selfcheck", "--trials", trials)
         assert (code, out) == (64, "")
         assert json.loads(err)["error"] == "Usage"
     with pytest.raises(BadInputError):
-        selfcheck.run(13, trials=0)
+        selfcheck.run(trials=0)
 
 
 def test_selfcheck_one_trial_checks_every_section():
-    report = selfcheck.run(13, trials=1)
+    report = selfcheck.run(trials=1)
     assert report["pass"] is True
     assert all(section["checked"] >= 1 for section in report["sections"])
 
 
 def test_selfcheck_passes_and_reproducible(capsys):
-    a = run_cli(capsys, "selfcheck", "--p-max", "13", "--trials", "40", "--seed", "5")
+    a = run_cli(capsys, "selfcheck", "--trials", "40", "--seed", "5")
     assert a[0] == 0
     report = json.loads(a[1])
     assert report["pass"] is True
     names = {s["name"] for s in report["sections"]}
     assert "torsion_lift_probe" in names
     assert "pairing_three_way_agreement" in names
-    b = run_cli(capsys, "selfcheck", "--p-max", "13", "--trials", "40", "--seed", "5")
+    b = run_cli(capsys, "selfcheck", "--trials", "40", "--seed", "5")
     assert a == b
 
 
@@ -332,7 +333,7 @@ def test_selfcheck_reports_an_attack_error_as_a_failed_check(capsys, monkeypatch
         raise DualPairError("broken attack")
 
     monkeypatch.setitem(dlp._ATTACKS, "lift", broken)
-    report = selfcheck.run(13, trials=8, seed=5)
+    report = selfcheck.run(trials=8, seed=5)
     sections = {s["name"]: s for s in report["sections"]}
     assert report["pass"] is False
     assert [name for name, s in sections.items() if not s["pass"]] == ["attack_agreement"]
@@ -352,7 +353,7 @@ def test_selfcheck_tells_a_from_b_in_the_scaling_witness(monkeypatch):
     from dualpair import DualCurve
 
     monkeypatch.setattr(DualCurve, "has_scaling_witness", lambda self: 6 * self.base.B * self.A1 == 4 * self.base.B * self.B1)
-    report = selfcheck.run(13, trials=4)
+    report = selfcheck.run(trials=4)
     assert report["pass"] is False
     failing = {s["name"] for s in report["sections"] if not s["pass"]}
     assert failing == {"canonical_witness_biconditional", "torsion_lift_probe"}
@@ -363,13 +364,13 @@ def test_selfcheck_tells_a_from_b_in_the_scaling_witness(monkeypatch):
 @pytest.mark.parametrize(
     "args, digest",
     [
-        ((13, 8, 5), "375a7773080c5ca02b5008840e8c4d90e9e5a3c5a4b0dae284bbc75525288fb0"),
-        ((13, 100, 0xC11E), "e80dbc0deaaabee26837fb0d6a4935005e079e82e467a9803cb652af4f9c0093"),
+        ((8, 5), "134e0be68da73b87ae151c7984078409fbdc924a7eac62635dd5bcb44d77c776"),
+        ((100, 0xC11E), "baf7da545dc23bbd49f3f844dd4a18d7c7cc17a01426f57d4c090d476992ec05"),
     ],
 )
 def test_selfcheck_report_is_pinned(args, digest):
     # the report's exact bytes: every section draws from the shared rng in one
-    # fixed order, so the same (p_max, trials, seed) names the same report
+    # fixed order, so the same (trials, seed) names the same report
     report = json.dumps(selfcheck.run(*args), sort_keys=True)
     assert hashlib.sha256(report.encode()).hexdigest() == digest
 
@@ -416,7 +417,7 @@ def _run_optimized(*argv):
 
 
 def test_results_do_not_depend_on_asserts(capsys, anomalous, curve_flag):
-    args = ("selfcheck", "--p-max", "13", "--trials", "20", "--seed", "5")
+    args = ("selfcheck", "--trials", "20", "--seed", "5")
     code, out, err = _run_optimized(*args)
     assert (code, err) == (0, "")
     assert json.loads(out)["pass"] is True

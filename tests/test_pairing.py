@@ -393,6 +393,23 @@ def test_routes_without_an_rng_refuse_one(tiny_anomalous):
         lifted_pairing(dc, dc.embed(P), dc.embed(P), rng=rng)
 
 
+def test_evaluated_routes_take_r_t_and_chain_by_keyword():
+    # chain comes before T in pairing_direct and after it in pairing_semaev, so
+    # a positional T would land in pairing_direct's chain; all three are keyword-only
+    c = Curve(Fp(1511), 1301, 497)
+    dc = DualCurve.canonical(c)
+    G = Point(c.field(129), c.field(526))
+    R, T = c.mul(100, G), c.mul(37, G)
+    expected = pairing_rueck(dc, G, 3)
+    assert expected.a.value == 1340
+    for route in (pairing_direct, pairing_semaev):
+        assert route(dc, G, 3, R=R, T=T) == expected
+        with pytest.raises(TypeError):
+            route(dc, G, 3, R, T)
+        with pytest.raises(TypeError):
+            route(dc, G, 3, R)
+
+
 def test_default_evaluation_point_draws_and_lists_no_point(monkeypatch):
     # without a caller's R the evaluation point is a multiple of P named by
     # the chain: no random point, no listing of E(F_p), no square root
