@@ -5,8 +5,9 @@ desk-size curve (p = 1511):
 
 * `pair.direct`, `pair.semaev`, `pair.rueck`: e(P, O_k) by each route
 * `instance`: `DlpInstance` construction alone, whose check p*P = O walks P
-* `solve.semaev`, `solve.lift`: `DlpInstance` construction and the semaev
-  or the lift attack
+* `solve.semaev`, `solve.rueck`, `solve.pairing`, `solve.lift`:
+  `DlpInstance` construction and one attack, checked n*P = Q, as `dlp.solve`
+  runs it
 * `miller.step_values` and `miller.scaled_step_values`: the exact and the
   scaled step readings of P's walk along the default chain
   (`miller.chain_for(p, None)`) at the routes' evaluation point sP
@@ -124,8 +125,7 @@ def _operations(p: int, a: int, b: int, G: tuple, n: int, scalar: int, ell: int)
         "pair.semaev": lambda: pairing.pairing_semaev(dc, P, K),
         "pair.rueck": lambda: pairing.pairing_rueck(dc, P, K),
         "instance": lambda: DlpInstance(curve, P, Q),
-        "solve.semaev": lambda: solve(DlpInstance(curve, P, Q), "semaev"),
-        "solve.lift": lambda: solve(DlpInstance(curve, P, Q), "lift"),
+        **{f"solve.{m}": lambda m=m: solve(DlpInstance(curve, P, Q), m) for m in ("semaev", "rueck", "pairing", "lift")},
         "miller.step_values": lambda: miller.step_values(trace, point),
         "miller.scaled_step_values": lambda: miller.scaled_step_values(trace, point),
         "curve.mul": lambda: curve.mul(scalar, P),
@@ -133,7 +133,7 @@ def _operations(p: int, a: int, b: int, G: tuple, n: int, scalar: int, ell: int)
         "isogeny.eval_lifted": lambda: phi.eval_lifted(lifted),
     }
     values = {f"{op}.a": str(ops[op]().a.value) for op in ("pair.direct", "pair.semaev", "pair.rueck")}
-    values.update({f"{op}.n": str(ops[op]().n) for op in ("solve.semaev", "solve.lift")})
+    values.update({f"{op}.n": str(fn().n) for op, fn in ops.items() if op.startswith("solve.")})
     values.update({op: ops[op]().to_json() for op in ("dual_curve.mul", "isogeny.eval_lifted")})
     return ops, values
 

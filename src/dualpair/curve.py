@@ -22,6 +22,11 @@ per bit where double-and-add takes 1.5.  `DualCurve.mul` and the default
 Miller chain (`miller.binary_chain`) take its group operations in its
 order.  `Curve.mul` wraps it and inverts once, at the end.
 
+Membership, `contains`, is computed on the ints under the wrappers.
+`point`, `add` and `mul` check their points with it once, at entry, as do
+the other modules' public entries; `_mul_raw` is `mul` for a caller that
+holds a checked point (`dlp.AttackResult.verify`), as `_add_raw` is `add`.
+
 A curve with #E = p has a rational point group that is cyclic of order p,
 so every nonzero point generates and the whole group is p-torsion.  Those
 are the attack targets of the rest of the package.  One rule certifies
@@ -121,9 +126,15 @@ class Curve:
         return pt
 
     def contains(self, pt: Point) -> bool:
+        """Whether pt satisfies the curve equation, computed on ints; an x from another
+        field raises BadInputError, while a y from one only makes the answer False."""
         if pt.is_infinity:
             return True
-        return (pt.y**2) == self.rhs(pt.x)
+        p = self.field.p
+        if pt.x.field.p != p:
+            raise BadInputError("mixed field contexts")
+        x = pt.x.value
+        return pt.y.field.p == p and (pt.y.value**2 - (x * x + self.A.value) * x - self.B.value) % p == 0
 
     def _require_on_curve(self, pt: Point):
         if not self.contains(pt):
@@ -164,6 +175,10 @@ class Curve:
         The walk runs on plain ints and inverts once, at the end.
         """
         self._require_on_curve(P)
+        return self._mul_raw(n, P)
+
+    def _mul_raw(self, n: int, P: Point) -> Point:
+        """`mul` for a P already checked to lie on the curve."""
         if n < 0:
             n, P = -n, self.neg(P)
         if n == 0 or P.is_infinity:

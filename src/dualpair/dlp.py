@@ -26,15 +26,21 @@ nonzero off the identity:
   `random_lift_coeffs` skips; one draw always serves, and kP = 0 is a
   broken draw or walk.
 
-An instance is checked once, when built: its check p*P = O is S(P),
-computed along the default chain for p and kept (`DlpInstance.slope_sum`).
-All four attacks read it and walk only Q.
+An instance is checked once, when built: Q on the curve, and p*P = O as
+S(P), computed along the default chain for p and kept
+(`DlpInstance.slope_sum`).  All four attacks read it and walk only Q.
+The lift attack and `AttackResult.verify` check neither point again: the
+one lifts and multiplies Q by `DualCurve._lift_raw` and `_mul_raw`, the
+other takes n*P by `Curve._mul_raw`.  The other attacks reach Q through
+public routes, whose on-curve checks run on ints.  `DlpInstance` and
+`AttackResult` are plain classes with frozen attributes and a frozen
+dataclass's equality, hash and repr (`_Frozen`), so a process that loads
+this module loads no `dataclasses` or `inspect`.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from functools import reduce
 
 from .curve import Curve, Point, _certifies_anomalous
@@ -46,20 +52,55 @@ from .pairing import SLOPE_SIGN, lifted_pairing, rueck_slope_sum, semaev_coeffic
 DEFAULT_SEED = 0xD0A1
 
 
-@dataclass(frozen=True)
-class DlpInstance:
+class _Frozen:
+    """A record whose attributes are set once, in `__init__`, with equality, hash and
+    repr over `_fields`, as a frozen dataclass has them; setting or deleting an
+    attribute raises AttributeError."""
+
+    _fields: tuple = ()
+
+    def _set(self, **values) -> None:
+        for name, value in values.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}({', '.join(f'{name}={getattr(self, name)!r}' for name in self._fields)})"
+
+
+class DlpInstance(_Frozen):
     """An anomalous-curve discrete-log instance Q = n*P with n unknown.
 
-    The checks run in order: Q on the curve, P != infinity, then p*P =
-    infinity as P's `rueck_slope_sum`, kept as `slope_sum` and left out of
+    The checks run in order, once, in `__post_init__`, a method of its own so
+    that the benchmark's tracer times them (`dlp.instance_check`): Q on the
+    curve, P != infinity, then p*P = infinity as P's `rueck_slope_sum`, which
+    also puts P on the curve; the sum is kept as `slope_sum` and left out of
     the constructor, equality, hash and repr; P's walk certifies #E = p
-    (`curve._certifies_anomalous`).
+    (`curve._certifies_anomalous`).  The attacks and `AttackResult.verify`
+    take P and Q as checked.
     """
 
-    curve: Curve
-    P: Point
-    Q: Point
-    slope_sum: FpElement = field(init=False, repr=False, compare=False)
+    _fields = ("curve", "P", "Q")
+
+    def __init__(self, curve: Curve, P: Point, Q: Point):
+        self._set(curve=curve, P=P, Q=Q)
+        self.__post_init__()
 
     def __post_init__(self):
         curve = self.curve
@@ -72,15 +113,16 @@ class DlpInstance:
             slope_sum = None
         if not _certifies_anomalous(curve, slope_sum is not None):
             raise BadTorsionError("the curve is not anomalous: p*P != infinity")
-        object.__setattr__(self, "slope_sum", slope_sum)
+        self._set(slope_sum=slope_sum)
 
 
-@dataclass(frozen=True)
-class AttackResult:
-    n: int
-    method: str
-    retries: int = 0
-    lift: tuple[int, int] | None = None
+class AttackResult(_Frozen):
+    """A recovered n, the attack's name, its lift retries and, for the lift attack, (A1, B1)."""
+
+    _fields = ("n", "method", "retries", "lift")
+
+    def __init__(self, n: int, method: str, retries: int = 0, lift: tuple[int, int] | None = None):
+        self._set(n=n, method=method, retries=retries, lift=lift)
 
     def to_json(self) -> dict:
         out = {"n": str(self.n), "method": self.method, "retries": self.retries}
@@ -89,7 +131,8 @@ class AttackResult:
         return out
 
     def verify(self, inst: DlpInstance) -> bool:
-        return inst.curve.mul(self.n, inst.P) == inst.Q
+        """n*P = Q, with P as the instance checked it."""
+        return inst.curve._mul_raw(self.n, inst.P) == inst.Q
 
 
 def attack_semaev(inst: DlpInstance, seed: int = DEFAULT_SEED) -> AttackResult:
@@ -126,7 +169,7 @@ def attack_lift(inst: DlpInstance, seed: int = DEFAULT_SEED) -> AttackResult:
     kP = lift.slope_factor() * inst.slope_sum
     if kP.is_zero():
         raise DualPairError("p*P~ = O_0 on a lift off the scaling family")
-    pQt = lift.mul(p, lift.lift(inst.Q))
+    pQt = lift._mul_raw(p, lift._lift_raw(inst.Q))  # Q as the instance checked it
     if not pQt.is_infinity:
         raise DualPairError("p*Q~ left the kernel of reduction")
     return AttackResult(int(pQt.k / kP), "lift", lift=(a1.value, b1.value))

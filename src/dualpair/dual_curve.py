@@ -29,6 +29,12 @@ The group law is `DualCurve._add_raw`: chord-and-tangent on affine
 points of DualNumber wrappers, one dual inversion per step.  It is the
 reference law, and `DualCurve.mul` takes at most one step of it.
 
+Membership, `is_valid`, is the two equations above on ints; `add`, `mul`
+and `decompose` check their points with it once, at entry, and `lift`
+checks its base point by `Curve.contains` and solves the eps constraint on
+ints.  `_lift_raw` and `_mul_raw` are `lift` and `mul` for a caller that
+holds a checked point: the lift attack, whose instance has checked Q.
+
 The fiber over each base point P is one coset lift(P) + O_k:
 `miller.eval_point` writes the eps increments of S + O_k,
 (x, y) + O_k = (x - 2*y0*k*eps, y - (3*x0^2 + A)*k*eps) with (x0, y0) the
@@ -77,7 +83,7 @@ from __future__ import annotations
 import random
 
 from .curve import INFINITY, Curve, Point, jacobian_affine
-from .errors import InvalidPointError, NotCanonicalError
+from .errors import BadInputError, InvalidPointError, NotCanonicalError
 from .fields import DualNumber, Fp, FpElement, json_int
 from .miller import chain_for, chain_trace, eval_point, slope_sum
 
@@ -166,7 +172,7 @@ class DualCurve:
         return DualNumber(self.base.B, self.B1)
 
     def is_canonical(self) -> bool:
-        return self.A1.is_zero() and self.B1.is_zero()
+        return not (self.A1.value or self.B1.value)
 
     @staticmethod
     def canonical(base: Curve) -> "DualCurve":
@@ -175,12 +181,17 @@ class DualCurve:
     # -- membership ------------------------------------------------------
 
     def is_valid(self, pt: DualPoint) -> bool:
-        """True iff pt satisfies the lifted Weierstrass equation."""
+        """True iff pt satisfies the lifted Weierstrass equation, computed on ints: E's
+        equation for the reduction and the eps constraint of the module docstring.
+        Coordinates from another field raise BadInputError."""
         if pt.is_infinity:
             return True
-        lhs = pt.y * pt.y
-        rhs = pt.x * pt.x * pt.x + self.a_lifted() * pt.x + self.b_lifted()
-        return lhs == rhs
+        p = self.p
+        if pt.x.field.p != p or pt.y.field.p != p:
+            raise BadInputError("mixed field contexts")
+        x0, x1, y0, y1 = pt.x.re.value, pt.x.eps.value, pt.y.re.value, pt.y.eps.value
+        eps = 2 * y0 * y1 - (3 * x0 * x0 + self.base.A.value) * x1 - self.A1.value * x0 - self.B1.value
+        return eps % p == 0 and self.base.contains(pt.reduction())
 
     def _require_valid(self, pt: DualPoint):
         if not self.is_valid(pt):
@@ -205,15 +216,18 @@ class DualCurve:
         instead, which always works because 3*x0^2 + A != 0 there.
         """
         self.base._require_on_curve(P)
+        return self._lift_raw(P)
+
+    def _lift_raw(self, P: Point) -> DualPoint:
+        """`lift` for a P already checked to lie on the base curve; the eps part is solved on ints."""
+        f, z = self.field, self.field.zero()
         if P.is_infinity:
-            return DualPoint.infinity(self.field.zero())
-        z = self.field.zero()
-        t = self.A1 * P.x + self.B1
-        if not P.y.is_zero():
-            y1 = t / (2 * P.y)
-            return DualPoint.affine(DualNumber(P.x, z), DualNumber(P.y, y1))
-        x1 = -t / (3 * P.x**2 + self.base.A)
-        return DualPoint.affine(DualNumber(P.x, x1), DualNumber(P.y, z))
+            return DualPoint.infinity(z)
+        p, x, y = self.p, P.x.value, P.y.value
+        t = self.A1.value * x + self.B1.value
+        if y:
+            return DualPoint.affine(DualNumber(P.x, z), DualNumber(P.y, f(t * pow(2 * y, -1, p))))
+        return DualPoint.affine(DualNumber(P.x, f(-t * pow(3 * x * x + self.base.A.value, -1, p))), DualNumber(P.y, z))
 
     # -- group law ---------------------------------------------------------
 
@@ -275,6 +289,10 @@ class DualCurve:
         default chain for n (`miller.chain_for(n, None)`), read by the closed form and the
         order-2 cases of the module docstring.  For an input O_k, n*O_k = O_{n*k}."""
         self._require_valid(P)
+        return self._mul_raw(n, P)
+
+    def _mul_raw(self, n: int, P: DualPoint) -> DualPoint:
+        """`mul` for a P already checked to lie on the lift."""
         if n < 0:
             n, P = -n, self.neg(P)
         if P.is_infinity:
@@ -290,9 +308,9 @@ class DualCurve:
         p, f = self.p, self.field
         end = jacobian_affine(p, trace.jac[n])
         if end is not None and not end[1]:  # gamma has a pole at n*P0; (n - 1)*P0 is neither O nor of order 2
-            return self._add_raw(self.mul(n - 1, P), P)
+            return self._add_raw(self._mul_raw(n - 1, P), P)
         a, b, a1, b1 = self.base.A.value, self.base.B.value, self.A1.value, self.B1.value
-        disc = self.base.discriminant_term().value
+        disc = 4 * a**3 + 27 * b * b
 
         def gamma(x: int, y: int) -> int:  # numerator and denominator doubled, for the 9B/2
             num = a1 * (9 * b * x * x + 2 * a * a * x + 6 * a * b) + b1 * (9 * b * x - 6 * a * x * x - 4 * a * a)
@@ -346,7 +364,7 @@ class DualCurve:
     def points(self):
         """All points of the lift, fiber by fiber, the at-infinity family first (small p only)."""
         for P in self.base.points():
-            base = self.lift(P)
+            base = self._lift_raw(P)
             for v in range(self.p):
                 yield self.translate(base, self.field(v))
 
@@ -359,7 +377,7 @@ class DualCurve:
         j-value lying in F_p.  On an anomalous curve these are exactly the
         lifts that keep the p-torsion p-torsion (`dlp.attack_lift`).
         """
-        return 6 * self.base.B * self.A1 == 4 * self.base.A * self.B1
+        return (6 * self.base.B.value * self.A1.value - 4 * self.base.A.value * self.B1.value) % self.p == 0
 
     def random_lift_coeffs(self, rng: random.Random):
         """Sample (A1, B1) for a lift, skipping the lifts that are coordinate

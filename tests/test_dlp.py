@@ -1,4 +1,3 @@
-import dataclasses
 import random
 
 import pytest
@@ -17,7 +16,7 @@ from dualpair import (
     torsion_preserving_lifts,
 )
 from dualpair.errors import BadInputError, BadTorsionError, DualPairError, WitnessInconsistentError
-from dualpair.fields import Fp
+from dualpair.fields import DualNumber, Fp, FpElement
 from dualpair.pairing import rueck_slope_sum
 
 import test_crypto256 as pinned
@@ -107,18 +106,20 @@ def test_instance_slope_sum_is_out_of_view():
     object.__setattr__(b, "slope_sum", None)
     assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
     assert "slope_sum" not in repr(a)
-    assert [f.name for f in dataclasses.fields(DlpInstance) if f.init] == ["curve", "P", "Q"]
+    assert DlpInstance(curve=DESK, P=P, Q=Q) == a
     with pytest.raises(TypeError):
         DlpInstance(DESK, P, Q, a.slope_sum)
-    other = dataclasses.replace(a, Q=DESK.mul(6, P))
+    with pytest.raises(TypeError):
+        DlpInstance(DESK, P, Q, slope_sum=a.slope_sum)
+    other = DlpInstance(a.curve, a.P, DESK.mul(6, P))
     assert other != a and other.slope_sum == a.slope_sum
     P3 = DESK.mul(3, P)
-    moved = dataclasses.replace(a, P=P3)  # Q = 5P = (5/3)*(3P): the slope sum must be 3P's
+    moved = DlpInstance(a.curve, P3, a.Q)  # Q = 5P = (5/3)*(3P): the slope sum must be 3P's
     assert moved.slope_sum == rueck_slope_sum(DESK, P3) == 3 * a.slope_sum
     for method in METHODS:
         assert solve(moved, method).n == 5 * pow(3, -1, DESK.p) % DESK.p
     with pytest.raises(BadTorsionError, match="the base point must generate"):
-        dataclasses.replace(a, P=INFINITY)
+        DlpInstance(a.curve, INFINITY, a.Q)
 
 
 def test_attack_cores_equal_the_public_functions(tiny_anomalous_all, small_pool):
@@ -215,7 +216,7 @@ def test_lift_attack_rejects_product_outside_kernel(tiny_anomalous, monkeypatch)
     # a p-fold multiple that stays affine is a broken result, reported as
     # an error even where asserts are stripped (python -O)
     inst, _ = _random_instance(tiny_anomalous, random.Random(56))
-    monkeypatch.setattr(DualCurve, "mul", lambda self, n, P: P)
+    monkeypatch.setattr(DualCurve, "_mul_raw", lambda self, n, P: P)  # the walk `mul` runs once P is checked
     with pytest.raises(DualPairError, match="kernel of reduction") as info:
         attack_lift(inst, seed=57)
     assert type(info.value) is DualPairError
@@ -393,3 +394,45 @@ def test_torsion_probe_rejects_non_anomalous_curve():
 def test_attack_result_json():
     r = AttackResult(5, "rueck")
     assert r.to_json() == {"n": "5", "method": "rueck", "retries": 0}
+
+
+def test_records_are_frozen_with_field_equality_hash_and_repr():
+    P = DESK.random_point(random.Random(8))
+    inst = DlpInstance(DESK, P, DESK.mul(5, P))
+    r = AttackResult(5, "lift", lift=(1, 2))
+    assert repr(inst) == f"DlpInstance(curve={DESK!r}, P={P!r}, Q={inst.Q!r})"
+    assert repr(r) == "AttackResult(n=5, method='lift', retries=0, lift=(1, 2))"
+    assert r == AttackResult(n=5, method="lift", retries=0, lift=(1, 2)) and hash(r) == hash(AttackResult(5, "lift", 0, (1, 2)))
+    assert r != AttackResult(5, "lift") and r != (5, "lift", 0, (1, 2))
+    assert hash(inst) == hash((DESK, P, inst.Q))
+    for record, name in ((inst, "P"), (inst, "slope_sum"), (r, "n"), (r, "other")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    assert inst.P == P and r.n == 5
+
+
+#: per method, the most FpElement and DualNumber constructions one desk solve may make, instance included
+WRAPPER_CEILINGS = {"lift": (32, 2), "pairing": (30, 4), "semaev": (9, 0), "rueck": (6, 0)}
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_wrapper_constructions_per_desk_solve(method, monkeypatch):
+    # the on-curve checks run on ints and each input is checked once, so a solve builds
+    # wrappers only at its boundary; counted on the README's instance, Q = 1234*G
+    G = DESK.point(129, 526)
+    Q = DESK.mul(1234, G)
+    assert solve(DlpInstance(DESK, G, Q), method).n == 1234  # fills the per-p chain cache
+    counts = {FpElement: 0, DualNumber: 0}
+    for cls in counts:
+        init = cls.__init__
+
+        def counting(self, *args, _cls=cls, _init=init):
+            counts[_cls] += 1
+            _init(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    assert solve(DlpInstance(DESK, G, Q), method).n == 1234
+    fp, dual = WRAPPER_CEILINGS[method]
+    assert counts[FpElement] <= fp and counts[DualNumber] <= dual, counts

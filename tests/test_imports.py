@@ -144,5 +144,4 @@ def test_each_subcommand_loads_only_its_modules(argv, want):
         assert json.loads(proc.stdout)["n"] == "1234"
     assert {m.split(".", 1)[1] for m in modules if m.startswith("dualpair.")} == want
     assert not {"dualpair.isogeny", "dualpair.selfcheck", "dualpair.poly"} & set(modules)
-    if argv[0] != "dlp":  # only dlp's dataclasses need them
-        assert not {"dataclasses", "inspect"} & set(modules)
+    assert not {"dataclasses", "inspect"} & set(modules)
