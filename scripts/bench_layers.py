@@ -38,8 +38,11 @@ two timings are taken moments apart and so share the host's state.
 With `--against REV` the `src` of REV is unpacked (`git archive`) into a
 temporary directory and the two sides run in alternating child processes,
 `--reps` of each, alternating which side runs first.  Each side also
-records the pairing values, recovered n, p*lift(P) and lifted isogeny
-image it computed, the sha256 of the invariant suite's report
+records the values it computed: the three routes' pairing values, the
+four solves' recovered n, p*lift(P) (a point at infinity) and n*lift(P)
+(an affine point) for the solves' n, the lifted isogeny image,
+`miller_eval`'s f_P with T = O at sP and at sP + O_k, the sha256 of the
+invariant suite's report
 `selfcheck.run(trials=8, seed=5)` (JSON, keys sorted, without the
 `p_max` field that older trees echo), and the CLI children's
 stdout and exit codes; the script exits 1 if any
@@ -103,7 +106,7 @@ CLI = {
 def _operations(p: int, a: int, b: int, G: tuple, n: int, scalar: int, ell: int) -> tuple[dict, dict]:
     """(operation name -> zero-argument callable, value name -> value) on one curve."""
     from dualpair import miller, pairing
-    from dualpair.curve import Curve, Point
+    from dualpair.curve import INFINITY, Curve, Point
     from dualpair.dlp import DlpInstance, solve
     from dualpair.dual_curve import DualCurve
     from dualpair.fields import Fp
@@ -135,6 +138,9 @@ def _operations(p: int, a: int, b: int, G: tuple, n: int, scalar: int, ell: int)
     values = {f"{op}.a": str(ops[op]().a.value) for op in ("pair.direct", "pair.semaev", "pair.rueck")}
     values.update({f"{op}.n": str(fn().n) for op, fn in ops.items() if op.startswith("solve.")})
     values.update({op: ops[op]().to_json() for op in ("dual_curve.mul", "isogeny.eval_lifted")})
+    values["miller_eval"] = str(miller.miller_eval(curve, P, p, INFINITY, S).value)  # f_P(sP), T = O
+    values["miller_eval.lifted"] = miller.miller_eval(curve, P, p, INFINITY, dc.compose(S, K)).to_json()  # f_P(sP + O_k)
+    values["dual_curve.mul.n"] = lift.mul(n, Pt).to_json()  # n*lift(P), an affine point: mul's lift(nP) + O_d
     return ops, values
 
 

@@ -166,9 +166,6 @@ class Curve:
         x3 = lam**2 - P.x - Q.x
         return Point(x3, lam * (P.x - x3) - P.y)
 
-    def sub(self, P: Point, Q: Point) -> Point:
-        return self.add(P, self.neg(Q))
-
     def mul(self, n: int, P: Point) -> Point:
         """n*P by `jacobian_mul` in Jacobian coordinates; negative n allowed.
 

@@ -13,6 +13,7 @@ nonzero off the identity:
 * rueck   - n = S(Q) / S(P); needs no auxiliary or evaluation points at all.
 * pairing - n = b/a where e_p(P, O_1) = 1 + a*eps and
   e_p(Q, O_1) = 1 + b*eps, with a = -S(P); bilinearity forces b = n*a.
+  On E[p] x {O_k} e_p is e, so e(Q, O_1) is read by the rueck route.
 * lift    - Smart's attack: lift P, Q to one lift y^2 = x^3 + (A + A1*eps)x
   + (B + B1*eps) of E off the scaling family (`has_scaling_witness`); then
   p*Pt = O_kP and p*Qt = O_kQ, and n*Pt - Qt lying in the kernel of
@@ -44,10 +45,10 @@ import random
 from functools import reduce
 
 from .curve import Curve, Point, _certifies_anomalous
-from .dual_curve import DualCurve, DualPoint
+from .dual_curve import DualCurve
 from .errors import BadInputError, BadTorsionError, DualPairError, WitnessInconsistentError
 from .fields import FpElement
-from .pairing import SLOPE_SIGN, lifted_pairing, rueck_slope_sum, semaev_coefficient
+from .pairing import SLOPE_SIGN, pairing_rueck, rueck_slope_sum, semaev_coefficient
 
 DEFAULT_SEED = 0xD0A1
 
@@ -152,10 +153,9 @@ def attack_rueck(inst: DlpInstance, seed: int = DEFAULT_SEED) -> AttackResult:
 
 
 def attack_pairing(inst: DlpInstance, seed: int = DEFAULT_SEED) -> AttackResult:
-    """n = b/a from e_p(P, O_1) = 1 + a*eps, e_p(Q, O_1) = 1 + b*eps."""
-    dc = DualCurve.canonical(inst.curve)
-    a = SLOPE_SIGN * inst.slope_sum  # lifted_pairing(dc, dc.embed(P), O_1).a, as embed(P) = P + O_0
-    b = lifted_pairing(dc, dc.embed(inst.Q), DualPoint.infinity(dc.field.one())).a
+    """n = b/a from e_p(P, O_1) = 1 + a*eps, e_p(Q, O_1) = 1 + b*eps, read as e(P, O_1) and e(Q, O_1)."""
+    a = SLOPE_SIGN * inst.slope_sum  # e(P, O_1) = 1 - S(P)*eps
+    b = pairing_rueck(DualCurve.canonical(inst.curve), inst.Q, 1).a
     return AttackResult(int(b / a), "pairing")
 
 

@@ -50,8 +50,8 @@ non-singular, from the y eps parts.  Every reader of a fiber uses these two:
   Summands over the same point are Q = P + O_k, so P + Q = `_double`(P) +
   O_k; `_double` is the tangent, or O_k for P = -P + O_k over 2-torsion.
 * `decompose` reads k as the offset of pt from embed(P).
-* `mul`'s affine result is `eval_point` at nP and its offset from lift(nP),
-  plus lift(nP)'s y eps part (A1*x + B1)/(2y).
+* `mul`'s affine result is translate(`_lift_raw`(nP), c - gamma(nP)), with c
+  and gamma below; a lift's eps part (A1*x + B1)/(2y) is in `_lift_raw` alone.
 
 These cases are checked against associativity and the canonical-lift
 decomposition in the test suite.
@@ -320,10 +320,7 @@ class DualCurve:
         c = n * k + self.slope_factor() * slope_sum(rung, trace) + n * gamma(P0.x.value, P0.y.value)
         if end is None:
             return DualPoint.infinity(f(c))
-        # lift(nP) = (x, y + (A1*x + B1)/(2y)*eps), translated by O_d, d = c - gamma(nP)
-        x, y, x1, y1 = eval_point(p, a, end, c - gamma(*end))
-        y1 += (a1 * x + b1) * pow(2 * y, -1, p)
-        return DualPoint.affine(DualNumber(f(x), f(x1)), DualNumber(f(y), f(y1)))
+        return self.translate(self._lift_raw(Point(f(end[0]), f(end[1]))), f(c - gamma(*end)))  # lift(nP) + O_d
 
     def slope_factor(self) -> int:
         """lambda_L = -3*(6B*A1 - 4A*B1)/(4*(4A^3 + 27B^2)) mod p, the factor of the slope sum in

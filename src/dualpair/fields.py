@@ -229,9 +229,6 @@ class DualNumber:
     def __neg__(self):
         return DualNumber(-self.re, -self.eps)
 
-    def is_unit(self) -> bool:
-        return not self.re.is_zero()
-
     def inverse(self) -> "DualNumber":
         if self.re.is_zero():
             raise NonUnitError("dual number with zero field part is not invertible")

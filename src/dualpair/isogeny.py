@@ -102,9 +102,6 @@ class RationalFunction:
             self.den * self.den,
         )
 
-    def defined_at(self, x: FpElement) -> bool:
-        return not self.den(x).is_zero()
-
     def __call__(self, x):
         """Evaluate at an element of F_p where the denominator is nonzero."""
         return self.num(x) / self.den(x)

@@ -30,15 +30,14 @@ or at n = 5 and 7, where that leaves no s, `tail_chain(n, 3)`'s.  A
 caller's chain is validated and gets its record per call.  Each (P, chain)
 is walked once, on plain ints: `chain_trace` adds in Jacobian coordinates
 (`step_lines`), inverts nothing, and records the multiples and each step's
-slope numerator; its end point nP is the n-torsion check.  Every evaluation
-reads the lines from that record projectively (`step_values`); no multiple
-is ever made affine.  `trace_value` checks T and `at` once and turns at - T
-into an int tuple (`eval_point`), where a memoized fold of the step values
-gives f_P with one division.  Those exact values are only for
-`trace_value`: a reading that needs only the eps/re ratio of f_P at one
-point of the lift (the pairing routes) takes each h up to a factor in F_p
-(`scaled_step_values`), which skips the scales Z_k and Z_i^3.  The same
-trace drives the Weil pairing
+slope numerator; its end point nP is the n-torsion check.  The lines are
+read from that record in one place, projectively (`scaled_step_values`):
+each h up to a factor in F_p, which leaves every eps/re ratio alone, so the
+pairing routes read it as it is; no multiple is ever made affine.
+`trace_value` checks T and `at` once and turns at - T into an int tuple
+(`eval_point`), where a memoized fold of the exact values (`step_values`,
+the scaled value over the F_p scale it drops) gives f_P with one division.
+The same trace drives the Weil pairing
 
     e_n(P, Q) = f_P(D_Q) / f_Q(D_P)
 
@@ -197,7 +196,7 @@ def step_lines(p: int, a: int, Pi: tuple, Pj: tuple) -> tuple:
 
     N is the numerator of the step's one slope N/Z(Pi + Pj), or None when
     the step has no chord: an operand or the sum is infinity.  The lines
-    of h_{i,j} are read from these by `step_values`.  Every walk
+    of h_{i,j} are read from these by `scaled_step_values`.  Every walk
     calls this once per step, through the module global, so that the
     benchmark's tracer (`perfbench/tracing.py`) can count chain steps.
     """
@@ -318,43 +317,16 @@ def _vanishes(k: int, i: int, j: int) -> DegenerateEvaluationError:
     return DegenerateEvaluationError(f"line of step {k} = {i} + {j} vanishes at the evaluation point")
 
 
-def step_values(trace: ChainTrace, point: tuple) -> list:
-    """Every step's h_{i,j} at an `eval_point` tuple as (numerator, denominator), each an
-    (re, eps) int pair; raises DegenerateEvaluationError where a line vanishes.
-
-    Read projectively from the Jacobian multiples, with no inversion: with
-    V = Z^2*x - X, a chord step has h = l/v_k = (L*Z_k)/(V_k*Z_i^3), where
-    L = Z_k*(Z_i^3*y - Y_i) - N*Z_i*V_i is l*Z_k*Z_i^3, and a step to infinity
-    has h = v_i = V_i/Z_i^2; the eps parts are the same formulas in (x1, y1).
-    """
-    _, y0, x1, y1 = point
-    p, jac, one = trace.field.p, trace.jac, (1, 0)
-    cols = _columns(trace, point)
-    out = []
-    for k, i, j, N in trace.steps:
-        if i not in cols or j not in cols:
-            num = den = one
-        elif N is None:
-            num, den = cols[i][0], (cols[i][1], 0)
-        else:
-            (_, Yi, Zi), ((Vi, _), _, zzzi) = jac[i], cols[i]
-            Zk, (Vk, Vk1) = jac[k][2], cols[k][0]
-            num = ((Zk * (zzzi * y0 - Yi) - N * Zi * Vi) * Zk % p, zzzi * (Zk * y1 - N * x1) * Zk % p)
-            den = (Vk * zzzi % p, Vk1 * zzzi % p)
-        if not (num[0] and den[0]):
-            raise _vanishes(k, i, j)
-        out.append((num, den))
-    return out
-
-
 def scaled_step_values(trace: ChainTrace, point: tuple) -> list:
     """Every step's h_{i,j} at an `eval_point` tuple as one (re, eps) int pair, up to a
-    nonzero factor in F_p; raises DegenerateEvaluationError on the steps `step_values` does.
+    nonzero factor in F_p, which leaves every eps/re ratio, so every pairing value, alone;
+    raises DegenerateEvaluationError where a line vanishes.
 
-    A factor leaves every eps/re ratio, so every pairing value, unchanged.
-    With L and V as in `step_values`, a chord step is (L + L_eps*eps)/(V_k + V_{k,eps}*eps)
-    up to Z_k/Z_i^3, so (L*V_k, L_eps*V_k - L*V_{k,eps}) up to V_k^2 as well;
-    a step to infinity is (V_i, V_{i,eps}), and a step without lines (1, 0).
+    Read projectively from the Jacobian multiples, inverting nothing: with V = Z^2*x - X,
+    a chord step has h = l/v_k = (L*Z_k)/(V_k*Z_i^3), L = Z_k*(Z_i^3*y - Y_i) - N*Z_i*V_i,
+    the eps parts the same formulas in (x1, y1), so (L*V_k, L_eps*V_k - L*V_{k,eps}) up to
+    Z_k/(Z_i^3*V_k^2); a step to infinity has h = v_i = (V_i, V_{i,eps}) up to 1/Z_i^2,
+    and a step without lines (1, 0).
     """
     _, y0, x1, y1 = point
     p, jac, one = trace.field.p, trace.jac, (1, 0)
@@ -374,6 +346,26 @@ def scaled_step_values(trace: ChainTrace, point: tuple) -> list:
         if not h[0]:
             raise _vanishes(k, i, j)
         out.append(h)
+    return out
+
+
+def step_values(trace: ChainTrace, point: tuple) -> list:
+    """Every step's h_{i,j} at an `eval_point` tuple as (numerator, denominator), each an
+    (re, eps) int pair; raises DegenerateEvaluationError where a line vanishes.
+
+    The numerator is the `scaled_step_values` value times Z_k on a chord step,
+    and the denominator the F_p scale that value drops: Z_i^3*V_k^2 on a chord
+    step, Z_i^2 on a step to infinity, 1 on a step without lines.
+    """
+    p, jac = trace.field.p, trace.jac
+    cols = _columns(trace, point)
+    out = []
+    for (k, i, j, N), (hr, he) in zip(trace.steps, scaled_step_values(trace, point)):
+        if N is None:
+            out.append(((hr, he), (cols[i][1] if i in cols and j in cols else 1, 0)))
+        else:
+            Zk, Vk = jac[k][2], cols[k][0][0]
+            out.append(((hr * Zk % p, he * Zk % p), (cols[i][2] * Vk * Vk % p, 0)))
     return out
 
 

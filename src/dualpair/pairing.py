@@ -94,7 +94,7 @@ from .errors import (
     NotCanonicalError,
     NotPTorsionError,
 )
-from .fields import DualNumber, Fp, FpElement, json_int
+from .fields import Fp, FpElement, json_int
 from .miller import (
     chain_for,
     difference,
@@ -135,9 +135,6 @@ class PairingValue:
 
     def __pow__(self, n: int) -> "PairingValue":
         return PairingValue(n * self.a)
-
-    def as_dual(self) -> DualNumber:
-        return DualNumber(self.a.field.one(), self.a)
 
     def __eq__(self, other):
         if not isinstance(other, PairingValue):

@@ -18,10 +18,11 @@ from dualpair import (
     pairing_direct,
     pairing_rueck,
     pairing_semaev,
+    velu,
     weil_pairing,
 )
 from dualpair.cli import USAGE_EXIT, main
-from dualpair.errors import BadInputError, InvalidPointError, PointNotOnCurveError
+from dualpair.errors import BadInputError, InvalidPointError, NotASubgroupError, PointNotOnCurveError
 from dualpair.fields import Fp
 
 #: the README's desk curve and its G
@@ -76,6 +77,7 @@ _ENTRIES = [
     pytest.param(lambda: weil_pairing(DESK, 2, BAD, INFINITY), NOT_ON, id="weil_pairing-P"),
     pytest.param(lambda: weil_pairing(DESK, 2, INFINITY, BAD), NOT_ON, id="weil_pairing-Q"),
     pytest.param(lambda: identity_isogeny(DESK)(BAD), NOT_ON, id="Isogeny.__call__"),
+    pytest.param(lambda: velu(DESK, [INFINITY, BAD]), (NotASubgroupError, f"{BAD} is not on the curve"), id="velu"),
 ]
 
 

@@ -414,7 +414,7 @@ def test_records_are_frozen_with_field_equality_hash_and_repr():
 
 
 #: per method, the most FpElement and DualNumber constructions one desk solve may make, instance included
-WRAPPER_CEILINGS = {"lift": (32, 2), "pairing": (30, 4), "semaev": (9, 0), "rueck": (6, 0)}
+WRAPPER_CEILINGS = {"lift": (14, 2), "pairing": (14, 0), "semaev": (9, 0), "rueck": (6, 0)}
 
 
 @pytest.mark.parametrize("method", METHODS)

@@ -3,7 +3,9 @@
 `Curve._add_raw` and the affine lines of conftest (`line_through`, `eval_line`) work on
 FpElement points with one inversion per step; they stay as the oracle for
 the Jacobian walk of `miller.chain_trace`, for the line values that
-`miller.step_values` reads projectively from it, and for `Curve.mul`.
+`miller.scaled_step_values` reads projectively from it (checked through
+`miller.step_values`, the scaled value over the scale it drops), and for
+`Curve.mul`.
 `DualCurve._add_raw` is the oracle for `DualCurve.mul`, the base walk plus
 the slope sum.
 """

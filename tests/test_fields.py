@@ -90,7 +90,8 @@ def test_dual_nilpotent_not_invertible():
     f = Fp(7)
     with pytest.raises(NonUnitError):
         f.dual(0, 1).inverse()
-    assert not f.dual(0, 3).is_unit()
+    with pytest.raises(NonUnitError):
+        1 / f.dual(0, 3)
 
 
 def test_dual_multiplication_truncates_eps_squared():
@@ -106,7 +107,7 @@ def test_dual_ring_randomized():
     for _ in range(1000):
         z = DualNumber(f.random(rng), f.random(rng))
         w = DualNumber(f.random(rng), f.random(rng))
-        if z.is_unit() and w.is_unit():
+        if not (z.re.is_zero() or w.re.is_zero()):
             assert (z * w).inverse() == w.inverse() * z.inverse()
         assert z * w == w * z
         assert (z + w) - w == z

@@ -114,6 +114,8 @@ def test_velu_rejects_non_subgroup(curve_with_two_torsion, rng):
         velu(c, [INFINITY, P])
     with pytest.raises(NotASubgroupError):
         velu(c, [c.two_torsion()[0]])
+    with pytest.raises(NotASubgroupError, match="^kernel is not closed under addition$"):
+        velu(c, [INFINITY, P, c.neg(P)])
 
 
 def test_velu_odd_kernel_matches_kernel_polynomial_route(rng):
@@ -224,7 +226,7 @@ def test_multiplication_by_two_formula(tiny_anomalous, rng):
         assert phi(P) == c.mul(2, P)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
 def test_multiplication_isogeny_matches_scalar(n, rng):
     c = find_anomalous(50, 400, 1, seed=40)[0]
     phi = multiplication_isogeny(c, n)
@@ -266,9 +268,36 @@ def test_compute_m_matches_pointwise_evaluation():
         vals = set()
         for v in range(c.p):
             x = c.field(v)
-            if rp.defined_at(x) and phi.s.defined_at(x) and not phi.s(x).is_zero():
+            if not (rp.den(x).is_zero() or phi.s.den(x).is_zero() or phi.s(x).is_zero()):
                 vals.add((rp(x) / phi.s(x)).value)
         assert vals == {compute_m(phi).value}
+
+
+_C31 = Curve(Fp(31), 1, 0)
+_X31 = RationalFunction.from_poly(Polynomial.x(_C31.field))
+
+#: guards of the isogeny module: (call, error type, message)
+_GUARDS = [
+    pytest.param(lambda: multiplication_isogeny(_C31, 0), BadInputError, "multiplication maps are built for 1 <= n <= 7",
+                 id="multiplication-below-range"),
+    pytest.param(lambda: multiplication_isogeny(_C31, 8), BadInputError, "multiplication maps are built for 1 <= n <= 7",
+                 id="multiplication-above-range"),
+    pytest.param(lambda: multiplication_isogeny(Curve(Fp(5), 1, 1), 5), BadInputError,
+                 "multiplication by a multiple of p is inseparable; use frobenius_isogeny", id="multiplication-by-p"),
+    pytest.param(lambda: identity_isogeny(_C31).compose(identity_isogeny(Curve(Fp(31), 2, 3))), BadInputError,
+                 "isogenies do not chain: inner target differs from outer source", id="compose-mismatch"),
+    pytest.param(lambda: compute_m(Isogeny(_C31, _C31, _X31, _X31, 1, _C31.field.one())), DualPairError,
+                 "r'/s is not constant: not an isogeny", id="compute_m-not-constant"),
+    pytest.param(lambda: RationalFunction(Polynomial.x(_C31.field), Polynomial.zero(_C31.field)), ZeroDivisionError,
+                 "rational function with zero denominator", id="RationalFunction-zero-denominator"),
+]
+
+
+@pytest.mark.parametrize("call, kind, message", _GUARDS)
+def test_isogeny_guard_raises(call, kind, message):
+    with pytest.raises(kind) as info:
+        call()
+    assert type(info.value) is kind and str(info.value) == message
 
 
 def test_compute_m_constant_and_composition(curve_with_two_torsion):
@@ -349,6 +378,15 @@ def test_frobenius_is_inseparable(tiny_anomalous_all):
                 continue
             pt = dc.compose(P, 2)
             assert phi.eval_lifted(pt) == dc.embed(P)
+
+
+def test_find_cyclic_isogeny_2_from_rational_two_torsion(curve_with_two_torsion):
+    c = curve_with_two_torsion
+    T = c.two_torsion()[0]
+    phi = find_cyclic_isogeny(c, 2)
+    assert phi.degree == 2 and phi.source == c and phi.curve_identity_holds()
+    assert phi.kernel_polynomial() == Polynomial.from_roots(c.field, [T.x])
+    assert phi(T) == INFINITY
 
 
 def test_find_cyclic_isogeny_2_impossible_on_anomalous(small_pool):

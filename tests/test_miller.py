@@ -187,7 +187,7 @@ def test_h_eval_matches_direct_ratio():
         Pk = c.add(Pi, Pj)
         for _ in range(6):
             Q = c.random_point(rng)
-            U = c.sub(Q, T)
+            U = c.add(Q, c.neg(T))
             if U.is_infinity:
                 continue
             ell = line_through(c, Pi, Pj)

@@ -41,7 +41,7 @@ def test_pairing_value_group():
     assert a * b == PairingValue(f(16))
     assert a.inverse() * a == PairingValue(f(0))
     assert (a**13).is_one()  # every value has order dividing p
-    assert a.as_dual() == f.dual(1, 5)
+    assert f.dual(1, a.a) * f.dual(1, b.a) == f.dual(1, (a * b).a)  # 1 + a*eps in F_p[eps]
     assert PairingValue.from_json(f, a.to_json()) == a
 
 
@@ -207,15 +207,16 @@ def test_values_land_in_mu_p(tiny_anomalous, rng):
     for P in _affine(tiny_anomalous):
         v = pairing_direct(dc, P, 1, rng=rng)
         assert (v ** tiny_anomalous.p).is_one()
-        assert (v.as_dual() ** tiny_anomalous.p) == dc.field.dual(1)
+        assert dc.field.dual(1, v.a) ** tiny_anomalous.p == dc.field.dual(1)
 
 
 def test_bad_inputs(tiny_anomalous, rng):
     c = tiny_anomalous
     dc = DualCurve.canonical(c)
     P = _affine(c)[0]
-    with pytest.raises(NotCanonicalError):
-        pairing_direct(DualCurve(c, 1, 0), P, 1)
+    for route in (pairing_direct, pairing_semaev, pairing_rueck):
+        with pytest.raises(NotCanonicalError, match="^the pairing is defined on the canonical lift$"):
+            route(DualCurve(c, 1, 0), P, 1)
     # R must be affine (and, on general curves, p-torsion outside E[2])
     with pytest.raises(BadInputError):
         semaev_log_derivative(c, P, INFINITY)
@@ -241,6 +242,10 @@ def test_bad_inputs(tiny_anomalous, rng):
         if "R" not in kwargs:
             with pytest.raises(BadTorsionError):
                 pairing_rueck(dc2, P31, 1, **kwargs)
+    # P = O is p-torsion on every curve, so the R guard itself rejects R = P31
+    for route in (lambda: pairing_direct(dc2, INFINITY, 1, R=P31), lambda: semaev_coefficient(c2, INFINITY, R=P31)):
+        with pytest.raises(BadInputError, match="^evaluation point must be p-torsion$"):
+            route()
     with pytest.raises(BadTorsionError):
         semaev_log_derivative(c2, T2, P31)  # 2-torsion P rejected first
     with pytest.raises(BadInputError):
