@@ -16,6 +16,13 @@ desk-size curve (p = 1511):
   scaling family, as in the lift attack
 * `isogeny.eval_lifted`: a rational ell-isogeny from `find_cyclic_isogeny`
   (ell = 5 at 256 bits, 17 at p = 1511) at the lifted point embed(Q) + O_k
+* the desk-size isogeny layer (`isogeny` in the record): `find_cyclic_isogeny`
+  for ell = 13 on (1163, 642, 263), where Frobenius is not a scalar on
+  E[13], and for ell = 3 on (1447, 468, 325), where it is, so that every
+  line of E[3] is rational and psi_3 is split; and the polynomial kernels at
+  degree 84, with psi = psi_13 of the first curve, made monic: `poly.mul`
+  (psi * psi), `poly.mod` ((x^p mod psi)^2 mod psi) and `poly.pow_mod`
+  (x^p mod psi)
 * the CLI process layer (`cli` in the record), on the desk curve: whole
   child processes of `python -c pass` and of `python -m dualpair.cli`
   running `pair --method rueck`, `dlp --method rueck` and
@@ -41,8 +48,9 @@ temporary directory and the two sides run in alternating child processes,
 records the values it computed: the three routes' pairing values, the
 four solves' recovered n, p*lift(P) (a point at infinity) and n*lift(P)
 (an affine point) for the solves' n, the lifted isogeny image,
-`miller_eval`'s f_P with T = O at sP and at sP + O_k, the sha256 of the
-invariant suite's report
+`miller_eval`'s f_P with T = O at sP and at sP + O_k, each found
+isogeny of the isogeny layer (`to_json`), the sha256 of each of its
+polynomial results' coefficient tuples, the sha256 of the invariant suite's report
 `selfcheck.run(trials=8, seed=5)` (JSON, keys sorted, without the
 `p_max` field that older trees echo), and the CLI children's
 stdout and exit codes; the script exits 1 if any
@@ -85,6 +93,11 @@ CURVES = [
         5,
     ),
     ("desk", 1511, 1301, 497, (129, 526), 1033, 1409, 17),
+]
+#: the isogeny layer's searches: (operation, p, A, B, ell); the poly.* operations run on the first curve's psi_13
+ISOGENY_SEARCHES = [
+    ("isogeny.find.l13", 1163, 642, 263, 13),
+    ("isogeny.find.l3.scalar", 1447, 468, 325, 3),
 ]
 #: k in e(P, O_k) for the pair.* operations
 K = 3
@@ -144,21 +157,53 @@ def _operations(p: int, a: int, b: int, G: tuple, n: int, scalar: int, ell: int)
     return ops, values
 
 
+def _isogeny_operations() -> tuple[dict, dict]:
+    """(operation name -> zero-argument callable, value name -> value) for the isogeny layer."""
+    from dualpair.curve import Curve
+    from dualpair.fields import Fp
+    from dualpair.isogeny import division_polynomial, find_cyclic_isogeny
+    from dualpair.poly import Polynomial
+
+    ops, values = {}, {}
+    for op, p, a, b, ell in ISOGENY_SEARCHES:
+        ops[op] = lambda curve=Curve(Fp(p), a, b), ell=ell: find_cyclic_isogeny(curve, ell)
+        values[op] = ops[op]().to_json()
+    _, p, a, b, _ = ISOGENY_SEARCHES[0]
+    psi = division_polynomial(Curve(Fp(p), a, b), 13).monic()  # degree 84
+    x = Polynomial.x(psi.field)
+    xp = x.pow_mod(p, psi)
+    square = xp * xp
+    ops.update({
+        "poly.mul": lambda: psi * psi,
+        "poly.mod": lambda: square % psi,
+        "poly.pow_mod": lambda: x.pow_mod(p, psi),
+    })
+    for op in ("poly.mul", "poly.mod", "poly.pow_mod"):
+        values[op] = hashlib.sha256(str(ops[op]().coeffs).encode()).hexdigest()
+    return ops, values
+
+
+def _timed(ops: dict, inner: int) -> dict:
+    """operation -> `inner` timings in ms, after one untimed call of each."""
+    for fn in ops.values():
+        fn()
+    samples = {op: [] for op in ops}
+    for _ in range(inner):  # round robin, so that a slow spell of the host is shared by every operation
+        for op, fn in ops.items():
+            start = time.perf_counter()
+            fn()
+            samples[op].append((time.perf_counter() - start) * 1e3)
+    return samples
+
+
 def child(src: str, inner: int) -> dict:
     sys.path.insert(0, src)
     out = {"timings_ms": {}, "values": {}}
     for name, *spec in CURVES:
-        ops, values = _operations(*spec)
-        out["values"][name] = values
-        for fn in ops.values():
-            fn()
-        samples = {op: [] for op in ops}
-        for _ in range(inner):  # round robin, so that a slow spell of the host is shared by every operation
-            for op, fn in ops.items():
-                start = time.perf_counter()
-                fn()
-                samples[op].append((time.perf_counter() - start) * 1e3)
-        out["timings_ms"][name] = samples
+        ops, out["values"][name] = _operations(*spec)
+        out["timings_ms"][name] = _timed(ops, inner)
+    ops, out["values"]["isogeny"] = _isogeny_operations()
+    out["timings_ms"]["isogeny"] = _timed(ops, inner)
     from dualpair import selfcheck
 
     report = selfcheck.run(trials=8, seed=5)  # by keyword, as every tree takes it
@@ -270,6 +315,7 @@ def main(argv=None) -> int:
         "inner": args.inner,
         "k": K,
         "curves": {name: {"p": str(p)} for name, p, *_ in CURVES},
+        "isogeny_searches": {op: {"p": str(p), "A": str(a), "B": str(b), "ell": ell} for op, p, a, b, ell in ISOGENY_SEARCHES},
         "cli": CLI,
         "values_identical": identical,
         "sides": {},
@@ -295,7 +341,8 @@ def main(argv=None) -> int:
     else:
         sys.stdout.write(text)
     if not identical:
-        print("pairing values, recovered n, lifted multiples, isogeny images, selfcheck reports or CLI documents differ between runs",
+        print("pairing values, recovered n, lifted multiples, isogenies, polynomial results, selfcheck reports or CLI documents"
+              " differ between runs",
               file=sys.stderr)
         return 1
     return 0

@@ -475,7 +475,7 @@ def _scalar_kernels(psi: list[Polynomial], fx: Polynomial, psi_ell: Polynomial, 
     for g in _split_equal_degree(psi_ell, e):
         closure = [Polynomial.constant(f, 1)]  # T-coefficients, lowest first, mod g
         for num, den in multiples:
-            xi = num * den.pow_mod(f.p**e - 2, g) % g  # the inverse in the field of p^e elements
+            xi = num * den.inverse_mod(g) % g  # den is a unit mod g: psi_i vanishes only on E[i]
             closure = [(lo - xi * hi) % g for lo, hi in zip([zero] + closure, closure + [zero])]
         kernels.append(Polynomial(f, [c[0] for c in closure]))
     return kernels

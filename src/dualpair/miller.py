@@ -36,7 +36,7 @@ each h up to a factor in F_p, which leaves every eps/re ratio alone, so the
 pairing routes read it as it is; no multiple is ever made affine.
 `trace_value` checks T and `at` once and turns at - T into an int tuple
 (`eval_point`), where a memoized fold of the exact values (`step_values`,
-the scaled value over the F_p scale it drops) gives f_P with one division.
+read by the same reader) gives f_P with one division.
 The same trace drives the Weil pairing
 
     e_n(P, Q) = f_P(D_Q) / f_Q(D_P)
@@ -322,11 +322,31 @@ def scaled_step_values(trace: ChainTrace, point: tuple) -> list:
     nonzero factor in F_p, which leaves every eps/re ratio, so every pairing value, alone;
     raises DegenerateEvaluationError where a line vanishes.
 
-    Read projectively from the Jacobian multiples, inverting nothing: with V = Z^2*x - X,
-    a chord step has h = l/v_k = (L*Z_k)/(V_k*Z_i^3), L = Z_k*(Z_i^3*y - Y_i) - N*Z_i*V_i,
-    the eps parts the same formulas in (x1, y1), so (L*V_k, L_eps*V_k - L*V_{k,eps}) up to
-    Z_k/(Z_i^3*V_k^2); a step to infinity has h = v_i = (V_i, V_{i,eps}) up to 1/Z_i^2,
-    and a step without lines (1, 0).
+    Read projectively from the Jacobian multiples by `_step_readings`, inverting
+    nothing: a chord step is (L + L_eps*eps)/(V_k + V_{k,eps}*eps) up to Z_k/Z_i^3,
+    so (L*V_k, L_eps*V_k - L*V_{k,eps}) up to V_k^2 as well; a step to infinity is
+    (V_i, V_{i,eps}), and a step without lines (1, 0).
+    """
+    return _step_readings(trace, point, False)
+
+
+def step_values(trace: ChainTrace, point: tuple) -> list:
+    """Every step's h_{i,j} at an `eval_point` tuple as (numerator, denominator), each an
+    (re, eps) int pair; raises DegenerateEvaluationError where a line vanishes.
+
+    Read by `_step_readings`: a chord step is (L*Z_k + L_eps*Z_k*eps)/(V_k*Z_i^3 +
+    V_{k,eps}*Z_i^3*eps), a step to infinity V_i/Z_i^2 and a step without lines 1/1.
+    """
+    return _step_readings(trace, point, True)
+
+
+def _step_readings(trace: ChainTrace, point: tuple, exact: bool) -> list:
+    """The one reading of each step's lines at an `eval_point` tuple: `step_values`'
+    fractions when exact, else `scaled_step_values`' scaled values.
+
+    With V = Z^2*x - X from `_columns`, a chord step has h = l/v_k = (L*Z_k)/(V_k*Z_i^3),
+    where L = Z_k*(Z_i^3*y - Y_i) - N*Z_i*V_i is l*Z_k*Z_i^3, and a step to infinity
+    has h = v_i = V_i/Z_i^2; the eps parts are the same formulas in (x1, y1).
     """
     _, y0, x1, y1 = point
     p, jac, one = trace.field.p, trace.jac, (1, 0)
@@ -334,38 +354,24 @@ def scaled_step_values(trace: ChainTrace, point: tuple) -> list:
     out = []
     for k, i, j, N in trace.steps:
         if i not in cols or j not in cols:
-            out.append(one)
+            out.append((one, one) if exact else one)
             continue
         if N is None:
-            h = cols[i][0]
-        else:
-            (_, Yi, Zi), ((Vi, _), _, zzzi) = jac[i], cols[i]
-            Zk, (Vk, Vk1) = jac[k][2], cols[k][0]
-            L = (Zk * (zzzi * y0 - Yi) - N * Zi * Vi) % p
-            h = (L * Vk % p, (zzzi * (Zk * y1 - N * x1) * Vk - L * Vk1) % p)
-        if not h[0]:
+            (Vi, Vi1), zzi, _ = cols[i]
+            if not Vi:
+                raise _vanishes(k, i, j)
+            out.append(((Vi, Vi1), (zzi, 0)) if exact else (Vi, Vi1))
+            continue
+        (_, Yi, Zi), ((Vi, _), _, zzzi) = jac[i], cols[i]
+        Zk, (Vk, Vk1) = jac[k][2], cols[k][0]
+        L = (Zk * (zzzi * y0 - Yi) - N * Zi * Vi) % p
+        Le = zzzi * (Zk * y1 - N * x1)
+        if not (L and Vk):
             raise _vanishes(k, i, j)
-        out.append(h)
-    return out
-
-
-def step_values(trace: ChainTrace, point: tuple) -> list:
-    """Every step's h_{i,j} at an `eval_point` tuple as (numerator, denominator), each an
-    (re, eps) int pair; raises DegenerateEvaluationError where a line vanishes.
-
-    The numerator is the `scaled_step_values` value times Z_k on a chord step,
-    and the denominator the F_p scale that value drops: Z_i^3*V_k^2 on a chord
-    step, Z_i^2 on a step to infinity, 1 on a step without lines.
-    """
-    p, jac = trace.field.p, trace.jac
-    cols = _columns(trace, point)
-    out = []
-    for (k, i, j, N), (hr, he) in zip(trace.steps, scaled_step_values(trace, point)):
-        if N is None:
-            out.append(((hr, he), (cols[i][1] if i in cols and j in cols else 1, 0)))
+        if exact:
+            out.append(((L * Zk % p, Le * Zk % p), (Vk * zzzi % p, Vk1 * zzzi % p)))
         else:
-            Zk, Vk = jac[k][2], cols[k][0][0]
-            out.append(((hr * Zk % p, he * Zk % p), (cols[i][2] * Vk * Vk % p, 0)))
+            out.append((L * Vk % p, (Le * Vk - L * Vk1) % p))
     return out
 
 

@@ -5,6 +5,28 @@ used for torsion work.  Coefficients are stored as canonical ints in
 [0, p); the zero polynomial has an empty coefficient tuple and degree
 minus infinity.
 
+Products and remainders run on packed ints (Kronecker substitution, von zur
+Gathen and Gerhard, Modern Computer Algebra, section 8.4): c_0 + c_1 x + ...
+becomes the one int c_0 + c_1 2^w + ..., little-endian slots of w bits, so
+that x -> 2^w.  w is taken from the largest slot sum a kernel can reach, a
+sum of `terms` products of two residues, 2*bits(p) + bits(terms) bits,
+rounded up to whole 64-bit words; a slot then never carries into the next,
+so a product of polynomials is one int product whose slots are the
+coefficients before reduction mod p.  One-word slots pack and unpack through
+`array('Q')`, wider ones through each slot's bytes.
+
+* `*` is one int product, unpacked once.
+* `divmod` is long division on the packed dividend: each quotient
+  coefficient c is read from the top slot, and (p - c)*divisor, shifted
+  under it, is added, which zeroes that slot mod p; slots only grow, so no
+  borrow ever crosses one.  The dividend is unpacked once, at the end.
+* `pow_mod` keeps its accumulator packed: each step is one int product and
+  the packed division, and the remainder's slots are brought below p once
+  per step, without building a Polynomial.
+* `gcd` is Euclid on the same division, without a Polynomial per step:
+  each remainder is brought below p and packed once, as the next divisor,
+  which is then the next dividend.
+
 Every p takes one root-finding path: g = gcd(x^p - x, f) isolates the
 product of the distinct rational linear factors, and the Cantor-Zassenhaus
 equal-degree split (`_split_equal_degree`, von zur Gathen and Gerhard,
@@ -15,10 +37,58 @@ is off that path and is kept as a tested general tool.
 
 from __future__ import annotations
 
-from .errors import BadInputError
+import sys
+from array import array
+
+from .errors import BadInputError, DualPairError
 from .fields import Fp, FpElement
 
 _NEG_INF = float("-inf")
+#: array('Q') holds native-order words; the packed ints are little-endian
+_SWAP_WORDS = sys.byteorder != "little"
+
+
+def _width(p: int, terms: int) -> int:
+    """Slot bits that hold a sum of `terms` products of two ints below p, in whole 64-bit words."""
+    return -(-(2 * p.bit_length() + terms.bit_length()) // 64) * 64
+
+
+def _pack(coeffs, w: int) -> int:
+    """sum c_i * 2^(w*i) for nonnegative c_i below 2^w."""
+    if w == 64:
+        words = array("Q", coeffs)
+        if _SWAP_WORDS:
+            words.byteswap()
+        return int.from_bytes(words.tobytes(), "little")
+    size = w // 8
+    return int.from_bytes(b"".join([c.to_bytes(size, "little") for c in coeffs]), "little")
+
+
+def _unpack(a: int, slots: int, w: int) -> list:
+    """The `slots` w-bit slots of a nonnegative a below 2^(w*slots), lowest first."""
+    size = w // 8
+    raw = a.to_bytes(slots * size, "little")
+    if w == 64:
+        words = array("Q", raw)
+        if _SWAP_WORDS:
+            words.byteswap()
+        return words.tolist()
+    return [int.from_bytes(raw[i:i + size], "little") for i in range(0, len(raw), size)]
+
+
+def _divide(a: int, b: int, m: int, inv_lead: int, w: int, p: int) -> tuple[list, int]:
+    """Long division of the packed a by the packed b of degree m, whose lead has
+    inverse inv_lead mod p: (quotient coeffs, lowest first, reduced; the packed
+    remainder, m slots, not reduced).  Each slot of a must stay below 2^w after
+    it gains up to m + 1 products of two residues."""
+    mask = (1 << w) - 1
+    quo = [0] * max(0, -(-a.bit_length() // w) - m)
+    for i in range(len(quo) - 1, -1, -1):
+        c = ((a >> (w * (i + m))) & mask) * inv_lead % p
+        if c:
+            quo[i] = c
+            a += (p - c) * b << (w * i)  # the top slot becomes 0 mod p; slots above it are left as they are
+    return quo, a & ((1 << (w * m)) - 1)
 
 
 class Polynomial:
@@ -106,14 +176,11 @@ class Polynomial:
         if isinstance(other, int):
             return Polynomial(self.field, [c * other for c in self.coeffs])
         self._check(other)
-        if self.is_zero() or other.is_zero():
+        a, b = self.coeffs, other.coeffs
+        if not a or not b:
             return Polynomial.zero(self.field)
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b  # reduced mod p once, by the constructor
-        return Polynomial(self.field, out)
+        w = _width(self.field.p, min(len(a), len(b)))
+        return Polynomial(self.field, _unpack(_pack(a, w) * _pack(b, w), len(a) + len(b) - 1, w))
 
     __rmul__ = __mul__
 
@@ -121,20 +188,13 @@ class Polynomial:
         self._check(other)
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        p = self.field.p
-        rem = list(self.coeffs)
-        dq = len(self.coeffs) - len(other.coeffs)
-        if dq < 0:
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
             return Polynomial.zero(self.field), self
-        inv_lead = pow(other.lead(), -1, p)
-        quo = [0] * (dq + 1)
-        for i in range(dq, -1, -1):
-            c = rem[i + len(other.coeffs) - 1] * inv_lead % p
-            if c:
-                quo[i] = c
-                for j, b in enumerate(other.coeffs):
-                    rem[i + j] -= c * b  # reduced mod p where read, and by the constructor
-        return Polynomial(self.field, quo), Polynomial(self.field, rem)
+        p = self.field.p
+        w = _width(p, len(b) + 1)  # a slot below p gains up to len(b) products
+        quo, rem = _divide(_pack(a, w), _pack(b, w), len(b) - 1, pow(b[-1], -1, p), w, p)
+        return Polynomial(self.field, quo), Polynomial(self.field, _unpack(rem, len(b) - 1, w))
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -150,23 +210,52 @@ class Polynomial:
 
     def gcd(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a % b
-        return a.monic() if not a.is_zero() else a
+        p, a, b = self.field.p, list(self.coeffs), list(other.coeffs)
+        if len(a) < len(b):
+            a, b = b, a
+        w = _width(p, len(a) + 1)  # a slot below p gains up to len(b) products
+        packed = _pack(a, w)
+        while b:
+            m, packed_b = len(b) - 1, _pack(b, w)
+            rem = _divide(packed, packed_b, m, pow(b[-1], -1, p), w, p)[1]
+            a, b, packed = b, [c % p for c in _unpack(rem, m, w)], packed_b
+            while b and not b[-1]:
+                b.pop()
+        return Polynomial(self.field, a).monic()
 
     def derivative(self) -> "Polynomial":
         return Polynomial(self.field, [i * c for i, c in enumerate(self.coeffs)][1:])
 
     def pow_mod(self, n: int, mod: "Polynomial") -> "Polynomial":
         # left to right, so that a short base such as x + c costs a short multiply
-        base = self % mod
-        out = Polynomial.constant(self.field, 1) % mod
+        base, p, m = self % mod, self.field.p, len(mod.coeffs) - 1
+        if m == 0:
+            return Polynomial.zero(self.field)
+        w = _width(p, 2 * m + 1)  # a square's slots, m products each, gain up to m + 1 more
+        b, inv_lead = _pack(mod.coeffs, w), pow(mod.lead(), -1, p)
+
+        def reduced(a: int) -> int:  # the packed remainder, its slots brought below p
+            return _pack([c % p for c in _unpack(_divide(a, b, m, inv_lead, w, p)[1], m, w)], w)
+
+        packed_base, acc = _pack(base.coeffs, w), 1
         for bit in bin(n)[2:]:
-            out = out * out % mod
+            acc = reduced(acc * acc)
             if bit == "1":
-                out = out * base % mod
-        return out
+                acc = reduced(acc * packed_base)
+        return Polynomial(self.field, _unpack(acc, m, w))
+
+    def inverse_mod(self, mod: "Polynomial") -> "Polynomial":
+        """u with u*self = 1 mod `mod`, deg u < deg mod, by the extended Euclidean
+        algorithm; raises DualPairError unless gcd(self, mod) = 1."""
+        f = self.field
+        r0, r1 = mod, self % mod
+        u0, u1 = Polynomial.zero(f), Polynomial.constant(f, 1)
+        while not r1.is_zero():
+            q, r = divmod(r0, r1)
+            r0, r1, u0, u1 = r1, r, u1, u0 - q * u1
+        if r0.degree != 0:
+            raise DualPairError("polynomial is not invertible modulo a polynomial it shares a factor with")
+        return u0 * pow(r0.lead(), -1, f.p)
 
     # -- evaluation ---------------------------------------------------
 

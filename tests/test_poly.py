@@ -1,8 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dualpair.errors import BadInputError
+from dualpair.errors import BadInputError, DualPairError
 from dualpair.fields import Fp
 from dualpair.poly import Polynomial, _split_equal_degree, cubic_roots
 
@@ -144,6 +146,11 @@ def test_pow_mod():
     x = Polynomial.x(f)
     mod = x * x * x - 2
     assert x.pow_mod(17, mod) == (x.pow_mod(16, mod) * x) % mod
+    # n = 0, and a constant modulus, under which every polynomial is 0
+    assert (x + 3).pow_mod(0, mod).coeffs == (1,)
+    assert (x + 3).pow_mod(0, Polynomial.constant(f, 2)).is_zero()
+    with pytest.raises(ZeroDivisionError):
+        x.pow_mod(2, Polynomial.zero(f))
 
 
 def test_mixed_contexts_raise_bad_input():
@@ -153,3 +160,170 @@ def test_mixed_contexts_raise_bad_input():
         with pytest.raises(BadInputError, match="mixed field contexts"):
             op()
     assert Polynomial(Fp(5), [Fp(5)(6), 7, 0]).coeffs == (1, 2)
+
+
+# -- the packed kernels against schoolbook oracles ------------------------------------
+
+#: p = 5, desk size, about 2^28 and the pinned 256-bit prime: at 2^28 a slot of
+#: 2*28 + bits(terms) bits fits one 64-bit word up to 255 terms and takes two from 256 on
+P_28 = 2**28 - 57
+P_256 = 93651552868343116064426439039116612662436119053208978779440343948595872250883
+PRIMES = (5, 1511, P_28, P_256)
+
+
+def _trim(cs: list) -> tuple:
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def school_mul(a, b, p):
+    out = [0] * max(0, len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
+    return _trim(out)
+
+
+def school_divmod(a, b, p):
+    rem, inv = list(a), pow(b[-1], -1, p)
+    quo = [0] * max(0, len(a) - len(b) + 1)
+    for i in range(len(quo) - 1, -1, -1):
+        c = rem[i + len(b) - 1] * inv % p
+        quo[i] = c
+        for j, y in enumerate(b):
+            rem[i + j] = (rem[i + j] - c * y) % p
+    return _trim(quo), _trim(rem[:len(b) - 1])
+
+
+def school_pow_mod(a, n, m, p):
+    out, base = school_divmod((1,), m, p)[1], school_divmod(a, m, p)[1]
+    while n:
+        if n & 1:
+            out = school_divmod(school_mul(out, base, p), m, p)[1]
+        base = school_divmod(school_mul(base, base, p), m, p)[1]
+        n >>= 1
+    return out
+
+
+def school_gcd(a, b, p):
+    while b:
+        a, b = b, school_divmod(a, b, p)[1]
+    if not a:
+        return a
+    inv = pow(a[-1], -1, p)
+    return tuple(c * inv % p for c in a)
+
+
+@st.composite
+def coefficients(draw, p, max_degree):
+    """A coefficient list of degree at most max_degree (-1 for zero): random, all p - 1
+    (the largest slot sums) or sparse, with a nonzero lead."""
+    degree = draw(st.one_of(st.integers(-1, 3), st.integers(-1, max_degree), st.just(max_degree)))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    fill = draw(st.sampled_from(("random", "top", "sparse")))
+    cs = [p - 1 if fill == "top" else rng.randrange(p) if fill == "random" or rng.random() < 0.1 else 0
+          for _ in range(degree + 1)]
+    if cs:
+        cs[-1] = cs[-1] or 1 + rng.randrange(p - 1)
+    return cs
+
+
+def _case(data, max_degree=64):
+    p = data.draw(st.sampled_from(PRIMES))
+    top = 256 if p == P_28 else max_degree
+    return Fp(p), data.draw(coefficients(p, top)), data.draw(coefficients(p, top))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.data())
+def test_packed_product_matches_schoolbook(data):
+    f, a, b = _case(data)
+    assert (Polynomial(f, a) * Polynomial(f, b)).coeffs == school_mul(a, b, f.p)
+
+
+def test_packed_product_across_one_word_slots():
+    # at p ~ 2^28 a slot of 255 terms (p - 1)^2 fits one word, and one of 256 takes two
+    f = Fp(P_28)
+    for n in (255, 256, 257):
+        a = [P_28 - 1] * n
+        assert (Polynomial(f, a) * Polynomial(f, a)).coeffs == school_mul(a, a, P_28)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.data())
+def test_packed_divmod_matches_schoolbook(data):
+    # zero, constant and non-monic divisors all come up
+    f, a, b = _case(data)
+    A, B = Polynomial(f, a), Polynomial(f, b)
+    if not b:
+        with pytest.raises(ZeroDivisionError):
+            divmod(A, B)
+        return
+    q, r = divmod(A, B)
+    assert (q.coeffs, r.coeffs) == school_divmod(a, b, f.p)
+    assert (A % B, A // B) == (r, q)
+
+
+def test_packed_divmod_and_gcd_across_one_word_slots():
+    # quotient coefficients 1 under a divisor of all p - 1 add the largest product
+    # to a slot at every row: at p ~ 2^28 one word holds a divisor of up to 254
+    # terms, and at 300 a slot sized for fewer terms overflows; the gcd's first
+    # step is the same division, exact when r = 0
+    f, p = Fp(P_28), P_28
+    rng = random.Random(12)
+    for n in (254, 255, 300):
+        b, q, r = [p - 1] * n, [1] * n, [rng.randrange(p) for _ in range(n - 1)]
+        a = [(x + y) % p for x, y in zip(school_mul(b, q, p), r + [0] * n)]
+        quo, rem = divmod(Polynomial(f, a), Polynomial(f, b))
+        assert (quo.coeffs, rem.coeffs) == (tuple(q), _trim(r))
+        B = Polynomial(f, b)
+        assert Polynomial(f, school_mul(b, q, p)).gcd(B) == B.monic()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data(), st.integers(0, 2**12))
+def test_packed_pow_mod_matches_schoolbook(data, n):
+    p = data.draw(st.sampled_from(PRIMES))
+    a = data.draw(coefficients(p, 40))
+    m = data.draw(coefficients(p, 140 if p == P_28 else 24).filter(bool))
+    f = Fp(p)
+    assert Polynomial(f, a).pow_mod(n, Polynomial(f, m)).coeffs == school_pow_mod(a, n, m, p)
+
+
+def test_packed_pow_mod_across_one_word_slots():
+    # modulo a degree-m polynomial a square and its reduction sum up to 2m - 1 terms
+    # in a slot: one word at p ~ 2^28 holds them up to m = 127, and at m = 250 a
+    # slot sized for m terms overflows
+    f = Fp(P_28)
+    rng = random.Random(11)
+    for m in (127, 128, 250):
+        mod = [rng.randrange(P_28) for _ in range(m)] + [P_28 - 1]
+        base = [P_28 - 1] * m
+        assert Polynomial(f, base).pow_mod(3, Polynomial(f, mod)).coeffs == school_pow_mod(base, 3, mod, P_28)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.data())
+def test_packed_gcd_matches_schoolbook(data):
+    # a shared factor c makes the gcd nontrivial
+    f, a, b = _case(data, 24)
+    c = data.draw(coefficients(f.p, 6))
+    a, b = school_mul(a, c, f.p), school_mul(b, c, f.p)
+    assert Polynomial(f, a).gcd(Polynomial(f, b)).coeffs == school_gcd(a, b, f.p)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.data())
+def test_inverse_mod_by_extended_euclid(data):
+    f, a, m = _case(data, 24)
+    if not m:
+        return
+    A, M = Polynomial(f, a), Polynomial(f, m)
+    if school_gcd(a, m, f.p) == (1,) or len(m) == 1:
+        u = A.inverse_mod(M)
+        assert u.degree < M.degree
+        assert (u * A) % M == Polynomial.constant(f, 1) % M
+    else:
+        with pytest.raises(DualPairError):
+            A.inverse_mod(M)
