@@ -19,10 +19,14 @@ desk-size curve (p = 1511):
 * the desk-size isogeny layer (`isogeny` in the record): `find_cyclic_isogeny`
   for ell = 13 on (1163, 642, 263), where Frobenius is not a scalar on
   E[13], and for ell = 3 on (1447, 468, 325), where it is, so that every
-  line of E[3] is rational and psi_3 is split; and the polynomial kernels at
+  line of E[3] is rational and psi_3 is split; the polynomial kernels at
   degree 84, with psi = psi_13 of the first curve, made monic: `poly.mul`
-  (psi * psi), `poly.mod` ((x^p mod psi)^2 mod psi) and `poly.pow_mod`
-  (x^p mod psi)
+  (psi * psi), `poly.mod` ((x^p mod psi)^2 mod psi), `poly.pow_mod`
+  (x^p mod psi) and `poly.gcd`, the ell = 13 search's first kernel gcd,
+  gcd(psi, X_p*psi_5^2 - num) with X_p = x^p mod psi and num/psi_5^2 =
+  x([5]P); and a gcd ladder, `poly.gcd.61`, `poly.gcd.127` and
+  `poly.gcd.256`, on fixed inputs of degrees 60 and 59 with a common factor
+  of degree 15 over primes of 61, 127 and 256 bits
 * the CLI process layer (`cli` in the record), on the desk curve: whole
   child processes of `python -c pass` and of `python -m dualpair.cli`
   running `pair --method rueck`, `dlp --method rueck` and
@@ -50,7 +54,8 @@ four solves' recovered n, p*lift(P) (a point at infinity) and n*lift(P)
 (an affine point) for the solves' n, the lifted isogeny image,
 `miller_eval`'s f_P with T = O at sP and at sP + O_k, each found
 isogeny of the isogeny layer (`to_json`), the sha256 of each of its
-polynomial results' coefficient tuples, the sha256 of the invariant suite's report
+polynomial results' coefficient tuples (the gcd ladder's among them, so
+that multi-word slots are compared too), the sha256 of the invariant suite's report
 `selfcheck.run(trials=8, seed=5)` (JSON, keys sorted, without the
 `p_max` field that older trees echo), and the CLI children's
 stdout and exit codes; the script exits 1 if any
@@ -67,6 +72,7 @@ import hashlib
 import json
 import os
 import platform
+import random
 import statistics
 import subprocess
 import sys
@@ -99,6 +105,10 @@ ISOGENY_SEARCHES = [
     ("isogeny.find.l13", 1163, 642, 263, 13),
     ("isogeny.find.l3.scalar", 1447, 468, 325, 3),
 ]
+#: the gcd ladder: (bits, p), each run on u*c and v*c of degrees 60 and 59 with a common monic c of degree 15,
+#: all drawn from random.Random(GCD_LADDER_SEED)
+GCD_LADDER = [(61, 2**61 - 1), (127, 2**127 - 1), (256, CURVES[0][1])]
+GCD_LADDER_SEED = 29
 #: k in e(P, O_k) for the pair.* operations
 K = 3
 #: (A1, B1) of the lift for `dual_curve.mul`: off the scaling family, 6B*A1 != 4A*B1, as B != 0 on both curves
@@ -161,25 +171,39 @@ def _isogeny_operations() -> tuple[dict, dict]:
     """(operation name -> zero-argument callable, value name -> value) for the isogeny layer."""
     from dualpair.curve import Curve
     from dualpair.fields import Fp
-    from dualpair.isogeny import division_polynomial, find_cyclic_isogeny
+    from dualpair.isogeny import _division_polynomials, _x_of_multiple, find_cyclic_isogeny
     from dualpair.poly import Polynomial
 
     ops, values = {}, {}
     for op, p, a, b, ell in ISOGENY_SEARCHES:
         ops[op] = lambda curve=Curve(Fp(p), a, b), ell=ell: find_cyclic_isogeny(curve, ell)
         values[op] = ops[op]().to_json()
-    _, p, a, b, _ = ISOGENY_SEARCHES[0]
-    psi = division_polynomial(Curve(Fp(p), a, b), 13).monic()  # degree 84
-    x = Polynomial.x(psi.field)
-    xp = x.pow_mod(p, psi)
+    _, p, a, b, ell = ISOGENY_SEARCHES[0]
+    curve = Curve(Fp(p), a, b)
+    f = curve.field
+    psi = _division_polynomials(curve, ell)
+    psi_ell = psi[ell].monic()  # degree 84
+    x = Polynomial.x(f)
+    xp = x.pow_mod(p, psi_ell)
     square = xp * xp
+    lam = next(lam for lam in range(1, ell) if (lam * lam - lam + p) % ell == 0)
+    num, den = _x_of_multiple(psi, Polynomial(f, (b, a, 0, 1)), min(lam, ell - lam))
+    eigen = xp * den - num  # the search's first kernel gcd is gcd(psi_ell, eigen)
     ops.update({
-        "poly.mul": lambda: psi * psi,
-        "poly.mod": lambda: square % psi,
-        "poly.pow_mod": lambda: x.pow_mod(p, psi),
+        "poly.mul": lambda: psi_ell * psi_ell,
+        "poly.mod": lambda: square % psi_ell,
+        "poly.pow_mod": lambda: x.pow_mod(p, psi_ell),
+        "poly.gcd": lambda: psi_ell.gcd(eigen),
     })
-    for op in ("poly.mul", "poly.mod", "poly.pow_mod"):
-        values[op] = hashlib.sha256(str(ops[op]().coeffs).encode()).hexdigest()
+    rng = random.Random(GCD_LADDER_SEED)
+    for bits, q in GCD_LADDER:
+        fq = Fp(q)
+        common = Polynomial(fq, [rng.randrange(q) for _ in range(15)] + [1])
+        u, v = (Polynomial(fq, [rng.randrange(q) for _ in range(n)] + [1]) * common for n in (45, 44))
+        ops[f"poly.gcd.{bits}"] = lambda u=u, v=v: u.gcd(v)
+    for op in ops:
+        if op.startswith("poly."):
+            values[op] = hashlib.sha256(str(ops[op]().coeffs).encode()).hexdigest()
     return ops, values
 
 

@@ -151,6 +151,12 @@ def test_pow_mod():
     assert (x + 3).pow_mod(0, Polynomial.constant(f, 2)).is_zero()
     with pytest.raises(ZeroDivisionError):
         x.pow_mod(2, Polynomial.zero(f))
+    # a negative exponent is refused, not read as its absolute value
+    with pytest.raises(BadInputError):
+        x.pow_mod(-5, mod)
+    f1163 = Fp(1163)
+    with pytest.raises(BadInputError):
+        Polynomial.constant(f1163, 2).pow_mod(-1, Polynomial.x(f1163))
 
 
 def test_mixed_contexts_raise_bad_input():
@@ -311,6 +317,46 @@ def test_packed_gcd_matches_schoolbook(data):
     c = data.draw(coefficients(f.p, 6))
     a, b = school_mul(a, c, f.p), school_mul(b, c, f.p)
     assert Polynomial(f, a).gcd(Polynomial(f, b)).coeffs == school_gcd(a, b, f.p)
+
+
+# gcd keeps each remainder packed, its slots brought into [0, 2p) by one Barrett
+# step; at len(a) = 85 (degree 84) a slot is 2S - bits(p) + 1 bits with
+# S = bits(2p + 86*2p^2): one 64-bit word at p = 56533, two at 56543 and 65521,
+# and one again at 65537, where bits(p) grows by one
+WORD_EDGE_PRIMES = (56533, 56543, 65521, 65537)
+
+
+def test_packed_gcd_reads_a_top_slot_of_p_as_zero():
+    # a remainder of each pair leaves the Barrett step with its top slot exactly
+    # p (the first at p = 5, the third at p = 11): that slot is 0 mod p, and the
+    # remainder's degree is read below it
+    for p, a, b in ((5, [1, 1, 2], [3, 2, 0, 2, 3, 2]), (11, [9, 0, 7, 1], [2, 9, 3, 1, 4])):
+        f = Fp(p)
+        assert Polynomial(f, a).gcd(Polynomial(f, b)).coeffs == school_gcd(b, a, p)
+
+
+def test_packed_gcd_across_its_word_sizes():
+    rng = random.Random(29)
+    for p in WORD_EDGE_PRIMES:
+        f = Fp(p)
+        c = [rng.randrange(p) for _ in range(10)] + [p - 1]
+        for top in (False, True):  # random coefficients, or all p - 1
+            a = [p - 1] * 75 if top else [rng.randrange(p) for _ in range(74)] + [p - 1]
+            b = [p - 1] * 60 if top else [rng.randrange(p) for _ in range(59)] + [p - 1]
+            a, b = school_mul(a, c, p), school_mul(b, c, p)  # degrees 84 and 69
+            assert Polynomial(f, a).gcd(Polynomial(f, b)).coeffs == school_gcd(a, b, p)
+
+
+def test_packed_gcd_worst_first_step():
+    # every coefficient p - 1 and a large degree gap: the first division adds the
+    # largest products to a slot at every row
+    for p in (5, 1511, WORD_EDGE_PRIMES[1], P_28, 2**61 - 1, P_256):
+        f = Fp(p)
+        for gap in (42, 60, 83):
+            a, b = [p - 1] * 85, [p - 1] * (85 - gap)
+            assert Polynomial(f, a).gcd(Polynomial(f, b)).coeffs == school_gcd(a, b, p)
+            b[0] = 1  # a divisor that shares no factor with a
+            assert Polynomial(f, a).gcd(Polynomial(f, b)).coeffs == school_gcd(a, b, p)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
