@@ -355,7 +355,7 @@ def test_packed_gcd_worst_first_step():
         for gap in (42, 60, 83):
             a, b = [p - 1] * 85, [p - 1] * (85 - gap)
             assert Polynomial(f, a).gcd(Polynomial(f, b)).coeffs == school_gcd(a, b, p)
-            b[0] = 1  # a divisor that shares no factor with a
+            b[0] = 1  # and a divisor off the all-(p - 1) family
             assert Polynomial(f, a).gcd(Polynomial(f, b)).coeffs == school_gcd(a, b, p)
 
 
