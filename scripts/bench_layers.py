@@ -27,6 +27,9 @@ desk-size curve (p = 1511):
   x([5]P); and a gcd ladder, `poly.gcd.61`, `poly.gcd.127` and
   `poly.gcd.256`, on fixed inputs of degrees 60 and 59 with a common factor
   of degree 15 over primes of 61, 127 and 256 bits
+* the search layer (`search` in the record): `curve.find_anomalous` for
+  the desk workload's four searches, one curve in [1000, 1500] for each
+  seed in 0-3, and `curve.is_anomalous` on the desk curve (1511, 1301, 497)
 * the CLI process layer (`cli` in the record), on the desk curve: whole
   child processes of `python -c pass` and of `python -m dualpair.cli`
   running `pair --method rueck`, `dlp --method rueck` and
@@ -57,7 +60,8 @@ isogeny of the isogeny layer (`to_json`), the sha256 of each of its
 polynomial results' coefficient tuples (the gcd ladder's among them, so
 that multi-word slots are compared too), the sha256 of the invariant suite's report
 `selfcheck.run(trials=8, seed=5)` (JSON, keys sorted, without the
-`p_max` field that older trees echo), and the CLI children's
+`p_max` field that older trees echo), the search layer's curves and
+`is_anomalous` answer, and the CLI children's
 stdout and exit codes; the script exits 1 if any
 of them differ between the sides or between the runs of one side.  Each
 side names the tree it timed by `src_sha256`, the sha256 of the sorted
@@ -109,6 +113,8 @@ ISOGENY_SEARCHES = [
 #: all drawn from random.Random(GCD_LADDER_SEED)
 GCD_LADDER = [(61, 2**61 - 1), (127, 2**127 - 1), (256, CURVES[0][1])]
 GCD_LADDER_SEED = 29
+#: the search layer's `find_anomalous` calls: (operation, p_min, p_max, count, seed), the desk workload's four searches
+SEARCHES = [(f"search.find.seed{seed}", 1000, 1500, 1, seed) for seed in range(4)]
 #: k in e(P, O_k) for the pair.* operations
 K = 3
 #: (A1, B1) of the lift for `dual_curve.mul`: off the scaling family, 6B*A1 != 4A*B1, as B != 0 on both curves
@@ -207,6 +213,19 @@ def _isogeny_operations() -> tuple[dict, dict]:
     return ops, values
 
 
+def _search_operations() -> tuple[dict, dict]:
+    """(operation name -> zero-argument callable, value name -> value) for the search layer."""
+    from dualpair.curve import Curve, find_anomalous, is_anomalous
+    from dualpair.fields import Fp
+
+    ops = {op: lambda args=args: find_anomalous(*args) for op, *args in SEARCHES}
+    values = {op: [c.to_json() for c in fn()] for op, fn in ops.items()}
+    _, p, a, b, *_ = CURVES[1]
+    ops["search.is_anomalous"] = lambda curve=Curve(Fp(p), a, b): is_anomalous(curve)
+    values["search.is_anomalous"] = ops["search.is_anomalous"]()
+    return ops, values
+
+
 def _timed(ops: dict, inner: int) -> dict:
     """operation -> `inner` timings in ms, after one untimed call of each."""
     for fn in ops.values():
@@ -228,6 +247,8 @@ def child(src: str, inner: int) -> dict:
         out["timings_ms"][name] = _timed(ops, inner)
     ops, out["values"]["isogeny"] = _isogeny_operations()
     out["timings_ms"]["isogeny"] = _timed(ops, inner)
+    ops, out["values"]["search"] = _search_operations()
+    out["timings_ms"]["search"] = _timed(ops, inner)
     from dualpair import selfcheck
 
     report = selfcheck.run(trials=8, seed=5)  # by keyword, as every tree takes it
@@ -340,6 +361,7 @@ def main(argv=None) -> int:
         "k": K,
         "curves": {name: {"p": str(p)} for name, p, *_ in CURVES},
         "isogeny_searches": {op: {"p": str(p), "A": str(a), "B": str(b), "ell": ell} for op, p, a, b, ell in ISOGENY_SEARCHES},
+        "searches": {op: {"p_min": lo, "p_max": hi, "count": count, "seed": seed} for op, lo, hi, count, seed in SEARCHES},
         "cli": CLI,
         "values_identical": identical,
         "sides": {},
@@ -365,8 +387,8 @@ def main(argv=None) -> int:
     else:
         sys.stdout.write(text)
     if not identical:
-        print("pairing values, recovered n, lifted multiples, isogenies, polynomial results, selfcheck reports or CLI documents"
-              " differ between runs",
+        print("pairing values, recovered n, lifted multiples, isogenies, polynomial results, found curves, selfcheck reports"
+              " or CLI documents differ between runs",
               file=sys.stderr)
         return 1
     return 0

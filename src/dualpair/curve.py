@@ -6,7 +6,11 @@ anomalous curves, and 2-torsion utilities.
 
 The search runs each trial on plain ints (`_kills_random_point`); its
 discriminant reject skips only curves with a rational point of order 2,
-which have even order and so cannot be anomalous.
+which have even order and so cannot be anomalous.  A trial takes no square
+root: for a point (x, sqrt(t)), t = x^3 + A*x + B, it walks the image
+(t*x, t^2) under the F_p-isomorphism (x, y) -> (u^2*x, u^3*y), u = sqrt(t),
+onto y^2 = x^3 + A*t^2*x + B*t^3 (Silverman, AEC III.1), which has the
+same group (`_kills`).
 
 The group law comes twice.  `Curve.add` works on affine `Point`s of
 FpElement wrappers, one inversion per addition; it is the public one and
@@ -18,7 +22,10 @@ Miller walk is read from them projectively, with no inversion.
 `jacobian_mul` runs that law over `window_digits(n)`, the one walk of a
 scalar: double-and-add on n's bits below 2^32, where the searches' and the
 CLI's primes lie, and a 4-bit sliding window from 2^32 on, about 1.2 steps
-per bit where double-and-add takes 1.5.  `DualCurve.mul` and the default
+per bit where double-and-add takes 1.5.  The double-and-add walk is one
+loop on local ints, with the doubling and the mixed Jacobian-affine
+addition of the base (Z2 = 1; Cohen, Miyaji and Ono, ASIACRYPT 1998)
+written out.  `DualCurve.mul` and the default
 Miller chain (`miller.binary_chain`) take its group operations in its
 order.  `Curve.mul` wraps it and inverts once, at the end.
 
@@ -45,7 +52,7 @@ import re
 
 from .errors import BadInputError, PointNotOnCurveError, SearchExhaustedError
 from .fields import Fp, FpElement, json_int
-from .numbertheory import legendre, next_prime, sqrt_mod
+from .numbertheory import legendre, next_prime
 
 #: Largest p the CLI checks its search's output on by `count_points`; `is_anomalous` above.
 COUNT_SCAN_LIMIT = 100_000
@@ -310,19 +317,46 @@ def jacobian_add(p: int, a: int, P: tuple, Q: tuple) -> tuple:
 def jacobian_mul(p: int, a: int, n: int, base: tuple) -> tuple:
     """n*base for n >= 1 on the Jacobian law, left to right over `window_digits(n)`.
 
-    Below 2^32 the digits are n's bits, and the walk is double-and-add on
-    them directly: the search's `_kills` runs it thousands of times at a few
-    bits, where recoding would cost more than it saves.  From 2^32 on the
-    odd multiples base, 3*base, ... up to the largest digit come first, from
-    2*base.
+    The base is an affine point as a triple (x, y, 1).  Below 2^32 the
+    digits are n's bits, and the walk is double-and-add on them directly:
+    the search's `_kills` runs it thousands of times at a few bits, where
+    recoding, or a function call per step, would cost more than it saves.
+    That walk is one loop on local ints with `jacobian_double` and
+    `jacobian_add` written out; the addition is `jacobian_add` with Z2 = 1
+    (so Z2^2 = 1, U1 = X1 and S1 = Y1), and every step, the degenerate ones
+    included (an operand at O, Y = 0, and H = 0), ends at the triple those
+    functions return.  From 2^32 on the odd multiples base, 3*base, ... up
+    to the largest digit come first, from 2*base.
     """
     if n < WINDOW_FROM:
-        acc = base
+        x, y, _ = base
+        X, Y, Z = base
         for bit in bin(n)[3:]:
-            acc = jacobian_double(p, a, acc)[0]
+            if Y and Z:
+                YY = Y * Y % p
+                S = 4 * X * YY % p
+                ZZ = Z * Z % p
+                N = (3 * X * X + a * ZZ * ZZ) % p
+                X3 = (N * N - 2 * S) % p
+                X, Y, Z = X3, (N * (S - X3) - 8 * YY * YY) % p, 2 * Y * Z % p
+            else:
+                X, Y, Z = JACOBIAN_INFINITY
             if bit == "1":
-                acc = jacobian_add(p, a, acc, base)[0]
-        return acc
+                if not Z:
+                    X, Y, Z = base
+                    continue
+                ZZ = Z * Z % p
+                H = (x * ZZ - X) % p
+                r = (y * Z * ZZ - Y) % p
+                if not H:
+                    X, Y, Z = jacobian_double(p, a, (X, Y, Z))[0] if not r else JACOBIAN_INFINITY
+                    continue
+                HH = H * H % p
+                HHH = H * HH % p
+                V = X * HH % p
+                X3 = (r * r - HHH - 2 * V) % p
+                X, Y, Z = X3, (r * (V - X3) - Y * HHH) % p, Z * H % p
+        return X, Y, Z
     digits = window_digits(n)
     twice = jacobian_double(p, a, base)[0]
     table = [base]
@@ -377,16 +411,25 @@ def _certifies_anomalous(curve: Curve, killed: bool) -> bool:
 
 
 def _kills(p: int, a: int, b: int, x: int) -> bool:
-    """Whether p*P = infinity for P = (x, y) on y^2 = x^3 + a*x + b; False early if E cannot be anomalous.
+    """Whether p*P = O for P = (x, sqrt(t)) on y^2 = x^3 + a*x + b; False early if E cannot be anomalous.
 
     A non-square discriminant -(4a^3 + 27b^2) means the cubic has exactly
     one root, so E has a rational point of order 2 and #E is even, never p;
-    such a curve is rejected without a walk.  The sign of y does not
-    matter, since p*(-P) = -(p*P).
+    such a curve is rejected without a walk.  With t = x^3 + a*x + b a
+    nonzero square, the walk is not of P but of its image (t*x, t^2) under
+    the isomorphism (x, y) -> (u^2*x, u^3*y), u = sqrt(t), onto
+    y^2 = x^3 + a*t^2*x + b*t^3, which needs no square root.  An isomorphism
+    preserves the group law, so p*P = O exactly when p times the image is;
+    and the sign of y does not matter, since p*(-P) = -(p*P).  When t = 0,
+    P has order 2 and p*P = P, as p is odd.
     """
     if legendre(-(4 * a * a * a + 27 * b * b), p) == -1:
         return False
-    return not jacobian_mul(p, a, p, (x, sqrt_mod(x * x * x + a * x + b, p), 1))[2]
+    t = (x * x * x + a * x + b) % p
+    if not t:
+        return False
+    tt = t * t % p
+    return not jacobian_mul(p, a * tt % p, p, (t * x % p, tt, 1))[2]
 
 
 def _kills_random_point(p: int, a: int, b: int, rng: random.Random) -> bool:
@@ -394,6 +437,10 @@ def _kills_random_point(p: int, a: int, b: int, rng: random.Random) -> bool:
 
     x is redrawn until x^3 + a*x + b is a square or zero, then one sign bit
     is drawn unless it is zero; the rng stream is that of a `Curve` trial.
+    Only x is kept: `_kills` walks the image of (x, sqrt(t)) on an
+    isomorphic curve, and p kills the drawn point (x, +-sqrt(t)) exactly
+    when it kills that image, so a True is `_certifies_anomalous`'s
+    certificate for the drawn point.
     """
     while True:
         x = rng.randrange(p)
@@ -406,7 +453,12 @@ def _kills_random_point(p: int, a: int, b: int, rng: random.Random) -> bool:
 
 
 def is_anomalous(curve: Curve) -> bool:
-    """True iff #E(F_p) = p, by `_certifies_anomalous` on the first affine point."""
+    """True iff #E(F_p) = p, by `_certifies_anomalous` on the first affine point.
+
+    The point is (x, sqrt(t)) for the least x where t = x^3 + Ax + B is a
+    square or zero.  `_kills` walks its image on an isomorphic curve, whose
+    group is the same, so p kills the image exactly when it kills the point.
+    """
     p, a, b = curve.p, curve.A.value, curve.B.value
     killed = _kills(p, a, b, next(x for x in range(p) if legendre(x * x * x + a * x + b, p) != -1))
     return _certifies_anomalous(curve, killed)
@@ -423,10 +475,13 @@ def find_anomalous(
 
     Deterministic given `seed`: primes are drawn by re-sampling a PRNG and
     rounding up to the next prime; (A, B) are sampled uniformly per prime.
-    Each trial runs on ints: it draws a random point as `Curve.random_point`
-    would and walks p*P on the Jacobian law, except on curves with a
-    non-square discriminant, which have a point of order 2 and so cannot be
-    anomalous.  A `Curve` is built only for a hit, which `_certifies_anomalous` decides.
+    Each trial runs on ints: it draws a random point P as `Curve.random_point`
+    would, from the same rng stream, and walks p times P's image on an
+    isomorphic curve on the Jacobian law (`_kills`, no square root), except
+    on curves with a non-square discriminant, which have a point of order 2
+    and so cannot be anomalous.  p kills the image exactly when it kills P,
+    so a hit is P's certificate; a `Curve` is built only for a hit, which
+    `_certifies_anomalous` decides.
     When the range holds at most `budget` nonsingular (p, A, B) triples
     (p^2 - p per prime), each tried one is marked, and the search stops
     once all of them are.

@@ -15,14 +15,23 @@ from dualpair import (
     find_anomalous,
     hasse_interval,
 )
-from dualpair.curve import _certifies_anomalous, is_anomalous
+from dualpair.curve import (
+    JACOBIAN_INFINITY,
+    _certifies_anomalous,
+    _kills,
+    is_anomalous,
+    jacobian_add,
+    jacobian_affine,
+    jacobian_double,
+    jacobian_mul,
+)
 from dualpair.errors import (
     BadInputError,
     PointNotOnCurveError,
     SearchExhaustedError,
 )
 from dualpair.fields import Fp
-from dualpair.numbertheory import legendre, next_prime
+from dualpair.numbertheory import legendre, next_prime, sqrt_mod
 
 from conftest import first_anomalous_by_scan
 
@@ -220,6 +229,9 @@ _SEARCHES = [
          (40, 60, 3), (1500, 50, 2), (100, 100, 1)],
         start=10,
     )
+] + [
+    (1000, 1500, 1, seed, 2_000_000)  # the desk workload's four searches
+    for seed in range(4)
 ]
 
 
@@ -275,6 +287,154 @@ def test_is_anomalous_matches_the_count(monkeypatch):
                     n = count_points(c)
                     assert is_anomalous(c) == _certifies_anomalous(c, n % p == 0) == (n == p)
                     assert not _certifies_anomalous(c, False)
+
+
+def _image(p, a, b, x):
+    # the isomorphism (x, y) -> (u^2 x, u^3 y), u = y = sqrt(t), that `_kills` walks
+    # through: the image curve (a t^2, b t^3), y, u^2 = t and u^3 = t y
+    y = sqrt_mod(x**3 + a * x + b, p)
+    t = y * y % p
+    return Curve(Fp(p), a * t * t, b * t**3), y, t, t * y % p
+
+
+def test_kills_walks_an_isomorphic_image():
+    # every curve and every x with t = x^3 + ax + b a nonzero square, at
+    # small p: each multiple m*P of P = (x, sqrt t), by the affine law on
+    # wrappers, maps to m times the image point on the image curve
+    cases = 0
+    for p in (5, 7, 11, 13):
+        f = Fp(p)
+        for a in range(p):
+            for b in range(p):
+                if (4 * a**3 + 27 * b * b) % p == 0:
+                    continue
+                c = Curve(f, a, b)
+                for x in range(p):
+                    if legendre(x**3 + a * x + b, p) != 1:
+                        continue
+                    image, y, u2, u3 = _image(p, a, b, x)
+                    P, Pi = c.point(x, y), image.point(u2 * x, u2 * u2)
+                    Q, Qi = P, Pi
+                    for _ in range(p + 1 + 2 * math.isqrt(p)):
+                        if Q.is_infinity:
+                            assert Qi.is_infinity
+                        else:
+                            assert (Qi.x.value, Qi.y.value) == (u2 * Q.x.value % p, u3 * Q.y.value % p)
+                        Q, Qi = c._add_raw(Q, P), image._add_raw(Qi, Pi)
+                        cases += 1
+    assert cases > 10_000
+
+
+def test_kills_image_multiples_at_1511_and_2_31():
+    # random curves and abscissas, scalars below and at p, on the Jacobian walk
+    rng = random.Random(30)
+    for p in (1511, 2**31 - 1):
+        for _ in range(20):
+            a, b = rng.randrange(p), rng.randrange(p)
+            x = rng.randrange(p)
+            while legendre(x**3 + a * x + b, p) != 1:
+                x = rng.randrange(p)
+            image, y, u2, u3 = _image(p, a, b, x)
+            ai = image.A.value
+            for m in list(range(1, 40)) + [p - 1, p, p + 1] + [rng.randrange(1, 2**31) for _ in range(10)]:
+                Q = jacobian_affine(p, jacobian_mul(p, a, m, (x, y, 1)))
+                Qi = jacobian_affine(p, jacobian_mul(p, ai, m, (u2 * x % p, u2 * u2 % p, 1)))
+                assert Qi == (None if Q is None else (u2 * Q[0] % p, u3 * Q[1] % p)), (p, a, b, x, m)
+
+
+def test_kills_agrees_with_the_walk_of_a_square_root():
+    # at every x with t a square or zero, on every curve of both discriminant
+    # classes: _kills is the discriminant reject, then p*(x, sqrt_mod(t)) = O
+    seen = set()
+    for p in (5, 7, 11, 13, 17, 19):
+        f = Fp(p)
+        for a in range(p):
+            for b in range(p):
+                d = (4 * a**3 + 27 * b * b) % p
+                if d == 0:
+                    continue
+                c = Curve(f, a, b)
+                square_d = legendre(-d, p) != -1
+                for x in range(p):
+                    y = sqrt_mod(x**3 + a * x + b, p)
+                    if y is None:
+                        continue
+                    walked = c.mul(p, c.point(x, y)).is_infinity
+                    assert _kills(p, a, b, x) == (square_d and walked), (p, a, b, x)
+                    seen.add((square_d, y == 0, walked))
+    # both classes, t = 0 in each, and a kill, which only a square discriminant
+    # reaches (at p = 5 a non-square one kills on the walk, #E = 10, and is still rejected)
+    assert {(True, True, False), (False, True, False), (True, False, True), (False, False, True)} <= seen
+
+
+def test_search_takes_no_square_root(monkeypatch):
+    import dualpair.fields
+    import dualpair.numbertheory
+
+    def no_roots(a, p):
+        raise AssertionError("sqrt_mod called")
+
+    for module in (dualpair.numbertheory, dualpair.fields):
+        monkeypatch.setattr(module, "sqrt_mod", no_roots)
+    curves = [find_anomalous(1000, 1500, 1, seed)[0] for seed in range(4)]
+    assert [(c.p, c.A.value, c.B.value) for c in curves] == [
+        (1361, 686, 969), (1069, 649, 933), (1319, 1094, 1047), (1123, 511, 930),
+    ]
+    assert is_anomalous(Curve(Fp(1511), 1301, 497))
+
+
+def _double_and_add(p, a, n, base, seen):
+    # oracle: the double-and-add walk on `jacobian_double` and `jacobian_add`,
+    # noting in `seen` which degenerate step each operation takes
+    acc = base
+    for bit in bin(n)[3:]:
+        X, Y, Z = acc
+        seen.add("double O" if not Z else "double Y = 0" if not Y else "double")
+        acc = jacobian_double(p, a, acc)[0]
+        if bit == "1":
+            X, Y, Z = acc
+            if not Z:
+                seen.add("add to O")
+            else:
+                H = (base[0] * Z * Z - X) % p
+                r = (base[1] * Z**3 - Y) % p
+                seen.add("add" if H else "add H = 0, r = 0" if not r else "add H = 0, r != 0")
+            acc = jacobian_add(p, a, acc, base)[0]
+    return acc
+
+
+def test_jacobian_mul_degenerate_steps():
+    # points of small order on non-anomalous curves: scalars that are multiples
+    # of the order take the accumulator through O, and scalars = 1 mod the order
+    # make it meet the base; the inlined walk ends at the oracle's exact triple
+    rng = random.Random(31)
+    orders, seen = set(), set()
+    for p in (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 1511):
+        f = Fp(p)
+        for _ in range(8):
+            a, b = rng.randrange(p), rng.randrange(p)
+            if (4 * a**3 + 27 * b * b) % p == 0:
+                continue
+            c = Curve(f, a, b)
+            if count_points(c) == p:
+                continue
+            xs = [x for x in range(p) if legendre(x**3 + a * x + b, p) != -1][:12]
+            for x in xs:
+                P = c.point(x, sqrt_mod(x**3 + a * x + b, p))
+                k, Q = 1, P
+                while not Q.is_infinity and k <= 60:  # the order of P, if at most 60
+                    k, Q = k + 1, c._add_raw(Q, P)
+                if k > 60:
+                    continue
+                orders.add(k)
+                base = (P.x.value, P.y.value, 1)
+                scalars = set(range(1, 2 * k + 2))
+                scalars |= {k * m + e for m in (rng.randrange(1, 2**20), rng.randrange(1, 2**31 // k)) for e in (0, 1)}
+                for n in scalars:
+                    assert jacobian_mul(p, a, n, base) == _double_and_add(p, a, n, base, seen), (p, a, b, P, n)
+    assert {2, 3, 4, 5, 6} <= orders
+    assert seen == {"double", "double O", "double Y = 0", "add", "add to O", "add H = 0, r = 0", "add H = 0, r != 0"}
+    assert jacobian_mul(5, 1, 2, (0, 0, 1)) == JACOBIAN_INFINITY  # a point of order 2 on y^2 = x^3 + x
 
 
 def test_two_torsion():
