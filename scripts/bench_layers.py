@@ -19,7 +19,10 @@ desk-size curve (p = 1511):
 * the desk-size isogeny layer (`isogeny` in the record): `find_cyclic_isogeny`
   for ell = 13 on (1163, 642, 263), where Frobenius is not a scalar on
   E[13], and for ell = 3 on (1447, 468, 325), where it is, so that every
-  line of E[3] is rational and psi_3 is split; the polynomial kernels at
+  line of E[3] is rational and psi_3 is split; the two parts of the ell = 13
+  search that do not depend on the split, `isogeny.psi` (`division_polynomial`
+  for psi_13, with the psi_n its recurrence reads) and `isogeny.velu`
+  (`velu_from_kernel_polynomial` on the kernel it finds); the polynomial kernels at
   degree 84, with psi = psi_13 of the first curve, made monic: `poly.mul`
   (psi * psi), `poly.mod` ((x^p mod psi)^2 mod psi), `poly.pow_mod`
   (x^p mod psi) and `poly.gcd`, the ell = 13 search's first kernel gcd,
@@ -27,6 +30,13 @@ desk-size curve (p = 1511):
   x([5]P); and a gcd ladder, `poly.gcd.61`, `poly.gcd.127` and
   `poly.gcd.256`, on fixed inputs of degrees 60 and 59 with a common factor
   of degree 15 over primes of 61, 127 and 256 bits
+* the CM isogeny layer (`isogeny.cm` in the record): `find_cyclic_isogeny`
+  on anomalous CM curves from `perfbench/cm.py` with ell | v, where Frobenius
+  is a scalar on E[ell] and psi_ell is split by lines: ell = 11 and 13 at
+  128 bits and ell = 7, 11 and 13 at 256 bits, each curve drawn from a fixed
+  (bits, D, seed).  These calls take seconds, so each is timed once, by
+  the call that gives its value, and only in the children of the first
+  `CM_ROUNDS` rounds of each side
 * the search layer (`search` in the record): `curve.find_anomalous` for
   the desk workload's four searches, one curve in [1000, 1500] for each
   seed in 0-3, and `curve.is_anomalous` on the desk curve (1511, 1301, 497)
@@ -56,7 +66,8 @@ records the values it computed: the three routes' pairing values, the
 four solves' recovered n, p*lift(P) (a point at infinity) and n*lift(P)
 (an affine point) for the solves' n, the lifted isogeny image,
 `miller_eval`'s f_P with T = O at sP and at sP + O_k, each found
-isogeny of the isogeny layer (`to_json`), the sha256 of each of its
+isogeny of the isogeny and CM isogeny layers (`to_json`, the
+`isogeny.velu` map's too), the sha256 of each of its
 polynomial results' coefficient tuples (the gcd ladder's among them, so
 that multi-word slots are compared too), the sha256 of the invariant suite's report
 `selfcheck.run(trials=8, seed=5)` (JSON, keys sorted, without the
@@ -109,6 +120,17 @@ ISOGENY_SEARCHES = [
     ("isogeny.find.l13", 1163, 642, 263, 13),
     ("isogeny.find.l3.scalar", 1447, 468, 325, 3),
 ]
+#: the CM isogeny layer's searches: (operation, bits, D, seed, ell), each curve the first
+#: `cm.anomalous_cm_curve(bits, D, random.Random(seed))`, whose v has the factor ell
+CM_SEARCHES = [
+    ("isogeny.find.cm128.l11", 128, 11, 0, 11),
+    ("isogeny.find.cm128.l13", 128, 11, 13, 13),
+    ("isogeny.find.cm256.l7", 256, 11, 5, 7),
+    ("isogeny.find.cm256.l11", 256, 11, 5, 11),
+    ("isogeny.find.cm256.l13", 256, 11, 5, 13),
+]
+#: rounds whose children also run the CM isogeny layer, once per search
+CM_ROUNDS = 3
 #: the gcd ladder: (bits, p), each run on u*c and v*c of degrees 60 and 59 with a common monic c of degree 15,
 #: all drawn from random.Random(GCD_LADDER_SEED)
 GCD_LADDER = [(61, 2**61 - 1), (127, 2**127 - 1), (256, CURVES[0][1])]
@@ -177,7 +199,7 @@ def _isogeny_operations() -> tuple[dict, dict]:
     """(operation name -> zero-argument callable, value name -> value) for the isogeny layer."""
     from dualpair.curve import Curve
     from dualpair.fields import Fp
-    from dualpair.isogeny import _division_polynomials, _x_of_multiple, find_cyclic_isogeny
+    from dualpair.isogeny import _x_of_multiple, division_polynomial, find_cyclic_isogeny, velu_from_kernel_polynomial
     from dualpair.poly import Polynomial
 
     ops, values = {}, {}
@@ -187,7 +209,12 @@ def _isogeny_operations() -> tuple[dict, dict]:
     _, p, a, b, ell = ISOGENY_SEARCHES[0]
     curve = Curve(Fp(p), a, b)
     f = curve.field
-    psi = _division_polynomials(curve, ell)
+    kernel = find_cyclic_isogeny(curve, ell).kernel_polynomial()
+    ops["isogeny.psi"] = lambda: division_polynomial(curve, ell)
+    ops["isogeny.velu"] = lambda: velu_from_kernel_polynomial(curve, kernel)
+    values["isogeny.psi"] = hashlib.sha256(str(ops["isogeny.psi"]().coeffs).encode()).hexdigest()
+    values["isogeny.velu"] = ops["isogeny.velu"]().to_json()
+    psi = {n: division_polynomial(curve, n) for n in range(ell + 1)}  # a call that every tree answers alike
     psi_ell = psi[ell].monic()  # degree 84
     x = Polynomial.x(f)
     xp = x.pow_mod(p, psi_ell)
@@ -211,6 +238,25 @@ def _isogeny_operations() -> tuple[dict, dict]:
         if op.startswith("poly."):
             values[op] = hashlib.sha256(str(ops[op]().coeffs).encode()).hexdigest()
     return ops, values
+
+
+def _cm_searches() -> tuple[dict, dict]:
+    """(operation name -> one timing in ms, value name -> value) for the CM isogeny layer."""
+    sys.path.insert(0, str(ROOT / "perfbench"))  # cm imports ecint from there
+    import cm
+    from dualpair.curve import Curve
+    from dualpair.fields import Fp
+    from dualpair.isogeny import find_cyclic_isogeny
+
+    timings, values = {}, {}
+    for op, bits, D, seed, ell in CM_SEARCHES:
+        c = cm.anomalous_cm_curve(bits, D, random.Random(seed))
+        curve = Curve(Fp(c.p), c.a, c.b)
+        start = time.perf_counter()
+        phi = find_cyclic_isogeny(curve, ell)
+        timings[op] = [(time.perf_counter() - start) * 1e3]
+        values[op] = phi.to_json()
+    return timings, values
 
 
 def _search_operations() -> tuple[dict, dict]:
@@ -239,7 +285,7 @@ def _timed(ops: dict, inner: int) -> dict:
     return samples
 
 
-def child(src: str, inner: int) -> dict:
+def child(src: str, inner: int, cm: bool) -> dict:
     sys.path.insert(0, src)
     out = {"timings_ms": {}, "values": {}}
     for name, *spec in CURVES:
@@ -249,6 +295,8 @@ def child(src: str, inner: int) -> dict:
     out["timings_ms"]["isogeny"] = _timed(ops, inner)
     ops, out["values"]["search"] = _search_operations()
     out["timings_ms"]["search"] = _timed(ops, inner)
+    if cm:
+        out["timings_ms"]["isogeny.cm"], out["values"]["isogeny.cm"] = _cm_searches()
     from dualpair import selfcheck
 
     report = selfcheck.run(trials=8, seed=5)  # by keyword, as every tree takes it
@@ -308,9 +356,10 @@ def _summary(samples: list) -> dict:
     return {"best": min(samples), "q1": q1, "median": median, "q3": q3, "worst": max(samples), "n": len(samples)}
 
 
-def _run_child(src: Path, inner: int) -> dict:
+def _run_child(src: Path, inner: int, cm: bool) -> dict:
     done = subprocess.run(
-        [sys.executable, __file__, "--child", str(src), "--inner", str(inner)], check=True, capture_output=True, text=True
+        [sys.executable, __file__, "--child", str(src), "--inner", str(inner), *(["--cm"] if cm else [])],
+        check=True, capture_output=True, text=True,
     )
     run = json.loads(done.stdout)
     run["timings_ms"]["cli"], run["values"]["cli"] = {}, {}
@@ -330,11 +379,12 @@ def main(argv=None) -> int:
     ap.add_argument("--against", metavar="REV", help="also run the src of this git revision, alternating with this tree")
     ap.add_argument("--out", help="write the JSON record here instead of to stdout")
     ap.add_argument("--child", metavar="SRC", help=argparse.SUPPRESS)
+    ap.add_argument("--cm", action="store_true", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.reps < 1 or args.inner < 1:
         ap.error("--reps and --inner must be at least 1")
     if args.child:
-        json.dump(child(args.child, args.inner), sys.stdout)
+        json.dump(child(args.child, args.inner, args.cm), sys.stdout)
         return 0
 
     dirty = bool(_git("status", "--porcelain", "src"))
@@ -346,13 +396,14 @@ def main(argv=None) -> int:
         order = list(sides)
         for rep in range(args.reps):
             for side in order if rep % 2 == 0 else order[::-1]:
-                runs[side].append(_run_child(sides[side]["src"], args.inner))
+                runs[side].append(_run_child(sides[side]["src"], args.inner, rep < CM_ROUNDS))
         for meta in sides.values():
             src = meta.pop("src")
             meta["src_lines"], meta["src_sha256"] = _src_lines(src), _src_sha256(src)
 
     values = {side: [run["values"] for run in rs] for side, rs in runs.items()}
-    identical = all(v == values["change"][0] for vs in values.values() for v in vs)
+    ref = values["change"][0]  # the first round runs every layer; a later one may leave out isogeny.cm
+    identical = all(v == {name: ref.get(name) for name in v} for vs in values.values() for v in vs)
     record = {
         "python": platform.python_version(),
         "host": _host(),
@@ -361,6 +412,8 @@ def main(argv=None) -> int:
         "k": K,
         "curves": {name: {"p": str(p)} for name, p, *_ in CURVES},
         "isogeny_searches": {op: {"p": str(p), "A": str(a), "B": str(b), "ell": ell} for op, p, a, b, ell in ISOGENY_SEARCHES},
+        "cm_searches": {op: {"bits": bits, "D": D, "seed": seed, "ell": ell} for op, bits, D, seed, ell in CM_SEARCHES},
+        "cm_rounds": min(CM_ROUNDS, args.reps),
         "searches": {op: {"p_min": lo, "p_max": hi, "count": count, "seed": seed} for op, lo, hi, count, seed in SEARCHES},
         "cli": CLI,
         "values_identical": identical,
@@ -369,7 +422,8 @@ def main(argv=None) -> int:
     for side, meta in sides.items():
         timings = {}
         for name, ops in runs[side][0]["timings_ms"].items():
-            timings[name] = {op: _summary([s for run in runs[side] for s in run["timings_ms"][name][op]]) for op in ops}
+            timings[name] = {op: _summary([s for run in runs[side] if name in run["timings_ms"] for s in run["timings_ms"][name][op]])
+                             for op in ops}
         ratios = {name: {} for name, *_ in CURVES}
         for name in ratios:
             t = timings[name]

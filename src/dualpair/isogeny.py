@@ -11,32 +11,40 @@ composition.
 
 Construction routes:
 
-* `velu` and `velu_from_kernel_polynomial` - one construction, `_kohel`,
-  in Kohel's form of Velu's formulas (Velu 1971; Kohel, thesis, 1996).
-  Its input is D = prod (x - x(Q)) over the kernel's nonzero points Q: a
-  pair +-Q gives a squared factor and a point of order 2 a simple one.
-  With n = deg D + 1, s_1, s_2, s_3 the power sums of D's roots and
+* `velu`, `velu_from_kernel_polynomial` and `identity_isogeny` - one
+  construction, `_kohel`, in Kohel's form of Velu's formulas (Velu 1971;
+  Kohel, thesis, 1996, section 2.4).  Its input is D = prod (x - x(Q)) over
+  the kernel's nonzero points Q, as D = g*h^2: g has a simple factor for
+  each point of order 2, and h one factor for each pair +-Q.  With
+  n = deg D + 1, s_1, s_2, s_3 the power sums of D's roots and
   f = x^3 + Ax + B,
-      r = n*x - s_1 - f'*D'/D - 2*f*(D'/D)',  s = r',
+      r = n*x - s_1 - f'*D'/D - 2*f*(D'/D)' = N/D,
+      s = r' = (N'*g*h - N*(g'*h + 2*g*h'))/(g^2*h^3),
       A_2 = A - 5*(3*s_2 + A*deg D),  B_2 = B - 7*(5*s_3 + 3*A*s_1 + 2*B*deg D).
-  `velu` takes a rational kernel subgroup as a point list.
+  Both fractions are reduced as built, with monic denominators, so no gcd
+  normalizes them.  `velu` takes a rational kernel subgroup as a point
+  list, and g is the product over its points with y = 0.
   `velu_from_kernel_polynomial` takes the monic kernel polynomial h of an
-  odd kernel and passes D = h^2: anomalous curves have a rational point
+  odd kernel, with g = 1: anomalous curves have a rational point
   group of odd prime order p, so the kernel of a rational ell-isogeny
   (ell != p) never consists of rational points; it is only Galois-stable,
-  and h (degree (ell-1)/2) is what exists over F_p.
+  and h (degree (ell-1)/2) is what exists over F_p.  `identity_isogeny`
+  is g = h = 1.
 * `multiplication_isogeny` - multiplication by n through division
   polynomials: r_n = x - psi_{n-1}psi_{n+1}/psi_n^2 and s_n = r_n'/n.
   Each psi_n is kept by its pure-x part (psi_n for odd n, psi_n/y for
   even n), so every product of two of them is y-free after y^2 = f.
 * `frobenius_isogeny` - (x, y) -> (x^p, y^p), the inseparable test map.
 * `find_cyclic_isogeny` - the Frobenius-eigenvalue search on anomalous
-  curves: a rational ell-isogeny exists iff x^2 - x + p has a root lam mod
-  ell, and its kernel polynomial is gcd(psi_ell, x^p - x([lam])) from one
-  x^p mod psi_ell; when Frobenius is a scalar on E[ell], every line is
-  rational and each comes from closing a root of one irreducible factor
-  of psi_ell.  The rational kernel with the smallest kernel-polynomial
-  `coeffs` tuple is returned.
+  curves (Elkies 1998): a rational ell-isogeny exists iff x^2 - x + p has
+  a root lam mod ell, and its kernel polynomial is gcd(psi_ell, x^p -
+  x([lam])) from one x^p mod psi_ell.  It builds psi_ell and the psi_0..
+  psi_(d+1), d = (ell-1)/2, that x([i]P) reads, and no other psi_n.  When
+  Frobenius is a scalar on E[ell], every line is rational, and psi_ell is
+  split by lines: sigma = x + x([2]x) + ... + x([d]x) takes one value in
+  F_p on the roots of each line, so gcds with (sigma + c)^((p-1)/2) - 1
+  split psi_ell into whole lines.  The rational kernel with the smallest
+  kernel-polynomial `coeffs` tuple is returned.
 
 Every constructor checks the curve identity (x^3 + A1*x + B1) * s^2 =
 r^3 + A2*r + B2 as one polynomial identity with the denominators cleared,
@@ -58,7 +66,7 @@ from .errors import BadInputError, DualPairError, NotASubgroupError, NotRational
 from .fields import Fp, FpElement
 from .numbertheory import is_prime
 from .pairing import lifted_pairing
-from .poly import Polynomial, _split_equal_degree
+from .poly import Polynomial, _split_by_values
 
 
 class RationalFunction:
@@ -75,6 +83,13 @@ class RationalFunction:
         lead_inv = pow(den.lead(), -1, den.field.p)
         self.num = num * lead_inv
         self.den = den * lead_inv
+
+    @staticmethod
+    def _reduced(num: Polynomial, den: Polynomial) -> "RationalFunction":
+        """num/den as given, for a caller that builds it reduced with a monic den."""
+        out = object.__new__(RationalFunction)
+        out.num, out.den = num, den
+        return out
 
     @staticmethod
     def from_poly(poly: Polynomial) -> "RationalFunction":
@@ -259,45 +274,55 @@ def _check_subgroup(curve: Curve, pts: list[Point]):
                 raise NotASubgroupError("kernel is not closed under addition")
 
 
-def _kohel(curve: Curve, D: Polynomial) -> Isogeny:
-    """The normalized isogeny whose kernel's nonzero points Q have prod (x - x(Q)) = D, monic.
+def _kohel(curve: Curve, g: Polynomial, h: Polynomial) -> Isogeny:
+    """The normalized isogeny whose kernel's nonzero points Q have prod (x - x(Q)) = D = g*h^2,
+    g over the points of order 2 and h over one point of each pair +-Q, both monic.
 
     Kohel's form of Velu's formulas (see the module docstring); the callers
     check the curve identity.  The power sums s_1, s_2, s_3 of D's roots come from its top
-    coefficients by Newton's identities.  r has denominator D, since
-    f*D'^2 is a multiple of D: a squared factor divides D'^2, and a simple
-    one is a root of f.
+    coefficients by Newton's identities.  With t = g'*h + 2*g*h', D' = h*t and
+    f*D'^2/D = (f/g)*t^2, as g divides f.  r = num/D and s = r' = (num'*g*h - num*t)/(g^2*h^3)
+    come out reduced: r has a double pole at each pair's x and a simple one at each x of
+    order 2, and r' a pole of one order more at each.
     """
     f = curve.field
-    A, B, d = int(curve.A), int(curve.B), D.degree
+    A, B = int(curve.A), int(curve.B)
+    D = g * h * h
+    d = D.degree
     e1, e2, e3 = -D[d - 1], D[d - 2], -D[d - 3]
     s1 = e1
     s2 = e1 * s1 - 2 * e2
     s3 = e1 * s2 - e2 * s1 + 3 * e3
     fx = Polynomial(f, (B, A, 0, 1))
-    Dp = D.derivative()
+    t = g.derivative() * h + 2 * (g * h.derivative())
+    Dp = h * t
     num = (Polynomial(f, (-s1, d + 1)) * D - fx.derivative() * Dp - 2 * (fx * Dp.derivative())
-           + (2 * (fx * Dp * Dp)).exact_div(D))
-    r = RationalFunction(num, D)
+           + 2 * (fx.exact_div(g) * t * t))
+    r = RationalFunction._reduced(num, D)
+    s = RationalFunction._reduced(num.derivative() * g * h - num * t, g * h * D)
     target = Curve(f, A - 5 * (3 * s2 + A * d), B - 7 * (5 * s3 + 3 * A * s1 + 2 * B * d))
-    return Isogeny(curve, target, r, r.derivative(), d + 1, f.one())
+    return Isogeny(curve, target, r, s, d + 1, f.one())
 
 
 def velu(curve: Curve, kernel: list[Point]) -> Isogeny:
     """The normalized (m = 1) separable isogeny with the given rational kernel; its degree counts distinct points."""
     _check_subgroup(curve, kernel)
-    phi = _kohel(curve, Polynomial.from_roots(curve.field, [P.x for P in set(kernel) if not P.is_infinity]))
+    points = [P for P in set(kernel) if not P.is_infinity]
+    g = Polynomial.from_roots(curve.field, [P.x for P in points if P.y.is_zero()])
+    h = Polynomial.from_roots(curve.field, {P.x for P in points if not P.y.is_zero()})
+    phi = _kohel(curve, g, h)
     if not phi.curve_identity_holds():
         raise DualPairError("Velu construction left the target curve")
     return phi
 
 
 def identity_isogeny(curve: Curve) -> Isogeny:
-    return _kohel(curve, Polynomial.constant(curve.field, 1))
+    one = Polynomial.constant(curve.field, 1)
+    return _kohel(curve, one, one)
 
 
 def velu_from_kernel_polynomial(curve: Curve, h: Polynomial) -> Isogeny:
-    """The normalized isogeny with odd kernel of kernel polynomial h, through D = h^2.
+    """The normalized isogeny with odd kernel of kernel polynomial h, through D = h^2 (g = 1).
 
     h has degree d = (ell-1)/2 and roots the x-coordinates of the kernel's
     point pairs; it need not split over F_p, only have coefficients there.
@@ -308,7 +333,7 @@ def velu_from_kernel_polynomial(curve: Curve, h: Polynomial) -> Isogeny:
         raise BadInputError("the zero polynomial is not a kernel polynomial")
     h = h.monic()
     try:
-        phi = _kohel(curve, h * h)
+        phi = _kohel(curve, Polynomial.constant(curve.field, 1), h)
     except ValueError:  # a singular target curve, which no kernel polynomial gives
         phi = None
     if phi is None or not phi.curve_identity_holds():
@@ -319,40 +344,52 @@ def velu_from_kernel_polynomial(curve: Curve, h: Polynomial) -> Isogeny:
 # -- construction: division polynomials and multiplication by n --------------------
 
 
-def _division_polynomials(curve: Curve, top: int) -> list[Polynomial]:
-    """The pure-x parts of psi_0..psi_top (psi_n for odd n, psi_n/y for even n) by
-    the standard recurrences (Washington, section 3.2) with y^2 = f: for n = 2m + 1
-    the even-index product carries y^4 = f^2, and for n = 2m the factor 2y cancels."""
+def _division_polynomials(curve: Curve, wanted) -> dict[int, Polynomial]:
+    """n -> the pure-x part of psi_n (psi_n for odd n, psi_n/y for even n), for psi_0..psi_4
+    and each n in `wanted` with every psi_n its recurrence reaches, and no other.
+
+    The standard recurrences (Washington, section 3.2) with y^2 = f: psi_(2m+1) reads
+    psi_(m-1)..psi_(m+2), and its even-index product carries y^4 = f^2; psi_(2m) reads
+    psi_(m-2)..psi_(m+2), and its factor 2y cancels.  So psi_ell, ell = 2d + 1, reads
+    nothing above psi_(d+2): the isogeny search's psi_13 leaves out psi_9..psi_12."""
+    reach, work = set(), [n for n in wanted if n > 4]
+    while work:
+        n = work.pop()
+        if n not in reach:
+            reach.add(n)
+            work.extend(k for k in range(n // 2 - 2 + n % 2, n // 2 + 3) if k > 4)
     f = curve.field
     A, B = int(curve.A), int(curve.B)
     fx = Polynomial(f, (B, A, 0, 1))
     f2 = fx * fx
     half = pow(2, -1, f.p)
-    psi = [
-        Polynomial.zero(f),  # psi_0 = 0
-        Polynomial.constant(f, 1),  # psi_1 = 1
-        Polynomial.constant(f, 2),  # psi_2 = 2y
-        Polynomial(f, (-A * A, 12 * B, 6 * A, 0, 3)),
-        Polynomial(f, (-A**3 - 8 * B * B, -4 * A * B, -5 * A * A, 20 * B, 5 * A, 0, 1)) * 4,  # psi_4 / y
-    ]
-    for n in range(len(psi), top + 1):
+    psi = {
+        0: Polynomial.zero(f),  # psi_0 = 0
+        1: Polynomial.constant(f, 1),  # psi_1 = 1
+        2: Polynomial.constant(f, 2),  # psi_2 = 2y
+        3: Polynomial(f, (-A * A, 12 * B, 6 * A, 0, 3)),
+        4: Polynomial(f, (-A**3 - 8 * B * B, -4 * A * B, -5 * A * A, 20 * B, 5 * A, 0, 1)) * 4,  # psi_4 / y
+    }
+    for n in sorted(reach):
         m = n // 2
         if n % 2:
             a = psi[m + 2] * psi[m] * psi[m] * psi[m]
             b = psi[m - 1] * psi[m + 1] * psi[m + 1] * psi[m + 1]
-            psi.append(a * f2 - b if m % 2 == 0 else a - b * f2)
+            psi[n] = a * f2 - b if m % 2 == 0 else a - b * f2
         else:
             diff = psi[m + 2] * psi[m - 1] * psi[m - 1] - psi[m - 2] * psi[m + 1] * psi[m + 1]
-            psi.append(psi[m] * diff * half)
+            psi[n] = psi[m] * diff * half
     return psi
 
 
 def division_polynomial(curve: Curve, n: int) -> Polynomial:
     """The pure-x content of psi_n: psi_n itself for odd n, psi_n/y for even."""
-    return _division_polynomials(curve, n)[n]
+    if n < 0:
+        raise BadInputError("division polynomials are built for n >= 0")
+    return _division_polynomials(curve, (n,))[n]
 
 
-def _x_of_multiple(psi: list[Polynomial], fx: Polynomial, n: int) -> tuple[Polynomial, Polynomial]:
+def _x_of_multiple(psi: dict[int, Polynomial], fx: Polynomial, n: int) -> tuple[Polynomial, Polynomial]:
     """(num, den) with x([n]P) = num/den, as pure-x polynomials:
     num = x*psi_n^2 - psi_(n-1)*psi_(n+1) and den = psi_n^2, where y^2 = f
     enters at psi_n for even n and at its two neighbours for odd n."""
@@ -371,7 +408,7 @@ def multiplication_isogeny(curve: Curve, n: int) -> Isogeny:
         return identity_isogeny(curve)
     f = curve.field
     fx = Polynomial(f, (int(curve.B), int(curve.A), 0, 1))
-    r = RationalFunction(*_x_of_multiple(_division_polynomials(curve, n + 1), fx, n))
+    r = RationalFunction(*_x_of_multiple(_division_polynomials(curve, (n - 1, n, n + 1)), fx, n))
     s = r.derivative().scale(pow(n, -1, f.p))
     phi = Isogeny(curve, curve, r, s, n * n, f(n))
     if not phi.curve_identity_holds():
@@ -413,8 +450,8 @@ def find_cyclic_isogeny(curve: Curve, ell: int) -> Isogeny:
         h_lam = gcd(psi_ell, X_p * psi_mu^2 - (x * psi_mu^2 - psi_(mu-1) * psi_(mu+1))).
 
     When h_lam is all of psi_ell, Frobenius is the scalar lam on E[ell],
-    every line of E[ell] is rational, and each is found by closing a root
-    of one irreducible factor of psi_ell (see `_scalar_kernels`).
+    every line of E[ell] is rational, and psi_ell is split by lines (see
+    `_scalar_kernels`).
 
     Every candidate is validated by `velu_from_kernel_polynomial`'s curve
     identity.  Of the rational kernels, the one whose monic kernel
@@ -436,10 +473,10 @@ def find_cyclic_isogeny(curve: Curve, ell: int) -> Isogeny:
         raise NotRationalError(f"no rational {ell}-isogeny: x^2 - x + {p} has no root mod {ell}")
     f = curve.field
     fx = Polynomial(f, (int(curve.B), int(curve.A), 0, 1))
-    psi = _division_polynomials(curve, ell)
+    d = (ell - 1) // 2
+    psi = _division_polynomials(curve, (ell, *range(d + 2)))  # _x_of_multiple reads psi_0..psi_(d+1)
     psi_ell = psi[ell].monic()
     xp = Polynomial.x(f).pow_mod(p, psi_ell)
-    d = (ell - 1) // 2
     candidates: set[Polynomial] = set()
     for lam in eigenvalues:
         num, den = _x_of_multiple(psi, fx, min(lam, ell - lam))
@@ -447,7 +484,7 @@ def find_cyclic_isogeny(curve: Curve, ell: int) -> Isogeny:
         if h.degree == d:
             candidates.add(h)
         elif h == psi_ell:
-            candidates.update(_scalar_kernels(psi, fx, h, lam, d))
+            candidates.update(_scalar_kernels(psi, fx, h, d))
     for h in sorted(candidates, key=lambda g: g.coeffs):
         try:
             return velu_from_kernel_polynomial(curve, h)
@@ -456,29 +493,27 @@ def find_cyclic_isogeny(curve: Curve, ell: int) -> Isogeny:
     raise DualPairError(f"x^2 - x + {p} has a root mod {ell}, but no {ell}-kernel validated")
 
 
-def _scalar_kernels(psi: list[Polynomial], fx: Polynomial, psi_ell: Polynomial, lam: int, d: int) -> list[Polynomial]:
-    """Every kernel polynomial of degree d when Frobenius is the scalar lam on E[ell].
+def _scalar_kernels(psi: dict[int, Polynomial], fx: Polynomial, psi_ell: Polynomial, d: int) -> list[Polynomial]:
+    """Every kernel polynomial of degree d when Frobenius is a scalar on E[ell], so that
+    each of the ell + 1 lines of E[ell] is rational.
 
-    The orbit of x(Q) under Frobenius is x([lam^k]Q), k >= 0, of size e =
-    the order of lam in (Z/ell)^*/{+-1}, so psi_ell splits into
-    irreducibles of degree e.  A root X of one factor g, in the field
-    F_p[x]/g, is closed to prod_(i <= d) (T - x([i]Q)); its coefficients
-    are Frobenius-fixed, hence constants.  Every line is reached, once per
-    factor of its kernel polynomial.
+    A line's kernel polynomial prod_(i <= d) (T - x([i]Q)) has coefficients that are
+    symmetric in the line's x-values: the closure prod_(i <= d) (T + x([i]x)) mod psi_ell
+    has coefficients e_1 = sigma = x + x([2]x) + ... + x([d]x), e_2, ..., e_d that take
+    one value each, in F_p, on the d roots of each line.  `_split_by_values` splits
+    psi_ell by sigma into unions of whole lines, and each piece of degree d is a kernel
+    polynomial.  Lines that share sigma's value make a larger piece, which is split by
+    e_2, then e_3 and so on: all d of them tell any two lines apart.
     """
-    f = fx.field
-    ell = 2 * d + 1
-    e = next(k for k in range(1, ell) if pow(lam, k, ell) in (1, ell - 1))
-    multiples = [_x_of_multiple(psi, fx, i) for i in range(1, d + 1)]
-    zero = Polynomial.zero(f)
-    kernels: list[Polynomial] = []
-    for g in _split_equal_degree(psi_ell, e):
-        closure = [Polynomial.constant(f, 1)]  # T-coefficients, lowest first, mod g
-        for num, den in multiples:
-            xi = num * den.inverse_mod(g) % g  # den is a unit mod g: psi_i vanishes only on E[i]
-            closure = [(lo - xi * hi) % g for lo, hi in zip([zero] + closure, closure + [zero])]
-        kernels.append(Polynomial(f, [c[0] for c in closure]))
-    return kernels
+    zero, closure = Polynomial.zero(fx.field), [Polynomial.constant(fx.field, 1)]  # T-coefficients, lowest first
+    for i in range(1, d + 1):
+        num, den = _x_of_multiple(psi, fx, i)
+        xi = num * den.inverse_mod(psi_ell) % psi_ell  # den is a unit: psi_i vanishes only on E[i]
+        closure = [(lo + xi * hi) % psi_ell for lo, hi in zip([zero] + closure, closure + [zero])]
+    lines = [psi_ell]
+    for e in reversed(closure[:-1]):  # sigma, then e_2, ..., e_d
+        lines = [piece for g in lines for piece in (_split_by_values(g, e) if g.degree > d else [g])]
+    return lines
 
 
 # -- pairing functoriality -----------------------------------------------------------

@@ -23,12 +23,18 @@ coefficients before reduction mod p.  One-word slots pack and unpack through
 * `gcd` is Euclid on the same division (von zur Gathen and Gerhard, section
   3.2), with each remainder kept packed from one step to the next: one
   Barrett step (Barrett, CRYPTO '86) on the whole int, r - (((r*mu) >> S) &
-  M)*p with mu = floor(2^S/p), brings every slot into [0, 2p) at once.  S
-  is the bit length of 2p + (len(a) + 1)*2p^2, which bounds a slot after a
-  division: a dividend's slots are below 2p and gain up to len(a) rows of
-  (p - 1)*2p.  M keeps the low S - bits(p) + 1 bits of each slot, and a slot
-  is 2S - bits(p) + 1 bits, rounded up to whole 64-bit words, so that no
-  slot's product with mu reaches the next slot.  Only the top slot is read
+  M)*p with mu = floor(2^S/p), brings every slot into [0, 2p) at once.  A
+  division by a divisor of degree m leaves a remainder slot below 2p +
+  min(m, len(quotient))*2p^2: a dividend's slots are below 2p, and a
+  remainder slot gains one row of (p - 1)*2p for each quotient coefficient
+  at or below it.  S is the bit length of that bound at its largest over
+  Euclid's divisions, min(m, len(a) - m) rows in the first and (m + 1)//2
+  in a later one, whose dividend has degree m at most (and one row at
+  least).  M keeps the low
+  S - bits(p) + 1 bits of each slot, and a slot is 2S - bits(p) + 1 bits,
+  rounded up to whole 64-bit words, so that no slot's product with mu
+  reaches the next slot (nor do the m + 1 rows a dividend slot takes
+  overflow it).  Only the top slot is read
   exactly (mod p): for the divisor's lead, and to drop top slots that are
   0 mod p, the int 0 or p.  The gcd is unpacked once, at the end.
 * `pow_mod` keeps its accumulator packed: each step is one int product and
@@ -40,10 +46,15 @@ coefficients before reduction mod p.  One-word slots pack and unpack through
 
 Every p takes one root-finding path: g = gcd(x^p - x, f) isolates the
 product of the distinct rational linear factors, and the Cantor-Zassenhaus
-equal-degree split (`_split_equal_degree`, von zur Gathen and Gerhard,
-Modern Computer Algebra, section 14.3) with d = 1 breaks g into them.  The
-isogeny search uses the same split for scalar Frobenius; the full `factor`
-is off that path and is kept as a tested general tool.
+equal-degree split with d = 1 (von zur Gathen and Gerhard, Modern Computer
+Algebra, section 14.3) breaks g into them.  That split is
+`_split_by_values(g, s)`, which takes its trials (s + c)^((p-1)/2) in a
+polynomial s in place of x: the pieces are the unions of g's roots on which
+s takes one value.  `roots` runs it with s = x, and the isogeny search with
+s = the symmetric function of a line that splits psi_ell by lines when
+Frobenius is a scalar.  The general equal-degree split,
+`_split_equal_degree`, serves only `factor`, which is off those paths and
+kept as a tested general tool.
 """
 
 from __future__ import annotations
@@ -225,12 +236,15 @@ class Polynomial:
             a, b = b, a
         if not b:
             return Polynomial(self.field, a).monic()
-        # a dividend's slots are below 2p and gain up to len(a) rows of (p - 1)*2p
-        bits, s = p.bit_length(), (2 * p + (len(a) + 1) * 2 * p * p).bit_length()
-        w = -(-(2 * s - bits + 1) // 64) * 64  # no slot's product with mu reaches the next slot
+        # a division adds min(m, len(quotient)) rows of (p - 1)*2p to a remainder slot below 2p: at most
+        # min(m, len(a) - m) in the first division and (m + 1)//2 in a later one, whose dividend has degree m
+        bits, m = p.bit_length(), len(b) - 1
+        s = (2 * p + max(1, min(m, len(a) - m), (m + 1) // 2) * 2 * p * p).bit_length()
+        # no slot's product with mu reaches the next slot, nor do the m + 1 rows a dividend slot takes overflow it
+        w = -(-(2 * s - bits + 1) // 64) * 64
         mu, slot = (1 << s) // p, (1 << w) - 1
         keep = _pack([(1 << (s - bits + 1)) - 1] * len(a), w)  # each slot's floor(slot*mu / 2^S)
-        dividend, divisor, m, lead = _pack(a, w), _pack(b, w), len(b) - 1, b[-1]
+        dividend, divisor, lead = _pack(a, w), _pack(b, w), b[-1]
         while True:
             rem = _divide(dividend, divisor, m, pow(lead, -1, p), w, p)[1]
             rem -= ((rem * mu >> s) & keep) * p  # one Barrett step on every slot: each into [0, 2p)
@@ -301,7 +315,7 @@ class Polynomial:
             raise ValueError("every element is a root of the zero polynomial")
         x = Polynomial.x(f)
         g = (x.pow_mod(f.p, self) - x).gcd(self)  # the product of the distinct linear factors
-        return [f(v) for v in sorted(-h[0] % f.p for h in _split_equal_degree(g, 1))]
+        return [f(v) for v in sorted(-h[0] % f.p for h in _split_by_values(g, x))]
 
     def factor(self) -> list[tuple["Polynomial", int]]:
         """Monic irreducible factors with multiplicities (Cantor-Zassenhaus)."""
@@ -363,6 +377,31 @@ def _factor_squarefree(g: Polynomial) -> list[Polynomial]:
             rest = rest.exact_div(h)
             xq = xq % rest
     return out
+
+
+def _split_by_values(g: Polynomial, s: Polynomial, counter: int = 1) -> list[Polynomial]:
+    """The factors of a squarefree monic g on whose roots s takes one value each, for an s
+    whose values at g's roots are in F_p (none if g is constant).
+
+    This is the equal-degree split with d = 1 and x replaced by s: gcd(g, (s + c)^((p-1)/2) - 1)
+    collects the roots at which s + c is a nonzero square.  With s = x the factors are
+    g's linear factors.  A trial that split g, or failed to, splits neither piece, so the
+    pieces take their trials from the next one on.
+    """
+    f = g.field
+    if g.degree <= 0:
+        return []
+    s = s % g
+    if s.degree <= 0:
+        return [g]
+    exp = (f.p - 1) // 2
+    while True:
+        # deterministic trial elements: s + c, then s^2 + c1*s + c0 as needed
+        trial = s + counter if counter < f.p else s * s + s * (counter // f.p) + counter % f.p
+        h = (trial.pow_mod(exp, g) - 1).gcd(g)
+        counter += 1
+        if 0 < h.degree < g.degree:
+            return _split_by_values(h, s, counter) + _split_by_values(g.exact_div(h), s, counter)
 
 
 def _split_equal_degree(g: Polynomial, d: int) -> list[Polynomial]:

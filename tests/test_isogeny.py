@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -22,7 +24,7 @@ from dualpair import (
 )
 from dualpair.errors import BadInputError, DualPairError, NotASubgroupError, NotRationalError
 from dualpair.fields import Fp
-from dualpair.isogeny import Isogeny, RationalFunction
+from dualpair.isogeny import Isogeny, RationalFunction, _division_polynomials, _scalar_kernels
 from dualpair.poly import Polynomial
 
 from conftest import dual_evaluation, order_by_steps
@@ -691,3 +693,171 @@ def test_curve_identity_failure_raises(monkeypatch, curve_with_two_torsion, tiny
         with pytest.raises(DualPairError, match="left the"):
             build()
 
+
+
+# -- the closed-form construction, psi on demand and the line split ----------------
+
+
+def _kohel_normalized(curve, D):
+    """Oracle: Kohel's formulas with r reduced by RationalFunction's gcd and s = r.derivative(),
+    as (target, r, s), for D = prod (x - x(Q)) over the kernel's nonzero points."""
+    f = curve.field
+    A, B, d = int(curve.A), int(curve.B), D.degree
+    e1, e2, e3 = -D[d - 1], D[d - 2], -D[d - 3]
+    s1, s2 = e1, e1 * e1 - 2 * e2
+    s3 = e1 * s2 - e2 * s1 + 3 * e3
+    fx, Dp = Polynomial(f, (B, A, 0, 1)), D.derivative()
+    num = (Polynomial(f, (-s1, d + 1)) * D - fx.derivative() * Dp - 2 * (fx * Dp.derivative())
+           + (2 * (fx * Dp * Dp)).exact_div(D))
+    r = RationalFunction(num, D)
+    return Curve(f, A - 5 * (3 * s2 + A * d), B - 7 * (5 * s3 + 3 * A * s1 + 2 * B * d)), r, r.derivative()
+
+
+def _same_as_normalized(phi, D):
+    target, r, s = _kohel_normalized(phi.source, D)
+    maps = [(phi.r.num, r.num), (phi.r.den, r.den), (phi.s.num, s.num), (phi.s.den, s.den)]
+    return phi.target == target and all(a.coeffs == b.coeffs for a, b in maps)
+
+
+#: curves with p <= 29 whose subgroups of order <= 12 include the Klein four-group (7, 6, 0),
+#: orders 6 and 9 (13, 0, 1) and (17, 0, 1), 8 and 12 (17, 15, 13), 7, 10 and 11, and eight of order 8 at p = 29
+VELU_CURVES = [(7, 6, 0), (13, 0, 1), (17, 15, 13), (17, 0, 1), (17, 1, 4), (17, 1, 6), (17, 2, 3), (29, 28, 25)]
+
+
+def test_closed_form_velu_matches_the_normalized_construction(iso_pool):
+    orders = set()
+    for p, a, b in VELU_CURVES:
+        c = Curve(Fp(p), a, b)
+        assert _same_as_normalized(identity_isogeny(c), Polynomial.constant(c.field, 1))
+        for G in _rational_subgroups(p, a, b):
+            if len(G) <= 12:
+                points = [INFINITY if Q is None else c.point(*Q) for Q in G]
+                D = Polynomial.from_roots(c.field, [Q[0] for Q in G if Q is not None])
+                assert _same_as_normalized(velu(c, points), D)
+                orders.add((len(G), sum(1 for Q in G if Q is not None and Q[1] == 0)))
+    assert {(4, 3), (6, 1), (7, 0), (8, 3), (9, 0), (10, 1), (11, 0), (12, 1)} <= orders
+    for ell in (3, 5):
+        for c, phi in iso_pool[ell]:
+            h = phi.kernel_polynomial()
+            assert _same_as_normalized(velu_from_kernel_polynomial(c, h), h * h)
+
+
+def test_velu_kernel_polynomial_rejects_random_polynomials(iso_pool):
+    # the curve identity holds for the closed form exactly when it holds for the
+    # normalized maps, which are the same functions: a random h is rejected
+    rng = random.Random(7)
+    c = iso_pool[5][0][0]
+    f = c.field
+    for _ in range(40):
+        h = Polynomial(f, [rng.randrange(c.p) for _ in range(rng.randrange(1, 4))] + [1])
+        try:
+            target, r, s = _kohel_normalized(c, h * h)
+            assert not Isogeny(c, target, r, s, 2 * h.degree + 1, f.one()).curve_identity_holds()
+        except ValueError:  # a singular target curve
+            pass
+        with pytest.raises(BadInputError, match="not a kernel polynomial"):
+            velu_from_kernel_polynomial(c, h)
+
+
+def _full_recurrence(curve, top):
+    """Oracle: psi_0..psi_top (pure-x parts) by the recurrences, every index in turn."""
+    f = curve.field
+    A, B = int(curve.A), int(curve.B)
+    fx = Polynomial(f, (B, A, 0, 1))
+    psi = [Polynomial.zero(f), Polynomial.constant(f, 1), Polynomial.constant(f, 2),
+           Polynomial(f, (-A * A, 12 * B, 6 * A, 0, 3)),
+           Polynomial(f, (-A**3 - 8 * B * B, -4 * A * B, -5 * A * A, 20 * B, 5 * A, 0, 1)) * 4]
+    for n in range(5, top + 1):
+        m = n // 2
+        if n % 2:
+            a = psi[m + 2] * psi[m] * psi[m] * psi[m]
+            b = psi[m - 1] * psi[m + 1] * psi[m + 1] * psi[m + 1]
+            psi.append(a * fx * fx - b if m % 2 == 0 else a - b * fx * fx)
+        else:
+            diff = psi[m + 2] * psi[m - 1] * psi[m - 1] - psi[m - 2] * psi[m + 1] * psi[m + 1]
+            psi.append(psi[m] * diff * pow(2, -1, f.p))
+    return psi
+
+
+P_256 = 93651552868343116064426439039116612662436119053208978779440343948595872250883
+
+
+@pytest.mark.parametrize("p, a, b", [(31, 1, 0), (1511, 1301, 497), (P_256, 3, 7)], ids=["31", "1511", "256-bit"])
+def test_division_polynomials_on_demand(p, a, b):
+    c = Curve(Fp(p), a, b)
+    full = _full_recurrence(c, 24)  # psi_22 is the first whose psi_(m-2) no other read reaches
+    for n in range(25):
+        psi = _division_polynomials(c, (n,))
+        assert psi[n] == full[n] == division_polynomial(c, n)
+        assert all(psi[k] == full[k] for k in psi)
+    # the search's request: psi_13 reaches psi_0..psi_8, and nothing from psi_9 to psi_12
+    assert sorted(_division_polynomials(c, (13, *range(8)))) == [*range(9), 13]
+    assert sorted(_division_polynomials(c, (6, 7, 8))) == list(range(9))
+    with pytest.raises(BadInputError):
+        division_polynomial(c, -1)
+
+
+def _lines(curve, ell):
+    """Every kernel polynomial of the ell + 1 lines when Frobenius is a scalar on E[ell]."""
+    d = (ell - 1) // 2
+    psi = _division_polynomials(curve, (ell, *range(d + 2)))
+    fx = Polynomial(curve.field, (int(curve.B), int(curve.A), 0, 1))
+    return _scalar_kernels(psi, fx, psi[ell].monic(), d)
+
+
+#: scalar Frobenius on E[ell] where two lines share the value of sigma = x + x([2]x) + ... +
+#: x([d]x), the T^(d-1) coefficient of their kernel polynomials, found by an exhaustive search
+#: over p < 2500 (j = 0 curves below 300, the others through y^2 = x^3 + 3k*x + 2k and its
+#: twist); in each, Frobenius has order d on (Z/ell)^*/{+-1}, so psi_ell's irreducible
+#: factors are the lines
+SIGMA_COLLISIONS = [(37, 0, 5, 7), (127, 0, 3, 13), (2027, 1215, 810, 11)]
+
+
+@pytest.mark.parametrize("p, a, b, ell", SIGMA_COLLISIONS)
+def test_line_split_separates_lines_that_share_sigma(p, a, b, ell):
+    c = Curve(Fp(p), a, b)
+    d = (ell - 1) // 2
+    factors = [g for g, _ in division_polynomial(c, ell).factor()]
+    assert len(factors) == ell + 1 and {g.degree for g in factors} == {d}
+    sigmas = [-g[d - 1] % p for g in factors]
+    assert len(set(sigmas)) < len(sigmas)
+    assert sorted(g.coeffs for g in _lines(c, ell)) == sorted(g.coeffs for g in factors)
+    assert find_cyclic_isogeny(c, ell).kernel_polynomial() == min(factors, key=lambda g: g.coeffs)
+
+
+def _searches_digest(curves, ells):
+    """sha256 of the JSON list of find_cyclic_isogeny(c, ell).to_json(), None where no isogeny exists."""
+    docs = []
+    for c in curves:
+        for ell in ells:
+            try:
+                docs.append(find_cyclic_isogeny(c, ell).to_json())
+            except NotRationalError:
+                docs.append(None)
+    return hashlib.sha256(json.dumps(docs, sort_keys=True).encode()).hexdigest()
+
+
+#: 64-bit CM curves (perfbench/cm.py, D = 11, random.Random(6) and random.Random(0)): 11 | v on the
+#: first, so Frobenius is a scalar on E[11] and the line split runs; 11 does not divide v on the
+#: second, where one gcd gives the kernel.  (p, A, B, the kernel polynomial's coefficients, the
+#: sha256 of the isogeny's to_json), the last as the searches before the line split gave them
+CM64 = [
+    (9625922394657723619, 892942708224278626, 3803935937035426957,
+     (591412296794435226, 6986256732556278388, 8109124242427841856, 3736330626353549450, 3130367742119353624, 1),
+     "e5d901183017278353b57d6ef4bf1f6f9f5a3ecaada2515f05a9aa9914062bc2"),
+    (15489306363526580203, 1436855877878161426, 6121006039760967685,
+     (8337272536255516679, 11718346089447007664, 8994717795517290537, 3965722222943725546, 2212758051932368605, 1),
+     "579c70ebf3c46a6bc45023d7a9f92653e188bc8d0a5ea8bf1660d5b7b87e0202"),
+]
+
+
+def test_searches_return_the_isogenies_they_returned_before():
+    # the isogeny workload's pool, find_anomalous(1000, 1500, count=4, seed=0), for every ell
+    # it requests: eight isogenies and twelve misses, pinned from the searches before psi on
+    # demand, the closed-form maps and the line split
+    pool = find_anomalous(1000, 1500, count=4, seed=0)
+    assert _searches_digest(pool, (3, 5, 7, 11, 13)) == "17936e95fe69a41a5182c61bab01c59c5640ebeadb285d12b1faa21d416f04b7"
+    for p, a, b, kernel, digest in CM64:
+        c = Curve(Fp(p), a, b)
+        assert find_cyclic_isogeny(c, 11).kernel_polynomial().coeffs == kernel
+        assert _searches_digest([c], (11,)) == digest

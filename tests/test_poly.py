@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from dualpair.errors import BadInputError, DualPairError
 from dualpair.fields import Fp
-from dualpair.poly import Polynomial, _split_equal_degree, cubic_roots
+from dualpair.poly import Polynomial, _split_by_values, _split_equal_degree, cubic_roots
 
 from conftest import dual_horner
 
@@ -357,6 +357,31 @@ def test_packed_gcd_worst_first_step():
             assert Polynomial(f, a).gcd(Polynomial(f, b)).coeffs == school_gcd(a, b, p)
             b[0] = 1  # and a divisor off the all-(p - 1) family
             assert Polynomial(f, a).gcd(Polynomial(f, b)).coeffs == school_gcd(a, b, p)
+
+
+def test_packed_gcd_every_degree_gap():
+    # all p - 1, a of degree 9, 60 or 84 and b of every degree up to it: these are
+    # -(x^n - 1)/(x - 1), and so is each remainder, with Euclid's degrees on (n, k),
+    # so every quotient length comes up, in the first division and in later ones,
+    # and with it each slot bound from min(m, len(quotient)) rows
+    for p in (5, 1511, WORD_EDGE_PRIMES[1], P_28, 2**61 - 1, 2**127 - 1, P_256):
+        f = Fp(p)
+        for n in (10, 61, 85):
+            a = [p - 1] * n
+            for k in range(1, n + 1):
+                b = [p - 1] * k
+                assert Polynomial(f, a).gcd(Polynomial(f, b)).coeffs == school_gcd(a, b, p)
+
+
+def test_split_by_values_groups_the_roots_by_value():
+    # s = x^2 at p = 13 takes each nonzero square value at two roots +-r, and 0 at 0
+    f = Fp(13)
+    g = Polynomial.from_roots(f, range(13))
+    pieces = _split_by_values(g, Polynomial(f, (0, 0, 1)))
+    assert sorted(sorted(r.value for r in h.roots()) for h in pieces) == sorted(
+        sorted({r, -r % 13}) for r in range(7))
+    assert all(h.lead() == 1 for h in pieces)
+    assert _split_by_values(Polynomial.constant(f, 5), Polynomial.x(f)) == []
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
