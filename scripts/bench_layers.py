@@ -27,9 +27,13 @@ desk-size curve (p = 1511):
   (psi * psi), `poly.mod` ((x^p mod psi)^2 mod psi), `poly.pow_mod`
   (x^p mod psi) and `poly.gcd`, the ell = 13 search's first kernel gcd,
   gcd(psi, X_p*psi_5^2 - num) with X_p = x^p mod psi and num/psi_5^2 =
-  x([5]P); and a gcd ladder, `poly.gcd.61`, `poly.gcd.127` and
+  x([5]P); a gcd ladder, `poly.gcd.61`, `poly.gcd.127` and
   `poly.gcd.256`, on fixed inputs of degrees 60 and 59 with a common factor
-  of degree 15 over primes of 61, 127 and 256 bits
+  of degree 15 over primes of 61, 127 and 256 bits; `poly.factor` of
+  psi_3^2*psi_5 of the first curve, whose multiplicities stay below p, so
+  that trees whose `factor` loops on a p-th power answer it too; and
+  `isogeny.multiplication`, `multiplication_isogeny` for n = 2..7 on the
+  desk curve (1511, 1301, 497)
 * the CM isogeny layer (`isogeny.cm` in the record): `find_cyclic_isogeny`
   on anomalous CM curves from `perfbench/cm.py` with ell | v, where Frobenius
   is a scalar on E[ell] and psi_ell is split by lines: ell = 11 and 13 at
@@ -67,9 +71,10 @@ four solves' recovered n, p*lift(P) (a point at infinity) and n*lift(P)
 (an affine point) for the solves' n, the lifted isogeny image,
 `miller_eval`'s f_P with T = O at sP and at sP + O_k, each found
 isogeny of the isogeny and CM isogeny layers (`to_json`, the
-`isogeny.velu` map's too), the sha256 of each of its
+`isogeny.velu` and `isogeny.multiplication` maps' too), the sha256 of each of its
 polynomial results' coefficient tuples (the gcd ladder's among them, so
-that multi-word slots are compared too), the sha256 of the invariant suite's report
+that multi-word slots are compared too) and `poly.factor`'s factors and
+multiplicities, the sha256 of the invariant suite's report
 `selfcheck.run(trials=8, seed=5)` (JSON, keys sorted, without the
 `p_max` field that older trees echo), the search layer's curves and
 `is_anomalous` answer, and the CLI children's
@@ -199,7 +204,13 @@ def _isogeny_operations() -> tuple[dict, dict]:
     """(operation name -> zero-argument callable, value name -> value) for the isogeny layer."""
     from dualpair.curve import Curve
     from dualpair.fields import Fp
-    from dualpair.isogeny import _x_of_multiple, division_polynomial, find_cyclic_isogeny, velu_from_kernel_polynomial
+    from dualpair.isogeny import (
+        _x_of_multiple,
+        division_polynomial,
+        find_cyclic_isogeny,
+        multiplication_isogeny,
+        velu_from_kernel_polynomial,
+    )
     from dualpair.poly import Polynomial
 
     ops, values = {}, {}
@@ -237,6 +248,12 @@ def _isogeny_operations() -> tuple[dict, dict]:
     for op in ops:
         if op.startswith("poly."):
             values[op] = hashlib.sha256(str(ops[op]().coeffs).encode()).hexdigest()
+    factored = psi[3] * psi[3] * psi[5]  # multiplicities 2 and 1, below p
+    ops["poly.factor"] = lambda: factored.factor()
+    values["poly.factor"] = [[list(g.coeffs), m] for g, m in ops["poly.factor"]()]
+    _, p, a, b, *_ = CURVES[1]
+    ops["isogeny.multiplication"] = lambda desk=Curve(Fp(p), a, b): [multiplication_isogeny(desk, n) for n in range(2, 8)]
+    values["isogeny.multiplication"] = [phi.to_json() for phi in ops["isogeny.multiplication"]()]
     return ops, values
 
 

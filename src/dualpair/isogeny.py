@@ -11,11 +11,11 @@ composition.
 
 Construction routes:
 
-* `velu`, `velu_from_kernel_polynomial` and `identity_isogeny` - one
-  construction, `_kohel`, in Kohel's form of Velu's formulas (Velu 1971;
-  Kohel, thesis, 1996, section 2.4).  Its input is D = prod (x - x(Q)) over
-  the kernel's nonzero points Q, as D = g*h^2: g has a simple factor for
-  each point of order 2, and h one factor for each pair +-Q.  With
+* `velu`, `velu_from_kernel_polynomial`, `identity_isogeny` and
+  `multiplication_isogeny` - one construction, `_kohel`, in Kohel's form of
+  Velu's formulas (Velu 1971; Kohel, thesis, 1996, section 2.4).  Its input
+  is D = prod (x - x(Q)) over the kernel's nonzero points Q, as D = g*h^2:
+  g has a simple factor for each point of order 2, and h one for each +-Q.  With
   n = deg D + 1, s_1, s_2, s_3 the power sums of D's roots and
   f = x^3 + Ax + B,
       r = n*x - s_1 - f'*D'/D - 2*f*(D'/D)' = N/D,
@@ -29,22 +29,22 @@ Construction routes:
   group of odd prime order p, so the kernel of a rational ell-isogeny
   (ell != p) never consists of rational points; it is only Galois-stable,
   and h (degree (ell-1)/2) is what exists over F_p.  `identity_isogeny`
-  is g = h = 1.
-* `multiplication_isogeny` - multiplication by n through division
-  polynomials: r_n = x - psi_{n-1}psi_{n+1}/psi_n^2 and s_n = r_n'/n.
-  Each psi_n is kept by its pure-x part (psi_n for odd n, psi_n/y for
-  even n), so every product of two of them is y-free after y^2 = f.
+  is g = h = 1.  `multiplication_isogeny` is the kernel E[n], D = psi_n^2/n^2:
+  h is psi_n's pure-x part (psi_n/y for even n) made monic, and g = f for
+  even n.  That map lands on (n^4*A, n^6*B), and (x, y) -> (x/n^2, y/n^3)
+  brings it back, so [n] is (r/n^2, y*s/n^3), with m = n.
 * `frobenius_isogeny` - (x, y) -> (x^p, y^p), the inseparable test map.
 * `find_cyclic_isogeny` - the Frobenius-eigenvalue search on anomalous
   curves (Elkies 1998): a rational ell-isogeny exists iff x^2 - x + p has
   a root lam mod ell, and its kernel polynomial is gcd(psi_ell, x^p -
-  x([lam])) from one x^p mod psi_ell.  It builds psi_ell and the psi_0..
-  psi_(d+1), d = (ell-1)/2, that x([i]P) reads, and no other psi_n.  When
-  Frobenius is a scalar on E[ell], every line is rational, and psi_ell is
-  split by lines: sigma = x + x([2]x) + ... + x([d]x) takes one value in
-  F_p on the roots of each line, so gcds with (sigma + c)^((p-1)/2) - 1
-  split psi_ell into whole lines.  The rational kernel with the smallest
-  kernel-polynomial `coeffs` tuple is returned.
+  x([lam])) from one x^p mod psi_ell, x([i]P) = x - psi_(i-1)psi_(i+1)/psi_i^2.
+  It builds psi_ell and the psi_0..psi_(d+1), d = (ell-1)/2, that x([i]P)
+  reads, and no other psi_n.  When Frobenius is a scalar on E[ell], every
+  line is rational, and psi_ell is split by lines: sigma = x + x([2]x) +
+  ... + x([d]x) takes one value in F_p on the roots of each line, so gcds
+  with (sigma + c)^((p-1)/2) - 1 split psi_ell into whole lines.  The
+  rational kernel with the smallest kernel-polynomial `coeffs` tuple is
+  returned.
 
 Every constructor checks the curve identity (x^3 + A1*x + B1) * s^2 =
 r^3 + A2*r + B2 as one polynomial identity with the denominators cleared,
@@ -107,9 +107,6 @@ class RationalFunction:
 
     def __truediv__(self, other: "RationalFunction") -> "RationalFunction":
         return RationalFunction(self.num * other.den, self.den * other.num)
-
-    def scale(self, c) -> "RationalFunction":
-        return RationalFunction(self.num * int(self.field(c)), self.den)
 
     def derivative(self) -> "RationalFunction":
         return RationalFunction(
@@ -399,20 +396,19 @@ def _x_of_multiple(psi: dict[int, Polynomial], fx: Polynomial, n: int) -> tuple[
 
 
 def multiplication_isogeny(curve: Curve, n: int) -> Isogeny:
-    """Multiplication by n as a rational map: degree n^2, m = n, for 1 <= n <= 7."""
+    """Multiplication by n as a rational map: degree n^2, m = n, for 1 <= n <= 7 (Kohel's map with kernel E[n])."""
     if not 1 <= n <= 7:
         raise BadInputError("multiplication maps are built for 1 <= n <= 7")
     if n % curve.p == 0:
         raise BadInputError("multiplication by a multiple of p is inseparable; use frobenius_isogeny")
-    if n == 1:
-        return identity_isogeny(curve)
     f = curve.field
-    fx = Polynomial(f, (int(curve.B), int(curve.A), 0, 1))
-    r = RationalFunction(*_x_of_multiple(_division_polynomials(curve, (n - 1, n, n + 1)), fx, n))
-    s = r.derivative().scale(pow(n, -1, f.p))
+    g = Polynomial(f, (int(curve.B), int(curve.A), 0, 1)) if n % 2 == 0 else Polynomial.constant(f, 1)
+    kohel = _kohel(curve, g, division_polynomial(curve, n).monic())
+    r = RationalFunction._reduced(kohel.r.num * pow(n, -2, f.p), kohel.r.den)
+    s = RationalFunction._reduced(kohel.s.num * pow(n, -3, f.p), kohel.s.den)
     phi = Isogeny(curve, curve, r, s, n * n, f(n))
     if not phi.curve_identity_holds():
-        raise DualPairError("division-polynomial maps left the curve")
+        raise DualPairError("multiplication maps left the curve")
     return phi
 
 

@@ -46,15 +46,15 @@ coefficients before reduction mod p.  One-word slots pack and unpack through
 
 Every p takes one root-finding path: g = gcd(x^p - x, f) isolates the
 product of the distinct rational linear factors, and the Cantor-Zassenhaus
-equal-degree split with d = 1 (von zur Gathen and Gerhard, Modern Computer
-Algebra, section 14.3) breaks g into them.  That split is
-`_split_by_values(g, s)`, which takes its trials (s + c)^((p-1)/2) in a
-polynomial s in place of x: the pieces are the unions of g's roots on which
-s takes one value.  `roots` runs it with s = x, and the isogeny search with
-s = the symmetric function of a line that splits psi_ell by lines when
-Frobenius is a scalar.  The general equal-degree split,
-`_split_equal_degree`, serves only `factor`, which is off those paths and
-kept as a tested general tool.
+equal-degree split (von zur Gathen and Gerhard, Modern Computer Algebra,
+section 14.3) breaks g into them.  One splitter serves every squarefree
+polynomial, `_split_by_values(g, s, d)`, which takes its trials
+(s + c)^((p^d-1)/2) in a polynomial s in place of x.  With d = 1 the pieces
+are the unions of g's roots on which s takes one value: `roots` runs it
+with s = x, and the isogeny search with s = the symmetric function of a
+line that splits psi_ell by lines when Frobenius is a scalar.  `factor`
+runs it with s = x and the degree d of each distinct-degree piece, and is
+off those paths, kept as a tested general tool.
 """
 
 from __future__ import annotations
@@ -327,7 +327,11 @@ class Polynomial:
             g, mult = work.pop()
             if g.degree <= 0:
                 continue
-            d = g.gcd(g.derivative())
+            dg = g.derivative()
+            if dg.is_zero():  # g = h(x^p) = h^p, as c^p = c for every coefficient c
+                work.append((Polynomial(self.field, g.coeffs[::self.field.p]), mult * self.field.p))
+                continue
+            d = g.gcd(dg)
             if d.degree > 0:
                 work.append((g.exact_div(d), mult))
                 work.append((d, mult))
@@ -373,53 +377,36 @@ def _factor_squarefree(g: Polynomial) -> list[Polynomial]:
         xq = xq.pow_mod(f.p, rest)
         h = (xq - x).gcd(rest)
         if h.degree > 0:
-            out.extend(_split_equal_degree(h, d))
+            out.extend(_split_by_values(h, x, d))
             rest = rest.exact_div(h)
             xq = xq % rest
     return out
 
 
-def _split_by_values(g: Polynomial, s: Polynomial, counter: int = 1) -> list[Polynomial]:
-    """The factors of a squarefree monic g on whose roots s takes one value each, for an s
-    whose values at g's roots are in F_p (none if g is constant).
+def _split_by_values(g: Polynomial, s: Polynomial, d: int = 1, counter: int = 1) -> list[Polynomial]:
+    """The pieces of a squarefree monic g (none if g is constant).  With d = 1 they are the unions of
+    g's roots on which s takes one value, for an s whose values there are in F_p; with s = x and every
+    irreducible factor of g of degree d, they are those factors.
 
-    This is the equal-degree split with d = 1 and x replaced by s: gcd(g, (s + c)^((p-1)/2) - 1)
-    collects the roots at which s + c is a nonzero square.  With s = x the factors are
-    g's linear factors.  A trial that split g, or failed to, splits neither piece, so the
-    pieces take their trials from the next one on.
+    This is the Cantor-Zassenhaus equal-degree split with x replaced by s: gcd(g, (s + c)^((p^d-1)/2) - 1)
+    collects the roots at which s + c is a nonzero square in F_(p^d).  A piece is done when its degree
+    is at most d or s is constant on it.  A trial that split g, or failed to, splits neither piece, so
+    the pieces take their trials from the next one on.
     """
     f = g.field
     if g.degree <= 0:
         return []
     s = s % g
-    if s.degree <= 0:
+    if g.degree <= d or s.degree <= 0:
         return [g]
-    exp = (f.p - 1) // 2
+    exp = (f.p**d - 1) // 2
     while True:
         # deterministic trial elements: s + c, then s^2 + c1*s + c0 as needed
         trial = s + counter if counter < f.p else s * s + s * (counter // f.p) + counter % f.p
         h = (trial.pow_mod(exp, g) - 1).gcd(g)
         counter += 1
         if 0 < h.degree < g.degree:
-            return _split_by_values(h, s, counter) + _split_by_values(g.exact_div(h), s, counter)
-
-
-def _split_equal_degree(g: Polynomial, d: int) -> list[Polynomial]:
-    """Split g, a product of distinct irreducibles all of degree d (none if g is constant)."""
-    f = g.field
-    if g.degree <= d:
-        return [g.monic()] if g.degree == d else []
-    one = Polynomial.constant(f, 1)
-    exp = (f.p**d - 1) // 2
-    counter = 1
-    while True:
-        # deterministic trial elements: x + c, then c*x + x^2 + ... as needed
-        trial = Polynomial(f, (counter, 1)) if counter < f.p else Polynomial(f, (counter % f.p, counter // f.p, 1))
-        h = trial.pow_mod(exp, g) - one
-        s = h.gcd(g)
-        if 0 < s.degree < g.degree:
-            return _split_equal_degree(s, d) + _split_equal_degree(g.exact_div(s), d)
-        counter += 1
+            return _split_by_values(h, s, d, counter) + _split_by_values(g.exact_div(h), s, d, counter)
 
 
 def cubic_roots(field: Fp, a, b) -> list[FpElement]:

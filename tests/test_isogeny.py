@@ -24,7 +24,7 @@ from dualpair import (
 )
 from dualpair.errors import BadInputError, DualPairError, NotASubgroupError, NotRationalError
 from dualpair.fields import Fp
-from dualpair.isogeny import Isogeny, RationalFunction, _division_polynomials, _scalar_kernels
+from dualpair.isogeny import Isogeny, RationalFunction, _division_polynomials, _scalar_kernels, _x_of_multiple
 from dualpair.poly import Polynomial
 
 from conftest import dual_evaluation, order_by_steps
@@ -228,6 +228,24 @@ def test_multiplication_by_two_formula(tiny_anomalous, rng):
         assert phi(P) == c.mul(2, P)
 
 
+@pytest.mark.parametrize("p, a, b", [(1511, 1301, 497), (5, 1, 1), (7, 3, 2)])
+def test_multiplication_maps_match_the_division_polynomial_route(p, a, b):
+    # the reference route: r = x([n]P) = x - psi_(n-1)*psi_(n+1)/psi_n^2, reduced by gcd, and s = r'/n;
+    # Kohel's reduced fractions with monic denominators are the same coefficient for coefficient,
+    # at p = 5 and 7 too, where psi_n's degree passes p
+    c = Curve(Fp(p), a, b)
+    f = c.field
+    fx = Polynomial(f, (b, a, 0, 1))
+    for n in range(1, 8):
+        if n % p == 0:
+            continue
+        phi = multiplication_isogeny(c, n)
+        r = RationalFunction(*_x_of_multiple(_division_polynomials(c, (n - 1, n, n + 1)), fx, n))
+        s = r.derivative() * RationalFunction.from_poly(Polynomial.constant(f, pow(n, -1, p)))
+        assert (phi.r.num, phi.r.den, phi.s.num, phi.s.den) == (r.num, r.den, s.num, s.den)
+        assert phi.target == c and phi.degree == n * n and phi.m == n
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
 def test_multiplication_isogeny_matches_scalar(n, rng):
     c = find_anomalous(50, 400, 1, seed=40)[0]
@@ -327,10 +345,10 @@ def test_two_torsion_differential_identity(iso_pool, curve_with_two_torsion):
     def split_sides(phi):
         f = phi.source.field
         fx = Polynomial(f, (int(phi.source.B), int(phi.source.A), 0, 1))
-        a2 = RationalFunction.from_poly(Polynomial.constant(f, int(phi.target.A)))
-        lhs = ((phi.r * phi.r).scale(3) + a2).scale(int(phi.m))
+        r2 = phi.r * phi.r
+        lhs = RationalFunction((r2.num * 3 + r2.den * int(phi.target.A)) * int(phi.m), r2.den)
         bare = RationalFunction.from_poly(Polynomial(f, (int(phi.source.A), 0, 3))) * phi.s
-        corr = RationalFunction.from_poly(fx).scale(2) * phi.s.derivative()
+        corr = RationalFunction.from_poly(fx * 2) * phi.s.derivative()
         return lhs, bare, corr
 
     phis = [velu(curve_with_two_torsion, [INFINITY, curve_with_two_torsion.two_torsion()[0]])]

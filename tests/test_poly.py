@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from dualpair.errors import BadInputError, DualPairError
 from dualpair.fields import Fp
-from dualpair.poly import Polynomial, _split_by_values, _split_equal_degree, cubic_roots
+from dualpair.poly import Polynomial, _split_by_values, cubic_roots
 
 from conftest import dual_horner
 
@@ -136,9 +136,43 @@ def test_factor_randomized_against_roots():
 def test_split_equal_degree_of_a_constant_is_empty():
     # the empty product has no factors; the split must not search for one
     f = Fp(7)
-    assert _split_equal_degree(Polynomial.constant(f, 1), 1) == []
-    assert _split_equal_degree(Polynomial.constant(f, 3), 2) == []
+    assert _split_by_values(Polynomial.constant(f, 1), Polynomial.x(f), 1) == []
+    assert _split_by_values(Polynomial.constant(f, 3), Polynomial.x(f), 2) == []
     assert Polynomial.constant(f, 3).roots() == []
+
+
+def _is_irreducible(g: Polynomial) -> bool:
+    """For degree at most 3: irreducible exactly when it has no root in F_p."""
+    return g.degree == 1 or not [v for v in range(g.field.p) if g(v) == 0]
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_factor_of_multiplicities_at_and_above_p(p):
+    # a factor of multiplicity p or more makes g' = 0 somewhere on the way (g = h(x^p) = h^p),
+    # where gcd(g, g') = g would give back the input; products of factors of degree at most 3
+    # with multiplicities 1, 2, p, p + 1 and 2p
+    f = Fp(p)
+    rng = random.Random(p)
+    multiplicities = (1, 2, p, p + 1, 2 * p)
+    assert Polynomial(f, (0,) * p + (1,)).factor() == [(Polynomial.x(f), p)]  # x^p
+    for _ in range(12):
+        expect: dict = {}
+        while len(expect) < 3:
+            g = Polynomial(f, [rng.randrange(p) for _ in range(rng.randrange(1, 4))] + [1])
+            if _is_irreducible(g):
+                expect[g.coeffs] = rng.choice(multiplicities)
+        product = Polynomial.constant(f, 1)
+        for cs, m in expect.items():
+            for _ in range(m):
+                product = product * Polynomial(f, cs)
+        factors = (product * 3).factor()
+        rebuilt = Polynomial.constant(f, 1)
+        for g, m in factors:
+            assert g.lead() == 1 and _is_irreducible(g)
+            for _ in range(m):
+                rebuilt = rebuilt * g
+        assert rebuilt == product
+        assert {g.coeffs: m for g, m in factors} == expect
 
 
 def test_pow_mod():

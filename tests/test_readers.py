@@ -34,10 +34,10 @@ UNREAD = {
     "compute_m": "the paper's m with phi*(dx/y) = m*dx/y, the scalar in functoriality",
     "find_cyclic_isogeny": "public isogeny API, the isogeny workload's entry",
     "frobenius_isogeny": "public isogeny API, the p-power map as an Isogeny",
+    "identity_isogeny": "public isogeny API, Kohel's map with D = 1, the unit of Isogeny.compose",
     "Isogeny.kernel_polynomial": "public isogeny API, the polynomial that names an isogeny",
     "Isogeny.compose": "public isogeny API, the composition under which the paper's m is multiplicative",
     "Isogeny.to_json": "public JSON form of an isogeny, the value scripts/bench_layers compares",
-    "division_polynomial": "public psi_n, spanned by the benchmark's tracer (perfbench/tracing.py)",
     "Polynomial.factor": "spanned by the benchmark's tracer (perfbench/tracing.py) as poly.factor",
     "DualCurve.mul": "the public group law on a lift (README); the lift attack walks the checked _mul_raw",
     "DualCurve.to_json": "public JSON form of a lift, the round trip of DualCurve.from_json",
@@ -200,3 +200,32 @@ def test_the_list_of_unread_definitions_is_current():
     read = sorted(name for name in UNREAD if counts.get(name))
     assert missing == [], "listed definitions that src no longer defines"
     assert read == [], "listed definitions that src now reads: take them off the list"
+
+
+def test_a_namesake_on_another_class_does_not_count_as_a_reader(tmp_path):
+    # B.to_json has no reader: the read through a typed A is A's, and one through an untyped value is nobody's
+    (tmp_path / "values.py").write_text(
+        "class A:\n"
+        "    def to_json(self) -> dict:\n"
+        "        return {}\n"
+        "\n"
+        "\n"
+        "class B:\n"
+        "    def to_json(self) -> dict:\n"
+        "        return {}\n"
+    )
+    (tmp_path / "use.py").write_text(
+        "from values import A\n"
+        "\n"
+        "\n"
+        "def dump(a: A) -> dict:\n"
+        "    return a.to_json()\n"
+        "\n"
+        "\n"
+        "def show(value) -> dict:\n"
+        "    return value.to_json()\n"
+    )
+    counts = readers(tmp_path)
+    assert counts["A.to_json"] == 1
+    assert counts["B.to_json"] == 0
+    assert "B.to_json" not in UNREAD
