@@ -63,9 +63,16 @@ two timings are taken moments apart and so share the host's state.
 
     python3 scripts/bench_layers.py [--reps N] [--inner M] [--against REV] [--out FILE]
 
-With `--against REV` the `src` of REV is unpacked (`git archive`) into a
-temporary directory and the two sides run in alternating child processes,
-`--reps` of each, alternating which side runs first.  Each side also
+The working tree's `src`, uncommitted changes included, is copied into a
+temporary directory, and every child imports from that copy and runs the
+CLI children in it.  With `--against REV` the `src` of REV is unpacked
+(`git archive`) beside it, so that both sides start from the same kind of
+directory, and the two sides run in alternating child processes, `--reps`
+of each, alternating which side runs first; the record then holds, per
+operation, the change side's median over the parent side's median within
+each round, and those ratios' median, quartiles and the count of rounds
+below 1 (`paired_ratios`).  No child writes bytecode into the
+repository's `src`.  Each side also
 records the values it computed: the three routes' pairing values, the
 four solves' recovered n, p*lift(P) (a point at infinity) and n*lift(P)
 (an affine point) for the solves' n, the lifted isogeny image,
@@ -93,6 +100,7 @@ import json
 import os
 import platform
 import random
+import shutil
 import statistics
 import subprocess
 import sys
@@ -342,7 +350,14 @@ def _src_sha256(src: Path) -> str:
     return digest.hexdigest()
 
 
+def _copy_src(into: Path) -> Path:
+    """The working tree's src, uncommitted changes included, without bytecode caches."""
+    shutil.copytree(ROOT / "src", into / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    return into / "src"
+
+
 def _unpack_src(rev: str, into: Path) -> Path:
+    into.mkdir()
     archive = into / "src.tar"
     with archive.open("wb") as fh:
         subprocess.run(["git", "archive", rev, "src"], cwd=ROOT, check=True, stdout=fh)
@@ -371,6 +386,18 @@ def _host() -> dict:
 def _summary(samples: list) -> dict:
     q1, median, q3 = statistics.quantiles(samples, n=4, method="inclusive") if len(samples) > 1 else samples * 3
     return {"best": min(samples), "q1": q1, "median": median, "q3": q3, "worst": max(samples), "n": len(samples)}
+
+
+def _paired_ratios(change: list, parent: list) -> dict:
+    """layer -> operation -> the change/parent ratios of the two sides' medians within each round, summarized."""
+    out = {}
+    for name, ops in change[0]["timings_ms"].items():
+        out[name] = {}
+        for op in ops:
+            rounds = [statistics.median(c["timings_ms"][name][op]) / statistics.median(p["timings_ms"][name][op])
+                      for c, p in zip(change, parent) if name in c["timings_ms"] and name in p["timings_ms"]]
+            out[name][op] = {**_summary(rounds), "below_1": sum(r < 1 for r in rounds)}
+    return out
 
 
 def _run_child(src: Path, inner: int, cm: bool) -> dict:
@@ -405,10 +432,11 @@ def main(argv=None) -> int:
         return 0
 
     dirty = bool(_git("status", "--porcelain", "src"))
-    sides = {"change": {"src": ROOT / "src", "commit": None if dirty else _git("rev-parse", "HEAD"), "uncommitted_changes": dirty}}
     with tempfile.TemporaryDirectory() as tmp:
+        change = _copy_src(Path(tmp) / "change")
+        sides = {"change": {"src": change, "commit": None if dirty else _git("rev-parse", "HEAD"), "uncommitted_changes": dirty}}
         if args.against:
-            sides["parent"] = {"src": _unpack_src(args.against, Path(tmp)), "commit": _git("rev-parse", args.against)}
+            sides["parent"] = {"src": _unpack_src(args.against, Path(tmp) / "parent"), "commit": _git("rev-parse", args.against)}
         runs = {side: [] for side in sides}
         order = list(sides)
         for rep in range(args.reps):
@@ -452,6 +480,8 @@ def main(argv=None) -> int:
                     "paired_median": statistics.median(paired),
                 }
         record["sides"][side] = {**meta, "values": values[side][0], "timings_ms": timings, "ratios_to_rueck": ratios}
+    if "parent" in runs:
+        record["paired_ratios"] = _paired_ratios(runs["change"], runs["parent"])
     text = json.dumps(record, indent=1, sort_keys=True) + "\n"
     if args.out:
         Path(args.out).write_text(text)

@@ -10,7 +10,12 @@ which have even order and so cannot be anomalous.  A trial takes no square
 root: for a point (x, sqrt(t)), t = x^3 + A*x + B, it walks the image
 (t*x, t^2) under the F_p-isomorphism (x, y) -> (u^2*x, u^3*y), u = sqrt(t),
 onto y^2 = x^3 + A*t^2*x + B*t^3 (Silverman, AEC III.1), which has the
-same group (`_kills`).
+same group (`_kills`).  Each draw below p, of A, B and x, is
+`getrandbits(k)` with k = p.bit_length(), drawn again while it is >= p:
+that is what CPython's `Random.randrange(p)` does under its two Python
+frames (3.10 to 3.13), so every value and the rng state after each draw
+are randrange's, and every seed finds the curves it found through
+randrange.  The quadratic character is Euler's criterion, one `pow`.
 
 The group law comes twice.  `Curve.add` works on affine `Point`s of
 FpElement wrappers, one inversion per addition; it is the public one and
@@ -423,7 +428,7 @@ def _kills(p: int, a: int, b: int, x: int) -> bool:
     and the sign of y does not matter, since p*(-P) = -(p*P).  When t = 0,
     P has order 2 and p*P = P, as p is odd.
     """
-    if legendre(-(4 * a * a * a + 27 * b * b), p) == -1:
+    if pow(-(4 * a * a * a + 27 * b * b) % p, (p - 1) // 2, p) == p - 1:  # Euler's criterion
         return False
     t = (x * x * x + a * x + b) % p
     if not t:
@@ -437,18 +442,24 @@ def _kills_random_point(p: int, a: int, b: int, rng: random.Random) -> bool:
 
     x is redrawn until x^3 + a*x + b is a square or zero, then one sign bit
     is drawn unless it is zero; the rng stream is that of a `Curve` trial.
+    Each x is `rng.getrandbits(k)`, k = p.bit_length(), drawn again while it
+    is >= p, which is `randrange(p)` (so `Fp.random`) value for value and
+    state for state, without its Python frames.
     Only x is kept: `_kills` walks the image of (x, sqrt(t)) on an
     isomorphic curve, and p kills the drawn point (x, +-sqrt(t)) exactly
     when it kills that image, so a True is `_certifies_anomalous`'s
     certificate for the drawn point.
     """
+    getrandbits, k, e = rng.getrandbits, p.bit_length(), (p - 1) // 2
     while True:
-        x = rng.randrange(p)
+        x = getrandbits(k)
+        while x >= p:
+            x = getrandbits(k)
         t = (x * x * x + a * x + b) % p
-        if legendre(t, p) != -1:
+        if not t or pow(t, e, p) == 1:
             break
     if t:
-        rng.getrandbits(1)
+        getrandbits(1)
     return _kills(p, a, b, x)
 
 
@@ -474,7 +485,11 @@ def find_anomalous(
     """`count` distinct anomalous curves with prime p in [p_min, p_max].
 
     Deterministic given `seed`: primes are drawn by re-sampling a PRNG and
-    rounding up to the next prime; (A, B) are sampled uniformly per prime.
+    rounding up to the next prime; (A, B) are sampled uniformly per prime,
+    A first, each by `randrange(p)`'s own rule: `rng.getrandbits(k)`, with
+    one k = p.bit_length() per prime, drawn again while it is >= p.  So the
+    stream, and each seed's curves, are those of a search that calls
+    randrange, without its Python frames.
     Each trial runs on ints: it draws a random point P as `Curve.random_point`
     would, from the same rng stream, and walks p times P's image on an
     isomorphic curve on the Jacobian law (`_kills`, no square root), except
@@ -500,6 +515,7 @@ def find_anomalous(
         raise SearchExhaustedError(f"no prime > 3 in [{p_min}, {p_max}]")
     tried = {q: bytearray(q * q) for q in in_range} if untried <= budget else {}
     rng = random.Random(seed)
+    getrandbits = rng.getrandbits
     found: list[Curve] = []
     seen: set[tuple[int, int, int]] = set()
     trials = 0
@@ -507,14 +523,19 @@ def find_anomalous(
         p = next_prime(rng.randint(p_min, p_max))
         if p > p_max:
             continue
-        per_prime = max(32, 4 * math.isqrt(p))
+        per_prime, k = max(32, 4 * math.isqrt(p)), p.bit_length()
         for _ in range(per_prime):
             trials += 1
             if trials > budget:
                 raise SearchExhaustedError(
                     f"no anomalous curve found in [{p_min}, {p_max}] within {budget} trials"
                 )
-            a, b = rng.randrange(p), rng.randrange(p)
+            a = getrandbits(k)
+            while a >= p:
+                a = getrandbits(k)
+            b = getrandbits(k)
+            while b >= p:
+                b = getrandbits(k)
             if (4 * a * a * a + 27 * b * b) % p == 0 or (p, a, b) in seen:
                 continue
             if tried and not tried[p][a * p + b]:

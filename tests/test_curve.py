@@ -232,6 +232,9 @@ _SEARCHES = [
 ] + [
     (1000, 1500, 1, seed, 2_000_000)  # the desk workload's four searches
     for seed in range(4)
+] + [
+    (20, 3000, 40, 3, 2_000_000),  # many finds over many primes, so many `seen` skips
+    (100_000, 200_000, 2, 7, 2_000_000),  # 17- and 18-bit primes, above COUNT_SCAN_LIMIT
 ]
 
 
@@ -253,6 +256,49 @@ def test_find_anomalous_pinned_curves():
     ]
     curves = find_anomalous(100_000, 1_000_000, count=2, seed=5)
     assert [(c.p, c.A.value, c.B.value) for c in curves] == [(814097, 461652, 338852), (617293, 473752, 268169)]
+
+
+@pytest.mark.parametrize("p", [5, 7, 1009, 1499, 65537, 10**6 + 3, 2**61 - 1])
+def test_search_draws_are_randrange_draws(monkeypatch, p):
+    # the search draws with getrandbits, as randrange does, so that every seed
+    # keeps its curves: each A and B is Random(seed).randrange(p), each x is
+    # Fp.random's (through Curve.random_point, sign bit included), and the rng
+    # state after each draw is theirs; an interpreter whose randrange drew
+    # otherwise fails here
+    import dualpair.curve as curve_module
+
+    class Enough(Exception):
+        pass
+
+    trial, trials, drawn, xs = curve_module._kills_random_point, 12, [], []
+
+    def record_trial(q, a, b, rng):
+        if len(drawn) == 2 * trials:
+            raise Enough
+        drawn.append(("A, B", a, b, rng.getstate()))
+        trial(q, a, b, rng)
+        drawn.append(("x", xs.pop(), rng.getstate()))
+        return False  # no find, so no `seen` skip, and the trials go on until Enough
+
+    monkeypatch.setattr(curve_module, "_kills_random_point", record_trial)
+    monkeypatch.setattr(curve_module, "_kills", lambda q, a, b, x: xs.append(x))
+    for seed in range(12):
+        drawn.clear()
+        with pytest.raises(Enough):
+            find_anomalous(p, p, count=1, seed=seed)
+        ref, expected = random.Random(seed), []
+        while len(expected) < len(drawn):
+            assert next_prime(ref.randint(p, p)) == p
+            for _ in range(max(32, 4 * math.isqrt(p))):
+                if len(expected) == len(drawn):
+                    break
+                a, b = ref.randrange(p), ref.randrange(p)
+                if (4 * a**3 + 27 * b * b) % p:
+                    expected.append(("A, B", a, b, ref.getstate()))
+                    x = Curve(Fp(p), a, b).random_point(ref).x.value
+                    expected.append(("x", x, ref.getstate()))
+        assert len(drawn) == 2 * trials
+        assert drawn == expected[: len(drawn)]
 
 
 def test_non_square_discriminant_means_two_torsion():
