@@ -55,8 +55,9 @@ desk-size curve (p = 1511):
 Each timing is taken in child processes that import `dualpair` from one
 side's `src`; every child runs each operation once, which fills the
 per-p caches and gives the values, then times the operations `--inner`
-times in turn.  Over all children of a
-side the record holds best, quartiles and worst, in ms, and
+times in turn; `search.is_anomalous`, a call of about 0.02 ms, is timed
+as a loop of 200 calls per sample and recorded in ms per call.  Over all
+children of a side the record holds best, quartiles and worst, in ms, and
 `pair.direct` and `pair.semaev` relative to `pair.rueck`: best to best,
 median to median, and the median of the ratios within one round, whose
 two timings are taken moments apart and so share the host's state.
@@ -86,8 +87,10 @@ multiplicities, the sha256 of the invariant suite's report
 `p_max` field that older trees echo), the search layer's curves and
 `is_anomalous` answer, and the CLI children's
 stdout and exit codes; the script exits 1 if any
-of them differ between the sides or between the runs of one side.  Each
-side names the tree it timed by `src_sha256`, the sha256 of the sorted
+of them differ between the sides or between the runs of one side, and
+then names on stderr the first 20 that differ, each as `layer.value`
+with its side and round.  Each side names the tree it timed by
+`src_sha256`, the sha256 of the sorted
 `src/dualpair/*.py` paths and bytes; its `commit` is null when `src` has
 uncommitted changes.  Only the standard library is used.
 """
@@ -150,6 +153,9 @@ GCD_LADDER = [(61, 2**61 - 1), (127, 2**127 - 1), (256, CURVES[0][1])]
 GCD_LADDER_SEED = 29
 #: the search layer's `find_anomalous` calls: (operation, p_min, p_max, count, seed), the desk workload's four searches
 SEARCHES = [(f"search.find.seed{seed}", 1000, 1500, 1, seed) for seed in range(4)]
+#: operations that one sample times as a loop of this many calls, recorded in ms per call, so that a
+#: call of tens of microseconds is not read at the timer's resolution
+LOOPED = {"search.is_anomalous": 200}
 #: k in e(P, O_k) for the pair.* operations
 K = 3
 #: (A1, B1) of the lift for `dual_curve.mul`: off the scaling family, 6B*A1 != 4A*B1, as B != 0 on both curves
@@ -292,13 +298,14 @@ def _search_operations() -> tuple[dict, dict]:
     ops = {op: lambda args=args: find_anomalous(*args) for op, *args in SEARCHES}
     values = {op: [c.to_json() for c in fn()] for op, fn in ops.items()}
     _, p, a, b, *_ = CURVES[1]
-    ops["search.is_anomalous"] = lambda curve=Curve(Fp(p), a, b): is_anomalous(curve)
-    values["search.is_anomalous"] = ops["search.is_anomalous"]()
+    curve = Curve(Fp(p), a, b)
+    ops["search.is_anomalous"] = lambda: [is_anomalous(curve) for _ in range(LOOPED["search.is_anomalous"])]
+    values["search.is_anomalous"] = is_anomalous(curve)
     return ops, values
 
 
 def _timed(ops: dict, inner: int) -> dict:
-    """operation -> `inner` timings in ms, after one untimed call of each."""
+    """operation -> `inner` timings in ms (per call for a `LOOPED` one), after one untimed call of each."""
     for fn in ops.values():
         fn()
     samples = {op: [] for op in ops}
@@ -306,7 +313,7 @@ def _timed(ops: dict, inner: int) -> dict:
         for op, fn in ops.items():
             start = time.perf_counter()
             fn()
-            samples[op].append((time.perf_counter() - start) * 1e3)
+            samples[op].append((time.perf_counter() - start) * 1e3 / LOOPED.get(op, 1))
     return samples
 
 
@@ -362,7 +369,10 @@ def _unpack_src(rev: str, into: Path) -> Path:
     with archive.open("wb") as fh:
         subprocess.run(["git", "archive", rev, "src"], cwd=ROOT, check=True, stdout=fh)
     with tarfile.open(archive) as tar:
-        tar.extractall(into)
+        if hasattr(tarfile, "data_filter"):  # 3.10.12, 3.11.4 and 3.12 on; 3.14 makes it the default
+            tar.extractall(into, filter="data")
+        else:
+            tar.extractall(into)
     return into / "src"
 
 
@@ -397,6 +407,22 @@ def _paired_ratios(change: list, parent: list) -> dict:
             rounds = [statistics.median(c["timings_ms"][name][op]) / statistics.median(p["timings_ms"][name][op])
                       for c, p in zip(change, parent) if name in c["timings_ms"] and name in p["timings_ms"]]
             out[name][op] = {**_summary(rounds), "below_1": sum(r < 1 for r in rounds)}
+    return out
+
+
+def _differing(values: dict, ref: dict) -> list[str]:
+    """'side round r: layer.value' for each value of each round that differs from ref's."""
+    out = []
+    for side, runs in values.items():
+        for rnd, run in enumerate(runs, 1):
+            for layer, got in run.items():
+                want = ref.get(layer)
+                if got == want:
+                    continue
+                if isinstance(got, dict) and isinstance(want, dict):
+                    out += [f"{side} round {rnd}: {layer}.{op}" for op in sorted(got.keys() | want.keys()) if got.get(op) != want.get(op)]
+                else:
+                    out.append(f"{side} round {rnd}: {layer}")
     return out
 
 
@@ -448,7 +474,8 @@ def main(argv=None) -> int:
 
     values = {side: [run["values"] for run in rs] for side, rs in runs.items()}
     ref = values["change"][0]  # the first round runs every layer; a later one may leave out isogeny.cm
-    identical = all(v == {name: ref.get(name) for name in v} for vs in values.values() for v in vs)
+    differing = _differing(values, ref)
+    identical = not differing
     record = {
         "python": platform.python_version(),
         "host": _host(),
@@ -489,8 +516,9 @@ def main(argv=None) -> int:
         sys.stdout.write(text)
     if not identical:
         print("pairing values, recovered n, lifted multiples, isogenies, polynomial results, found curves, selfcheck reports"
-              " or CLI documents differ between runs",
-              file=sys.stderr)
+              " or CLI documents differ between runs:",
+              *differing[:20], *([f"... and {len(differing) - 20} more"] if len(differing) > 20 else []),
+              sep="\n  ", file=sys.stderr)
         return 1
     return 0
 

@@ -84,7 +84,7 @@ import random
 
 from .curve import INFINITY, Curve, Point, jacobian_affine
 from .errors import BadInputError, InvalidPointError, NotCanonicalError
-from .fields import DualNumber, Fp, FpElement, json_int
+from .fields import DualNumber, Fp, FpElement
 from .miller import chain_for, chain_trace, eval_point, slope_sum
 
 
@@ -137,14 +137,6 @@ class DualPoint:
         if self.is_infinity:
             return {"theta": str(self.k.value)}
         return {"x": self.x.to_json(), "y": self.y.to_json()}
-
-    @staticmethod
-    def from_json(field: Fp, obj: dict) -> "DualPoint":
-        if "theta" in obj:
-            return DualPoint.infinity(field(json_int(obj["theta"])))
-        return DualPoint.affine(
-            DualNumber.from_json(field, obj["x"]), DualNumber.from_json(field, obj["y"])
-        )
 
 
 class DualCurve:
@@ -399,17 +391,3 @@ class DualCurve:
 
     def __repr__(self):
         return f"DualCurve(p={self.p}, A={self.base.A}+{self.A1}e, B={self.base.B}+{self.B1}e)"
-
-    def to_json(self) -> dict:
-        return {
-            "p": str(self.p),
-            "A": str(self.base.A.value),
-            "B": str(self.base.B.value),
-            "A1": str(self.A1.value),
-            "B1": str(self.B1.value),
-        }
-
-    @staticmethod
-    def from_json(obj: dict) -> "DualCurve":
-        base = Curve.from_json(obj)
-        return DualCurve(base, json_int(obj["A1"]), json_int(obj["B1"]))

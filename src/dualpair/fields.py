@@ -274,7 +274,3 @@ class DualNumber:
 
     def to_json(self) -> dict:
         return {"re": str(self.re.value), "eps": str(self.eps.value)}
-
-    @staticmethod
-    def from_json(field: Fp, obj: dict) -> "DualNumber":
-        return DualNumber(field(json_int(obj["re"])), field(json_int(obj["eps"])))

@@ -191,16 +191,10 @@ def chain_for(n: int, chain) -> Chain:
     return _record(n, chain)
 
 
-def step_lines(p: int, a: int, Pi: tuple, Pj: tuple) -> tuple:
-    """(Pi + Pj, N) for one chain step on Jacobian int triples.
-
-    N is the numerator of the step's one slope N/Z(Pi + Pj), or None when
-    the step has no chord: an operand or the sum is infinity.  The lines
-    of h_{i,j} are read from these by `scaled_step_values`.  Every walk
-    calls this once per step, through the module global, so that the
-    benchmark's tracer (`perfbench/tracing.py`) can count chain steps.
-    """
-    return jacobian_add(p, a, Pi, Pj)
+#: (Pi + Pj, N) for one chain step: N is the numerator of the step's slope N/Z(Pi + Pj), None
+#: when the step has no chord.  Every walk calls it through this module global, once per step,
+#: so that the benchmark's tracer (`perfbench/tracing.py`) can count chain steps.
+step_lines = jacobian_add
 
 
 # -- the chain trace ------------------------------------------------------------

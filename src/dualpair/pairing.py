@@ -39,14 +39,15 @@ Three routes compute the same value from one walk of P's chain (`_trace`):
   the default route.
 
 Each public entry checks its inputs once, before any evaluation: P and a
-caller's chain by P's walk, whose end point p*P is the p-torsion check; a
-caller's R in `_check_eval_point`; T on the curve.  Below that everything
-is plain ints, and the walk inverts nothing.  Every route reads the
-chain's `miller.Chain` record: the walk its steps, the two additive sums
-its multiplicities, and `_evaluate` its evaluation multiple s.  Without a
-caller's R the evaluation point comes from the chain, not from a search:
-P has order p, so every line of the walk meets E only at multiples of P,
-and S = sP is taken for the smallest s on none of them; the default
+caller's chain by P's walk, whose end point p*P is the p-torsion check,
+then a caller's R, then T on the curve; the direct and semaev routes do
+this and find their one point S + O_k in `_evaluation`.  Below that
+everything is plain ints, and the walk inverts nothing.  Every route reads
+the chain's `miller.Chain` record: the walk its steps, the two additive
+sums its multiplicities, and `_evaluation` its evaluation multiple s.
+Without a caller's R the evaluation point comes from the chain, not from a
+search: P has order p, so every line of the walk meets E only at multiples
+of P, and S = sP is taken for the smallest s on none of them; the default
 chain's record, s included, is built once per p, so P is walked once per
 call at every p.  Nothing is drawn at random, and the routes are
 deterministic.  Each reading inverts once.
@@ -169,36 +170,32 @@ def _trace(curve: Curve, P: Point, chain=None) -> tuple:
     return rung, None if P.is_infinity else torsion_trace(curve, P, rung.steps, curve.p)
 
 
-def _check_eval_point(curve: Curve, R: Point) -> tuple:
-    """R as an (x, y) int pair, once it is checked to be affine, outside E[2] and p-torsion."""
-    if R.is_infinity or R.y.is_zero():
-        raise BadInputError("evaluation point must be affine and outside the 2-torsion")
-    if not curve.mul(curve.p, R).is_infinity:
-        raise BadInputError("evaluation point must be p-torsion")
-    return R.x.value, R.y.value
+def _evaluation(curve: Curve, P: Point, R: Point | None, T: Point | None, chain, k: int) -> tuple:
+    """(P's `_trace` as rung and trace, the `eval_point` tuple of S + O_k), each input checked
+    once: P by its walk, then a caller's R (affine, outside E[2], p-torsion), then T on the curve.
 
-
-def _boundary(curve: Curve, P: Point, R: Point | None, T: Point | None, chain) -> tuple:
-    """(P's `_trace` as rung and trace, R, T), each input checked once, R and T as int pairs
-    (None: no caller R, T at infinity)."""
-    rung, trace = _trace(curve, P, chain)
-    R = None if R is None else _check_eval_point(curve, R)
-    return rung, trace, R, require_on_curve(curve, T or INFINITY, "translation point T")
-
-
-def _evaluate(curve: Curve, rung, trace, R: tuple | None, T: tuple | None) -> tuple:
-    """S from what `_boundary` returns: S = R - T at a caller's R, else S = sP for the
-    rung's evaluation multiple s (`Chain.s`).
-
-    The value depends on neither R nor T, so without a caller's R the point
-    R = sP + T is taken, O included, and no line vanishes at S.
+    The point is None when P = O or k = 0, where nothing is evaluated.  S = R - T at a caller's
+    R, else S = sP for the rung's evaluation multiple s (`Chain.s`): the value depends on
+    neither R nor T, so without a caller's R the point R = sP + T is taken, O included, and no
+    line vanishes at S.
     """
+    rung, trace = _trace(curve, P, chain)
+    if R is not None:
+        if R.is_infinity or R.y.is_zero():
+            raise BadInputError("evaluation point must be affine and outside the 2-torsion")
+        if not curve.mul(curve.p, R).is_infinity:
+            raise BadInputError("evaluation point must be p-torsion")
+    T = require_on_curve(curve, T or INFINITY, "translation point T")
+    if trace is None or not k:
+        return rung, trace, None
     p, a = curve.p, curve.A.value
     if R is not None:
-        return difference(p, a, R, T)
-    if rung.s is None:
+        S = difference(p, a, (R.x.value, R.y.value), T)
+    elif rung.s is None:
         raise DegenerateEvaluationError("all evaluation configurations degenerate: lines of the chain meet E at every multiple of P")
-    return jacobian_affine(p, jacobian_mul(p, a, rung.s, trace.jac[1]))
+    else:
+        S = jacobian_affine(p, jacobian_mul(p, a, rung.s, trace.jac[1]))
+    return rung, trace, eval_point(p, a, S, k)
 
 
 # -- the three routes ----------------------------------------------------------
@@ -250,17 +247,15 @@ def rueck_slope_sum(curve: Curve, P: Point, chain=None) -> FpElement:
 def pairing_direct(dc: DualCurve, P: Point, k, *, R: Point | None = None, chain=None, T: Point | None = None, rng=None) -> PairingValue:
     """e(P, O_k) = f_P(O_k + R) / f_P(R) by dual-number evaluation at (O_k + R) - T.
 
-    Without R the point is chosen from P's chain (`_evaluate`); rng is accepted, unused.
+    Without R the point is chosen from P's chain (`_evaluation`); rng is accepted, unused.
     """
     if not dc.is_canonical():
         raise NotCanonicalError("the pairing is defined on the canonical lift")
     curve = dc.base
-    k = curve.field(k)
-    rung, trace, R, T = _boundary(curve, P, R, T, chain)
-    if trace is None or k.is_zero():
+    _, trace, point = _evaluation(curve, P, R, T, chain, curve.field(k).value)
+    if point is None:
         return PairingValue(curve.field.zero())
-    S = _evaluate(curve, rung, trace, R, T)
-    return _direct_value(trace, eval_point(curve.p, curve.A.value, S, k.value))
+    return _direct_value(trace, point)
 
 
 def semaev_log_derivative(curve: Curve, P: Point, R: Point, T: Point | None = None, chain=None) -> FpElement:
@@ -273,13 +268,12 @@ def semaev_coefficient(curve: Curve, P: Point, *, R: Point | None = None, T: Poi
 
     This is the scalar that multiplies -2*k*eps in the pairing; computing
     it through different R just rescales lam by y(R)'s reciprocal.  Without
-    R the point is chosen from P's chain (`_evaluate`).
+    R the point is chosen from P's chain (`_evaluation`).
     """
-    rung, trace, R, T = _boundary(curve, P, R, T, chain)
-    if trace is None:
+    rung, trace, point = _evaluation(curve, P, R, T, chain, 1)
+    if point is None:
         return curve.field.zero()
-    S = _evaluate(curve, rung, trace, R, T)
-    return _log_derivative_value(trace, eval_point(curve.p, curve.A.value, S, 1), rung.multiplicities)
+    return _log_derivative_value(trace, point, rung.multiplicities)
 
 
 def pairing_semaev(dc: DualCurve, P: Point, k, *, R: Point | None = None, T: Point | None = None, chain=None) -> PairingValue:
@@ -289,7 +283,7 @@ def pairing_semaev(dc: DualCurve, P: Point, k, *, R: Point | None = None, T: Poi
     curve = dc.base
     k = curve.field(k)
     if k.is_zero():  # no evaluation, but the inputs are still checked
-        _boundary(curve, P, R, T, chain)
+        _evaluation(curve, P, R, T, chain, 0)
         return PairingValue(curve.field.zero())
     return PairingValue(SEMAEV_SIGN * 2 * semaev_coefficient(curve, P, R=R, T=T, chain=chain) * k)
 

@@ -82,3 +82,22 @@ def test_the_seed_flags_the_workloads_send(capsys):
         assert main(["dlp", *flags, "--p-point", "%d,%d" % G, "--q-point", "%d,%d" % Q, "--method", method]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert (doc["n"], doc["method"]) == ("1234", method)
+
+
+def test_the_tracer_counts_every_chain_step():
+    # miller.chain_steps counts calls of miller.step_lines through the module
+    # global; a walk that called jacobian_add by its own name would count 0
+    from dualpair.miller import chain_for
+    from dualpair.pairing import rueck_slope_sum
+
+    curve, P = _desk()
+    steps = len(chain_for(curve.p, None).steps)
+    tracer = _load_tracing().Tracer()
+    tracer.current_request = 0
+    try:
+        tracer.install()
+        rueck_slope_sum(curve, P)
+    finally:
+        tracer.uninstall()
+    calls, _ = tracer.calls(1)
+    assert steps > 0 and calls["miller.chain_steps"] == steps

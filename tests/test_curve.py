@@ -6,9 +6,6 @@ import pytest
 from dualpair import (
     INFINITY,
     Curve,
-    DualCurve,
-    DualNumber,
-    DualPoint,
     PairingValue,
     Point,
     count_points,
@@ -544,10 +541,6 @@ def test_from_json_reads_integer_fields_exactly():
         (lambda v: Curve.from_json({"p": v, "A": 1301, "B": 497}), 1511, Curve(f, 1301, 497)),
         (lambda v: Curve.from_json({"p": "1511", "A": v, "B": "497"}), 1301, Curve(f, 1301, 497)),
         (lambda v: Point.from_json(f, {"x": v, "y": 526}), 129, Point(f(129), f(526))),
-        (lambda v: DualCurve.from_json({"p": 1511, "A": 1301, "B": 497, "A1": v, "B1": 0}), 3,
-         DualCurve(Curve(f, 1301, 497), 3, 0)),
-        (lambda v: DualNumber.from_json(f, {"re": v, "eps": "1"}), 7, f.dual(7, 1)),
-        (lambda v: DualPoint.from_json(f, {"theta": v}), 5, DualPoint.infinity(f(5))),
         (lambda v: PairingValue.from_json(f, {"one_plus_eps_times": v}), 9, PairingValue(f(9))),
     ]
     for read, good, expected in readers:

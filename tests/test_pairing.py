@@ -481,6 +481,29 @@ def test_degenerate_ladder_is_linear_in_p(monkeypatch):
         assert calls == ["scaled_step_values"]
 
 
+def test_k_zero_evaluates_nothing_but_still_checks_r_before_t():
+    # incremental_chain(p) leaves no evaluation multiple, so at k != 0 the
+    # direct and semaev routes find no point; at k = 0 they evaluate nothing
+    # and return 1, yet check a caller's R, then T, as at any k
+    from dualpair.miller import chain_for
+
+    c = Curve(Fp(1361), 686, 969)
+    dc = DualCurve.canonical(c)
+    P = c.random_point(random.Random(1))
+    chain = incremental_chain(c.p)
+    assert chain_for(c.p, chain).s is None
+    off = Point(c.field(1), c.field(2))
+    assert not c.contains(off)
+    for route in (pairing_direct, pairing_semaev):
+        assert route(dc, P, 0, chain=chain).a.value == 0
+        with pytest.raises(DegenerateEvaluationError, match="all evaluation configurations degenerate"):
+            route(dc, P, 1, chain=chain)
+        with pytest.raises(BadInputError, match="^evaluation point must be affine and outside the 2-torsion$"):
+            route(dc, P, 0, R=INFINITY, T=off, chain=chain)
+        with pytest.raises(BadInputError, match="translation point T"):
+            route(dc, P, 0, T=off, chain=chain)
+
+
 def _anomalous_curves(primes):
     for p in primes:
         for a in range(p):

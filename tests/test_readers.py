@@ -40,10 +40,7 @@ UNREAD = {
     "Isogeny.to_json": "public JSON form of an isogeny, the value scripts/bench_layers compares",
     "Polynomial.factor": "spanned by the benchmark's tracer (perfbench/tracing.py) as poly.factor",
     "DualCurve.mul": "the public group law on a lift (README); the lift attack walks the checked _mul_raw",
-    "DualCurve.to_json": "public JSON form of a lift, the round trip of DualCurve.from_json",
-    "DualCurve.from_json": "public JSON form of a lift, the round trip of DualCurve.to_json",
     "DualPoint.to_json": "public JSON form of a lifted point, the value scripts/bench_layers compares",
-    "DualPoint.from_json": "public JSON form of a lifted point, the round trip of DualPoint.to_json",
     "Point.to_json": "public JSON form of a point, the round trip of Point.from_json that the CLI parses",
     "PairingValue.from_json": "public JSON form of a pairing value, the round trip of the pair command's output",
     "PairingValue.inverse": "the inverse in the paper's value group of e_p, next to its product and quotient",
