@@ -77,7 +77,9 @@ repository's `src`.  Each side also
 records the values it computed: the three routes' pairing values, the
 four solves' recovered n, p*lift(P) (a point at infinity) and n*lift(P)
 (an affine point) for the solves' n, the lifted isogeny image,
-`miller_eval`'s f_P with T = O at sP and at sP + O_k, each found
+`miller_eval`'s f_P with T = O at sP and at sP + O_k, embed(P), the
+first 8 `Curve.random_point` draws of `random.Random(s)` for s = 0-3
+with the sha256 of the rng state they leave, each found
 isogeny of the isogeny and CM isogeny layers (`to_json`, the
 `isogeny.velu` and `isogeny.multiplication` maps' too), the sha256 of each of its
 polynomial results' coefficient tuples (the gcd ladder's among them, so
@@ -211,6 +213,13 @@ def _operations(p: int, a: int, b: int, G: tuple, n: int, scalar: int, ell: int)
     values["miller_eval"] = str(miller.miller_eval(curve, P, p, INFINITY, S).value)  # f_P(sP), T = O
     values["miller_eval.lifted"] = miller.miller_eval(curve, P, p, INFINITY, dc.compose(S, K)).to_json()  # f_P(sP + O_k)
     values["dual_curve.mul.n"] = lift.mul(n, Pt).to_json()  # n*lift(P), an affine point: mul's lift(nP) + O_d
+    values["dual_curve.embed"] = dc.embed(P).to_json()
+    values["curve.random_point"] = []
+    for seed in range(4):  # the first 8 points each seed draws, and the rng state they leave
+        rng = random.Random(seed)
+        points = [curve.random_point(rng).to_json() for _ in range(8)]
+        state = hashlib.sha256(repr(rng.getstate()).encode()).hexdigest()
+        values["curve.random_point"].append({"points": points, "state": state})
     return ops, values
 
 

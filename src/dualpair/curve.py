@@ -4,18 +4,20 @@ Chord-and-tangent group law, point counting (the quadratic-character
 tally, O(p)), the certificate for #E(F_p) = p, a seeded search for
 anomalous curves, and 2-torsion utilities.
 
-The search runs each trial on plain ints (`_kills_random_point`); its
+A random point is drawn once, in `_random_x`: its x, and the sign bit
+of its y.  `Curve.random_point` takes one square root of the accepted
+x^3 + A*x + B; the search takes none.  Its trials run on plain ints; its
 discriminant reject skips only curves with a rational point of order 2,
-which have even order and so cannot be anomalous.  A trial takes no square
-root: for a point (x, sqrt(t)), t = x^3 + A*x + B, it walks the image
-(t*x, t^2) under the F_p-isomorphism (x, y) -> (u^2*x, u^3*y), u = sqrt(t),
-onto y^2 = x^3 + A*t^2*x + B*t^3 (Silverman, AEC III.1), which has the
-same group (`_kills`).  Each draw below p, of A, B and x, is
-`getrandbits(k)` with k = p.bit_length(), drawn again while it is >= p:
-that is what CPython's `Random.randrange(p)` does under its two Python
-frames (3.10 to 3.13), so every value and the rng state after each draw
-are randrange's, and every seed finds the curves it found through
-randrange.  The quadratic character is Euler's criterion, one `pow`.
+which have even order and so cannot be anomalous.  For a drawn point
+(x, sqrt(t)), t = x^3 + A*x + B, a trial walks the image (t*x, t^2) under
+the F_p-isomorphism (x, y) -> (u^2*x, u^3*y), u = sqrt(t), onto
+y^2 = x^3 + A*t^2*x + B*t^3 (Silverman, AEC III.1), which has the same
+group (`_kills`).  Each draw below p, of A, B and x, is `getrandbits(k)`
+with k = p.bit_length(), drawn again while it is >= p: that is what
+CPython's `Random.randrange(p)` does under its two Python frames (3.10 to
+3.13), so every value and the rng state after each draw are randrange's,
+and every seed finds the curves it found through randrange.  The
+quadratic character is Euler's criterion, one `pow`.
 
 The group law comes twice.  `Curve.add` works on affine `Point`s of
 FpElement wrappers, one inversion per addition; it is the public one and
@@ -57,7 +59,7 @@ import re
 
 from .errors import BadInputError, PointNotOnCurveError, SearchExhaustedError
 from .fields import Fp, FpElement, json_int
-from .numbertheory import legendre, next_prime
+from .numbertheory import legendre, next_prime, sqrt_mod
 
 #: Largest p the CLI checks its search's output on by `count_points`; `is_anomalous` above.
 COUNT_SCAN_LIMIT = 100_000
@@ -201,15 +203,12 @@ class Curve:
     # -- point generation -------------------------------------------------
 
     def random_point(self, rng: random.Random) -> Point:
-        """A uniformly-ish random affine point (never infinity)."""
-        while True:
-            x = self.field.random(rng)
-            y = self.field.sqrt(self.rhs(x))
-            if y is None:
-                continue
-            if not y.is_zero() and rng.getrandbits(1):
-                y = -y
-            return Point(x, y)
+        """A uniformly-ish random affine point (never infinity): `_random_x`'s x, and the
+        root min(r, p - r) of x^3 + A*x + B, negated when the drawn sign bit is set."""
+        p, a, b = self.p, self.A.value, self.B.value
+        x, negate = _random_x(p, a, b, rng)
+        y = sqrt_mod(x * x * x + a * x + b, p)
+        return Point(FpElement(x, self.field), FpElement(p - y if negate else y, self.field))
 
     def points(self):
         """All points, infinity first (small p only: O(p) memory)."""
@@ -437,18 +436,15 @@ def _kills(p: int, a: int, b: int, x: int) -> bool:
     return not jacobian_mul(p, a * tt % p, p, (t * x % p, tt, 1))[2]
 
 
-def _kills_random_point(p: int, a: int, b: int, rng: random.Random) -> bool:
-    """`_kills` for a random point, drawn from rng exactly as `Curve.random_point` draws it.
+def _random_x(p: int, a: int, b: int, rng: random.Random) -> tuple[int, int]:
+    """(x, sign bit) of a random point of y^2 = x^3 + a*x + b: the one draw of `Curve.random_point`
+    and of the search's trials.
 
     x is redrawn until x^3 + a*x + b is a square or zero, then one sign bit
-    is drawn unless it is zero; the rng stream is that of a `Curve` trial.
-    Each x is `rng.getrandbits(k)`, k = p.bit_length(), drawn again while it
-    is >= p, which is `randrange(p)` (so `Fp.random`) value for value and
-    state for state, without its Python frames.
-    Only x is kept: `_kills` walks the image of (x, sqrt(t)) on an
-    isomorphic curve, and p kills the drawn point (x, +-sqrt(t)) exactly
-    when it kills that image, so a True is `_certifies_anomalous`'s
-    certificate for the drawn point.
+    is drawn unless it is zero (the bit is 0 then).  Each x is
+    `rng.getrandbits(k)`, k = p.bit_length(), drawn again while it is >= p,
+    which is `randrange(p)` value for value and state for state, without
+    its Python frames.  The square is Euler's criterion; no root is taken.
     """
     getrandbits, k, e = rng.getrandbits, p.bit_length(), (p - 1) // 2
     while True:
@@ -457,10 +453,7 @@ def _kills_random_point(p: int, a: int, b: int, rng: random.Random) -> bool:
             x = getrandbits(k)
         t = (x * x * x + a * x + b) % p
         if not t or pow(t, e, p) == 1:
-            break
-    if t:
-        getrandbits(1)
-    return _kills(p, a, b, x)
+            return x, t and getrandbits(1)
 
 
 def is_anomalous(curve: Curve) -> bool:
@@ -490,8 +483,8 @@ def find_anomalous(
     one k = p.bit_length() per prime, drawn again while it is >= p.  So the
     stream, and each seed's curves, are those of a search that calls
     randrange, without its Python frames.
-    Each trial runs on ints: it draws a random point P as `Curve.random_point`
-    would, from the same rng stream, and walks p times P's image on an
+    Each trial runs on ints: it draws a random point P by `_random_x`, as
+    `Curve.random_point` does, and walks p times P's image on an
     isomorphic curve on the Jacobian law (`_kills`, no square root), except
     on curves with a non-square discriminant, which have a point of order 2
     and so cannot be anomalous.  p kills the image exactly when it kills P,
@@ -541,7 +534,7 @@ def find_anomalous(
             if tried and not tried[p][a * p + b]:
                 tried[p][a * p + b] = 1
                 untried -= 1
-            if _kills_random_point(p, a, b, rng):
+            if _kills(p, a, b, _random_x(p, a, b, rng)[0]):
                 curve = Curve(Fp(p), a, b)
                 if _certifies_anomalous(curve, True):
                     found.append(curve)

@@ -34,6 +34,8 @@ and `decompose` check their points with it once, at entry, and `lift`
 checks its base point by `Curve.contains` and solves the eps constraint on
 ints.  `_lift_raw` and `_mul_raw` are `lift` and `mul` for a caller that
 holds a checked point: the lift attack, whose instance has checked Q.
+`embed` is `_lift_raw` on the canonical lift, where A1*x + B1 = 0, so the
+eps parts are zero and no inversion is taken.
 
 The fiber over each base point P is one coset lift(P) + O_k:
 `miller.eval_point` writes the eps increments of S + O_k,
@@ -195,10 +197,7 @@ class DualCurve:
         """The point of the canonical lift with zero eps parts over P."""
         if not self.is_canonical():
             raise NotCanonicalError("embedding with zero eps parts needs the canonical lift")
-        if P.is_infinity:
-            return DualPoint.infinity(self.field.zero())
-        z = self.field.zero()
-        return DualPoint.affine(DualNumber(P.x, z), DualNumber(P.y, z))
+        return self._lift_raw(P)
 
     def lift(self, P: Point) -> DualPoint:
         """Some point of this lift reducing to P.
@@ -211,12 +210,15 @@ class DualCurve:
         return self._lift_raw(P)
 
     def _lift_raw(self, P: Point) -> DualPoint:
-        """`lift` for a P already checked to lie on the base curve; the eps part is solved on ints."""
+        """`lift` for a P already checked to lie on the base curve; the eps part is solved on ints,
+        and is zero with no inversion where A1*x + B1 = 0, as everywhere on the canonical lift."""
         f, z = self.field, self.field.zero()
         if P.is_infinity:
             return DualPoint.infinity(z)
         p, x, y = self.p, P.x.value, P.y.value
-        t = self.A1.value * x + self.B1.value
+        t = (self.A1.value * x + self.B1.value) % p
+        if not t:
+            return DualPoint.affine(DualNumber(P.x, z), DualNumber(P.y, z))
         if y:
             return DualPoint.affine(DualNumber(P.x, z), DualNumber(P.y, f(t * pow(2 * y, -1, p))))
         return DualPoint.affine(DualNumber(P.x, f(-t * pow(3 * x * x + self.base.A.value, -1, p))), DualNumber(P.y, z))

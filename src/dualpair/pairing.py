@@ -216,14 +216,13 @@ def _direct_value(trace, point: tuple) -> PairingValue:
 def _log_derivative_value(trace, point: tuple, multiplicities: tuple) -> FpElement:
     """(y * f_P'/f_P)(R) at the `eval_point` tuple of S + O_1, S = R - T; raises on degenerate lines.
 
-    At S + O_1 the eps part of a function g is -2*y(S)*(dg/dx)(S), so each step
-    gives y(R) * (h'/h)(R) = -(eps/re of h)/2, a ratio its scalar factor leaves
-    alone; the steps' ratios, weighted by their `multiplicities` in chain
+    At S + O_1 the eps part of a function g is -2*(y*dg/dx)(S), with dg/dx taken
+    along E: -2*y*g_x - (3*x^2 + A)*g_y, which holds at y(S) = 0 too.  So each
+    step gives y(R) * (h'/h)(R) = -(eps/re of h)/2, a ratio its scalar factor
+    leaves alone; the steps' ratios, weighted by their `multiplicities` in chain
     order, are summed by `miller.weighted_sum`.
     """
     p = trace.field.p
-    if not point[1]:
-        raise DegenerateEvaluationError("translated evaluation point hit the 2-torsion")
     values = scaled_step_values(trace, point)
     terms = ((m, eps, re) for m, (re, eps) in zip(multiplicities, values))
     return trace.field(weighted_sum(p, terms) * ((p - 1) // 2))  # (p - 1)/2 = -1/2 mod p

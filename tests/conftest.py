@@ -19,7 +19,6 @@ from dualpair import (
     lifted_pairing,
     miller,
 )
-from dualpair.errors import DegenerateEvaluationError
 from dualpair.fields import Fp, FpElement
 from dualpair.miller import ChainStep, step_multiplicities, step_values, trace_fraction
 from dualpair.pairing import SLOPE_SIGN, PairingValue, rueck_slope_sum, semaev_coefficient
@@ -172,8 +171,6 @@ def log_derivative_oracle(trace, point: tuple, multiplicities=None):
     of -(eps/re of h's numerator - eps/re of its denominator)/2 from the exact step values,
     every re part inverted on its own."""
     p = trace.field.p
-    if not point[1]:
-        raise DegenerateEvaluationError("translated evaluation point hit the 2-torsion")
     parts = [side for value in step_values(trace, point) for side in value]
     ratios = [eps * pow(re, -1, p) for re, eps in parts]
     logs = [num - den for num, den in zip(ratios[::2], ratios[1::2])]

@@ -85,6 +85,25 @@ def test_find_anomalous_usage_errors(capsys):
     assert code == 64
     code, _, err = run_cli(capsys, "find-anomalous", "--min", "banana", "--max", "4")
     assert code == 64
+    for argv in (("--min", "100", "--max", "50"), ("--min", "5", "--max", "100", "--count", "0")):
+        code, out, err = run_cli(capsys, "find-anomalous", *argv)
+        assert (code, out) == (64, "")
+        assert json.loads(err) == {"error": "Usage", "message": "need --max >= --min and --count >= 1"}
+
+
+@pytest.mark.parametrize("p,a,b", [(31, 1, 0), (100_003, 1, 1)])
+def test_find_anomalous_rejects_a_search_result_that_is_not_anomalous(capsys, monkeypatch, p, a, b):
+    # the CLI checks each curve the search returns, by the count up to COUNT_SCAN_LIMIT and by
+    # is_anomalous above it; the handler imports find_anomalous from dualpair.curve when it runs
+    import dualpair.curve
+
+    c = Curve.from_json({"p": str(p), "A": str(a), "B": str(b)})
+    assert count_points(c) != p and (p <= dualpair.curve.COUNT_SCAN_LIMIT) == (p == 31)
+    monkeypatch.setattr(dualpair.curve, "find_anomalous", lambda *args: [c])
+    code, out, err = run_cli(capsys, "find-anomalous", "--min", "5", "--max", str(p))
+    assert (code, out) == (1, "")
+    doc = json.loads(err)
+    assert doc["error"] == "Error" and doc["message"] == f"search returned {c!r}, which is not anomalous"
 
 
 def test_pair_k_zero_is_identity(capsys, anomalous, curve_flag):

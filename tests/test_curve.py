@@ -166,8 +166,8 @@ def test_find_anomalous_exhausts_a_small_range_early(monkeypatch):
     import dualpair.curve as curve_module
 
     walks = []
-    trial = curve_module._kills_random_point
-    monkeypatch.setattr(curve_module, "_kills_random_point", lambda *args: walks.append(args) or trial(*args))
+    trial = curve_module._kills
+    monkeypatch.setattr(curve_module, "_kills", lambda *args: walks.append(args) or trial(*args))
     for p_max, count, held in ((5, 3, 2), (7, 7, 6)):
         walks.clear()
         with pytest.raises(SearchExhaustedError, match=f"holds only {held} anomalous curves"):
@@ -259,26 +259,27 @@ def test_find_anomalous_pinned_curves():
 def test_search_draws_are_randrange_draws(monkeypatch, p):
     # the search draws with getrandbits, as randrange does, so that every seed
     # keeps its curves: each A and B is Random(seed).randrange(p), each x is
-    # Fp.random's (through Curve.random_point, sign bit included), and the rng
-    # state after each draw is theirs; an interpreter whose randrange drew
+    # randrange(p) redrawn until x^3 + A*x + B is zero or a square (Euler's
+    # criterion), then a sign bit is drawn unless it is zero; the rng state
+    # after each draw is theirs.  An interpreter whose randrange drew
     # otherwise fails here
     import dualpair.curve as curve_module
 
     class Enough(Exception):
         pass
 
-    trial, trials, drawn, xs = curve_module._kills_random_point, 12, [], []
+    draw, trials, drawn = curve_module._random_x, 12, []
 
-    def record_trial(q, a, b, rng):
+    def record_draw(q, a, b, rng):
         if len(drawn) == 2 * trials:
             raise Enough
         drawn.append(("A, B", a, b, rng.getstate()))
-        trial(q, a, b, rng)
-        drawn.append(("x", xs.pop(), rng.getstate()))
-        return False  # no find, so no `seen` skip, and the trials go on until Enough
+        x, negate = draw(q, a, b, rng)
+        drawn.append(("x", x, negate, rng.getstate()))
+        return x, negate
 
-    monkeypatch.setattr(curve_module, "_kills_random_point", record_trial)
-    monkeypatch.setattr(curve_module, "_kills", lambda q, a, b, x: xs.append(x))
+    monkeypatch.setattr(curve_module, "_random_x", record_draw)
+    monkeypatch.setattr(curve_module, "_kills", lambda q, a, b, x: False)  # no find, so no `seen` skip
     for seed in range(12):
         drawn.clear()
         with pytest.raises(Enough):
@@ -292,10 +293,41 @@ def test_search_draws_are_randrange_draws(monkeypatch, p):
                 a, b = ref.randrange(p), ref.randrange(p)
                 if (4 * a**3 + 27 * b * b) % p:
                     expected.append(("A, B", a, b, ref.getstate()))
-                    x = Curve(Fp(p), a, b).random_point(ref).x.value
-                    expected.append(("x", x, ref.getstate()))
+                    while True:
+                        x = ref.randrange(p)
+                        t = (x**3 + a * x + b) % p
+                        if t == 0 or pow(t, (p - 1) // 2, p) == 1:
+                            break
+                    negate = ref.getrandbits(1) if t else 0
+                    expected.append(("x", x, negate, ref.getstate()))
         assert len(drawn) == 2 * trials
         assert drawn == expected[: len(drawn)]
+
+
+@pytest.mark.parametrize("p,a,b", [(5, 3, 0), (13, 1, 4), (1511, 1301, 497), (1009, 2, 3)])
+def test_random_point_is_the_written_out_draw(p, a, b):
+    # x is randrange(p), redrawn until x^3 + A*x + B is zero or a square; y is its
+    # least root, negated when the sign bit, drawn unless y = 0, is set.  Point
+    # for point and rng state for rng state; the roots are found by search.
+    # (5, 3, 0) has y = 0 at x = 0, and 13 and 1009 are 1 mod 4 (Tonelli-Shanks)
+    c = Curve(Fp(p), a, b)
+    roots = {}
+    for r in range(p):
+        roots.setdefault(r * r % p, r)
+    for seed in range(10):
+        rng, ref = random.Random(seed), random.Random(seed)
+        for _ in range(20):
+            P = c.random_point(rng)
+            while True:
+                x = ref.randrange(p)
+                t = (x**3 + a * x + b) % p
+                if t in roots:
+                    break
+            y = roots[t]
+            if y and ref.getrandbits(1):
+                y = p - y
+            assert (P.x.value, P.y.value) == (x, y)
+            assert rng.getstate() == ref.getstate()
 
 
 def test_non_square_discriminant_means_two_torsion():
@@ -411,13 +443,14 @@ def test_kills_agrees_with_the_walk_of_a_square_root():
 
 
 def test_search_takes_no_square_root(monkeypatch):
+    import dualpair.curve
     import dualpair.fields
     import dualpair.numbertheory
 
     def no_roots(a, p):
         raise AssertionError("sqrt_mod called")
 
-    for module in (dualpair.numbertheory, dualpair.fields):
+    for module in (dualpair.numbertheory, dualpair.fields, dualpair.curve):
         monkeypatch.setattr(module, "sqrt_mod", no_roots)
     curves = [find_anomalous(1000, 1500, 1, seed)[0] for seed in range(4)]
     assert [(c.p, c.A.value, c.B.value) for c in curves] == [

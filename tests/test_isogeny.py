@@ -879,3 +879,22 @@ def test_searches_return_the_isogenies_they_returned_before():
         c = Curve(Fp(p), a, b)
         assert find_cyclic_isogeny(c, 11).kernel_polynomial().coeffs == kernel
         assert _searches_digest([c], (11,)) == digest
+
+
+@pytest.mark.parametrize("p, a, b, ell, candidates", [(1447, 468, 325, 7, 2), (673, 433, 210, 3, 4)])
+def test_find_cyclic_isogeny_raises_when_no_candidate_validates(monkeypatch, p, a, b, ell, candidates):
+    # the eigenvalue test passes, but every candidate kernel polynomial fails Vélu's
+    # curve identity: each is tried once, in coefficient order, then the search gives up
+    from dualpair import isogeny
+
+    tried = []
+
+    def invalid(curve, h):
+        tried.append(h.coeffs)
+        raise BadInputError("forced")
+
+    monkeypatch.setattr(isogeny, "velu_from_kernel_polynomial", invalid)
+    with pytest.raises(DualPairError, match=f"^x\\^2 - x \\+ {p} has a root mod {ell}, but no {ell}-kernel validated$") as exc:
+        find_cyclic_isogeny(Curve(Fp(p), a, b), ell)
+    assert type(exc.value) is DualPairError
+    assert len(tried) == candidates and tried == sorted(set(tried))

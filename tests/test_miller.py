@@ -366,3 +366,28 @@ def test_default_chain_is_built_once_per_n(monkeypatch):
         assert built == [1361]
     finally:
         miller._default_chain.cache_clear()
+
+
+def test_weil_pairing_gives_up_after_32_degenerate_draws(monkeypatch):
+    # every evaluation degenerates, so each of the 32 draws of (T1, T2) fails, on the
+    # supports' overlap or in the forced evaluation, and the last draw's reason is reported
+    from dualpair import miller
+
+    n = 3
+    c, tor = _full_torsion_curve(n)
+    P = next(T for T in tor if not T.is_infinity and order_by_steps(c, T) == n)
+    Q = next(T for T in tor if T not in {c.mul(i, P) for i in range(n)})
+    draws, evaluated = [], []
+
+    def degenerate(*args):
+        evaluated.append(len(draws))
+        raise DegenerateEvaluationError(f"forced at draw {len(draws) // 2}")
+
+    random_point = Curve.random_point
+    monkeypatch.setattr(Curve, "random_point", lambda self, rng: draws.append(1) or random_point(self, rng))
+    monkeypatch.setattr(miller, "trace_value", degenerate)
+    with pytest.raises(DegenerateEvaluationError, match="^no good auxiliary points found: ") as exc:
+        weil_pairing(c, n, P, Q, random.Random(40))
+    assert len(draws) == 64 and evaluated
+    last = "forced at draw 32" if evaluated[-1] == 64 else "divisor supports are not disjoint"
+    assert str(exc.value) == f"no good auxiliary points found: {last}"

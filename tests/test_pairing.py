@@ -686,3 +686,34 @@ def test_default_evaluation_multiple_is_kept_per_p(monkeypatch):
         assert asked == [7, 7]
     finally:
         miller._default_chain.cache_clear()
+
+
+def test_semaev_agrees_where_the_translated_point_is_two_torsion(monkeypatch):
+    # y^2 = x^3 + 3x over F_5 has #E = 10, a point of order 2, (0, 0), and four of
+    # order 5: the one way S = R - T can be 2-torsion with P and R of order p.  At
+    # y(S) = 0 the eps part of S + O_1 is in y alone, and Semaev's weighted sum of
+    # -(eps/re)/2 still reads (y * f'/f)(R): over every P, R and chain it gives
+    # rueck's and direct's value, as does the exact-value oracle
+    from conftest import log_derivative_oracle
+    from dualpair import pairing
+
+    c = Curve(Fp(5), 3, 0)
+    dc = DualCurve.canonical(c)
+    two = c.point(0, 0)
+    order_p = [P for P in _affine(c) if c.mul(5, P).is_infinity]
+    assert len(list(c.points())) == 10 and len(order_p) == 4
+    cases = []
+    for chain in (None, incremental_chain(5), tail_chain(5, 2), tail_chain(5, 3)):
+        for P in order_p:
+            for R in order_p:
+                T = c.add(R, c.neg(two))
+                assert c.add(R, c.neg(T)) == two
+                want = pairing_rueck(dc, P, 1, chain=chain)
+                assert pairing_direct(dc, P, 1, R=R, T=T, chain=chain) == want
+                cases.append((P, R, T, chain, want))
+    assert len(cases) == 64
+    for P, R, T, chain, want in cases:
+        assert pairing_semaev(dc, P, 1, R=R, T=T, chain=chain) == want
+    monkeypatch.setattr(pairing, "_log_derivative_value", log_derivative_oracle)
+    for P, R, T, chain, want in cases:
+        assert pairing_semaev(dc, P, 1, R=R, T=T, chain=chain) == want
