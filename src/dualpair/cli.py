@@ -77,7 +77,14 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="dualpair", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    find = sub.add_parser("find-anomalous", help="search for curves with #E(F_p) = p")
+    find = sub.add_parser(
+        "find-anomalous",
+        help="search for curves with #E(F_p) = p (at most 2,000,000 trials, then exit 2)",
+        description="Find --count distinct curves with #E(F_p) = p and prime p in [--min, --max], "
+        "deterministically per --seed.  The search gives up after a budget of 2,000,000 trials "
+        "with exit 2 (SearchExhausted); a trial's cost grows with p, so near p = 10^20 "
+        "that takes minutes.",
+    )
     find.add_argument("--min", type=json_int, required=True)
     find.add_argument("--max", type=json_int, required=True)
     find.add_argument("--count", type=json_int, default=1)

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 import os
 import random
@@ -75,6 +76,18 @@ def test_find_anomalous_exhausted_range(capsys):
     assert code == 2 and out == ""
     doc = json.loads(err)
     assert doc["error"] == "SearchExhausted" and "holds only 2" in doc["message"]
+
+
+def test_find_anomalous_help_names_the_search_budget(capsys):
+    # the subcommand's help, in the command list and its own, gives the budget
+    # after which the search exits 2, as find_anomalous's default sets it
+    budget = f'{inspect.signature(find_anomalous).parameters["budget"].default:,} trials'
+    for argv in (["--help"], ["find-anomalous", "--help"]):
+        with pytest.raises(SystemExit) as stop:
+            main(argv)
+        assert stop.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert budget in text and "exit 2" in text
 
 
 def test_find_anomalous_usage_errors(capsys):

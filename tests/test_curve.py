@@ -14,8 +14,10 @@ from dualpair import (
 )
 from dualpair.curve import (
     JACOBIAN_INFINITY,
+    SQUARE_TABLE_FROM,
     _certifies_anomalous,
     _kills,
+    _square_table,
     is_anomalous,
     jacobian_add,
     jacobian_affine,
@@ -28,7 +30,7 @@ from dualpair.errors import (
     SearchExhaustedError,
 )
 from dualpair.fields import Fp
-from dualpair.numbertheory import legendre, next_prime, sqrt_mod
+from dualpair.numbertheory import is_prime, legendre, next_prime, sqrt_mod
 
 from conftest import first_anomalous_by_scan
 
@@ -172,7 +174,7 @@ def test_find_anomalous_exhausts_a_small_range_early(monkeypatch):
         walks.clear()
         with pytest.raises(SearchExhaustedError, match=f"holds only {held} anomalous curves"):
             find_anomalous(5, p_max, count=count)
-        assert {(p, a, b) for p, a, b, _ in walks} == {
+        assert {(p, a, b) for p, a, b, _, _ in walks} == {
             (p, a, b) for p in (5, 7) if p <= p_max for a in range(p) for b in range(p) if (4 * a**3 + 27 * b * b) % p
         }
         assert len(walks) < 1000
@@ -246,6 +248,46 @@ def test_find_anomalous_matches_a_reference_on_wrappers(p_min, p_max, count, see
     assert run(find_anomalous) == run(_reference_search)
 
 
+def test_reference_searches_run_on_both_sides_of_the_square_table():
+    # the reference search takes Euler's criterion everywhere, so these cases
+    # compare the table's lookups with it below SQUARE_TABLE_FROM, and the pow with it above
+    assert any(p_max < SQUARE_TABLE_FROM for _, p_max, *_ in _SEARCHES)
+    assert any(p_min < SQUARE_TABLE_FROM <= p_max for p_min, p_max, *_ in _SEARCHES)
+    assert any(p_min >= SQUARE_TABLE_FROM for p_min, *_ in _SEARCHES)
+
+
+@pytest.mark.parametrize("p", [5, 7, 1009, 1499, next(q for q in range(SQUARE_TABLE_FROM - 1, 1, -1) if is_prime(q))])
+def test_square_table_is_the_quadratic_character(p):
+    table = _square_table(p)
+    assert len(table) == p
+    assert [table[t] for t in range(p)] == [int(legendre(t, p) != -1) for t in range(p)]
+
+
+#: find_anomalous's results before the square table, which must not change them
+_PINNED_SEARCHES = [
+    ((1000, 1500, 1, 0), [(1361, 686, 969)]),
+    ((1000, 1500, 1, 1), [(1069, 649, 933)]),
+    ((1000, 1500, 1, 2), [(1319, 1094, 1047)]),
+    ((1000, 1500, 1, 3), [(1123, 511, 930)]),
+    ((1000, 1500, 1, 4), [(1123, 926, 777)]),
+    ((1000, 1500, 1, 5), [(1319, 1259, 1104)]),
+    ((1000, 1500, 1, 6), [(1439, 367, 983)]),
+    ((1000, 1500, 1, 7), [(1171, 1081, 740)]),
+    ((1000, 1500, 1, 8), [(1117, 347, 482)]),
+    ((1000, 1500, 1, 9), [(1297, 925, 176)]),
+    ((5, 50, 6, 3), [(23, 17, 7), (23, 10, 21), (47, 4, 30), (23, 21, 15), (23, 5, 14), (43, 21, 13)]),
+    # the range straddles SQUARE_TABLE_FROM, with finds on both sides of it
+    ((1000, 60000, 3, 0), [(51131, 8328, 15687), (49613, 27814, 45429), (3299, 44, 2306)]),
+    ((1000, 60000, 3, 6), [(18223, 11904, 17807), (5623, 1741, 3415), (27361, 16211, 11019)]),
+]
+
+
+@pytest.mark.parametrize("args,expected", _PINNED_SEARCHES)
+def test_find_anomalous_keeps_its_results(args, expected):
+    p_min, p_max, count, seed = args
+    assert [(c.p, c.A.value, c.B.value) for c in find_anomalous(p_min, p_max, count, seed)] == expected
+
+
 def test_find_anomalous_pinned_curves():
     curves = find_anomalous(1000, 1500, count=4, seed=0)
     assert [(c.p, c.A.value, c.B.value) for c in curves] == [
@@ -270,16 +312,17 @@ def test_search_draws_are_randrange_draws(monkeypatch, p):
 
     draw, trials, drawn = curve_module._random_x, 12, []
 
-    def record_draw(q, a, b, rng):
+    def record_draw(q, a, b, rng, squares):
         if len(drawn) == 2 * trials:
             raise Enough
+        assert (squares is not None) == (q < SQUARE_TABLE_FROM)
         drawn.append(("A, B", a, b, rng.getstate()))
-        x, negate = draw(q, a, b, rng)
+        x, negate = draw(q, a, b, rng, squares)
         drawn.append(("x", x, negate, rng.getstate()))
         return x, negate
 
     monkeypatch.setattr(curve_module, "_random_x", record_draw)
-    monkeypatch.setattr(curve_module, "_kills", lambda q, a, b, x: False)  # no find, so no `seen` skip
+    monkeypatch.setattr(curve_module, "_kills", lambda q, a, b, x, squares: False)  # no find, so no `seen` skip
     for seed in range(12):
         drawn.clear()
         with pytest.raises(Enough):

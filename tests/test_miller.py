@@ -110,6 +110,16 @@ def test_tail_chain_valid_and_counts():
             assert unrolled_step_count(n, chain) == n - 1
 
 
+def test_chains_reject_lengths_outside_their_range():
+    for build in (binary_chain, incremental_chain):
+        for n in (0, -1):
+            with pytest.raises(ValueError, match=r"chains exist for n >= 1"):
+                build(n)
+    for n, c in ((5, 0), (5, -1), (5, 5), (5, 6), (1, 1)):
+        with pytest.raises(ValueError, match=r"need 1 <= c < n"):
+            tail_chain(n, c)
+
+
 def _divisor_oracle(curve, P, n, T, chain):
     """div(f_n) by pure bookkeeping: each step (k -> i, j) contributes
     (iP+T) + (jP+T) - (kP+T) - (T), weighted by its unrolled multiplicity.

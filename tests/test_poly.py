@@ -11,6 +11,19 @@ from dualpair.poly import Polynomial, _split_by_values, cubic_roots
 from conftest import dual_horner
 
 
+def test_zero_polynomial_and_inexact_division_raise():
+    f = Fp(13)
+    zero = Polynomial.zero(f)
+    with pytest.raises(ValueError, match="zero polynomial has no leading coefficient"):
+        zero.lead()
+    with pytest.raises(ValueError, match="cannot factor the zero polynomial"):
+        zero.factor()
+    x_minus_1, x_minus_2 = Polynomial.from_roots(f, [1]), Polynomial.from_roots(f, [2])
+    assert (x_minus_1 * x_minus_2).exact_div(x_minus_2) == x_minus_1
+    with pytest.raises(ValueError, match="division was not exact"):
+        Polynomial.from_roots(f, [1, 3]).exact_div(x_minus_2)
+
+
 def test_cubic_roots_trivial_cases():
     f5 = Fp(5)
     assert [r.value for r in cubic_roots(f5, 0, 0)] == [0]  # x^3
