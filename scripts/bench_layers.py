@@ -27,9 +27,10 @@ desk-size curve (p = 1511):
   (psi * psi), `poly.mod` ((x^p mod psi)^2 mod psi), `poly.pow_mod`
   (x^p mod psi) and `poly.gcd`, the ell = 13 search's first kernel gcd,
   gcd(psi, X_p*psi_5^2 - num) with X_p = x^p mod psi and num/psi_5^2 =
-  x([5]P); a gcd ladder, `poly.gcd.61`, `poly.gcd.127` and
-  `poly.gcd.256`, on fixed inputs of degrees 60 and 59 with a common factor
-  of degree 15 over primes of 61, 127 and 256 bits; `poly.factor` of
+  x([5]P), built from the `division_polynomial` values; a gcd ladder,
+  `poly.gcd.61`, `poly.gcd.127` and `poly.gcd.256`, on fixed inputs of
+  degrees 60 and 59 with a common factor of degree 15 over primes of 61,
+  127 and 256 bits; `poly.factor` of
   psi_3^2*psi_5 of the first curve, whose multiplicities stay below p, so
   that trees whose `factor` loops on a p-th power answer it too; and
   `isogeny.multiplication`, `multiplication_isogeny` for n = 2..7 on the
@@ -44,6 +45,10 @@ desk-size curve (p = 1511):
 * the search layer (`search` in the record): `curve.find_anomalous` for
   the desk workload's four searches, one curve in [1000, 1500] for each
   seed in 0-3, and `curve.is_anomalous` on the desk curve (1511, 1301, 497)
+* the control layer (`control` in the record): `control.mulmod`, a fixed
+  loop of 256-bit int products mod the pinned prime that imports nothing
+  from `dualpair`, so that both sides run the same code and its paired
+  ratio, whose true value is 1, reads how far the host drifted between them
 * the CLI process layer (`cli` in the record), on the desk curve: whole
   child processes of `python -c pass` and of `python -m dualpair.cli`
   running `pair --method rueck`, `dlp --method rueck` and
@@ -158,6 +163,8 @@ SEARCHES = [(f"search.find.seed{seed}", 1000, 1500, 1, seed) for seed in range(4
 #: operations that one sample times as a loop of this many calls, recorded in ms per call, so that a
 #: call of tens of microseconds is not read at the timer's resolution
 LOOPED = {"search.is_anomalous": 200}
+#: products in the control layer's loop, about 3 ms under CPython 3.11 on a shared Intel Xeon core
+CONTROL_PRODUCTS = 5000
 #: k in e(P, O_k) for the pair.* operations
 K = 3
 #: (A1, B1) of the lift for `dual_curve.mul`: off the scaling family, 6B*A1 != 4A*B1, as B != 0 on both curves
@@ -227,13 +234,7 @@ def _isogeny_operations() -> tuple[dict, dict]:
     """(operation name -> zero-argument callable, value name -> value) for the isogeny layer."""
     from dualpair.curve import Curve
     from dualpair.fields import Fp
-    from dualpair.isogeny import (
-        _x_of_multiple,
-        division_polynomial,
-        find_cyclic_isogeny,
-        multiplication_isogeny,
-        velu_from_kernel_polynomial,
-    )
+    from dualpair.isogeny import division_polynomial, find_cyclic_isogeny, multiplication_isogeny, velu_from_kernel_polynomial
     from dualpair.poly import Polynomial
 
     ops, values = {}, {}
@@ -254,7 +255,11 @@ def _isogeny_operations() -> tuple[dict, dict]:
     xp = x.pow_mod(p, psi_ell)
     square = xp * xp
     lam = next(lam for lam in range(1, ell) if (lam * lam - lam + p) % ell == 0)
-    num, den = _x_of_multiple(psi, Polynomial(f, (b, a, 0, 1)), min(lam, ell - lam))
+    mu = min(lam, ell - lam)  # x([mu]P) = num/den = x - psi_(mu-1)*psi_(mu+1)/psi_mu^2, with y^2 = f in the even psi_n
+    den, prod = psi[mu] * psi[mu], psi[mu - 1] * psi[mu + 1]
+    fx = Polynomial(f, (b, a, 0, 1))
+    den, prod = (den, fx * prod) if mu % 2 else (fx * den, prod)
+    num = x * den - prod
     eigen = xp * den - num  # the search's first kernel gcd is gcd(psi_ell, eigen)
     ops.update({
         "poly.mul": lambda: psi_ell * psi_ell,
@@ -313,6 +318,16 @@ def _search_operations() -> tuple[dict, dict]:
     return ops, values
 
 
+def _control_mulmod() -> int:
+    """`CONTROL_PRODUCTS` 256-bit int products mod the pinned prime, with no dualpair code: the same work on
+    both sides, so that its paired ratio reads the host's drift between them."""
+    p = CURVES[0][1]
+    acc, step = CURVES[0][4]
+    for _ in range(CONTROL_PRODUCTS):
+        acc = acc * step % p
+    return acc
+
+
 def _timed(ops: dict, inner: int) -> dict:
     """operation -> `inner` timings in ms (per call for a `LOOPED` one), after one untimed call of each."""
     for fn in ops.values():
@@ -336,6 +351,7 @@ def child(src: str, inner: int, cm: bool) -> dict:
     out["timings_ms"]["isogeny"] = _timed(ops, inner)
     ops, out["values"]["search"] = _search_operations()
     out["timings_ms"]["search"] = _timed(ops, inner)
+    out["timings_ms"]["control"] = _timed({"control.mulmod": _control_mulmod}, inner)
     if cm:
         out["timings_ms"]["isogeny.cm"], out["values"]["isogeny.cm"] = _cm_searches()
     from dualpair import selfcheck

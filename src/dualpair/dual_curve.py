@@ -27,7 +27,7 @@ what the lift attack exploits.
 
 The group law is `DualCurve._add_raw`: chord-and-tangent on affine
 points of DualNumber wrappers, one dual inversion per step.  It is the
-reference law, and `DualCurve.mul` takes at most one step of it.
+reference law, and `DualCurve.mul` takes no step of it.
 
 Membership, `is_valid`, is the two equations above on ints; `add`, `mul`
 and `decompose` check their points with it once, at entry, and `lift`
@@ -42,7 +42,7 @@ The fiber over each base point P is one coset lift(P) + O_k:
 (x, y) + O_k = (x - 2*y0*k*eps, y - (3*x0^2 + A)*k*eps) with (x0, y0) the
 reduction, and `_offset` reads k back from two points over the same P:
 from the x eps parts, or over 2-torsion, where 3*x0^2 + A != 0 as E is
-non-singular, from the y eps parts.  Every reader of a fiber uses these two:
+non-singular, from the y eps parts.  The fiber's readers and writers:
 
 * `translate` adds O_k by `eval_point`'s increments, and `points` lists
   each fiber as translate(lift(P), k) over all k.
@@ -52,8 +52,8 @@ non-singular, from the y eps parts.  Every reader of a fiber uses these two:
   Summands over the same point are Q = P + O_k, so P + Q = `_double`(P) +
   O_k; `_double` is the tangent, or O_k for P = -P + O_k over 2-torsion.
 * `decompose` reads k as the offset of pt from embed(P).
-* `mul`'s affine result is translate(`_lift_raw`(nP), c - gamma(nP)), with c
-  and gamma below; a lift's eps part (A1*x + B1)/(2y) is in `_lift_raw` alone.
+* `mul`'s affine result is lift(nP) + O_(c - gamma(nP)), with c and gamma
+  below, its eps parts written out with no pole at the 2-torsion.
 
 These cases are checked against associativity and the canonical-lift
 decomposition in the test suite.
@@ -74,10 +74,13 @@ zeta function; so the offset of n*lift(P) from lift(nP), a 2-cocycle, is
 lambda_L times the slope cocycle plus the coboundary of the rational
 gamma.  At n = p, n*gamma(P) = 0 and pP = O on an anomalous curve, so
 p*lift(P) = O_{lambda_L*S(P)}: the lift identity of `dlp.attack_lift`.
-gamma has a pole at the 2-torsion.  For P of order 2, 2P~ = `_double`(P~)
-= O_k2, so n*P~ is O_{(n/2)*k2} for even n and P~ + O_{(n-1)/2*k2} for
-odd n; for nP alone of order 2, n*P~ = (n - 1)*P~ + P~ by one step of
-`_add_raw`.
+gamma has a pole at the 2-torsion, and the affine result's eps parts do not:
+with gamma = g(x)/(2*disc*y), disc = 4A^3 + 27B^2 and t = A1*x + B1,
+t*disc + (3x^2 + A)*g(x) = (x^3 + Ax + B)*q(x) for q(x) = A1*(27B*x + 6A^2) +
+B1*(27B - 18A*x), so lift(nP) + O_(c - gamma(nP)) at nP = (x, y) is
+(x + (g(x)/disc - 2y*c)*eps, y + (y*q(x)/(2*disc) - (3x^2 + A)*c)*eps), c
+less its -gamma(nP).  For P of order 2, P~ = lift(P) + O_k with k =
+-y1/(3*x0^2 + A) and 2P~ = O_2k: n*P~ is O_{n*k}, or P~ + O_{(n-1)*k} for odd n.
 """
 
 from __future__ import annotations
@@ -280,8 +283,8 @@ class DualCurve:
 
     def mul(self, n: int, P: DualPoint) -> DualPoint:
         """n*P, negative n allowed: one walk of P's reduction on the base curve along the
-        default chain for n (`miller.chain_for(n, None)`), read by the closed form and the
-        order-2 cases of the module docstring.  For an input O_k, n*O_k = O_{n*k}."""
+        default chain for n (`miller.chain_for(n, None)`), read by the closed form of the module
+        docstring, which takes no step of `_add_raw`.  For an input O_k, n*O_k = O_{n*k}."""
         self._require_valid(P)
         return self._mul_raw(n, P)
 
@@ -293,28 +296,27 @@ class DualCurve:
             return DualPoint.infinity(self.field(n * P.k.value))
         if n == 0:
             return DualPoint.infinity(self.field.zero())
-        if P.y.re.is_zero():  # 2*P = O_k2
-            k2 = self._double(P).k
-            return DualPoint.infinity(n // 2 * k2) if n % 2 == 0 else self.translate(P, n // 2 * k2)
-        P0 = P.reduction()
+        p, f, a = self.p, self.field, self.base.A.value
+        x0, y0 = P.x.re.value, P.y.re.value
+        if not y0:  # P~ = lift(P) + O_k with 2*P~ = O_2k
+            k = -P.y.eps.value * pow(3 * x0 * x0 + a, -1, p)
+            return DualPoint.infinity(f(n * k)) if n % 2 == 0 else self.translate(P, f((n - 1) * k))
         rung = chain_for(n, None)
-        trace = chain_trace(self.base, P0, rung.steps)
-        p, f = self.p, self.field
-        end = jacobian_affine(p, trace.jac[n])
-        if end is not None and not end[1]:  # gamma has a pole at n*P0; (n - 1)*P0 is neither O nor of order 2
-            return self._add_raw(self._mul_raw(n - 1, P), P)
-        a, b, a1, b1 = self.base.A.value, self.base.B.value, self.A1.value, self.B1.value
+        trace = chain_trace(self.base, P.reduction(), rung.steps)
+        b, a1, b1 = self.base.B.value, self.A1.value, self.B1.value
         disc = 4 * a**3 + 27 * b * b
 
-        def gamma(x: int, y: int) -> int:  # numerator and denominator doubled, for the 9B/2
-            num = a1 * (9 * b * x * x + 2 * a * a * x + 6 * a * b) + b1 * (9 * b * x - 6 * a * x * x - 4 * a * a)
-            return num * pow(2 * disc * y, -1, p)
+        def g(x: int) -> int:  # gamma's numerator, doubled with its denominator for the 9B/2
+            return a1 * (9 * b * x * x + 2 * a * a * x + 6 * a * b) + b1 * (9 * b * x - 6 * a * x * x - 4 * a * a)
 
-        k = -P.x.eps.value * pow(2 * P0.y.value, -1, p)  # `lift` takes x1 = 0
-        c = n * k + self.slope_factor() * slope_sum(rung, trace) + n * gamma(P0.x.value, P0.y.value)
+        k = -P.x.eps.value * pow(2 * y0, -1, p)  # `lift` takes x1 = 0
+        c = n * k + self.slope_factor() * slope_sum(rung, trace) + n * g(x0) * pow(2 * disc * y0, -1, p)
+        end = jacobian_affine(p, trace.jac[n])
         if end is None:
             return DualPoint.infinity(f(c))
-        return self.translate(self._lift_raw(Point(f(end[0]), f(end[1]))), f(c - gamma(*end)))  # lift(nP) + O_d
+        x, y = end  # lift(nP) + O_(c - gamma(nP)), its eps parts free of gamma's pole at y = 0
+        q, inv = a1 * (27 * b * x + 6 * a * a) + b1 * (27 * b - 18 * a * x), pow(2 * disc, -1, p)
+        return DualPoint.affine(DualNumber(f(x), f(2 * g(x) * inv - 2 * y * c)), DualNumber(f(y), f(y * q * inv - (3 * x * x + a) * c)))
 
     def slope_factor(self) -> int:
         """lambda_L = -3*(6B*A1 - 4A*B1)/(4*(4A^3 + 27B^2)) mod p, the factor of the slope sum in

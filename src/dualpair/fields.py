@@ -248,17 +248,11 @@ class DualNumber:
         return o * self.inverse()
 
     def __pow__(self, n: int):
+        """The binomial rule (a + b*eps)^n = a^n + n*a^(n-1)*b*eps, as eps^2 = 0."""
         if n < 0:
             return self.inverse() ** (-n)
-        f = self.field
-        out = DualNumber(f.one(), f.zero())
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        f, a = self.field, self.re.value
+        return DualNumber(FpElement(pow(a, n, f.p), f), FpElement(n and n * pow(a, n - 1, f.p) * self.eps.value, f))
 
     def __eq__(self, other):
         o = self._coerce(other)

@@ -57,6 +57,11 @@ def test_identity_and_inverse():
     assert c.add(P, c.neg(P)).is_infinity
 
 
+def test_primes_below_3():
+    assert [n for n in range(-3, 12) if is_prime(n)] == [2, 3, 5, 7, 11]
+    assert [next_prime(n) for n in (-5, 0, 1, 2, 3, 4)] == [2, 2, 2, 2, 3, 5]
+
+
 def test_off_curve_point_rejected():
     c = Curve(Fp(5), 3, 2)
     with pytest.raises(PointNotOnCurveError):

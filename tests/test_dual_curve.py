@@ -194,6 +194,47 @@ def test_mul_walks_its_base_point_once(monkeypatch):
             assert walks == [{1: c.neg(P) if n < 0 else P}]
 
 
+def test_equality_hash_and_repr(tiny_anomalous):
+    c = tiny_anomalous
+    dc = DualCurve(c, 1, 2)
+    assert dc == DualCurve(c, 1, 2) and hash(dc) == hash(DualCurve(c, 1, 2))
+    assert dc != DualCurve(c, 2, 1) and dc != c
+    assert repr(dc) == f"DualCurve(p={c.p}, A={c.A}+1e, B={c.B}+2e)"
+    assert repr(DualPoint.infinity(dc.field(3))) == "O_3"
+
+
+def test_mul_takes_no_step_of_the_reference_law(monkeypatch):
+    # every point of every curve at p in {5, 7}, over O_0 and O_1 of four lifts, for
+    # 1 <= n <= 2*#E + 1: P of order 2 and n*P of order 2 included, where gamma has a pole
+    refs = []
+    for p in (5, 7):
+        for a in range(p):
+            for b in range(p):
+                if (4 * a**3 + 27 * b * b) % p == 0:
+                    continue
+                c = Curve(Fp(p), a, b)
+                top = 2 * count_points(c) + 1
+                for a1, b1 in ((0, 0), (1, 0), (0, 1), (2, 3)):
+                    dc = DualCurve(c, a1, b1)
+                    for P in c.points():
+                        for k in (0, 1):
+                            Pt = dc.translate(dc.lift(P), dc.field(k))
+                            acc, expect = Pt, [Pt]
+                            for _ in range(top - 1):
+                                acc = dc._add_raw(acc, Pt)
+                                expect.append(acc)
+                            refs.append((dc, Pt, expect))
+    assert sum(len(expect) for _, _, expect in refs) == 64320
+
+    def step(*args):
+        raise AssertionError("mul stepped the reference law")
+
+    monkeypatch.setattr(DualCurve, "_add_raw", step)
+    monkeypatch.setattr(DualCurve, "_double", step)
+    for dc, Pt, expect in refs:
+        assert [dc.mul(n, Pt) for n in range(1, len(expect) + 1)] == expect
+
+
 def test_canonical_lift_preserves_p_torsion(tiny_anomalous):
     c = tiny_anomalous
     dc = DualCurve.canonical(c)

@@ -77,6 +77,20 @@ def test_negative_exponent_and_int_coercion():
     assert 1 - a == f(1 - 7)
 
 
+def test_field_context_equality_hash_and_repr():
+    assert Fp(7) == Fp(7) and hash(Fp(7)) == hash(Fp(7))
+    assert Fp(7) != Fp(11) and Fp(7) != 7
+    assert repr(Fp(7)) == "Fp(7)"
+
+
+def test_reflected_division_and_subtraction():
+    f = Fp(11)
+    assert 3 / f(7) == f(3) * f(7).inverse()
+    z = f.dual(2, 5)
+    assert 1 - z == f.dual(-1, -5)
+    assert z != "2"  # a str is no dual number
+
+
 def test_dual_inverse_identity_and_roundtrip():
     f = Fp(5)
     one = f.dual(1)
@@ -111,6 +125,19 @@ def test_dual_ring_randomized():
             assert (z * w).inverse() == w.inverse() * z.inverse()
         assert z * w == w * z
         assert (z + w) - w == z
+
+
+def test_dual_power_is_the_binomial_rule():
+    # (a + b*eps)^n = a^n + n*a^(n-1)*b*eps against repeated products, a = 0 included; a negative n inverts first
+    f = Fp(13)
+    for a in range(13):
+        for b in (0, 1, 7):
+            z, acc = f.dual(a, b), f.dual(1)
+            for n in range(30):
+                assert z**n == acc
+                if a:
+                    assert z**-n * acc == f.dual(1)
+                acc = acc * z
 
 
 def test_frobenius_kills_eps():

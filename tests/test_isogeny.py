@@ -62,6 +62,9 @@ def test_identity_isogeny(tiny_anomalous):
     P = next(q for q in tiny_anomalous.points() if not q.is_infinity)
     assert phi(P) == P
     assert velu(tiny_anomalous, [INFINITY]).degree == 1
+    c = tiny_anomalous
+    assert repr(phi.r) == "(1*x^1) / (1)"
+    assert repr(phi) == f"Isogeny(deg=1, m=1, {c!r} -> {c!r})"
 
 
 def test_velu_two_isogeny(curve_with_two_torsion, rng):

@@ -401,3 +401,26 @@ def test_weil_pairing_gives_up_after_32_degenerate_draws(monkeypatch):
     assert len(draws) == 64 and evaluated
     last = "forced at draw 32" if evaluated[-1] == 64 else "divisor supports are not disjoint"
     assert str(exc.value) == f"no good auxiliary points found: {last}"
+
+
+def test_weil_pairing_refuses_a_ratio_that_is_no_nth_root(monkeypatch):
+    # the four evaluations give a ratio g with g^n != 1, which only overlapping supports
+    # could cause, so each draw that reaches them is refused on that guard
+    from dualpair import miller
+
+    n = 3
+    c, tor = _full_torsion_curve(n)
+    P = next(T for T in tor if not T.is_infinity and order_by_steps(c, T) == n)
+    Q = next(T for T in tor if T not in {c.mul(i, P) for i in range(n)})
+    g = next(v for v in range(2, c.p) if pow(v, n, c.p) != 1)
+    calls = []
+
+    def skewed(curve, trace, n, T, at):
+        calls.append(at)
+        return curve.field(g if len(calls) % 4 == 1 else 1)  # f_p_top, the numerator of the first factor
+
+    monkeypatch.setattr(miller, "trace_value", skewed)
+    with pytest.raises(DegenerateEvaluationError) as exc:
+        weil_pairing(c, n, P, Q, random.Random(2))  # a seed whose last draw has disjoint supports
+    assert calls and len(calls) % 4 == 0
+    assert str(exc.value) == "no good auxiliary points found: support overlap corrupted the ratio"

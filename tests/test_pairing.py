@@ -43,6 +43,8 @@ def test_pairing_value_group():
     assert (a**13).is_one()  # every value has order dividing p
     assert f.dual(1, a.a) * f.dual(1, b.a) == f.dual(1, (a * b).a)  # 1 + a*eps in F_p[eps]
     assert PairingValue.from_json(f, a.to_json()) == a
+    assert a / b == PairingValue(f(5 - 11))
+    assert hash(a) == hash(PairingValue(f(5))) and repr(a) == "1 + 5e"
 
 
 def test_identity_cases(tiny_anomalous, rng):

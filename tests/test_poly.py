@@ -24,6 +24,16 @@ def test_zero_polynomial_and_inexact_division_raise():
         Polynomial.from_roots(f, [1, 3]).exact_div(x_minus_2)
 
 
+def test_negation_repr_and_factor_of_a_constant():
+    f = Fp(13)
+    g = Polynomial.from_roots(f, [1, 2])  # x^2 - 3x + 2
+    assert -g + g == Polynomial.zero(f)
+    assert repr(g) == "1*x^2 + 10*x^1 + 2"
+    assert repr(Polynomial(f, [0, 0, 4])) == "4*x^2"
+    assert repr(Polynomial.zero(f)) == "0"
+    assert Polynomial.constant(f, 5).factor() == []
+
+
 def test_cubic_roots_trivial_cases():
     f5 = Fp(5)
     assert [r.value for r in cubic_roots(f5, 0, 0)] == [0]  # x^3
