@@ -27,9 +27,8 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "dualpair"
 #: the nodes whose body may open with a docstring, which is no statement line
 SCOPES = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
 
-#: (file name, or "*" for every file; the line's text, stripped; reason): unrun lines that stay, matched by pattern
+#: (file name; the line's text, stripped; reason): unrun lines that stay, matched by pattern
 UNRUN = [
-    ("*", "return NotImplemented", "a binary dunder's answer to an operand of a foreign type, for Python to try the reflected one"),
     ("poly.py", "words.byteswap()", "runs only on a big-endian host, where array's machine words are not little-endian"),
     ("cli.py", "sys.exit(main())", "runs only when cli is the main module, in child processes that the census does not record"),
 ]
@@ -112,7 +111,7 @@ def unexplained(root: Path, ran: set, unrun=UNRUN) -> tuple[list, dict]:
         for line, text in sorted(statement_lines(path).items()):
             if (name, line) in ran:
                 continue
-            hit = next((i for i, (file, pattern, _) in enumerate(unrun) if file in ("*", path.name) and text == pattern), None)
+            hit = next((i for i, (file, pattern, _) in enumerate(unrun) if file == path.name and text == pattern), None)
             if hit is None:
                 missing.append((name, line, text))
             else:

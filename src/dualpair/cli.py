@@ -26,8 +26,8 @@ USAGE_EXIT = 64
 DEFAULT_SEED = 20259
 
 
-class UsageError(Exception):
-    pass
+class UsageError(DualPairError):
+    exit_code = USAGE_EXIT
 
 
 class _Parser(argparse.ArgumentParser):
@@ -179,9 +179,6 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except UsageError as exc:
-        print(json.dumps({"error": "Usage", "message": str(exc)}), file=sys.stderr)
-        return USAGE_EXIT
     except DualPairError as exc:
         print(json.dumps({"error": exc.code, "message": str(exc)}), file=sys.stderr)
         return exc.exit_code

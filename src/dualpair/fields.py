@@ -23,6 +23,7 @@ never a float or a bool.
 
 from __future__ import annotations
 
+import operator
 import re
 
 from .errors import BadInputError, DivisionByZeroError, NonUnitError
@@ -45,16 +46,18 @@ class Fp:
     __slots__ = ("p",)
 
     def __init__(self, p: int):
+        p = operator.index(p)  # a float modulus would make every element a float
         if p <= 3 or not is_prime(p):
             raise ValueError(f"modulus must be an odd prime > 3, got {p}")
         self.p = p
 
     def __call__(self, value) -> "FpElement":
+        """The one reader of a scalar: this field's element as it is, else an int (`operator.index`) mod p."""
         if isinstance(value, FpElement):
             if value.field.p != self.p:
                 raise BadInputError("mixed field contexts")
             return value
-        return FpElement(int(value) % self.p, self)
+        return FpElement(operator.index(value), self)
 
     def zero(self) -> "FpElement":
         return FpElement(0, self)
@@ -255,10 +258,12 @@ class DualNumber:
         return DualNumber(FpElement(pow(a, n, f.p), f), FpElement(n and n * pow(a, n - 1, f.p) * self.eps.value, f))
 
     def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.re == o.re and self.eps == o.eps
+        # False for another field's element, as FpElement answers, where arithmetic raises
+        if isinstance(other, DualNumber):
+            return self.re == other.re and self.eps == other.eps
+        if isinstance(other, (FpElement, int)):
+            return self.re == other and self.eps.is_zero()
+        return NotImplemented
 
     def __hash__(self):
         return hash((self.field.p, self.re.value, self.eps.value))

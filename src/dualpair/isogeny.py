@@ -181,7 +181,7 @@ class Isogeny:
 
     def curve_identity_holds(self) -> bool:
         """(x^3 + A1 x + B1) * s^2 == r^3 + A2 r + B2, with the denominators cleared."""
-        fx = Polynomial(self.source.field, (int(self.source.B), int(self.source.A), 0, 1))
+        fx = Polynomial(self.source.field, (self.source.B, self.source.A, 0, 1))
         (rn, rd), (sn, sd) = (self.r.num, self.r.den), (self.s.num, self.s.den)
         rd2 = rd * rd
         lhs = fx * sn * sn * rd2 * rd
@@ -402,7 +402,7 @@ def multiplication_isogeny(curve: Curve, n: int) -> Isogeny:
     if n % curve.p == 0:
         raise BadInputError("multiplication by a multiple of p is inseparable; use frobenius_isogeny")
     f = curve.field
-    g = Polynomial(f, (int(curve.B), int(curve.A), 0, 1)) if n % 2 == 0 else Polynomial.constant(f, 1)
+    g = Polynomial(f, (curve.B, curve.A, 0, 1)) if n % 2 == 0 else Polynomial.constant(f, 1)
     kohel = _kohel(curve, g, division_polynomial(curve, n).monic())
     r = RationalFunction._reduced(kohel.r.num * pow(n, -2, f.p), kohel.r.den)
     s = RationalFunction._reduced(kohel.s.num * pow(n, -3, f.p), kohel.s.den)
@@ -417,7 +417,7 @@ def frobenius_isogeny(curve: Curve) -> Isogeny:
     f = curve.field
     p = f.p
     r = RationalFunction.from_poly(Polynomial(f, [0] * p + [1]))
-    fx = Polynomial(f, (int(curve.B), int(curve.A), 0, 1))
+    fx = Polynomial(f, (curve.B, curve.A, 0, 1))
     s_poly = Polynomial.constant(f, 1)
     for _ in range((p - 1) // 2):
         s_poly = s_poly * fx
@@ -468,7 +468,7 @@ def find_cyclic_isogeny(curve: Curve, ell: int) -> Isogeny:
     if not eigenvalues:
         raise NotRationalError(f"no rational {ell}-isogeny: x^2 - x + {p} has no root mod {ell}")
     f = curve.field
-    fx = Polynomial(f, (int(curve.B), int(curve.A), 0, 1))
+    fx = Polynomial(f, (curve.B, curve.A, 0, 1))
     d = (ell - 1) // 2
     psi = _division_polynomials(curve, (ell, *range(d + 2)))  # _x_of_multiple reads psi_0..psi_(d+1)
     psi_ell = psi[ell].monic()

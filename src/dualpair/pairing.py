@@ -126,12 +126,16 @@ class PairingValue:
         return self.a.is_zero()
 
     def __mul__(self, other: "PairingValue") -> "PairingValue":
+        if not isinstance(other, PairingValue):
+            return NotImplemented
         return PairingValue(self.a + other.a)
 
     def inverse(self) -> "PairingValue":
         return PairingValue(-self.a)
 
     def __truediv__(self, other: "PairingValue") -> "PairingValue":
+        if not isinstance(other, PairingValue):
+            return NotImplemented
         return PairingValue(self.a - other.a)
 
     def __pow__(self, n: int) -> "PairingValue":

@@ -121,7 +121,7 @@ class Polynomial:
 
     def __init__(self, field: Fp, coeffs=()):
         p = field.p
-        # field(c) raises BadInputError on an element of another field
+        # every other scalar is read by `Fp`, which raises on a float or another field's element
         cs = [c % p if type(c) is int else field(c).value for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
@@ -136,7 +136,7 @@ class Polynomial:
 
     @staticmethod
     def constant(field: Fp, c) -> "Polynomial":
-        return Polynomial(field, (int(field(c)),))
+        return Polynomial(field, (c,))
 
     @staticmethod
     def x(field: Fp) -> "Polynomial":
@@ -146,7 +146,7 @@ class Polynomial:
     def from_roots(field: Fp, roots) -> "Polynomial":
         out = Polynomial.constant(field, 1)
         for r in roots:
-            out = out * Polynomial(field, (-int(field(r)), 1))
+            out = out * Polynomial(field, (-field(r), 1))
         return out
 
     # -- structure ----------------------------------------------------
@@ -178,24 +178,33 @@ class Polynomial:
         if other.field.p != self.field.p:
             raise BadInputError("mixed field contexts")
 
-    def __add__(self, other):
-        if isinstance(other, int):
-            other = Polynomial.constant(self.field, other)
+    def _operand(self, other) -> "Polynomial":
+        """other as a polynomial of this field: a constant read by `Fp`, or a Polynomial of the same p."""
+        if not isinstance(other, Polynomial):
+            return Polynomial(self.field, (other,))
         self._check(other)
+        return other
+
+    def __add__(self, other):
+        other = self._operand(other)
         return Polynomial(self.field, [x + y for x, y in zip_longest(self.coeffs, other.coeffs, fillvalue=0)])
 
+    __radd__ = __add__
+
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = Polynomial.constant(self.field, other)
-        self._check(other)
+        other = self._operand(other)
         return Polynomial(self.field, [x - y for x, y in zip_longest(self.coeffs, other.coeffs, fillvalue=0)])
+
+    def __rsub__(self, other):
+        return self._operand(other) - self
 
     def __neg__(self):
         return Polynomial(self.field, [-c for c in self.coeffs])
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return Polynomial(self.field, [c * other for c in self.coeffs])
+        if not isinstance(other, Polynomial):  # a scalar product, one int multiply per coefficient
+            c = other if type(other) is int else self.field(other).value
+            return Polynomial(self.field, [x * c for x in self.coeffs])
         self._check(other)
         a, b = self.coeffs, other.coeffs
         if not a or not b:
@@ -297,9 +306,7 @@ class Polynomial:
     # -- evaluation ---------------------------------------------------
 
     def __call__(self, x):
-        """Evaluate at an int or an element of F_p by Horner's rule, on ints."""
-        if not isinstance(x, (int, FpElement)):
-            raise TypeError(f"cannot evaluate at {type(x).__name__}")
+        """Evaluate at a scalar read by `Fp` by Horner's rule, on ints."""
         f = self.field
         v, p, acc = f(x).value, f.p, 0
         for c in reversed(self.coeffs):
@@ -411,4 +418,4 @@ def _split_by_values(g: Polynomial, s: Polynomial, d: int = 1, counter: int = 1)
 
 def cubic_roots(field: Fp, a, b) -> list[FpElement]:
     """All x in F_p with x^3 + a*x + b = 0, sorted by value."""
-    return Polynomial(field, (int(field(b)), int(field(a)), 0, 1)).roots()
+    return Polynomial(field, (b, a, 0, 1)).roots()

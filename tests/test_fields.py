@@ -1,9 +1,11 @@
 import random
+from fractions import Fraction
 
 import pytest
 
+from dualpair import DualPoint
 from dualpair.errors import BadInputError, DivisionByZeroError, NonUnitError
-from dualpair.fields import DualNumber, Fp
+from dualpair.fields import DualNumber, Fp, json_int
 
 
 def test_basic_arithmetic_mod_5():
@@ -40,6 +42,38 @@ def test_modulus_must_be_odd_prime_above_3():
 def test_fp_rejects_an_element_of_another_field():
     with pytest.raises(BadInputError, match="mixed field contexts"):
         Fp(7)(Fp(5)(1))
+
+
+def test_fp_reads_every_scalar_as_an_index():
+    # ints and bools reduce mod p and an element of the field comes back as it is; text is
+    # json_int's to read, and Fp takes none of what it refuses, nor a float or a Fraction
+    f = Fp(7)
+    assert [f(10), f(-1), f(True), f(False)] == [3, 6, 1, 0]
+    a = f(3)
+    assert f(a) is a
+    for value in (2.9, 3.0, "3", "+3", "3_0", " 3", Fraction(7, 2), Fraction(3), None):
+        with pytest.raises(TypeError):
+            f(value)
+    for text in ("+3", "3_0", " 3", 2.9):
+        with pytest.raises(ValueError):
+            json_int(text)
+    with pytest.raises(BadInputError, match="mixed field contexts"):
+        f(Fp(5)(3))
+    for modulus in (7.0, "7"):  # the modulus is read the same way
+        with pytest.raises(TypeError):
+            Fp(modulus)
+
+
+def test_equality_across_fields_is_false_where_arithmetic_raises():
+    # as FpElement, Point and Polynomial answer; a sum or product across fields still raises
+    a, b = Fp(5).dual(1), Fp(7).dual(1)
+    assert a != b and not a == b and a != Fp(7)(1) and Fp(7)(1) != a
+    assert a == Fp(5)(1) == a and a == 6 and Fp(5).dual(1, 1) != 1
+    P5, P7 = DualPoint.affine(a, a), DualPoint.affine(b, b)
+    assert P5 != P7 and P5 == DualPoint.affine(Fp(5).dual(6), a)
+    for op in (lambda: a + b, lambda: a * b, lambda: a - Fp(7)(1)):
+        with pytest.raises(BadInputError, match="mixed field contexts"):
+            op()
 
 
 def test_mixed_contexts_raise_bad_input():

@@ -1,0 +1,80 @@
+"""Curves between the desk's (p < 10^6) and the 256-bit one: at 64 and 128 bits the
+three routes agree, every attack recovers n, and the routes, Semaev's coefficient
+and the lift all read one slope sum S(P).
+
+Each curve, with its point G, is the first that the benchmark's generator makes
+for random.Random(0) with D = 11: `perfbench/cm.anomalous_cm_curve(bits, 11, random.Random(0))`.
+"""
+
+import random
+
+import pytest
+
+from dualpair import Curve, DualCurve
+from dualpair.dlp import DlpInstance, solve
+from dualpair.fields import Fp
+from dualpair.pairing import rueck_slope_sum, semaev_coefficient, theta_pairing
+
+from conftest import dual_double_and_add
+
+#: bits -> (p, A, B, G)
+CURVES = {
+    64: (
+        15489306363526580203,
+        1436855877878161426,
+        6121006039760967685,
+        (4621026334484047265, 10658782386203097090),
+    ),
+    128: (
+        182546354035291923888895984073197501069,
+        13208363278991437906617705712160858145,
+        8805575519327625271078470474773905430,
+        (24490696424978870965720931552411130914, 13990450394131258508572953399319307160),
+    ),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(CURVES), ids=lambda bits: f"{bits}-bit")
+def midsize(request):
+    p, A, B, G = CURVES[request.param]
+    curve = Curve(Fp(p), A, B)
+    G_ = curve.point(*G)
+    # p*G = O for G != O: p divides #E, which Hasse's bound leaves no room for but p itself
+    assert p.bit_length() == request.param and curve.mul(p, G_).is_infinity and not G_.is_infinity
+    return curve, G_
+
+
+def test_routes_read_a_equal_to_minus_the_slope_sum(midsize):
+    # e(G, O_k) = 1 + a*k*eps on every route, with a(G) = -S(G)
+    curve, G_ = midsize
+    dc, S, k = DualCurve.canonical(curve), rueck_slope_sum(curve, G_), 0xC0FFEE
+    assert [theta_pairing(dc, G_, k, method).a for method in ("direct", "semaev", "rueck")] == [-S * k] * 3
+
+
+def test_semaev_coefficient_is_half_the_slope_sum(midsize):
+    curve, G_ = midsize
+    assert semaev_coefficient(curve, G_) == rueck_slope_sum(curve, G_) / 2
+
+
+def test_lift_reads_k_equal_to_lambda_times_the_slope_sum(midsize):
+    # p*lift(G) = O_k by the reference law, with k = lambda_L*S(G) and
+    # lambda_L = -3*(6B*A1 - 4A*B1)/(4*(4A^3 + 27B^2))
+    curve, G_ = midsize
+    rng = random.Random(curve.p)
+    A, B, S = curve.A, curve.B, rueck_slope_sum(curve, G_)
+    for _ in range(2):
+        a1, b1 = curve.field.random(rng), curve.field.random(rng)
+        dc = DualCurve(curve, a1, b1)
+        lam = -3 * (6 * B * a1 - 4 * A * b1) / (4 * (4 * A**3 + 27 * B * B))
+        pGt = dual_double_and_add(dc, curve.p, dc.lift(G_))
+        assert pGt.is_infinity and pGt.k == lam * S == dc.slope_factor() * S
+        assert dc.mul(curve.p, dc.lift(G_)) == pGt
+
+
+@pytest.mark.parametrize("method", ["semaev", "rueck", "pairing", "lift"])
+def test_attacks_recover_n(midsize, method):
+    curve, G_ = midsize
+    n = random.Random(curve.p.bit_length()).randrange(curve.p)
+    inst = DlpInstance(curve, G_, curve.mul(n, G_))
+    result = solve(inst, method)
+    assert result.n == n and result.verify(inst)

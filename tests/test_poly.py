@@ -125,6 +125,24 @@ def test_evaluation_at_a_dual_number_is_a_type_error():
             poly(2.0)
 
 
+def test_scalars_are_read_by_fp_in_every_operation():
+    # a scalar is an int, a bool or an element of the field, on either side of + - * and in
+    # the constructor and evaluation; a float or str raises TypeError, as Fp raises
+    f = Fp(7)
+    g = Polynomial(f, (2, 5, 1))
+    assert 3 + g == g + 3 == Polynomial(f, (5, 5, 1))
+    assert 3 - g == -(g - 3) == Polynomial(f, (1, 2, 6))
+    assert g * f(3) == f(3) * g == 3 * g == g * 3 == g * 10 == Polynomial(f, (6, 1, 3))
+    assert f(3) + g == g + f(3) and True + g == g + 1 and g - f(3) == g - 3
+    assert g(True) == g(f(1)) == g(8) == 1
+    for op in (lambda: g + "x", lambda: "x" + g, lambda: g - 1.5, lambda: 1.5 - g, lambda: g * 1.5, lambda: 1.5 * g,
+               lambda: g("3"), lambda: Polynomial(f, [2.7]), lambda: Polynomial.constant(f, "2")):
+        with pytest.raises(TypeError):
+            op()
+    with pytest.raises(BadInputError, match="mixed field contexts"):
+        g * Fp(5)(3)
+
+
 def test_factor_recovers_structure():
     f = Fp(31)
     x = Polynomial.x(f)
