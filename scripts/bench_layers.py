@@ -91,7 +91,10 @@ polynomial results' coefficient tuples (the gcd ladder's among them, so
 that multi-word slots are compared too) and `poly.factor`'s factors and
 multiplicities, the sha256 of the invariant suite's report
 `selfcheck.run(trials=8, seed=5)` (JSON, keys sorted, without the
-`p_max` field that older trees echo), the search layer's curves and
+`p_max` field that older trees echo), the sha256 of the reference law
+`DualCurve.add` over every ordered pair of points of the lifts (0, 0),
+(1, 0), (0, 1) and (2, 3) of the suite's two curves (`find_anomalous(5, 5,
+count=2, seed=1)`), the search layer's curves and
 `is_anomalous` answer, and the CLI children's
 stdout and exit codes; the script exits 1 if any
 of them differ between the sides or between the runs of one side, and
@@ -360,7 +363,24 @@ def child(src: str, inner: int, cm: bool) -> dict:
     report.pop("p_max", None)  # echoed by older trees, where it changed nothing else
     digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
     out["values"]["selfcheck.run(trials=8, seed=5)"] = digest
+    out["values"]["dual_curve.add"] = _reference_law_digest()
     return out
+
+
+def _reference_law_digest() -> str:
+    """sha256 of `DualCurve.add` over every ordered pair of lifted points on the invariant suite's
+    two curves, on the lifts (0, 0), (1, 0), (0, 1) and (2, 3): 5,000 sums."""
+    from dualpair import DualCurve, find_anomalous
+
+    digest = hashlib.sha256()
+    for curve in find_anomalous(5, 5, count=2, seed=1):  # as `selfcheck.run` draws them
+        for a1, b1 in ((0, 0), (1, 0), (0, 1), (2, 3)):
+            dc = DualCurve(curve, a1, b1)
+            pts = list(dc.points())
+            for P in pts:
+                for Q in pts:
+                    digest.update(json.dumps(dc.add(P, Q).to_json()).encode())
+    return digest.hexdigest()
 
 
 # -- the parent: sides, alternation and the record ---------------------------------
@@ -540,8 +560,8 @@ def main(argv=None) -> int:
     else:
         sys.stdout.write(text)
     if not identical:
-        print("pairing values, recovered n, lifted multiples, isogenies, polynomial results, found curves, selfcheck reports"
-              " or CLI documents differ between runs:",
+        print("pairing values, recovered n, lifted multiples, isogenies, polynomial results, found curves, selfcheck reports,"
+              " reference-law sums or CLI documents differ between runs:",
               *differing[:20], *([f"... and {len(differing) - 20} more"] if len(differing) > 20 else []),
               sep="\n  ", file=sys.stderr)
         return 1

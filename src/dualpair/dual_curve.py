@@ -25,17 +25,19 @@ stays p-torsion, and so it does on the lifts that are coordinate changes
 of it (`has_scaling_witness`); on every other lift it does not, which is
 what the lift attack exploits.
 
-The group law is `DualCurve._add_raw`: chord-and-tangent on affine
-points of DualNumber wrappers, one dual inversion per step.  It is the
-reference law, and `DualCurve.mul` takes no step of it.
+The group law is `DualCurve._add_raw`: one chord-and-tangent routine on
+affine points of DualNumber wrappers, shaped like `Curve._add_raw`, with
+one dual inversion per step.  It is the reference law, and
+`DualCurve.mul` takes no step of it.
 
 Membership, `is_valid`, is the two equations above on ints; `add`, `mul`
 and `decompose` check their points with it once, at entry, and `lift`
 checks its base point by `Curve.contains` and solves the eps constraint on
 ints.  `_lift_raw` and `_mul_raw` are `lift` and `mul` for a caller that
 holds a checked point: the lift attack, whose instance has checked Q.
-`embed` is `_lift_raw` on the canonical lift, where A1*x + B1 = 0, so the
-eps parts are zero and no inversion is taken.
+`embed` is `lift` on the canonical lift, so it and `compose` check P as
+`lift` does; there A1*x + B1 = 0, so the eps parts are zero and no
+inversion is taken.
 
 The fiber over each base point P is one coset lift(P) + O_k:
 `miller.eval_point` writes the eps increments of S + O_k,
@@ -44,14 +46,16 @@ reduction, and `_offset` reads k back from two points over the same P:
 from the x eps parts, or over 2-torsion, where 3*x0^2 + A != 0 as E is
 non-singular, from the y eps parts.  The fiber's readers and writers:
 
-* `translate` adds O_k by `eval_point`'s increments, and `points` lists
-  each fiber as translate(lift(P), k) over all k.
-* `_add_raw` takes chords and tangents with dual slopes, whose
-  denominators are units as their reductions are nonzero.  Summands over
-  opposite points (a vertical chord) are Q = -P + O_k, so P + Q = O_k.
-  Summands over the same point are Q = P + O_k, so P + Q = `_double`(P) +
-  O_k; `_double` is the tangent, or O_k for P = -P + O_k over 2-torsion.
-* `decompose` reads k as the offset of pt from embed(P).
+* `translate` adds O_k by `eval_point`'s increments, k read by `Fp`, and
+  `points` lists each fiber as translate(lift(P), k) over all k.
+* `_add_raw` takes a summand at infinity as a translation, O_j + O_k
+  included.  Summands over different points take the chord, with a dual
+  slope whose denominator is a unit as its reduction is nonzero.  Over
+  opposite points, or one shared 2-torsion point, Q = -P + O_k, so
+  P + Q = O_k.  Over one shared point off the 2-torsion, Q = P + O_k, so
+  P + Q is the tangent at P translated by O_k.  Offsets add along a fiber,
+  so the 2-torsion needs no doubling of its own.
+* `decompose` reads k as the offset of pt, once checked, from lift(P).
 * `mul`'s affine result is lift(nP) + O_(c - gamma(nP)), with c and gamma
   below, its eps parts written out with no pole at the 2-torsion.
 
@@ -197,10 +201,10 @@ class DualCurve:
     # -- lifting and embedding ---------------------------------------------
 
     def embed(self, P: Point) -> DualPoint:
-        """The point of the canonical lift with zero eps parts over P."""
+        """The point of the canonical lift with zero eps parts over P: `lift` there."""
         if not self.is_canonical():
             raise NotCanonicalError("embedding with zero eps parts needs the canonical lift")
-        return self._lift_raw(P)
+        return self.lift(P)
 
     def lift(self, P: Point) -> DualPoint:
         """Some point of this lift reducing to P.
@@ -233,11 +237,12 @@ class DualCurve:
             return DualPoint.infinity(-pt.k)
         return DualPoint.affine(pt.x, -pt.y)
 
-    def translate(self, pt: DualPoint, k: FpElement) -> DualPoint:
-        """pt + O_k without revalidating pt."""
+    def translate(self, pt: DualPoint, k) -> DualPoint:
+        """pt + O_k without revalidating pt, k read by `Fp`."""
+        k = self.field(k)
         if pt.is_infinity:
             return DualPoint.infinity(pt.k + k)
-        x1, y1 = eval_point(self.p, self.base.A.value, (pt.x.re.value, pt.y.re.value), int(k))[2:]
+        x1, y1 = eval_point(self.p, self.base.A.value, (pt.x.re.value, pt.y.re.value), k.value)[2:]
         return DualPoint.affine(DualNumber(pt.x.re, pt.x.eps + x1), DualNumber(pt.y.re, pt.y.eps + y1))
 
     def add(self, P: DualPoint, Q: DualPoint) -> DualPoint:
@@ -246,28 +251,20 @@ class DualCurve:
         return self._add_raw(P, Q)
 
     def _add_raw(self, P: DualPoint, Q: DualPoint) -> DualPoint:
-        if P.is_infinity and Q.is_infinity:
-            return DualPoint.infinity(P.k + Q.k)
         if P.is_infinity:
             return self.translate(Q, P.k)
         if Q.is_infinity:
             return self.translate(P, Q.k)
-        x0p, y0p = P.x.re, P.y.re
-        x0q, y0q = Q.x.re, Q.y.re
-        if x0p != x0q:
-            # chord: the slope denominator is a unit
-            lam = (Q.y - P.y) / (Q.x - P.x)
-            return self._chord_result(lam, P, Q)
-        if y0p != y0q:  # reductions are opposite affine points: Q = -P + O_k, so P + Q = O_k
-            return DualPoint.infinity(self._offset(self.neg(P), Q))
-        return self.translate(self._double(P), self._offset(P, Q))
-
-    def _double(self, P: DualPoint) -> DualPoint:
-        """2P for affine P: the tangent, or O_k when P reduces to 2-torsion."""
-        if P.y.re.is_zero():  # P = -P + O_k
-            return DualPoint.infinity(self._offset(self.neg(P), P))
-        lam = (3 * P.x * P.x + self.a_lifted()) / (2 * P.y)
-        return self._chord_result(lam, P, P)
+        k = self.field.zero()
+        if P.x.re == Q.x.re:
+            if P.y.re == -Q.y.re:  # opposite reductions, or one 2-torsion: Q = -P + O_k, so P + Q = O_k
+                return DualPoint.infinity(self._offset(self.neg(P), Q))
+            # one reduction off the 2-torsion: Q = P + O_k, so P + Q is the tangent at P, translated by k
+            lam, k, Q = (3 * P.x * P.x + self.a_lifted()) / (2 * P.y), self._offset(P, Q), P
+        else:
+            lam = (Q.y - P.y) / (Q.x - P.x)  # the chord: its denominator is a unit
+        x3 = lam * lam - P.x - Q.x
+        return self.translate(DualPoint.affine(x3, lam * (P.x - x3) - P.y), k)
 
     def _offset(self, P: DualPoint, Q: DualPoint) -> FpElement:
         """The k with Q = P + O_k, for affine P and Q over the same base point."""
@@ -275,11 +272,6 @@ class DualCurve:
         if not y0.is_zero():
             return (P.x.eps - Q.x.eps) / (2 * y0)
         return (P.y.eps - Q.y.eps) / (3 * x0**2 + self.base.A)
-
-    def _chord_result(self, lam: DualNumber, P: DualPoint, Q: DualPoint) -> DualPoint:
-        x3 = lam * lam - P.x - Q.x
-        y3 = lam * (P.x - x3) - P.y
-        return DualPoint.affine(x3, y3)
 
     def mul(self, n: int, P: DualPoint) -> DualPoint:
         """n*P, negative n allowed: one walk of P's reduction on the base curve along the
@@ -334,11 +326,11 @@ class DualCurve:
             return INFINITY, pt.k
         self._require_valid(pt)
         P = pt.reduction()
-        return P, self._offset(self.embed(P), pt)
+        return P, self._offset(self._lift_raw(P), pt)
 
-    def compose(self, P: Point, k: FpElement) -> DualPoint:
+    def compose(self, P: Point, k) -> DualPoint:
         """(embedded P) + O_k on the canonical lift; inverse of decompose."""
-        return self.translate(self.embed(P), self.field(k))
+        return self.translate(self.embed(P), k)
 
     # -- invariants ----------------------------------------------------------
 

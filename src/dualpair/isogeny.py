@@ -99,13 +99,19 @@ class RationalFunction:
     def field(self) -> Fp:
         return self.num.field
 
-    def __add__(self, other: "RationalFunction") -> "RationalFunction":
+    def __add__(self, other):
+        if not isinstance(other, RationalFunction):
+            return NotImplemented
         return RationalFunction(self.num * other.den + other.num * self.den, self.den * other.den)
 
-    def __mul__(self, other: "RationalFunction") -> "RationalFunction":
+    def __mul__(self, other):
+        if not isinstance(other, RationalFunction):
+            return NotImplemented
         return RationalFunction(self.num * other.num, self.den * other.den)
 
-    def __truediv__(self, other: "RationalFunction") -> "RationalFunction":
+    def __truediv__(self, other):
+        if not isinstance(other, RationalFunction):
+            return NotImplemented
         return RationalFunction(self.num * other.den, self.den * other.num)
 
     def derivative(self) -> "RationalFunction":

@@ -174,15 +174,12 @@ class Polynomial:
 
     # -- ring operations ----------------------------------------------
 
-    def _check(self, other: "Polynomial"):
-        if other.field.p != self.field.p:
-            raise BadInputError("mixed field contexts")
-
     def _operand(self, other) -> "Polynomial":
         """other as a polynomial of this field: a constant read by `Fp`, or a Polynomial of the same p."""
         if not isinstance(other, Polynomial):
             return Polynomial(self.field, (other,))
-        self._check(other)
+        if other.field.p != self.field.p:
+            raise BadInputError("mixed field contexts")
         return other
 
     def __add__(self, other):
@@ -205,8 +202,7 @@ class Polynomial:
         if not isinstance(other, Polynomial):  # a scalar product, one int multiply per coefficient
             c = other if type(other) is int else self.field(other).value
             return Polynomial(self.field, [x * c for x in self.coeffs])
-        self._check(other)
-        a, b = self.coeffs, other.coeffs
+        a, b = self.coeffs, self._operand(other).coeffs
         if not a or not b:
             return Polynomial.zero(self.field)
         w = _width(self.field.p, min(len(a), len(b)))
@@ -214,8 +210,8 @@ class Polynomial:
 
     __rmul__ = __mul__
 
-    def __divmod__(self, other: "Polynomial"):
-        self._check(other)
+    def __divmod__(self, other):
+        other = self._operand(other)
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         a, b = self.coeffs, other.coeffs
@@ -232,15 +228,14 @@ class Polynomial:
     def __mod__(self, other):
         return divmod(self, other)[1]
 
-    def exact_div(self, other: "Polynomial") -> "Polynomial":
+    def exact_div(self, other) -> "Polynomial":
         q, r = divmod(self, other)
         if not r.is_zero():
             raise ValueError("division was not exact")
         return q
 
-    def gcd(self, other: "Polynomial") -> "Polynomial":
-        self._check(other)
-        p, a, b = self.field.p, self.coeffs, other.coeffs
+    def gcd(self, other) -> "Polynomial":
+        p, a, b = self.field.p, self.coeffs, self._operand(other).coeffs
         if len(a) < len(b):
             a, b = b, a
         if not b:
@@ -270,9 +265,10 @@ class Polynomial:
     def derivative(self) -> "Polynomial":
         return Polynomial(self.field, [i * c for i, c in enumerate(self.coeffs)][1:])
 
-    def pow_mod(self, n: int, mod: "Polynomial") -> "Polynomial":
+    def pow_mod(self, n: int, mod) -> "Polynomial":
         if n < 0:
             raise BadInputError("pow_mod needs an exponent n >= 0")
+        mod = self._operand(mod)
         # left to right, so that a short base such as x + c costs a short multiply
         base, p, m = self % mod, self.field.p, len(mod.coeffs) - 1
         if m == 0:
@@ -290,11 +286,11 @@ class Polynomial:
                 acc = reduced(acc * packed_base)
         return Polynomial(self.field, _unpack(acc, m, w))
 
-    def inverse_mod(self, mod: "Polynomial") -> "Polynomial":
+    def inverse_mod(self, mod) -> "Polynomial":
         """u with u*self = 1 mod `mod`, deg u < deg mod, by the extended Euclidean
         algorithm; raises DualPairError unless gcd(self, mod) = 1."""
-        f = self.field
-        r0, r1 = mod, self % mod
+        f, r0 = self.field, self._operand(mod)
+        r1 = self % r0
         u0, u1 = Polynomial.zero(f), Polynomial.constant(f, 1)
         while not r1.is_zero():
             q, r = divmod(r0, r1)

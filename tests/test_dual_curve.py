@@ -1,7 +1,7 @@
 import pytest
 
-from dualpair import Curve, DualCurve, DualPoint, count_points
-from dualpair.errors import InvalidPointError, NotCanonicalError
+from dualpair import Curve, DualCurve, DualPoint, Point, count_points
+from dualpair.errors import BadInputError, InvalidPointError, NotCanonicalError, PointNotOnCurveError
 from dualpair.fields import DualNumber, Fp
 
 from conftest import count_walks
@@ -104,6 +104,33 @@ def test_embed_and_lift(tiny_anomalous):
         pt = nc.lift(P)
         assert nc.is_valid(pt)
         assert pt.reduction() == P
+
+
+def test_embed_and_compose_check_their_point_as_lift_does():
+    # (3, 4) is off the desk curve: embed and compose raise as lift does, on every lift of it
+    c = Curve(Fp(1511), 1301, 497)
+    dc, off = DualCurve.canonical(c), Point(c.field(3), c.field(4))
+    for op in (lambda: dc.lift(off), lambda: dc.embed(off), lambda: dc.compose(off, 5), lambda: DualCurve(c, 2, 3).lift(off)):
+        with pytest.raises(PointNotOnCurveError):
+            op()
+
+
+def test_translate_reads_k_by_fp():
+    # k is an int, a bool or this field's element; a float or str raises TypeError and
+    # another field's element BadInputError, at infinity and on an affine point alike
+    c = Curve(Fp(1511), 1301, 497)
+    dc = DualCurve.canonical(c)
+    G = dc.embed(c.point(129, 526))
+    for pt in (G, DualPoint.infinity(dc.field(4))):
+        assert dc.translate(pt, 3) == dc.translate(pt, dc.field(3)) == dc.translate(pt, 1514)
+        assert dc.translate(pt, True) == dc.translate(pt, dc.field.one())
+        for k in (2.5, "3", 3.0):
+            with pytest.raises(TypeError):
+                dc.translate(pt, k)
+        with pytest.raises(BadInputError, match="mixed field contexts"):
+            dc.translate(pt, Fp(7)(3))
+    with pytest.raises(TypeError):
+        dc.compose(c.point(129, 526), "3")
 
 
 def test_lift_two_torsion_branch():
@@ -230,7 +257,6 @@ def test_mul_takes_no_step_of_the_reference_law(monkeypatch):
         raise AssertionError("mul stepped the reference law")
 
     monkeypatch.setattr(DualCurve, "_add_raw", step)
-    monkeypatch.setattr(DualCurve, "_double", step)
     for dc, Pt, expect in refs:
         assert [dc.mul(n, Pt) for n in range(1, len(expect) + 1)] == expect
 

@@ -323,6 +323,19 @@ def test_isogeny_guard_raises(call, kind, message):
     assert type(info.value) is kind and str(info.value) == message
 
 
+def test_rational_functions_take_only_rational_functions():
+    # +, * and / decline anything but a RationalFunction, so a scalar, a str or a Polynomial raises
+    # TypeError on either side rather than an AttributeError for its num
+    x = Polynomial.x(_C31.field)
+    r = RationalFunction.from_poly(x * x + 2 * x + 1)
+    for operand in (1, 2, "x", x, _C31.field(3)):
+        for op in (lambda: r + operand, lambda: operand + r, lambda: r * operand, lambda: operand * r,
+                   lambda: r / operand, lambda: operand / r):
+            with pytest.raises(TypeError):
+                op()
+    assert (r + _X31) * _X31 / _X31 == r + _X31
+
+
 def test_compute_m_constant_and_composition(curve_with_two_torsion):
     c = curve_with_two_torsion
     T = c.two_torsion()[0]

@@ -1,6 +1,7 @@
 """Curves between the desk's (p < 10^6) and the 256-bit one: at 64 and 128 bits the
-three routes agree, every attack recovers n, and the routes, Semaev's coefficient
-and the lift all read one slope sum S(P).
+three routes agree, every attack recovers n, the routes, Semaev's coefficient
+and the lift all read one slope sum S(P), e(P, O_k) is bilinear, and the lifted
+pairing is antisymmetric and non-degenerate on the lifted p-torsion.
 
 Each curve, with its point G, is the first that the benchmark's generator makes
 for random.Random(0) with D = 11: `perfbench/cm.anomalous_cm_curve(bits, 11, random.Random(0))`.
@@ -10,10 +11,10 @@ import random
 
 import pytest
 
-from dualpair import Curve, DualCurve
+from dualpair import Curve, DualCurve, DualPoint
 from dualpair.dlp import DlpInstance, solve
 from dualpair.fields import Fp
-from dualpair.pairing import rueck_slope_sum, semaev_coefficient, theta_pairing
+from dualpair.pairing import lifted_pairing, rueck_slope_sum, semaev_coefficient, theta_pairing
 
 from conftest import dual_double_and_add
 
@@ -49,6 +50,30 @@ def test_routes_read_a_equal_to_minus_the_slope_sum(midsize):
     curve, G_ = midsize
     dc, S, k = DualCurve.canonical(curve), rueck_slope_sum(curve, G_), 0xC0FFEE
     assert [theta_pairing(dc, G_, k, method).a for method in ("direct", "semaev", "rueck")] == [-S * k] * 3
+
+
+def test_theta_pairing_is_bilinear(midsize):
+    # e(P + Q, O_k) = e(P, O_k)*e(Q, O_k) and e(P, O_(k + j)) = e(P, O_k)*e(P, O_j)
+    curve, G_ = midsize
+    dc, rng = DualCurve.canonical(curve), random.Random(curve.p)
+    P, Q = curve.mul(rng.randrange(1, curve.p), G_), curve.mul(rng.randrange(1, curve.p), G_)
+    k, j = rng.randrange(curve.p), rng.randrange(curve.p)
+    assert theta_pairing(dc, curve.add(P, Q), k) == theta_pairing(dc, P, k) * theta_pairing(dc, Q, k)
+    assert theta_pairing(dc, P, k + j) == theta_pairing(dc, P, k) * theta_pairing(dc, P, j)
+    assert theta_pairing(dc, curve.mul(3, P), 2 * k) == theta_pairing(dc, P, k) ** 6
+
+
+def test_lifted_pairing_is_antisymmetric_and_non_degenerate(midsize):
+    # on the lifted p-torsion, the points embed(aG) + O_k: e(Pt, Qt)*e(Qt, Pt) = 1 and e(Pt, Pt) = 1;
+    # e(Pt, O_1) != 1 for a != 0 and e(O_k, embed(G)) != 1 for k != 0, as S(G) != 0
+    curve, G_ = midsize
+    dc, rng = DualCurve.canonical(curve), random.Random(curve.p)
+    a, b, k, j = (rng.randrange(1, curve.p) for _ in range(4))
+    Pt, Qt = dc.compose(curve.mul(a, G_), k), dc.compose(curve.mul(b, G_), j)
+    assert (lifted_pairing(dc, Pt, Qt) * lifted_pairing(dc, Qt, Pt)).is_one() and lifted_pairing(dc, Pt, Pt).is_one()
+    O_1, O_k, G = DualPoint.infinity(dc.field(1)), DualPoint.infinity(dc.field(k)), dc.embed(G_)
+    assert not lifted_pairing(dc, Pt, O_1).is_one() and not lifted_pairing(dc, O_1, Pt).is_one()
+    assert not lifted_pairing(dc, O_k, G).is_one() and not lifted_pairing(dc, G, O_k).is_one()
 
 
 def test_semaev_coefficient_is_half_the_slope_sum(midsize):

@@ -234,6 +234,29 @@ def test_pow_mod():
         Polynomial.constant(f1163, 2).pow_mod(-1, Polynomial.x(f1163))
 
 
+def test_division_operands_are_read_as_polynomials():
+    # divmod, %, //, exact_div, gcd and the modulus of pow_mod and inverse_mod read a scalar as the
+    # constant polynomial, so division by a unit leaves no remainder and by 0 raises ZeroDivisionError
+    f = Fp(7)
+    g, one, zero = Polynomial(f, (1, 2, 1)), Polynomial.constant(f, 1), Polynomial.zero(f)
+    assert divmod(g, 3) == divmod(g, f(3)) == (g * 5, zero)
+    assert g % 3 == zero and g // 3 == g.exact_div(3) == g * 5
+    assert g.gcd(3) == g.gcd(True) == one and g.gcd(0) == g.monic() and zero.gcd(3) == one
+    assert g.pow_mod(5, 3) == zero and Polynomial.x(f).inverse_mod(g) * Polynomial.x(f) % g == one
+    for op in (lambda: divmod(g, 0), lambda: g % 0, lambda: g // f(0), lambda: g.pow_mod(2, 0), lambda: g.inverse_mod(0)):
+        with pytest.raises(ZeroDivisionError):
+            op()
+    for op in (lambda: divmod(g, "3"), lambda: g % "3", lambda: g // 1.5, lambda: g.exact_div("x"), lambda: g.gcd("3"),
+               lambda: g.pow_mod(2, "x"), lambda: g.inverse_mod(1.5)):
+        with pytest.raises(TypeError):
+            op()
+    h = Polynomial(Fp(5), (1, 1))
+    for op in (lambda: g % h, lambda: g // h, lambda: g.exact_div(h), lambda: g.gcd(h), lambda: g.pow_mod(2, h),
+               lambda: g.inverse_mod(h), lambda: g % Fp(5)(3), lambda: g.gcd(Fp(5)(3))):
+        with pytest.raises(BadInputError, match="mixed field contexts"):
+            op()
+
+
 def test_mixed_contexts_raise_bad_input():
     f, g = Polynomial(Fp(5), (1, 1)), Polynomial(Fp(7), (1, 1))
     ops = (lambda: f + g, lambda: f - g, lambda: f * g, lambda: divmod(f, g), lambda: Polynomial(Fp(5), [Fp(7)(6)]))
