@@ -77,10 +77,11 @@ directory, and the two sides run in alternating child processes, `--reps`
 of each, alternating which side runs first; the record then holds, per
 operation, the change side's median over the parent side's median within
 each round, and those ratios' median, quartiles and the count of rounds
-below 1 (`paired_ratios`).  No child writes bytecode into the
-repository's `src`.  Each side also
-records the values it computed: the three routes' pairing values, the
-four solves' recovered n, p*lift(P) (a point at infinity) and n*lift(P)
+below 1 (`paired_ratios`), and the same for each round's ratio divided by
+that round's `control.mulmod` ratio (`control_normalized`).  No child
+writes bytecode into the repository's `src`.  Each side also records
+the values it computed: the three routes' pairing values, the four
+solves' recovered n, p*lift(P) (a point at infinity) and n*lift(P)
 (an affine point) for the solves' n, the lifted isogeny image,
 `miller_eval`'s f_P with T = O at sP and at sP + O_k, embed(P), the
 first 8 `Curve.random_point` draws of `random.Random(s)` for s = 0-3
@@ -444,14 +445,22 @@ def _summary(samples: list) -> dict:
 
 
 def _paired_ratios(change: list, parent: list) -> dict:
-    """layer -> operation -> the change/parent ratios of the two sides' medians within each round, summarized."""
+    """layer -> operation -> the change/parent ratios of the two sides' medians within each round, summarized,
+    and under "control_normalized" the same ratios each divided by its round's `control.mulmod` ratio, which
+    reads how far the host drifted between the two sides' children of that round."""
+
+    def ratio(c: dict, p: dict, name: str, op: str) -> float:
+        return statistics.median(c["timings_ms"][name][op]) / statistics.median(p["timings_ms"][name][op])
+
     out = {}
     for name, ops in change[0]["timings_ms"].items():
         out[name] = {}
         for op in ops:
-            rounds = [statistics.median(c["timings_ms"][name][op]) / statistics.median(p["timings_ms"][name][op])
-                      for c, p in zip(change, parent) if name in c["timings_ms"] and name in p["timings_ms"]]
-            out[name][op] = {**_summary(rounds), "below_1": sum(r < 1 for r in rounds)}
+            pairs = [(ratio(c, p, name, op), ratio(c, p, "control", "control.mulmod"))
+                     for c, p in zip(change, parent) if name in c["timings_ms"] and name in p["timings_ms"]]
+            rounds, normalized = [r for r, _ in pairs], [r / drift for r, drift in pairs]
+            out[name][op] = {**_summary(rounds), "below_1": sum(r < 1 for r in rounds),
+                             "control_normalized": {**_summary(normalized), "below_1": sum(r < 1 for r in normalized)}}
     return out
 
 

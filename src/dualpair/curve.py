@@ -32,9 +32,11 @@ The group law comes twice.  `Curve.add` works on affine `Point`s of
 FpElement wrappers, one inversion per addition; it is the public one and
 the reference for the other.  `jacobian_double` and `jacobian_add` work on
 Jacobian triples of plain ints and never invert; besides the sum they
-return the numerator N of the chord-or-tangent slope N/Z3.  The sum and N
-are all that `miller.chain_trace` records of a step: every line of the
-Miller walk is read from them projectively, with no inversion.
+return the numerator N of the chord-or-tangent slope N/Z3 and the ratio F
+of Z3 to the operands' Z.  The sum, N and F are all that
+`miller.chain_trace` records of a step: every line of the Miller walk is
+read from them projectively, and Rueck's slope sum folded, with no
+inversion.
 `jacobian_mul` runs that law over `window_digits(n)`, the one walk of a
 scalar: double-and-add on n's bits below 2^32, where the searches' and the
 CLI's primes lie, and a 4-bit sliding window from 2^32 on, about 1.2 steps
@@ -261,9 +263,12 @@ class Curve:
 #
 # A triple (X, Y, Z) of ints in [0, p) with Z != 0 stands for the affine
 # point (X/Z^2, Y/Z^3); any triple with Z = 0 stands for infinity.  Neither
-# operation inverts.  Each returns the sum and the numerator N of the
-# chord-or-tangent slope N/Z3, where Z3 is the sum's Z; N is None when the
-# step has no such line, because an operand or the sum is infinity.
+# operation inverts.  Each returns the sum, the numerator N of the
+# chord-or-tangent slope N/Z3, where Z3 is the sum's Z, and the factor F
+# with Z3 = F*Z1 for a doubling and Z3 = F*Z1*Z2 for an addition.  N and F
+# are None when the step has no such line, because an operand or the sum
+# is infinity; F alone is None for an addition of two triples of one point,
+# which doubles, so that Z3 is no product of F with Z1*Z2.
 
 JACOBIAN_INFINITY = (1, 1, 0)
 
@@ -292,28 +297,29 @@ def window_digits(n: int) -> bytes:
 
 
 def jacobian_double(p: int, a: int, P: tuple) -> tuple:
-    """(2P, N) on y^2 = x^3 + a*x + b; the slope is (3x^2 + a)/(2y) = N/(2YZ)."""
+    """(2P, N, F) on y^2 = x^3 + a*x + b; the slope is (3x^2 + a)/(2y) = N/(2YZ), and F = 2Y."""
     X, Y, Z = P
     if not (Y and Z):
-        return JACOBIAN_INFINITY, None
+        return JACOBIAN_INFINITY, None, None
     YY = Y * Y % p
     S = 4 * X * YY % p
     ZZ = Z * Z % p
     N = (3 * X * X + a * ZZ * ZZ) % p
     X3 = (N * N - 2 * S) % p
-    return (X3, (N * (S - X3) - 8 * YY * YY) % p, 2 * Y * Z % p), N
+    F = 2 * Y
+    return (X3, (N * (S - X3) - 8 * YY * YY) % p, F * Z % p), N, F
 
 
 def jacobian_add(p: int, a: int, P: tuple, Q: tuple) -> tuple:
-    """(P + Q, N) for any P, Q; doubles when P = Q.  The chord slope is r/(Z1*Z2*H)."""
+    """(P + Q, N, F) for any P, Q; doubles when P = Q.  The chord slope is r/(Z1*Z2*H), and F = H."""
     if P is Q:
         return jacobian_double(p, a, P)
     X1, Y1, Z1 = P
     X2, Y2, Z2 = Q
     if not Z1:
-        return Q, None
+        return Q, None, None
     if not Z2:
-        return P, None
+        return P, None, None
     Z1Z1 = Z1 * Z1 % p
     Z2Z2 = Z2 * Z2 % p
     U1 = X1 * Z2Z2 % p
@@ -321,12 +327,12 @@ def jacobian_add(p: int, a: int, P: tuple, Q: tuple) -> tuple:
     H = (X2 * Z1Z1 - U1) % p
     r = (Y2 * Z1 * Z1Z1 - S1) % p
     if not H:
-        return jacobian_double(p, a, P) if not r else (JACOBIAN_INFINITY, None)
+        return (*jacobian_double(p, a, P)[:2], None) if not r else (JACOBIAN_INFINITY, None, None)
     HH = H * H % p
     HHH = H * HH % p
     V = U1 * HH % p
     X3 = (r * r - HHH - 2 * V) % p
-    return (X3, (r * (V - X3) - S1 * HHH) % p, Z1 * Z2 * H % p), r
+    return (X3, (r * (V - X3) - S1 * HHH) % p, Z1 * Z2 * H % p), r, H
 
 
 def jacobian_mul(p: int, a: int, n: int, base: tuple) -> tuple:

@@ -28,11 +28,12 @@ nonzero off the identity:
   broken draw or walk.
 
 An instance is checked once, when built: Q on the curve, and p*P = O as
-S(P), computed along the default chain for p and kept
-(`DlpInstance.slope_sum`).  All four attacks read it and walk only Q.
-The lift attack and `AttackResult.verify` check neither point again: the
-one lifts and multiplies Q by `DualCurve._lift_raw` and `_mul_raw`, the
-other takes n*P by `Curve._mul_raw`.  The other attacks reach Q through
+S(P), folded along P's walk of the default chain for p with one
+inversion (`miller.slope_sum`) and kept (`DlpInstance.slope_sum`).  All
+four attacks read it and walk only Q.  The lift attack and
+`AttackResult.verify` check neither point again: the one lifts and
+multiplies Q by `DualCurve._lift_raw` and `_mul_raw`, the other takes n*P
+by `Curve._mul_raw`.  The other attacks reach Q through
 public routes, whose on-curve checks run on ints.  `DlpInstance` and
 `AttackResult` are plain classes with frozen attributes and a frozen
 dataclass's equality, hash and repr (`_Frozen`), so a process that loads

@@ -70,8 +70,9 @@ k = -x1/(2*y0) as `lift` has x1 = 0, n*P~ = lift(nP) + O_c (O_c at nP = O):
     gamma(x, y) = [A1*(9B/2*x^2 + A^2*x + 3AB) + B1*(-3A*x^2 + 9B/2*x - 2A^2)]
                   / ((4A^3 + 27B^2)*y),   gamma(O) = 0,
 
-S_n(P) the multiplicity-weighted slope sum of P's walk along the default
-chain for n (`miller.slope_sum`; Rueck's S(P) at n = p) and nP its end.
+S_n(P) the slope sum of P's walk along the default chain for n, every
+chord slope as often as the unrolled product for n takes it, folded along
+the walk (`miller.slope_sum`; Rueck's S(P) at n = p), and nP its end.
 Over C, with x = wp(u) and y = wp'(u)/2, the chord slope through u and v
 is zeta(u + v) - zeta(u) - zeta(v), the addition law of the Weierstrass
 zeta function; so the offset of n*lift(P) from lift(nP), a 2-cocycle, is
@@ -293,8 +294,7 @@ class DualCurve:
         if not y0:  # P~ = lift(P) + O_k with 2*P~ = O_2k
             k = -P.y.eps.value * pow(3 * x0 * x0 + a, -1, p)
             return DualPoint.infinity(f(n * k)) if n % 2 == 0 else self.translate(P, f((n - 1) * k))
-        rung = chain_for(n, None)
-        trace = chain_trace(self.base, P.reduction(), rung.steps)
+        trace = chain_trace(self.base, P.reduction(), chain_for(n, None).steps)
         b, a1, b1 = self.base.B.value, self.A1.value, self.B1.value
         disc = 4 * a**3 + 27 * b * b
 
@@ -302,7 +302,7 @@ class DualCurve:
             return a1 * (9 * b * x * x + 2 * a * a * x + 6 * a * b) + b1 * (9 * b * x - 6 * a * x * x - 4 * a * a)
 
         k = -P.x.eps.value * pow(2 * y0, -1, p)  # `lift` takes x1 = 0
-        c = n * k + self.slope_factor() * slope_sum(rung, trace) + n * g(x0) * pow(2 * disc * y0, -1, p)
+        c = n * k + self.slope_factor() * slope_sum(trace, n) + n * g(x0) * pow(2 * disc * y0, -1, p)
         end = jacobian_affine(p, trace.jac[n])
         if end is None:
             return DualPoint.infinity(f(c))

@@ -22,18 +22,21 @@ so every pairing value, is the same on any chain for n.
 
 Every reader of a chain reads one record of it, `Chain(steps,
 multiplicities, s)` (`chain_for`): the steps; each step's multiplicity in
-the unrolled product, which weights the one additive sum (`weighted_sum`)
-that rueck, semaev and `DualCurve.mul` read; and s, the first multiple of a
-point of order n on no line of the walk, where the routes evaluate.  The
-default chain's record is built once per n and kept: `binary_chain(n)`'s,
-or at n = 5 and 7, where that leaves no s, `tail_chain(n, 3)`'s.  A
-caller's chain is validated and gets its record per call.  Each (P, chain)
-is walked once, on plain ints: `chain_trace` adds in Jacobian coordinates
-(`step_lines`), inverts nothing, and records the multiples and each step's
-slope numerator; its end point nP is the n-torsion check.  The lines are
-read from that record in one place, projectively (`scaled_step_values`):
-each h up to a factor in F_p, which leaves every eps/re ratio alone, so the
-pairing routes read it as it is; no multiple is ever made affine.
+the unrolled product, which weights semaev's sum of step ratios
+(`weighted_sum`); and s, the first multiple of a point of order n on no
+line of the walk, where the routes evaluate.  The default chain's record is
+built once per n and kept: `binary_chain(n)`'s, or at n = 5 and 7, where
+that leaves no s, `tail_chain(n, 3)`'s.  A caller's chain is validated and
+gets its record per call.  Each (P, chain) is walked once, on plain ints:
+`chain_trace` adds in Jacobian coordinates (`step_lines`), inverts nothing,
+and records the multiples and each step's slope numerator N and Z ratio F;
+its end point nP is the n-torsion check.  Rueck's slope sum, which rueck
+and `DualCurve.mul` read, is folded along that record as the walk went,
+one product or three a step, and divided once (`slope_sum`).  The lines
+are read from it in one place, projectively (`scaled_step_values`): each
+chord line through the step's own multiple -kP, each h up to a factor in
+F_p, which leaves every eps/re ratio alone, so the pairing routes read it
+as it is; no multiple is ever made affine.
 `trace_value` checks T and `at` once and turns at - T into an int tuple
 (`eval_point`), where a memoized fold of the exact values (`step_values`,
 read by the same reader) gives f_P with one division.
@@ -157,9 +160,10 @@ def _evaluation_multiple(n: int, steps) -> int | None:
 
 
 class Chain(NamedTuple):
-    """A chain for n and what every walk of it reads: the steps, each step's
+    """A chain for n and what the walks of it read: the steps, each step's
     multiplicity in the unrolled product (`step_multiplicities`, in chain
-    order), and the evaluation multiple s (`_evaluation_multiple`)."""
+    order), which weights semaev's sum, and the evaluation multiple s
+    (`_evaluation_multiple`)."""
 
     steps: tuple | list
     multiplicities: tuple
@@ -191,9 +195,11 @@ def chain_for(n: int, chain) -> Chain:
     return _record(n, chain)
 
 
-#: (Pi + Pj, N) for one chain step: N is the numerator of the step's slope N/Z(Pi + Pj), None
-#: when the step has no chord.  Every walk calls it through this module global, once per step,
-#: so that the benchmark's tracer (`perfbench/tracing.py`) can count chain steps.
+#: (Pi + Pj, N, F) for one chain step: N is the numerator of the step's slope N/Z(Pi + Pj), and
+#: Z(Pi + Pj) is F*Z(Pi) for a doubling and F*Z(Pi)*Z(Pj) for an add; N and F are None when the step
+#: has no chord, F alone for an add of two triples of one point.  Every walk calls it through this
+#: module global, once per step, so that the benchmark's tracer (`perfbench/tracing.py`) can count
+#: chain steps.
 step_lines = jacobian_add
 
 
@@ -201,9 +207,9 @@ step_lines = jacobian_add
 
 
 class ChainTrace(NamedTuple):
-    """One walk of an addition chain, on plain ints mod p: the Jacobian multiples and slope numerators."""
+    """One walk of an addition chain, on plain ints mod p: the Jacobian multiples, slope numerators and Z ratios."""
 
-    steps: list  # (k, i, j, N) in chain order; the step's slope is N/Z(kP), N is None when it has no chord
+    steps: list  # (k, i, j, N, F) in chain order, N and F from `step_lines`; the step's slope is N/Z(kP)
     jac: dict  # k -> kP as a Jacobian int triple, Z = 0 for infinity
     field: Fp
 
@@ -214,8 +220,8 @@ def _walk(curve: Curve, start: dict, chain: list[ChainStep]) -> ChainTrace:
     jac = {k: JACOBIAN_INFINITY if P.is_infinity else (P.x.value, P.y.value, 1) for k, P in start.items()}
     steps = []
     for k, i, j in chain:
-        jac[k], N = step_lines(p, a, jac[i], jac[j])
-        steps.append((k, i, j, N))
+        jac[k], N, F = step_lines(p, a, jac[i], jac[j])
+        steps.append((k, i, j, N, F))
     return ChainTrace(steps, jac, curve.field)
 
 
@@ -234,7 +240,8 @@ def torsion_trace(curve: Curve, P: Point, chain: list[ChainStep], n: int) -> Cha
 
 
 def weighted_sum(p: int, terms) -> int:
-    """The sum of m*top/bottom over (m, top, bottom) terms mod p, every bottom nonzero: one running fraction, divided once."""
+    """The sum of m*top/bottom over (m, top, bottom) terms mod p, every bottom nonzero: one running fraction, divided once.
+    Semaev's sum of step ratios, weighted by `Chain.multiplicities`."""
     num, den = 0, 1
     for m, top, bottom in terms:
         if m:
@@ -242,11 +249,50 @@ def weighted_sum(p: int, terms) -> int:
     return num * pow(den, -1, p) % p
 
 
-def slope_sum(rung: Chain, trace: ChainTrace) -> int:
-    """The chord slopes N/Z of a walk of rung's steps, weighted by multiplicity (`weighted_sum`); S(P) at n = p."""
-    jac = trace.jac
-    terms = ((m, N, jac[k][2]) for m, (k, _, _, N) in zip(rung.multiplicities, trace.steps) if N is not None)
-    return weighted_sum(trace.field.p, terms)
+def slope_sum(trace: ChainTrace, n: int) -> int:
+    """S_n, the sum of the chord slopes N/Z_k that a walk takes on its way to n, each as often as
+    the unrolled product for n takes it; S(P) at n = p.  One inversion, at n, which need not be
+    the walk's last step: a caller's chain may walk past it.
+
+    The sum is folded along the walk as S_k = S_i + S_j + N/Z_k, with no slope term where a step
+    has no chord.  While the steps have F from `step_lines` (so Z_k = F*Z_i for a doubling and
+    F*Z_i*Z_j for an add) the fold carries T_k = S_k*Z_k: a doubling is T_k = 2F*T_i + N, one
+    product, and an add T_k = F*(T_i*Z_j + T_j*Z_i) + N, three.  From the first step without F,
+    one that meets O or an add that takes the doubling branch, it carries plain fractions
+    (`_slope_fractions`).
+    """
+    if n == 1:
+        return 0
+    p, jac = trace.field.p, trace.jac
+    scaled, steps = {1: 0}, iter(trace.steps)
+    for step in steps:
+        k, i, j, N, F = step
+        if F is None:
+            return _slope_fractions(p, jac, scaled, n, step, steps)
+        if i == j:
+            t = (2 * F * scaled[i] + N) % p
+        else:
+            t = (F * (scaled[i] * jac[j][2] + scaled[j] * jac[i][2]) + N) % p
+        if k == n:
+            return t * pow(jac[k][2], -1, p) % p
+        scaled[k] = t
+
+
+def _slope_fractions(p: int, jac: dict, scaled: dict, n: int, step: tuple, steps) -> int:
+    """`slope_sum`'s fold from `step` on, over the rest of the `steps` iterator, with each
+    S_k as a fraction (num, den), den nonzero; a sum from before `step` is read as T_k/Z_k
+    where a step reads it (Z = 0 only at a start point O, whose sum is 0)."""
+    sums = {}
+    for k, i, j, N, _ in (step, *steps):
+        a, b = sums[i] if i in sums else (scaled[i], jac[i][2] or 1)
+        c, d = sums[j] if j in sums else (scaled[j], jac[j][2] or 1)
+        num, den = a * d + c * b, b * d % p
+        if N is not None:
+            Z = jac[k][2]
+            num, den = num * Z + N * den, den * Z % p
+        if k == n:
+            return num * pow(den, -1, p) % p
+        sums[k] = num % p, den
 
 
 def product_fold(trace: ChainTrace, n: int, values: list) -> tuple:
@@ -256,7 +302,7 @@ def product_fold(trace: ChainTrace, n: int, values: list) -> tuple:
     instead of six."""
     p = trace.field.p
     vals = dict.fromkeys(trace.jac, (1, 0))
-    for (k, i, j, _), (hr, he) in zip(trace.steps, values):
+    for (k, i, j, _, _), (hr, he) in zip(trace.steps, values):
         ar, ae = vals[i]
         if i == j:
             r, e = ar * ar % p, 2 * ar * ae % p
@@ -294,19 +340,6 @@ def eval_point(p: int, a: int, S: tuple | None, k: int = 0) -> tuple:
     return x, y, -2 * y * k % p, -(3 * x * x + a) * k % p
 
 
-def _columns(trace: ChainTrace, point: tuple) -> dict:
-    """k -> (V as (re, eps), Z^2, Z^3) for each finite multiple kP = (X, Y, Z),
-    with V = Z^2*x - X at an `eval_point` tuple."""
-    x0, _, x1, _ = point
-    p = trace.field.p
-    cols = {}
-    for k, (X, _, Z) in trace.jac.items():
-        if Z:
-            zz = Z * Z % p
-            cols[k] = (((zz * x0 - X) % p, zz * x1 % p), zz, zz * Z % p)
-    return cols
-
-
 def _vanishes(k: int, i: int, j: int) -> DegenerateEvaluationError:
     return DegenerateEvaluationError(f"line of step {k} = {i} + {j} vanishes at the evaluation point")
 
@@ -317,7 +350,7 @@ def scaled_step_values(trace: ChainTrace, point: tuple) -> list:
     raises DegenerateEvaluationError where a line vanishes.
 
     Read projectively from the Jacobian multiples by `_step_readings`, inverting
-    nothing: a chord step is (L + L_eps*eps)/(V_k + V_{k,eps}*eps) up to Z_k/Z_i^3,
+    nothing: a chord step is (L + L_eps*eps)/(V_k + V_{k,eps}*eps) up to a factor Z_k,
     so (L*V_k, L_eps*V_k - L*V_{k,eps}) up to V_k^2 as well; a step to infinity is
     (V_i, V_{i,eps}), and a step without lines (1, 0).
     """
@@ -328,8 +361,8 @@ def step_values(trace: ChainTrace, point: tuple) -> list:
     """Every step's h_{i,j} at an `eval_point` tuple as (numerator, denominator), each an
     (re, eps) int pair; raises DegenerateEvaluationError where a line vanishes.
 
-    Read by `_step_readings`: a chord step is (L*Z_k + L_eps*Z_k*eps)/(V_k*Z_i^3 +
-    V_{k,eps}*Z_i^3*eps), a step to infinity V_i/Z_i^2 and a step without lines 1/1.
+    Read by `_step_readings`: a chord step is (L + L_eps*eps)/(Z_k*V_k + Z_k*V_{k,eps}*eps),
+    a step to infinity V_i/Z_i^2 and a step without lines 1/1.
     """
     return _step_readings(trace, point, True)
 
@@ -338,32 +371,39 @@ def _step_readings(trace: ChainTrace, point: tuple, exact: bool) -> list:
     """The one reading of each step's lines at an `eval_point` tuple: `step_values`'
     fractions when exact, else `scaled_step_values`' scaled values.
 
-    With V = Z^2*x - X from `_columns`, a chord step has h = l/v_k = (L*Z_k)/(V_k*Z_i^3),
-    where L = Z_k*(Z_i^3*y - Y_i) - N*Z_i*V_i is l*Z_k*Z_i^3, and a step to infinity
-    has h = v_i = V_i/Z_i^2; the eps parts are the same formulas in (x1, y1).
+    With V = Z^2*x - X for a multiple (X, Y, Z), a chord step's line is read through the
+    step's own multiple -kP, which lies on it: with slope N/Z_k, l = y + y_k -
+    (N/Z_k)*(x - x_k) is L/Z_k^3 for L = Z_k^3*y + Y_k - N*V_k, and v_k = V_k/Z_k^2, so
+    h = L/(Z_k*V_k), with no read of iP: eleven products with the scaled value, each
+    multiple read once, by the step that made it.  A step to infinity has h = v_i =
+    V_i/Z_i^2.  The eps parts are the same formulas in (x1, y1): L_eps = Z_k^3*y1 -
+    N*V_{k,eps}.
     """
-    _, y0, x1, y1 = point
+    x0, y0, x1, y1 = point
     p, jac, one = trace.field.p, trace.jac, (1, 0)
-    cols = _columns(trace, point)
     out = []
-    for k, i, j, N in trace.steps:
-        if i not in cols or j not in cols:
-            out.append((one, one) if exact else one)
-            continue
-        if N is None:
-            (Vi, Vi1), zzi, _ = cols[i]
+    for k, i, j, N, _ in trace.steps:
+        if N is None:  # an operand at infinity, no line; else the vertical at iP
+            (Xi, _, Zi), Zj = jac[i], jac[j][2]
+            if not (Zi and Zj):
+                out.append((one, one) if exact else one)
+                continue
+            zzi = Zi * Zi % p
+            Vi, Vi1 = (zzi * x0 - Xi) % p, zzi * x1 % p
             if not Vi:
                 raise _vanishes(k, i, j)
             out.append(((Vi, Vi1), (zzi, 0)) if exact else (Vi, Vi1))
             continue
-        (_, Yi, Zi), ((Vi, _), _, zzzi) = jac[i], cols[i]
-        Zk, (Vk, Vk1) = jac[k][2], cols[k][0]
-        L = (Zk * (zzzi * y0 - Yi) - N * Zi * Vi) % p
-        Le = zzzi * (Zk * y1 - N * x1)
+        Xk, Yk, Zk = jac[k]
+        zzk = Zk * Zk % p
+        zzzk = zzk * Zk % p
+        Vk, Vk1 = (zzk * x0 - Xk) % p, zzk * x1 % p
+        L = (zzzk * y0 + Yk - N * Vk) % p
+        Le = zzzk * y1 - N * Vk1
         if not (L and Vk):
             raise _vanishes(k, i, j)
         if exact:
-            out.append(((L * Zk % p, Le * Zk % p), (Vk * zzzi % p, Vk1 * zzzi % p)))
+            out.append(((L, Le % p), (Zk * Vk % p, Zk * Vk1 % p)))
         else:
             out.append((L * Vk % p, (Le * Vk - L * Vk1) % p))
     return out

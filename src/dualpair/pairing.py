@@ -43,20 +43,22 @@ caller's chain by P's walk, whose end point p*P is the p-torsion check,
 then a caller's R, then T on the curve; the direct and semaev routes do
 this and find their one point S + O_k in `_evaluation`.  Below that
 everything is plain ints, and the walk inverts nothing.  Every route reads
-the chain's `miller.Chain` record: the walk its steps, the two additive
-sums its multiplicities, and `_evaluation` its evaluation multiple s.
+the chain's `miller.Chain` record: the walk its steps, semaev's sum its
+multiplicities, and `_evaluation` its evaluation multiple s.
 Without a caller's R the evaluation point comes from the chain, not from a
 search: P has order p, so every line of the walk meets E only at multiples
 of P, and S = sP is taken for the smallest s on none of them; the default
 chain's record, s included, is built once per p, so P is walked once per
 call at every p.  Nothing is drawn at random, and the routes are
 deterministic.  Each reading inverts once.
-Rueck and semaev are both a multiplicity-weighted sum of per-step ratios,
-summed as one running fraction (`miller.weighted_sum`): rueck of the
-chord steps' slopes N/Z (`miller.slope_sum`), semaev of the scaled step
-values' ratios h_eps/h_re.
-Direct multiplies the scaled step values as dual numbers into one product
-f, whose ratio f_eps/f_re is the pairing's a.  No evaluation reads an
+Rueck folds the chord steps' slopes N/Z along the walk, carrying each
+multiple's sum times its Z, one product a doubling and three an add, and
+divides once (`miller.slope_sum`).  Semaev sums the scaled step values' ratios
+h_eps/h_re, each weighted by its step's multiplicity, as one running
+fraction (`miller.weighted_sum`).
+Direct multiplies the scaled step values, each chord line read through
+its step's own multiple -kP, as dual numbers into one product f, whose
+ratio f_eps/f_re is the pairing's a.  No evaluation reads an
 affine multiple of the walk.  The slope
 sum S(P) is the one invariant behind every reading of P:
 e(P, O_1) = 1 - S(P)*eps, and as SEMAEV_SIGN = SLOPE_SIGN and the routes
@@ -238,10 +240,10 @@ def rueck_slope_sum(curve: Curve, P: Point, chain=None) -> FpElement:
     Pure slope bookkeeping: vertical steps contribute nothing and no point
     is ever evaluated, so the computation is total (`miller.slope_sum`).
     """
-    rung, trace = _trace(curve, P, chain)
+    _, trace = _trace(curve, P, chain)
     if trace is None:
         return curve.field.zero()
-    return trace.field(slope_sum(rung, trace))
+    return trace.field(slope_sum(trace, curve.p))
 
 
 # -- public pairing surface -------------------------------------------------------

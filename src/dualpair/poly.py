@@ -347,8 +347,14 @@ class Polynomial:
         )
 
     def __eq__(self, other):
+        """A Polynomial of the same p with the same coefficients, or an int or an FpElement of this
+        field that reads as this constant polynomial, as `FpElement.__eq__` reads an int; anything else
+        is NotImplemented.  `__hash__` is unchanged, as FpElement's is by its int rule, so a constant
+        and its scalar compare equal with different hashes."""
         if not isinstance(other, Polynomial):
-            return NotImplemented
+            if not (isinstance(other, int) or isinstance(other, FpElement) and other.field.p == self.field.p):
+                return NotImplemented
+            other = Polynomial(self.field, (other,))
         return self.coeffs == other.coeffs and self.field.p == other.field.p
 
     def __hash__(self):

@@ -19,8 +19,9 @@ from dualpair import (
     lifted_pairing,
     miller,
 )
+from dualpair.errors import DegenerateEvaluationError
 from dualpair.fields import Fp, FpElement
-from dualpair.miller import ChainStep, step_multiplicities, step_values, trace_fraction
+from dualpair.miller import ChainStep, step_multiplicities, step_values, trace_fraction, weighted_sum
 from dualpair.pairing import SLOPE_SIGN, PairingValue, rueck_slope_sum, semaev_coefficient
 
 SEED = 0x5EED
@@ -123,9 +124,49 @@ def fold_trace(trace, n: int, unit, op, values: list):
     trace; returns val(n).  `values` runs parallel to trace.steps; the walk's start
     points fold to `unit`."""
     vals = dict.fromkeys(trace.jac, unit)
-    for (k, i, j, _), v in zip(trace.steps, values):
+    for (k, i, j, _, _), v in zip(trace.steps, values):
         vals[k] = op(op(vals[i], vals[j]), v)
     return vals[n]
+
+
+def weighted_slope_sum(trace, n: int) -> int:
+    """Oracle for `miller.slope_sum`: every chord step's slope N/Z_k, weighted by its step's
+    multiplicity in the unrolled product for n (`step_multiplicities`) and summed as one running
+    fraction (`miller.weighted_sum`), with no fold along the walk and no Z ratio read."""
+    mult = step_multiplicities(n, [step[:3] for step in trace.steps])
+    terms = ((mult[k], N, trace.jac[k][2]) for k, _, _, N, _ in trace.steps if N is not None)
+    return weighted_sum(trace.field.p, terms)
+
+
+def step_values_through_ip(trace, point: tuple) -> list:
+    """Oracle for `miller.step_values`: each chord line read through the step's operand iP, not
+    through -kP.  With V = Z^2*x - X, h = (L*Z_k)/(V_k*Z_i^3) for L = Z_k*(Z_i^3*y - Y_i) -
+    N*Z_i*V_i, which is the line times Z_k*Z_i^3; a step to infinity is V_i/Z_i^2 and a step
+    without lines 1/1, each as ((re, eps), (re, eps)) at an `eval_point` tuple.  Raises
+    DegenerateEvaluationError where a line vanishes."""
+    x0, y0, x1, y1 = point
+    p, jac = trace.field.p, trace.jac
+    out = []
+    for k, i, j, N, _ in trace.steps:
+        (Xi, Yi, Zi), (Xk, _, Zk) = jac[i], jac[k]
+        if not (Zi and jac[j][2]):
+            out.append(((1, 0), (1, 0)))
+            continue
+        zzi = Zi * Zi % p
+        Vi, Vi1 = (zzi * x0 - Xi) % p, zzi * x1 % p
+        if N is None:
+            if not Vi:
+                raise DegenerateEvaluationError(f"line of step {k} = {i} + {j} vanishes at the evaluation point")
+            out.append(((Vi, Vi1), (zzi, 0)))
+            continue
+        zzzi, zzk = zzi * Zi % p, Zk * Zk % p
+        Vk, Vk1 = (zzk * x0 - Xk) % p, zzk * x1 % p
+        L = (Zk * (zzzi * y0 - Yi) - N * Zi * Vi) % p
+        Le = zzzi * (Zk * y1 - N * x1)
+        if not (L and Vk):
+            raise DegenerateEvaluationError(f"line of step {k} = {i} + {j} vanishes at the evaluation point")
+        out.append(((L * Zk % p, Le * Zk % p), (Vk * zzzi % p, Vk1 * zzzi % p)))
+    return out
 
 
 def trace_points(trace) -> dict:

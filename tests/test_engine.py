@@ -7,10 +7,15 @@ the Jacobian walk of `miller.chain_trace`, for the line values that
 `miller.step_values`, the scaled value over the scale it drops), and for
 `Curve.mul`.
 `DualCurve._add_raw` is the oracle for `DualCurve.mul`, the base walk plus
-the slope sum.
+the slope sum.  The readings that the walk's own readings replaced stay in
+conftest as oracles: the multiplicity-weighted slope sum (`weighted_slope_sum`)
+for `miller.slope_sum`, folded along the walk, and each chord line read
+through iP (`step_values_through_ip`) for `miller.step_values`, which reads
+it through -kP.
 """
 
 import random
+import re
 
 import pytest
 from hypothesis import assume, given, settings
@@ -19,9 +24,31 @@ from hypothesis import strategies as st
 from dualpair import INFINITY, Curve, DualCurve, count_points
 from dualpair.errors import DegenerateEvaluationError
 from dualpair.fields import Fp
-from dualpair.miller import binary_chain, chain_trace, eval_point, incremental_chain, step_values, tail_chain
+from dualpair.miller import (
+    ChainStep,
+    binary_chain,
+    chain_for,
+    chain_trace,
+    eval_point,
+    incremental_chain,
+    slope_sum,
+    step_values,
+    tail_chain,
+)
+from dualpair.pairing import rueck_slope_sum
 
-from conftest import Chord, Vertical, dual_double_and_add, eval_line, line_through, mul_below_2_32, order_by_steps, trace_points
+from conftest import (
+    Chord,
+    Vertical,
+    dual_double_and_add,
+    eval_line,
+    line_through,
+    mul_below_2_32,
+    order_by_steps,
+    step_values_through_ip,
+    trace_points,
+    weighted_slope_sum,
+)
 
 SMALL_PRIMES = [5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43]
 
@@ -77,9 +104,9 @@ def _check_trace(curve, P, chain) -> list:
     assert trace_points(trace) == points
     f = curve.field
     kinds = [None if lines is None else type(lines[0]).__name__ for *_, lines in steps]
-    assert [(k, i, j) for k, i, j, _ in trace.steps] == [(k, i, j) for k, i, j, _ in steps]
-    assert [N is not None for *_, N in trace.steps] == [kind == "Chord" for kind in kinds]
-    slopes = [f(N) / f(trace.jac[k][2]) for k, _, _, N in trace.steps if N is not None]
+    assert [(k, i, j) for k, i, j, _, _ in trace.steps] == [(k, i, j) for k, i, j, _ in steps]
+    assert [N is not None for _, _, _, N, _ in trace.steps] == [kind == "Chord" for kind in kinds]
+    slopes = [f(N) / f(trace.jac[k][2]) for k, _, _, N, _ in trace.steps if N is not None]
     assert slopes == [lines[0].m for *_, lines in steps if lines and isinstance(lines[0], Chord)]
     for U in curve.points():
         if U.is_infinity:
@@ -218,3 +245,75 @@ def test_window_mul_matches_multiples_below_2_32(data):
     assert curve.mul(n, P) == mul_below_2_32(curve.add, curve.mul, abs(n), curve.mul(sign, P), INFINITY)
     assert dc.mul(n, Pt) == dual_double_and_add(dc, abs(n), Pt if n > 0 else dc.neg(Pt))
 
+
+# -- the readings of a walk against the readings they replaced ----------------------------------
+
+DESK = Curve(Fp(1511), 1301, 497)
+#: small non-anomalous curves with points of order 2, 3, 4, 6, 12 (#E = 12) and 2, 3, 6, 9, 18 (#E = 18)
+SMALL_ORDERS = [Curve(Fp(7), 3, 1), Curve(Fp(13), 1, 1)]
+
+
+def test_slope_sum_is_the_weighted_sum_on_every_chain(tiny_anomalous_all):
+    # S(P) folded along the walk against the multiplicity-weighted sum, on the default, binary,
+    # tail and incremental chains and on a caller's chain that walks on past p, P = O included
+    for curve in [*tiny_anomalous_all, DESK]:
+        p = curve.p
+        past = binary_chain(p) + [ChainStep(p + 1, p, 1), ChainStep(2 * p + 1, p + 1, p)]
+        chains = [chain_for(p, None).steps, binary_chain(p), tail_chain(p, 3), incremental_chain(p), past]
+        for P in [INFINITY, *list(curve.points())[1:6]]:
+            for chain in chains:
+                trace = chain_trace(curve, P, chain)
+                assert slope_sum(trace, p) == weighted_slope_sum(trace, p)
+                assert rueck_slope_sum(curve, P, chain).value == (weighted_slope_sum(trace, p) if P != INFINITY else 0)
+
+
+def test_slope_sum_past_the_order_of_p_is_the_weighted_sum():
+    # walks past the order of P meet O, where the fold turns to plain fractions; an add of two
+    # triples of one point doubles, and after O one triple stands at two multiples, so that the
+    # walk doubles it with i != j (`P is Q` in `jacobian_add`); `DualCurve.mul` reads the sum
+    seen = set()
+    for curve in SMALL_ORDERS:
+        dc = DualCurve(curve, 1, 0)  # off the scaling family, so that the slope sum shows in mul
+        for P in curve.points():
+            order = order_by_steps(curve, P)
+            ns = [*range(1, 3 * order + 4), 2**32 + 7, 2**40 + 0xF7]
+            walks = [(n, binary_chain(n)) for n in ns] + [(n, incremental_chain(n)) for n in range(1, 3 * order + 4)]
+            for n, chain in walks:
+                trace = chain_trace(curve, P, chain)
+                assert slope_sum(trace, n) == weighted_slope_sum(trace, n), (curve, P, n, chain)
+                for k, i, j, N, F in trace.steps:
+                    seen.add("O" if N is None else "add doubles" if F is None else "chord")
+                    if i != j and trace.jac[i] is trace.jac[j]:
+                        seen.add("P is Q")
+            if not P.is_infinity:
+                Pt = dc.translate(dc.lift(P), dc.field(3))
+                for n in ns:
+                    assert dc.mul(n, Pt) == dual_double_and_add(dc, n, Pt), (curve, P, n)
+    assert seen == {"chord", "O", "add doubles", "P is Q"}
+
+
+def test_step_values_are_the_through_ip_reading_at_every_affine_point(tiny_anomalous_all):
+    # each chord line read through -kP against the same line read through iP, as exact
+    # fractions in F_p[eps], at U + O_k for every affine U, on every walk of every point
+    # along several chains; where a line vanishes both raise at the same step
+    read, raised = 0, 0
+    for curve in [*tiny_anomalous_all, Curve(Fp(5), 3, 0)]:
+        p, a, f = curve.p, curve.A.value, curve.field
+        chains = [chain_for(p, None).steps, incremental_chain(p), binary_chain(2 * p + 1)]
+        affine = [U for U in curve.points() if not U.is_infinity]
+        for P in curve.points():
+            for chain in chains:
+                trace = chain_trace(curve, P, chain)
+                for U in affine:
+                    for k in (1, 3):
+                        point = eval_point(p, a, (U.x.value, U.y.value), k)
+                        try:
+                            expect = [f.dual(*num) / f.dual(*den) for num, den in step_values_through_ip(trace, point)]
+                        except DegenerateEvaluationError as exc:
+                            with pytest.raises(DegenerateEvaluationError, match=re.escape(str(exc))):
+                                step_values(trace, point)
+                            raised += 1
+                            continue
+                        assert [f.dual(*num) / f.dual(*den) for num, den in step_values(trace, point)] == expect
+                        read += 1
+    assert read and raised

@@ -1,17 +1,20 @@
 """Curves between the desk's (p < 10^6) and the 256-bit one: at 64 and 128 bits the
 three routes agree, every attack recovers n, the routes, Semaev's coefficient
-and the lift all read one slope sum S(P), e(P, O_k) is bilinear, and the lifted
-pairing is antisymmetric and non-degenerate on the lifted p-torsion.
+and the lift all read one slope sum S(P), e(P, O_k) is bilinear, the lifted
+pairing is antisymmetric and non-degenerate on the lifted p-torsion, and it is
+functorial under a rational ell-isogeny with ell | v and one with ell not | v,
+where 4p = 1 + 11*v^2.
 
 Each curve, with its point G, is the first that the benchmark's generator makes
 for random.Random(0) with D = 11: `perfbench/cm.anomalous_cm_curve(bits, 11, random.Random(0))`.
 """
 
+import math
 import random
 
 import pytest
 
-from dualpair import Curve, DualCurve, DualPoint
+from dualpair import Curve, DualCurve, DualPoint, check_functoriality, find_cyclic_isogeny
 from dualpair.dlp import DlpInstance, solve
 from dualpair.fields import Fp
 from dualpair.pairing import lifted_pairing, rueck_slope_sum, semaev_coefficient, theta_pairing
@@ -33,6 +36,10 @@ CURVES = {
         (24490696424978870965720931552411130914, 13990450394131258508572953399319307160),
     ),
 }
+
+#: bits -> {"ell | v": ell, "ell not | v": ell}, each ell with a rational ell-isogeny of the curve
+#: (at 64 bits 7 and 13 have none; at 128 bits 3 and 5 divide v, and 7, 13, 17 and 19 have none)
+ISOGENY_ELLS = {64: {"ell | v": 3, "ell not | v": 5}, 128: {"ell | v": 5, "ell not | v": 23}}
 
 
 @pytest.fixture(scope="module", params=sorted(CURVES), ids=lambda bits: f"{bits}-bit")
@@ -103,3 +110,17 @@ def test_attacks_recover_n(midsize, method):
     inst = DlpInstance(curve, G_, curve.mul(n, G_))
     result = solve(inst, method)
     assert result.n == n and result.verify(inst)
+
+
+@pytest.mark.parametrize("case", ["ell | v", "ell not | v"])
+def test_lifted_pairing_is_functorial(midsize, case):
+    # e_p(phi~(Pt), phi~(Qt)) = e_p(Pt, Qt)^ell on every route, with e_p(Pt, Qt) != 1
+    curve, G_ = midsize
+    p = curve.p
+    ell, v = ISOGENY_ELLS[p.bit_length()][case], math.isqrt((4 * p - 1) // 11)
+    assert 1 + 11 * v * v == 4 * p and (v % ell == 0) == (case == "ell | v")
+    phi, dc, rng = find_cyclic_isogeny(curve, ell), DualCurve.canonical(curve), random.Random(ell)
+    Pt, Qt = (dc.compose(curve.mul(rng.randrange(1, p), G_), rng.randrange(1, p)) for _ in range(2))
+    assert phi.degree == ell and not lifted_pairing(dc, Pt, Qt).is_one()
+    for method in ("direct", "semaev", "rueck"):
+        assert check_functoriality(phi, Pt, Qt, method)

@@ -257,6 +257,18 @@ def test_division_operands_are_read_as_polynomials():
             op()
 
 
+def test_a_polynomial_equals_the_scalar_it_reads_as():
+    # an int, or an element of the same field, compares as the constant polynomial, as an
+    # FpElement compares with an int; another field's element or a foreign type stays unequal
+    f = Fp(7)
+    g, three = Polynomial(f, (1, 2, 1)), Polynomial.constant(f, 3)
+    assert g % 3 == 0 and 0 == g % 3 and g.gcd(3) == 1 and g.gcd(f(3)) == f(1)
+    assert three == 3 == three and three == 10 and three == f(3) == three and three != 4 and three != f(4)
+    assert Polynomial.zero(f) == 0 and Polynomial.zero(f) == f(0) and g != 1 and g != f(1)
+    assert three != Fp(11)(3) and Fp(11)(3) != three and three != 3.0 and three != "3"
+    assert hash(three) != hash(3)  # unchanged, as FpElement's: equal, with different hashes
+
+
 def test_mixed_contexts_raise_bad_input():
     f, g = Polynomial(Fp(5), (1, 1)), Polynomial(Fp(7), (1, 1))
     ops = (lambda: f + g, lambda: f - g, lambda: f * g, lambda: divmod(f, g), lambda: Polynomial(Fp(5), [Fp(7)(6)]))
