@@ -5,6 +5,8 @@ desk-size curve (p = 1511):
 
 * `pair.direct`, `pair.semaev`, `pair.rueck`: e(P, O_k) by each route
 * `instance`: `DlpInstance` construction alone, whose check p*P = O walks P
+* `verify`: `AttackResult(n, "rueck").verify` on an instance already built,
+  the check n*P = Q that closes every solve
 * `solve.semaev`, `solve.rueck`, `solve.pairing`, `solve.lift`:
   `DlpInstance` construction and one attack, checked n*P = Q, as `dlp.solve`
   runs it
@@ -81,7 +83,8 @@ below 1 (`paired_ratios`), and the same for each round's ratio divided by
 that round's `control.mulmod` ratio (`control_normalized`).  No child
 writes bytecode into the repository's `src`.  Each side also records
 the values it computed: the three routes' pairing values, the four
-solves' recovered n, p*lift(P) (a point at infinity) and n*lift(P)
+solves' recovered n, `verify`'s answers for n, n + 1, p - n, p + n and 0
+on Q = n*P and on Q = O, p*lift(P) (a point at infinity) and n*lift(P)
 (an affine point) for the solves' n, the lifted isogeny image,
 `miller_eval`'s f_P with T = O at sP and at sP + O_k, embed(P), the
 first 8 `Curve.random_point` draws of `random.Random(s)` for s = 0-3
@@ -190,7 +193,7 @@ def _operations(p: int, a: int, b: int, G: tuple, n: int, scalar: int, ell: int)
     """(operation name -> zero-argument callable, value name -> value) on one curve."""
     from dualpair import miller, pairing
     from dualpair.curve import INFINITY, Curve, Point
-    from dualpair.dlp import DlpInstance, solve
+    from dualpair.dlp import AttackResult, DlpInstance, solve
     from dualpair.dual_curve import DualCurve
     from dualpair.fields import Fp
     from dualpair.isogeny import find_cyclic_isogeny
@@ -206,11 +209,13 @@ def _operations(p: int, a: int, b: int, G: tuple, n: int, scalar: int, ell: int)
     phi, lifted = find_cyclic_isogeny(curve, ell), dc.compose(Q, K)
     lift = DualCurve(curve, *LIFT)
     Pt = lift.lift(P)
+    inst, at_o = DlpInstance(curve, P, Q), DlpInstance(curve, P, INFINITY)
     ops = {
         "pair.direct": lambda: pairing.pairing_direct(dc, P, K),
         "pair.semaev": lambda: pairing.pairing_semaev(dc, P, K),
         "pair.rueck": lambda: pairing.pairing_rueck(dc, P, K),
         "instance": lambda: DlpInstance(curve, P, Q),
+        "verify": lambda: AttackResult(n, "rueck").verify(inst),
         **{f"solve.{m}": lambda m=m: solve(DlpInstance(curve, P, Q), m) for m in ("semaev", "rueck", "pairing", "lift")},
         "miller.step_values": lambda: miller.step_values(trace, point),
         "miller.scaled_step_values": lambda: miller.scaled_step_values(trace, point),
@@ -221,6 +226,8 @@ def _operations(p: int, a: int, b: int, G: tuple, n: int, scalar: int, ell: int)
     values = {f"{op}.a": str(ops[op]().a.value) for op in ("pair.direct", "pair.semaev", "pair.rueck")}
     values.update({f"{op}.n": str(fn().n) for op, fn in ops.items() if op.startswith("solve.")})
     values.update({op: ops[op]().to_json() for op in ("dual_curve.mul", "isogeny.eval_lifted")})
+    values["verify"] = {name: [AttackResult(m, "rueck").verify(at) for m in (n, n + 1, p - n, p + n, 0)]
+                        for name, at in (("Q = nP", inst), ("Q = O", at_o))}
     values["miller_eval"] = str(miller.miller_eval(curve, P, p, INFINITY, S).value)  # f_P(sP), T = O
     values["miller_eval.lifted"] = miller.miller_eval(curve, P, p, INFINITY, dc.compose(S, K)).to_json()  # f_P(sP + O_k)
     values["dual_curve.mul.n"] = lift.mul(n, Pt).to_json()  # n*lift(P), an affine point: mul's lift(nP) + O_d

@@ -50,7 +50,10 @@ order.  `Curve.mul` wraps it and inverts once, at the end.
 Membership, `contains`, is computed on the ints under the wrappers.
 `point`, `add` and `mul` check their points with it once, at entry, as do
 the other modules' public entries; `_mul_raw` is `mul` for a caller that
-holds a checked point (`dlp.AttackResult.verify`), as `_add_raw` is `add`.
+holds a checked point (`dlp.AttackResult.verify` below `WINDOW_FROM`), as
+`_add_raw` is `add`.  From `WINDOW_FROM` on that check walks two scalars at
+once, `jacobian_multi_mul`, the windowed walk of any number of (scalar,
+base) pairs, of which `jacobian_mul`'s is the one-pair case.
 
 A curve with #E = p has a rational point group that is cyclic of order p,
 so every nonzero point generates and the whole group is p-torsion.  Those
@@ -272,13 +275,16 @@ class Curve:
 
 JACOBIAN_INFINITY = (1, 1, 0)
 
-#: The smallest scalar recoded with the 4-bit window; smaller ones use their bits.
+#: The smallest scalar recoded with the 4-bit window, where smaller ones use their bits, and the smallest
+#: p whose `dlp.AttackResult.verify` walks u*P - v*Q with half-length u and v instead of n*P.
 WINDOW_FROM = 1 << 32
 #: The smallest p whose search trials take Euler's criterion; below it they read `_square_table(p)`.
 SQUARE_TABLE_FROM = 20_000
 _BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
 #: The digits of each window of the 4-bit recoding: "0", and each odd d < 16 in binary.
 _WINDOW_DIGITS = {"0": b"\x00"} | {bin(d)[2:]: bytes(d.bit_length() - 1) + bytes([d]) for d in range(1, 16, 2)}
+#: Each digit's index in its base's table [0, base, 3*base, ...] of `jacobian_multi_mul`: 0 for 0, (d + 1)/2 for odd d.
+_TABLE_INDEX = bytes((d + 1) // 2 for d in range(256))
 
 
 def window_digits(n: int) -> bytes:
@@ -346,8 +352,8 @@ def jacobian_mul(p: int, a: int, n: int, base: tuple) -> tuple:
     `jacobian_add` written out; the addition is `jacobian_add` with Z2 = 1
     (so Z2^2 = 1, U1 = X1 and S1 = Y1), and every step, the degenerate ones
     included (an operand at O, Y = 0, and H = 0), ends at the triple those
-    functions return.  From 2^32 on the odd multiples base, 3*base, ... up
-    to the largest digit come first, from 2*base.
+    functions return.  From 2^32 on it is `jacobian_multi_mul` of the one
+    pair (n, base).
     """
     if n < WINDOW_FROM:
         x, y, _ = base
@@ -378,16 +384,40 @@ def jacobian_mul(p: int, a: int, n: int, base: tuple) -> tuple:
                 X3 = (r * r - HHH - 2 * V) % p
                 X, Y, Z = X3, (r * (V - X3) - Y * HHH) % p, Z * H % p
         return X, Y, Z
-    digits = window_digits(n)
-    twice = jacobian_double(p, a, base)[0]
-    table = [base]
-    for _ in range(max(digits) // 2):
-        table.append(jacobian_add(p, a, table[-1], twice)[0])
-    acc = table[digits[0] // 2]
-    for d in digits[1:]:
-        acc = jacobian_double(p, a, acc)[0]
-        if d:
-            acc = jacobian_add(p, a, acc, table[d // 2])[0]
+    return jacobian_multi_mul(p, a, ((n, base),))
+
+
+def jacobian_multi_mul(p: int, a: int, pairs) -> tuple:
+    """n_1*base_1 + n_2*base_2 + ... for (n_i >= 1, base_i) pairs, in one walk (Straus).
+
+    Each base is an affine point as a triple (x, y, 1), and gets a table of
+    its odd multiples base, 3*base, ... up to its largest `window_digits`
+    digit, from 2*base.  The shorter digit strings are padded with leading
+    zeros; for each column the sum doubles once, then adds, pair by pair,
+    the table entry of each nonzero digit.  The walk runs down one list of
+    steps: per column None, the double, then each pair's entry, or 0 for a
+    zero digit.  The sum starts at O, where the first double does nothing
+    and the first add takes the entry as it is, so one pair's walk takes the
+    steps of `miller.binary_chain(n)` in its order.
+    """
+    walks = []
+    for n, base in pairs:
+        digits = window_digits(n)
+        twice = jacobian_double(p, a, base)[0]
+        table = [0, base]
+        for _ in range(max(digits) // 2):
+            table.append(jacobian_add(p, a, table[-1], twice)[0])
+        walks.append(list(map(table.__getitem__, digits.translate(_TABLE_INDEX))))
+    length, width = max(map(len, walks)), len(walks) + 1
+    steps = ([None] + [0] * len(walks)) * length
+    for i, entries in enumerate(walks, 1):
+        steps[i + (length - len(entries)) * width :: width] = entries
+    acc = JACOBIAN_INFINITY
+    for entry in steps:
+        if entry is None:
+            acc = jacobian_double(p, a, acc)[0]
+        elif entry:
+            acc = jacobian_add(p, a, acc, entry)[0]
     return acc
 
 

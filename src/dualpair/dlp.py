@@ -32,8 +32,12 @@ S(P), folded along P's walk of the default chain for p with one
 inversion (`miller.slope_sum`) and kept (`DlpInstance.slope_sum`).  All
 four attacks read it and walk only Q.  The lift attack and
 `AttackResult.verify` check neither point again: the one lifts and
-multiplies Q by `DualCurve._lift_raw` and `_mul_raw`, the other takes n*P
-by `Curve._mul_raw`.  The other attacks reach Q through
+multiplies Q by `DualCurve._lift_raw` and `_mul_raw`; the other takes n*P
+by `Curve._mul_raw` below `curve.WINDOW_FROM`, and from it on tests
+u*P - v*Q = O, with u = v*n (mod p) and u, v below sqrt(p)
+(`numbertheory.half_euclid`), by one joint walk of the two half-length
+scalars (`curve.jacobian_multi_mul`), which accepts the same n on a group
+of prime order p.  The other attacks reach Q through
 public routes, whose on-curve checks run on ints.  `DlpInstance` and
 `AttackResult` are plain classes with frozen attributes and a frozen
 dataclass's equality, hash and repr (`_Frozen`), so a process that loads
@@ -45,10 +49,11 @@ from __future__ import annotations
 import random
 from functools import reduce
 
-from .curve import Curve, Point, _certifies_anomalous
+from .curve import WINDOW_FROM, Curve, Point, _certifies_anomalous, jacobian_multi_mul
 from .dual_curve import DualCurve
 from .errors import BadInputError, BadTorsionError, DualPairError, WitnessInconsistentError
 from .fields import FpElement
+from .numbertheory import half_euclid
 from .pairing import SLOPE_SIGN, pairing_rueck, rueck_slope_sum, semaev_coefficient
 
 DEFAULT_SEED = 0xD0A1
@@ -133,8 +138,27 @@ class AttackResult(_Frozen):
         return out
 
     def verify(self, inst: DlpInstance) -> bool:
-        """n*P = Q, with P as the instance checked it."""
-        return inst.curve._mul_raw(self.n, inst.P) == inst.Q
+        """n*P = Q, with P and Q as the instance checked them; any int n.
+
+        Below `WINDOW_FROM` this is `_mul_raw(n, P) == Q`.  From it on n*P is
+        never formed.  The instance has Q on the curve, P != O, p*P = O and
+        #E = p, so Q = m*P for one m mod p.  `half_euclid` gives u = v*n
+        (mod p) with u^2 < p and 0 < v^2 <= p, so v != 0 (mod p), and
+        u*P - v*Q = (u - v*m)*P is O exactly when m = n (mod p): the check
+        accepts the same n as n*P = Q.  It is one walk of two half-length
+        scalars (`jacobian_multi_mul`) and a test of its Z, with no
+        inversion.  When n = 0 (mod p) or Q = O, n*P = Q exactly when both hold.
+        """
+        curve, P, Q = inst.curve, inst.P, inst.Q
+        p = curve.p
+        if p < WINDOW_FROM:
+            return curve._mul_raw(self.n, P) == Q
+        n = self.n % p
+        if not n or Q.is_infinity:
+            return not n and Q.is_infinity
+        u, v = half_euclid(n, p)
+        minus_vQ = (Q.x.value, Q.y.value if v < 0 else p - Q.y.value, 1)
+        return not jacobian_multi_mul(p, curve.A.value, ((u, (P.x.value, P.y.value, 1)), (abs(v), minus_vQ)))[2]
 
 
 def attack_semaev(inst: DlpInstance, seed: int = DEFAULT_SEED) -> AttackResult:

@@ -93,3 +93,17 @@ def sqrt_mod(a: int, p: int) -> int | None:
         r = r * b % p
     return min(r, p - r)
 
+
+def half_euclid(n: int, m: int) -> tuple[int, int]:
+    """(u, v) with u = v*n (mod m), 0 <= u, u^2 < m and 0 < v^2 <= m, for any modulus m >= 2.
+
+    The extended Euclid on (m, n mod m), stopped at the first remainder u with
+    u^2 < m, and v its cofactor.  Each step keeps r = t*n (mod m) and
+    |t_k|*r_(k-1) + |t_(k-1)|*r_k = m, so |v| <= m/r for the remainder r
+    before u, which has r^2 >= m (Antipa et al., SAC 2005).
+    """
+    r0, r1, t0, t1 = m, n % m, 0, 1
+    while r1 * r1 >= m:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    return r1, t1

@@ -6,6 +6,7 @@ import pytest
 
 from dualpair import (
     INFINITY,
+    AttackResult,
     Curve,
     DlpInstance,
     DualCurve,
@@ -197,6 +198,18 @@ def check_attack_cores(inst) -> None:
     assert SLOPE_SIGN * S == lifted_pairing(dc, dc.embed(P), DualPoint.infinity(dc.field.one())).a
     same = DlpInstance(c, P, P)
     assert [attack(same).n for attack in (attack_semaev, attack_rueck, attack_pairing)] == [1, 1, 1]
+
+
+def check_verify_accepts_exactly_n_mod_p(curve: Curve, G: Point, rng: random.Random) -> None:
+    """`AttackResult.verify` on Q = n*G accepts n, n + p and n - p, and rejects n +- 1, p - n, -n and 0,
+    for n above and below 2^32 and at 1 and p - 1; on Q = O it accepts exactly the multiples of p."""
+    p = curve.p
+    for n in (rng.randrange(2**32, p), rng.randrange(2, 2**32), 1, p - 1):
+        inst = DlpInstance(curve, G, curve.mul(n, G))
+        answers = {m: AttackResult(m, "rueck").verify(inst) for m in (n, n + 1, n - 1, p - n, n + p, n - p, 0, -n)}
+        assert answers == {m: m in (n, n + p, n - p) for m in answers}, n
+    at_o = DlpInstance(curve, G, INFINITY)
+    assert [AttackResult(m, "rueck").verify(at_o) for m in (0, p, -p, 1, p - 1, p + 1)] == [True] * 3 + [False] * 3
 
 
 def direct_value_oracle(trace, point: tuple) -> PairingValue:

@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dualpair import (
     INFINITY,
@@ -23,6 +25,7 @@ from dualpair.curve import (
     jacobian_affine,
     jacobian_double,
     jacobian_mul,
+    jacobian_multi_mul,
 )
 from dualpair.errors import (
     BadInputError,
@@ -30,8 +33,9 @@ from dualpair.errors import (
     SearchExhaustedError,
 )
 from dualpair.fields import Fp
-from dualpair.numbertheory import is_prime, legendre, next_prime, sqrt_mod
+from dualpair.numbertheory import half_euclid, is_prime, legendre, next_prime, sqrt_mod
 
+import test_crypto256 as pinned
 from conftest import first_anomalous_by_scan
 
 
@@ -559,6 +563,50 @@ def test_jacobian_mul_degenerate_steps():
     assert {2, 3, 4, 5, 6} <= orders
     assert seen == {"double", "double O", "double Y = 0", "add", "add to O", "add H = 0, r = 0", "add H = 0, r != 0"}
     assert jacobian_mul(5, 1, 2, (0, 0, 1)) == JACOBIAN_INFINITY  # a point of order 2 on y^2 = x^3 + x
+
+
+def test_jacobian_multi_mul_is_the_sum_of_its_pairs():
+    # the joint walk ends at the sum of its pairs' jacobian_mul multiples, for one, two and three
+    # pairs, scalars below 2^32, at it and far above it, and digit strings of unequal length; with
+    # one pair it ends at jacobian_mul's own triple, on either side of 2^32
+    rng = random.Random(33)
+    desk = Curve(Fp(1511), 1301, 497)
+    for c in (desk, Curve(Fp(pinned.P), pinned.A, pinned.B)):
+        p, a = c.p, c.A.value
+        points = [c.random_point(rng) for _ in range(3)]
+        bases = [(P.x.value, P.y.value, 1) for P in points]
+        scalars = [1, 2, 3, 15, 2**31 - 1, 2**32 - 1, 2**32, 2**32 + 1, 2**64 + 7, 2**128 - 1, p - 1, p, p + 1]
+        scalars += [rng.randrange(1, 2**32) for _ in range(4)] + [rng.randrange(2**32, 2**300) for _ in range(4)]
+        for n in scalars:
+            assert jacobian_multi_mul(p, a, ((n, bases[0]),)) == jacobian_mul(p, a, n, bases[0]), (p, n)
+        for _ in range(30):
+            pairs = [(rng.choice(scalars), base) for base in bases[: rng.randrange(2, 4)]]
+            total = INFINITY
+            for n, base in pairs:
+                xy = jacobian_affine(p, jacobian_mul(p, a, n, base))
+                total = c._add_raw(total, INFINITY if xy is None else c.point(*xy))
+            xy = jacobian_affine(p, jacobian_multi_mul(p, a, pairs))
+            assert (INFINITY if xy is None else c.point(*xy)) == total, (p, pairs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(20, 256).flatmap(lambda bits: st.tuples(st.integers(2 ** (bits - 1), 2**bits - 1), st.integers(-(2**bits), 2**bits))))
+def test_half_euclid_splits_n_into_two_halves(mn):
+    # u = v*n (mod m), 0 <= u, u^2 < m and 0 < v^2 <= m, at a prime modulus and at any other
+    x, n = mn
+    for m in (next_prime(x), x):
+        u, v = half_euclid(n, m)
+        assert (u - v * n) % m == 0 and 0 <= u and u * u < m and 0 < v * v <= m, (m, n, u, v)
+
+
+def test_half_euclid_at_square_moduli():
+    # a remainder r with r^2 = m, which no prime modulus has, still goes on: u^2 < m strictly
+    for q in (2, 3, 7, 1009, 2**61 - 1):
+        m = q * q
+        for n in (q, 2 * q, m - q, q * q + q, q + 1, 1):
+            u, v = half_euclid(n, m)
+            assert (u - v * n) % m == 0 and 0 <= u and u * u < m and 0 < v * v <= m, (m, n, u, v)
+    assert half_euclid(7, 49) == (0, -7)
 
 
 def test_two_torsion():

@@ -20,7 +20,7 @@ from dualpair.fields import DualNumber, Fp, FpElement
 from dualpair.pairing import rueck_slope_sum
 
 import test_crypto256 as pinned
-from conftest import check_attack_cores, count_walks, dual_double_and_add
+from conftest import check_attack_cores, check_verify_accepts_exactly_n_mod_p, count_walks, dual_double_and_add
 
 METHODS = ("semaev", "rueck", "pairing", "lift")
 
@@ -232,6 +232,48 @@ def test_solve_rejects_a_wrong_answer(small_pool, monkeypatch):
     with pytest.raises(DualPairError, match="n\\*P != Q"):
         solve(inst, "rueck")
     assert solve(inst, "semaev").n == n
+
+
+def test_solve_rejects_a_wrong_answer_at_256_bits(monkeypatch):
+    # at 256 bits the n*P = Q check in solve is verify's joint walk, which catches a wrong n too
+    import dualpair.dlp as dlp
+
+    curve = Curve(Fp(pinned.P), pinned.A, pinned.B)
+    G_ = curve.point(*pinned.G)
+    n = random.Random(60).randrange(pinned.P)
+    inst = DlpInstance(curve, G_, curve.mul(n, G_))
+    monkeypatch.setitem(dlp._ATTACKS, "rueck", lambda inst, seed: AttackResult(n + 1, "rueck"))
+    with pytest.raises(DualPairError, match="n\\*P != Q"):
+        solve(inst, "rueck")
+    assert solve(inst, "semaev").n == n
+
+
+@pytest.mark.parametrize("joint", [False, True], ids=["mul", "joint"])
+def test_verify_is_n_p_equals_q_exhaustively(joint, monkeypatch):
+    # at every anomalous curve with p <= 13, for every P != O, every Q and every n in [-2p, 2p),
+    # verify accepts exactly when n*P = Q: by _mul_raw, and by the joint walk of u*P - v*Q that
+    # verify runs from WINDOW_FROM on, routed to here by lowering its bound
+    import dualpair.dlp as dlp
+
+    if joint:
+        monkeypatch.setattr(dlp, "WINDOW_FROM", 2)
+    curves = [Curve(Fp(p), a, b) for p in (5, 7, 11, 13) for a in range(p) for b in range(p) if (4 * a**3 + 27 * b * b) % p]
+    curves = [c for c in curves if count_points(c) == c.p]
+    assert len(curves) == 23
+    for c in curves:
+        p = c.p
+        results = [AttackResult(n, "rueck") for n in range(-2 * p, 2 * p)]
+        points = list(c.points())
+        for P in points[1:]:
+            multiples = [c._mul_raw(r.n, P) for r in results]
+            for Q in points:
+                inst = DlpInstance(c, P, Q)
+                assert [r.verify(inst) for r in results] == [nP == Q for nP in multiples], (c, P, Q)
+
+
+def test_verify_accepts_exactly_n_mod_p_at_256_bits():
+    curve = Curve(Fp(pinned.P), pinned.A, pinned.B)
+    check_verify_accepts_exactly_n_mod_p(curve, curve.point(*pinned.G), random.Random(61))
 
 
 def test_unknown_attack_method_is_bad_input(small_pool):

@@ -1,6 +1,7 @@
 """Curves between the desk's (p < 10^6) and the 256-bit one: at 64 and 128 bits the
-three routes agree, every attack recovers n, the routes, Semaev's coefficient
-and the lift all read one slope sum S(P), e(P, O_k) is bilinear, the lifted
+three routes agree, every attack recovers n, `AttackResult.verify` accepts
+exactly n mod p, the routes, Semaev's coefficient and the lift all read one
+slope sum S(P), e(P, O_k) is bilinear, the lifted
 pairing is antisymmetric and non-degenerate on the lifted p-torsion, and it is
 functorial under a rational ell-isogeny with ell | v and one with ell not | v,
 where 4p = 1 + 11*v^2.
@@ -19,7 +20,7 @@ from dualpair.dlp import DlpInstance, solve
 from dualpair.fields import Fp
 from dualpair.pairing import lifted_pairing, rueck_slope_sum, semaev_coefficient, theta_pairing
 
-from conftest import dual_double_and_add
+from conftest import check_verify_accepts_exactly_n_mod_p, dual_double_and_add
 
 #: bits -> (p, A, B, G)
 CURVES = {
@@ -110,6 +111,10 @@ def test_attacks_recover_n(midsize, method):
     inst = DlpInstance(curve, G_, curve.mul(n, G_))
     result = solve(inst, method)
     assert result.n == n and result.verify(inst)
+
+
+def test_verify_accepts_exactly_n_mod_p(midsize):
+    check_verify_accepts_exactly_n_mod_p(*midsize, random.Random(62))
 
 
 @pytest.mark.parametrize("case", ["ell | v", "ell not | v"])
