@@ -46,7 +46,10 @@ desk-size curve (p = 1511):
   `CM_ROUNDS` rounds of each side
 * the search layer (`search` in the record): `curve.find_anomalous` for
   the desk workload's four searches, one curve in [1000, 1500] for each
-  seed in 0-3, and `curve.is_anomalous` on the desk curve (1511, 1301, 497)
+  seed in 0-3, and for three curves at one prime with seed 0,
+  `search.p1009` (p = 1 mod 3, where curves whose cubic splits are
+  rejected without a walk) and `search.p1013` (p = 2 mod 3, where they are
+  walked), and `curve.is_anomalous` on the desk curve (1511, 1301, 497)
 * the control layer (`control` in the record): `control.mulmod`, a fixed
   loop of 256-bit int products mod the pinned prime that imports nothing
   from `dualpair`, so that both sides run the same code and its paired
@@ -165,8 +168,12 @@ CM_ROUNDS = 3
 #: all drawn from random.Random(GCD_LADDER_SEED)
 GCD_LADDER = [(61, 2**61 - 1), (127, 2**127 - 1), (256, CURVES[0][1])]
 GCD_LADDER_SEED = 29
-#: the search layer's `find_anomalous` calls: (operation, p_min, p_max, count, seed), the desk workload's four searches
-SEARCHES = [(f"search.find.seed{seed}", 1000, 1500, 1, seed) for seed in range(4)]
+#: the search layer's `find_anomalous` calls: (operation, p_min, p_max, count, seed), the desk workload's four
+#: searches, then one prime on each side of the split-cubic reject, which only p = 1 mod 3 takes
+SEARCHES = [(f"search.find.seed{seed}", 1000, 1500, 1, seed) for seed in range(4)] + [
+    ("search.p1009", 1009, 1009, 3, 0),
+    ("search.p1013", 1013, 1013, 3, 0),
+]
 #: operations that one sample times as a loop of this many calls, recorded in ms per call, so that a
 #: call of tens of microseconds is not read at the timer's resolution
 LOOPED = {"search.is_anomalous": 200}

@@ -7,20 +7,23 @@ anomalous curves, and 2-torsion utilities.
 A random point is drawn once, in `_random_x`: its x, and the sign bit
 of its y.  `Curve.random_point` takes one square root of the accepted
 x^3 + A*x + B; the search takes none.  Its trials run on plain ints; its
-discriminant reject skips only curves with a rational point of order 2,
-which have even order and so cannot be anomalous.  For a drawn point
-(x, sqrt(t)), t = x^3 + A*x + B, a trial walks the image (t*x, t^2) under
-the F_p-isomorphism (x, y) -> (u^2*x, u^3*y), u = sqrt(t), onto
+rejects skip only curves with a rational point of order 2, which have even
+order and so cannot be anomalous: by the discriminant's character, and, at
+p = 1 mod 3 below `SQUARE_TABLE_FROM`, by a cube test of Cardano's
+resolvent on curves whose cubic splits.  For a drawn point
+(x, sqrt(t)), t = x^3 + A*x + B, a trial walks the image P' = (t*x, t^2)
+under the F_p-isomorphism (x, y) -> (u^2*x, u^3*y), u = sqrt(t), onto
 y^2 = x^3 + A*t^2*x + B*t^3 (Silverman, AEC III.1), which has the same
-group (`_kills`).  Each draw below p, of A, B and x, is `getrandbits(k)`
-with k = p.bit_length(), drawn again while it is >= p: that is what
+group, to (p - 1)*P' (`_kills`).  Each draw below p, of A, B and x, is
+`getrandbits(k)` with k = p.bit_length(), drawn again while it is >= p: that is what
 CPython's `Random.randrange(p)` does under its two Python frames (3.10 to
 3.13), so every value and the rng state after each draw are randrange's,
 and every seed finds the curves it found through randrange.  A trial
 takes the quadratic character about three times: of the discriminant, and
 of x^3 + A*x + B for each x drawn until one is a square or zero.  Below
 `SQUARE_TABLE_FROM` each visit to a prime reads it from a table of the
-squares mod p (`_square_table`), built per visit in about p/2 squarings;
+squares mod p and their roots (`_square_table`), built per visit in about
+p/2 squarings;
 from it on, and in `Curve.random_point`, `is_anomalous` and `count_points`,
 it is Euler's criterion, one `pow`.  A visit runs max(32, 4*sqrt(p))
 trials, so the table's O(p) cost and the O(sqrt(p)) pows it saves break
@@ -461,43 +464,60 @@ def _certifies_anomalous(curve: Curve, killed: bool) -> bool:
     return killed and (2 * p > hasse_interval(p)[1] or count_points(curve) == p)
 
 
-def _square_table(p: int) -> bytes:
-    """t -> 1 when t is a square mod p, 0 included, else 0: Euler's criterion read as one index.
+def _square_table(p: int) -> list[int]:
+    """t -> r + 1 at t = r^2 mod p, for the root r <= (p - 1)/2, 0 included; 0 at a non-square.
 
-    About p/2 squarings, one per residue class {i, -i}.
+    Read by truthiness it is Euler's criterion as one index; less one, a
+    square's root.  About p/2 squarings, one per residue class {i, -i}.
     """
-    table = bytearray(p)
+    table = [0] * p
     for i in range((p + 1) // 2):
-        table[i * i % p] = 1
-    return bytes(table)
+        table[i * i % p] = i + 1
+    return table
 
 
-def _kills(p: int, a: int, b: int, x: int, squares: bytes | None = None) -> bool:
-    """Whether p*P = O for P = (x, sqrt(t)) on y^2 = x^3 + a*x + b; False early if E cannot be anomalous.
+def _kills(p: int, a: int, b: int, x: int, squares: list[int] | None = None) -> bool:
+    """Whether p*P = O for P = (x, sqrt(t)) on the nonsingular y^2 = x^3 + a*x + b; False early if E
+    cannot be anomalous.
 
-    A non-square discriminant -(4a^3 + 27b^2) means the cubic has exactly
+    A non-square discriminant D = -(4a^3 + 27b^2) means the cubic has exactly
     one root, so E has a rational point of order 2 and #E is even, never p;
-    such a curve is rejected without a walk.  With t = x^3 + a*x + b a
-    nonzero square, the walk is not of P but of its image (t*x, t^2) under
-    the isomorphism (x, y) -> (u^2*x, u^3*y), u = sqrt(t), onto
+    such a curve is rejected without a walk.  With `squares`
+    (`_square_table(p)`) given and p = 1 mod 3, a square D leaves the cubic
+    three roots or none, and three mean E[2] in E(F_p), so 4 | #E: such a
+    curve is rejected too.  Cardano's resolvent decides it: -27*D is then a
+    square s^2, and the cubic splits exactly when 4*(s - 27b) is a cube; where
+    s - 27b = 0 (only at a = 0) the other root -s gives 4*(-s - 27b), a cube
+    exactly when 4*(s + 27b) is, as -1 is one.  With t = x^3 + a*x + b a
+    nonzero square, the walk is not of P but of its image P' = (t*x, t^2)
+    under the isomorphism (x, y) -> (u^2*x, u^3*y), u = sqrt(t), onto
     y^2 = x^3 + a*t^2*x + b*t^3, which needs no square root.  An isomorphism
-    preserves the group law, so p*P = O exactly when p times the image is;
-    and the sign of y does not matter, since p*(-P) = -(p*P).  When t = 0,
-    P has order 2 and p*P = P, as p is odd.  The discriminant's character is
-    read from `squares` (`_square_table(p)`) when one is given, else it is
-    Euler's criterion.
+    preserves the group law, so p*P = O exactly when p*P' is; and the sign
+    of y does not matter, since p*(-P) = -(p*P).  The walk stops at
+    (p - 1)*P' and compares it with -P', one add short of p*P'.  When t = 0,
+    P has order 2 and p*P = P, as p is odd.  Without `squares` the
+    discriminant's character is Euler's criterion and no split is tested.
     """
     d = -(4 * a * a * a + 27 * b * b) % p
-    if not (squares[d] if squares else pow(d, (p - 1) // 2, p) != p - 1):
+    if squares:
+        if not squares[d]:
+            return False
+        if p % 3 == 1:
+            s = squares[-27 * d % p] - 1
+            if pow(4 * ((s - 27 * b) % p or s + 27 * b), (p - 1) // 3, p) == 1:
+                return False
+    elif pow(d, (p - 1) // 2, p) == p - 1:
         return False
     t = (x * x * x + a * x + b) % p
     if not t:
         return False
-    tt = t * t % p
-    return not jacobian_mul(p, a * tt % p, p, (t * x % p, tt, 1))[2]
+    tx, tt = t * x % p, t * t % p
+    X, Y, Z = jacobian_mul(p, a * tt % p, p - 1, (tx, tt, 1))
+    ZZ = Z * Z % p
+    return X == tx * ZZ % p and (Y + tt * ZZ * Z) % p == 0  # O is (1, 1, 0), which fails the first test
 
 
-def _random_x(p: int, a: int, b: int, rng: random.Random, squares: bytes | None = None) -> tuple[int, int]:
+def _random_x(p: int, a: int, b: int, rng: random.Random, squares: list[int] | None = None) -> tuple[int, int]:
     """(x, sign bit) of a random point of y^2 = x^3 + a*x + b: the one draw of `Curve.random_point`
     and of the search's trials.
 
@@ -546,12 +566,13 @@ def find_anomalous(
     stream, and each seed's curves, are those of a search that calls
     randrange, without its Python frames.
     Each trial runs on ints: it draws a random point P by `_random_x`, as
-    `Curve.random_point` does, and walks p times P's image on an
-    isomorphic curve on the Jacobian law (`_kills`, no square root), except
-    on curves with a non-square discriminant, which have a point of order 2
-    and so cannot be anomalous.  p kills the image exactly when it kills P,
-    so a hit is P's certificate; a `Curve` is built only for a hit, which
-    `_certifies_anomalous` decides.
+    `Curve.random_point` does, and walks P's image P' on an isomorphic
+    curve on the Jacobian law to (p - 1)*P', compared with -P' (`_kills`, no
+    square root), except on curves with a point of order 2, which cannot be
+    anomalous: those with a non-square discriminant, and, for p = 1 mod 3
+    below `SQUARE_TABLE_FROM`, those whose cubic splits.  p kills P'
+    exactly when it kills P, so a hit is P's certificate; a `Curve` is built
+    only for a hit, which `_certifies_anomalous` decides.
     When the range holds at most `budget` nonsingular (p, A, B) triples
     (p^2 - p per prime), each tried one is marked, and the search stops
     once all of them are.
@@ -592,7 +613,7 @@ def find_anomalous(
             b = getrandbits(k)
             while b >= p:
                 b = getrandbits(k)
-            if (4 * a * a * a + 27 * b * b) % p == 0 or (p, a, b) in seen:
+            if (4 * a * a * a + 27 * b * b) % p == 0 or seen and (p, a, b) in seen:
                 continue
             if tried and not tried[p][a * p + b]:
                 tried[p][a * p + b] = 1

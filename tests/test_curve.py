@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import random
 
@@ -267,13 +269,24 @@ def test_reference_searches_run_on_both_sides_of_the_square_table():
 
 @pytest.mark.parametrize("p", [5, 7, 1009, 1499, next(q for q in range(SQUARE_TABLE_FROM - 1, 1, -1) if is_prime(q))])
 def test_square_table_is_the_quadratic_character(p):
+    # nonzero exactly at the squares, 0 included, where it is one more than a root
     table = _square_table(p)
     assert len(table) == p
-    assert [table[t] for t in range(p)] == [int(legendre(t, p) != -1) for t in range(p)]
+    assert [bool(table[t]) for t in range(p)] == [legendre(t, p) != -1 for t in range(p)]
+    for t in range(p):
+        if table[t]:
+            assert (table[t] - 1) ** 2 % p == t, (p, t)
 
 
-#: find_anomalous's results before the square table, which must not change them
+#: find_anomalous's results before the square table and the split-cubic reject, which must not change them;
+#: the one-prime rows walk on both sides of that reject (p = 1 mod 3 and 2 mod 3), and 19993 is the largest
+#: prime = 1 mod 3 below SQUARE_TABLE_FROM
 _PINNED_SEARCHES = [
+    ((7, 7, 3, 0), [(7, 0, 5), (7, 6, 5), (7, 5, 5)]),
+    ((13, 13, 3, 0), [(13, 9, 6), (13, 7, 10), (13, 11, 3)]),
+    ((1009, 1009, 3, 0), [(1009, 620, 850), (1009, 451, 945), (1009, 534, 138)]),
+    ((1013, 1013, 3, 0), [(1013, 702, 972), (1013, 345, 272), (1013, 318, 815)]),
+    ((19993, 19993, 3, 0), [(19993, 17083, 8535), (19993, 13779, 15055), (19993, 1931, 9999)]),
     ((1000, 1500, 1, 0), [(1361, 686, 969)]),
     ((1000, 1500, 1, 1), [(1069, 649, 933)]),
     ((1000, 1500, 1, 2), [(1319, 1094, 1047)]),
@@ -295,6 +308,13 @@ _PINNED_SEARCHES = [
 def test_find_anomalous_keeps_its_results(args, expected):
     p_min, p_max, count, seed = args
     assert [(c.p, c.A.value, c.B.value) for c in find_anomalous(p_min, p_max, count, seed)] == expected
+
+
+def test_find_anomalous_keeps_its_desk_results():
+    # sha256 of the curves of find_anomalous(1000, 1500, count=3, seed=s) for s < 40, before the split-cubic reject
+    docs = [[c.to_json() for c in find_anomalous(1000, 1500, count=3, seed=s)] for s in range(40)]
+    digest = hashlib.sha256(json.dumps(docs, sort_keys=True).encode()).hexdigest()
+    assert digest == "c4de9c09cb720e1475e64fddb9194499fb030259b6614aa17d2d778e0fc197ea"
 
 
 def test_find_anomalous_pinned_curves():
@@ -471,10 +491,12 @@ def test_kills_image_multiples_at_1511_and_2_31():
 
 def test_kills_agrees_with_the_walk_of_a_square_root():
     # at every x with t a square or zero, on every curve of both discriminant
-    # classes: _kills is the discriminant reject, then p*(x, sqrt_mod(t)) = O
+    # classes: _kills is the discriminant reject, then p*(x, sqrt_mod(t)) = O;
+    # at every x, given the table (whose split-cubic reject p = 7, 13, 19, 31
+    # and 37 take, as 1 mod 3), it is what it is without it
     seen = set()
-    for p in (5, 7, 11, 13, 17, 19):
-        f = Fp(p)
+    for p in (5, 7, 11, 13, 17, 19, 31, 37):
+        f, table = Fp(p), _square_table(p)
         for a in range(p):
             for b in range(p):
                 d = (4 * a**3 + 27 * b * b) % p
@@ -483,15 +505,63 @@ def test_kills_agrees_with_the_walk_of_a_square_root():
                 c = Curve(f, a, b)
                 square_d = legendre(-d, p) != -1
                 for x in range(p):
+                    kills = _kills(p, a, b, x)
+                    assert _kills(p, a, b, x, table) == kills, (p, a, b, x)
                     y = sqrt_mod(x**3 + a * x + b, p)
                     if y is None:
                         continue
                     walked = c.mul(p, c.point(x, y)).is_infinity
-                    assert _kills(p, a, b, x) == (square_d and walked), (p, a, b, x)
+                    assert kills == (square_d and walked), (p, a, b, x)
                     seen.add((square_d, y == 0, walked))
     # both classes, t = 0 in each, and a kill, which only a square discriminant
     # reaches (at p = 5 a non-square one kills on the walk, #E = 10, and is still rejected)
     assert {(True, True, False), (False, True, False), (True, False, True), (False, False, True)} <= seen
+
+
+def _walks(monkeypatch):
+    # every jacobian_mul call, as (p, a, n, base), made while the list is alive
+    import dualpair.curve as curve_module
+
+    walks, walk = [], curve_module.jacobian_mul
+    monkeypatch.setattr(curve_module, "jacobian_mul", lambda *args: walks.append(args) or walk(*args))
+    return walks
+
+
+def test_split_test_is_a_root_count(monkeypatch):
+    # at p = 1 mod 3, a curve with a square discriminant has a cubic with three
+    # roots or none; given the table, _kills rejects the first kind without a
+    # walk and walks the second, at any x with t = x^3 + ax + b nonzero
+    walks = _walks(monkeypatch)
+    split = whole = 0
+    for p in (q for q in range(7, 100, 6) if is_prime(q)):
+        table = _square_table(p)
+        for a in range(p):
+            for b in range(p):
+                d = -(4 * a**3 + 27 * b * b) % p
+                if not d or legendre(d, p) != 1:
+                    continue
+                roots = sum((r**3 + a * r + b) % p == 0 for r in range(p))
+                assert roots in (0, 3), (p, a, b)
+                x = next(x for x in range(p) if (x**3 + a * x + b) % p)
+                walks.clear()
+                _kills(p, a, b, x, table)
+                assert len(walks) == (roots == 0), (p, a, b)
+                split, whole = split + (roots == 3), whole + (roots == 0)
+    assert split > 1000 and whole > 1000
+
+
+@pytest.mark.parametrize("p,walked", [(1009, 144), (1013, 246)])
+def test_search_skips_the_walk_of_a_split_cubic(monkeypatch, p, walked):
+    # find_anomalous(p, p, count=3, seed=0) walked 210 curves at 1009 and 246 at
+    # 1013 before the split-cubic reject, which only p = 1 mod 3 takes; every
+    # walked image y^2 = x^3 + a'x + b', b' read from its base point, has a cubic with no root
+    walks = _walks(monkeypatch)
+    find_anomalous(p, p, count=3, seed=0)
+    assert len(walks) == walked
+    for q, a, n, (x, y, _) in walks:
+        assert (q, n) == (p, p - 1)
+        b = (y * y - x**3 - a * x) % p
+        assert (p % 3 == 2) or all((r**3 + a * r + b) % p for r in range(p)), (a, b)
 
 
 def test_search_takes_no_square_root(monkeypatch):
