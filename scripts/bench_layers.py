@@ -10,6 +10,9 @@ desk-size curve (p = 1511):
 * `solve.semaev`, `solve.rueck`, `solve.pairing`, `solve.lift`:
   `DlpInstance` construction and one attack, checked n*P = Q, as `dlp.solve`
   runs it
+* `semaev.caller_chain` and `rueck.caller_chain`: `semaev_coefficient` and
+  `rueck_slope_sum` of P on a caller's chain, `tail_chain(p, 3)`, which is
+  validated and gets its `Chain` record on every call
 * `miller.step_values` and `miller.scaled_step_values`: the exact and the
   scaled step readings of P's walk along the default chain
   (`miller.chain_for(p, None)`) at the routes' evaluation point sP
@@ -85,10 +88,11 @@ each round, and those ratios' median, quartiles and the count of rounds
 below 1 (`paired_ratios`), and the same for each round's ratio divided by
 that round's `control.mulmod` ratio (`control_normalized`).  No child
 writes bytecode into the repository's `src`.  Each side also records
-the values it computed: the three routes' pairing values, the four
-solves' recovered n, `verify`'s answers for n, n + 1, p - n, p + n and 0
-on Q = n*P and on Q = O, p*lift(P) (a point at infinity) and n*lift(P)
-(an affine point) for the solves' n, the lifted isogeny image,
+the values it computed: the three routes' pairing values, the two
+caller-chain values, the four solves' recovered n, `verify`'s answers
+for n, n + 1, p - n, p + n and 0 on Q = n*P and on Q = O, p*lift(P)
+(a point at infinity) and n*lift(P) (an affine point) for the solves' n,
+the lifted isogeny image,
 `miller_eval`'s f_P with T = O at sP and at sP + O_k, embed(P), the
 first 8 `Curve.random_point` draws of `random.Random(s)` for s = 0-3
 with the sha256 of the rng state they leave, each found
@@ -210,6 +214,7 @@ def _operations(p: int, a: int, b: int, G: tuple, n: int, scalar: int, ell: int)
     Q = curve.mul(n, P)
     dc = DualCurve.canonical(curve)
     chain = miller.chain_for(p, None)  # the default chain's record: the routes' walk and evaluation multiple s
+    tail = miller.tail_chain(p, 3)  # a caller's chain, checked and given its record per call
     trace = miller.chain_trace(curve, P, chain.steps)
     S = curve.mul(chain.s, P)
     point = miller.eval_point(p, a, (S.x.value, S.y.value), K)
@@ -221,6 +226,8 @@ def _operations(p: int, a: int, b: int, G: tuple, n: int, scalar: int, ell: int)
         "pair.direct": lambda: pairing.pairing_direct(dc, P, K),
         "pair.semaev": lambda: pairing.pairing_semaev(dc, P, K),
         "pair.rueck": lambda: pairing.pairing_rueck(dc, P, K),
+        "semaev.caller_chain": lambda: pairing.semaev_coefficient(curve, P, chain=tail),
+        "rueck.caller_chain": lambda: pairing.rueck_slope_sum(curve, P, chain=tail),
         "instance": lambda: DlpInstance(curve, P, Q),
         "verify": lambda: AttackResult(n, "rueck").verify(inst),
         **{f"solve.{m}": lambda m=m: solve(DlpInstance(curve, P, Q), m) for m in ("semaev", "rueck", "pairing", "lift")},
@@ -231,6 +238,7 @@ def _operations(p: int, a: int, b: int, G: tuple, n: int, scalar: int, ell: int)
         "isogeny.eval_lifted": lambda: phi.eval_lifted(lifted),
     }
     values = {f"{op}.a": str(ops[op]().a.value) for op in ("pair.direct", "pair.semaev", "pair.rueck")}
+    values.update({op: str(ops[op]().value) for op in ("semaev.caller_chain", "rueck.caller_chain")})
     values.update({f"{op}.n": str(fn().n) for op, fn in ops.items() if op.startswith("solve.")})
     values.update({op: ops[op]().to_json() for op in ("dual_curve.mul", "isogeny.eval_lifted")})
     values["verify"] = {name: [AttackResult(m, "rueck").verify(at) for m in (n, n + 1, p - n, p + n, 0)]

@@ -20,23 +20,23 @@ O(log n).  Functions are used only inside ratios, so the normalizing
 constant of f_P never needs to be materialized: every ratio of its values,
 so every pairing value, is the same on any chain for n.
 
-Every reader of a chain reads one record of it, `Chain(steps,
-multiplicities, s)` (`chain_for`): the steps; each step's multiplicity in
-the unrolled product, which weights semaev's sum of step ratios
-(`weighted_sum`); and s, the first multiple of a point of order n on no
-line of the walk, where the routes evaluate.  The default chain's record is
-built once per n and kept: `binary_chain(n)`'s, or at n = 5 and 7, where
-that leaves no s, `tail_chain(n, 3)`'s.  A caller's chain is validated and
-gets its record per call.  Each (P, chain) is walked once, on plain ints:
-`chain_trace` adds in Jacobian coordinates (`step_lines`), inverts nothing,
-and records the multiples and each step's slope numerator N and Z ratio F;
-its end point nP is the n-torsion check.  Rueck's slope sum, which rueck
-and `DualCurve.mul` read, is folded along that record as the walk went,
-one product or three a step, and divided once (`slope_sum`).  The lines
-are read from it in one place, projectively (`scaled_step_values`): each
-chord line through the step's own multiple -kP, each h up to a factor in
-F_p, which leaves every eps/re ratio alone, so the pairing routes read it
-as it is; no multiple is ever made affine.
+Every reader of a chain reads one record of it, `Chain(steps, s)`
+(`chain_for`): the steps, and s, the first multiple of a point of order n
+on no line of the walk, where the routes evaluate.  The default chain's
+record is built once per n and kept: `binary_chain(n)`'s, or at n = 5 and
+7, where that leaves no s, `tail_chain(n, 3)`'s.  A caller's chain is
+validated and gets its record per call.  Each (P, chain) is walked once,
+on plain ints: `chain_trace` adds in Jacobian coordinates (`step_lines`),
+inverts nothing, and records the multiples and each step's slope numerator
+N and Z ratio F; its end point nP is the n-torsion check.  Rueck's slope
+sum, which rueck and `DualCurve.mul` read, is folded along that record as
+the walk went, one product or three a step, and divided once
+(`slope_sum`).  The lines are read from it in one place, projectively
+(`scaled_step_values`): each chord line through the step's own multiple
+-kP, each h up to a factor in F_p, which leaves every eps/re ratio alone,
+so the pairing routes read it as it is; no multiple is ever made affine.
+Semaev's sum of those ratios is folded along the walk too, as fractions,
+three products a doubling and six an add, and divided once (`ratio_fold`).
 `trace_value` checks T and `at` once and turns at - T into an int tuple
 (`eval_point`), where a memoized fold of the exact values (`step_values`,
 read by the same reader) gives f_P with one division.
@@ -130,17 +130,6 @@ def validate_chain(n: int, chain: list[ChainStep]) -> None:
         raise ValueError(f"chain never reaches {n}")
 
 
-def step_multiplicities(n: int, chain: list[ChainStep]) -> dict[int, int]:
-    """How many times each step's contribution occurs in the unrolled product."""
-    need = {n: 1}
-    for k, i, j in reversed(chain):
-        c = need.get(k, 0)
-        if c:
-            need[i] = need.get(i, 0) + c
-            need[j] = need.get(j, 0) + c
-    return {k: need.get(k, 0) for k, _, _ in chain}
-
-
 def _evaluation_multiple(n: int, steps) -> int | None:
     """The smallest s in [1, n) with sP on no line of a walk of P, P of order n; None if there is none.
 
@@ -160,19 +149,15 @@ def _evaluation_multiple(n: int, steps) -> int | None:
 
 
 class Chain(NamedTuple):
-    """A chain for n and what the walks of it read: the steps, each step's
-    multiplicity in the unrolled product (`step_multiplicities`, in chain
-    order), which weights semaev's sum, and the evaluation multiple s
-    (`_evaluation_multiple`)."""
+    """A chain for n and what the walks of it read: the steps and the
+    evaluation multiple s (`_evaluation_multiple`)."""
 
     steps: tuple | list
-    multiplicities: tuple
     s: int | None
 
 
 def _record(n: int, steps) -> Chain:
-    mult = step_multiplicities(n, steps)
-    return Chain(steps, tuple(mult[k] for k, _, _ in steps), _evaluation_multiple(n, steps))
+    return Chain(steps, _evaluation_multiple(n, steps))
 
 
 @functools.lru_cache(maxsize=64)
@@ -239,16 +224,6 @@ def torsion_trace(curve: Curve, P: Point, chain: list[ChainStep], n: int) -> Cha
     return trace
 
 
-def weighted_sum(p: int, terms) -> int:
-    """The sum of m*top/bottom over (m, top, bottom) terms mod p, every bottom nonzero: one running fraction, divided once.
-    Semaev's sum of step ratios, weighted by `Chain.multiplicities`."""
-    num, den = 0, 1
-    for m, top, bottom in terms:
-        if m:
-            num, den = (num * bottom + m * top * den) % p, den * bottom % p
-    return num * pow(den, -1, p) % p
-
-
 def slope_sum(trace: ChainTrace, n: int) -> int:
     """S_n, the sum of the chord slopes N/Z_k that a walk takes on its way to n, each as often as
     the unrolled product for n takes it; S(P) at n = p.  One inversion, at n, which need not be
@@ -311,6 +286,27 @@ def product_fold(trace: ChainTrace, n: int, values: list) -> tuple:
             r, e = ar * br % p, (ar * be + ae * br) % p
         vals[k] = r * hr % p, (r * he + e * hr) % p
     return vals[n]
+
+
+def ratio_fold(trace: ChainTrace, n: int, values: list) -> int:
+    """c_n, the sum of the eps/re ratios of `values`' (re, eps) int pairs, parallel to trace.steps
+    and every re nonzero, each step's as often as the unrolled product for n takes it; one inversion,
+    at n, a step of the walk that need not be its last.  Folded along the walk as c_k = c_i + c_j +
+    eps_k/re_k from the start points' 0/1, each c_k a fraction (num, den): a doubling is
+    (2*num_i*re + eps*den_i, den_i*re), three products, and an add six."""
+    p = trace.field.p
+    sums = dict.fromkeys(trace.jac, (0, 1))
+    for (k, i, j, _, _), (re, eps) in zip(trace.steps, values):
+        a, b = sums[i]
+        if i == j:
+            num, den = 2 * a * re + eps * b, b * re % p
+        else:
+            c, d = sums[j]
+            bd = b * d % p
+            num, den = (a * d + c * b) * re + eps * bd, bd * re % p
+        if k == n:
+            return num * pow(den, -1, p) % p
+        sums[k] = num % p, den
 
 
 # -- evaluation ---------------------------------------------------------------

@@ -24,10 +24,10 @@ Three routes compute the same value from one walk of P's chain (`_trace`):
 
       e(P, O_k) = 1 - 2*(y * f_P'/f_P)(R) * k * eps,
 
-  with lam(P) = (f_P'/f_P)(R) the chain sum of (h'/h)(R), each weighted by
-  its step's multiplicity in the unrolled product and read from the eps/re
-  ratio of the same step values at S + O_1.  lam is additive and
-  injective in P and never zero for P != infinity; y(R)*lam(P) is
+  with lam(P) = (f_P'/f_P)(R) the sum of (h'/h)(R) folded along the walk,
+  l_k = l_i + l_j + (h_{i,j}'/h_{i,j})(R) for each step k = i + j, each
+  read from the eps/re ratio of the same step values at S + O_1.  lam is
+  additive and injective in P and never zero for P != infinity; y(R)*lam(P) is
   independent of R, of the divisor (equivalently of T), and of the chain.
 
 * slope sum (Rueck's method): choosing the divisor (P) - (infinity) and
@@ -43,8 +43,8 @@ caller's chain by P's walk, whose end point p*P is the p-torsion check,
 then a caller's R, then T on the curve; the direct and semaev routes do
 this and find their one point S + O_k in `_evaluation`.  Below that
 everything is plain ints, and the walk inverts nothing.  Every route reads
-the chain's `miller.Chain` record: the walk its steps, semaev's sum its
-multiplicities, and `_evaluation` its evaluation multiple s.
+the chain's `miller.Chain` record: the walk its steps, and `_evaluation`
+its evaluation multiple s.
 Without a caller's R the evaluation point comes from the chain, not from a
 search: P has order p, so every line of the walk meets E only at multiples
 of P, and S = sP is taken for the smallest s on none of them; the default
@@ -53,9 +53,10 @@ call at every p.  Nothing is drawn at random, and the routes are
 deterministic.  Each reading inverts once.
 Rueck folds the chord steps' slopes N/Z along the walk, carrying each
 multiple's sum times its Z, one product a doubling and three an add, and
-divides once (`miller.slope_sum`).  Semaev sums the scaled step values' ratios
-h_eps/h_re, each weighted by its step's multiplicity, as one running
-fraction (`miller.weighted_sum`).
+divides once (`miller.slope_sum`).  Semaev folds the scaled step values'
+ratios h_eps/h_re along the walk in the same way, c_k = c_i + c_j +
+h_eps/h_re, as fractions, three products a doubling and six an add, and
+divides once (`miller.ratio_fold`).
 Direct multiplies the scaled step values, each chord line read through
 its step's own multiple -kP, as dual numbers into one product f, whose
 ratio f_eps/f_re is the pairing's a.  No evaluation reads an
@@ -103,11 +104,11 @@ from .miller import (
     difference,
     eval_point,
     product_fold,
+    ratio_fold,
     require_on_curve,
     scaled_step_values,
     slope_sum,
     torsion_trace,
-    weighted_sum,
 )
 
 #: e(P, O_k) = 1 + SLOPE_SIGN * (chain slope sum) * k * eps
@@ -177,7 +178,7 @@ def _trace(curve: Curve, P: Point, chain=None) -> tuple:
 
 
 def _evaluation(curve: Curve, P: Point, R: Point | None, T: Point | None, chain, k: int) -> tuple:
-    """(P's `_trace` as rung and trace, the `eval_point` tuple of S + O_k), each input checked
+    """(P's walk from `_trace`, the `eval_point` tuple of S + O_k), each input checked
     once: P by its walk, then a caller's R (affine, outside E[2], p-torsion), then T on the curve.
 
     The point is None when P = O or k = 0, where nothing is evaluated.  S = R - T at a caller's
@@ -193,7 +194,7 @@ def _evaluation(curve: Curve, P: Point, R: Point | None, T: Point | None, chain,
             raise BadInputError("evaluation point must be p-torsion")
     T = require_on_curve(curve, T or INFINITY, "translation point T")
     if trace is None or not k:
-        return rung, trace, None
+        return trace, None
     p, a = curve.p, curve.A.value
     if R is not None:
         S = difference(p, a, (R.x.value, R.y.value), T)
@@ -201,7 +202,7 @@ def _evaluation(curve: Curve, P: Point, R: Point | None, T: Point | None, chain,
         raise DegenerateEvaluationError("all evaluation configurations degenerate: lines of the chain meet E at every multiple of P")
     else:
         S = jacobian_affine(p, jacobian_mul(p, a, rung.s, trace.jac[1]))
-    return rung, trace, eval_point(p, a, S, k)
+    return trace, eval_point(p, a, S, k)
 
 
 # -- the three routes ----------------------------------------------------------
@@ -219,19 +220,17 @@ def _direct_value(trace, point: tuple) -> PairingValue:
     return PairingValue(trace.field(fe * pow(fr, -1, p)))
 
 
-def _log_derivative_value(trace, point: tuple, multiplicities: tuple) -> FpElement:
+def _log_derivative_value(trace, point: tuple) -> FpElement:
     """(y * f_P'/f_P)(R) at the `eval_point` tuple of S + O_1, S = R - T; raises on degenerate lines.
 
     At S + O_1 the eps part of a function g is -2*(y*dg/dx)(S), with dg/dx taken
     along E: -2*y*g_x - (3*x^2 + A)*g_y, which holds at y(S) = 0 too.  So each
     step gives y(R) * (h'/h)(R) = -(eps/re of h)/2, a ratio its scalar factor
-    leaves alone; the steps' ratios, weighted by their `multiplicities` in chain
-    order, are summed by `miller.weighted_sum`.
+    leaves alone; the steps' ratios are folded along the walk and divided once,
+    at p, by `miller.ratio_fold`.
     """
     p = trace.field.p
-    values = scaled_step_values(trace, point)
-    terms = ((m, eps, re) for m, (re, eps) in zip(multiplicities, values))
-    return trace.field(weighted_sum(p, terms) * ((p - 1) // 2))  # (p - 1)/2 = -1/2 mod p
+    return trace.field(ratio_fold(trace, p, scaled_step_values(trace, point)) * ((p - 1) // 2))  # (p - 1)/2 = -1/2 mod p
 
 
 def rueck_slope_sum(curve: Curve, P: Point, chain=None) -> FpElement:
@@ -257,7 +256,7 @@ def pairing_direct(dc: DualCurve, P: Point, k, *, R: Point | None = None, chain=
     if not dc.is_canonical():
         raise NotCanonicalError("the pairing is defined on the canonical lift")
     curve = dc.base
-    _, trace, point = _evaluation(curve, P, R, T, chain, curve.field(k).value)
+    trace, point = _evaluation(curve, P, R, T, chain, curve.field(k).value)
     if point is None:
         return PairingValue(curve.field.zero())
     return _direct_value(trace, point)
@@ -275,10 +274,10 @@ def semaev_coefficient(curve: Curve, P: Point, *, R: Point | None = None, T: Poi
     it through different R just rescales lam by y(R)'s reciprocal.  Without
     R the point is chosen from P's chain (`_evaluation`).
     """
-    rung, trace, point = _evaluation(curve, P, R, T, chain, 1)
+    trace, point = _evaluation(curve, P, R, T, chain, 1)
     if point is None:
         return curve.field.zero()
-    return _log_derivative_value(trace, point, rung.multiplicities)
+    return _log_derivative_value(trace, point)
 
 
 def pairing_semaev(dc: DualCurve, P: Point, k, *, R: Point | None = None, T: Point | None = None, chain=None) -> PairingValue:

@@ -22,7 +22,7 @@ from dualpair import (
 )
 from dualpair.errors import DegenerateEvaluationError
 from dualpair.fields import Fp, FpElement
-from dualpair.miller import ChainStep, step_multiplicities, step_values, trace_fraction, weighted_sum
+from dualpair.miller import ChainStep, step_values, trace_fraction
 from dualpair.pairing import SLOPE_SIGN, PairingValue, rueck_slope_sum, semaev_coefficient
 
 SEED = 0x5EED
@@ -76,6 +76,28 @@ def power_of_two_chain(n: int) -> list[ChainStep]:
         steps.append(ChainStep(acc + b, acc, b))
         acc += b
     return steps
+
+
+def step_multiplicities(n: int, chain: list[ChainStep]) -> dict[int, int]:
+    """Oracle: how many times each step's contribution occurs in the unrolled product for n,
+    by one pass back over the chain (0 for a step the product does not take)."""
+    need = {n: 1}
+    for k, i, j in reversed(chain):
+        c = need.get(k, 0)
+        if c:
+            need[i] = need.get(i, 0) + c
+            need[j] = need.get(j, 0) + c
+    return {k: need.get(k, 0) for k, _, _ in chain}
+
+
+def weighted_sum(p: int, terms) -> int:
+    """Oracle: the sum of m*top/bottom over (m, top, bottom) terms mod p, every bottom nonzero,
+    as one running fraction, divided once."""
+    num, den = 0, 1
+    for m, top, bottom in terms:
+        if m:
+            num, den = (num * bottom + m * top * den) % p, den * bottom % p
+    return num * pow(den, -1, p) % p
 
 
 def unrolled_step_count(n: int, chain: list[ChainStep]) -> int:
@@ -133,9 +155,19 @@ def fold_trace(trace, n: int, unit, op, values: list):
 def weighted_slope_sum(trace, n: int) -> int:
     """Oracle for `miller.slope_sum`: every chord step's slope N/Z_k, weighted by its step's
     multiplicity in the unrolled product for n (`step_multiplicities`) and summed as one running
-    fraction (`miller.weighted_sum`), with no fold along the walk and no Z ratio read."""
+    fraction (`weighted_sum`), with no fold along the walk and no Z ratio read."""
     mult = step_multiplicities(n, [step[:3] for step in trace.steps])
     terms = ((mult[k], N, trace.jac[k][2]) for k, _, _, N, _ in trace.steps if N is not None)
+    return weighted_sum(trace.field.p, terms)
+
+
+def weighted_ratio_sum(trace, n: int, values: list) -> int:
+    """Oracle for `miller.ratio_fold`: every step's ratio eps/re of its (re, eps) pair in `values`,
+    parallel to trace.steps, weighted by its step's multiplicity in the unrolled product for n
+    (`step_multiplicities`) and summed as one running fraction (`weighted_sum`), with no fold
+    along the walk."""
+    mult = step_multiplicities(n, [step[:3] for step in trace.steps])
+    terms = ((mult[k], eps, re) for (k, _, _, _, _), (re, eps) in zip(trace.steps, values))
     return weighted_sum(trace.field.p, terms)
 
 
@@ -220,8 +252,8 @@ def direct_value_oracle(trace, point: tuple) -> PairingValue:
     return PairingValue(trace.field((ne * dr - nr * de) * pow(nr * dr, -1, p)))
 
 
-def log_derivative_oracle(trace, point: tuple, multiplicities=None):
-    """Oracle for `pairing._log_derivative_value` (multiplicities unused): the memoized chain sum
+def log_derivative_oracle(trace, point: tuple):
+    """Oracle for `pairing._log_derivative_value`: the memoized chain sum
     of -(eps/re of h's numerator - eps/re of its denominator)/2 from the exact step values,
     every re part inverted on its own."""
     p = trace.field.p

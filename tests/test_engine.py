@@ -9,9 +9,10 @@ the Jacobian walk of `miller.chain_trace`, for the line values that
 `DualCurve._add_raw` is the oracle for `DualCurve.mul`, the base walk plus
 the slope sum.  The readings that the walk's own readings replaced stay in
 conftest as oracles: the multiplicity-weighted slope sum (`weighted_slope_sum`)
-for `miller.slope_sum`, folded along the walk, and each chord line read
-through iP (`step_values_through_ip`) for `miller.step_values`, which reads
-it through -kP.
+for `miller.slope_sum`, folded along the walk; the multiplicity-weighted sum of
+the step values' eps/re ratios (`weighted_ratio_sum`) for `miller.ratio_fold`,
+semaev's sum folded along the walk; and each chord line read through iP
+(`step_values_through_ip`) for `miller.step_values`, which reads it through -kP.
 """
 
 import random
@@ -31,6 +32,8 @@ from dualpair.miller import (
     chain_trace,
     eval_point,
     incremental_chain,
+    ratio_fold,
+    scaled_step_values,
     slope_sum,
     step_values,
     tail_chain,
@@ -47,6 +50,7 @@ from conftest import (
     order_by_steps,
     step_values_through_ip,
     trace_points,
+    weighted_ratio_sum,
     weighted_slope_sum,
 )
 
@@ -290,6 +294,35 @@ def test_slope_sum_past_the_order_of_p_is_the_weighted_sum():
                 for n in ns:
                     assert dc.mul(n, Pt) == dual_double_and_add(dc, n, Pt), (curve, P, n)
     assert seen == {"chord", "O", "add doubles", "P is Q"}
+
+
+def test_ratio_fold_is_the_weighted_sum_on_every_chain(tiny_anomalous_all):
+    # semaev's sum folded along the walk against the multiplicity-weighted sum of the same scaled
+    # step values, on the default, binary, tail and incremental chains and on a caller's chain
+    # that walks on past p, P = O included, at U + O_1 for every affine U where no line vanishes
+    # (on the desk curve's 1,510-step incremental chain, for every 30th U).  On the small curves
+    # every affine point is walked, and each sum is also taken at every multiple k of the walk,
+    # where the start points' sum 0 shows: a start sum of 1 adds k, which is 0 mod p at k = p
+    folded, skipped = 0, 0
+    for curve in [*tiny_anomalous_all, DESK]:
+        p, a, desk = curve.p, curve.A.value, curve is DESK
+        past = binary_chain(p) + [ChainStep(p + 1, p, 1), ChainStep(2 * p + 1, p + 1, p)]
+        chains = [chain_for(p, None).steps, binary_chain(p), tail_chain(p, 3), incremental_chain(p), past]
+        affine = list(curve.points())[1:]
+        for P in [INFINITY, *(affine[:2] if desk else affine)]:
+            for chain in chains:
+                trace = chain_trace(curve, P, chain)
+                ns = [p] if desk else [k for k, _, _ in chain]
+                for U in affine[:: 30 if desk and len(chain) > 100 else 1]:
+                    try:
+                        values = scaled_step_values(trace, eval_point(p, a, (U.x.value, U.y.value), 1))
+                    except DegenerateEvaluationError:
+                        skipped += 1
+                        continue
+                    for n in ns:
+                        assert ratio_fold(trace, n, values) == weighted_ratio_sum(trace, n, values), (curve, P, U, n)
+                        folded += 1
+    assert folded > skipped > 0
 
 
 def test_step_values_are_the_through_ip_reading_at_every_affine_point(tiny_anomalous_all):

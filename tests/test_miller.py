@@ -14,7 +14,6 @@ from dualpair.miller import (
     h_eval,
     incremental_chain,
     miller_eval,
-    step_multiplicities,
     tail_chain,
     validate_chain,
     weil_pairing,
@@ -28,6 +27,7 @@ from conftest import (
     line_through,
     order_by_steps,
     power_of_two_chain,
+    step_multiplicities,
     trace_points,
     unrolled_step_count,
 )
@@ -56,15 +56,17 @@ def test_unrolled_count_is_n_minus_1(maker):
 
 
 def test_chain_multiplicities_in_chain_order_and_kept_for_the_default_chain():
-    # the record's multiplicities, in chain order, for the default chain and
-    # a caller's copy of it; the default chain's record is kept
+    # the oracle's multiplicities, in chain order, on the default chain's record and on a
+    # caller's copy of it; the default chain's record is kept
     for n in (2, 11, 1361, 2**32 + 15):
         chain = binary_chain(n)
         mult = step_multiplicities(n, chain)
-        assert chain_for(n, None).multiplicities == chain_for(n, chain).multiplicities == tuple(mult[s.k] for s in chain)
+        assert list(step_multiplicities(n, chain_for(n, None).steps).values()) == [mult[s.k] for s in chain]
+        assert chain_for(n, chain).steps is chain
         assert chain_for(n, None) is chain_for(n, None)
+    assert step_multiplicities(11, binary_chain(11)) == {2: 4, 4: 2, 5: 2, 10: 1, 11: 1}
     plain = [tuple(s) for s in incremental_chain(7)]  # a caller's chain of plain (k, i, j) tuples
-    assert chain_for(7, plain).multiplicities == (1,) * 6
+    assert list(step_multiplicities(7, chain_for(7, plain).steps).values()) == [1] * 6
 
 
 def test_binary_chain_below_2_32_is_double_and_add():
