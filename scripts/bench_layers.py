@@ -53,10 +53,6 @@ desk-size curve (p = 1511):
   `search.p1009` (p = 1 mod 3, where curves whose cubic splits are
   rejected without a walk) and `search.p1013` (p = 2 mod 3, where they are
   walked), and `curve.is_anomalous` on the desk curve (1511, 1301, 497)
-* the control layer (`control` in the record): `control.mulmod`, a fixed
-  loop of 256-bit int products mod the pinned prime that imports nothing
-  from `dualpair`, so that both sides run the same code and its paired
-  ratio, whose true value is 1, reads how far the host drifted between them
 * the CLI process layer (`cli` in the record), on the desk curve: whole
   child processes of `python -c pass` and of `python -m dualpair.cli`
   running `pair --method rueck`, `dlp --method rueck` and
@@ -70,10 +66,7 @@ side's `src`; every child runs each operation once, which fills the
 per-p caches and gives the values, then times the operations `--inner`
 times in turn; `search.is_anomalous`, a call of about 0.02 ms, is timed
 as a loop of 200 calls per sample and recorded in ms per call.  Over all
-children of a side the record holds best, quartiles and worst, in ms, and
-`pair.direct` and `pair.semaev` relative to `pair.rueck`: best to best,
-median to median, and the median of the ratios within one round, whose
-two timings are taken moments apart and so share the host's state.
+children of a side the record holds best, quartiles and worst, in ms.
 
     python3 scripts/bench_layers.py [--reps N] [--inner M] [--against REV] [--out FILE]
 
@@ -84,9 +77,10 @@ CLI children in it.  With `--against REV` the `src` of REV is unpacked
 directory, and the two sides run in alternating child processes, `--reps`
 of each, alternating which side runs first; the record then holds, per
 operation, the change side's median over the parent side's median within
-each round, and those ratios' median, quartiles and the count of rounds
-below 1 (`paired_ratios`), and the same for each round's ratio divided by
-that round's `control.mulmod` ratio (`control_normalized`).  No child
+each round, and those ratios' median, quartiles, best, worst and the count
+of rounds below 1 (`paired_ratios`).  Both sides may be one tree
+(`--against HEAD` on a clean tree): that A/A run gives the band each
+ratio moves in when nothing differs, which ROADMAP item L records.  No child
 writes bytecode into the repository's `src`.  Each side also records
 the values it computed: the three routes' pairing values, the two
 caller-chain values, the four solves' recovered n, `verify`'s answers
@@ -181,8 +175,6 @@ SEARCHES = [(f"search.find.seed{seed}", 1000, 1500, 1, seed) for seed in range(4
 #: operations that one sample times as a loop of this many calls, recorded in ms per call, so that a
 #: call of tens of microseconds is not read at the timer's resolution
 LOOPED = {"search.is_anomalous": 200}
-#: products in the control layer's loop, about 3 ms under CPython 3.11 on a shared Intel Xeon core
-CONTROL_PRODUCTS = 5000
 #: k in e(P, O_k) for the pair.* operations
 K = 3
 #: (A1, B1) of the lift for `dual_curve.mul`: off the scaling family, 6B*A1 != 4A*B1, as B != 0 on both curves
@@ -344,16 +336,6 @@ def _search_operations() -> tuple[dict, dict]:
     return ops, values
 
 
-def _control_mulmod() -> int:
-    """`CONTROL_PRODUCTS` 256-bit int products mod the pinned prime, with no dualpair code: the same work on
-    both sides, so that its paired ratio reads the host's drift between them."""
-    p = CURVES[0][1]
-    acc, step = CURVES[0][4]
-    for _ in range(CONTROL_PRODUCTS):
-        acc = acc * step % p
-    return acc
-
-
 def _timed(ops: dict, inner: int) -> dict:
     """operation -> `inner` timings in ms (per call for a `LOOPED` one), after one untimed call of each."""
     for fn in ops.values():
@@ -377,7 +359,6 @@ def child(src: str, inner: int, cm: bool) -> dict:
     out["timings_ms"]["isogeny"] = _timed(ops, inner)
     ops, out["values"]["search"] = _search_operations()
     out["timings_ms"]["search"] = _timed(ops, inner)
-    out["timings_ms"]["control"] = _timed({"control.mulmod": _control_mulmod}, inner)
     if cm:
         out["timings_ms"]["isogeny.cm"], out["values"]["isogeny.cm"] = _cm_searches()
     from dualpair import selfcheck
@@ -467,22 +448,14 @@ def _summary(samples: list) -> dict:
 
 
 def _paired_ratios(change: list, parent: list) -> dict:
-    """layer -> operation -> the change/parent ratios of the two sides' medians within each round, summarized,
-    and under "control_normalized" the same ratios each divided by its round's `control.mulmod` ratio, which
-    reads how far the host drifted between the two sides' children of that round."""
-
-    def ratio(c: dict, p: dict, name: str, op: str) -> float:
-        return statistics.median(c["timings_ms"][name][op]) / statistics.median(p["timings_ms"][name][op])
-
+    """layer -> operation -> the change/parent ratios of the two sides' medians within each round, summarized."""
     out = {}
     for name, ops in change[0]["timings_ms"].items():
         out[name] = {}
         for op in ops:
-            pairs = [(ratio(c, p, name, op), ratio(c, p, "control", "control.mulmod"))
-                     for c, p in zip(change, parent) if name in c["timings_ms"] and name in p["timings_ms"]]
-            rounds, normalized = [r for r, _ in pairs], [r / drift for r, drift in pairs]
-            out[name][op] = {**_summary(rounds), "below_1": sum(r < 1 for r in rounds),
-                             "control_normalized": {**_summary(normalized), "below_1": sum(r < 1 for r in normalized)}}
+            rounds = [statistics.median(c["timings_ms"][name][op]) / statistics.median(p["timings_ms"][name][op])
+                      for c, p in zip(change, parent) if name in c["timings_ms"] and name in p["timings_ms"]]
+            out[name][op] = {**_summary(rounds), "below_1": sum(r < 1 for r in rounds)}
     return out
 
 
@@ -572,17 +545,7 @@ def main(argv=None) -> int:
         for name, ops in runs[side][0]["timings_ms"].items():
             timings[name] = {op: _summary([s for run in runs[side] if name in run["timings_ms"] for s in run["timings_ms"][name][op]])
                              for op in ops}
-        ratios = {name: {} for name, *_ in CURVES}
-        for name in ratios:
-            t = timings[name]
-            for op in ("pair.direct", "pair.semaev"):
-                paired = [a / b for run in runs[side] for a, b in zip(run["timings_ms"][name][op], run["timings_ms"][name]["pair.rueck"])]
-                ratios[name][f"{op}/pair.rueck"] = {
-                    "best": t[op]["best"] / t["pair.rueck"]["best"],
-                    "median": t[op]["median"] / t["pair.rueck"]["median"],
-                    "paired_median": statistics.median(paired),
-                }
-        record["sides"][side] = {**meta, "values": values[side][0], "timings_ms": timings, "ratios_to_rueck": ratios}
+        record["sides"][side] = {**meta, "values": values[side][0], "timings_ms": timings}
     if "parent" in runs:
         record["paired_ratios"] = _paired_ratios(runs["change"], runs["parent"])
     text = json.dumps(record, indent=1, sort_keys=True) + "\n"

@@ -61,11 +61,12 @@ base) pairs, of which `jacobian_mul`'s is the one-pair case.
 A curve with #E = p has a rational point group that is cyclic of order p,
 so every nonzero point generates and the whole group is p-torsion.  Those
 are the attack targets of the rest of the package.  One rule certifies
-them (`_certifies_anomalous`): a point P != O with p*P = O has order p, so
-p divides #E; when 2p lies above the Hasse interval, which holds for
-p >= 7, p is the only multiple of p in it and #E = p.  Below that the
-count decides.  `is_anomalous`, `find_anomalous` and `dlp.DlpInstance`
-each supply the point and its walk.
+them: a point P != O with p*P = O has order p, so p divides #E; when 2p
+lies above the Hasse interval, which holds for p >= 7, p is the only
+multiple of p in it and #E = p.  At p = 5, #E = 10 fits too, but has one
+point of order 2, so a non-square discriminant, which `_kills` rejects
+unwalked: its kill is all that `is_anomalous` and `find_anomalous` read.
+`dlp.DlpInstance` counts at p = 5 instead (`_certifies_anomalous`).
 """
 
 from __future__ import annotations
@@ -539,15 +540,14 @@ def _random_x(p: int, a: int, b: int, rng: random.Random, squares: list[int] | N
 
 
 def is_anomalous(curve: Curve) -> bool:
-    """True iff #E(F_p) = p, by `_certifies_anomalous` on the first affine point.
+    """True iff #E(F_p) = p, by `_kills` on the first affine point, whose kill is the certificate.
 
     The point is (x, sqrt(t)) for the least x where t = x^3 + Ax + B is a
     square or zero.  `_kills` walks its image on an isomorphic curve, whose
     group is the same, so p kills the image exactly when it kills the point.
     """
     p, a, b = curve.p, curve.A.value, curve.B.value
-    killed = _kills(p, a, b, next(x for x in range(p) if legendre(x * x * x + a * x + b, p) != -1))
-    return _certifies_anomalous(curve, killed)
+    return _kills(p, a, b, next(x for x in range(p) if legendre(x * x * x + a * x + b, p) != -1))
 
 
 def find_anomalous(
@@ -571,8 +571,8 @@ def find_anomalous(
     square root), except on curves with a point of order 2, which cannot be
     anomalous: those with a non-square discriminant, and, for p = 1 mod 3
     below `SQUARE_TABLE_FROM`, those whose cubic splits.  p kills P'
-    exactly when it kills P, so a hit is P's certificate; a `Curve` is built
-    only for a hit, which `_certifies_anomalous` decides.
+    exactly when it kills P, so a hit is P's certificate, and a `Curve` is
+    built only for a hit.
     When the range holds at most `budget` nonsingular (p, A, B) triples
     (p^2 - p per prime), each tried one is marked, and the search stops
     once all of them are.
@@ -619,12 +619,10 @@ def find_anomalous(
                 tried[p][a * p + b] = 1
                 untried -= 1
             if _kills(p, a, b, _random_x(p, a, b, rng, squares)[0], squares):
-                curve = Curve(Fp(p), a, b)
-                if _certifies_anomalous(curve, True):
-                    found.append(curve)
-                    seen.add((p, a, b))
-                    if len(found) == count:
-                        break
+                found.append(Curve(Fp(p), a, b))
+                seen.add((p, a, b))
+                if len(found) == count:
+                    break
             if untried == 0:
                 raise SearchExhaustedError(f"[{p_min}, {p_max}] holds only {len(found)} anomalous curves")
     return found

@@ -483,9 +483,11 @@ def find_cyclic_isogeny(curve: Curve, ell: int) -> Isogeny:
     for lam in eigenvalues:
         num, den = _x_of_multiple(psi, fx, min(lam, ell - lam))
         h = psi_ell.gcd(xp * den - num)
+        # Q != O with x(phi Q) = x([lam]Q) has phi Q = +-lam*Q, and -lam is no eigenvalue (the two sum to 1, lam != 0):
+        # so h is the lam-eigenspace, a line of degree d, or all of psi_ell when Frobenius is the scalar lam
         if h.degree == d:
             candidates.add(h)
-        elif h == psi_ell:
+        else:
             candidates.update(_scalar_kernels(psi, fx, h, d))
     for h in sorted(candidates, key=lambda g: g.coeffs):
         try:

@@ -24,6 +24,7 @@ from .dlp import DlpInstance, canonical_witness, solve, torsion_preserving_lifts
 from .dual_curve import DualCurve
 from .errors import BadInputError, DualPairError
 from .isogeny import check_functoriality, multiplication_isogeny
+from .miller import tail_chain
 from .pairing import pairing_direct, pairing_rueck, pairing_semaev
 
 _METHODS = ("semaev", "rueck", "pairing", "lift")
@@ -108,11 +109,14 @@ def run(trials: int = 100, seed: int = 0xC11E) -> dict:
             ),
         ),
         _section("decomposition_roundtrip", (dc.compose(*dc.decompose(Pt)) == Pt for Pt in dc.points())),
+        # each draw on the default chain and on tail_chain(p, 2): at p = 5 the first ends 5 = 2 + 3, c_3 = c_2 at its
+        # evaluation point, where a fold that read an add's first operand twice still agrees; the second ends 5 = 3 + 2
         _section(
             "pairing_three_way_agreement",
             (
-                len({route(dc, P, k).a.value for route in (pairing_direct, pairing_semaev, pairing_rueck)}) == 1
+                len({route(dc, P, k, chain=chain).a.value for route in (pairing_direct, pairing_semaev, pairing_rueck)}) == 1
                 for P, k in [(rng.choice(base_pts), rng.randrange(1, p)) for _ in range(trials)]
+                for chain in (None, tail_chain(p, 2))
             ),
         ),
         # non-degeneracy: every nonzero point pairs nontrivially with O_1

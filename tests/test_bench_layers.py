@@ -1,0 +1,37 @@
+"""scripts/bench_layers.py's paired-ratio record on two synthetic two-round runs: one summary of the raw ratios per row."""
+
+import importlib.util
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_layers.py"
+
+
+def _load():
+    spec = importlib.util.spec_from_file_location("bench_layers", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_paired_ratios_summarize_each_row_raw():
+    bench = _load()
+    # each run: layer -> operation -> one child's timings in ms; "isogeny.cm" runs in the first round only
+    change = [
+        {"timings_ms": {"desk": {"pair.rueck": [2.0, 4.0], "verify": [1.0, 1.0]}, "isogeny.cm": {"isogeny.find": [3.0]}}},
+        {"timings_ms": {"desk": {"pair.rueck": [1.0, 1.0], "verify": [0.5, 1.5]}}},
+    ]
+    parent = [
+        {"timings_ms": {"desk": {"pair.rueck": [1.5, 1.5], "verify": [2.0, 2.0]}, "isogeny.cm": {"isogeny.find": [6.0]}}},
+        {"timings_ms": {"desk": {"pair.rueck": [2.0, 2.0], "verify": [1.0, 1.0]}}},
+    ]
+    ratios = bench._paired_ratios(change, parent)
+    assert sorted(ratios) == ["desk", "isogeny.cm"]
+    assert sorted(ratios["desk"]) == ["pair.rueck", "verify"]
+    for row in (*ratios["desk"].values(), *ratios["isogeny.cm"].values()):
+        assert {"best", "q1", "median", "q3", "worst", "n", "below_1"} == set(row)  # no control_normalized
+    rueck = ratios["desk"]["pair.rueck"]  # rounds 3/1.5 = 2 and 1/2 = 0.5
+    assert (rueck["best"], rueck["median"], rueck["worst"], rueck["n"], rueck["below_1"]) == (0.5, 1.25, 2.0, 2, 1)
+    assert rueck["q1"] < rueck["median"] < rueck["q3"]
+    assert ratios["desk"]["verify"]["median"] == 0.75  # rounds 0.5 and 1
+    assert ratios["isogeny.cm"]["isogeny.find"] == {"best": 0.5, "q1": 0.5, "median": 0.5, "q3": 0.5, "worst": 0.5,
+                                                     "n": 1, "below_1": 1}

@@ -396,8 +396,8 @@ def test_selfcheck_tells_a_from_b_in_the_scaling_witness(monkeypatch):
 @pytest.mark.parametrize(
     "args, digest",
     [
-        ((8, 5), "134e0be68da73b87ae151c7984078409fbdc924a7eac62635dd5bcb44d77c776"),
-        ((100, 0xC11E), "baf7da545dc23bbd49f3f844dd4a18d7c7cc17a01426f57d4c090d476992ec05"),
+        ((8, 5), "d4a602c3d0eb5b60d814a41254e4b9957eebdf03a2132d5f0b6b1f9818e65921"),
+        ((100, 0xC11E), "80362a5a6905140e541e94ece60962079eec728cba652c9486543cc05c5b4b15"),
     ],
 )
 def test_selfcheck_report_is_pinned(args, digest):

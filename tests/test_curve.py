@@ -419,7 +419,8 @@ def test_non_square_discriminant_means_two_torsion():
 
 def test_is_anomalous_matches_the_count(monkeypatch):
     # without rng the certificate point is deterministic, not a random draw;
-    # p = 5 (where #E = 10 also kills a 5-torsion point) falls back to the count.
+    # at p = 5 (where #E = 10 also kills a 5-torsion point) _certifies_anomalous
+    # falls back to the count, and is_anomalous needs none (the next test).
     # The certificate itself: p | #E exactly when some P != O has p*P = O (Cauchy)
     def no_draws(self, rng):
         raise AssertionError("is_anomalous drew a random point")
@@ -434,6 +435,26 @@ def test_is_anomalous_matches_the_count(monkeypatch):
                     n = count_points(c)
                     assert is_anomalous(c) == _certifies_anomalous(c, n % p == 0) == (n == p)
                     assert not _certifies_anomalous(c, False)
+
+
+def test_a_kill_is_the_certificate():
+    # find_anomalous keeps a curve on a kill, and is_anomalous answers by one, with no count: a kill
+    # has t a nonzero square, so P' != O has order p and p | #E, and from p = 7 on Hasse leaves only
+    # #E = p; at p = 5, #E = 10 has one point of order 2, so a non-square discriminant, which _kills
+    # rejects before it walks. On an anomalous curve every such x is a kill, with the table or without
+    tens = 0
+    for p in (5, 7, 11, 13, 17, 19, 23, 29, 31):
+        f, table = Fp(p), _square_table(p)
+        for a in range(p):
+            for b in range(p):
+                if (4 * a**3 + 27 * b * b) % p == 0:
+                    continue
+                n = count_points(Curve(f, a, b))
+                tens += n == 2 * p
+                xs = [x for x in range(p) if legendre(x**3 + a * x + b, p) == 1]
+                kills = [_kills(p, a, b, x, squares) for squares in (None, table) for x in xs]
+                assert kills and all(kills) if n == p else not any(kills), (p, a, b)
+    assert tens  # the case the discriminant reject answers, at p = 5
 
 
 def _image(p, a, b, x):
