@@ -46,9 +46,9 @@ CLI's primes lie, and a 4-bit sliding window from 2^32 on, about 1.2 steps
 per bit where double-and-add takes 1.5.  The double-and-add walk is one
 loop on local ints, with the doubling and the mixed Jacobian-affine
 addition of the base (Z2 = 1; Cohen, Miyaji and Ono, ASIACRYPT 1998)
-written out.  `DualCurve.mul` and the default
-Miller chain (`miller.binary_chain`) take its group operations in its
-order.  `Curve.mul` wraps it and inverts once, at the end.
+written out.  The default Miller chain (`miller.binary_chain`) and
+`miller.slope_walk`, which `DualCurve.mul` and Rueck's S(P) read, take its
+group operations in its order.  `Curve.mul` wraps it and inverts once, at the end.
 
 Membership, `contains`, is computed on the ints under the wrappers.
 `point`, `add` and `mul` check their points with it once, at entry, as do

@@ -28,8 +28,8 @@ nonzero off the identity:
   broken draw or walk.
 
 An instance is checked once, when built: Q on the curve, and p*P = O as
-S(P), folded along P's walk of the default chain for p with one
-inversion (`miller.slope_sum`) and kept (`DlpInstance.slope_sum`).  All
+S(P), folded inside P's walk of the default chain for p with one
+inversion (`miller.slope_walk`) and kept (`DlpInstance.slope_sum`).  All
 four attacks read it and walk only Q.  The lift attack and
 `AttackResult.verify` check neither point again: the one lifts and
 multiplies Q by `DualCurve._lift_raw` and `_mul_raw`; the other takes n*P
@@ -96,11 +96,11 @@ class DlpInstance(_Frozen):
 
     The checks run in order, once, in `__post_init__`, a method of its own so
     that the benchmark's tracer times them (`dlp.instance_check`): Q on the
-    curve, P != infinity, then p*P = infinity as P's `rueck_slope_sum`, which
-    also puts P on the curve; the sum is kept as `slope_sum` and left out of
-    the constructor, equality, hash and repr; P's walk certifies #E = p
-    (`curve._certifies_anomalous`).  The attacks and `AttackResult.verify`
-    take P and Q as checked.
+    curve, P != infinity, then p*P = infinity as the end of P's walk in
+    `rueck_slope_sum`, which also puts P on the curve; the sum is kept as
+    `slope_sum`, out of the constructor, equality, hash and repr; the walk
+    certifies #E = p (`curve._certifies_anomalous`).  The attacks and
+    `AttackResult.verify` take P and Q as checked.
     """
 
     _fields = ("curve", "P", "Q")

@@ -72,7 +72,7 @@ k = -x1/(2*y0) as `lift` has x1 = 0, n*P~ = lift(nP) + O_c (O_c at nP = O):
 
 S_n(P) the slope sum of P's walk along the default chain for n, every
 chord slope as often as the unrolled product for n takes it, folded along
-the walk (`miller.slope_sum`; Rueck's S(P) at n = p), and nP its end.
+the walk (`miller.slope_walk`; Rueck's S(P) at n = p), and nP its end.
 Over C, with x = wp(u) and y = wp'(u)/2, the chord slope through u and v
 is zeta(u + v) - zeta(u) - zeta(v), the addition law of the Weierstrass
 zeta function; so the offset of n*lift(P) from lift(nP), a 2-cocycle, is
@@ -95,7 +95,7 @@ import random
 from .curve import INFINITY, Curve, Point, jacobian_affine
 from .errors import BadInputError, InvalidPointError, NotCanonicalError
 from .fields import DualNumber, Fp, FpElement
-from .miller import chain_for, chain_trace, eval_point, slope_sum
+from .miller import eval_point, slope_walk
 
 
 class DualPoint:
@@ -276,7 +276,7 @@ class DualCurve:
 
     def mul(self, n: int, P: DualPoint) -> DualPoint:
         """n*P, negative n allowed: one walk of P's reduction on the base curve along the
-        default chain for n (`miller.chain_for(n, None)`), read by the closed form of the module
+        default chain for n (`miller.slope_walk`), read by the closed form of the module
         docstring, which takes no step of `_add_raw`.  For an input O_k, n*O_k = O_{n*k}."""
         self._require_valid(P)
         return self._mul_raw(n, P)
@@ -294,7 +294,7 @@ class DualCurve:
         if not y0:  # P~ = lift(P) + O_k with 2*P~ = O_2k
             k = -P.y.eps.value * pow(3 * x0 * x0 + a, -1, p)
             return DualPoint.infinity(f(n * k)) if n % 2 == 0 else self.translate(P, f((n - 1) * k))
-        trace = chain_trace(self.base, P.reduction(), chain_for(n, None).steps)
+        nP, s_n = slope_walk(self.base, P.reduction(), n)
         b, a1, b1 = self.base.B.value, self.A1.value, self.B1.value
         disc = 4 * a**3 + 27 * b * b
 
@@ -302,8 +302,8 @@ class DualCurve:
             return a1 * (9 * b * x * x + 2 * a * a * x + 6 * a * b) + b1 * (9 * b * x - 6 * a * x * x - 4 * a * a)
 
         k = -P.x.eps.value * pow(2 * y0, -1, p)  # `lift` takes x1 = 0
-        c = n * k + self.slope_factor() * slope_sum(trace, n) + n * g(x0) * pow(2 * disc * y0, -1, p)
-        end = jacobian_affine(p, trace.jac[n])
+        c = n * k + self.slope_factor() * s_n + n * g(x0) * pow(2 * disc * y0, -1, p)
+        end = jacobian_affine(p, nP)
         if end is None:
             return DualPoint.infinity(f(c))
         x, y = end  # lift(nP) + O_(c - gamma(nP)), its eps parts free of gamma's pole at y = 0

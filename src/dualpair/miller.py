@@ -29,12 +29,13 @@ validated and gets its record per call.  Each (P, chain) is walked once,
 on plain ints: `chain_trace` adds in Jacobian coordinates (`step_lines`),
 inverts nothing, and records the multiples and each step's slope numerator
 N and Z ratio F; its end point nP is the n-torsion check.  Rueck's slope
-sum, which rueck and `DualCurve.mul` read, is folded along that record as
-the walk went, one product or three a step, and divided once
-(`slope_sum`).  The lines are read from it in one place, projectively
-(`scaled_step_values`): each chord line through the step's own multiple
--kP, each h up to a factor in F_p, which leaves every eps/re ratio alone,
-so the pairing routes read it as it is; no multiple is ever made affine.
+sum is folded along that record, one product or three a step, and divided
+once (`slope_sum`); on the default chain below 2^32, which rueck and
+`DualCurve.mul` read, inside the walk (`slope_walk`).  The lines are read
+from it in one place, projectively (`scaled_step_values`): each chord line
+through the step's own multiple -kP, each h up to a factor in F_p, which
+leaves every eps/re ratio alone, so the pairing routes read it as it is;
+no multiple is ever made affine.
 Semaev's sum of those ratios is folded along the walk too, as fractions,
 three products a doubling and six an add, and divided once (`ratio_fold`).
 `trace_value` checks T and `at` once and turns at - T into an int tuple
@@ -54,7 +55,7 @@ import functools
 import random
 from typing import NamedTuple
 
-from .curve import JACOBIAN_INFINITY, Curve, Point, jacobian_add, jacobian_affine, window_digits
+from .curve import JACOBIAN_INFINITY, WINDOW_FROM, Curve, Point, jacobian_add, jacobian_affine, window_digits
 from .errors import BadInputError, BadTorsionError, DegenerateEvaluationError
 from .fields import Fp, FpElement
 
@@ -268,6 +269,45 @@ def _slope_fractions(p: int, jac: dict, scaled: dict, n: int, step: tuple, steps
         if k == n:
             return num * pow(den, -1, p) % p
         sums[k] = num % p, den
+
+
+def slope_walk(curve: Curve, P: Point, n: int) -> tuple:
+    """(nP as a Jacobian triple, `slope_sum`'s S_n) of P's walk along the default chain for n >= 1,
+    P affine on the curve.  Below `WINDOW_FROM` it is `jacobian_mul`'s double-and-add on local ints,
+    carrying T = S*Z beside each multiple: T' = 2F*T + N for a doubling, H*T + r for the add of P.
+    A last add that lands on O (H = 0, r != 0) takes no slope, so S_n = T/Z from before it.  Any
+    other step without a chord, and every n from `WINDOW_FROM` on, walk `chain_trace` for
+    `slope_sum` instead: S_n is the same on any chain for n.
+    """
+    if n < WINDOW_FROM:
+        p, a, x, y, bits = curve.p, curve.A.value, P.x.value, P.y.value, iter(bin(n)[3:])
+        X, Y, Z, T = x, y, 1, 0
+        for bit in bits:
+            if not Y:
+                break
+            YY = Y * Y % p
+            S = 4 * X * YY % p
+            ZZ = Z * Z % p
+            N = (3 * X * X + a * ZZ * ZZ) % p
+            X3 = (N * N - 2 * S) % p
+            X, Y, Z, T = X3, (N * (S - X3) - 8 * YY * YY) % p, 2 * Y * Z % p, (4 * Y * T + N) % p  # F = 2Y
+            if bit == "1":
+                ZZ = Z * Z % p
+                H = (x * ZZ - X) % p
+                r = (y * Z * ZZ - Y) % p
+                if not H:
+                    if r and next(bits, None) is None:  # the last step: nP = O
+                        return JACOBIAN_INFINITY, T * pow(Z, -1, p) % p
+                    break
+                HH = H * H % p
+                HHH = H * HH % p
+                V = X * HH % p
+                X3 = (r * r - HHH - 2 * V) % p
+                X, Y, Z, T = X3, (r * (V - X3) - Y * HHH) % p, Z * H % p, (H * T + r) % p
+        else:
+            return (X, Y, Z), T * pow(Z, -1, p) % p
+    trace = chain_trace(curve, P, chain_for(n, None).steps)
+    return trace.jac[n], slope_sum(trace, n)
 
 
 def product_fold(trace: ChainTrace, n: int, values: list) -> tuple:

@@ -52,11 +52,12 @@ chain's record, s included, is built once per p, so P is walked once per
 call at every p.  Nothing is drawn at random, and the routes are
 deterministic.  Each reading inverts once.
 Rueck folds the chord steps' slopes N/Z along the walk, carrying each
-multiple's sum times its Z, one product a doubling and three an add, and
-divides once (`miller.slope_sum`).  Semaev folds the scaled step values'
-ratios h_eps/h_re along the walk in the same way, c_k = c_i + c_j +
-h_eps/h_re, as fractions, three products a doubling and six an add, and
-divides once (`miller.ratio_fold`).
+multiple's sum times its Z, and divides once: inside the walk on the
+default chain (`miller.slope_walk`), else over P's trace
+(`miller.slope_sum`).  Semaev folds the scaled step values' ratios
+h_eps/h_re along the walk in the same way, c_k = c_i + c_j + h_eps/h_re,
+as fractions, three products a doubling and six an add, and divides once
+(`miller.ratio_fold`).
 Direct multiplies the scaled step values, each chord line read through
 its step's own multiple -kP, as dual numbers into one product f, whose
 ratio f_eps/f_re is the pairing's a.  No evaluation reads an
@@ -108,6 +109,7 @@ from .miller import (
     require_on_curve,
     scaled_step_values,
     slope_sum,
+    slope_walk,
     torsion_trace,
 )
 
@@ -237,8 +239,15 @@ def rueck_slope_sum(curve: Curve, P: Point, chain=None) -> FpElement:
     """Sum of chord/tangent slopes over a chain for p with divisor (P) - (inf).
 
     Pure slope bookkeeping: vertical steps contribute nothing and no point
-    is ever evaluated, so the computation is total (`miller.slope_sum`).
+    is ever evaluated, so the computation is total: `miller.slope_walk` on
+    the default chain, with p*P its end, else `miller.slope_sum` of `_trace`.
     """
+    if chain is None and not P.is_infinity:
+        curve._require_on_curve(P)
+        end, s = slope_walk(curve, P, curve.p)
+        if end[2]:
+            raise BadTorsionError(f"{P} is not {curve.p}-torsion")
+        return curve.field(s)
     _, trace = _trace(curve, P, chain)
     if trace is None:
         return curve.field.zero()

@@ -1,5 +1,6 @@
 import operator
 import random
+import sys
 from typing import NamedTuple
 
 import pytest
@@ -213,9 +214,27 @@ def trace_points(trace) -> dict:
 
 
 def count_walks(monkeypatch) -> list:
-    """The start points of every chain walk from now on, appended as each walk begins."""
-    walks, walk = [], miller._walk
-    monkeypatch.setattr(miller, "_walk", lambda curve, start, chain: walks.append(start) or walk(curve, start, chain))
+    """The start points of every chain walk from now on, appended as each walk begins, once per walk
+    whichever engine runs it: `miller.slope_walk`, `miller._walk`, or the one falling back to the other."""
+    walks, running = [], []
+
+    def counted(engine, start):
+        def walk(*args):
+            if not running:
+                walks.append(start(*args))
+            running.append(engine)
+            try:
+                return engine(*args)
+            finally:
+                running.pop()
+
+        return walk
+
+    monkeypatch.setattr(miller, "_walk", counted(miller._walk, lambda curve, start, chain: start))
+    engine = miller.slope_walk
+    for module in list(sys.modules.values()):  # every namespace that holds it, as the benchmark's tracer patches
+        if module.__name__.startswith("dualpair") and getattr(module, "slope_walk", None) is engine:
+            monkeypatch.setattr(module, "slope_walk", counted(engine, lambda curve, P, n: {1: P}))
     return walks
 
 

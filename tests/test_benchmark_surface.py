@@ -86,9 +86,10 @@ def test_the_seed_flags_the_workloads_send(capsys):
 
 def test_the_tracer_counts_every_chain_step():
     # miller.chain_steps counts calls of miller.step_lines through the module
-    # global; a walk that called jacobian_add by its own name would count 0
+    # global; a trace walk that called jacobian_add by its own name would count 0.
+    # Semaev's route reads a trace walk at every p (rueck's S(P) walks inline below 2^32)
     from dualpair.miller import chain_for
-    from dualpair.pairing import rueck_slope_sum
+    from dualpair.pairing import semaev_coefficient
 
     curve, P = _desk()
     steps = len(chain_for(curve.p, None).steps)
@@ -96,7 +97,7 @@ def test_the_tracer_counts_every_chain_step():
     tracer.current_request = 0
     try:
         tracer.install()
-        rueck_slope_sum(curve, P)
+        semaev_coefficient(curve, P)
     finally:
         tracer.uninstall()
     calls, _ = tracer.calls(1)

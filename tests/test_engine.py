@@ -13,6 +13,8 @@ for `miller.slope_sum`, folded along the walk; the multiplicity-weighted sum of
 the step values' eps/re ratios (`weighted_ratio_sum`) for `miller.ratio_fold`,
 semaev's sum folded along the walk; and each chord line read through iP
 (`step_values_through_ip`) for `miller.step_values`, which reads it through -kP.
+The trace walk of `binary_chain(n)` and its `miller.slope_sum` are the oracle for
+`miller.slope_walk`, which folds the same sum inside the walk and keeps no trace.
 """
 
 import random
@@ -22,8 +24,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dualpair import INFINITY, Curve, DualCurve, count_points
-from dualpair.errors import DegenerateEvaluationError
+from dualpair import INFINITY, Curve, DualCurve, Point, count_points
+from dualpair.curve import jacobian_affine
+from dualpair.errors import BadTorsionError, DegenerateEvaluationError, PointNotOnCurveError
 from dualpair.fields import Fp
 from dualpair.miller import (
     ChainStep,
@@ -35,9 +38,11 @@ from dualpair.miller import (
     ratio_fold,
     scaled_step_values,
     slope_sum,
+    slope_walk,
     step_values,
     tail_chain,
 )
+from dualpair.numbertheory import next_prime
 from dualpair.pairing import rueck_slope_sum
 
 from conftest import (
@@ -45,6 +50,7 @@ from conftest import (
     Vertical,
     dual_double_and_add,
     eval_line,
+    first_anomalous_by_scan,
     line_through,
     mul_below_2_32,
     order_by_steps,
@@ -294,6 +300,64 @@ def test_slope_sum_past_the_order_of_p_is_the_weighted_sum():
                 for n in ns:
                     assert dc.mul(n, Pt) == dual_double_and_add(dc, n, Pt), (curve, P, n)
     assert seen == {"chord", "O", "add doubles", "P is Q"}
+
+
+def _slope_walk_matches_the_trace(curve, P, n) -> str:
+    """Check `slope_walk`'s (nP, S_n) against `chain_trace` + `slope_sum` on `binary_chain(n)`, nP
+    compared affine (a fallback at n = 5 and 7 walks the default chain, `tail_chain(n, 3)`); returns
+    the walk's kind from the trace: "chords", "last add to O" or "fallback"."""
+    p = curve.p
+    trace = chain_trace(curve, P, binary_chain(n))
+    end, s = slope_walk(curve, P, n)
+    assert (jacobian_affine(p, end), s) == (jacobian_affine(p, trace.jac[n]), slope_sum(trace, n)), (curve, P, n)
+    no_chord = [k for k, _, _, _, F in trace.steps if F is None]
+    if not no_chord:
+        assert end == trace.jac[n]  # the same group operations in the same order
+        return "chords"
+    last = trace.steps[-1]
+    return "last add to O" if no_chord == [n] and last[1] != last[2] and not trace.jac[n][2] else "fallback"
+
+
+def test_slope_walk_is_the_trace_fold_at_every_point_of_small_curves():
+    # every affine P of the first anomalous curve of each p <= 31 and of the non-anomalous curves
+    # with points of order 2, 3, 4, 6, 9, 12 and 18, for every n in [1, 3p]: walks that take a
+    # chord at every step, walks whose last add lands on O, and walks that fall back to the trace
+    seen = set()
+    curves = [first_anomalous_by_scan(p) for p in (5, 7, 11, 13, 17, 19, 23, 29, 31)]
+    for curve in [c for c in curves if c] + SMALL_ORDERS:
+        for P in list(curve.points())[1:]:
+            for n in range(1, 3 * curve.p + 1):
+                seen.add(_slope_walk_matches_the_trace(curve, P, n))
+    assert seen == {"chords", "last add to O", "fallback"}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_slope_walk_is_the_trace_fold_below_2_32(data):
+    # random curves and points at primes up to 2^32 - 5, the largest below 2^32, and n < 2^32
+    p = next_prime(data.draw(st.integers(5, 2**32 - 5)))
+    a, b = data.draw(st.integers(0, p - 1)), data.draw(st.integers(0, p - 1))
+    assume((4 * a**3 + 27 * b**2) % p)
+    curve = Curve(Fp(p), a, b)
+    P = curve.random_point(random.Random(data.draw(st.integers(0, 2**32))))
+    _slope_walk_matches_the_trace(curve, P, data.draw(st.integers(1, 2**32 - 1)))
+
+
+@pytest.mark.parametrize("curve", [Curve(Fp(5), 1, 1), Curve(Fp(7), 3, 1), Curve(Fp(1511), 1, 1)], ids=["p5", "p7", "desk"])
+def test_rueck_slope_sum_raises_as_the_trace_walk_does(curve):
+    # an off-curve P and a P that is not p-torsion (on these non-anomalous curves) raise the error
+    # of the trace walk on the same default chain, given as a caller's chain, type and message
+    p, f = curve.p, curve.field
+    assert count_points(curve) != p
+    on = [P for P in list(curve.points())[1:40] if not curve.mul(p, P).is_infinity]
+    off = Point(on[0].x, on[0].y + f.one())
+    for P, error in ((on[0], BadTorsionError), (on[-1], BadTorsionError), (off, PointNotOnCurveError)):
+        with pytest.raises(error) as walked:
+            rueck_slope_sum(curve, P, chain_for(p, None).steps)
+        with pytest.raises(error, match=f"^{re.escape(str(walked.value))}$"):
+            rueck_slope_sum(curve, P)
+    with pytest.raises(BadTorsionError, match=rf"^\({on[0].x}, {on[0].y}\) is not {p}-torsion$"):
+        rueck_slope_sum(curve, on[0])
 
 
 def test_ratio_fold_is_the_weighted_sum_on_every_chain(tiny_anomalous_all):
