@@ -69,6 +69,7 @@ as a loop of 200 calls per sample and recorded in ms per call.  Over all
 children of a side the record holds best, quartiles and worst, in ms.
 
     python3 scripts/bench_layers.py [--reps N] [--inner M] [--against REV] [--out FILE]
+                                    [--isolate LAYER:OP[,LAYER:OP...]]
 
 The working tree's `src`, uncommitted changes included, is copied into a
 temporary directory, and every child imports from that copy and runs the
@@ -108,6 +109,16 @@ with its side and round.  Each side names the tree it timed by
 `src_sha256`, the sha256 of the sorted
 `src/dualpair/*.py` paths and bytes; its `commit` is null when `src` has
 uncommitted changes.  Only the standard library is used.
+
+In one child the rows share a process, and a row's time moves by a few
+per cent with what the rows around it run.  `--isolate` times only the
+named rows, each LAYER:OP with LAYER a curve's name, `isogeny` or
+`search` (`desk:pair.semaev`): per side and per round, each row gets a
+child process of its own, which builds the row's layer as above, values
+included, then runs that row once untimed and `--inner` times timed; the
+sides alternate as above, and no CLI child or CM search runs.  The
+record's `modes` names each timed row's mode, `shared` or `isolated`, and
+`isolate` lists the rows; the values are each isolated row's layer's.
 """
 
 from __future__ import annotations
@@ -172,6 +183,8 @@ SEARCHES = [(f"search.find.seed{seed}", 1000, 1500, 1, seed) for seed in range(4
     ("search.p1009", 1009, 1009, 3, 0),
     ("search.p1013", 1013, 1013, 3, 0),
 ]
+#: the layers that a child times in turn, each built by `_layer`, and that `--isolate` rows name
+LAYERS = [name for name, *_ in CURVES] + ["isogeny", "search"]
 #: operations that one sample times as a loop of this many calls, recorded in ms per call, so that a
 #: call of tens of microseconds is not read at the timer's resolution
 LOOPED = {"search.is_anomalous": 200}
@@ -349,16 +362,31 @@ def _timed(ops: dict, inner: int) -> dict:
     return samples
 
 
+def _layer(name: str) -> tuple[dict, dict]:
+    """(operations, values) of one of the `LAYERS`."""
+    for curve, *spec in CURVES:
+        if curve == name:
+            return _operations(*spec)
+    return {"isogeny": _isogeny_operations, "search": _search_operations}[name]()
+
+
+def isolated_child(src: str, inner: int, row: str) -> dict:
+    """One row's timings alone: its layer is built as `child` builds it, values included, and then
+    only the row runs, once untimed and `inner` times timed."""
+    sys.path.insert(0, src)
+    layer, op = row.split(":", 1)
+    ops, values = _layer(layer)
+    if op not in ops:
+        sys.exit(f"no row {row}: {layer} has {', '.join(ops)}")
+    return {"timings_ms": {layer: _timed({op: ops[op]}, inner)}, "values": {row: values}}
+
+
 def child(src: str, inner: int, cm: bool) -> dict:
     sys.path.insert(0, src)
     out = {"timings_ms": {}, "values": {}}
-    for name, *spec in CURVES:
-        ops, out["values"][name] = _operations(*spec)
+    for name in LAYERS:
+        ops, out["values"][name] = _layer(name)
         out["timings_ms"][name] = _timed(ops, inner)
-    ops, out["values"]["isogeny"] = _isogeny_operations()
-    out["timings_ms"]["isogeny"] = _timed(ops, inner)
-    ops, out["values"]["search"] = _search_operations()
-    out["timings_ms"]["search"] = _timed(ops, inner)
     if cm:
         out["timings_ms"]["isogeny.cm"], out["values"]["isogeny.cm"] = _cm_searches()
     from dualpair import selfcheck
@@ -491,20 +519,42 @@ def _run_child(src: Path, inner: int, cm: bool) -> dict:
     return run
 
 
+def _run_isolated(src: Path, inner: int, rows: list) -> dict:
+    """One round of one side under `--isolate`: a child per row, in the order given."""
+    run = {"timings_ms": {}, "values": {}}
+    for row in rows:
+        done = subprocess.run([sys.executable, __file__, "--child", str(src), "--inner", str(inner), "--row", row],
+                              capture_output=True, text=True)
+        if done.returncode:
+            sys.exit(f"the child for {row} failed:\n{done.stderr}")
+        part = json.loads(done.stdout)
+        for layer, timings in part["timings_ms"].items():
+            run["timings_ms"].setdefault(layer, {}).update(timings)
+        run["values"].update(part["values"])
+    return run
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--reps", type=int, default=10, help="child processes per side (default 10)")
     ap.add_argument("--inner", type=int, default=5, help="timed calls per operation in each child (default 5)")
     ap.add_argument("--against", metavar="REV", help="also run the src of this git revision, alternating with this tree")
     ap.add_argument("--out", help="write the JSON record here instead of to stdout")
+    ap.add_argument("--isolate", metavar="ROW[,ROW...]",
+                    help="time only these rows, each LAYER:OP (e.g. desk:pair.semaev), each in a child process of its own")
     ap.add_argument("--child", metavar="SRC", help=argparse.SUPPRESS)
     ap.add_argument("--cm", action="store_true", help=argparse.SUPPRESS)
+    ap.add_argument("--row", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.reps < 1 or args.inner < 1:
         ap.error("--reps and --inner must be at least 1")
     if args.child:
-        json.dump(child(args.child, args.inner, args.cm), sys.stdout)
+        json.dump(isolated_child(args.child, args.inner, args.row) if args.row else child(args.child, args.inner, args.cm), sys.stdout)
         return 0
+    rows = args.isolate.split(",") if args.isolate else []
+    for row in rows:
+        if row.split(":", 1)[0] not in LAYERS or ":" not in row:
+            ap.error(f"--isolate takes LAYER:OP rows with LAYER one of {', '.join(LAYERS)}, not {row!r}")
 
     dirty = bool(_git("status", "--porcelain", "src"))
     with tempfile.TemporaryDirectory() as tmp:
@@ -516,7 +566,10 @@ def main(argv=None) -> int:
         order = list(sides)
         for rep in range(args.reps):
             for side in order if rep % 2 == 0 else order[::-1]:
-                runs[side].append(_run_child(sides[side]["src"], args.inner, rep < CM_ROUNDS))
+                if rows:
+                    runs[side].append(_run_isolated(sides[side]["src"], args.inner, rows))
+                else:
+                    runs[side].append(_run_child(sides[side]["src"], args.inner, rep < CM_ROUNDS))
         for meta in sides.values():
             src = meta.pop("src")
             meta["src_lines"], meta["src_sha256"] = _src_lines(src), _src_sha256(src)
@@ -534,7 +587,9 @@ def main(argv=None) -> int:
         "curves": {name: {"p": str(p)} for name, p, *_ in CURVES},
         "isogeny_searches": {op: {"p": str(p), "A": str(a), "B": str(b), "ell": ell} for op, p, a, b, ell in ISOGENY_SEARCHES},
         "cm_searches": {op: {"bits": bits, "D": D, "seed": seed, "ell": ell} for op, bits, D, seed, ell in CM_SEARCHES},
-        "cm_rounds": min(CM_ROUNDS, args.reps),
+        "cm_rounds": 0 if rows else min(CM_ROUNDS, args.reps),
+        "isolate": rows,
+        "modes": {name: {op: "isolated" if rows else "shared" for op in ops} for name, ops in runs["change"][0]["timings_ms"].items()},
         "searches": {op: {"p_min": lo, "p_max": hi, "count": count, "seed": seed} for op, lo, hi, count, seed in SEARCHES},
         "cli": CLI,
         "values_identical": identical,

@@ -30,14 +30,16 @@ on plain ints: `chain_trace` adds in Jacobian coordinates (`step_lines`),
 inverts nothing, and records the multiples and each step's slope numerator
 N and Z ratio F; its end point nP is the n-torsion check.  Rueck's slope
 sum is folded along that record, one product or three a step, and divided
-once (`slope_sum`); on the default chain below 2^32, which rueck and
-`DualCurve.mul` read, inside the walk (`slope_walk`).  The lines are read
-from it in one place, projectively (`scaled_step_values`): each chord line
-through the step's own multiple -kP, each h up to a factor in F_p, which
-leaves every eps/re ratio alone, so the pairing routes read it as it is;
-no multiple is ever made affine.
+once (`slope_sum`).  The lines are read from it in one place,
+projectively (`scaled_step_values`): each chord line through the step's
+own multiple -kP, each h up to a factor in F_p, which leaves every eps/re
+ratio alone, so the pairing routes read it as it is; no multiple is ever
+made affine.
 Semaev's sum of those ratios is folded along the walk too, as fractions,
 three products a doubling and six an add, and divided once (`ratio_fold`).
+On the default chain below 2^32 the three routes walk with no trace, in one
+double-and-add on local ints (`slope_walk`) that folds S, or Semaev's sum
+or the direct product of the lines read at an evaluation point.
 `trace_value` checks T and `at` once and turns at - T into an int tuple
 (`eval_point`), where a memoized fold of the exact values (`step_values`,
 read by the same reader) gives f_P with one division.
@@ -271,17 +273,24 @@ def _slope_fractions(p: int, jac: dict, scaled: dict, n: int, step: tuple, steps
         sums[k] = num % p, den
 
 
-def slope_walk(curve: Curve, P: Point, n: int) -> tuple:
+def slope_walk(curve: Curve, P: Point, n: int, point: tuple | None = None, product: bool = False) -> tuple | None:
     """(nP as a Jacobian triple, `slope_sum`'s S_n) of P's walk along the default chain for n >= 1,
-    P affine on the curve.  Below `WINDOW_FROM` it is `jacobian_mul`'s double-and-add on local ints,
-    carrying T = S*Z beside each multiple: T' = 2F*T + N for a doubling, H*T + r for the add of P.
-    A last add that lands on O (H = 0, r != 0) takes no slope, so S_n = T/Z from before it.  Any
-    other step without a chord, and every n from `WINDOW_FROM` on, walk `chain_trace` for
-    `slope_sum` instead: S_n is the same on any chain for n.
+    P affine on the curve; at an `eval_point` tuple the value is the scaled step values' fold by
+    `ratio_fold`, or with `product` by `product_fold`, read as eps/re.  Below `WINDOW_FROM` it is
+    `jacobian_mul`'s double-and-add on local ints, carrying T = S*Z beside each multiple: T' =
+    2F*T + N for a doubling, H*T + r for the add of P; at a point it reads each step's line as
+    `_step_readings` does, and folds it.  A last add that lands on O (H = 0, r != 0) takes no
+    slope, so S_n = T/Z from before it, and reads the vertical at (n - 1)P.  Any other step
+    without a chord, and every n from `WINDOW_FROM` on, walk `chain_trace` for `slope_sum`
+    instead: S_n is the same on any chain for n.  At a point they, and a reading that vanishes,
+    return None, for the caller's trace walk.
     """
     if n < WINDOW_FROM:
         p, a, x, y, bits = curve.p, curve.A.value, P.x.value, P.y.value, iter(bin(n)[3:])
         X, Y, Z, T = x, y, 1, 0
+        if point is not None:
+            x0, y0, x1, y1 = point
+            u, w = (1, 0) if product else (0, 1)  # (fr, fe) or (num, den)
         for bit in bits:
             if not Y:
                 break
@@ -290,22 +299,50 @@ def slope_walk(curve: Curve, P: Point, n: int) -> tuple:
             ZZ = Z * Z % p
             N = (3 * X * X + a * ZZ * ZZ) % p
             X3 = (N * N - 2 * S) % p
-            X, Y, Z, T = X3, (N * (S - X3) - 8 * YY * YY) % p, 2 * Y * Z % p, (4 * Y * T + N) % p  # F = 2Y
+            F = 2 * Y
+            X, Y, Z = X3, (N * (S - X3) - 8 * YY * YY) % p, F * Z % p
+            if point is None:
+                T = (2 * F * T + N) % p
+            else:
+                ZZ = Z * Z % p
+                ZZZ = ZZ * Z % p
+                V, V1 = (ZZ * x0 - X) % p, ZZ * x1 % p
+                L = (ZZZ * y0 + Y - N * V) % p
+                if not (L and V):
+                    return None
+                re, eps = L * V % p, ((ZZZ * y1 - N * V1) * V - L * V1) % p
+                u, w = (u * u * re % p, u * (u * eps + 2 * w * re) % p) if product else ((2 * u * re + eps * w) % p, w * re % p)
             if bit == "1":
                 ZZ = Z * Z % p
                 H = (x * ZZ - X) % p
                 r = (y * Z * ZZ - Y) % p
-                if not H:
-                    if r and next(bits, None) is None:  # the last step: nP = O
-                        return JACOBIAN_INFINITY, T * pow(Z, -1, p) % p
+                if H:
+                    HH = H * H % p
+                    HHH = H * HH % p
+                    V = X * HH % p
+                    X3 = (r * r - HHH - 2 * V) % p
+                    X, Y, Z = X3, (r * (V - X3) - Y * HHH) % p, Z * H % p
+                    if point is None:
+                        T = (H * T + r) % p
+                        continue
+                    ZZ = Z * Z % p
+                    ZZZ = ZZ * Z % p
+                    V, V1 = (ZZ * x0 - X) % p, ZZ * x1 % p
+                    L = (ZZZ * y0 + Y - r * V) % p
+                    if not (L and V):
+                        return None
+                    re, eps = L * V % p, ((ZZZ * y1 - r * V1) * V - L * V1) % p
+                elif not r or next(bits, None) is not None:
                     break
-                HH = H * H % p
-                HHH = H * HH % p
-                V = X * HH % p
-                X3 = (r * r - HHH - 2 * V) % p
-                X, Y, Z, T = X3, (r * (V - X3) - Y * HHH) % p, Z * H % p, (H * T + r) % p
+                elif point is None:  # the last step: nP = O
+                    return JACOBIAN_INFINITY, T * pow(Z, -1, p) % p
+                else:  # the vertical at (n - 1)P, read nonzero by the step that made it
+                    (X, Y, Z), re, eps = JACOBIAN_INFINITY, V, V1
+                u, w = (u * re % p, (u * eps + w * re) % p) if product else ((u * re + eps * w) % p, w * re % p)
         else:
-            return (X, Y, Z), T * pow(Z, -1, p) % p
+            return (X, Y, Z), (T * pow(Z, -1, p) if point is None else w * pow(u, -1, p) if product else u * pow(w, -1, p)) % p
+    if point is not None:
+        return None
     trace = chain_trace(curve, P, chain_for(n, None).steps)
     return trace.jac[n], slope_sum(trace, n)
 

@@ -38,13 +38,13 @@ Three routes compute the same value from one walk of P's chain (`_trace`):
   with no evaluation point at all, hence no degenerate cases.  This is
   the default route.
 
-Each public entry checks its inputs once, before any evaluation: P and a
-caller's chain by P's walk, whose end point p*P is the p-torsion check,
+Each public entry checks its inputs once, before any value is returned: P
+and a caller's chain by P's walk, whose end point p*P is the p-torsion check,
 then a caller's R, then T on the curve; the direct and semaev routes do
-this and find their one point S + O_k in `_evaluation`.  Below that
-everything is plain ints, and the walk inverts nothing.  Every route reads
-the chain's `miller.Chain` record: the walk its steps, and `_evaluation`
-its evaluation multiple s.
+this and find their one point S + O_k in `_evaluation` (or `_walked`).  Below
+that everything is plain ints, and the walk inverts nothing.  Every route
+reads the chain's `miller.Chain` record: the walk its steps, and the
+evaluation its evaluation multiple s.
 Without a caller's R the evaluation point comes from the chain, not from a
 search: P has order p, so every line of the walk meets E only at multiples
 of P, and S = sP is taken for the smallest s on none of them; the default
@@ -52,17 +52,17 @@ chain's record, s included, is built once per p, so P is walked once per
 call at every p.  Nothing is drawn at random, and the routes are
 deterministic.  Each reading inverts once.
 Rueck folds the chord steps' slopes N/Z along the walk, carrying each
-multiple's sum times its Z, and divides once: inside the walk on the
-default chain (`miller.slope_walk`), else over P's trace
-(`miller.slope_sum`).  Semaev folds the scaled step values' ratios
-h_eps/h_re along the walk in the same way, c_k = c_i + c_j + h_eps/h_re,
-as fractions, three products a doubling and six an add, and divides once
-(`miller.ratio_fold`).
+multiple's sum times its Z, and divides once (`miller.slope_sum`).  Semaev
+folds the scaled step values' ratios h_eps/h_re along the walk in the same
+way, c_k = c_i + c_j + h_eps/h_re, as fractions, three products a doubling
+and six an add, and divides once (`miller.ratio_fold`).
 Direct multiplies the scaled step values, each chord line read through
 its step's own multiple -kP, as dual numbers into one product f, whose
-ratio f_eps/f_re is the pairing's a.  No evaluation reads an
-affine multiple of the walk.  The slope
-sum S(P) is the one invariant behind every reading of P:
+ratio f_eps/f_re is the pairing's a (`miller.product_fold`).  No
+evaluation reads an affine multiple of the walk.  On the default chain
+below 2^32 each route folds inside one walk on local ints, with no trace
+(`miller.slope_walk`): rueck for P != O, semaev and direct as `_walked`
+says.  The slope sum S(P) is the one invariant behind every reading of P:
 e(P, O_1) = 1 - S(P)*eps, and as SEMAEV_SIGN = SLOPE_SIGN and the routes
 agree exactly, Semaev's coefficient of P is S(P)/2.  So `dlp.DlpInstance`
 checks p*P = O by computing S(P) and keeps that one field element for the
@@ -90,7 +90,7 @@ T at infinity, the divisor (P) - (infinity).
 
 from __future__ import annotations
 
-from .curve import INFINITY, Curve, Point, jacobian_affine, jacobian_mul
+from .curve import INFINITY, WINDOW_FROM, Curve, Point, jacobian_affine, jacobian_mul
 from .dual_curve import DualCurve, DualPoint
 from .errors import (
     BadInputError,
@@ -184,9 +184,9 @@ def _evaluation(curve: Curve, P: Point, R: Point | None, T: Point | None, chain,
     once: P by its walk, then a caller's R (affine, outside E[2], p-torsion), then T on the curve.
 
     The point is None when P = O or k = 0, where nothing is evaluated.  S = R - T at a caller's
-    R, else S = sP for the rung's evaluation multiple s (`Chain.s`): the value depends on
-    neither R nor T, so without a caller's R the point R = sP + T is taken, O included, and no
-    line vanishes at S.
+    R, else S = sP for the rung's evaluation multiple s (`Chain.s`), from P and s alone: the
+    value depends on neither R nor T, so without a caller's R the point R = sP + T is taken, O
+    included, and no line vanishes at S.
     """
     rung, trace = _trace(curve, P, chain)
     if R is not None:
@@ -203,8 +203,28 @@ def _evaluation(curve: Curve, P: Point, R: Point | None, T: Point | None, chain,
     elif rung.s is None:
         raise DegenerateEvaluationError("all evaluation configurations degenerate: lines of the chain meet E at every multiple of P")
     else:
-        S = jacobian_affine(p, jacobian_mul(p, a, rung.s, trace.jac[1]))
+        S = jacobian_affine(p, jacobian_mul(p, a, rung.s, (P.x.value, P.y.value, 1)))
     return trace, eval_point(p, a, S, k)
+
+
+def _walked(curve: Curve, P: Point, R, T, chain, k: int, product: bool) -> int | None:
+    """Direct's a (with `product`) or Semaev's c_p at sP + O_k, folded inside P's walk on the default
+    chain (`miller.slope_walk`) at 11 <= p < `WINDOW_FROM`, for P affine, k != 0 and no caller's R or T,
+    with the trace's checks in its order: P on the curve, then p*P = O from the walk's end.  None
+    otherwise, and where the walk bails out (s = None, sP = O, a step without a chord before the
+    last, a reading that vanishes), for the caller's trace walk, which raises what it raises there."""
+    p, a = curve.p, curve.A.value
+    if not (chain is None and R is None and T is None and 11 <= p < WINDOW_FROM and k) or P.is_infinity:
+        return None
+    curve._require_on_curve(P)
+    s = chain_for(p, None).s
+    S = s and jacobian_mul(p, a, s, (P.x.value, P.y.value, 1))
+    walked = S and S[2] and slope_walk(curve, P, p, eval_point(p, a, jacobian_affine(p, S), k), product)
+    if not walked:
+        return None
+    if walked[0][2]:
+        raise BadTorsionError(f"{P} is not {p}-torsion")
+    return walked[1]
 
 
 # -- the three routes ----------------------------------------------------------
@@ -260,12 +280,16 @@ def rueck_slope_sum(curve: Curve, P: Point, chain=None) -> FpElement:
 def pairing_direct(dc: DualCurve, P: Point, k, *, R: Point | None = None, chain=None, T: Point | None = None, rng=None) -> PairingValue:
     """e(P, O_k) = f_P(O_k + R) / f_P(R) by dual-number evaluation at (O_k + R) - T.
 
-    Without R the point is chosen from P's chain (`_evaluation`); rng is accepted, unused.
+    Without R the point is chosen from P's chain (`_evaluation`, `_walked`); rng is accepted, unused.
     """
     if not dc.is_canonical():
         raise NotCanonicalError("the pairing is defined on the canonical lift")
     curve = dc.base
-    trace, point = _evaluation(curve, P, R, T, chain, curve.field(k).value)
+    k = curve.field(k).value
+    a = _walked(curve, P, R, T, chain, k, True)
+    if a is not None:
+        return PairingValue(curve.field(a))
+    trace, point = _evaluation(curve, P, R, T, chain, k)
     if point is None:
         return PairingValue(curve.field.zero())
     return _direct_value(trace, point)
@@ -281,8 +305,11 @@ def semaev_coefficient(curve: Curve, P: Point, *, R: Point | None = None, T: Poi
 
     This is the scalar that multiplies -2*k*eps in the pairing; computing
     it through different R just rescales lam by y(R)'s reciprocal.  Without
-    R the point is chosen from P's chain (`_evaluation`).
+    R the point is chosen from P's chain (`_evaluation`, `_walked`).
     """
+    c = _walked(curve, P, R, T, chain, 1, False)
+    if c is not None:
+        return curve.field(c * ((curve.p - 1) // 2))  # (p - 1)/2 = -1/2 mod p
     trace, point = _evaluation(curve, P, R, T, chain, 1)
     if point is None:
         return curve.field.zero()

@@ -219,12 +219,12 @@ def count_walks(monkeypatch) -> list:
     walks, running = [], []
 
     def counted(engine, start):
-        def walk(*args):
+        def walk(*args, **kwargs):
             if not running:
-                walks.append(start(*args))
+                walks.append(start(*args, **kwargs))
             running.append(engine)
             try:
-                return engine(*args)
+                return engine(*args, **kwargs)
             finally:
                 running.pop()
 
@@ -234,7 +234,7 @@ def count_walks(monkeypatch) -> list:
     engine = miller.slope_walk
     for module in list(sys.modules.values()):  # every namespace that holds it, as the benchmark's tracer patches
         if module.__name__.startswith("dualpair") and getattr(module, "slope_walk", None) is engine:
-            monkeypatch.setattr(module, "slope_walk", counted(engine, lambda curve, P, n: {1: P}))
+            monkeypatch.setattr(module, "slope_walk", counted(engine, lambda curve, P, n, point=None, product=False: {1: P}))
     return walks
 
 

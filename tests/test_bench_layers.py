@@ -1,6 +1,8 @@
-"""scripts/bench_layers.py's paired-ratio record on two synthetic two-round runs: one summary of the raw ratios per row."""
+"""scripts/bench_layers.py's paired-ratio record on two synthetic two-round runs: one summary of the raw ratios per row;
+and one cheap row timed alone (`--isolate`)."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_layers.py"
@@ -35,3 +37,16 @@ def test_paired_ratios_summarize_each_row_raw():
     assert ratios["desk"]["verify"]["median"] == 0.75  # rounds 0.5 and 1
     assert ratios["isogeny.cm"]["isogeny.find"] == {"best": 0.5, "q1": 0.5, "median": 0.5, "q3": 0.5, "worst": 0.5,
                                                      "n": 1, "below_1": 1}
+
+
+def test_isolate_times_each_named_row_alone(tmp_path):
+    # one round: one child for the row, which times only it and records its layer's values
+    bench = _load()
+    out = tmp_path / "record.json"
+    assert bench.main(["--isolate", "desk:verify", "--reps", "1", "--inner", "2", "--out", str(out)]) == 0
+    record = json.loads(out.read_text())
+    assert record["isolate"] == ["desk:verify"] and record["modes"] == {"desk": {"verify": "isolated"}}
+    assert record["values_identical"] and record["cm_rounds"] == 0
+    side = record["sides"]["change"]
+    assert list(side["timings_ms"]) == ["desk"] and side["timings_ms"]["desk"]["verify"]["n"] == 2
+    assert list(side["values"]) == ["desk:verify"] and "pair.rueck.a" in side["values"]["desk:verify"]

@@ -87,17 +87,19 @@ def test_the_seed_flags_the_workloads_send(capsys):
 def test_the_tracer_counts_every_chain_step():
     # miller.chain_steps counts calls of miller.step_lines through the module
     # global; a trace walk that called jacobian_add by its own name would count 0.
-    # Semaev's route reads a trace walk at every p (rueck's S(P) walks inline below 2^32)
-    from dualpair.miller import chain_for
+    # Semaev's route on a caller's chain reads a trace walk at every p (on the default chain below
+    # 2^32 every route walks inline, with no call of step_lines)
+    from dualpair.miller import tail_chain
     from dualpair.pairing import semaev_coefficient
 
     curve, P = _desk()
-    steps = len(chain_for(curve.p, None).steps)
+    chain = tail_chain(curve.p, 3)
+    steps = len(chain)
     tracer = _load_tracing().Tracer()
     tracer.current_request = 0
     try:
         tracer.install()
-        semaev_coefficient(curve, P)
+        semaev_coefficient(curve, P, chain=chain)
     finally:
         tracer.uninstall()
     calls, _ = tracer.calls(1)

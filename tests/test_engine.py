@@ -14,7 +14,10 @@ the step values' eps/re ratios (`weighted_ratio_sum`) for `miller.ratio_fold`,
 semaev's sum folded along the walk; and each chord line read through iP
 (`step_values_through_ip`) for `miller.step_values`, which reads it through -kP.
 The trace walk of `binary_chain(n)` and its `miller.slope_sum` are the oracle for
-`miller.slope_walk`, which folds the same sum inside the walk and keeps no trace.
+`miller.slope_walk`, which folds the same sum inside the walk and keeps no trace; its
+`scaled_step_values` folded by `miller.ratio_fold` and `miller.product_fold` are the oracle
+for the walk's readings at an evaluation point, and the routes on a caller's chain, which
+walk the trace, for the semaev and direct routes' values and errors on the default chain.
 """
 
 import random
@@ -26,7 +29,7 @@ from hypothesis import strategies as st
 
 from dualpair import INFINITY, Curve, DualCurve, Point, count_points
 from dualpair.curve import jacobian_affine
-from dualpair.errors import BadTorsionError, DegenerateEvaluationError, PointNotOnCurveError
+from dualpair.errors import BadInputError, BadTorsionError, DegenerateEvaluationError, DualPairError, PointNotOnCurveError
 from dualpair.fields import Fp
 from dualpair.miller import (
     ChainStep,
@@ -35,6 +38,7 @@ from dualpair.miller import (
     chain_trace,
     eval_point,
     incremental_chain,
+    product_fold,
     ratio_fold,
     scaled_step_values,
     slope_sum,
@@ -43,7 +47,7 @@ from dualpair.miller import (
     tail_chain,
 )
 from dualpair.numbertheory import next_prime
-from dualpair.pairing import rueck_slope_sum
+from dualpair.pairing import pairing_direct, pairing_semaev, rueck_slope_sum, semaev_coefficient
 
 from conftest import (
     Chord,
@@ -358,6 +362,122 @@ def test_rueck_slope_sum_raises_as_the_trace_walk_does(curve):
             rueck_slope_sum(curve, P)
     with pytest.raises(BadTorsionError, match=rf"^\({on[0].x}, {on[0].y}\) is not {p}-torsion$"):
         rueck_slope_sum(curve, on[0])
+
+
+def _readings_walk_matches_the_trace(curve, P, n, point) -> str:
+    """Check `slope_walk`'s two folds at an `eval_point` tuple against `chain_trace` +
+    `scaled_step_values` + `ratio_fold` and `product_fold` on `binary_chain(n)`; returns the walk's
+    kind from the trace: "chords", "last add to O", or where the walk returns None, "no chord" (a
+    step without a chord before the last) or "vanishes" (a reading at the point is 0)."""
+    p = curve.p
+    trace = chain_trace(curve, P, binary_chain(n))
+    walked = [slope_walk(curve, P, n, point, product) for product in (False, True)]
+    no_chord = [k for k, _, _, _, F in trace.steps if F is None]
+    last = trace.steps[-1] if trace.steps else None
+    to_o = no_chord == [n] and last[1] != last[2] and not trace.jac[n][2]
+    try:
+        values = scaled_step_values(trace, point)
+    except DegenerateEvaluationError:
+        values = None
+    if (no_chord and not to_o) or values is None:
+        assert walked == [None, None], (curve, P, n, point)
+        return "no chord" if no_chord and not to_o else "vanishes"
+    fr, fe = product_fold(trace, n, values)
+    c = ratio_fold(trace, n, values) if trace.steps else 0  # n = 1: no step, the start's sum 0
+    assert walked == [(trace.jac[n], c), (trace.jac[n], fe * pow(fr, -1, p) % p)], (curve, P, n, point)
+    return "last add to O" if to_o else "chords"
+
+
+def test_slope_walk_readings_are_the_trace_folds_at_every_point_of_small_curves():
+    # every affine P of the first anomalous curve of each 11 <= p <= 31 and of the non-anomalous
+    # curves with points of order 2, 3, 4, 6, 9, 12 and 18, for every n in [1, 3p], each at U + O_k
+    # for another affine U and k that move with n; at n = p also at the routes' point sP + O_k for
+    # several k, where every walk of an anomalous curve takes the inline folds, and the public
+    # routes there equal their trace routes on the same chain, given as a caller's chain
+    seen, routed = set(), 0
+    anomalous = [first_anomalous_by_scan(p) for p in (11, 13, 17, 19, 23, 29, 31)]
+    for curve in [c for c in anomalous if c] + SMALL_ORDERS:
+        p, a = curve.p, curve.A.value
+        affine = list(curve.points())[1:]
+        for index, P in enumerate(affine):
+            for n in range(1, 3 * curve.p + 1):
+                U = affine[(index + n) % len(affine)]
+                seen.add(_readings_walk_matches_the_trace(curve, P, n, eval_point(p, a, (U.x.value, U.y.value), n % p)))
+        if count_points(curve) != p:
+            continue
+        dc, chain = DualCurve.canonical(curve), chain_for(p, None)
+        for P in affine:
+            S = curve.mul(chain.s, P)
+            for k in (1, 2, p - 1):
+                point = eval_point(p, a, (S.x.value, S.y.value), k)
+                assert _readings_walk_matches_the_trace(curve, P, p, point) == "last add to O"
+                assert pairing_direct(dc, P, k) == pairing_direct(dc, P, k, chain=chain.steps)
+                routed += 1
+            assert semaev_coefficient(curve, P) == semaev_coefficient(curve, P, chain=chain.steps)
+            assert slope_walk(curve, P, 2**32 + 7, point) is None  # from WINDOW_FROM on the caller walks the trace
+    assert seen == {"chords", "last add to O", "no chord", "vanishes"} and routed
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_slope_walk_readings_are_the_trace_folds_below_2_32(data):
+    # random curves, points and evaluation points U + O_k at primes up to 2^32 - 5, and n < 2^32
+    p = next_prime(data.draw(st.integers(5, 2**32 - 5)))
+    a, b = data.draw(st.integers(0, p - 1)), data.draw(st.integers(0, p - 1))
+    assume((4 * a**3 + 27 * b**2) % p)
+    curve = Curve(Fp(p), a, b)
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    P, U = curve.random_point(rng), curve.random_point(rng)
+    assume(not U.is_infinity)
+    point = eval_point(p, a, (U.x.value, U.y.value), data.draw(st.integers(0, p - 1)))
+    _readings_walk_matches_the_trace(curve, P, data.draw(st.integers(1, 2**32 - 1)), point)
+
+
+def _raised(call) -> tuple:
+    """(type, message) of the DualPairError that call raises."""
+    with pytest.raises(DualPairError) as info:
+        call()
+    return type(info.value), str(info.value)
+
+
+@pytest.mark.parametrize("p", [5, 7, 1511])
+def test_the_routes_raise_as_the_trace_routes_do(p):
+    # each bad input, and each input bad two ways, raises in semaev_coefficient, pairing_semaev and
+    # pairing_direct (k = 3 and 0) the type and message that the same call raises on the default
+    # chain given as a caller's chain, which walks the trace; on an anomalous curve and on
+    # non-anomalous ones, where P is not p-torsion, and at p = 1511 with sP = O for s = 3
+    anomalous = DESK if p == 1511 else first_anomalous_by_scan(p)
+    others = [Curve(Fp(p), *ab) for ab in {5: [(1, 1)], 7: [(3, 1)], 1511: [(1, 1), (0, 4)]}[p]]
+    steps = chain_for(p, None).steps
+    seen = []
+    for curve in [anomalous, *others]:
+        f, dc = curve.field, DualCurve.canonical(curve)
+        affine = list(curve.points())[1:]
+        G, T = affine[0], affine[-1]
+        off = Point(G.x, G.y + f.one())
+        two = next((X for X in affine if X.y.is_zero()), None)
+        cases = [dict(P=off), dict(P=G), dict(P=two), dict(P=G, T=off), dict(P=off, R=T), dict(P=G, R=INFINITY),
+                 dict(P=G, R=two), dict(P=INFINITY, R=G), dict(P=INFINITY, T=off)]
+        for kw in cases:
+            if None in kw.values():  # no 2-torsion point
+                continue
+            P = kw.pop("P")
+            for route, args in ((semaev_coefficient, (curve, P)), (pairing_semaev, (dc, P, 3)),
+                                (pairing_direct, (dc, P, 3)), (pairing_direct, (dc, P, 0))):
+                try:
+                    route(*args, chain=steps, **kw)
+                except DualPairError:
+                    want = _raised(lambda: route(*args, chain=steps, **kw))
+                    assert _raised(lambda: route(*args, **kw)) == want, (curve, P, kw, route)
+                    seen.append(want[0])
+                else:
+                    assert route(*args, **kw) == route(*args, chain=steps, **kw)
+    assert {PointNotOnCurveError, BadInputError, BadTorsionError} <= set(seen)
+    if p == 1511:  # (0, 2) has order 3 on y^2 = x^3 + 4, and s = 3
+        curve = others[-1]
+        P = curve.point(0, 2)
+        assert chain_for(p, None).s == 3 and curve.mul(3, P).is_infinity
+        assert _raised(lambda: semaev_coefficient(curve, P)) == (BadTorsionError, "(0, 2) is not 1511-torsion")
 
 
 def test_ratio_fold_is_the_weighted_sum_on_every_chain(tiny_anomalous_all):
