@@ -69,7 +69,7 @@ as a loop of 200 calls per sample and recorded in ms per call.  Over all
 children of a side the record holds best, quartiles and worst, in ms.
 
     python3 scripts/bench_layers.py [--reps N] [--inner M] [--against REV] [--out FILE]
-                                    [--isolate LAYER:OP[,LAYER:OP...]]
+                                    [--isolate LAYER:OP[,LAYER:OP...]] [--order shuffled [--seed S]]
 
 The working tree's `src`, uncommitted changes included, is copied into a
 temporary directory, and every child imports from that copy and runs the
@@ -119,6 +119,23 @@ included, then runs that row once untimed and `--inner` times timed; the
 sides alternate as above, and no CLI child or CM search runs.  The
 record's `modes` names each timed row's mode, `shared` or `isolated`, and
 `isolate` lists the rows; the values are each isolated row's layer's.
+
+`--order shuffled` moves every row among its neighbours from round to
+round: each round draws a seed from `--seed` (drawn from the system when
+not given), and both sides' children of the round order by it, so that
+the two sides of a round time the same order.  A shared child builds and
+times the layers in a drawn order, and each layer's rows in a drawn order
+within its round robin (the CLI children still follow, in their order);
+under `--isolate` the rows' children run in a drawn order.  The record's
+`order` keeps the mode (`fixed` or `shuffled`), the seed, and for a
+shuffled run each round's rows as LAYER:OP, in the order timed.
+
+A desk-size walk (p below `curve.SQUARE_TABLE_FROM`) reads each slope's
+inverse from the per-prime memo `curve._inverses(p)`, which fills as the
+walks read it.  The rows repeat one input, so the calls before the timed
+ones already filled every inverse a row reads: the desk rows time the
+warm memo, the steady state of a long session at one p, and not a one-shot
+call, which pays a `pow` per inverse it reads first.
 """
 
 from __future__ import annotations
@@ -362,6 +379,12 @@ def _timed(ops: dict, inner: int) -> dict:
     return samples
 
 
+def _drawn(items, rng: random.Random | None) -> list:
+    """items as a list, in the order rng draws (`--order shuffled`), or as given without one."""
+    items = list(items)
+    return items if rng is None else rng.sample(items, len(items))
+
+
 def _layer(name: str) -> tuple[dict, dict]:
     """(operations, values) of one of the `LAYERS`."""
     for curve, *spec in CURVES:
@@ -381,11 +404,17 @@ def isolated_child(src: str, inner: int, row: str) -> dict:
     return {"timings_ms": {layer: _timed({op: ops[op]}, inner)}, "values": {row: values}}
 
 
-def child(src: str, inner: int, cm: bool) -> dict:
+def child(src: str, inner: int, cm: bool, order_seed: int | None = None) -> dict:
+    """One side's timings and values, every layer in one process: in `LAYERS`' order and each layer's
+    own, or with `order_seed` the layers, and each layer's rows, in the order `random.Random(order_seed)`
+    draws; `order` lists the rows as timed."""
     sys.path.insert(0, src)
-    out = {"timings_ms": {}, "values": {}}
-    for name in LAYERS:
+    out = {"timings_ms": {}, "values": {}, "order": []}
+    rng = None if order_seed is None else random.Random(order_seed)
+    for name in _drawn(LAYERS, rng):
         ops, out["values"][name] = _layer(name)
+        ops = dict(_drawn(ops.items(), rng))
+        out["order"] += [f"{name}:{op}" for op in ops]
         out["timings_ms"][name] = _timed(ops, inner)
     if cm:
         out["timings_ms"]["isogeny.cm"], out["values"]["isogeny.cm"] = _cm_searches()
@@ -503,9 +532,10 @@ def _differing(values: dict, ref: dict) -> list[str]:
     return out
 
 
-def _run_child(src: Path, inner: int, cm: bool) -> dict:
+def _run_child(src: Path, inner: int, cm: bool, order_seed: int | None) -> dict:
+    seeded = [] if order_seed is None else ["--order-seed", str(order_seed)]
     done = subprocess.run(
-        [sys.executable, __file__, "--child", str(src), "--inner", str(inner), *(["--cm"] if cm else [])],
+        [sys.executable, __file__, "--child", str(src), "--inner", str(inner), *(["--cm"] if cm else []), *seeded],
         check=True, capture_output=True, text=True,
     )
     run = json.loads(done.stdout)
@@ -521,7 +551,7 @@ def _run_child(src: Path, inner: int, cm: bool) -> dict:
 
 def _run_isolated(src: Path, inner: int, rows: list) -> dict:
     """One round of one side under `--isolate`: a child per row, in the order given."""
-    run = {"timings_ms": {}, "values": {}}
+    run = {"timings_ms": {}, "values": {}, "order": rows}
     for row in rows:
         done = subprocess.run([sys.executable, __file__, "--child", str(src), "--inner", str(inner), "--row", row],
                               capture_output=True, text=True)
@@ -542,19 +572,31 @@ def main(argv=None) -> int:
     ap.add_argument("--out", help="write the JSON record here instead of to stdout")
     ap.add_argument("--isolate", metavar="ROW[,ROW...]",
                     help="time only these rows, each LAYER:OP (e.g. desk:pair.semaev), each in a child process of its own")
+    ap.add_argument("--order", choices=("fixed", "shuffled"), default="fixed",
+                    help="the order of the rows in each round: as listed (default), or drawn per round from --seed,"
+                         " the same on both sides")
+    ap.add_argument("--seed", type=int, help="the seed of --order shuffled (default: drawn; the record keeps it)")
     ap.add_argument("--child", metavar="SRC", help=argparse.SUPPRESS)
+    ap.add_argument("--order-seed", type=int, help=argparse.SUPPRESS)
     ap.add_argument("--cm", action="store_true", help=argparse.SUPPRESS)
     ap.add_argument("--row", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.reps < 1 or args.inner < 1:
         ap.error("--reps and --inner must be at least 1")
     if args.child:
-        json.dump(isolated_child(args.child, args.inner, args.row) if args.row else child(args.child, args.inner, args.cm), sys.stdout)
+        json.dump(isolated_child(args.child, args.inner, args.row) if args.row else child(args.child, args.inner, args.cm, args.order_seed),
+                  sys.stdout)
         return 0
     rows = args.isolate.split(",") if args.isolate else []
     for row in rows:
         if row.split(":", 1)[0] not in LAYERS or ":" not in row:
             ap.error(f"--isolate takes LAYER:OP rows with LAYER one of {', '.join(LAYERS)}, not {row!r}")
+    if args.seed is not None and args.order != "shuffled":
+        ap.error("--seed draws the order of --order shuffled")
+    seed = None
+    if args.order == "shuffled":
+        seed = random.SystemRandom().getrandbits(32) if args.seed is None else args.seed
+    rng = None if seed is None else random.Random(seed)
 
     dirty = bool(_git("status", "--porcelain", "src"))
     with tempfile.TemporaryDirectory() as tmp:
@@ -565,11 +607,13 @@ def main(argv=None) -> int:
         runs = {side: [] for side in sides}
         order = list(sides)
         for rep in range(args.reps):
+            round_seed = None if rng is None else rng.getrandbits(32)  # both sides' children of the round draw from it
+            round_rows = _drawn(rows, None if rng is None else random.Random(round_seed))
             for side in order if rep % 2 == 0 else order[::-1]:
                 if rows:
-                    runs[side].append(_run_isolated(sides[side]["src"], args.inner, rows))
+                    runs[side].append(_run_isolated(sides[side]["src"], args.inner, round_rows))
                 else:
-                    runs[side].append(_run_child(sides[side]["src"], args.inner, rep < CM_ROUNDS))
+                    runs[side].append(_run_child(sides[side]["src"], args.inner, rep < CM_ROUNDS, round_seed))
         for meta in sides.values():
             src = meta.pop("src")
             meta["src_lines"], meta["src_sha256"] = _src_lines(src), _src_sha256(src)
@@ -589,6 +633,7 @@ def main(argv=None) -> int:
         "cm_searches": {op: {"bits": bits, "D": D, "seed": seed, "ell": ell} for op, bits, D, seed, ell in CM_SEARCHES},
         "cm_rounds": 0 if rows else min(CM_ROUNDS, args.reps),
         "isolate": rows,
+        "order": {"mode": args.order, "seed": seed, "rounds": [run["order"] for run in runs["change"]] if rng else []},
         "modes": {name: {op: "isolated" if rows else "shared" for op in ops} for name, ops in runs["change"][0]["timings_ms"].items()},
         "searches": {op: {"p_min": lo, "p_max": hi, "count": count, "seed": seed} for op, lo, hi, count, seed in SEARCHES},
         "cli": CLI,

@@ -48,7 +48,24 @@ loop on local ints, with the doubling and the mixed Jacobian-affine
 addition of the base (Z2 = 1; Cohen, Miyaji and Ono, ASIACRYPT 1998)
 written out.  The default Miller chain (`miller.binary_chain`) and
 `miller.slope_walk`, which `DualCurve.mul` and Rueck's S(P) read, take its
-group operations in its order.  `Curve.mul` wraps it and inverts once, at the end.
+group operations in its order.  From `SQUARE_TABLE_FROM` on, and for n
+from 2^32 on, `Curve.mul` wraps it and inverts once, at the end.
+
+Below `SQUARE_TABLE_FROM` the walks that a session repeats at one p,
+`Curve.mul` (`scalar_mul`) and `miller.slope_walk`, take the same steps in
+affine coordinates: one slope a step, about four products where the
+Jacobian doubling takes ten, and the slope's denominator inverted by a read
+of `_inverses(p)`, a memo per prime filled as the walks read it.  A read
+costs about a quarter of a mulmod where `pow(d, -1, p)` costs about nine,
+and that ratio of inversion to multiplication is what chooses the
+coordinates (Cohen, Miyaji and Ono).  The memo pays after a few hundred
+walks at one p.  A walk on a cold memo takes a `pow` a step: at p = 1,511
+about as long as the Jacobian walk, near the bound about 1.4 times it, and
+the first walk at a p also allocates the memo's p slots.  The search's `_kills` keeps `jacobian_mul`'s loop:
+a visit to a prime walks max(32, 4*sqrt(p)) times or fewer, too few to
+warm a memo.  From the bound on, a memo as long as p would stay mostly
+cold, and a walk that takes a `pow` a step measured 1.2-1.4 times the
+Jacobian one (p = 20,011 to 2^31 - 1), so every walk there is Jacobian.
 
 Membership, `contains`, is computed on the ints under the wrappers.
 `point`, `add` and `mul` check their points with it once, at entry, as do
@@ -71,6 +88,7 @@ unwalked: its kill is all that `is_anomalous` and `find_anomalous` read.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 import re
@@ -199,9 +217,13 @@ class Curve:
         return Point(x3, lam * (P.x - x3) - P.y)
 
     def mul(self, n: int, P: Point) -> Point:
-        """n*P by `jacobian_mul` in Jacobian coordinates; negative n allowed.
+        """n*P by `scalar_mul` on plain ints; negative n allowed.
 
-        The walk runs on plain ints and inverts once, at the end.
+        Below `SQUARE_TABLE_FROM`, for |n| < `WINDOW_FROM`, the walk is affine
+        and reads each slope's inverse from the per-prime memo `_inverses(p)`,
+        which pays after a few hundred walks at one p (the module docstring
+        gives a cold walk's cost); otherwise it is `jacobian_mul`'s, which
+        inverts once, at the end.
         """
         self._require_on_curve(P)
         return self._mul_raw(n, P)
@@ -212,8 +234,7 @@ class Curve:
             n, P = -n, self.neg(P)
         if n == 0 or P.is_infinity:
             return INFINITY
-        p = self.p
-        xy = jacobian_affine(p, jacobian_mul(p, self.A.value, n, (P.x.value, P.y.value, 1)))
+        xy = scalar_mul(self.p, self.A.value, n, P.x.value, P.y.value)
         if xy is None:
             return INFINITY
         return Point(FpElement(xy[0], self.field), FpElement(xy[1], self.field))
@@ -282,7 +303,8 @@ JACOBIAN_INFINITY = (1, 1, 0)
 #: The smallest scalar recoded with the 4-bit window, where smaller ones use their bits, and the smallest
 #: p whose `dlp.AttackResult.verify` walks u*P - v*Q with half-length u and v instead of n*P.
 WINDOW_FROM = 1 << 32
-#: The smallest p whose search trials take Euler's criterion; below it they read `_square_table(p)`.
+#: The smallest p with no per-prime table: below it the search's trials read `_square_table(p)`, and the
+#: walks of `scalar_mul` and `miller.slope_walk` run affine on the inverses of `_inverses(p)`.
 SQUARE_TABLE_FROM = 20_000
 _BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
 #: The digits of each window of the 4-bit recoding: "0", and each odd d < 16 in binary.
@@ -425,9 +447,63 @@ def jacobian_multi_mul(p: int, a: int, pairs) -> tuple:
     return acc
 
 
+@functools.lru_cache(maxsize=8)
+def _inverses(p: int) -> list[int]:
+    """The inverses mod p below `SQUARE_TABLE_FROM`, filled on demand: inv[d] is 1/d once a walk
+    has read it (`_inverse`), 0 before, and inv[0] stays 0; one list per p, for the last 8 primes.
+    A read costs about a quarter of a mulmod where `pow(d, -1, p)` costs about nine."""
+    return [0] * p
+
+
+def _inverse(inv: list[int], d: int, p: int) -> int:
+    """1/d mod p for 0 < d < p, kept in `_inverses(p)`'s list `inv`: its reads are `inv[d] or _inverse(inv, d, p)`."""
+    inv[d] = i = pow(d, -1, p)
+    return i
+
+
+def scalar_mul(p: int, a: int, n: int, x: int, y: int) -> tuple | None:
+    """n*(x, y) for n >= 1 as an affine (x, y) int pair, None for O.
+
+    Below `SQUARE_TABLE_FROM`, for n < `WINDOW_FROM`, it is `jacobian_mul`'s
+    double-and-add in affine coordinates: one slope a step, its denominator's
+    inverse read from `_inverses(p)`, and about four products where the
+    Jacobian doubling takes ten.  A doubling at y = 0 is O, an add to O
+    takes the base, an add of the base to its negative is O, and an add of
+    the base to itself doubles it by `jacobian_double`.  Otherwise
+    `jacobian_mul`, inverted once.
+    """
+    if p >= SQUARE_TABLE_FROM or n >= WINDOW_FROM:
+        return jacobian_affine(p, jacobian_mul(p, a, n, (x, y, 1)))
+    inv, X, Y = _inverses(p), x, y
+    for bit in bin(n)[3:]:
+        if X is not None:
+            if Y:
+                d = 2 * Y % p
+                lam = (3 * X * X + a) * (inv[d] or _inverse(inv, d, p)) % p
+                X3 = (lam * lam - 2 * X) % p
+                X, Y = X3, (lam * (X - X3) - Y) % p
+            else:
+                X = None
+        if bit == "1":
+            if X is None:
+                X, Y = x, y
+            elif X != x:
+                d = (x - X) % p
+                lam = (y - Y) * (inv[d] or _inverse(inv, d, p)) % p
+                X3 = (lam * lam - X - x) % p
+                X, Y = X3, (lam * (X - X3) - Y) % p
+            elif Y == y:  # an even multiple that is the base, so y != 0
+                X, Y = jacobian_affine(p, jacobian_double(p, a, (x, y, 1))[0])
+            else:
+                X = None
+    return None if X is None else (X, Y)
+
+
 def jacobian_affine(p: int, P: tuple) -> tuple | None:
-    """The Jacobian triple P as an affine (x, y) int pair, None for Z = 0; one inversion."""
+    """The Jacobian triple P as an affine (x, y) int pair, None for Z = 0; one inversion unless Z = 1."""
     X, Y, Z = P
+    if Z == 1:  # an affine walk's end (`miller.slope_walk`)
+        return X, Y
     if not Z:
         return None
     zi = pow(Z, -1, p)

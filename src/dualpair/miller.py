@@ -39,7 +39,13 @@ Semaev's sum of those ratios is folded along the walk too, as fractions,
 three products a doubling and six an add, and divided once (`ratio_fold`).
 On the default chain below 2^32 the three routes walk with no trace, in one
 double-and-add on local ints (`slope_walk`) that folds S, or Semaev's sum
-or the direct product of the lines read at an evaluation point.
+or the direct product of the lines read at an evaluation point: below
+`curve.SQUARE_TABLE_FROM`, where a session walks many times at one p, in
+affine coordinates, each slope's inverse read from the per-prime memo
+`curve._inverses(p)` (`_affine_walk`), and from it on in Jacobian ones
+(`_jacobian_walk`), where an inversion a step would cost a `pow`.  The
+anomalous search's walks (`curve._kills`) keep `jacobian_mul`'s loop, as
+a visit to a prime walks too few times to warm a memo.
 `trace_value` checks T and `at` once and turns at - T into an int tuple
 (`eval_point`), where a memoized fold of the exact values (`step_values`,
 read by the same reader) gives f_P with one division.
@@ -57,7 +63,18 @@ import functools
 import random
 from typing import NamedTuple
 
-from .curve import JACOBIAN_INFINITY, WINDOW_FROM, Curve, Point, jacobian_add, jacobian_affine, window_digits
+from .curve import (
+    JACOBIAN_INFINITY,
+    SQUARE_TABLE_FROM,
+    WINDOW_FROM,
+    Curve,
+    Point,
+    _inverse,
+    _inverses,
+    jacobian_add,
+    jacobian_affine,
+    window_digits,
+)
 from .errors import BadInputError, BadTorsionError, DegenerateEvaluationError
 from .fields import Fp, FpElement
 
@@ -277,74 +294,139 @@ def slope_walk(curve: Curve, P: Point, n: int, point: tuple | None = None, produ
     """(nP as a Jacobian triple, `slope_sum`'s S_n) of P's walk along the default chain for n >= 1,
     P affine on the curve; at an `eval_point` tuple the value is the scaled step values' fold by
     `ratio_fold`, or with `product` by `product_fold`, read as eps/re.  Below `WINDOW_FROM` it is
-    `jacobian_mul`'s double-and-add on local ints, carrying T = S*Z beside each multiple: T' =
-    2F*T + N for a doubling, H*T + r for the add of P; at a point it reads each step's line as
-    `_step_readings` does, and folds it.  A last add that lands on O (H = 0, r != 0) takes no
-    slope, so S_n = T/Z from before it, and reads the vertical at (n - 1)P.  Any other step
-    without a chord, and every n from `WINDOW_FROM` on, walk `chain_trace` for `slope_sum`
-    instead: S_n is the same on any chain for n.  At a point they, and a reading that vanishes,
-    return None, for the caller's trace walk.
+    `jacobian_mul`'s double-and-add on local ints, which folds S, or at a point reads each step's
+    line as `_step_readings` does and folds it: in affine coordinates below `SQUARE_TABLE_FROM`
+    (`_affine_walk`), where a slope's inverse is read from the per-prime memo `curve._inverses(p)`
+    and nP has Z = 1, and in Jacobian ones from it on (`_jacobian_walk`), where an inversion would
+    cost a `pow` a step.  The memo pays after a few hundred walks at one p (`curve`'s module
+    docstring gives a cold walk's cost).  A last add that lands on O takes no slope and reads the
+    vertical at (n - 1)P.  Any other step without a chord, and every n from `WINDOW_FROM` on, walk
+    `chain_trace` for `slope_sum` instead: S_n is the same on any chain for n.  At a point they,
+    and a reading that vanishes, return None, for the caller's trace walk.
     """
     if n < WINDOW_FROM:
-        p, a, x, y, bits = curve.p, curve.A.value, P.x.value, P.y.value, iter(bin(n)[3:])
-        X, Y, Z, T = x, y, 1, 0
-        if point is not None:
-            x0, y0, x1, y1 = point
-            u, w = (1, 0) if product else (0, 1)  # (fr, fe) or (num, den)
-        for bit in bits:
-            if not Y:
-                break
-            YY = Y * Y % p
-            S = 4 * X * YY % p
-            ZZ = Z * Z % p
-            N = (3 * X * X + a * ZZ * ZZ) % p
-            X3 = (N * N - 2 * S) % p
-            F = 2 * Y
-            X, Y, Z = X3, (N * (S - X3) - 8 * YY * YY) % p, F * Z % p
-            if point is None:
-                T = (2 * F * T + N) % p
-            else:
-                ZZ = Z * Z % p
-                ZZZ = ZZ * Z % p
-                V, V1 = (ZZ * x0 - X) % p, ZZ * x1 % p
-                L = (ZZZ * y0 + Y - N * V) % p
-                if not (L and V):
-                    return None
-                re, eps = L * V % p, ((ZZZ * y1 - N * V1) * V - L * V1) % p
-                u, w = (u * u * re % p, u * (u * eps + 2 * w * re) % p) if product else ((2 * u * re + eps * w) % p, w * re % p)
-            if bit == "1":
-                ZZ = Z * Z % p
-                H = (x * ZZ - X) % p
-                r = (y * Z * ZZ - Y) % p
-                if H:
-                    HH = H * H % p
-                    HHH = H * HH % p
-                    V = X * HH % p
-                    X3 = (r * r - HHH - 2 * V) % p
-                    X, Y, Z = X3, (r * (V - X3) - Y * HHH) % p, Z * H % p
-                    if point is None:
-                        T = (H * T + r) % p
-                        continue
-                    ZZ = Z * Z % p
-                    ZZZ = ZZ * Z % p
-                    V, V1 = (ZZ * x0 - X) % p, ZZ * x1 % p
-                    L = (ZZZ * y0 + Y - r * V) % p
-                    if not (L and V):
-                        return None
-                    re, eps = L * V % p, ((ZZZ * y1 - r * V1) * V - L * V1) % p
-                elif not r or next(bits, None) is not None:
-                    break
-                elif point is None:  # the last step: nP = O
-                    return JACOBIAN_INFINITY, T * pow(Z, -1, p) % p
-                else:  # the vertical at (n - 1)P, read nonzero by the step that made it
-                    (X, Y, Z), re, eps = JACOBIAN_INFINITY, V, V1
-                u, w = (u * re % p, (u * eps + w * re) % p) if product else ((u * re + eps * w) % p, w * re % p)
-        else:
-            return (X, Y, Z), (T * pow(Z, -1, p) if point is None else w * pow(u, -1, p) if product else u * pow(w, -1, p)) % p
-    if point is not None:
+        walk = _affine_walk if curve.p < SQUARE_TABLE_FROM else _jacobian_walk
+        walked = walk(curve.p, curve.A.value, P.x.value, P.y.value, n, point, product)
+        if walked or point is not None:
+            return walked
+    elif point is not None:
         return None
     trace = chain_trace(curve, P, chain_for(n, None).steps)
     return trace.jac[n], slope_sum(trace, n)
+
+
+def _affine_walk(p: int, a: int, x: int, y: int, n: int, point: tuple | None, product: bool) -> tuple | None:
+    """`slope_walk` below `SQUARE_TABLE_FROM`, or None where it bails out: double-and-add on n's
+    bits in affine coordinates, each slope's denominator inverted by `_inverses(p)`, carrying S
+    beside each multiple: S' = 2S + lam for a doubling, S + lam for the add of P.  At a point,
+    each step's line through its own multiple (X, Y) is L = y0 + Y - lam*(x0 - X), L_eps = y1 -
+    lam*x1 and V = x0 - X, V_eps = x1, `_step_readings`' reading at Z = 1."""
+    inv, bits, X, Y, Z, S = _inverses(p), iter(bin(n)[3:]), x, y, 1, 0
+    if point is not None:
+        x0, y0, x1, y1 = point
+        u, w = (1, 0) if product else (0, 1)  # (fr, fe) or (num, den)
+    for bit in bits:
+        if not Y:
+            return None
+        d = 2 * Y % p
+        lam = (3 * X * X + a) * (inv[d] or _inverse(inv, d, p)) % p
+        X3 = (lam * lam - 2 * X) % p
+        X, Y = X3, (lam * (X - X3) - Y) % p
+        if point is None:
+            S = (2 * S + lam) % p
+        else:
+            V = (x0 - X) % p
+            L = (y0 + Y - lam * V) % p
+            if not (L and V):
+                return None
+            re, eps = L * V % p, ((y1 - lam * x1) * V - L * x1) % p
+            u, w = (u * u * re % p, u * (u * eps + 2 * w * re) % p) if product else ((2 * u * re + eps * w) % p, w * re % p)
+        if bit == "1":
+            if X != x:
+                d = (x - X) % p
+                lam = (y - Y) * (inv[d] or _inverse(inv, d, p)) % p
+                X3 = (lam * lam - X - x) % p
+                X, Y = X3, (lam * (X - X3) - Y) % p
+                if point is None:
+                    S = (S + lam) % p
+                    continue
+                V = (x0 - X) % p
+                L = (y0 + Y - lam * V) % p
+                if not (L and V):
+                    return None
+                re, eps = L * V % p, ((y1 - lam * x1) * V - L * x1) % p
+            elif Y == y or next(bits, None) is not None:
+                return None
+            elif point is None:  # the last step: nP = O
+                return JACOBIAN_INFINITY, S
+            else:  # the vertical at (n - 1)P, read nonzero by the step that made it
+                X, Y, Z, re, eps = *JACOBIAN_INFINITY, V, x1
+            u, w = (u * re % p, (u * eps + w * re) % p) if product else ((u * re + eps * w) % p, w * re % p)
+    if point is None:
+        return (X, Y, Z), S
+    d = u if product else w
+    return (X, Y, Z), (w if product else u) * (inv[d] or _inverse(inv, d, p)) % p
+
+
+def _jacobian_walk(p: int, a: int, x: int, y: int, n: int, point: tuple | None, product: bool) -> tuple | None:
+    """`slope_walk` from `SQUARE_TABLE_FROM` on, or None where it bails out: `jacobian_mul`'s
+    double-and-add on local ints, carrying T = S*Z beside each multiple: T' = 2F*T + N for a
+    doubling, H*T + r for the add of P; a last add that lands on O (H = 0, r != 0) leaves S_n =
+    T/Z from before it.  At a point each step's line is read as `_step_readings` reads it."""
+    bits = iter(bin(n)[3:])
+    X, Y, Z, T = x, y, 1, 0
+    if point is not None:
+        x0, y0, x1, y1 = point
+        u, w = (1, 0) if product else (0, 1)  # (fr, fe) or (num, den)
+    for bit in bits:
+        if not Y:
+            return None
+        YY = Y * Y % p
+        S = 4 * X * YY % p
+        ZZ = Z * Z % p
+        N = (3 * X * X + a * ZZ * ZZ) % p
+        X3 = (N * N - 2 * S) % p
+        F = 2 * Y
+        X, Y, Z = X3, (N * (S - X3) - 8 * YY * YY) % p, F * Z % p
+        if point is None:
+            T = (2 * F * T + N) % p
+        else:
+            ZZ = Z * Z % p
+            ZZZ = ZZ * Z % p
+            V, V1 = (ZZ * x0 - X) % p, ZZ * x1 % p
+            L = (ZZZ * y0 + Y - N * V) % p
+            if not (L and V):
+                return None
+            re, eps = L * V % p, ((ZZZ * y1 - N * V1) * V - L * V1) % p
+            u, w = (u * u * re % p, u * (u * eps + 2 * w * re) % p) if product else ((2 * u * re + eps * w) % p, w * re % p)
+        if bit == "1":
+            ZZ = Z * Z % p
+            H = (x * ZZ - X) % p
+            r = (y * Z * ZZ - Y) % p
+            if H:
+                HH = H * H % p
+                HHH = H * HH % p
+                V = X * HH % p
+                X3 = (r * r - HHH - 2 * V) % p
+                X, Y, Z = X3, (r * (V - X3) - Y * HHH) % p, Z * H % p
+                if point is None:
+                    T = (H * T + r) % p
+                    continue
+                ZZ = Z * Z % p
+                ZZZ = ZZ * Z % p
+                V, V1 = (ZZ * x0 - X) % p, ZZ * x1 % p
+                L = (ZZZ * y0 + Y - r * V) % p
+                if not (L and V):
+                    return None
+                re, eps = L * V % p, ((ZZZ * y1 - r * V1) * V - L * V1) % p
+            elif not r or next(bits, None) is not None:
+                return None
+            elif point is None:  # the last step: nP = O
+                return JACOBIAN_INFINITY, T * pow(Z, -1, p) % p
+            else:  # the vertical at (n - 1)P, read nonzero by the step that made it
+                (X, Y, Z), re, eps = JACOBIAN_INFINITY, V, V1
+            u, w = (u * re % p, (u * eps + w * re) % p) if product else ((u * re + eps * w) % p, w * re % p)
+    return (X, Y, Z), (T * pow(Z, -1, p) if point is None else w * pow(u, -1, p) if product else u * pow(w, -1, p)) % p
 
 
 def product_fold(trace: ChainTrace, n: int, values: list) -> tuple:

@@ -90,7 +90,7 @@ T at infinity, the divisor (P) - (infinity).
 
 from __future__ import annotations
 
-from .curve import INFINITY, WINDOW_FROM, Curve, Point, jacobian_affine, jacobian_mul
+from .curve import INFINITY, WINDOW_FROM, Curve, Point, scalar_mul
 from .dual_curve import DualCurve, DualPoint
 from .errors import (
     BadInputError,
@@ -203,7 +203,7 @@ def _evaluation(curve: Curve, P: Point, R: Point | None, T: Point | None, chain,
     elif rung.s is None:
         raise DegenerateEvaluationError("all evaluation configurations degenerate: lines of the chain meet E at every multiple of P")
     else:
-        S = jacobian_affine(p, jacobian_mul(p, a, rung.s, (P.x.value, P.y.value, 1)))
+        S = scalar_mul(p, a, rung.s, P.x.value, P.y.value)
     return trace, eval_point(p, a, S, k)
 
 
@@ -218,8 +218,8 @@ def _walked(curve: Curve, P: Point, R, T, chain, k: int, product: bool) -> int |
         return None
     curve._require_on_curve(P)
     s = chain_for(p, None).s
-    S = s and jacobian_mul(p, a, s, (P.x.value, P.y.value, 1))
-    walked = S and S[2] and slope_walk(curve, P, p, eval_point(p, a, jacobian_affine(p, S), k), product)
+    S = s and scalar_mul(p, a, s, P.x.value, P.y.value)
+    walked = S and slope_walk(curve, P, p, eval_point(p, a, S, k), product)
     if not walked:
         return None
     if walked[0][2]:

@@ -1,7 +1,8 @@
 """scripts/bench_layers.py's paired-ratio record on two synthetic two-round runs: one summary of the raw ratios per row;
-and one cheap row timed alone (`--isolate`)."""
+one cheap row timed alone (`--isolate`); and one shared round in a shuffled order (`--order shuffled`)."""
 
 import importlib.util
+import itertools
 import json
 from pathlib import Path
 
@@ -50,3 +51,22 @@ def test_isolate_times_each_named_row_alone(tmp_path):
     side = record["sides"]["change"]
     assert list(side["timings_ms"]) == ["desk"] and side["timings_ms"]["desk"]["verify"]["n"] == 2
     assert list(side["values"]) == ["desk:verify"] and "pair.rueck.a" in side["values"]["desk:verify"]
+
+
+def test_shuffled_order_is_drawn_from_the_recorded_seed(tmp_path, monkeypatch):
+    # one round in one shared child, no CM search: the layers and each layer's rows run in the order the
+    # round's seed draws, which the record's seed gives again, and every row is timed once per inner call
+    bench = _load()
+    monkeypatch.setattr(bench, "CM_ROUNDS", 0)
+    out = tmp_path / "record.json"
+    assert bench.main(["--order", "shuffled", "--seed", "47", "--reps", "1", "--inner", "1", "--out", str(out)]) == 0
+    record = json.loads(out.read_text())
+    assert record["values_identical"] and record["order"]["mode"] == "shuffled" and record["order"]["seed"] == 47
+    [timed] = record["order"]["rounds"]
+    round_seed = bench.random.Random(47).getrandbits(32)  # the first round's, as main draws it for both sides
+    layers = bench._drawn(bench.LAYERS, bench.random.Random(round_seed))  # the child's first draw
+    assert [name for name, _ in itertools.groupby(row.split(":", 1)[0] for row in timed)] == layers
+    timings = record["sides"]["change"]["timings_ms"]
+    assert sorted(timed) == sorted(f"{name}:{op}" for name in bench.LAYERS for op in timings[name])
+    assert timed != [f"{name}:{op}" for name in bench.LAYERS for op in timings[name]]  # not the fixed order
+    assert all(timings[name][op]["n"] == 1 for name in bench.LAYERS for op in timings[name])

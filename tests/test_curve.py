@@ -20,6 +20,7 @@ from dualpair.curve import (
     JACOBIAN_INFINITY,
     SQUARE_TABLE_FROM,
     _certifies_anomalous,
+    _inverses,
     _kills,
     _square_table,
     is_anomalous,
@@ -28,6 +29,7 @@ from dualpair.curve import (
     jacobian_double,
     jacobian_mul,
     jacobian_multi_mul,
+    scalar_mul,
 )
 from dualpair.errors import (
     BadInputError,
@@ -625,7 +627,8 @@ def _double_and_add(p, a, n, base, seen):
 def test_jacobian_mul_degenerate_steps():
     # points of small order on non-anomalous curves: scalars that are multiples
     # of the order take the accumulator through O, and scalars = 1 mod the order
-    # make it meet the base; the inlined walk ends at the oracle's exact triple
+    # make it meet the base; the inlined walk ends at the oracle's exact triple,
+    # and scalar_mul's affine walk, which these p all take, at the same point
     rng = random.Random(31)
     orders, seen = set(), set()
     for p in (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 1511):
@@ -651,9 +654,27 @@ def test_jacobian_mul_degenerate_steps():
                 scalars |= {k * m + e for m in (rng.randrange(1, 2**20), rng.randrange(1, 2**31 // k)) for e in (0, 1)}
                 for n in scalars:
                     assert jacobian_mul(p, a, n, base) == _double_and_add(p, a, n, base, seen), (p, a, b, P, n)
+                    assert scalar_mul(p, a, n, *base[:2]) == jacobian_affine(p, jacobian_mul(p, a, n, base)), (p, a, b, P, n)
     assert {2, 3, 4, 5, 6} <= orders
     assert seen == {"double", "double O", "double Y = 0", "add", "add to O", "add H = 0, r = 0", "add H = 0, r != 0"}
     assert jacobian_mul(5, 1, 2, (0, 0, 1)) == JACOBIAN_INFINITY  # a point of order 2 on y^2 = x^3 + x
+
+
+def test_inverses_hold_only_inverses():
+    # the per-prime memo after walks at p: every slot a walk filled holds d's inverse, the rest
+    # and slot 0 hold 0; one list per p, the one that scalar_mul's walks fill
+    for p, a, b in ((1511, 1301, 497), (19997, 3, 7)):
+        c = Curve(Fp(p), a, b)
+        rng = random.Random(p)
+        for _ in range(20):
+            P = c.random_point(rng)
+            c.mul(rng.randrange(1, 2**32), P)
+            c.mul(p, P)
+        inv = _inverses(p)
+        assert len(inv) == p and inv[0] == 0 and inv is _inverses(p)
+        filled = [d for d in range(p) if inv[d]]
+        assert len(filled) > 100
+        assert all(d * inv[d] % p == 1 for d in filled)
 
 
 def test_jacobian_multi_mul_is_the_sum_of_its_pairs():

@@ -28,7 +28,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dualpair import INFINITY, Curve, DualCurve, Point, count_points
-from dualpair.curve import jacobian_affine
+from dualpair import miller
+from dualpair.curve import JACOBIAN_INFINITY, SQUARE_TABLE_FROM, jacobian_affine, jacobian_mul
 from dualpair.errors import BadInputError, BadTorsionError, DegenerateEvaluationError, DualPairError, PointNotOnCurveError
 from dualpair.fields import Fp
 from dualpair.miller import (
@@ -306,40 +307,76 @@ def test_slope_sum_past_the_order_of_p_is_the_weighted_sum():
     assert seen == {"chord", "O", "add doubles", "P is Q"}
 
 
-def _slope_walk_matches_the_trace(curve, P, n) -> str:
+def _engine(p: int) -> str:
+    """The inline walk that `slope_walk` takes at p below 2^32: affine below `SQUARE_TABLE_FROM`."""
+    return "affine" if p < miller.SQUARE_TABLE_FROM else "jacobian"
+
+
+def _same_end(p, end, jac) -> None:
+    """An inline walk's end nP against the trace's: on the Jacobian walk the exact triple (the
+    same group operations in the same order), on the affine walk the affine point with Z = 1."""
+    if _engine(p) == "jacobian":
+        assert end == jac
+    else:
+        assert end == ((*jacobian_affine(p, jac), 1) if jac[2] else JACOBIAN_INFINITY)
+
+
+def _slope_walk_matches_the_trace(curve, P, n) -> tuple:
     """Check `slope_walk`'s (nP, S_n) against `chain_trace` + `slope_sum` on `binary_chain(n)`, nP
-    compared affine (a fallback at n = 5 and 7 walks the default chain, `tail_chain(n, 3)`); returns
-    the walk's kind from the trace: "chords", "last add to O" or "fallback"."""
+    compared affine (a fallback at n = 5 and 7 walks the default chain, `tail_chain(n, 3)`), and
+    as `_same_end` compares it where the walk takes a chord at every step or its last add lands
+    on O; returns (engine, the walk's kind from the trace: "chords", "last add to O" or "fallback")."""
     p = curve.p
     trace = chain_trace(curve, P, binary_chain(n))
     end, s = slope_walk(curve, P, n)
     assert (jacobian_affine(p, end), s) == (jacobian_affine(p, trace.jac[n]), slope_sum(trace, n)), (curve, P, n)
     no_chord = [k for k, _, _, _, F in trace.steps if F is None]
-    if not no_chord:
-        assert end == trace.jac[n]  # the same group operations in the same order
-        return "chords"
-    last = trace.steps[-1]
-    return "last add to O" if no_chord == [n] and last[1] != last[2] and not trace.jac[n][2] else "fallback"
+    last = trace.steps[-1] if trace.steps else None
+    kind = "chords" if not no_chord else "last add to O" if no_chord == [n] and last[1] != last[2] and not trace.jac[n][2] else "fallback"
+    if kind != "fallback":
+        _same_end(p, end, trace.jac[n])
+    return _engine(p), kind
 
 
-def test_slope_walk_is_the_trace_fold_at_every_point_of_small_curves():
+def _both_engines(monkeypatch, check) -> set:
+    """check() as the affine walk runs it, then with `SQUARE_TABLE_FROM` lowered below every p, so
+    that the Jacobian inline walk runs the same cases; the union of what the two runs saw."""
+    seen = check()
+    with monkeypatch.context() as m:
+        m.setattr(miller, "SQUARE_TABLE_FROM", 5)
+        return seen | check()
+
+
+def test_slope_walk_is_the_trace_fold_at_every_point_of_small_curves(monkeypatch):
     # every affine P of the first anomalous curve of each p <= 31 and of the non-anomalous curves
     # with points of order 2, 3, 4, 6, 9, 12 and 18, for every n in [1, 3p]: walks that take a
-    # chord at every step, walks whose last add lands on O, and walks that fall back to the trace
-    seen = set()
+    # chord at every step, walks whose last add lands on O, and walks that fall back to the trace,
+    # on each engine
     curves = [first_anomalous_by_scan(p) for p in (5, 7, 11, 13, 17, 19, 23, 29, 31)]
-    for curve in [c for c in curves if c] + SMALL_ORDERS:
-        for P in list(curve.points())[1:]:
-            for n in range(1, 3 * curve.p + 1):
-                seen.add(_slope_walk_matches_the_trace(curve, P, n))
-    assert seen == {"chords", "last add to O", "fallback"}
+
+    def check():
+        seen = set()
+        for curve in [c for c in curves if c] + SMALL_ORDERS:
+            for P in list(curve.points())[1:]:
+                for n in range(1, 3 * curve.p + 1):
+                    seen.add(_slope_walk_matches_the_trace(curve, P, n))
+        return seen
+
+    kinds = {"chords", "last add to O", "fallback"}
+    assert _both_engines(monkeypatch, check) == {(engine, kind) for engine in ("affine", "jacobian") for kind in kinds}
+
+
+def _prime_below_2_32(data) -> int:
+    """A prime up to 2^32 - 5, the largest below 2^32, drawn near `SQUARE_TABLE_FROM` as often as
+    anywhere, so that both inline walks run."""
+    return next_prime(data.draw(st.one_of(st.integers(5, 2 * SQUARE_TABLE_FROM), st.integers(5, 2**32 - 5))))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(st.data())
 def test_slope_walk_is_the_trace_fold_below_2_32(data):
-    # random curves and points at primes up to 2^32 - 5, the largest below 2^32, and n < 2^32
-    p = next_prime(data.draw(st.integers(5, 2**32 - 5)))
+    # random curves and points at primes below 2^32, on both engines, and n < 2^32
+    p = _prime_below_2_32(data)
     a, b = data.draw(st.integers(0, p - 1)), data.draw(st.integers(0, p - 1))
     assume((4 * a**3 + 27 * b**2) % p)
     curve = Curve(Fp(p), a, b)
@@ -366,9 +403,10 @@ def test_rueck_slope_sum_raises_as_the_trace_walk_does(curve):
 
 def _readings_walk_matches_the_trace(curve, P, n, point) -> str:
     """Check `slope_walk`'s two folds at an `eval_point` tuple against `chain_trace` +
-    `scaled_step_values` + `ratio_fold` and `product_fold` on `binary_chain(n)`; returns the walk's
-    kind from the trace: "chords", "last add to O", or where the walk returns None, "no chord" (a
-    step without a chord before the last) or "vanishes" (a reading at the point is 0)."""
+    `scaled_step_values` + `ratio_fold` and `product_fold` on `binary_chain(n)`, with its end nP
+    as `_same_end` compares it; returns the walk's kind from the trace: "chords", "last add to
+    O", or where the walk returns None, "no chord" (a step without a chord before the last) or
+    "vanishes" (a reading at the point is 0)."""
     p = curve.p
     trace = chain_trace(curve, P, binary_chain(n))
     walked = [slope_walk(curve, P, n, point, product) for product in (False, True)]
@@ -384,45 +422,54 @@ def _readings_walk_matches_the_trace(curve, P, n, point) -> str:
         return "no chord" if no_chord and not to_o else "vanishes"
     fr, fe = product_fold(trace, n, values)
     c = ratio_fold(trace, n, values) if trace.steps else 0  # n = 1: no step, the start's sum 0
-    assert walked == [(trace.jac[n], c), (trace.jac[n], fe * pow(fr, -1, p) % p)], (curve, P, n, point)
+    assert [value for _, value in walked] == [c, fe * pow(fr, -1, p) % p], (curve, P, n, point)
+    for end, _ in walked:
+        _same_end(p, end, trace.jac[n])
     return "last add to O" if to_o else "chords"
 
 
-def test_slope_walk_readings_are_the_trace_folds_at_every_point_of_small_curves():
+def test_slope_walk_readings_are_the_trace_folds_at_every_point_of_small_curves(monkeypatch):
     # every affine P of the first anomalous curve of each 11 <= p <= 31 and of the non-anomalous
     # curves with points of order 2, 3, 4, 6, 9, 12 and 18, for every n in [1, 3p], each at U + O_k
     # for another affine U and k that move with n; at n = p also at the routes' point sP + O_k for
     # several k, where every walk of an anomalous curve takes the inline folds, and the public
-    # routes there equal their trace routes on the same chain, given as a caller's chain
-    seen, routed = set(), 0
+    # routes there equal their trace routes on the same chain, given as a caller's chain; on each engine
     anomalous = [first_anomalous_by_scan(p) for p in (11, 13, 17, 19, 23, 29, 31)]
-    for curve in [c for c in anomalous if c] + SMALL_ORDERS:
-        p, a = curve.p, curve.A.value
-        affine = list(curve.points())[1:]
-        for index, P in enumerate(affine):
-            for n in range(1, 3 * curve.p + 1):
-                U = affine[(index + n) % len(affine)]
-                seen.add(_readings_walk_matches_the_trace(curve, P, n, eval_point(p, a, (U.x.value, U.y.value), n % p)))
-        if count_points(curve) != p:
-            continue
-        dc, chain = DualCurve.canonical(curve), chain_for(p, None)
-        for P in affine:
-            S = curve.mul(chain.s, P)
-            for k in (1, 2, p - 1):
-                point = eval_point(p, a, (S.x.value, S.y.value), k)
-                assert _readings_walk_matches_the_trace(curve, P, p, point) == "last add to O"
-                assert pairing_direct(dc, P, k) == pairing_direct(dc, P, k, chain=chain.steps)
-                routed += 1
-            assert semaev_coefficient(curve, P) == semaev_coefficient(curve, P, chain=chain.steps)
-            assert slope_walk(curve, P, 2**32 + 7, point) is None  # from WINDOW_FROM on the caller walks the trace
-    assert seen == {"chords", "last add to O", "no chord", "vanishes"} and routed
+
+    def check():
+        seen, routed = set(), 0
+        for curve in [c for c in anomalous if c] + SMALL_ORDERS:
+            p, a = curve.p, curve.A.value
+            affine = list(curve.points())[1:]
+            for index, P in enumerate(affine):
+                for n in range(1, 3 * curve.p + 1):
+                    U = affine[(index + n) % len(affine)]
+                    kind = _readings_walk_matches_the_trace(curve, P, n, eval_point(p, a, (U.x.value, U.y.value), n % p))
+                    seen.add((_engine(p), kind))
+            if count_points(curve) != p:
+                continue
+            dc, chain = DualCurve.canonical(curve), chain_for(p, None)
+            for P in affine:
+                S = curve.mul(chain.s, P)
+                for k in (1, 2, p - 1):
+                    point = eval_point(p, a, (S.x.value, S.y.value), k)
+                    assert _readings_walk_matches_the_trace(curve, P, p, point) == "last add to O"
+                    assert pairing_direct(dc, P, k) == pairing_direct(dc, P, k, chain=chain.steps)
+                    routed += 1
+                assert semaev_coefficient(curve, P) == semaev_coefficient(curve, P, chain=chain.steps)
+                assert slope_walk(curve, P, 2**32 + 7, point) is None  # from WINDOW_FROM on the caller walks the trace
+        assert routed
+        return seen
+
+    kinds = {"chords", "last add to O", "no chord", "vanishes"}
+    assert _both_engines(monkeypatch, check) == {(engine, kind) for engine in ("affine", "jacobian") for kind in kinds}
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(st.data())
 def test_slope_walk_readings_are_the_trace_folds_below_2_32(data):
-    # random curves, points and evaluation points U + O_k at primes up to 2^32 - 5, and n < 2^32
-    p = next_prime(data.draw(st.integers(5, 2**32 - 5)))
+    # random curves, points and evaluation points U + O_k at primes below 2^32, on both engines, and n < 2^32
+    p = _prime_below_2_32(data)
     a, b = data.draw(st.integers(0, p - 1)), data.draw(st.integers(0, p - 1))
     assume((4 * a**3 + 27 * b**2) % p)
     curve = Curve(Fp(p), a, b)
@@ -431,6 +478,44 @@ def test_slope_walk_readings_are_the_trace_folds_below_2_32(data):
     assume(not U.is_infinity)
     point = eval_point(p, a, (U.x.value, U.y.value), data.draw(st.integers(0, p - 1)))
     _readings_walk_matches_the_trace(curve, P, data.draw(st.integers(1, 2**32 - 1)), point)
+
+
+#: anomalous curves on each side of `SQUARE_TABLE_FROM`: (p, A, B, P, Q), Q = 12345*P
+BOUNDARY_ANOMALOUS = [(19867, 12175, 6241, (4402, 13004), (7212, 3972)), (20879, 19615, 13691, (2067, 1018), (16305, 20071))]
+
+
+@pytest.mark.parametrize("p", [19997, 20011])
+def test_the_walks_agree_across_the_memo_bound(p):
+    # at the primes either side of SQUARE_TABLE_FROM, one walk per engine: slope_walk's S_n and
+    # both readings against the trace folds, and Curve._mul_raw against jacobian_mul, on random
+    # curves, points and scalars (n = p among them, a walk past the order of P on no anomalous
+    # curve), and on the anomalous curve on the same side, where n = p ends at O
+    assert _engine(p) == ("affine" if p < SQUARE_TABLE_FROM else "jacobian")
+    rng = random.Random(p)
+    curves = []
+    while len(curves) < 4:
+        a, b = rng.randrange(p), rng.randrange(p)
+        if (4 * a**3 + 27 * b * b) % p:
+            curves.append(Curve(Fp(p), a, b))
+    kinds = set()
+    for curve in curves:
+        for _ in range(4):
+            P, U = curve.random_point(rng), curve.random_point(rng)
+            point = eval_point(p, curve.A.value, (U.x.value, U.y.value), rng.randrange(1, p))
+            for n in (p, rng.randrange(1, p), rng.randrange(p, 2**32)):
+                kinds.add(_slope_walk_matches_the_trace(curve, P, n))
+                _readings_walk_matches_the_trace(curve, P, n, point)
+                xy = jacobian_affine(p, jacobian_mul(p, curve.A.value, n, (P.x.value, P.y.value, 1)))
+                assert curve._mul_raw(n, P) == (INFINITY if xy is None else curve.point(*xy))
+    for q, a, b, G, Q in BOUNDARY_ANOMALOUS:
+        if (q < SQUARE_TABLE_FROM) != (p < SQUARE_TABLE_FROM):
+            continue
+        curve = Curve(Fp(q), a, b)
+        P, point = curve.point(*G), eval_point(q, a, Q, 1)
+        kinds.add(_slope_walk_matches_the_trace(curve, P, q))
+        assert _readings_walk_matches_the_trace(curve, P, q, point) == "last add to O"
+        assert curve._mul_raw(q, P) == INFINITY and curve._mul_raw(12345, P) == curve.point(*Q)
+    assert {(_engine(p), "chords"), (_engine(p), "last add to O")} <= kinds
 
 
 def _raised(call) -> tuple:
