@@ -49,10 +49,14 @@ desk-size curve (p = 1511):
   `CM_ROUNDS` rounds of each side
 * the search layer (`search` in the record): `curve.find_anomalous` for
   the desk workload's four searches, one curve in [1000, 1500] for each
-  seed in 0-3, and for three curves at one prime with seed 0,
-  `search.p1009` (p = 1 mod 3, where curves whose cubic splits are
-  rejected without a walk) and `search.p1013` (p = 2 mod 3, where they are
-  walked), and `curve.is_anomalous` on the desk curve (1511, 1301, 497)
+  seed in 0-3 (`search.find.seed0`-`seed3`), the same four searches cold
+  (`search.find.cold.seed0`-`seed3`: before each call the per-prime tables
+  of `curve._prime_tables` are emptied, untimed, so that each call builds
+  them as a one-shot search in a fresh process does), and for three
+  curves at one prime with seed 0, `search.p1009` (p = 1 mod 3, where
+  curves whose cubic splits are rejected without a walk) and
+  `search.p1013` (p = 2 mod 3, where they are walked), and
+  `curve.is_anomalous` on the desk curve (1511, 1301, 497)
 * the CLI process layer (`cli` in the record), on the desk curve: whole
   child processes of `python -c pass` and of `python -m dualpair.cli`
   running `pair --method rueck`, `dlp --method rueck` and
@@ -131,11 +135,11 @@ under `--isolate` the rows' children run in a drawn order.  The record's
 shuffled run each round's rows as LAYER:OP, in the order timed.
 
 A desk-size walk (p below `curve.SQUARE_TABLE_FROM`) reads each slope's
-inverse from the per-prime memo `curve._inverses(p)`, which fills as the
-walks read it.  The rows repeat one input, so the calls before the timed
-ones already filled every inverse a row reads: the desk rows time the
-warm memo, the steady state of a long session at one p, and not a one-shot
-call, which pays a `pow` per inverse it reads first.
+inverse from p's table, and a search's trials read p's square table too,
+both kept per prime by `curve._prime_tables` and built on the first call
+at p.  So every row but the cold searches times kept tables, the steady
+state of a long session at the same primes, and not a one-shot call,
+which builds them first; the cold search rows give that cost per row.
 """
 
 from __future__ import annotations
@@ -195,11 +199,14 @@ CM_ROUNDS = 3
 GCD_LADDER = [(61, 2**61 - 1), (127, 2**127 - 1), (256, CURVES[0][1])]
 GCD_LADDER_SEED = 29
 #: the search layer's `find_anomalous` calls: (operation, p_min, p_max, count, seed), the desk workload's four
-#: searches, then one prime on each side of the split-cubic reject, which only p = 1 mod 3 takes
+#: searches, then one prime on each side of the split-cubic reject, which only p = 1 mod 3 takes, then the
+#: desk searches again, cold
 SEARCHES = [(f"search.find.seed{seed}", 1000, 1500, 1, seed) for seed in range(4)] + [
     ("search.p1009", 1009, 1009, 3, 0),
     ("search.p1013", 1013, 1013, 3, 0),
-]
+] + [(f"search.find.cold.seed{seed}", 1000, 1500, 1, seed) for seed in range(4)]
+#: the search rows timed cold: the per-prime tables are emptied, untimed, before each call (`_empty_prime_tables`)
+COLD = {op for op, *_ in SEARCHES if op.startswith("search.find.cold.")}
 #: the layers that a child times in turn, each built by `_layer`, and that `--isolate` rows name
 LAYERS = [name for name, *_ in CURVES] + ["isogeny", "search"]
 #: operations that one sample times as a loop of this many calls, recorded in ms per call, so that a
@@ -367,16 +374,30 @@ def _search_operations() -> tuple[dict, dict]:
 
 
 def _timed(ops: dict, inner: int) -> dict:
-    """operation -> `inner` timings in ms (per call for a `LOOPED` one), after one untimed call of each."""
+    """operation -> `inner` timings in ms (per call for a `LOOPED` one), after one untimed call of each;
+    a `COLD` one on emptied per-prime tables."""
     for fn in ops.values():
         fn()
     samples = {op: [] for op in ops}
     for _ in range(inner):  # round robin, so that a slow spell of the host is shared by every operation
         for op, fn in ops.items():
+            if op in COLD:
+                _empty_prime_tables()
             start = time.perf_counter()
             fn()
             samples[op].append((time.perf_counter() - start) * 1e3 / LOOPED.get(op, 1))
     return samples
+
+
+def _empty_prime_tables() -> None:
+    """Empty the per-prime tables that the child's `dualpair.curve` keeps: `_TABLES`, or in older trees
+    the inverse memo `_inverses` (an lru_cache); trees older still keep none."""
+    from dualpair import curve
+
+    if hasattr(curve, "_TABLES"):
+        curve._TABLES.clear()
+    elif hasattr(curve, "_inverses"):
+        curve._inverses.cache_clear()
 
 
 def _drawn(items, rng: random.Random | None) -> list:

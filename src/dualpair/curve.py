@@ -21,15 +21,15 @@ CPython's `Random.randrange(p)` does under its two Python frames (3.10 to
 and every seed finds the curves it found through randrange.  A trial
 takes the quadratic character about three times: of the discriminant, and
 of x^3 + A*x + B for each x drawn until one is a square or zero.  Below
-`SQUARE_TABLE_FROM` each visit to a prime reads it from a table of the
-squares mod p and their roots (`_square_table`), built per visit in about
-p/2 squarings;
+`SQUARE_TABLE_FROM` it is read from a table of the squares mod p and their
+roots (`_square_table`), built in about p/2 squarings on a search's first
+visit to p and kept with p's inverses (`_prime_tables`, below);
 from it on, and in `Curve.random_point`, `is_anomalous` and `count_points`,
 it is Euler's criterion, one `pow`.  A visit runs max(32, 4*sqrt(p))
-trials, so the table's O(p) cost and the O(sqrt(p)) pows it saves break
-even near p = 2*10^4 (measured on CPython 3.11 and 3.13).  A lookup gives
-the same boolean as the `pow`, so every draw, curve and error stays the
-same.
+trials, so a table built for one visit, O(p), and the O(sqrt(p)) pows it
+saves break even near p = 2*10^4 (measured on CPython 3.11 and 3.13).  A
+lookup gives the same boolean as the `pow`, so every draw, curve and error
+stays the same.
 
 The group law comes twice.  `Curve.add` works on affine `Point`s of
 FpElement wrappers, one inversion per addition; it is the public one and
@@ -52,20 +52,26 @@ group operations in its order.  From `SQUARE_TABLE_FROM` on, and for n
 from 2^32 on, `Curve.mul` wraps it and inverts once, at the end.
 
 Below `SQUARE_TABLE_FROM` the walks that a session repeats at one p,
-`Curve.mul` (`scalar_mul`) and `miller.slope_walk`, take the same steps in
-affine coordinates: one slope a step, about four products where the
-Jacobian doubling takes ten, and the slope's denominator inverted by a read
-of `_inverses(p)`, a memo per prime filled as the walks read it.  A read
-costs about a quarter of a mulmod where `pow(d, -1, p)` costs about nine,
-and that ratio of inversion to multiplication is what chooses the
-coordinates (Cohen, Miyaji and Ono).  The memo pays after a few hundred
-walks at one p.  A walk on a cold memo takes a `pow` a step: at p = 1,511
-about as long as the Jacobian walk, near the bound about 1.4 times it, and
-the first walk at a p also allocates the memo's p slots.  The search's `_kills` keeps `jacobian_mul`'s loop:
-a visit to a prime walks max(32, 4*sqrt(p)) times or fewer, too few to
-warm a memo.  From the bound on, a memo as long as p would stay mostly
-cold, and a walk that takes a `pow` a step measured 1.2-1.4 times the
-Jacobian one (p = 20,011 to 2^31 - 1), so every walk there is Jacobian.
+`Curve.mul` and the search's kill test `_kills` (both `scalar_mul`) and
+`miller.slope_walk`, take the same steps in affine coordinates: one slope a
+step, about four products where the Jacobian doubling takes ten, and the
+slope's denominator inverted by a read of p's table of inverses
+(`_inverse_table`).  A read costs about a quarter of a mulmod where
+`pow(d, -1, p)` costs about nine, and that ratio of inversion to
+multiplication is what chooses the coordinates (Cohen, Miyaji and Ono).
+The table is built whole on the first walk at p, by a recurrence of about
+p/2 steps: 0.11 ms at p = 1,433 and 1.6 ms at 19,997 (CPython 3.11), the
+time that about 30 and 320 walks to (p - 1)P save there (5.2 us against
+8.4 and 7.2 against 12.3).  A visit of the search walks max(32, 4*sqrt(p))
+times or fewer, so the per-prime tables outlive the visit: `_prime_tables`
+keeps each prime's inverses, and its square table once a search asks for
+it, across walks and searches, up to `TABLE_SLOTS` slots over all primes,
+and evicts the least recently used primes first.  A process that searches
+or walks many times at the same primes below the bound reads them warm.
+From the bound on, a table as long as p would pay only after hundreds of
+walks at p, and a walk that takes a `pow` a step measured 1.2-1.4 times
+the Jacobian one (p = 20,011 to 2^31 - 1), so every walk there is
+Jacobian, and a kill pays one inversion at its end.
 
 Membership, `contains`, is computed on the ints under the wrappers.
 `point`, `add` and `mul` check their points with it once, at entry, as do
@@ -88,7 +94,6 @@ unwalked: its kill is all that `is_anomalous` and `find_anomalous` read.
 
 from __future__ import annotations
 
-import functools
 import math
 import random
 import re
@@ -220,10 +225,10 @@ class Curve:
         """n*P by `scalar_mul` on plain ints; negative n allowed.
 
         Below `SQUARE_TABLE_FROM`, for |n| < `WINDOW_FROM`, the walk is affine
-        and reads each slope's inverse from the per-prime memo `_inverses(p)`,
-        which pays after a few hundred walks at one p (the module docstring
-        gives a cold walk's cost); otherwise it is `jacobian_mul`'s, which
-        inverts once, at the end.
+        and reads each slope's inverse from p's kept table (`_prime_tables`),
+        which pays after a few dozen walks at one p (the module docstring
+        gives its cost); otherwise it is `jacobian_mul`'s, which inverts
+        once, at the end.
         """
         self._require_on_curve(P)
         return self._mul_raw(n, P)
@@ -303,8 +308,8 @@ JACOBIAN_INFINITY = (1, 1, 0)
 #: The smallest scalar recoded with the 4-bit window, where smaller ones use their bits, and the smallest
 #: p whose `dlp.AttackResult.verify` walks u*P - v*Q with half-length u and v instead of n*P.
 WINDOW_FROM = 1 << 32
-#: The smallest p with no per-prime table: below it the search's trials read `_square_table(p)`, and the
-#: walks of `scalar_mul` and `miller.slope_walk` run affine on the inverses of `_inverses(p)`.
+#: The smallest p with no per-prime table: below it the search's trials read p's square table, and the
+#: walks of `scalar_mul` and `miller.slope_walk` run affine on p's table of inverses (`_prime_tables`).
 SQUARE_TABLE_FROM = 20_000
 _BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
 #: The digits of each window of the 4-bit recoding: "0", and each odd d < 16 in binary.
@@ -372,8 +377,9 @@ def jacobian_mul(p: int, a: int, n: int, base: tuple) -> tuple:
 
     The base is an affine point as a triple (x, y, 1).  Below 2^32 the
     digits are n's bits, and the walk is double-and-add on them directly:
-    the search's `_kills` runs it thousands of times at a few bits, where
-    recoding, or a function call per step, would cost more than it saves.
+    from `SQUARE_TABLE_FROM` on, the search's `_kills` runs it, through
+    `scalar_mul`, thousands of times at a few dozen bits, where recoding,
+    or a function call per step, would cost more than it saves.
     That walk is one loop on local ints with `jacobian_double` and
     `jacobian_add` written out; the addition is `jacobian_add` with Z2 = 1
     (so Z2^2 = 1, U1 = X1 and S1 = Y1), and every step, the degenerate ones
@@ -447,18 +453,45 @@ def jacobian_multi_mul(p: int, a: int, pairs) -> tuple:
     return acc
 
 
-@functools.lru_cache(maxsize=8)
-def _inverses(p: int) -> list[int]:
-    """The inverses mod p below `SQUARE_TABLE_FROM`, filled on demand: inv[d] is 1/d once a walk
-    has read it (`_inverse`), 0 before, and inv[0] stays 0; one list per p, for the last 8 primes.
-    A read costs about a quarter of a mulmod where `pow(d, -1, p)` costs about nine."""
-    return [0] * p
+#: The most slots, p per table, that `_prime_tables` keeps over all primes: at most 4.8 MB (tracemalloc,
+#: CPython 3.11, every slot an inverse), and at least 2p for every p below `SQUARE_TABLE_FROM`.
+TABLE_SLOTS = 1 << 17
+#: p -> [inverses] or [inverses, square table], least recently used first (`_prime_tables`).
+_TABLES: dict[int, list[list[int]]] = {}
 
 
-def _inverse(inv: list[int], d: int, p: int) -> int:
-    """1/d mod p for 0 < d < p, kept in `_inverses(p)`'s list `inv`: its reads are `inv[d] or _inverse(inv, d, p)`."""
-    inv[d] = i = pow(d, -1, p)
-    return i
+def _prime_tables(p: int, squares: bool = False) -> list[list[int]]:
+    """p's tables below `SQUARE_TABLE_FROM`: [`_inverse_table(p)`], or with `squares` [that, `_square_table(p)`].
+
+    Both are kept in `_TABLES`, most recently asked for last, p slots each;
+    a prime whose new table would take the kept slots past `TABLE_SLOTS`
+    evicts the least recently used primes' tables until they fit.
+    """
+    tables = _TABLES.pop(p, None)
+    if tables is None or squares and len(tables) == 1:
+        tables = tables or [_inverse_table(p)]
+        if squares:
+            tables.append(_square_table(p))
+        # copies, and a default for a prime gone, so that threads sharing the tables cannot break the loops
+        kept = p * len(tables) + sum(q * len(kept_q) for q, kept_q in list(_TABLES.items()))
+        for q in list(_TABLES):
+            if kept <= TABLE_SLOTS:
+                break
+            kept -= q * len(_TABLES.pop(q, ()))
+    _TABLES[p] = tables
+    return tables
+
+
+def _inverse_table(p: int) -> list[int]:
+    """d -> 1/d mod p, 0 at 0: inv[d] = -(p div d)*inv[p mod d], as p = (p div d)*d + p mod d, and
+    inv[p - d] = -inv[d], so about p/2 steps of a few int operations.  A walk's read of it costs
+    about a quarter of a mulmod where `pow(d, -1, p)` costs about nine."""
+    inv = [0] * p
+    inv[1], inv[-1] = 1, p - 1
+    for d in range(2, (p + 1) // 2):
+        inv[d] = i = -(p // d) * inv[p % d] % p
+        inv[p - d] = p - i
+    return inv
 
 
 def scalar_mul(p: int, a: int, n: int, x: int, y: int) -> tuple | None:
@@ -466,20 +499,20 @@ def scalar_mul(p: int, a: int, n: int, x: int, y: int) -> tuple | None:
 
     Below `SQUARE_TABLE_FROM`, for n < `WINDOW_FROM`, it is `jacobian_mul`'s
     double-and-add in affine coordinates: one slope a step, its denominator's
-    inverse read from `_inverses(p)`, and about four products where the
-    Jacobian doubling takes ten.  A doubling at y = 0 is O, an add to O
+    inverse read from p's table (`_prime_tables`), and about four products
+    where the Jacobian doubling takes ten.  A doubling at y = 0 is O, an add to O
     takes the base, an add of the base to its negative is O, and an add of
     the base to itself doubles it by `jacobian_double`.  Otherwise
     `jacobian_mul`, inverted once.
     """
     if p >= SQUARE_TABLE_FROM or n >= WINDOW_FROM:
         return jacobian_affine(p, jacobian_mul(p, a, n, (x, y, 1)))
-    inv, X, Y = _inverses(p), x, y
+    inv, X, Y = _prime_tables(p)[0], x, y
     for bit in bin(n)[3:]:
         if X is not None:
             if Y:
                 d = 2 * Y % p
-                lam = (3 * X * X + a) * (inv[d] or _inverse(inv, d, p)) % p
+                lam = (3 * X * X + a) * inv[d] % p
                 X3 = (lam * lam - 2 * X) % p
                 X, Y = X3, (lam * (X - X3) - Y) % p
             else:
@@ -489,7 +522,7 @@ def scalar_mul(p: int, a: int, n: int, x: int, y: int) -> tuple | None:
                 X, Y = x, y
             elif X != x:
                 d = (x - X) % p
-                lam = (y - Y) * (inv[d] or _inverse(inv, d, p)) % p
+                lam = (y - Y) * inv[d] % p
                 X3 = (lam * lam - X - x) % p
                 X, Y = X3, (lam * (X - X3) - Y) % p
             elif Y == y:  # an even multiple that is the base, so y != 0
@@ -570,10 +603,12 @@ def _kills(p: int, a: int, b: int, x: int, squares: list[int] | None = None) -> 
     under the isomorphism (x, y) -> (u^2*x, u^3*y), u = sqrt(t), onto
     y^2 = x^3 + a*t^2*x + b*t^3, which needs no square root.  An isomorphism
     preserves the group law, so p*P = O exactly when p*P' is; and the sign
-    of y does not matter, since p*(-P) = -(p*P).  The walk stops at
-    (p - 1)*P' and compares it with -P', one add short of p*P'.  When t = 0,
-    P has order 2 and p*P = P, as p is odd.  Without `squares` the
-    discriminant's character is Euler's criterion and no split is tested.
+    of y does not matter, since p*(-P) = -(p*P).  `scalar_mul` walks to
+    (p - 1)*P', compared with -P' = (t*x, p - t^2), one add short of p*P':
+    affine on p's table of inverses below `SQUARE_TABLE_FROM`, and
+    `jacobian_mul` with one inversion from it on.  When t = 0, P has order 2
+    and p*P = P, as p is odd.  Without `squares` the discriminant's character
+    is Euler's criterion and no split is tested.
     """
     d = -(4 * a * a * a + 27 * b * b) % p
     if squares:
@@ -589,9 +624,7 @@ def _kills(p: int, a: int, b: int, x: int, squares: list[int] | None = None) -> 
     if not t:
         return False
     tx, tt = t * x % p, t * t % p
-    X, Y, Z = jacobian_mul(p, a * tt % p, p - 1, (tx, tt, 1))
-    ZZ = Z * Z % p
-    return X == tx * ZZ % p and (Y + tt * ZZ * Z) % p == 0  # O is (1, 1, 0), which fails the first test
+    return scalar_mul(p, a * tt % p, p - 1, tx, tt) == (tx, p - tt)
 
 
 def _random_x(p: int, a: int, b: int, rng: random.Random, squares: list[int] | None = None) -> tuple[int, int]:
@@ -620,7 +653,9 @@ def is_anomalous(curve: Curve) -> bool:
 
     The point is (x, sqrt(t)) for the least x where t = x^3 + Ax + B is a
     square or zero.  `_kills` walks its image on an isomorphic curve, whose
-    group is the same, so p kills the image exactly when it kills the point.
+    group is the same, so p kills the image exactly when it kills the point;
+    below `SQUARE_TABLE_FROM` on p's kept table of inverses, built on the
+    first walk at p.
     """
     p, a, b = curve.p, curve.A.value, curve.B.value
     return _kills(p, a, b, next(x for x in range(p) if legendre(x * x * x + a * x + b, p) != -1))
@@ -643,12 +678,15 @@ def find_anomalous(
     randrange, without its Python frames.
     Each trial runs on ints: it draws a random point P by `_random_x`, as
     `Curve.random_point` does, and walks P's image P' on an isomorphic
-    curve on the Jacobian law to (p - 1)*P', compared with -P' (`_kills`, no
-    square root), except on curves with a point of order 2, which cannot be
-    anomalous: those with a non-square discriminant, and, for p = 1 mod 3
-    below `SQUARE_TABLE_FROM`, those whose cubic splits.  p kills P'
-    exactly when it kills P, so a hit is P's certificate, and a `Curve` is
-    built only for a hit.
+    curve to (p - 1)*P', compared with -P' (`_kills`, no square root),
+    except on curves with a point of order 2, which cannot be anomalous:
+    those with a non-square discriminant, and, for p = 1 mod 3 below
+    `SQUARE_TABLE_FROM`, those whose cubic splits.  p kills P' exactly when
+    it kills P, so a hit is P's certificate, and a `Curve` is built only for
+    a hit.  Below `SQUARE_TABLE_FROM` the trials read p's square table and
+    walk on p's table of inverses, both kept across visits and searches
+    (`_prime_tables`), so a process that searches the same primes again
+    builds neither again.
     When the range holds at most `budget` nonsingular (p, A, B) triples
     (p^2 - p per prime), each tried one is marked, and the search stops
     once all of them are.
@@ -676,7 +714,7 @@ def find_anomalous(
         if p > p_max:
             continue
         per_prime, k = max(32, 4 * math.isqrt(p)), p.bit_length()
-        squares = _square_table(p) if p < SQUARE_TABLE_FROM else None
+        squares = _prime_tables(p, True)[1] if p < SQUARE_TABLE_FROM else None
         for _ in range(per_prime):
             trials += 1
             if trials > budget:

@@ -41,11 +41,11 @@ On the default chain below 2^32 the three routes walk with no trace, in one
 double-and-add on local ints (`slope_walk`) that folds S, or Semaev's sum
 or the direct product of the lines read at an evaluation point: below
 `curve.SQUARE_TABLE_FROM`, where a session walks many times at one p, in
-affine coordinates, each slope's inverse read from the per-prime memo
-`curve._inverses(p)` (`_affine_walk`), and from it on in Jacobian ones
-(`_jacobian_walk`), where an inversion a step would cost a `pow`.  The
-anomalous search's walks (`curve._kills`) keep `jacobian_mul`'s loop, as
-a visit to a prime walks too few times to warm a memo.
+affine coordinates, each slope's inverse read from the per-prime table
+that `curve._prime_tables(p)` keeps (`_affine_walk`), and from it on in
+Jacobian ones (`_jacobian_walk`), where an inversion a step would cost a
+`pow`.  The anomalous search's kill walks (`curve._kills`) read the same
+table through `curve.scalar_mul`, as it is kept across visits to a prime.
 `trace_value` checks T and `at` once and turns at - T into an int tuple
 (`eval_point`), where a memoized fold of the exact values (`step_values`,
 read by the same reader) gives f_P with one division.
@@ -69,8 +69,7 @@ from .curve import (
     WINDOW_FROM,
     Curve,
     Point,
-    _inverse,
-    _inverses,
+    _prime_tables,
     jacobian_add,
     jacobian_affine,
     window_digits,
@@ -296,13 +295,13 @@ def slope_walk(curve: Curve, P: Point, n: int, point: tuple | None = None, produ
     `ratio_fold`, or with `product` by `product_fold`, read as eps/re.  Below `WINDOW_FROM` it is
     `jacobian_mul`'s double-and-add on local ints, which folds S, or at a point reads each step's
     line as `_step_readings` does and folds it: in affine coordinates below `SQUARE_TABLE_FROM`
-    (`_affine_walk`), where a slope's inverse is read from the per-prime memo `curve._inverses(p)`
+    (`_affine_walk`), where a slope's inverse is read from p's table (`curve._prime_tables`)
     and nP has Z = 1, and in Jacobian ones from it on (`_jacobian_walk`), where an inversion would
-    cost a `pow` a step.  The memo pays after a few hundred walks at one p (`curve`'s module
-    docstring gives a cold walk's cost).  A last add that lands on O takes no slope and reads the
-    vertical at (n - 1)P.  Any other step without a chord, and every n from `WINDOW_FROM` on, walk
-    `chain_trace` for `slope_sum` instead: S_n is the same on any chain for n.  At a point they,
-    and a reading that vanishes, return None, for the caller's trace walk.
+    cost a `pow` a step.  The table is built on the first walk at p and pays after a few dozen
+    (`curve`'s module docstring gives its cost).  A last add that lands on O takes no slope and
+    reads the vertical at (n - 1)P.  Any other step without a chord, and every n from
+    `WINDOW_FROM` on, walk `chain_trace` for `slope_sum` instead: S_n is the same on any chain
+    for n.  At a point they, and a reading that vanishes, return None, for the caller's trace walk.
     """
     if n < WINDOW_FROM:
         walk = _affine_walk if curve.p < SQUARE_TABLE_FROM else _jacobian_walk
@@ -317,11 +316,11 @@ def slope_walk(curve: Curve, P: Point, n: int, point: tuple | None = None, produ
 
 def _affine_walk(p: int, a: int, x: int, y: int, n: int, point: tuple | None, product: bool) -> tuple | None:
     """`slope_walk` below `SQUARE_TABLE_FROM`, or None where it bails out: double-and-add on n's
-    bits in affine coordinates, each slope's denominator inverted by `_inverses(p)`, carrying S
+    bits in affine coordinates, each slope's denominator inverted by p's table, carrying S
     beside each multiple: S' = 2S + lam for a doubling, S + lam for the add of P.  At a point,
     each step's line through its own multiple (X, Y) is L = y0 + Y - lam*(x0 - X), L_eps = y1 -
     lam*x1 and V = x0 - X, V_eps = x1, `_step_readings`' reading at Z = 1."""
-    inv, bits, X, Y, Z, S = _inverses(p), iter(bin(n)[3:]), x, y, 1, 0
+    inv, bits, X, Y, Z, S = _prime_tables(p)[0], iter(bin(n)[3:]), x, y, 1, 0
     if point is not None:
         x0, y0, x1, y1 = point
         u, w = (1, 0) if product else (0, 1)  # (fr, fe) or (num, den)
@@ -329,7 +328,7 @@ def _affine_walk(p: int, a: int, x: int, y: int, n: int, point: tuple | None, pr
         if not Y:
             return None
         d = 2 * Y % p
-        lam = (3 * X * X + a) * (inv[d] or _inverse(inv, d, p)) % p
+        lam = (3 * X * X + a) * inv[d] % p
         X3 = (lam * lam - 2 * X) % p
         X, Y = X3, (lam * (X - X3) - Y) % p
         if point is None:
@@ -344,7 +343,7 @@ def _affine_walk(p: int, a: int, x: int, y: int, n: int, point: tuple | None, pr
         if bit == "1":
             if X != x:
                 d = (x - X) % p
-                lam = (y - Y) * (inv[d] or _inverse(inv, d, p)) % p
+                lam = (y - Y) * inv[d] % p
                 X3 = (lam * lam - X - x) % p
                 X, Y = X3, (lam * (X - X3) - Y) % p
                 if point is None:
@@ -365,7 +364,7 @@ def _affine_walk(p: int, a: int, x: int, y: int, n: int, point: tuple | None, pr
     if point is None:
         return (X, Y, Z), S
     d = u if product else w
-    return (X, Y, Z), (w if product else u) * (inv[d] or _inverse(inv, d, p)) % p
+    return (X, Y, Z), (w if product else u) * inv[d] % p
 
 
 def _jacobian_walk(p: int, a: int, x: int, y: int, n: int, point: tuple | None, product: bool) -> tuple | None:

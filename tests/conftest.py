@@ -21,6 +21,7 @@ from dualpair import (
     lifted_pairing,
     miller,
 )
+from dualpair.curve import jacobian_mul
 from dualpair.errors import DegenerateEvaluationError
 from dualpair.fields import Fp, FpElement
 from dualpair.miller import ChainStep, step_values, trace_fraction
@@ -99,6 +100,29 @@ def weighted_sum(p: int, terms) -> int:
         if m:
             num, den = (num * bottom + m * top * den) % p, den * bottom % p
     return num * pow(den, -1, p) % p
+
+
+def jacobian_kills(p: int, a: int, b: int, x: int, squares: list[int] | None = None) -> bool:
+    """Oracle: `curve._kills` as it was on the Jacobian walk: the same discriminant and split-cubic
+    rejects, then (p - 1)*P' for P' = (t*x, t^2) by `jacobian_mul`, compared with -P' projectively,
+    with no inversion; O is (1, 1, 0), which fails the first comparison."""
+    d = -(4 * a * a * a + 27 * b * b) % p
+    if squares:
+        if not squares[d]:
+            return False
+        if p % 3 == 1:
+            s = squares[-27 * d % p] - 1
+            if pow(4 * ((s - 27 * b) % p or s + 27 * b), (p - 1) // 3, p) == 1:
+                return False
+    elif pow(d, (p - 1) // 2, p) == p - 1:
+        return False
+    t = (x * x * x + a * x + b) % p
+    if not t:
+        return False
+    tx, tt = t * x % p, t * t % p
+    X, Y, Z = jacobian_mul(p, a * tt % p, p - 1, (tx, tt, 1))
+    ZZ = Z * Z % p
+    return X == tx * ZZ % p and (Y + tt * ZZ * Z) % p == 0
 
 
 def unrolled_step_count(n: int, chain: list[ChainStep]) -> int:

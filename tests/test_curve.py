@@ -4,7 +4,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dualpair import (
@@ -20,8 +20,8 @@ from dualpair.curve import (
     JACOBIAN_INFINITY,
     SQUARE_TABLE_FROM,
     _certifies_anomalous,
-    _inverses,
     _kills,
+    _prime_tables,
     _square_table,
     is_anomalous,
     jacobian_add,
@@ -40,7 +40,7 @@ from dualpair.fields import Fp
 from dualpair.numbertheory import half_euclid, is_prime, legendre, next_prime, sqrt_mod
 
 import test_crypto256 as pinned
-from conftest import first_anomalous_by_scan
+from conftest import first_anomalous_by_scan, jacobian_kills
 
 
 def _count_by_scan(curve):
@@ -542,12 +542,67 @@ def test_kills_agrees_with_the_walk_of_a_square_root():
 
 
 def _walks(monkeypatch):
-    # every jacobian_mul call, as (p, a, n, base), made while the list is alive
+    # every kill walk, as (p, a, n, base) with base = (x, y, 1), made while the list is alive: `_kills`
+    # walks by scalar_mul
     import dualpair.curve as curve_module
 
-    walks, walk = [], curve_module.jacobian_mul
-    monkeypatch.setattr(curve_module, "jacobian_mul", lambda *args: walks.append(args) or walk(*args))
+    walks, walk = [], curve_module.scalar_mul
+
+    def record(p, a, n, x, y):
+        walks.append((p, a, n, (x, y, 1)))
+        return walk(p, a, n, x, y)
+
+    monkeypatch.setattr(curve_module, "scalar_mul", record)
     return walks
+
+
+def test_kills_is_the_jacobian_comparison_at_every_small_case(monkeypatch):
+    # at every (a, b, x) of every nonsingular curve at each p <= 43, with and without the square table,
+    # _kills's affine answer, and its Jacobian one with SQUARE_TABLE_FROM lowered below every p, are
+    # the oracle's: the old walk to (p - 1)P' by jacobian_mul, compared with -P' projectively
+    import dualpair.curve as curve_module
+
+    seen = set()
+    for p in (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43):
+        table = _square_table(p)
+        expected = {
+            (a, b, x, squares is None): jacobian_kills(p, a, b, x, squares)
+            for a in range(p)
+            for b in range(p)
+            if (4 * a**3 + 27 * b * b) % p
+            for x in range(p)
+            for squares in (None, table)
+        }
+        for engine_from in (SQUARE_TABLE_FROM, 5):
+            with monkeypatch.context() as m:
+                m.setattr(curve_module, "SQUARE_TABLE_FROM", engine_from)
+                for (a, b, x, plain), kills in expected.items():
+                    assert _kills(p, a, b, x, None if plain else table) == kills, (p, a, b, x, plain, engine_from)
+        seen |= set(expected.values())
+    assert seen == {True, False}
+
+
+def _kill_case(data) -> tuple:
+    """(p, a, b, x) at a prime below 2^32 drawn near `SQUARE_TABLE_FROM` as often as anywhere, or on an
+    anomalous curve pinned in this file, so that kills are drawn on both engines."""
+    anomalous = [(c[0], c[1], c[2]) for _, found in _PINNED_SEARCHES for c in found] + [(814097, 461652, 338852)]
+    if data.draw(st.booleans()):
+        p, a, b = data.draw(st.sampled_from(anomalous))
+    else:
+        p = next_prime(data.draw(st.one_of(st.integers(5, 2 * SQUARE_TABLE_FROM), st.integers(5, 2**32 - 5))))
+        a, b = data.draw(st.integers(0, p - 1)), data.draw(st.integers(0, p - 1))
+        assume((4 * a**3 + 27 * b * b) % p)
+    return p, a, b, data.draw(st.integers(0, p - 1))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_kills_is_the_jacobian_comparison_below_2_32(data):
+    # random curves and anomalous ones at primes below 2^32, at random x, with the table below SQUARE_TABLE_FROM
+    p, a, b, x = _kill_case(data)
+    table = _square_table(p) if p < SQUARE_TABLE_FROM else None
+    assert _kills(p, a, b, x) == jacobian_kills(p, a, b, x), (p, a, b, x)
+    assert _kills(p, a, b, x, table) == jacobian_kills(p, a, b, x, table), (p, a, b, x)
 
 
 def test_split_test_is_a_root_count(monkeypatch):
@@ -660,9 +715,19 @@ def test_jacobian_mul_degenerate_steps():
     assert jacobian_mul(5, 1, 2, (0, 0, 1)) == JACOBIAN_INFINITY  # a point of order 2 on y^2 = x^3 + x
 
 
-def test_inverses_hold_only_inverses():
-    # the per-prime memo after walks at p: every slot a walk filled holds d's inverse, the rest
-    # and slot 0 hold 0; one list per p, the one that scalar_mul's walks fill
+def _check_kept_tables(tables: dict) -> None:
+    # every inverse slot d > 0 holds 1/d mod p and slot 0 holds 0; a kept square table is a fresh build's
+    for p, (inv, *squares) in tables.items():
+        assert len(inv) == p and inv[0] == 0
+        assert all(d * inv[d] % p == 1 for d in range(1, p)), p
+        assert squares in ([], [_square_table(p)]), p
+
+
+def test_inverses_hold_only_inverses(monkeypatch):
+    # the per-prime table after walks at p holds every inverse; one list per p, the one that
+    # scalar_mul's walks read
+    import dualpair.curve as curve_module
+
     for p, a, b in ((1511, 1301, 497), (19997, 3, 7)):
         c = Curve(Fp(p), a, b)
         rng = random.Random(p)
@@ -670,11 +735,38 @@ def test_inverses_hold_only_inverses():
             P = c.random_point(rng)
             c.mul(rng.randrange(1, 2**32), P)
             c.mul(p, P)
-        inv = _inverses(p)
-        assert len(inv) == p and inv[0] == 0 and inv is _inverses(p)
-        filled = [d for d in range(p) if inv[d]]
-        assert len(filled) > 100
-        assert all(d * inv[d] % p == 1 for d in filled)
+        inv = _prime_tables(p)[0]
+        assert inv is _prime_tables(p)[0]
+        _check_kept_tables({p: [inv]})
+    # under a budget of 1,500 slots, walks, searches and kill tests over primes 101-401 of which a few
+    # fit: the kept slots stay within the budget, the least recently used primes go first, and every
+    # kept table holds the inverses or is a fresh square table
+    from dualpair.miller import slope_walk
+
+    monkeypatch.setattr(curve_module, "TABLE_SLOTS", 1500)
+    monkeypatch.setattr(curve_module, "_TABLES", {})
+    primes = [q for q in range(101, 402) if is_prime(q)]
+    rng, used, built = random.Random(48), [], {}
+    for step in range(150):
+        q = rng.choice(primes[: 4 + step // 10])
+        a = next(a for a in iter(lambda: rng.randrange(q), None) if (4 * a**3 + 27) % q)
+        c, kind = Curve(Fp(q), a, 1), rng.randrange(3)
+        if kind == 0:  # a walk asks for the inverses alone
+            c.mul(rng.randrange(1, 2**32), c.random_point(rng))
+        elif kind == 1:  # a Miller walk too
+            slope_walk(c, c.random_point(rng), rng.randrange(1, 2**32))
+        else:  # a search asks for both tables, and the kill test of its find walks again
+            assert is_anomalous(find_anomalous(q, q, count=1, seed=step)[0])
+        used = [r for r in used if r != q] + [q]
+        kept = curve_module._TABLES
+        assert sum(r * len(tables) for r, tables in kept.items()) <= 1500
+        assert list(kept) == used[len(used) - len(kept) :]  # the most recently used, in order
+        assert (len(kept[q]) == 2) >= (kind == 2)
+        _check_kept_tables(kept)
+        built = {r: table for r, table in built.items() if r in kept}
+        for r, tables in kept.items():  # a square table is built once while its prime stays kept
+            assert len(tables) == 1 or built.setdefault(r, tables[1]) is tables[1]
+    assert len(used) > len(kept) > 1
 
 
 def test_jacobian_multi_mul_is_the_sum_of_its_pairs():
