@@ -51,12 +51,15 @@ desk-size curve (p = 1511):
   the desk workload's four searches, one curve in [1000, 1500] for each
   seed in 0-3 (`search.find.seed0`-`seed3`), the same four searches cold
   (`search.find.cold.seed0`-`seed3`: before each call the per-prime tables
-  of `curve._prime_tables` are emptied, untimed, so that each call builds
-  them as a one-shot search in a fresh process does), and for three
-  curves at one prime with seed 0, `search.p1009` (p = 1 mod 3, where
-  curves whose cubic splits are rejected without a walk) and
-  `search.p1013` (p = 2 mod 3, where they are walked), and
-  `curve.is_anomalous` on the desk curve (1511, 1301, 497)
+  of `curve._prime_tables`, with their trial counts, are emptied, untimed,
+  so that each call builds them as a one-shot search in a fresh process
+  does, and put back after it, so that the other rows keep theirs), and
+  for three curves at one prime with seed 0, `search.p1009` (p = 1 mod 3)
+  and `search.p1013` (p = 2 mod 3), and `curve.is_anomalous` on the desk
+  curve (1511, 1301, 497).  Each side records, per search row, the kill
+  walks of one untimed call (`walks`), counted by wrapping
+  `curve.scalar_mul` (a tree whose kill test walks by another function
+  reads 0), the cold rows' on emptied tables
 * the CLI process layer (`cli` in the record), on the desk curve: whole
   child processes of `python -c pass` and of `python -m dualpair.cli`
   running `pair --method rueck`, `dlp --method rueck` and
@@ -137,14 +140,20 @@ shuffled run each round's rows as LAYER:OP, in the order timed.
 A desk-size walk (p below `curve.SQUARE_TABLE_FROM`) reads each slope's
 inverse from p's table, and a search's trials read p's square table too,
 both kept per prime by `curve._prime_tables` and built on the first call
-at p.  So every row but the cold searches times kept tables, the steady
-state of a long session at the same primes, and not a one-shot call,
-which builds them first; the cold search rows give that cost per row.
+at p, and its class table once the trials drawn at p in the process reach
+p.  Before its rows are timed, the search layer calls each warm search
+`WARM_CALLS` times, untimed, which draws p trials at every prime they
+visit.  So every row but the cold searches times kept tables, the search
+rows built class tables among them, the steady state of a long session at
+the same primes, and not a one-shot call, which builds the inverse and
+square tables first and no class table; the cold search rows give that
+cost per row.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import os
@@ -205,8 +214,11 @@ SEARCHES = [(f"search.find.seed{seed}", 1000, 1500, 1, seed) for seed in range(4
     ("search.p1009", 1009, 1009, 3, 0),
     ("search.p1013", 1013, 1013, 3, 0),
 ] + [(f"search.find.cold.seed{seed}", 1000, 1500, 1, seed) for seed in range(4)]
-#: the search rows timed cold: the per-prime tables are emptied, untimed, before each call (`_empty_prime_tables`)
+#: the search rows timed cold: the per-prime tables are emptied, untimed, for each call (`_emptied_prime_tables`)
 COLD = {op for op, *_ in SEARCHES if op.startswith("search.find.cold.")}
+#: untimed calls of each warm search row before any is timed: 30 calls of the four desk searches draw p trials
+#: at each of the 10 primes they visit, so that a tree with per-prime class tables has built every one
+WARM_CALLS = 30
 #: the layers that a child times in turn, each built by `_layer`, and that `--isolate` rows name
 LAYERS = [name for name, *_ in CURVES] + ["isogeny", "search"]
 #: operations that one sample times as a loop of this many calls, recorded in ms per call, so that a
@@ -366,6 +378,10 @@ def _search_operations() -> tuple[dict, dict]:
 
     ops = {op: lambda args=args: find_anomalous(*args) for op, *args in SEARCHES}
     values = {op: [c.to_json() for c in fn()] for op, fn in ops.items()}
+    for _ in range(WARM_CALLS):
+        for op, fn in ops.items():
+            if op not in COLD:
+                fn()
     _, p, a, b, *_ = CURVES[1]
     curve = Curve(Fp(p), a, b)
     ops["search.is_anomalous"] = lambda: [is_anomalous(curve) for _ in range(LOOPED["search.is_anomalous"])]
@@ -381,23 +397,56 @@ def _timed(ops: dict, inner: int) -> dict:
     samples = {op: [] for op in ops}
     for _ in range(inner):  # round robin, so that a slow spell of the host is shared by every operation
         for op, fn in ops.items():
-            if op in COLD:
-                _empty_prime_tables()
-            start = time.perf_counter()
-            fn()
-            samples[op].append((time.perf_counter() - start) * 1e3 / LOOPED.get(op, 1))
+            with _emptied_prime_tables() if op in COLD else contextlib.nullcontext():
+                start = time.perf_counter()
+                fn()
+                samples[op].append((time.perf_counter() - start) * 1e3 / LOOPED.get(op, 1))
     return samples
 
 
-def _empty_prime_tables() -> None:
-    """Empty the per-prime tables that the child's `dualpair.curve` keeps: `_TABLES`, or in older trees
-    the inverse memo `_inverses` (an lru_cache); trees older still keep none."""
+@contextlib.contextmanager
+def _emptied_prime_tables():
+    """The per-prime tables that the child's `dualpair.curve` keeps, emptied for the block and put back
+    after it: `_TABLES`, with each prime's trial count where the tree keeps one; in older trees the
+    inverse memo `_inverses` (an lru_cache), emptied for good; trees older still keep none."""
     from dualpair import curve
 
-    if hasattr(curve, "_TABLES"):
-        curve._TABLES.clear()
+    tables = getattr(curve, "_TABLES", None)
+    kept = dict(tables or {})
+    if tables is not None:
+        tables.clear()
     elif hasattr(curve, "_inverses"):
         curve._inverses.cache_clear()
+    try:
+        yield
+    finally:
+        if tables is not None:
+            tables.clear()
+            tables.update(kept)
+
+
+def _search_walks(ops: dict) -> dict:
+    """search row -> the kill walks of one untimed call of it, counted by wrapping `curve.scalar_mul`, a
+    `COLD` row's on emptied per-prime tables."""
+    from dualpair import curve
+
+    walk, walks = curve.scalar_mul, []
+
+    def counted(*args):
+        walks.append(None)
+        return walk(*args)
+
+    counts = {}
+    curve.scalar_mul = counted
+    try:
+        for op in (op for op, *_ in SEARCHES if op in ops):
+            with _emptied_prime_tables() if op in COLD else contextlib.nullcontext():
+                walks.clear()
+                ops[op]()
+                counts[op] = len(walks)
+    finally:
+        curve.scalar_mul = walk
+    return counts
 
 
 def _drawn(items, rng: random.Random | None) -> list:
@@ -422,7 +471,8 @@ def isolated_child(src: str, inner: int, row: str) -> dict:
     ops, values = _layer(layer)
     if op not in ops:
         sys.exit(f"no row {row}: {layer} has {', '.join(ops)}")
-    return {"timings_ms": {layer: _timed({op: ops[op]}, inner)}, "values": {row: values}}
+    walks = _search_walks({op: ops[op]}) if layer == "search" else {}
+    return {"timings_ms": {layer: _timed({op: ops[op]}, inner)}, "values": {row: values}, "walks": walks}
 
 
 def child(src: str, inner: int, cm: bool, order_seed: int | None = None) -> dict:
@@ -430,10 +480,12 @@ def child(src: str, inner: int, cm: bool, order_seed: int | None = None) -> dict
     own, or with `order_seed` the layers, and each layer's rows, in the order `random.Random(order_seed)`
     draws; `order` lists the rows as timed."""
     sys.path.insert(0, src)
-    out = {"timings_ms": {}, "values": {}, "order": []}
+    out = {"timings_ms": {}, "values": {}, "order": [], "walks": {}}
     rng = None if order_seed is None else random.Random(order_seed)
     for name in _drawn(LAYERS, rng):
         ops, out["values"][name] = _layer(name)
+        if name == "search":
+            out["walks"] = _search_walks(ops)
         ops = dict(_drawn(ops.items(), rng))
         out["order"] += [f"{name}:{op}" for op in ops]
         out["timings_ms"][name] = _timed(ops, inner)
@@ -572,7 +624,7 @@ def _run_child(src: Path, inner: int, cm: bool, order_seed: int | None) -> dict:
 
 def _run_isolated(src: Path, inner: int, rows: list) -> dict:
     """One round of one side under `--isolate`: a child per row, in the order given."""
-    run = {"timings_ms": {}, "values": {}, "order": rows}
+    run = {"timings_ms": {}, "values": {}, "order": rows, "walks": {}}
     for row in rows:
         done = subprocess.run([sys.executable, __file__, "--child", str(src), "--inner", str(inner), "--row", row],
                               capture_output=True, text=True)
@@ -582,6 +634,7 @@ def _run_isolated(src: Path, inner: int, rows: list) -> dict:
         for layer, timings in part["timings_ms"].items():
             run["timings_ms"].setdefault(layer, {}).update(timings)
         run["values"].update(part["values"])
+        run["walks"].update(part["walks"])
     return run
 
 
@@ -666,7 +719,7 @@ def main(argv=None) -> int:
         for name, ops in runs[side][0]["timings_ms"].items():
             timings[name] = {op: _summary([s for run in runs[side] if name in run["timings_ms"] for s in run["timings_ms"][name][op]])
                              for op in ops}
-        record["sides"][side] = {**meta, "values": values[side][0], "timings_ms": timings}
+        record["sides"][side] = {**meta, "values": values[side][0], "timings_ms": timings, "walks": runs[side][0]["walks"]}
     if "parent" in runs:
         record["paired_ratios"] = _paired_ratios(runs["change"], runs["parent"])
     text = json.dumps(record, indent=1, sort_keys=True) + "\n"

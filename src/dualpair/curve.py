@@ -7,29 +7,42 @@ anomalous curves, and 2-torsion utilities.
 A random point is drawn once, in `_random_x`: its x, and the sign bit
 of its y.  `Curve.random_point` takes one square root of the accepted
 x^3 + A*x + B; the search takes none.  Its trials run on plain ints; its
-rejects skip only curves with a rational point of order 2, which have even
-order and so cannot be anomalous: by the discriminant's character, and, at
-p = 1 mod 3 below `SQUARE_TABLE_FROM`, by a cube test of Cardano's
-resolvent on curves whose cubic splits.  For a drawn point
+rejects skip curves with a rational point of order 2 or 3, whose order is
+not prime to 6 and so never p (`_kills`).  For a drawn point
 (x, sqrt(t)), t = x^3 + A*x + B, a trial walks the image P' = (t*x, t^2)
 under the F_p-isomorphism (x, y) -> (u^2*x, u^3*y), u = sqrt(t), onto
 y^2 = x^3 + A*t^2*x + B*t^3 (Silverman, AEC III.1), which has the same
-group, to (p - 1)*P' (`_kills`).  Each draw below p, of A, B and x, is
+group, to (p - 1)*P'.  Each draw below p, of A, B and x, is
 `getrandbits(k)` with k = p.bit_length(), drawn again while it is >= p: that is what
 CPython's `Random.randrange(p)` does under its two Python frames (3.10 to
 3.13), so every value and the rng state after each draw are randrange's,
 and every seed finds the curves it found through randrange.  A trial
-takes the quadratic character about three times: of the discriminant, and
-of x^3 + A*x + B for each x drawn until one is a square or zero.  Below
-`SQUARE_TABLE_FROM` it is read from a table of the squares mod p and their
-roots (`_square_table`), built in about p/2 squarings on a search's first
-visit to p and kept with p's inverses (`_prime_tables`, below);
-from it on, and in `Curve.random_point`, `is_anomalous` and `count_points`,
-it is Euler's criterion, one `pow`.  A visit runs max(32, 4*sqrt(p))
-trials, so a table built for one visit, O(p), and the O(sqrt(p)) pows it
-saves break even near p = 2*10^4 (measured on CPython 3.11 and 3.13).  A
-lookup gives the same boolean as the `pow`, so every draw, curve and error
-stays the same.
+takes the quadratic character of x^3 + A*x + B for each x drawn until one
+is a square or zero.  Below `SQUARE_TABLE_FROM` it is read from a table
+of the squares mod p and their roots (`_square_table`), built in about
+p/2 squarings on a search's first visit to p and kept with p's inverses
+(`_prime_tables`, below); from it on, and in `Curve.random_point`,
+`is_anomalous` and `count_points`, it is Euler's criterion, one `pow`.
+A visit runs max(32, 4*sqrt(p)) trials, so a table built for one visit,
+O(p), and the O(sqrt(p)) pows it saves break even near p = 2*10^4
+(measured on CPython 3.11 and 3.13).  A lookup gives the same boolean as
+the `pow`, so every draw, curve and error stays the same.
+
+Curves with a point of order 2 or 3 fall into one-parameter families
+(Tate's normal form), so below `SQUARE_TABLE_FROM` one table per prime,
+2p bytes indexed by the isomorphism class of E, marks them all
+(`_class_table`), and a reject is one read of it.  It is built in about
+2p steps once the trials that searches drew at p in this process reach
+p, and kept with p's other tables: a one-shot search visits a desk-size
+prime once, about 4*sqrt(p) trials, and never pays for it, while a
+process that searches the same primes again, as the desk workload does,
+walks only what it leaves (227 of the four desk searches' 547 walks).
+Before it is built, at A = 0, and from the bound on, the rejects are the
+discriminant's character, which finds a cubic with one root, and at
+p = 1 mod 3 below the bound a cube test of Cardano's resolvent, which
+finds one with three.  A curve with a point of order 2 or 3 has no point
+of order p at any p >= 5, so the walk would answer False too, and every
+curve found stays the same.
 
 The group law comes twice.  `Curve.add` works on affine `Point`s of
 FpElement wrappers, one inversion per addition; it is the public one and
@@ -64,10 +77,11 @@ p/2 steps: 0.11 ms at p = 1,433 and 1.6 ms at 19,997 (CPython 3.11), the
 time that about 30 and 320 walks to (p - 1)P save there (5.2 us against
 8.4 and 7.2 against 12.3).  A visit of the search walks max(32, 4*sqrt(p))
 times or fewer, so the per-prime tables outlive the visit: `_prime_tables`
-keeps each prime's inverses, and its square table once a search asks for
-it, across walks and searches, up to `TABLE_SLOTS` slots over all primes,
-and evicts the least recently used primes first.  A process that searches
-or walks many times at the same primes below the bound reads them warm.
+keeps each prime's inverses, and its square and class tables once a search
+asks for them, across walks and searches, up to `TABLE_SLOTS` slots over
+all primes, and evicts the least recently used primes first.  A process
+that searches or walks many times at the same primes below the bound
+reads them warm.
 From the bound on, a table as long as p would pay only after hundreds of
 walks at p, and a walk that takes a `pow` a step measured 1.2-1.4 times
 the Jacobian one (p = 20,011 to 2^31 - 1), so every walk there is
@@ -87,8 +101,9 @@ are the attack targets of the rest of the package.  One rule certifies
 them: a point P != O with p*P = O has order p, so p divides #E; when 2p
 lies above the Hasse interval, which holds for p >= 7, p is the only
 multiple of p in it and #E = p.  At p = 5, #E = 10 fits too, but has one
-point of order 2, so a non-square discriminant, which `_kills` rejects
-unwalked: its kill is all that `is_anomalous` and `find_anomalous` read.
+point of order 2, so a non-square discriminant and a marked class, which
+`_kills` rejects unwalked: its kill is all that `is_anomalous` and
+`find_anomalous` read.
 `dlp.DlpInstance` counts at p = 5 instead (`_certifies_anomalous`).
 """
 
@@ -453,31 +468,59 @@ def jacobian_multi_mul(p: int, a: int, pairs) -> tuple:
     return acc
 
 
-#: The most slots, p per table, that `_prime_tables` keeps over all primes: at most 4.8 MB (tracemalloc,
-#: CPython 3.11, every slot an inverse), and at least 2p for every p below `SQUARE_TABLE_FROM`.
+#: The most slots that `_prime_tables` keeps over all primes, one per entry of a table: at most 4.8 MB
+#: (tracemalloc, CPython 3.11, every slot an inverse; a byte of the square and class tables costs less), and at
+#: least the 4p of a searched prime's three tables for every p below `SQUARE_TABLE_FROM`.
 TABLE_SLOTS = 1 << 17
-#: p -> [inverses] or [inverses, square table], least recently used first (`_prime_tables`).
-_TABLES: dict[int, list[list[int]]] = {}
 
 
-def _prime_tables(p: int, squares: bool = False) -> list[list[int]]:
-    """p's tables below `SQUARE_TABLE_FROM`: [`_inverse_table(p)`], or with `squares` [that, `_square_table(p)`].
+class _PrimeTables:
+    """One prime's kept tables (`_prime_tables`): its inverses; once a search visits it, its square table
+    and the count of the trials drawn at it (`drawn`); and once those reach p, its class table."""
 
-    Both are kept in `_TABLES`, most recently asked for last, p slots each;
-    a prime whose new table would take the kept slots past `TABLE_SLOTS`
-    evicts the least recently used primes' tables until they fit.
+    __slots__ = ("inverses", "squares", "drawn", "classes")
+
+    def __init__(self, p: int):
+        self.inverses, self.squares, self.drawn, self.classes = _inverse_table(p), None, 0, None
+
+    def slots(self) -> int:
+        return sum(len(table) for table in (self.inverses, self.squares, self.classes) if table is not None)
+
+
+#: p -> p's `_PrimeTables`, least recently used first (`_prime_tables`).
+_TABLES: dict[int, _PrimeTables] = {}
+
+
+def _prime_tables(p: int, search: bool = False) -> _PrimeTables:
+    """p's kept tables below `SQUARE_TABLE_FROM`: its inverses (`_inverse_table`); with `search`, its
+    square table (`_square_table`) too, and its class table (`_class_table`) once the trials that
+    searches drew at p in this process, which `find_anomalous` adds to `drawn` after each visit, reach p.
+
+    A visit draws max(32, 4*sqrt(p)) trials, so a search that visits p once, as a one-shot search at
+    desk size does, never pays for a class table, whose build of about 2p steps costs what about
+    0.1p trials cost without it; a process that keeps searching p builds it once, after about
+    sqrt(p)/4 visits, and it pays back within about 0.3p trials (p = 1,433, CPython 3.11).  Each
+    table is built on the call that first needs it and kept in `_TABLES`, most recently asked for
+    last; a table that would take the kept slots past `TABLE_SLOTS` evicts the least recently used
+    primes, with their tables and trial counts, until they fit.
     """
     tables = _TABLES.pop(p, None)
-    if tables is None or squares and len(tables) == 1:
-        tables = tables or [_inverse_table(p)]
-        if squares:
-            tables.append(_square_table(p))
+    grown = tables is None
+    if grown:
+        tables = _PrimeTables(p)
+    if search and tables.classes is None:
+        if tables.squares is None:
+            tables.squares, grown = _square_table(p), True
+        elif tables.drawn >= p:
+            tables.classes, grown = _class_table(p, tables.inverses, tables.squares), True
+    if grown:
         # copies, and a default for a prime gone, so that threads sharing the tables cannot break the loops
-        kept = p * len(tables) + sum(q * len(kept_q) for q, kept_q in list(_TABLES.items()))
+        kept = tables.slots() + sum(kept_q.slots() for kept_q in list(_TABLES.values()))
         for q in list(_TABLES):
             if kept <= TABLE_SLOTS:
                 break
-            kept -= q * len(_TABLES.pop(q, ()))
+            gone = _TABLES.pop(q, None)
+            kept -= gone.slots() if gone else 0
     _TABLES[p] = tables
     return tables
 
@@ -507,7 +550,7 @@ def scalar_mul(p: int, a: int, n: int, x: int, y: int) -> tuple | None:
     """
     if p >= SQUARE_TABLE_FROM or n >= WINDOW_FROM:
         return jacobian_affine(p, jacobian_mul(p, a, n, (x, y, 1)))
-    inv, X, Y = _prime_tables(p)[0], x, y
+    inv, X, Y = _prime_tables(p).inverses, x, y
     for bit in bin(n)[3:]:
         if X is not None:
             if Y:
@@ -586,40 +629,85 @@ def _square_table(p: int) -> list[int]:
     return table
 
 
-def _kills(p: int, a: int, b: int, x: int, squares: list[int] | None = None) -> bool:
-    """Whether p*P = O for P = (x, sqrt(t)) on the nonsingular y^2 = x^3 + a*x + b; False early if E
-    cannot be anomalous.
+def _class_table(p: int, inv: list[int], squares: list[int]) -> bytearray:
+    """The search's class table at p: 1 at the index of each F_p-isomorphism class of curves
+    y^2 = x^3 + a*x + b, a != 0, that have a rational point of order 2 or 3, else 0.  The index is
+    w + h*p with w = b^2/a^3, and h = 0 for a square b or b = 0, 1 for a non-square one; `inv` and
+    `squares` are p's tables.
 
-    A non-square discriminant D = -(4a^3 + 27b^2) means the cubic has exactly
-    one root, so E has a rational point of order 2 and #E is even, never p;
-    such a curve is rejected without a walk.  With `squares`
-    (`_square_table(p)`) given and p = 1 mod 3, a square D leaves the cubic
-    three roots or none, and three mean E[2] in E(F_p), so 4 | #E: such a
-    curve is rejected too.  Cardano's resolvent decides it: -27*D is then a
-    square s^2, and the cubic splits exactly when 4*(s - 27b) is a cube; where
-    s - 27b = 0 (only at a = 0) the other root -s gives 4*(-s - 27b), a cube
-    exactly when 4*(s + 27b) is, as -1 is one.  With t = x^3 + a*x + b a
-    nonzero square, the walk is not of P but of its image P' = (t*x, t^2)
-    under the isomorphism (x, y) -> (u^2*x, u^3*y), u = sqrt(t), onto
-    y^2 = x^3 + a*t^2*x + b*t^3, which needs no square root.  An isomorphism
-    preserves the group law, so p*P = O exactly when p*P' is; and the sign
-    of y does not matter, since p*(-P) = -(p*P).  `scalar_mul` walks to
-    (p - 1)*P', compared with -P' = (t*x, p - t^2), one add short of p*P':
+    (a, b) -> (u^4*a, u^6*b) keeps w and the character of b, and for b != 0 the two name the class,
+    as the character of w is a's: w gives j, and b's character tells a curve from its quadratic
+    twist.  Order 2: x^3 + a*x + b has a root r exactly when w = s*(s + 1)^2 with s = r^2/a, and a
+    twist keeps a root, so both halves are marked at s*(s + 1)^2 for every s in F_p; b = 0, whose
+    root is x = 0, reads w = 0, marked at s = 0.  Order 3: a curve with a != 0 and a point of order
+    3 is y^2 + x*y + c*y = x^3 for some c != 0, with the point at (0, 0) (Tate's normal form; D.
+    Kubert, Proc. LMS 33, 1976), whose short form scaled by 6 is A = 648c - 27, B = 11664c^2 - 1944c
+    + 54 = N/36 with N = A^2 - 54A - 243.  So for each A != 0 with N != 0, w = N^2/(1296*A^3) is
+    marked on N's half.  About 2p steps; A = -27, where c = 0, marks the singular curves' w = -4/27,
+    which is never read.
+    """
+    classes = bytearray(p)
+    for s in range(p):
+        classes[s * (s + 1) * (s + 1) % p] = 1
+    classes *= 2
+    k = pow(1296, -1, p)
+    for A in range(1, p):
+        N = (A * A - 54 * A - 243) % p
+        if N:
+            i = inv[A]
+            q = N * i % p
+            classes[k * q * q * i % p + (0 if squares[N] else p)] = 1
+    return classes
+
+
+def _kills(p: int, a: int, b: int, x: int, tables: _PrimeTables | None = None) -> bool:
+    """Whether p*P = O for P = (x, sqrt(t)) on the nonsingular y^2 = x^3 + a*x + b, where
+    t = x^3 + a*x + b is a square or zero; False early if E cannot be anomalous.
+
+    #E = p is prime to 6, so a curve with a rational point of order 2 or 3
+    cannot be anomalous; the first of these that applies rejects such curves
+    without a walk:
+    * with p's `tables` (`_prime_tables(p, True)`), their class table built
+      and a != 0: the mark of E's class (`_class_table`), for one read of 1/a,
+      three products and two table reads; it marks every curve with a point
+      of order 2 or 3, b = 0 among them;
+    * with `tables`: a non-square discriminant D = -(4a^3 + 27b^2), which
+      leaves the cubic exactly one root, read from the square table; and at
+      p = 1 mod 3 a square D, which leaves three roots or none, with three
+      when Cardano's resolvent is a cube: -27*D is then a square s^2, and the
+      cubic splits exactly when 4*(s - 27b) is a cube; where s - 27b = 0 (only
+      at a = 0) the other root -s gives 4*(-s - 27b), a cube exactly when
+      4*(s + 27b) is, as -1 is one;
+    * without `tables`: a non-square D, by Euler's criterion.
+    With t a nonzero square, the walk is not of P but of its image
+    P' = (t*x, t^2) under the isomorphism (x, y) -> (u^2*x, u^3*y), u = sqrt(t),
+    onto y^2 = x^3 + a*t^2*x + b*t^3, which needs no square root.  An
+    isomorphism preserves the group law, so p*P = O exactly when p*P' is; and
+    the sign of y does not matter, since p*(-P) = -(p*P).  `scalar_mul` walks
+    to (p - 1)*P', compared with -P' = (t*x, p - t^2), one add short of p*P':
     affine on p's table of inverses below `SQUARE_TABLE_FROM`, and
     `jacobian_mul` with one inversion from it on.  When t = 0, P has order 2
-    and p*P = P, as p is odd.  Without `squares` the discriminant's character
-    is Euler's criterion and no split is tested.
+    and p*P = P, as p is odd.  For a non-square t there is no such P, and the
+    answer is not defined: P' then lies on the quadratic twist, which may be
+    anomalous where E has a point of order 3, so the answer depends on which
+    rejects ran.
     """
-    d = -(4 * a * a * a + 27 * b * b) % p
-    if squares:
+    if tables is None:
+        if pow(-(4 * a * a * a + 27 * b * b) % p, (p - 1) // 2, p) != 1:
+            return False
+    elif tables.classes and a:
+        i = tables.inverses[a]
+        q = b * i % p
+        if tables.classes[q * q * i % p + (0 if tables.squares[b] else p)]:
+            return False
+    else:
+        squares, d = tables.squares, -(4 * a * a * a + 27 * b * b) % p
         if not squares[d]:
             return False
         if p % 3 == 1:
             s = squares[-27 * d % p] - 1
             if pow(4 * ((s - 27 * b) % p or s + 27 * b), (p - 1) // 3, p) == 1:
                 return False
-    elif pow(d, (p - 1) // 2, p) == p - 1:
-        return False
     t = (x * x * x + a * x + b) % p
     if not t:
         return False
@@ -679,14 +767,15 @@ def find_anomalous(
     Each trial runs on ints: it draws a random point P by `_random_x`, as
     `Curve.random_point` does, and walks P's image P' on an isomorphic
     curve to (p - 1)*P', compared with -P' (`_kills`, no square root),
-    except on curves with a point of order 2, which cannot be anomalous:
-    those with a non-square discriminant, and, for p = 1 mod 3 below
-    `SQUARE_TABLE_FROM`, those whose cubic splits.  p kills P' exactly when
-    it kills P, so a hit is P's certificate, and a `Curve` is built only for
-    a hit.  Below `SQUARE_TABLE_FROM` the trials read p's square table and
-    walk on p's table of inverses, both kept across visits and searches
+    except on curves that `_kills` finds to have a point of order 2 or 3,
+    which cannot be anomalous.  p kills P' exactly when it kills P, so a
+    hit is P's certificate, and a `Curve` is built only for a hit.  Below
+    `SQUARE_TABLE_FROM` the trials read p's square table and walk on p's
+    table of inverses, both kept across visits and searches
     (`_prime_tables`), so a process that searches the same primes again
-    builds neither again.
+    builds neither again; each visit adds its trials to p's count, and
+    once that reaches p the next visit builds p's class table, after which
+    a curve with a point of order 2 or 3 is rejected by one read of it.
     When the range holds at most `budget` nonsingular (p, A, B) triples
     (p^2 - p per prime), each tried one is marked, and the search stops
     once all of them are.
@@ -714,7 +803,8 @@ def find_anomalous(
         if p > p_max:
             continue
         per_prime, k = max(32, 4 * math.isqrt(p)), p.bit_length()
-        squares = _prime_tables(p, True)[1] if p < SQUARE_TABLE_FROM else None
+        tables = _prime_tables(p, True) if p < SQUARE_TABLE_FROM else None
+        squares, first = tables and tables.squares, trials
         for _ in range(per_prime):
             trials += 1
             if trials > budget:
@@ -732,11 +822,13 @@ def find_anomalous(
             if tried and not tried[p][a * p + b]:
                 tried[p][a * p + b] = 1
                 untried -= 1
-            if _kills(p, a, b, _random_x(p, a, b, rng, squares)[0], squares):
+            if _kills(p, a, b, _random_x(p, a, b, rng, squares)[0], tables):
                 found.append(Curve(Fp(p), a, b))
                 seen.add((p, a, b))
                 if len(found) == count:
                     break
             if untried == 0:
                 raise SearchExhaustedError(f"[{p_min}, {p_max}] holds only {len(found)} anomalous curves")
+        if tables:
+            tables.drawn += trials - first
     return found

@@ -320,7 +320,7 @@ def _affine_walk(p: int, a: int, x: int, y: int, n: int, point: tuple | None, pr
     beside each multiple: S' = 2S + lam for a doubling, S + lam for the add of P.  At a point,
     each step's line through its own multiple (X, Y) is L = y0 + Y - lam*(x0 - X), L_eps = y1 -
     lam*x1 and V = x0 - X, V_eps = x1, `_step_readings`' reading at Z = 1."""
-    inv, bits, X, Y, Z, S = _prime_tables(p)[0], iter(bin(n)[3:]), x, y, 1, 0
+    inv, bits, X, Y, Z, S = _prime_tables(p).inverses, iter(bin(n)[3:]), x, y, 1, 0
     if point is not None:
         x0, y0, x1, y1 = point
         u, w = (1, 0) if product else (0, 1)  # (fr, fe) or (num, den)

@@ -103,9 +103,10 @@ def weighted_sum(p: int, terms) -> int:
 
 
 def jacobian_kills(p: int, a: int, b: int, x: int, squares: list[int] | None = None) -> bool:
-    """Oracle: `curve._kills` as it was on the Jacobian walk: the same discriminant and split-cubic
-    rejects, then (p - 1)*P' for P' = (t*x, t^2) by `jacobian_mul`, compared with -P' projectively,
-    with no inversion; O is (1, 1, 0), which fails the first comparison."""
+    """Oracle: `curve._kills` as it was before the class table, on the Jacobian walk: the discriminant
+    reject, and with `squares` (`curve._square_table(p)`) the split-cubic one at p = 1 mod 3, then
+    (p - 1)*P' for P' = (t*x, t^2) by `jacobian_mul`, compared with -P' projectively, with no
+    inversion; O is (1, 1, 0), which fails the first comparison."""
     d = -(4 * a * a * a + 27 * b * b) % p
     if squares:
         if not squares[d]:
@@ -342,6 +343,16 @@ def mul_below_2_32(add, mul, n: int, P, zero):
     for shift in range(31 * (n.bit_length() // 31), -1, -31):
         acc = add(mul(2**31, acc), mul(n >> shift & (2**31 - 1), P))
     return acc
+
+
+@pytest.fixture
+def fresh_tables(monkeypatch) -> dict:
+    """`curve._TABLES` emptied for one test, so that no table or trial count that earlier tests left
+    decides which walks it makes; the process's own tables come back after it."""
+    import dualpair.curve as curve_module
+
+    monkeypatch.setattr(curve_module, "_TABLES", {})
+    return curve_module._TABLES
 
 
 @pytest.fixture(scope="session")

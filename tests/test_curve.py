@@ -1,4 +1,6 @@
+import functools
 import hashlib
+import itertools
 import json
 import math
 import random
@@ -20,8 +22,10 @@ from dualpair.curve import (
     JACOBIAN_INFINITY,
     SQUARE_TABLE_FROM,
     _certifies_anomalous,
+    _class_table,
     _kills,
     _prime_tables,
+    _PrimeTables,
     _square_table,
     is_anomalous,
     jacobian_add,
@@ -41,6 +45,16 @@ from dualpair.numbertheory import half_euclid, is_prime, legendre, next_prime, s
 
 import test_crypto256 as pinned
 from conftest import first_anomalous_by_scan, jacobian_kills
+
+
+def _tables(p: int, classes: bool = True) -> _PrimeTables:
+    """p's tables as `_prime_tables(p, True)` keeps them: inverses and squares, and with `classes` the
+    class table that a search builds once its trials at p reach p."""
+    tables = _PrimeTables(p)
+    tables.squares = _square_table(p)
+    if classes:
+        tables.classes = _class_table(p, tables.inverses, tables.squares)
+    return tables
 
 
 def _count_by_scan(curve):
@@ -443,10 +457,10 @@ def test_a_kill_is_the_certificate():
     # find_anomalous keeps a curve on a kill, and is_anomalous answers by one, with no count: a kill
     # has t a nonzero square, so P' != O has order p and p | #E, and from p = 7 on Hasse leaves only
     # #E = p; at p = 5, #E = 10 has one point of order 2, so a non-square discriminant, which _kills
-    # rejects before it walks. On an anomalous curve every such x is a kill, with the table or without
+    # rejects before it walks. On an anomalous curve every such x is a kill, with the tables or without
     tens = 0
     for p in (5, 7, 11, 13, 17, 19, 23, 29, 31):
-        f, table = Fp(p), _square_table(p)
+        f, kept = Fp(p), (None, _tables(p, classes=False), _tables(p))
         for a in range(p):
             for b in range(p):
                 if (4 * a**3 + 27 * b * b) % p == 0:
@@ -454,7 +468,7 @@ def test_a_kill_is_the_certificate():
                 n = count_points(Curve(f, a, b))
                 tens += n == 2 * p
                 xs = [x for x in range(p) if legendre(x**3 + a * x + b, p) == 1]
-                kills = [_kills(p, a, b, x, squares) for squares in (None, table) for x in xs]
+                kills = [_kills(p, a, b, x, tables) for tables in kept for x in xs]
                 assert kills and all(kills) if n == p else not any(kills), (p, a, b)
     assert tens  # the case the discriminant reject answers, at p = 5
 
@@ -515,11 +529,12 @@ def test_kills_image_multiples_at_1511_and_2_31():
 def test_kills_agrees_with_the_walk_of_a_square_root():
     # at every x with t a square or zero, on every curve of both discriminant
     # classes: _kills is the discriminant reject, then p*(x, sqrt_mod(t)) = O;
-    # at every x, given the table (whose split-cubic reject p = 7, 13, 19, 31
-    # and 37 take, as 1 mod 3), it is what it is without it
+    # at every x, given the square table (whose split-cubic reject p = 7, 13, 19,
+    # 31 and 37 take, as 1 mod 3), it is what it is without it, and so it is with
+    # the class table at every x where it is defined, t a square or zero
     seen = set()
     for p in (5, 7, 11, 13, 17, 19, 31, 37):
-        f, table = Fp(p), _square_table(p)
+        f, before, built = Fp(p), _tables(p, classes=False), _tables(p)
         for a in range(p):
             for b in range(p):
                 d = (4 * a**3 + 27 * b * b) % p
@@ -529,10 +544,11 @@ def test_kills_agrees_with_the_walk_of_a_square_root():
                 square_d = legendre(-d, p) != -1
                 for x in range(p):
                     kills = _kills(p, a, b, x)
-                    assert _kills(p, a, b, x, table) == kills, (p, a, b, x)
+                    assert _kills(p, a, b, x, before) == kills, (p, a, b, x)
                     y = sqrt_mod(x**3 + a * x + b, p)
                     if y is None:
                         continue
+                    assert _kills(p, a, b, x, built) == kills, (p, a, b, x)
                     walked = c.mul(p, c.point(x, y)).is_infinity
                     assert kills == (square_d and walked), (p, a, b, x)
                     seen.add((square_d, y == 0, walked))
@@ -541,9 +557,10 @@ def test_kills_agrees_with_the_walk_of_a_square_root():
     assert {(True, True, False), (False, True, False), (True, False, True), (False, False, True)} <= seen
 
 
-def _walks(monkeypatch):
-    # every kill walk, as (p, a, n, base) with base = (x, y, 1), made while the list is alive: `_kills`
-    # walks by scalar_mul
+@pytest.fixture
+def walks(monkeypatch, fresh_tables):
+    # every kill walk of the test, as (p, a, n, base) with base = (x, y, 1): `_kills` walks by
+    # scalar_mul; on emptied per-prime tables, as which walks a search makes depends on them
     import dualpair.curve as curve_module
 
     walks, walk = [], curve_module.scalar_mul
@@ -557,27 +574,31 @@ def _walks(monkeypatch):
 
 
 def test_kills_is_the_jacobian_comparison_at_every_small_case(monkeypatch):
-    # at every (a, b, x) of every nonsingular curve at each p <= 43, with and without the square table,
-    # _kills's affine answer, and its Jacobian one with SQUARE_TABLE_FROM lowered below every p, are
-    # the oracle's: the old walk to (p - 1)P' by jacobian_mul, compared with -P' projectively
+    # at every (a, b, x) of every nonsingular curve at each p <= 43, without tables and with the square
+    # table, and with the class table too at each x where t is a square or zero (at a non-square t, P'
+    # lies on the twist, and _kills is not defined there), _kills's affine answer, and its Jacobian one
+    # with SQUARE_TABLE_FROM lowered below every p, are the oracle's: the kill rule before the class
+    # table, with the old walk to (p - 1)P' by jacobian_mul, compared with -P' projectively
     import dualpair.curve as curve_module
 
     seen = set()
     for p in (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43):
-        table = _square_table(p)
+        kept = {"plain": None, "squares": _tables(p, classes=False), "classes": _tables(p)}
+        table = kept["squares"].squares
         expected = {
-            (a, b, x, squares is None): jacobian_kills(p, a, b, x, squares)
+            (a, b, x, kind): jacobian_kills(p, a, b, x, None if kind == "plain" else table)
             for a in range(p)
             for b in range(p)
             if (4 * a**3 + 27 * b * b) % p
             for x in range(p)
-            for squares in (None, table)
+            for kind in kept
+            if kind != "classes" or table[(x**3 + a * x + b) % p]
         }
         for engine_from in (SQUARE_TABLE_FROM, 5):
             with monkeypatch.context() as m:
                 m.setattr(curve_module, "SQUARE_TABLE_FROM", engine_from)
-                for (a, b, x, plain), kills in expected.items():
-                    assert _kills(p, a, b, x, None if plain else table) == kills, (p, a, b, x, plain, engine_from)
+                for (a, b, x, kind), kills in expected.items():
+                    assert _kills(p, a, b, x, kept[kind]) == kills, (p, a, b, x, kind, engine_from)
         seen |= set(expected.values())
     assert seen == {True, False}
 
@@ -598,21 +619,70 @@ def _kill_case(data) -> tuple:
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(st.data())
 def test_kills_is_the_jacobian_comparison_below_2_32(data):
-    # random curves and anomalous ones at primes below 2^32, at random x, with the table below SQUARE_TABLE_FROM
+    # random curves and anomalous ones at primes below 2^32, at random x, with the square table below
+    # SQUARE_TABLE_FROM
     p, a, b, x = _kill_case(data)
-    table = _square_table(p) if p < SQUARE_TABLE_FROM else None
+    tables = _tables(p, classes=False) if p < SQUARE_TABLE_FROM else None
     assert _kills(p, a, b, x) == jacobian_kills(p, a, b, x), (p, a, b, x)
-    assert _kills(p, a, b, x, table) == jacobian_kills(p, a, b, x, table), (p, a, b, x)
+    assert _kills(p, a, b, x, tables) == jacobian_kills(p, a, b, x, tables and tables.squares), (p, a, b, x)
 
 
-def test_split_test_is_a_root_count(monkeypatch):
+def test_class_table_marks_the_curves_with_a_point_of_order_2_or_3():
+    # at every prime 5 <= p <= 100, for every nonsingular (a, b) with a != 0, the class (b^2/a^3, the
+    # character of b) is marked exactly when gcd(#E, 6) > 1, #E tallied as `count_points` tallies it,
+    # from a list of characters
+    marked = unmarked = 0
+    for p in (q for q in range(5, 101) if is_prime(q)):
+        inv = [0] + [pow(d, -1, p) for d in range(1, p)]
+        chi = [0] + [legendre(t, p) for t in range(1, p)]
+        classes = _class_table(p, inv, _square_table(p))
+        for a in range(1, p):
+            image = [(x**3 + a * x) % p for x in range(p)]
+            for b in range(p):
+                if (4 * a**3 + 27 * b * b) % p:
+                    n = p + 1 + sum(chi[(t + b) % p] for t in image)
+                    mark = classes[b * b * inv[a] ** 3 % p + (p if chi[b] == -1 else 0)]
+                    assert mark == (math.gcd(n, 6) > 1), (p, a, b, n)
+                    marked, unmarked = marked + mark, unmarked + (not mark)
+    assert count_points(Curve(Fp(97), 5, 7)) == 97 + 1 + sum(legendre(x**3 + 5 * x + 7, 97) for x in range(97))
+    assert marked > unmarked > 10_000
+
+
+@functools.lru_cache(maxsize=8)
+def _built_tables(p: int) -> _PrimeTables:
+    return _tables(p)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_kills_on_the_class_table_is_the_old_rule(data):
+    # below SQUARE_TABLE_FROM, with the class table built, at random curves and anomalous ones and at an x
+    # where t is a square or zero: _kills answers as the rule before the class table does, with the
+    # square table and without; the primes are the searches' own, on both residues mod 3 and next to
+    # the bound, and any below 3,000
+    anomalous = [c for _, found in _PINNED_SEARCHES for c in found if c[0] < SQUARE_TABLE_FROM]
+    if data.draw(st.booleans()):
+        p, a, b = data.draw(st.sampled_from(anomalous))
+    else:
+        p = data.draw(st.one_of(st.sampled_from([1009, 1013, 1433, 1511, 19993, 19997]), st.integers(5, 3000).map(next_prime)))
+        a, b = data.draw(st.integers(0, p - 1)), data.draw(st.integers(0, p - 1))
+        assume((4 * a**3 + 27 * b * b) % p)
+    tables = _built_tables(p)
+    x = data.draw(st.integers(0, p - 1))
+    while not tables.squares[(x**3 + a * x + b) % p]:
+        x = (x + 1) % p
+    kills = jacobian_kills(p, a, b, x, tables.squares)
+    assert kills == jacobian_kills(p, a, b, x)
+    assert _kills(p, a, b, x, tables) == kills, (p, a, b, x)
+
+
+def test_split_test_is_a_root_count(walks):
     # at p = 1 mod 3, a curve with a square discriminant has a cubic with three
-    # roots or none; given the table, _kills rejects the first kind without a
-    # walk and walks the second, at any x with t = x^3 + ax + b nonzero
-    walks = _walks(monkeypatch)
+    # roots or none; given the square table, before the class table, _kills rejects
+    # the first kind without a walk and walks the second, at any x with t = x^3 + ax + b nonzero
     split = whole = 0
     for p in (q for q in range(7, 100, 6) if is_prime(q)):
-        table = _square_table(p)
+        table = _tables(p, classes=False)
         for a in range(p):
             for b in range(p):
                 d = -(4 * a**3 + 27 * b * b) % p
@@ -628,18 +698,35 @@ def test_split_test_is_a_root_count(monkeypatch):
     assert split > 1000 and whole > 1000
 
 
-@pytest.mark.parametrize("p,walked", [(1009, 144), (1013, 246)])
-def test_search_skips_the_walk_of_a_split_cubic(monkeypatch, p, walked):
-    # find_anomalous(p, p, count=3, seed=0) walked 210 curves at 1009 and 246 at
-    # 1013 before the split-cubic reject, which only p = 1 mod 3 takes; every
-    # walked image y^2 = x^3 + a'x + b', b' read from its base point, has a cubic with no root
-    walks = _walks(monkeypatch)
+@pytest.mark.parametrize("p,walked,walked_on_classes", [(1009, 144, 81), (1013, 246, 91)])
+def test_search_skips_the_walk_of_a_split_cubic(walks, fresh_tables, p, walked, walked_on_classes):
+    # find_anomalous(p, p, count=3, seed=0) walked 210 curves at 1009 and 246 at 1013 before the
+    # split-cubic reject, which only p = 1 mod 3 takes, and walks as many in a process that has drawn
+    # fewer than p trials at p; every walked image y^2 = x^3 + a'x + b', b' read from its base point,
+    # then has a cubic with no root at p = 1 mod 3.  Once the trials drawn at p reach p, the next
+    # visit builds p's class table, and from then on the search walks 81 and 91 curves: at both
+    # residues every walked cubic has no root and 3 does not divide #E
+    def walked_curves():
+        for q, a, n, (x, y, _) in walks:
+            assert (q, n) == (p, p - 1)
+            yield a, (y * y - x**3 - a * x) % p
+
     find_anomalous(p, p, count=3, seed=0)
-    assert len(walks) == walked
-    for q, a, n, (x, y, _) in walks:
-        assert (q, n) == (p, p - 1)
-        b = (y * y - x**3 - a * x) % p
+    assert len(walks) == walked and fresh_tables[p].drawn < p and fresh_tables[p].classes is None
+    for a, b in walked_curves():
         assert (p % 3 == 2) or all((r**3 + a * r + b) % p for r in range(p)), (a, b)
+    while fresh_tables[p].classes is None:
+        drawn = fresh_tables[p].drawn
+        find_anomalous(p, p, count=3, seed=0)
+        assert drawn < p or fresh_tables[p].classes is not None  # a visit that starts at p trials builds it
+    walks.clear()
+    assert [(c.A.value, c.B.value) for c in find_anomalous(p, p, count=3, seed=0)] == [
+        (c[1], c[2]) for args, found in _PINNED_SEARCHES if args == (p, p, 3, 0) for c in found
+    ]
+    assert len(walks) == walked_on_classes
+    for a, b in walked_curves():
+        assert all((r**3 + a * r + b) % p for r in range(p)), (a, b)
+        assert count_points(Curve(Fp(p), a, b)) % 3, (a, b)
 
 
 def test_search_takes_no_square_root(monkeypatch):
@@ -716,11 +803,21 @@ def test_jacobian_mul_degenerate_steps():
 
 
 def _check_kept_tables(tables: dict) -> None:
-    # every inverse slot d > 0 holds 1/d mod p and slot 0 holds 0; a kept square table is a fresh build's
-    for p, (inv, *squares) in tables.items():
+    # every inverse slot d > 0 holds 1/d mod p and slot 0 holds 0; a kept square table is a fresh build's,
+    # kept once a search visits p, and a kept class table is a fresh build's, kept beside it once p
+    # trials were drawn at p
+    for p, kept in tables.items():
+        inv = kept.inverses
         assert len(inv) == p and inv[0] == 0
         assert all(d * inv[d] % p == 1 for d in range(1, p)), p
-        assert squares in ([], [_square_table(p)]), p
+        assert kept.squares in (None, _square_table(p)) and (kept.drawn == 0 or kept.squares is not None), p
+        if kept.classes is not None:
+            assert kept.drawn >= p and kept.classes == _class_table(p, inv, kept.squares), p
+
+
+def _slots(tables: dict) -> int:
+    # the slots that the kept tables take: p for the inverses, p for the squares and 2p for the classes
+    return sum(p * (1 + (kept.squares is not None) + 2 * (kept.classes is not None)) for p, kept in tables.items())
 
 
 def test_inverses_hold_only_inverses(monkeypatch):
@@ -735,12 +832,12 @@ def test_inverses_hold_only_inverses(monkeypatch):
             P = c.random_point(rng)
             c.mul(rng.randrange(1, 2**32), P)
             c.mul(p, P)
-        inv = _prime_tables(p)[0]
-        assert inv is _prime_tables(p)[0]
-        _check_kept_tables({p: [inv]})
+        inv = _prime_tables(p).inverses
+        assert inv is _prime_tables(p).inverses
+        _check_kept_tables({p: _prime_tables(p)})
     # under a budget of 1,500 slots, walks, searches and kill tests over primes 101-401 of which a few
     # fit: the kept slots stay within the budget, the least recently used primes go first, and every
-    # kept table holds the inverses or is a fresh square table
+    # kept table holds the inverses or is a fresh square or class table
     from dualpair.miller import slope_walk
 
     monkeypatch.setattr(curve_module, "TABLE_SLOTS", 1500)
@@ -755,18 +852,38 @@ def test_inverses_hold_only_inverses(monkeypatch):
             c.mul(rng.randrange(1, 2**32), c.random_point(rng))
         elif kind == 1:  # a Miller walk too
             slope_walk(c, c.random_point(rng), rng.randrange(1, 2**32))
-        else:  # a search asks for both tables, and the kill test of its find walks again
+        else:  # a search asks for the square table too, and the kill test of its find walks again
             assert is_anomalous(find_anomalous(q, q, count=1, seed=step)[0])
         used = [r for r in used if r != q] + [q]
         kept = curve_module._TABLES
-        assert sum(r * len(tables) for r, tables in kept.items()) <= 1500
+        assert _slots(kept) == sum(tables.slots() for tables in kept.values()) <= 1500
         assert list(kept) == used[len(used) - len(kept) :]  # the most recently used, in order
-        assert (len(kept[q]) == 2) >= (kind == 2)
+        assert (kept[q].squares is not None) >= (kind == 2)
         _check_kept_tables(kept)
         built = {r: table for r, table in built.items() if r in kept}
         for r, tables in kept.items():  # a square table is built once while its prime stays kept
-            assert len(tables) == 1 or built.setdefault(r, tables[1]) is tables[1]
+            assert tables.squares is None or built.setdefault(r, tables.squares) is tables.squares
     assert len(used) > len(kept) > 1
+    # class tables, under a budget that holds three primes' three tables and a fourth prime's first
+    # two: searches at 101, 103 and 107 build each prime's class table once p trials are drawn at it,
+    # 2p slots more; the fourth prime's evicts the least recently used prime, its tables and its
+    # trial count with it, so that a search there counts from 0 again
+    monkeypatch.setattr(curve_module, "TABLE_SLOTS", 4 * (101 + 103 + 107) + 2 * 109)
+    monkeypatch.setattr(curve_module, "_TABLES", {})
+    kept, first_drawn = curve_module._TABLES, {}
+    for q in (101, 103, 107, 109):
+        if q == 109:
+            assert list(kept) == [101, 103, 107] and _slots(kept) == 4 * (101 + 103 + 107)
+        for seed in itertools.count():
+            find_anomalous(q, q, count=1, seed=seed)
+            first_drawn.setdefault(q, kept[q].drawn)
+            assert _slots(kept) <= curve_module.TABLE_SLOTS
+            if kept[q].classes is not None:
+                break
+    assert list(kept) == [103, 107, 109] and _slots(kept) == 4 * (103 + 107 + 109)
+    _check_kept_tables(kept)
+    find_anomalous(101, 101, count=1, seed=0)
+    assert list(kept) == [107, 109, 101] and kept[101].classes is None and kept[101].drawn == first_drawn[101]
 
 
 def test_jacobian_multi_mul_is_the_sum_of_its_pairs():
