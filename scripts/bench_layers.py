@@ -55,7 +55,11 @@ desk-size curve (p = 1511):
   so that each call builds them as a one-shot search in a fresh process
   does, and put back after it, so that the other rows keep theirs), and
   for three curves at one prime with seed 0, `search.p1009` (p = 1 mod 3)
-  and `search.p1013` (p = 2 mod 3), and `curve.is_anomalous` on the desk
+  and `search.p1013` (p = 2 mod 3), `search.fresh`, 20 searches for one
+  curve in [1000, 1100] whose seeds no earlier call of the row ran (each
+  call takes the next 20 seeds from `FRESH_SEED_FROM` on, so the row's warm
+  calls run other seeds than its timed ones), which times traffic that
+  repeats no seed, and `curve.is_anomalous` on the desk
   curve (1511, 1301, 497).  Each side records, per search row, the kill
   walks of one untimed call (`walks`), counted by wrapping
   `curve.scalar_mul` (a tree whose kill test walks by another function
@@ -155,6 +159,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import hashlib
+import itertools
 import json
 import os
 import platform
@@ -214,6 +219,12 @@ SEARCHES = [(f"search.find.seed{seed}", 1000, 1500, 1, seed) for seed in range(4
     ("search.p1009", 1009, 1009, 3, 0),
     ("search.p1013", 1013, 1013, 3, 0),
 ] + [(f"search.find.cold.seed{seed}", 1000, 1500, 1, seed) for seed in range(4)]
+#: the search row of seeds never run: each call runs `FRESH_SEARCHES` searches for one curve in `FRESH_RANGE`, with
+#: the next seeds from `FRESH_SEED_FROM` on, so that no call of it, warm or timed, repeats a seed
+FRESH = "search.fresh"
+FRESH_RANGE = (1000, 1100)
+FRESH_SEARCHES = 20
+FRESH_SEED_FROM = 1000
 #: the search rows timed cold: the per-prime tables are emptied, untimed, for each call (`_emptied_prime_tables`)
 COLD = {op for op, *_ in SEARCHES if op.startswith("search.find.cold.")}
 #: untimed calls of each warm search row before any is timed: 30 calls of the four desk searches draw p trials
@@ -377,6 +388,8 @@ def _search_operations() -> tuple[dict, dict]:
     from dualpair.fields import Fp
 
     ops = {op: lambda args=args: find_anomalous(*args) for op, *args in SEARCHES}
+    seeds = itertools.count(FRESH_SEED_FROM)
+    ops[FRESH] = lambda: [c for seed in itertools.islice(seeds, FRESH_SEARCHES) for c in find_anomalous(*FRESH_RANGE, 1, seed)]
     values = {op: [c.to_json() for c in fn()] for op, fn in ops.items()}
     for _ in range(WARM_CALLS):
         for op, fn in ops.items():
@@ -439,7 +452,7 @@ def _search_walks(ops: dict) -> dict:
     counts = {}
     curve.scalar_mul = counted
     try:
-        for op in (op for op, *_ in SEARCHES if op in ops):
+        for op in (op for op in [*(op for op, *_ in SEARCHES), FRESH] if op in ops):
             with _emptied_prime_tables() if op in COLD else contextlib.nullcontext():
                 walks.clear()
                 ops[op]()
@@ -710,6 +723,8 @@ def main(argv=None) -> int:
         "order": {"mode": args.order, "seed": seed, "rounds": [run["order"] for run in runs["change"]] if rng else []},
         "modes": {name: {op: "isolated" if rows else "shared" for op in ops} for name, ops in runs["change"][0]["timings_ms"].items()},
         "searches": {op: {"p_min": lo, "p_max": hi, "count": count, "seed": seed} for op, lo, hi, count, seed in SEARCHES},
+        "fresh_searches": {"op": FRESH, "p_min": FRESH_RANGE[0], "p_max": FRESH_RANGE[1], "searches_per_call": FRESH_SEARCHES,
+                           "seed_from": FRESH_SEED_FROM},
         "cli": CLI,
         "values_identical": identical,
         "sides": {},

@@ -31,12 +31,17 @@ the `pow`, so every draw, curve and error stays the same.
 Curves with a point of order 2 or 3 fall into one-parameter families
 (Tate's normal form), so below `SQUARE_TABLE_FROM` one table per prime,
 2p bytes indexed by the isomorphism class of E, marks them all
-(`_class_table`), and a reject is one read of it.  It is built in about
+(`_class_table`), and a reject is one read of it.  #E depends only on
+the class, so the table also keeps each walked class's answer, which a
+later trial of the class reads instead of walking.  It is built in about
 2p steps once the trials that searches drew at p in this process reach
 p, and kept with p's other tables: a one-shot search visits a desk-size
 prime once, about 4*sqrt(p) trials, and never pays for it, while a
 process that searches the same primes again, as the desk workload does,
-walks only what it leaves (227 of the four desk searches' 547 walks).
+walks only the classes that it has not walked: the four desk searches
+walk none of their 547 curves once their tables are built, and searches
+over [1000, 1100] with seeds not run before walk about 38 curves each
+over the first 200 seeds after them and fewer than 1 from the 1,200th on.
 Before it is built, at A = 0, and from the bound on, the rejects are the
 discriminant's character, which finds a cubic with one root, and at
 p = 1 mod 3 below the bound a cube test of Cardano's resolvent, which
@@ -476,7 +481,8 @@ TABLE_SLOTS = 1 << 17
 
 class _PrimeTables:
     """One prime's kept tables (`_prime_tables`): its inverses; once a search visits it, its square table
-    and the count of the trials drawn at it (`drawn`); and once those reach p, its class table."""
+    and the count of the trials drawn at it (`drawn`); and once those reach p, its class table, which
+    gathers the verdicts of the classes that `_kills` walks on it, and goes with the rest on eviction."""
 
     __slots__ = ("inverses", "squares", "drawn", "classes")
 
@@ -645,6 +651,12 @@ def _class_table(p: int, inv: list[int], squares: list[int]) -> bytearray:
     + 54 = N/36 with N = A^2 - 54A - 243.  So for each A != 0 with N != 0, w = N^2/(1296*A^3) is
     marked on N's half.  About 2p steps; A = -27, where c = 0, marks the singular curves' w = -4/27,
     which is never read.
+
+    The search's `_kills` writes into the cells left 0 the verdict of each class it walks: 1, as a
+    mark reads, for a class that is not anomalous, 2 for one that is.  #E(F_p) depends only on the
+    class (Silverman, AEC III.1 and X.5: for a, b != 0, j is not 0 or 1728, so two curves with one w
+    are quadratic twists of each other, isomorphic exactly when b's character agrees), so one walk
+    answers every later trial of the class.
     """
     classes = bytearray(p)
     for s in range(p):
@@ -668,9 +680,10 @@ def _kills(p: int, a: int, b: int, x: int, tables: _PrimeTables | None = None) -
     cannot be anomalous; the first of these that applies rejects such curves
     without a walk:
     * with p's `tables` (`_prime_tables(p, True)`), their class table built
-      and a != 0: the mark of E's class (`_class_table`), for one read of 1/a,
+      and a != 0: the cell of E's class (`_class_table`), for one read of 1/a,
       three products and two table reads; it marks every curve with a point
-      of order 2 or 3, b = 0 among them;
+      of order 2 or 3, b = 0 among them, and a cell that holds a walked
+      class's verdict answers it, True at 2, with no walk;
     * with `tables`: a non-square discriminant D = -(4a^3 + 27b^2), which
       leaves the cubic exactly one root, read from the square table; and at
       p = 1 mod 3 a square D, which leaves three roots or none, with three
@@ -686,20 +699,24 @@ def _kills(p: int, a: int, b: int, x: int, tables: _PrimeTables | None = None) -
     the sign of y does not matter, since p*(-P) = -(p*P).  `scalar_mul` walks
     to (p - 1)*P', compared with -P' = (t*x, p - t^2), one add short of p*P':
     affine on p's table of inverses below `SQUARE_TABLE_FROM`, and
-    `jacobian_mul` with one inversion from it on.  When t = 0, P has order 2
-    and p*P = P, as p is odd.  For a non-square t there is no such P, and the
-    answer is not defined: P' then lies on the quadratic twist, which may be
-    anomalous where E has a point of order 3, so the answer depends on which
-    rejects ran.
+    `jacobian_mul` with one inversion from it on.  On an unmarked cell the
+    walk's answer is stored there (1 + killed) when t is a nonzero square:
+    p kills an affine point of E exactly when #E = p, and then every one.
+    When t = 0, P has order 2 and p*P = P, as p is odd.  For a non-square t
+    there is no such P, and the answer is not defined: P' then lies on the
+    quadratic twist, which may be anomalous where E is not, so the answer
+    depends on which rejects ran, and it is never stored.
     """
+    cell = None
     if tables is None:
         if pow(-(4 * a * a * a + 27 * b * b) % p, (p - 1) // 2, p) != 1:
             return False
     elif tables.classes and a:
         i = tables.inverses[a]
         q = b * i % p
-        if tables.classes[q * q * i % p + (0 if tables.squares[b] else p)]:
-            return False
+        cell = q * q * i % p + (0 if tables.squares[b] else p)
+        if verdict := tables.classes[cell]:
+            return verdict == 2
     else:
         squares, d = tables.squares, -(4 * a * a * a + 27 * b * b) % p
         if not squares[d]:
@@ -712,7 +729,10 @@ def _kills(p: int, a: int, b: int, x: int, tables: _PrimeTables | None = None) -
     if not t:
         return False
     tx, tt = t * x % p, t * t % p
-    return scalar_mul(p, a * tt % p, p - 1, tx, tt) == (tx, p - tt)
+    killed = scalar_mul(p, a * tt % p, p - 1, tx, tt) == (tx, p - tt)
+    if cell is not None and tables.squares[t]:
+        tables.classes[cell] = 1 + killed
+    return killed
 
 
 def _random_x(p: int, a: int, b: int, rng: random.Random, squares: list[int] | None = None) -> tuple[int, int]:
@@ -775,7 +795,9 @@ def find_anomalous(
     (`_prime_tables`), so a process that searches the same primes again
     builds neither again; each visit adds its trials to p's count, and
     once that reaches p the next visit builds p's class table, after which
-    a curve with a point of order 2 or 3 is rejected by one read of it.
+    a curve with a point of order 2 or 3 is rejected by one read of it,
+    and a curve whose isomorphism class a trial has walked is answered by
+    one read of the verdict kept there.
     When the range holds at most `budget` nonsingular (p, A, B) triples
     (p^2 - p per prime), each tried one is marked, and the search stops
     once all of them are.

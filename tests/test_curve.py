@@ -676,6 +676,146 @@ def test_kills_on_the_class_table_is_the_old_rule(data):
     assert _kills(p, a, b, x, tables) == kills, (p, a, b, x)
 
 
+def _cell(p: int, a: int, b: int) -> int:
+    """The class table's index of y^2 = x^3 + a*x + b, a != 0: b^2/a^3, on the half of b's character."""
+    return b * b * pow(a, -3, p) % p + (p if legendre(b, p) == -1 else 0)
+
+
+def test_anomaly_is_one_answer_per_class_and_the_kept_verdicts_are_it(fresh_tables):
+    # the theorem that the kept verdicts rest on: at every prime 5 <= p <= 43, count_points(E) == p is
+    # one answer for every nonsingular (a, b), a != 0, of a class index (b^2/a^3, the character of b);
+    # and every verdict that searches at p leave in p's class table is that answer, 2 where it is
+    # anomalous, while every other cell holds a fresh build's mark or 0
+    verdicts = {1: 0, 2: 0}
+    for p in (q for q in range(5, 44) if is_prime(q)):
+        f, anomalous = Fp(p), {}
+        for a in range(1, p):
+            for b in range(p):
+                if (4 * a**3 + 27 * b * b) % p:
+                    answer = count_points(Curve(f, a, b)) == p
+                    assert anomalous.setdefault(_cell(p, a, b), answer) == answer, (p, a, b)
+        for seed in range(40):
+            find_anomalous(p, p, count=1, seed=seed)
+        kept = fresh_tables[p]
+        marks = _class_table(p, kept.inverses, kept.squares)
+        for cell, (verdict, mark) in enumerate(zip(kept.classes, marks)):
+            if mark or not verdict:
+                assert verdict == mark, (p, cell)
+            else:
+                assert verdict == 1 + anomalous[cell], (p, cell)
+                verdicts[verdict] += 1
+    assert verdicts[2] > 20 and verdicts[1] > 20
+
+
+@functools.lru_cache(maxsize=8)
+def _unwalked_tables(p: int) -> _PrimeTables:
+    # p's tables with a class table that holds marks only: never passed to _kills, only copied
+    return _tables(p)
+
+
+def _recording_tables(p: int) -> _PrimeTables:
+    """p's tables as a search keeps them right after the class table's build: marks and no verdict."""
+    unwalked, tables = _unwalked_tables(p), _PrimeTables.__new__(_PrimeTables)
+    tables.inverses, tables.squares, tables.drawn = unwalked.inverses, unwalked.squares, p
+    tables.classes = bytearray(unwalked.classes)
+    return tables
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_kills_records_a_class_verdict_and_reads_it_back(data):
+    # below SQUARE_TABLE_FROM, on a class table that gathers verdicts, at random curves and anomalous
+    # ones: the first call, at an x where t is a nonzero square, walks and records the class's verdict;
+    # the second, on an isomorphic curve (u^4 a, u^6 b) of the same class at its own such x, reads it
+    # with no walk; both answers are the oracle's, the kill rule before the class table.  From p = 11 on
+    # every curve has such an x, as #E - 4 >= p + 1 - 2*sqrt(p) - 4 > 0
+    import dualpair.curve as curve_module
+
+    anomalous = [c for _, found in _PINNED_SEARCHES for c in found if c[0] < SQUARE_TABLE_FROM and c[1]]
+    if data.draw(st.booleans()):
+        p, a, b = data.draw(st.sampled_from(anomalous))
+    else:
+        p = data.draw(st.one_of(st.sampled_from([1009, 1013, 1433, 1511, 19993, 19997]), st.integers(11, 3000).map(next_prime)))
+        a, b = data.draw(st.integers(1, p - 1)), data.draw(st.integers(0, p - 1))
+        assume((4 * a**3 + 27 * b * b) % p)
+    u = data.draw(st.integers(1, p - 1))
+    tables, calls = _recording_tables(p), []
+    cell, marked = _cell(p, a, b), tables.classes[_cell(p, a, b)]
+    walk = curve_module.scalar_mul
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(curve_module, "scalar_mul", lambda *args: calls.append(args) or walk(*args))
+        for a, b in ((a, b), (u**4 * a % p, u**6 * b % p)):
+            assert _cell(p, a, b) == cell
+            x = data.draw(st.integers(0, p - 1))
+            while not (x**3 + a * x + b) % p or not tables.squares[(x**3 + a * x + b) % p]:
+                x = (x + 1) % p
+            kills = jacobian_kills(p, a, b, x)
+            assert _kills(p, a, b, x, tables) == kills, (p, a, b, x)
+            assert tables.classes[cell] == (marked or 1 + kills), (p, a, b, x)
+    assert len(calls) == (not marked), (p, a, b)
+
+
+def test_kills_at_a_non_square_t_stores_no_verdict():
+    # at a non-square t, P' = (t*x, t^2) lies on E's quadratic twist, whose answer is not that of E's
+    # class: at the first such x of every nonsingular (a, b), a != 0, that has one, at each p <= 43,
+    # the class table's bytes stay as they were, among them curves that are not anomalous where the
+    # walk on the twist kills, whose class a stored answer would have made anomalous
+    twist_kills = 0
+    for p in (q for q in range(5, 44) if is_prime(q)):
+        f, tables = Fp(p), _tables(p)
+        for a in range(1, p):
+            for b in range(p):
+                if (4 * a**3 + 27 * b * b) % p == 0:
+                    continue
+                x = next((x for x in range(p) if legendre(x**3 + a * x + b, p) == -1), None)
+                if x is None:
+                    continue
+                before = bytes(tables.classes)
+                kills = _kills(p, a, b, x, tables)
+                assert tables.classes == before, (p, a, b, x)
+                twist_kills += kills and count_points(Curve(f, a, b)) != p
+    assert twist_kills > 10
+
+
+def test_eviction_drops_a_primes_verdicts_and_searches_stay_fresh(monkeypatch):
+    # under a budget that holds two primes' three tables and a third prime's first two: searches at 101
+    # and 103 build their class tables and gather verdicts in them; the class table at 107 evicts 101,
+    # its verdicts with it, so that 101's next visit (which evicts 103 in turn) finds no class table;
+    # and every search returns the curves that it returns on emptied tables, as in a fresh process
+    import dualpair.curve as curve_module
+
+    monkeypatch.setattr(curve_module, "TABLE_SLOTS", 4 * (101 + 103) + 2 * 107)
+    monkeypatch.setattr(curve_module, "_TABLES", {})
+    kept = curve_module._TABLES
+
+    def searched(q, seed):
+        with monkeypatch.context() as m:
+            m.setattr(curve_module, "_TABLES", {})
+            fresh = find_anomalous(q, q, count=1, seed=seed)
+        assert find_anomalous(q, q, count=1, seed=seed) == fresh, (q, seed)
+
+    def verdicts(q):
+        tables = kept[q]
+        marks = _class_table(q, tables.inverses, tables.squares)
+        return sum(verdict != mark for verdict, mark in zip(tables.classes, marks))
+
+    for q in (101, 103, 107):
+        seeds = itertools.count()
+        while q not in kept or kept[q].classes is None:
+            searched(q, next(seeds))
+        if q < 107:
+            for _ in range(20):
+                searched(q, next(seeds))
+            assert verdicts(q) > 5
+    assert list(kept) == [103, 107] and verdicts(103) > 5
+    searched(101, 0)
+    assert list(kept) == [107, 101] and kept[101].classes is None
+    for seed in range(40):
+        for q in (101, 103, 107):
+            searched(q, seed)
+    _check_kept_tables(kept)
+
+
 def test_split_test_is_a_root_count(walks):
     # at p = 1 mod 3, a curve with a square discriminant has a cubic with three
     # roots or none; given the square table, before the class table, _kills rejects
@@ -698,14 +838,19 @@ def test_split_test_is_a_root_count(walks):
     assert split > 1000 and whole > 1000
 
 
-@pytest.mark.parametrize("p,walked,walked_on_classes", [(1009, 144, 81), (1013, 246, 91)])
-def test_search_skips_the_walk_of_a_split_cubic(walks, fresh_tables, p, walked, walked_on_classes):
+@pytest.mark.parametrize("p,walked,walked_on_classes,classes_walked", [(1009, 144, 81, 74), (1013, 246, 91, 80)])
+def test_search_skips_the_walk_of_a_split_cubic(walks, fresh_tables, monkeypatch, p, walked, walked_on_classes, classes_walked):
     # find_anomalous(p, p, count=3, seed=0) walked 210 curves at 1009 and 246 at 1013 before the
     # split-cubic reject, which only p = 1 mod 3 takes, and walks as many in a process that has drawn
     # fewer than p trials at p; every walked image y^2 = x^3 + a'x + b', b' read from its base point,
     # then has a cubic with no root at p = 1 mod 3.  Once the trials drawn at p reach p, the next
-    # visit builds p's class table, and from then on the search walks 81 and 91 curves: at both
-    # residues every walked cubic has no root and 3 does not divide #E
+    # visit builds p's class table.  On it, with no verdict kept yet, 81 and 91 of the search's
+    # trials pass the marks: at both residues each of their cubics has no root and 3 does not divide
+    # #E.  The search walks each of their classes once, 74 and 80 walks, as a walk keeps its class's
+    # verdict for the class's later trials (a trial at a = 0, which has no cell, walks each time); and
+    # the same search again walks none
+    import dualpair.curve as curve_module
+
     def walked_curves():
         for q, a, n, (x, y, _) in walks:
             assert (q, n) == (p, p - 1)
@@ -719,14 +864,26 @@ def test_search_skips_the_walk_of_a_split_cubic(walks, fresh_tables, p, walked, 
         drawn = fresh_tables[p].drawn
         find_anomalous(p, p, count=3, seed=0)
         assert drawn < p or fresh_tables[p].classes is not None  # a visit that starts at p trials builds it
+    kept = fresh_tables[p]
+    marks = _class_table(p, kept.inverses, kept.squares)
+    kept.classes = bytearray(marks)  # the verdicts of the build's visit dropped
+    trials, trial = [], curve_module._kills
+    monkeypatch.setattr(curve_module, "_kills", lambda *args: trials.append(args[1:3]) or trial(*args))
     walks.clear()
-    assert [(c.A.value, c.B.value) for c in find_anomalous(p, p, count=3, seed=0)] == [
-        (c[1], c[2]) for args, found in _PINNED_SEARCHES if args == (p, p, 3, 0) for c in found
-    ]
-    assert len(walks) == walked_on_classes
-    for a, b in walked_curves():
+    pinned = [(c[1], c[2]) for args, found in _PINNED_SEARCHES if args == (p, p, 3, 0) for c in found]
+    assert [(c.A.value, c.B.value) for c in find_anomalous(p, p, count=3, seed=0)] == pinned
+    at_0 = [(a, b) for a, b in walked_curves() if not a]  # a = 0 has no cell and takes the discriminant's rejects
+    passed = [(a, b) for a, b in trials if a and not marks[_cell(p, a, b)]] + at_0
+    assert len(passed) == walked_on_classes
+    for a, b in passed:
         assert all((r**3 + a * r + b) % p for r in range(p)), (a, b)
         assert count_points(Curve(Fp(p), a, b)) % 3, (a, b)
+    cells = [_cell(p, a, b) for a, b in walked_curves() if a]
+    assert len(walks) == len(set(cells)) + len(at_0) == classes_walked
+    assert set(cells) == {_cell(p, a, b) for a, b in passed if a}
+    walks.clear()
+    assert [(c.A.value, c.B.value) for c in find_anomalous(p, p, count=3, seed=0)] == pinned
+    assert walks == []
 
 
 def test_search_takes_no_square_root(monkeypatch):
@@ -802,21 +959,40 @@ def test_jacobian_mul_degenerate_steps():
     assert jacobian_mul(5, 1, 2, (0, 0, 1)) == JACOBIAN_INFINITY  # a point of order 2 on y^2 = x^3 + x
 
 
+@functools.lru_cache(maxsize=None)
+def _class_verdict(p: int, cell: int) -> int:
+    # oracle: the verdict that the class table's `cell` keeps for a walked class, 1 + jacobian_kills on
+    # a curve of the class, at its first x where t is a nonzero square
+    w, h = cell % p, cell // p
+    for a in range(1, p):
+        r = sqrt_mod(w * a**3 % p, p)
+        for b in () if r is None else (r, p - r):
+            if (4 * a**3 + 27 * b * b) % p and b and (legendre(b, p) == -1) == h:
+                assert _cell(p, a, b) == cell
+                return 1 + jacobian_kills(p, a, b, next(x for x in range(p) if legendre(x**3 + a * x + b, p) == 1))
+    raise AssertionError(f"no curve in class {cell} at {p}")
+
+
 def _check_kept_tables(tables: dict) -> None:
     # every inverse slot d > 0 holds 1/d mod p and slot 0 holds 0; a kept square table is a fresh build's,
-    # kept once a search visits p, and a kept class table is a fresh build's, kept beside it once p
-    # trials were drawn at p
+    # kept once a search visits p; and a kept class table, kept beside it once p trials were drawn at p,
+    # holds 1 at every cell that a fresh build marks, and at every other nonzero cell the verdict of
+    # its class
     for p, kept in tables.items():
         inv = kept.inverses
         assert len(inv) == p and inv[0] == 0
         assert all(d * inv[d] % p == 1 for d in range(1, p)), p
         assert kept.squares in (None, _square_table(p)) and (kept.drawn == 0 or kept.squares is not None), p
         if kept.classes is not None:
-            assert kept.drawn >= p and kept.classes == _class_table(p, inv, kept.squares), p
+            marks = _class_table(p, inv, kept.squares)
+            assert kept.drawn >= p and len(kept.classes) == len(marks), p
+            for cell, (verdict, mark) in enumerate(zip(kept.classes, marks)):
+                assert verdict == mark if mark or not verdict else verdict == _class_verdict(p, cell), (p, cell)
 
 
 def _slots(tables: dict) -> int:
-    # the slots that the kept tables take: p for the inverses, p for the squares and 2p for the classes
+    # the slots that the kept tables take: p for the inverses, p for the squares and 2p for the classes,
+    # verdicts included
     return sum(p * (1 + (kept.squares is not None) + 2 * (kept.classes is not None)) for p, kept in tables.items())
 
 
@@ -837,7 +1013,8 @@ def test_inverses_hold_only_inverses(monkeypatch):
         _check_kept_tables({p: _prime_tables(p)})
     # under a budget of 1,500 slots, walks, searches and kill tests over primes 101-401 of which a few
     # fit: the kept slots stay within the budget, the least recently used primes go first, and every
-    # kept table holds the inverses or is a fresh square or class table
+    # kept table holds the inverses, is a fresh square table, or is a class table of a fresh build's marks
+    # and its classes' verdicts
     from dualpair.miller import slope_walk
 
     monkeypatch.setattr(curve_module, "TABLE_SLOTS", 1500)
